@@ -1,7 +1,6 @@
 package docstore
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -165,61 +164,10 @@ func (c *Collection) findShard(id string) (*shard, bool) {
 // (further writes and compaction refuse) so the unlogged state can
 // never become durable — reopen to recover the last good commit.
 func (c *Collection) Insert(doc Document) (string, error) {
-	cp := copyDoc(doc)
-	id := cp.ID()
-	generated := false
-	if id == "" {
-		id = fmt.Sprintf("%s-%08d", c.name, c.idSeq.Add(1))
-		cp["_id"] = id
-		generated = true
-	}
-
-	c.store.writeGate.RLock()
-	defer c.store.writeGate.RUnlock()
-
-	// Explicit IDs can collide with a document striped elsewhere (a
-	// different shard-key value), so their duplicate check scans every
-	// stripe; explicitMu makes scan-then-insert atomic against
-	// concurrent explicit-ID inserts. It is released as soon as the
-	// document is visible in its shard (before the durability wait),
-	// so explicit inserts still share group commits. Generated IDs are
-	// unique by construction and skip the scan.
-	if !generated {
-		c.explicitMu.Lock()
-		if _, exists := c.findShard(id); exists {
-			c.explicitMu.Unlock()
-			return "", fmt.Errorf("docstore: duplicate _id %q in collection %s", id, c.name)
-		}
-	}
-
-	sh := c.shards[c.shardIndex(cp)]
-	sh.mu.Lock()
-	if _, exists := sh.docs[id]; exists {
-		sh.mu.Unlock()
-		if !generated {
-			c.explicitMu.Unlock()
-		}
-		return "", fmt.Errorf("docstore: duplicate _id %q in collection %s", id, c.name)
-	}
-	e := &entry{doc: cp, order: c.orderSeq.Add(1)}
-	sh.docs[id] = e
-	sh.indexEntry(cp)
-	batch, err := c.store.logLocked(walRecord{
-		Op: opInsert, Collection: c.name, ID: id, Doc: cp,
-		Order: e.order, IDSeq: c.idSeq.Load(),
-	})
-	sh.mu.Unlock()
-	if !generated {
-		c.explicitMu.Unlock()
-	}
-	if err != nil {
+	b := c.store.Begin()
+	id, err := b.Insert(c, doc)
+	if err = b.finish(err); err != nil {
 		return "", err
-	}
-	if batch != nil {
-		<-batch.done
-		if batch.err != nil {
-			return "", batch.err
-		}
 	}
 	return id, nil
 }
@@ -256,50 +204,11 @@ func (c *Collection) Get(id string) (Document, bool) {
 	return nil, false
 }
 
-// Update replaces the document with the given ID (the _id field of the
-// replacement is forced to id). A replacement whose shard-key value
-// differs moves the document to its new stripe; lock-free readers
-// (Get/Find) may transiently miss a document mid-move, which is the
-// one linearizability caveat of the striped layout.
+// Update replaces the document with the given ID (see Batch.Update)
+// and returns once the write is durably logged.
 func (c *Collection) Update(id string, doc Document) error {
-	cp := copyDoc(doc)
-	cp["_id"] = id
-
-	c.store.writeGate.RLock()
-	defer c.store.writeGate.RUnlock()
-
-	// explicitMu makes the cross-stripe findShard scan atomic against
-	// concurrent explicit-ID inserts, other moves, and deletes —
-	// without it an insert scanning mid-move could miss the document
-	// in both its old and new stripes and re-create its ID. Released
-	// before the durability wait.
-	c.explicitMu.Lock()
-	src, ok := c.findShard(id)
-	if !ok {
-		c.explicitMu.Unlock()
-		return fmt.Errorf("docstore: update of missing _id %q in %s", id, c.name)
-	}
-	dst := c.shards[c.shardIndex(cp)]
-	lockPair(src, dst)
-	old := src.docs[id]
-	src.unindexEntry(old.doc)
-	delete(src.docs, id)
-	e := &entry{doc: cp, order: old.order}
-	dst.docs[id] = e
-	dst.indexEntry(cp)
-	batch, err := c.store.logLocked(walRecord{
-		Op: opUpdate, Collection: c.name, ID: id, Doc: cp, Order: e.order,
-	})
-	unlockPair(src, dst)
-	c.explicitMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if batch != nil {
-		<-batch.done
-		return batch.err
-	}
-	return nil
+	b := c.store.Begin()
+	return b.finish(b.Update(c, id, doc))
 }
 
 // applyUpdate replays one update during recovery. A missing target
@@ -318,34 +227,11 @@ func (c *Collection) applyUpdate(rec walRecord) {
 	c.applyInsert(rec)
 }
 
-// Delete removes the document with the given ID.
+// Delete removes the document with the given ID and returns once the
+// removal is durably logged.
 func (c *Collection) Delete(id string) error {
-	c.store.writeGate.RLock()
-	defer c.store.writeGate.RUnlock()
-
-	// Same scan-atomicity protocol as Update: the find must not race a
-	// cross-stripe move.
-	c.explicitMu.Lock()
-	sh, ok := c.findShard(id)
-	if !ok {
-		c.explicitMu.Unlock()
-		return fmt.Errorf("docstore: delete of missing _id %q in %s", id, c.name)
-	}
-	sh.mu.Lock()
-	old := sh.docs[id]
-	sh.unindexEntry(old.doc)
-	delete(sh.docs, id)
-	batch, err := c.store.logLocked(walRecord{Op: opDelete, Collection: c.name, ID: id})
-	sh.mu.Unlock()
-	c.explicitMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if batch != nil {
-		<-batch.done
-		return batch.err
-	}
-	return nil
+	b := c.store.Begin()
+	return b.finish(b.Delete(c, id))
 }
 
 // applyReplicated folds one shipped WAL record into the collection
@@ -467,17 +353,18 @@ func (c *Collection) Count() int {
 }
 
 // Scan streams every live document through fn without copying, in
-// unspecified order, stopping early when fn returns false. fn runs
-// under a shard read lock and receives the store's internal document:
-// it must treat it as strictly read-only, must not retain it past the
-// call, and must not call back into the collection (deadlock). It is
-// the zero-allocation read path for whole-collection aggregation
-// (e.g. the K-DB's descriptor-similarity scoring).
-func (c *Collection) Scan(fn func(Document) bool) {
+// unspecified order, stopping early when fn returns false; order is the
+// document's insertion-order stamp (sorting on it recovers Find's
+// order). fn runs under a shard read lock and receives the store's
+// internal document: it must treat it as strictly read-only, must not
+// retain it past the call, and must not call back into the collection
+// (deadlock). It is the zero-allocation read path for whole-collection
+// aggregation (e.g. the K-DB's descriptor-similarity scoring).
+func (c *Collection) Scan(fn func(doc Document, order int64) bool) {
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		for _, e := range sh.docs {
-			if !fn(e.doc) {
+			if !fn(e.doc, e.order) {
 				sh.mu.RUnlock()
 				return
 			}

@@ -24,6 +24,37 @@
 // rewritten and the log is reset; replay is idempotent, so a crash
 // between the two steps loses nothing.
 //
+// # Batches
+//
+// Every write goes through a Batch (Store.Begin, then Insert / Update /
+// Upsert / Delete on any of the store's collections, then Commit); the
+// single-document Collection methods are one-element batches. The
+// contract:
+//
+//   - Ack: Commit returns nil only when every frame the batch enqueued
+//     is durable. It wakes the committer once and waits for the group
+//     commit(s) carrying those frames — one write+fsync when no other
+//     writer is active — so a batch costs one durability wait however
+//     many documents it holds.
+//   - Crash: a batch is N ordinary frames, not a transaction. A crash
+//     before the ack recovers a frame-prefix of it, in the order the
+//     mutations were made — exactly what N single writes would leave.
+//     Callers order mutations so every prefix is a state they accept
+//     (the K-DB logs a fold before the deletes it makes redundant).
+//   - Visibility: each mutation is applied in memory, and visible to
+//     readers, when its call returns — before it is durable, exactly
+//     as for Insert. A mutation the store refuses (duplicate or
+//     missing _id) changes nothing and leaves the batch usable.
+//   - Gate: the batch holds the write gate shared from Begin to Commit,
+//     once, so compaction waits for open batches. Always Commit, and
+//     never Begin, single-write, Flush, Compact or Close on the same
+//     goroutine in between: a compaction queued between two shared
+//     acquisitions deadlocks both.
+//
+// There is no batch marker in the log: replay, torn-tail truncation,
+// the replication stream and its frame counter see the same frames
+// they always did.
+//
 // # Failure semantics
 //
 // A failed WAL write or fsync poisons the store: the enqueuer whose

@@ -3,6 +3,7 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -119,6 +120,154 @@ func TestWALHoleNoLaterAck(t *testing.T) {
 	if !errors.Is(second, ErrStoreBroken) {
 		t.Fatalf("later enqueuer err = %v, want ErrStoreBroken", second)
 	}
+}
+
+// TestBatchCommitFaultNoLaterAck is the batch variant of the hole
+// contract: a write or fsync fault on the group commit carrying a
+// batch's frames fails Commit with ErrStoreBroken and poisons the
+// store; no later batch is acknowledged even once the disk heals, and
+// reopening recovers everything acked before the fault plus at most a
+// frame-prefix of the failed batch.
+func TestBatchCommitFaultNoLaterAck(t *testing.T) {
+	for _, op := range []faultfs.Op{faultfs.OpWrite, faultfs.OpSync} {
+		t.Run(string(op), func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := faultfs.New(nil, 1)
+			s := openFaulty(t, dir, ffs)
+			c := s.Collection("items")
+
+			acked := s.Begin()
+			for i := 0; i < 3; i++ {
+				if _, err := acked.Upsert(c, Document{"_id": fmt.Sprintf("ok%d", i), "v": 1.0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := acked.Commit(); err != nil {
+				t.Fatalf("healthy batch: %v", err)
+			}
+
+			// Every commit from here on fails.
+			ffs.Inject(faultfs.Rule{Op: op, Path: "wal.log", Err: faultfs.ENOSPC()})
+			b := s.Begin()
+			for i := 0; i < 50; i++ {
+				// Applied in memory and enqueued; nothing has touched
+				// the disk yet, so nothing can have failed.
+				if _, err := b.Upsert(c, Document{"_id": fmt.Sprintf("lost%d", i), "v": 2.0}); err != nil {
+					t.Fatalf("mutation %d: %v", i, err)
+				}
+			}
+			err := b.Commit()
+			if !errors.Is(err, ErrStoreBroken) || !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("Commit over a failed group commit = %v, want ErrStoreBroken wrapping ENOSPC", err)
+			}
+			if err := s.Broken(); !errors.Is(err, ErrStoreBroken) {
+				t.Fatalf("Broken() = %v after a failed batch", err)
+			}
+
+			ffs.Clear()
+			later := s.Begin()
+			if _, err := later.Upsert(c, Document{"_id": "later", "v": 3.0}); !errors.Is(err, ErrStoreBroken) {
+				t.Fatalf("mutation on a poisoned store = %v, want ErrStoreBroken", err)
+			}
+			if err := later.Commit(); !errors.Is(err, ErrStoreBroken) {
+				t.Fatalf("later batch Commit = %v, want ErrStoreBroken", err)
+			}
+			if err := s.Compact(); !errors.Is(err, ErrStoreBroken) {
+				t.Fatalf("Compact on a poisoned store = %v, want ErrStoreBroken", err)
+			}
+			s.Close()
+
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			items := re.Collection("items")
+			for i := 0; i < 3; i++ {
+				if _, ok := items.Get(fmt.Sprintf("ok%d", i)); !ok {
+					t.Errorf("acked document ok%d lost", i)
+				}
+			}
+			// A failed write leaves nothing behind; a failed fsync may
+			// leave written frames, and then only a frame-prefix of the
+			// unacked batch.
+			extra := items.Count() - 3
+			if op == faultfs.OpWrite && extra != 0 {
+				t.Errorf("recovered %d documents past the acked 3 after a failed write", extra)
+			}
+			for i := 0; i < extra; i++ {
+				if _, ok := items.Get(fmt.Sprintf("lost%d", i)); !ok {
+					t.Errorf("recovered %d unacked documents but not lost%d: not a frame-prefix", extra, i)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchesRacingCompact runs writers committing batches against a
+// compactor: the batch holds the write gate from Begin to Commit, so
+// neither side may deadlock, and every document of an acked batch must
+// survive a reopen whether it reached the snapshot or the WAL tail.
+func TestBatchesRacingCompact(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Collection("items")
+	c.ShardBy("dataset")
+
+	const writers, batches, perBatch = 4, 12, 6
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < batches; n++ {
+				b := s.Begin()
+				for i := 0; i < perBatch; i++ {
+					doc := Document{"_id": fmt.Sprintf("w%d-b%d-i%d", w, n, i), "dataset": fmt.Sprintf("d%d", w)}
+					if _, err := b.Upsert(c, doc); err != nil {
+						t.Errorf("upsert: %v", err)
+					}
+				}
+				if err := b.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Compact(); err != nil {
+				t.Errorf("compact: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-compacted
+
+	// No Close: it would compact. Reopen what a kill would leave.
+	re, err := Open(copyDirTruncated(t, dir, "wal.log", 1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, want := re.Collection("items").Count(), writers*batches*perBatch; got != want {
+		t.Errorf("recovered %d documents, want all %d acked", got, want)
+	}
+	s.Close()
 }
 
 // TestTornWALTailRecovery tears a WAL write mid-frame and verifies a

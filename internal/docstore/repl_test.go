@@ -1,9 +1,12 @@
 package docstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -69,12 +72,13 @@ func bootstrap(t *testing.T, leader *Store, rep *Replica) {
 }
 
 func TestReplShipFramesConverges(t *testing.T) {
-	leader, err := Open(t.TempDir())
+	leaderDir, repDir := t.TempDir(), t.TempDir()
+	leader, err := Open(leaderDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	rep, err := OpenReplica(Options{Dir: t.TempDir()})
+	rep, err := OpenReplica(Options{Dir: repDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +100,49 @@ func TestReplShipFramesConverges(t *testing.T) {
 	if err := people.Delete(ids[7]); err != nil {
 		t.Fatal(err)
 	}
+	// A batch is N ordinary frames on the wire: it ships, counts and
+	// replays like the single writes around it.
+	b := leader.Begin()
+	if _, err := b.Insert(people, Document{"n": 20, "dataset": "d0"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Upsert(people, Document{"_id": "p-explicit", "n": 21, "dataset": "d1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Upsert(people, Document{"_id": ids[5], "n": 555, "dataset": "d9"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Update(people, ids[0], Document{"n": -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete(people, ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
 	lpos := shipAll(t, leader, rep)
 	if got := rep.Position(); got != lpos {
 		t.Fatalf("replica position %+v != leader %+v", got, lpos)
 	}
-	if lpos.Frames != 22 {
-		t.Fatalf("leader frames = %d, want 22", lpos.Frames)
+	if lpos.Frames != 27 {
+		t.Fatalf("leader frames = %d, want 27", lpos.Frames)
 	}
 	if want, got := dumpStore(t, leader), dumpStore(t, rep.Store()); !reflect.DeepEqual(want, got) {
 		t.Fatalf("replica diverged:\nleader  %s\nreplica %s", want, got)
+	}
+	// The follower's log is the leader's durable log, byte for byte.
+	want, err := os.ReadFile(filepath.Join(leaderDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(repDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("follower wal.log (%d bytes) is not byte-equal to the leader's (%d bytes)", len(got), len(want))
 	}
 }
 

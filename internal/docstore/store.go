@@ -51,10 +51,10 @@ type Store struct {
 	fs          faultfs.FS
 	maxWALBytes int64
 
-	// writeGate serializes mutations against compaction: every write
-	// holds it shared for its whole apply+log+wait span, so when
-	// Compact holds it exclusively no record is pending in the WAL and
-	// the snapshot is a consistent cut.
+	// writeGate serializes mutations against compaction: every Batch
+	// holds it shared from Begin to Commit — its whole apply+log+wait
+	// span — so when Compact holds it exclusively no record is pending
+	// in the WAL and the snapshot is a consistent cut.
 	writeGate sync.RWMutex
 
 	wal *wal // nil for memory-only stores
@@ -137,17 +137,6 @@ func (s *Store) applyRecord(rec walRecord) error {
 		return fmt.Errorf("docstore: unknown WAL op %q", rec.Op)
 	}
 	return nil
-}
-
-// logLocked enqueues a WAL record for a mutation the caller has just
-// applied under a shard lock (which is what orders records touching
-// one document). It returns the batch to wait on after the shard lock
-// is released, or nil for memory-only stores.
-func (s *Store) logLocked(rec walRecord) (*walBatch, error) {
-	if s.wal == nil {
-		return nil, nil
-	}
-	return s.wal.enqueue(rec)
 }
 
 // Collection returns the named collection, creating it if needed.

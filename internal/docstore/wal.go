@@ -49,6 +49,10 @@ type walRecord struct {
 // truncates the log there, recovering exactly the committed prefix.
 const walFrameHeader = 8
 
+// walBufKeep caps the capacity of a commit buffer the committer keeps
+// for reuse.
+const walBufKeep = 1 << 20
+
 // walBatch is one group commit: every record enqueued while the
 // committer was busy shares a single write+fsync, and every enqueuer
 // blocks on the same done channel.
@@ -65,11 +69,17 @@ type wal struct {
 	path string
 	sync bool // fsync each commit (true unless Options.NoSync)
 
-	mu   sync.Mutex
-	f    faultfs.File
-	buf  []byte
-	cur  *walBatch
-	done bool
+	mu sync.Mutex
+	f  faultfs.File
+	// buf collects the pending frames; spare (touched only by the
+	// committer goroutine) is the previous commit's buffer, emptied,
+	// which the committer swaps in when it takes buf — a many-frame
+	// batch then appends into capacity it already grew instead of
+	// doubling up from nil on every commit.
+	buf   []byte
+	spare []byte
+	cur   *walBatch
+	done  bool
 	// failErr latches the first commit failure: once a batch could not
 	// be written (disk full, I/O error), the in-memory state is ahead
 	// of the log, so every further write — and, crucially, compaction,
@@ -205,7 +215,10 @@ func (r *walReader) Read(p []byte) (int, error) {
 // enqueue frames rec into the pending batch and returns the batch to
 // wait on. It is cheap (no I/O) and safe to call while holding a shard
 // lock, which is what serializes records touching one document into
-// log order.
+// log order. It does not wake the committer: the frame rides whichever
+// group commit comes next, and a writer about to wait calls kick, so a
+// many-frame Batch costs one commit rather than one per frame the
+// committer happened to catch.
 func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -216,14 +229,12 @@ func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	binary.LittleEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload))
 
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.done {
-		w.mu.Unlock()
 		return nil, fmt.Errorf("docstore: WAL closed")
 	}
 	if w.failErr != nil {
-		err := w.failErr
-		w.mu.Unlock()
-		return nil, fmt.Errorf("docstore: WAL failed earlier: %w", err)
+		return nil, fmt.Errorf("docstore: WAL failed earlier: %w", w.failErr)
 	}
 	w.buf = append(w.buf, header[:]...)
 	w.buf = append(w.buf, payload...)
@@ -231,16 +242,25 @@ func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	if w.cur == nil {
 		w.cur = &walBatch{done: make(chan struct{})}
 	}
-	b := w.cur
-	// Wake the committer while still holding the mutex: close() also
-	// takes it before closing the channel, so a send can never race a
-	// close.
+	return w.cur, nil
+}
+
+// kick wakes the committer when frames are pending and returns their
+// batch (nil when nothing is pending or the log is closed, whose final
+// drain commits what was enqueued before it).
+func (w *wal) kick() *walBatch {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.done || w.cur == nil {
+		return nil
+	}
+	// Send while still holding the mutex: close() also takes it before
+	// closing the channel, so a send can never race a close.
 	select {
 	case w.wake <- struct{}{}:
 	default:
 	}
-	w.mu.Unlock()
-	return b, nil
+	return w.cur
 }
 
 // commitLoop is the single committer: it drains the pending buffer,
@@ -261,7 +281,7 @@ func (w *wal) commitPending() {
 		return
 	}
 	data, batch, nframes := w.buf, w.cur, w.bufFrames
-	w.buf, w.cur, w.bufFrames = nil, nil, 0
+	w.buf, w.spare, w.cur, w.bufFrames = w.spare, nil, nil, 0
 	// A batch enqueued while the failing commit was in flight must not
 	// be written: its frames would land past the hole left by the
 	// unacknowledged batch, and replay (which stops at the hole) would
@@ -293,6 +313,11 @@ func (w *wal) commitPending() {
 		w.size.Add(int64(len(data)))
 		w.frames.Add(nframes)
 		walFramesTotal.Add(nframes)
+	}
+	// Recycle the written buffer unless one outsized commit grew it:
+	// pinning that forever would cost more than regrowing it.
+	if cap(data) <= walBufKeep {
+		w.spare = data[:0]
 	}
 	batch.err = err
 	close(batch.done)
@@ -339,35 +364,11 @@ func (w *wal) failed() error {
 	return w.failErr
 }
 
-// append logs rec durably: it enqueues and blocks until the group
-// commit containing it has been written (and fsynced unless NoSync).
-func (w *wal) append(rec walRecord) error {
-	b, err := w.enqueue(rec)
-	if err != nil {
-		return err
-	}
-	<-b.done
-	return b.err
-}
-
 // flushNow waits for any pending batch to commit and then fsyncs the
 // file — the durability barrier Flush offers NoSync stores. Writes
 // stay ordered because only the committer goroutine ever writes.
 func (w *wal) flushNow() error {
-	w.mu.Lock()
-	if w.done {
-		w.mu.Unlock()
-		return nil
-	}
-	b := w.cur
-	if b != nil {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	w.mu.Unlock()
-	if b != nil {
+	if b := w.kick(); b != nil {
 		<-b.done
 		if b.err != nil {
 			return b.err

@@ -304,9 +304,9 @@ type faultFile struct {
 	fs    *Injector
 }
 
-func (f *faultFile) Name() string                 { return f.inner.Name() }
-func (f *faultFile) Stat() (os.FileInfo, error)   { return f.inner.Stat() }
-func (f *faultFile) Close() error                 { return f.inner.Close() }
+func (f *faultFile) Name() string                       { return f.inner.Name() }
+func (f *faultFile) Stat() (os.FileInfo, error)         { return f.inner.Stat() }
+func (f *faultFile) Close() error                       { return f.inner.Close() }
 func (f *faultFile) Seek(o int64, w int) (int64, error) { return f.inner.Seek(o, w) }
 
 func (f *faultFile) Read(p []byte) (int, error) {

@@ -97,12 +97,12 @@ type KDB struct {
 
 	// descMu guards descCache: decoded descriptors keyed by document
 	// ID. Descriptor documents are append-only (never updated), so the
-	// cache never goes stale; it keeps SimilarDatasets — which runs on
-	// every analysis — from JSON-round-tripping the whole descriptor
-	// history each time. Entries whose documents failed to decode are
-	// cached with an empty DatasetName and skipped.
+	// cache never goes stale; it keeps SimilarDatasets and Descriptors
+	// — both run on every analysis — from JSON-round-tripping the whole
+	// descriptor history each time. Documents that failed to decode are
+	// cached with their error.
 	descMu    sync.Mutex
-	descCache map[string]stats.Descriptor
+	descCache map[string]decodedDescriptor
 
 	// traceMu guards traceLimit, the per-dataset stage-trace
 	// retention cap enforced at flush time (0 or negative disables
@@ -132,7 +132,7 @@ func OpenStore(opts docstore.Options) (*KDB, error) {
 	k := &KDB{
 		store:         s,
 		br:            newBreaker(),
-		descCache:     map[string]stats.Descriptor{},
+		descCache:     map[string]decodedDescriptor{},
 		traceLimit:    DefaultStageTraceLimit,
 		foldThreshold: DefaultLiveFoldThreshold,
 	}
@@ -176,7 +176,7 @@ func Follower(s *docstore.Store) *KDB {
 	k := &KDB{
 		store:         s,
 		br:            newBreaker(),
-		descCache:     map[string]stats.Descriptor{},
+		descCache:     map[string]decodedDescriptor{},
 		traceLimit:    DefaultStageTraceLimit,
 		foldThreshold: DefaultLiveFoldThreshold,
 	}
@@ -251,16 +251,23 @@ func (k *KDB) StoreStageTraces(traces []StageTrace) error {
 	return err
 }
 
+// storeStageTraces writes one analysis's traces as one batch: one
+// durability wait, not one per trace.
 func (k *KDB) storeStageTraces(traces []StageTrace) error {
 	coll := k.store.Collection(CollStageTraces)
+	b := k.store.Begin()
+	defer b.Commit()
 	for _, tr := range traces {
 		doc, err := toDoc(tr)
 		if err != nil {
 			return fmt.Errorf("kdb: encoding stage trace %s/%s: %w", tr.Dataset, tr.Stage, err)
 		}
-		if _, err := coll.Insert(doc); err != nil {
+		if _, err := b.Insert(coll, doc); err != nil {
 			return fmt.Errorf("kdb: storing stage trace %s/%s: %w", tr.Dataset, tr.Stage, err)
 		}
+	}
+	if err := b.Commit(); err != nil {
+		return fmt.Errorf("kdb: storing stage traces: %w", err)
 	}
 	return nil
 }
@@ -325,21 +332,26 @@ func (k *KDB) evictStageTraces() error {
 	}
 	coll := k.store.Collection(CollStageTraces)
 	counts := map[string]int{}
-	coll.Scan(func(d docstore.Document) bool {
+	coll.Scan(func(d docstore.Document, _ int64) bool {
 		name, _ := d["dataset"].(string)
 		counts[name]++
 		return true
 	})
+	b := k.store.Begin()
+	defer b.Commit()
 	for name, c := range counts {
 		if c <= limit {
 			continue
 		}
 		docs := coll.FindEq("dataset", name)
 		for _, doc := range docs[:len(docs)-limit] {
-			if err := coll.Delete(doc.ID()); err != nil {
+			if err := b.Delete(coll, doc.ID()); err != nil {
 				return fmt.Errorf("kdb: evicting stage trace of %q: %w", name, err)
 			}
 		}
+	}
+	if err := b.Commit(); err != nil {
+		return fmt.Errorf("kdb: evicting stage traces: %w", err)
 	}
 	return nil
 }
@@ -462,26 +474,67 @@ func (k *KDB) storeDescriptor(d stats.Descriptor) (string, error) {
 		return "", err
 	}
 	k.descMu.Lock()
-	k.descCache[id] = d
+	k.descCache[id] = decodedDescriptor{id: id, desc: d}
 	k.descMu.Unlock()
 	return id, nil
 }
 
-// Descriptors returns all stored descriptors.
+// Descriptors returns all stored descriptors in insertion order. A
+// document that does not decode fails the call.
 func (k *KDB) Descriptors() ([]stats.Descriptor, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	docs := k.store.Collection(CollDescriptors).Find(nil)
-	out := make([]stats.Descriptor, 0, len(docs))
-	for _, doc := range docs {
-		var d stats.Descriptor
-		if err := fromDoc(doc, &d); err != nil {
-			return nil, fmt.Errorf("kdb: decoding descriptor: %w", err)
+	all := k.decodedDescriptors()
+	out := make([]stats.Descriptor, len(all))
+	for i, dd := range all {
+		if dd.err != nil {
+			return nil, fmt.Errorf("kdb: decoding descriptor %s: %w", dd.id, dd.err)
 		}
-		out = append(out, d)
+		out[i] = dd.desc
 	}
 	return out, nil
+}
+
+// decodedDescriptor is one descriptor document decoded through
+// descCache; err is set (and desc zero) when it did not decode. order
+// is the document's insertion stamp as of the scan that returned it
+// (not cached).
+type decodedDescriptor struct {
+	id    string
+	order int64
+	desc  stats.Descriptor
+	err   error
+}
+
+// decodedDescriptors returns every stored descriptor in insertion
+// order, decoding only the documents descCache has not seen: the Scan
+// reads raw documents without copying, and descriptor documents are
+// append-only, so each pays the JSON round trip at most once per
+// process lifetime. Decode failures are cached too — a descriptor
+// written under another schema version (or by hand) is reported, not
+// re-parsed, on every call.
+func (k *KDB) decodedDescriptors() []decodedDescriptor {
+	var all []decodedDescriptor
+	k.descMu.Lock()
+	k.store.Collection(CollDescriptors).Scan(func(doc docstore.Document, order int64) bool {
+		id := doc.ID()
+		dd, ok := k.descCache[id]
+		if !ok {
+			dd = decodedDescriptor{id: id}
+			dd.err = fromDoc(doc, &dd.desc)
+			if dd.err != nil {
+				dd.desc = stats.Descriptor{}
+			}
+			k.descCache[id] = dd
+		}
+		dd.order = order
+		all = append(all, dd)
+		return true
+	})
+	k.descMu.Unlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].order < all[j].order })
+	return all
 }
 
 // StoreKnowledgeItems routes items to collection 4 or 5 by kind.
@@ -495,24 +548,26 @@ func (k *KDB) StoreKnowledgeItems(items []knowledge.Item) error {
 	return err
 }
 
+// storeKnowledgeItems upserts one analysis's items as one batch: the
+// job waits for the disk once, and two analyses storing the same item
+// IDs concurrently both succeed (the store decides insert-or-replace
+// atomically per item).
 func (k *KDB) storeKnowledgeItems(items []knowledge.Item) error {
+	b := k.store.Begin()
+	defer b.Commit()
 	for _, it := range items {
-		coll := k.collectionFor(it.Kind)
 		doc, err := toDoc(it)
 		if err != nil {
 			return fmt.Errorf("kdb: encoding knowledge item %s: %w", it.ID, err)
 		}
 		doc["_id"] = it.ID
 		doc["dataset"] = it.Dataset
-		if _, exists := coll.Get(it.ID); exists {
-			if err := coll.Update(it.ID, doc); err != nil {
-				return fmt.Errorf("kdb: updating knowledge item %s: %w", it.ID, err)
-			}
-			continue
-		}
-		if _, err := coll.Insert(doc); err != nil {
+		if _, err := b.Upsert(k.collectionFor(it.Kind), doc); err != nil {
 			return fmt.Errorf("kdb: storing knowledge item %s: %w", it.ID, err)
 		}
+	}
+	if err := b.Commit(); err != nil {
+		return fmt.Errorf("kdb: storing knowledge items: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package kdb
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -65,6 +66,66 @@ func TestDescriptors(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].DatasetName != "tiny" || got[0].NumPatients != 1 {
 		t.Errorf("descriptors = %+v", got)
+	}
+}
+
+// TestDescriptorsThroughCache: Descriptors answers from the decoded-
+// descriptor cache SimilarDatasets shares, and must still return
+// global insertion order (the interest model's per-name join is
+// last-wins), the same values from a cold cache after a reopen, and an
+// error — not a zero descriptor — for a document that does not decode,
+// even when SimilarDatasets already cached that failure.
+func TestDescriptorsThroughCache(t *testing.T) {
+	dir := t.TempDir()
+	k, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Names chosen to stripe apart, the repeated one first and last.
+	want := []stats.Descriptor{
+		descFixture("ward-a", 100, 1000, 0.5),
+		descFixture("ward-b", 200, 2000, 0.6),
+		descFixture("ward-c", 300, 3000, 0.7),
+		descFixture("ward-a", 150, 1500, 0.55),
+	}
+	for _, d := range want {
+		if _, err := k.StoreDescriptor(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(k *KDB, when string) {
+		t.Helper()
+		for pass := 0; pass < 2; pass++ { // second pass is all cache hits
+			got, err := k.Descriptors()
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, pass %d: descriptors =\n %+v\nwant insertion order\n %+v", when, pass, got, want)
+			}
+		}
+	}
+	check(k, "warm cache")
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	check(k, "cold cache after reopen")
+
+	if _, err := k.Store().Collection(CollDescriptors).Insert(map[string]any{
+		"dataset": "corrupt", "records_per_patient": "not-a-summary",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.SimilarDatasets(want[0], "", 0); err != nil {
+		t.Fatalf("SimilarDatasets over an undecodable descriptor: %v", err)
+	}
+	if got, err := k.Descriptors(); err == nil {
+		t.Errorf("Descriptors over an undecodable document = %d descriptors, nil error; want the decode error", len(got))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"adahealth/internal/dataset"
+	"adahealth/internal/docstore"
 	"adahealth/internal/stats"
 )
 
@@ -215,9 +216,9 @@ func (k *KDB) SetLiveFoldThreshold(n int) {
 // replay to the fold plus the un-reflected tail. Only revisions <= the
 // control revision fold: a batch past it could still be ahead of a
 // control record whose upsert lagged a crash, and recovery must see it
-// individually. The new fold is inserted before the documents it
-// covers are deleted, and LiveBatches tolerates the overlap, so a
-// crash at any point between the writes replays correctly.
+// individually. The new fold is logged before the deletes of the
+// documents it covers, and LiveBatches tolerates the overlap, so a
+// crash at any point between the frames replays correctly.
 func (k *KDB) foldLiveAppends() error {
 	k.foldMu.Lock()
 	limit := k.foldThreshold
@@ -288,17 +289,32 @@ func (k *KDB) foldLiveAppends() error {
 		if err != nil {
 			return fmt.Errorf("kdb: encoding live fold %s@%d: %w", st.Dataset, merged.Revision, err)
 		}
-		if _, err := coll.Insert(doc); err != nil {
-			return fmt.Errorf("kdb: storing live fold %s@%d: %w", st.Dataset, merged.Revision, err)
+		covered := make([]string, len(eligible))
+		for i, e := range eligible {
+			covered[i] = e.id
 		}
-		// The fold is durable; now retire what it covers.
-		for _, e := range eligible {
-			if err := coll.Delete(e.id); err != nil {
-				return fmt.Errorf("kdb: retiring folded batch %s@%d: %w", st.Dataset, e.b.Revision, err)
-			}
+		if err := k.writeFold(coll, doc, covered); err != nil {
+			return fmt.Errorf("kdb: folding live batches of %s up to @%d: %w", st.Dataset, merged.Revision, err)
 		}
 	}
 	return nil
+}
+
+// writeFold writes one fold and retires the documents it covers as
+// one batch. The fold's frame goes first, so any prefix of the batch a
+// crash leaves in the log that holds a delete also holds the fold.
+func (k *KDB) writeFold(coll *docstore.Collection, fold docstore.Document, covered []string) error {
+	b := k.store.Begin()
+	defer b.Commit()
+	if _, err := b.Insert(coll, fold); err != nil {
+		return err
+	}
+	for _, id := range covered {
+		if err := b.Delete(coll, id); err != nil {
+			return err
+		}
+	}
+	return b.Commit()
 }
 
 // liveStatesUnguarded reads every control record without the breaker

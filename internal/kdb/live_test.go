@@ -1,7 +1,10 @@
 package kdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -304,6 +307,71 @@ func TestLiveFoldAtFlush(t *testing.T) {
 	gotE, gotP, gotR = flattenBatches(replayed)
 	if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
 		t.Error("replay after reopen differs from the pre-fold stream")
+	}
+}
+
+// TestLiveFoldCrashAtEveryFrame: the fold and the deletes of what it
+// covers are one non-atomic batch, so a crash may keep any frame-prefix
+// of it. The fold's frame is logged first; cutting the log after every
+// frame must therefore replay the same stream as before the fold —
+// never a revision lost to a delete whose fold did not survive.
+func TestLiveFoldCrashAtEveryFrame(t *testing.T) {
+	dir := t.TempDir()
+	k, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	k.SetLiveFoldThreshold(4)
+	for rev := 1; rev <= 6; rev++ {
+		if err := k.AppendLiveBatch(foldBatch("ward-a", rev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "ward-a", Revision: 5}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := k.LiveBatches("ward-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantE, wantP, wantR := flattenBatches(before)
+	if err := k.Flush(); err != nil { // folds [1..5]; the log is far below the compaction budget
+		t.Fatal(err)
+	}
+
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 6 appends + the control record, then the fold and 5 deletes.
+	const preFold, foldFrames = 7, 6
+	var ends []int
+	for off := 0; off+8 <= len(wal); {
+		off += 8 + int(binary.LittleEndian.Uint32(wal[off:]))
+		ends = append(ends, off)
+	}
+	if len(ends) != preFold+foldFrames {
+		t.Fatalf("WAL holds %d frames, want %d", len(ends), preFold+foldFrames)
+	}
+	for i := preFold - 1; i < len(ends); i++ {
+		crashed := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashed, "wal.log"), wal[:ends[i]], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(crashed)
+		if err != nil {
+			t.Fatalf("reopening a log cut after frame %d: %v", i, err)
+		}
+		replayed, err := re.LiveBatches("ward-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotE, gotP, gotR := flattenBatches(replayed)
+		if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
+			t.Errorf("log cut after frame %d (%d of the fold's %d) replays a different stream", i, i-preFold+1, foldFrames)
+		}
+		re.Close()
 	}
 }
 

@@ -198,49 +198,24 @@ func (k *KDB) SimilarDatasets(target stats.Descriptor, excludeDocID string, limi
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	// Score from the decoded-descriptor cache: descriptor documents
-	// are append-only, so each decodes at most once per process
-	// lifetime (the Scan sees raw documents without copying; only
-	// cache misses pay the JSON round trip).
-	type scored struct {
-		id   string
-		desc stats.Descriptor
-	}
-	var all []scored
-	k.descMu.Lock()
-	k.store.Collection(CollDescriptors).Scan(func(doc docstore.Document) bool {
-		id := doc.ID()
-		d, ok := k.descCache[id]
-		if !ok {
-			if err := fromDoc(doc, &d); err != nil {
-				// A descriptor written under another schema version
-				// (or by hand) must not brick every future recall on
-				// this K-DB; cache the failure and skip it.
-				d = stats.Descriptor{}
-			}
-			k.descCache[id] = d
-		}
-		all = append(all, scored{id: id, desc: d})
-		return true
-	})
-	k.descMu.Unlock()
-
 	best := map[string]DatasetSimilarity{}
-	for _, sc := range all {
-		if sc.desc.DatasetName == "" || (excludeDocID != "" && sc.id == excludeDocID) {
+	for _, dd := range k.decodedDescriptors() {
+		// An undecodable descriptor must not brick every future recall
+		// on this K-DB; skip it (and the nameless ones nothing can ask
+		// for).
+		if dd.err != nil || dd.desc.DatasetName == "" || (excludeDocID != "" && dd.id == excludeDocID) {
 			continue
 		}
-		sim := DescriptorSimilarity(target, sc.desc)
-		// Scan order is unspecified; the doc-ID tie-break keeps the
-		// reported match deterministic when a dataset's descriptors
-		// score equally.
-		if cur, ok := best[sc.desc.DatasetName]; !ok || sim > cur.Similarity ||
-			(sim == cur.Similarity && sc.id < cur.DocID) {
-			best[sc.desc.DatasetName] = DatasetSimilarity{
-				Dataset:    sc.desc.DatasetName,
+		sim := DescriptorSimilarity(target, dd.desc)
+		// The doc-ID tie-break keeps the reported match deterministic
+		// when a dataset's descriptors score equally.
+		if cur, ok := best[dd.desc.DatasetName]; !ok || sim > cur.Similarity ||
+			(sim == cur.Similarity && dd.id < cur.DocID) {
+			best[dd.desc.DatasetName] = DatasetSimilarity{
+				Dataset:    dd.desc.DatasetName,
 				Similarity: sim,
-				Descriptor: sc.desc,
-				DocID:      sc.id,
+				Descriptor: dd.desc,
+				DocID:      dd.id,
 			}
 		}
 	}
