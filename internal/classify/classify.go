@@ -1,15 +1,25 @@
 // Package classify provides the supervised models ADA-HEALTH uses to
 // assess clustering robustness (Section IV-A: a decision tree trained
 // on the cluster labels) and to predict end-goal interestingness from
-// past user feedback. All models implement the Classifier interface
-// over dense float features and integer class labels 0..K-1.
+// past user feedback. All models implement the Classifier interface:
+// rows of float features in, integer class labels 0..K-1 out.
+//
+// The interface takes dense rows, but the matrices this system trains
+// on — patients by exam types — are mostly zeros, and the decision
+// tree (and the forest built from it) is grown from a sparse view of
+// them: ColumnOrder keeps each feature's non-zero cells sorted by
+// value with the zeros an implicit block, and a fit scans and
+// partitions only those cells. A column's zeros all tie at one value,
+// so the tree grown this way is, to the bit, the tree a dense CART
+// grows; tree.go documents the layout, and the tests hold the grower
+// to a naive reference CART that shares no code with it.
 package classify
 
 import (
 	"fmt"
 )
 
-// Classifier is a supervised model over dense features.
+// Classifier is a supervised model over rows of float features.
 type Classifier interface {
 	// Fit trains on rows X with labels y (one label per row, in
 	// 0..K-1). Implementations must not retain X or y after Fit

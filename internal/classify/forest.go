@@ -31,11 +31,11 @@ type ForestOptions struct {
 // ablation of that design choice.
 //
 // The forest implements SubsetFitter: in cross-validation every
-// bootstrap fit derives its sorted columns from the one shared
-// ColumnOrder of the fold matrix (a stable linear filter per tree)
-// instead of materializing and re-sorting a bootstrap copy, with the
-// bootstrap multiset encoded as integer sample weights. The fitted
-// ensemble is identical to the materialize-and-sort path.
+// bootstrap fit filters its columns out of the one shared sparse
+// ColumnOrder of the fold matrix instead of materializing and
+// re-sorting a bootstrap copy, with the bootstrap multiset encoded as
+// integer sample weights. The fitted ensemble is identical to the
+// materialize-and-sort path.
 type RandomForest struct {
 	Opts ForestOptions
 
@@ -103,7 +103,10 @@ func (f *RandomForest) FitSubset(X [][]float64, y []int, rows []int, ord *Column
 // fitShared grows the ensemble over the shared presorted view: per
 // tree, a deterministic RNG draws the feature bag and a bootstrap
 // sample of rows (with replacement, collapsed to multiplicities), and
-// the tree trains through the weighted fitBag fast path.
+// the tree is grown on the weighted rows over the bagged columns. It
+// lives in the bag's feature space (node features index into the bag),
+// exactly as if the sample had been materialized with projected
+// columns and passed to Fit.
 func (f *RandomForest) fitShared(ord *ColumnOrder, y []int, rows []int, classes int) error {
 	opts := f.Opts
 	if opts.NumTrees <= 0 {
@@ -138,9 +141,15 @@ func (f *RandomForest) fitShared(ord *ColumnOrder, y []int, rows []int, classes 
 		seeds[i] = rng.Int63()
 	}
 
+	// Parallelism grower buffers circulate among the tree fits: holding
+	// one is the concurrency bound, and a member tree, which is never
+	// refit, hands it on instead of keeping it.
+	scratch := make(chan growState, opts.Parallelism)
+	for i := 0; i < opts.Parallelism; i++ {
+		scratch <- growState{}
+	}
 	var (
 		wg       sync.WaitGroup
-		sem      = make(chan struct{}, opts.Parallelism)
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -148,8 +157,8 @@ func (f *RandomForest) fitShared(ord *ColumnOrder, y []int, rows []int, classes 
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			st := <-scratch
+			defer func() { scratch <- st }()
 
 			treeRng := rand.New(rand.NewSource(seeds[t]))
 			// Feature bag.
@@ -171,7 +180,10 @@ func (f *RandomForest) fitShared(ord *ColumnOrder, y []int, rows []int, classes 
 				}
 			}
 			tree := NewDecisionTree(opts.Tree)
-			if err := tree.fitBag(ord, y, bagRows, bagWts, perm); err != nil {
+			tree.st = st
+			err := tree.fit(ord, y, bagRows, bagWts, perm)
+			st, tree.st = tree.st, growState{}
+			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("classify: forest tree %d: %w", t, err)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // TreeOptions bounds decision-tree growth.
@@ -59,6 +58,9 @@ type DecisionTree struct {
 	slabIdx, slabUsed   int
 	countsSlabs         [][]int
 	cSlabIdx, cSlabUsed int
+
+	// st is the grower's working set, kept across refits like the slabs.
+	st growState
 }
 
 const nodeSlabSize = 256
@@ -113,158 +115,6 @@ func (t *DecisionTree) newCounts() []int {
 	}
 }
 
-// labelID is the storage type of class labels in the sorted columns:
-// uint8 when the fit has at most 256 classes (every caller in this
-// repo — cluster labels, synthetic cohorts), int32 otherwise.
-// sampleID is likewise the storage type of local sample ids: uint16
-// when the training subset has at most 65536 rows, int32 otherwise.
-// The fit path is generic over both: the grower is compiled once per
-// (label, id) width, so the common small case moves a fraction of the
-// memory traffic with zero behaviour change.
-type labelID interface{ ~uint8 | ~int32 }
-
-type sampleID interface{ ~uint16 | ~int32 }
-
-// fitState is the whole training set in column-sorted form, shared by
-// every node of one Fit. For feature f, the segment [f·n, (f+1)·n) of
-// idx lists the sample ids ordered by that feature's value, and labs
-// the class labels in the same order; the values themselves live in
-// the column-major colX, indexed by sample id, and are gathered
-// through the sorted ids on demand. A node owns the subrange [lo, hi)
-// of every feature segment. Keeping everything in flat, pointer-free
-// arrays makes the split scan a mostly-sequential walk (the value
-// gather stays within one feature's column) and avoids any per-node
-// slice allocation the GC would have to scan.
-//
-// The id/label arrays come in two parities (idx/altIdx, …): a node at
-// depth d reads the parity-(d mod 2) arrays and stable-partitions its
-// samples directly into the other parity's same [lo, hi) positions,
-// so the children read contiguous subranges again with no copy-back
-// pass — the two buffers ping-pong down the recursion, and the
-// bandwidth-bound partition moves only the narrow ids and labels
-// (colX never moves). Sibling subtrees own disjoint ranges at every
-// parity, so the sharing is race- and clobber-free.
-//
-// wts, when non-nil, carries integer sample multiplicities parallel to
-// labs (the bootstrap-bag fast path): a sample of weight w behaves
-// exactly like w adjacent copies in the sorted columns — copies share
-// the feature value, so no split can fall between them and the grown
-// tree is identical to fitting the materialized multiset. nil means
-// unit weights (the Fit / FitSubset path runs a specialized scan with
-// no weight loads at all).
-//
-// fitStates are pooled: a fit borrows one, grows the buffers as
-// needed, and returns it, so repeated fits (every fold of every K of a
-// sweep's cross-validation) reuse one allocation instead of rebuilding
-// megabytes of column state per tree.
-
-type fitState[L labelID, I sampleID] struct {
-	n   int
-	idx []I
-	// colX is the column-major value matrix of the training subset:
-	// colX[f·n + localID]. It is written once per fit and never
-	// partitioned — the sorted id columns gather values from it on
-	// demand, which is what lets the partition move only the 2-byte
-	// ids and 1-byte labels instead of 8-byte values (the partition
-	// is memory-bandwidth-bound).
-	colX []float64
-	labs []L
-	wts  []int32
-
-	altIdx  []I
-	altLabs []L
-	altWts  []int32
-
-	// actArena backs every recursion level's active-feature list: a
-	// feature constant within a node is constant in every descendant,
-	// so once the split scan sees vf[0] == vf[m-1] the feature is
-	// dropped from the subtree's list and — crucially — its column is
-	// no longer partitioned below that node, cutting the partition's
-	// memory traffic as the recursion deepens. Each node appends its
-	// surviving features and truncates on return (high-water mark
-	// ≈ dim · depth).
-	actArena []int32
-
-	// per-fit scratch hoisted out of grow. goesLeft is 0/1 per local
-	// sample id (uint8 so the partition can use it arithmetically —
-	// the 50/50 data-dependent branch it replaces mispredicts half
-	// the time on real splits).
-	goesLeft   []uint8
-	mark       []int32
-	leftCounts []int
-}
-
-// cur returns the arrays a node at the given depth reads.
-func (st *fitState[L, I]) cur(depth int) ([]I, []L, []int32) {
-	if depth&1 == 0 {
-		return st.idx, st.labs, st.wts
-	}
-	return st.altIdx, st.altLabs, st.altWts
-}
-
-// next returns the arrays a node at the given depth partitions into.
-func (st *fitState[L, I]) next(depth int) ([]I, []L, []int32) {
-	if depth&1 == 0 {
-		return st.altIdx, st.altLabs, st.altWts
-	}
-	return st.idx, st.labs, st.wts
-}
-
-var (
-	fitStatePool816  = sync.Pool{New: func() any { return new(fitState[uint8, uint16]) }}
-	fitStatePool832  = sync.Pool{New: func() any { return new(fitState[uint8, int32]) }}
-	fitStatePool3216 = sync.Pool{New: func() any { return new(fitState[int32, uint16]) }}
-	fitStatePool3232 = sync.Pool{New: func() any { return new(fitState[int32, int32]) }}
-)
-
-// smallSubset reports whether uint16 local sample ids suffice.
-func smallSubset(n int) bool { return n <= 1<<16 }
-
-// borrowFitState returns a pooled fitState sized for n samples × dim
-// features (both parities), weighted or not, with the goesLeft/mark/
-// leftCounts scratch ready. mark is returned zeroed (its only
-// invariant); everything else is fully overwritten before being read.
-func borrowFitState[L labelID, I sampleID](pool *sync.Pool, n, dim, fullRows, classes int, weighted bool) *fitState[L, I] {
-	st := pool.Get().(*fitState[L, I])
-	st.n = n
-	need := n * dim
-	if cap(st.idx) < need {
-		st.idx = make([]I, need)
-		st.altIdx = make([]I, need)
-		st.labs = make([]L, need)
-		st.altLabs = make([]L, need)
-		st.colX = make([]float64, need)
-	}
-	st.idx, st.altIdx = st.idx[:need], st.altIdx[:need]
-	st.labs, st.altLabs = st.labs[:need], st.altLabs[:need]
-	st.colX = st.colX[:need]
-	if weighted {
-		if cap(st.wts) < need {
-			st.wts = make([]int32, need)
-			st.altWts = make([]int32, need)
-		}
-		st.wts, st.altWts = st.wts[:need], st.altWts[:need]
-	} else {
-		st.wts, st.altWts = nil, nil
-	}
-	if cap(st.goesLeft) < n {
-		st.goesLeft = make([]uint8, n)
-	}
-	st.goesLeft = st.goesLeft[:n]
-	if cap(st.mark) < fullRows {
-		st.mark = make([]int32, fullRows)
-	}
-	st.mark = st.mark[:fullRows]
-	for i := range st.mark {
-		st.mark[i] = 0
-	}
-	if cap(st.leftCounts) < classes {
-		st.leftCounts = make([]int, classes)
-	}
-	st.leftCounts = st.leftCounts[:classes]
-	return st
-}
-
 type treeNode struct {
 	// Internal nodes route x[feature] <= threshold to left.
 	feature   int
@@ -284,20 +134,38 @@ func NewDecisionTree(opts TreeOptions) *DecisionTree {
 	return &DecisionTree{Opts: opts}
 }
 
-// ColumnOrder is a reusable presorted view of a feature matrix: for
-// every feature, the row indices ordered by value and the values in
-// that order, in flat column-major arrays. Cross-validation builds it
-// once per matrix and derives each fold's sorted columns by a stable
-// O(n) filter instead of re-sorting (O(n log n)) every fold of every
-// configuration.
+// entry is one non-zero cell of a feature column.
+type entry struct {
+	v   float64
+	row int32
+}
+
+// ColumnOrder is a reusable presorted view of a feature matrix, and it
+// is sparse: for every feature it keeps only the non-zero cells, sorted
+// by value — negatives, then positives, with the column's zeros an
+// implicit block between them. The patient-by-exam matrices the tree
+// is trained on are mostly zeros, and all zeros of a column tie at one
+// value, so they can only ever contribute the one candidate threshold
+// between the block and its neighbours; a grower that knows this scans
+// and partitions O(non-zeros) per node instead of O(rows × features).
+//
+// Cross-validation builds the view once per matrix and derives each
+// fold's columns by a linear filter instead of re-sorting every fold of
+// every configuration. It is built eagerly and never written again, so
+// concurrent fits may share one.
 type ColumnOrder struct {
 	rows, dim int
-	order     []int32
-	vals      []float64
+	// entries[start[f]:start[f+1]] are feature f's non-zero cells in
+	// ascending value order.
+	start   []int
+	entries []entry
 }
 
 // NewColumnOrder presorts every feature column of X (which must be
-// rectangular with at least one row and column).
+// rectangular with at least one row and column). Every value must be
+// finite: a NaN has no place in a sort order and an infinity no
+// midpoint with its neighbour, so either is rejected here rather than
+// growing a meaningless tree. A negative zero is a zero.
 func NewColumnOrder(X [][]float64) (*ColumnOrder, error) {
 	n := len(X)
 	if n == 0 {
@@ -307,40 +175,47 @@ func NewColumnOrder(X [][]float64) (*ColumnOrder, error) {
 	if d == 0 {
 		return nil, fmt.Errorf("classify: zero-dimensional features")
 	}
+	// Count, then fill: the arrays are sized to the non-zeros exactly.
+	start := make([]int, d+1)
 	for i, row := range X {
 		if len(row) != d {
 			return nil, fmt.Errorf("classify: row %d has dimension %d, want %d", i, len(row), d)
 		}
-	}
-	co := &ColumnOrder{
-		rows:  n,
-		dim:   d,
-		order: make([]int32, n*d),
-		vals:  make([]float64, n*d),
-	}
-	keys := make([]float64, n)
-	for f := 0; f < d; f++ {
-		col := co.order[f*n : (f+1)*n]
-		for i := range col {
-			col[i] = int32(i)
-			keys[i] = X[i][f]
+		for f, v := range row {
+			if v != 0 {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("classify: non-finite feature value %v at row %d, column %d", v, i, f)
+				}
+				start[f+1]++
+			}
 		}
-		slices.SortFunc(col, func(a, b int32) int {
-			switch ka, kb := keys[a], keys[b]; {
-			case ka < kb:
+	}
+	for f := 0; f < d; f++ {
+		start[f+1] += start[f]
+	}
+	entries := make([]entry, start[d])
+	next := slices.Clone(start[:d])
+	for i, row := range X {
+		for f, v := range row {
+			if v != 0 {
+				entries[next[f]] = entry{v, int32(i)}
+				next[f]++
+			}
+		}
+	}
+	for f := 0; f < d; f++ {
+		slices.SortFunc(entries[start[f]:start[f+1]], func(a, b entry) int {
+			switch {
+			case a.v < b.v:
 				return -1
-			case ka > kb:
+			case a.v > b.v:
 				return 1
 			default:
 				return 0
 			}
 		})
-		vf := co.vals[f*n : (f+1)*n]
-		for p, i := range col {
-			vf[p] = keys[i]
-		}
 	}
-	return co, nil
+	return &ColumnOrder{rows: n, dim: d, start: start, entries: entries}, nil
 }
 
 // SubsetFitter is implemented by classifiers that can train on a row
@@ -367,10 +242,6 @@ func checkOrderShape(ord *ColumnOrder, X [][]float64) error {
 
 // Fit implements Classifier.
 func (t *DecisionTree) Fit(X [][]float64, y []int) error {
-	dim, classes, err := validateXY(X, y)
-	if err != nil {
-		return err
-	}
 	ord, err := NewColumnOrder(X)
 	if err != nil {
 		return err
@@ -379,13 +250,15 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 	for i := range rows {
 		rows[i] = i
 	}
-	return t.fitOrdered(ord, y, rows, dim, classes)
+	return t.fit(ord, y, rows, nil, nil)
 }
 
-// FitSubset trains on the rows subset of X, deriving the subset's
-// sorted columns from ord (built once per matrix, e.g. per
-// cross-validation) with a stable linear filter. It fits the same
-// tree Fit would fit on the materialized subset.
+// FitSubset trains on the rows subset of X — distinct row indices, in
+// any order — reading the features from ord, the presorted view of
+// this exact X (nil builds one), and the labels from y, which covers
+// every row of X. Only ord's non-zero cells in the training rows are
+// visited; X itself is not read. It fits the same tree, to the bit,
+// that Fit would fit on the materialized subset.
 func (t *DecisionTree) FitSubset(X [][]float64, y []int, rows []int, ord *ColumnOrder) error {
 	if ord == nil {
 		var err error
@@ -396,182 +269,143 @@ func (t *DecisionTree) FitSubset(X [][]float64, y []int, rows []int, ord *Column
 	if err := checkOrderShape(ord, X); err != nil {
 		return err
 	}
-	if len(y) != len(X) {
-		return fmt.Errorf("classify: %d rows but %d labels", len(X), len(y))
+	return t.fit(ord, y, rows, nil, nil)
+}
+
+// sample is what a fit knows about one matrix row.
+type sample struct {
+	label  int32
+	weight int32 // multiplicity in the training set; 0 when not in it
+}
+
+// span is the sub-range of the fit's entry arrays holding one node's
+// non-zero cells of one feature.
+type span struct{ f, lo, hi int }
+
+// growState is the training set in the form the grower works on. It
+// lives on the tree and is reused by every refit of the instance — each
+// fold of a cross-validation, each K of a sweep, each job that checks
+// the tree out of an optimize.Arena.
+//
+// A node owns a contiguous run of sample ids (matrix row indices) and,
+// per feature that is not all-zero within it, one span of entries: its
+// non-zero cells of that feature in ascending value order. Labels and
+// weights are looked up by row, so nothing but the 16-byte entries is
+// carried through the columns. The entries come in two parities: a
+// node at depth d reads src = parity d&1 and stable-partitions each
+// span into the same positions of the other parity, so its children
+// read contiguous sub-spans again with no copy-back. Sibling subtrees
+// own disjoint positions at every parity.
+type growState struct {
+	info     []sample // by matrix row
+	goesLeft []uint8  // by matrix row; 0/1 so the partition is branchless
+	ids      []int32
+	cur, alt []entry
+	// spans is a stack of active-feature lists: a node pushes one list
+	// per child and pops both on return. A feature leaves the list once
+	// it is constant within a node — it is constant in every descendant
+	// too — so deep nodes scan and partition few columns.
+	spans []span
+	// left is the class histogram left of the scan boundary, pos that of
+	// a column's positive cells.
+	left, pos []int
+}
+
+// resized returns s with length n, reusing its memory when it is large
+// enough; the contents are unspecified.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// fit is the one way a tree is grown: on the distinct rows of ord's
+// matrix, weights[i] > 0 being the multiplicity of rows[i] (nil: all
+// one) and feats the columns of ord that make up the tree's feature
+// space, in that order (nil: all of them). A row of weight w behaves
+// exactly like w adjacent copies: copies share every value, so no
+// threshold can fall between them and the tree is the one the
+// materialized multiset would grow.
+func (t *DecisionTree) fit(ord *ColumnOrder, y []int, rows []int, weights []int32, feats []int) error {
+	if len(y) != ord.rows {
+		return fmt.Errorf("classify: %d rows but %d labels", ord.rows, len(y))
 	}
 	if len(rows) == 0 {
 		return fmt.Errorf("classify: empty training subset")
 	}
+	if weights != nil && len(weights) != len(rows) {
+		return fmt.Errorf("classify: %d weights for %d rows", len(weights), len(rows))
+	}
+	dim := ord.dim
+	if feats != nil {
+		if dim = len(feats); dim == 0 {
+			return fmt.Errorf("classify: empty feature bag")
+		}
+		for _, f := range feats {
+			if f < 0 || f >= ord.dim {
+				return fmt.Errorf("classify: bagged feature %d outside [0,%d)", f, ord.dim)
+			}
+		}
+	}
+	st := &t.st
+	st.info = resized(st.info, ord.rows)
+	clear(st.info)
+	st.ids = st.ids[:0]
 	classes := 0
-	for _, r := range rows {
-		if r < 0 || r >= len(y) {
-			return fmt.Errorf("classify: training row %d outside [0,%d)", r, len(y))
+	for i, r := range rows {
+		if r < 0 || r >= ord.rows {
+			return fmt.Errorf("classify: training row %d outside [0,%d)", r, ord.rows)
 		}
 		if y[r] < 0 {
 			return fmt.Errorf("classify: negative label %d at row %d", y[r], r)
 		}
-		if y[r]+1 > classes {
-			classes = y[r] + 1
+		w := int32(1)
+		if weights != nil {
+			if w = weights[i]; w <= 0 {
+				return fmt.Errorf("classify: non-positive weight %d for row %d", w, r)
+			}
 		}
+		// The filter below keeps each matrix row once, so a repeated row
+		// would silently train on one copy.
+		if st.info[r].weight != 0 {
+			return fmt.Errorf("classify: duplicate training row %d (multiplicity belongs in weights)", r)
+		}
+		st.info[r] = sample{label: int32(y[r]), weight: w}
+		st.ids = append(st.ids, int32(r))
+		classes = max(classes, y[r]+1)
 	}
-	return t.fitOrdered(ord, y, rows, ord.dim, classes)
-}
 
-// fitOrdered grows the tree from a presorted view restricted to the
-// given rows (local sample ids are positions in rows).
-func (t *DecisionTree) fitOrdered(ord *ColumnOrder, y []int, rows []int, dim, classes int) error {
 	t.Opts = t.Opts.withDefaults()
 	t.classes = classes
 	t.features = dim
 	t.importance = make([]float64, dim)
 	t.resetArena()
-	switch {
-	case classes <= 256 && smallSubset(len(rows)):
-		return fitOrderedT[uint8, uint16](t, &fitStatePool816, ord, y, rows, dim)
-	case classes <= 256:
-		return fitOrderedT[uint8, int32](t, &fitStatePool832, ord, y, rows, dim)
-	case smallSubset(len(rows)):
-		return fitOrderedT[int32, uint16](t, &fitStatePool3216, ord, y, rows, dim)
-	default:
-		return fitOrderedT[int32, int32](t, &fitStatePool3232, ord, y, rows, dim)
-	}
-}
+	st.goesLeft = resized(st.goesLeft, ord.rows)
+	st.left = resized(st.left, classes)
+	st.pos = resized(st.pos, classes)
 
-func fitOrderedT[L labelID, I sampleID](t *DecisionTree, pool *sync.Pool, ord *ColumnOrder, y []int, rows []int, dim int) error {
-	n := len(rows)
-	st := borrowFitState[L, I](pool, n, dim, ord.rows, t.classes, false)
-	defer pool.Put(st)
-
-	// mark[i] is the local index+1 of full row i, 0 when i is not in
-	// the training subset; the stable filter below preserves the full
-	// sort order within the subset. Duplicate rows are rejected: the
-	// filter keeps each full row once, so a multiset subset (e.g. a
-	// bootstrap sample) would silently train on phantom zero entries.
-	mark := st.mark
-	for local, r := range rows {
-		if mark[r] != 0 {
-			return fmt.Errorf("classify: duplicate training row %d (FitSubset needs a set, not a multiset)", r)
+	// Filter the view's columns to the training rows: O(non-zeros).
+	column := func(fi int) []entry {
+		if feats != nil {
+			fi = feats[fi]
 		}
-		mark[r] = int32(local) + 1
+		return ord.entries[ord.start[fi]:ord.start[fi+1]]
 	}
-	for f := 0; f < dim; f++ {
-		fullOrd := ord.order[f*ord.rows : (f+1)*ord.rows]
-		fullVals := ord.vals[f*ord.rows : (f+1)*ord.rows]
-		base := f * n
-		pos := 0
-		for p, i := range fullOrd {
-			if li := mark[i]; li != 0 {
-				st.idx[base+pos] = I(li - 1)
-				st.colX[base+int(li-1)] = fullVals[p]
-				st.labs[base+pos] = L(y[i])
-				pos++
+	nnz := 0
+	for fi := 0; fi < dim; fi++ {
+		nnz += len(column(fi))
+	}
+	st.cur = resized(st.cur, nnz)[:0]
+	st.alt = resized(st.alt, nnz)
+	st.spans = st.spans[:0]
+	for fi := 0; fi < dim; fi++ {
+		lo := len(st.cur)
+		for _, e := range column(fi) {
+			if st.info[e.row].weight != 0 {
+				st.cur = append(st.cur, e)
 			}
 		}
-	}
-	act := st.actArena[:0]
-	for f := 0; f < dim; f++ {
-		act = append(act, int32(f))
-	}
-	st.actArena = act
-	t.root = growT(t, st, 0, n, 0, act)
-	return nil
-}
-
-// fitBag trains on a weighted row multiset over a feature subset of a
-// presorted matrix — the random-forest fast path. rows lists distinct
-// full-matrix row indices, weights[i] > 0 is the bootstrap
-// multiplicity of rows[i], and feats names the bagged feature columns
-// of ord. The fitted tree lives in the bag's local feature space
-// (node features index into feats), exactly as if the caller had
-// materialized the bootstrap sample with projected columns and called
-// Fit — but the sorted columns are derived from ord with a stable
-// linear filter instead of an O(n log n) sort per tree, and the
-// multiset is encoded as integer sample weights instead of copied
-// rows.
-func (t *DecisionTree) fitBag(ord *ColumnOrder, y []int, rows []int, weights []int32, feats []int) error {
-	if ord == nil {
-		return fmt.Errorf("classify: fitBag needs a presorted view")
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("classify: empty training bag")
-	}
-	if len(weights) != len(rows) {
-		return fmt.Errorf("classify: %d weights for %d rows", len(weights), len(rows))
-	}
-	if len(feats) == 0 {
-		return fmt.Errorf("classify: empty feature bag")
-	}
-	classes := 0
-	for li, r := range rows {
-		if r < 0 || r >= ord.rows {
-			return fmt.Errorf("classify: training row %d outside [0,%d)", r, ord.rows)
-		}
-		if weights[li] <= 0 {
-			return fmt.Errorf("classify: non-positive weight %d for row %d", weights[li], r)
-		}
-		if y[r] < 0 {
-			return fmt.Errorf("classify: negative label %d at row %d", y[r], r)
-		}
-		if y[r]+1 > classes {
-			classes = y[r] + 1
+		if len(st.cur) > lo {
+			st.spans = append(st.spans, span{fi, lo, len(st.cur)})
 		}
 	}
-	for _, f := range feats {
-		if f < 0 || f >= ord.dim {
-			return fmt.Errorf("classify: bagged feature %d outside [0,%d)", f, ord.dim)
-		}
-	}
-
-	t.Opts = t.Opts.withDefaults()
-	t.classes = classes
-	t.features = len(feats)
-	t.importance = make([]float64, len(feats))
-	t.resetArena()
-	switch {
-	case classes <= 256 && smallSubset(len(rows)):
-		return fitBagT[uint8, uint16](t, &fitStatePool816, ord, y, rows, weights, feats)
-	case classes <= 256:
-		return fitBagT[uint8, int32](t, &fitStatePool832, ord, y, rows, weights, feats)
-	case smallSubset(len(rows)):
-		return fitBagT[int32, uint16](t, &fitStatePool3216, ord, y, rows, weights, feats)
-	default:
-		return fitBagT[int32, int32](t, &fitStatePool3232, ord, y, rows, weights, feats)
-	}
-}
-
-func fitBagT[L labelID, I sampleID](t *DecisionTree, pool *sync.Pool, ord *ColumnOrder, y []int, rows []int, weights []int32, feats []int) error {
-	n := len(rows)
-	dim := len(feats)
-	st := borrowFitState[L, I](pool, n, dim, ord.rows, t.classes, true)
-	defer pool.Put(st)
-	mark := st.mark
-	for local, r := range rows {
-		if mark[r] != 0 {
-			return fmt.Errorf("classify: duplicate training row %d (bag multiplicity belongs in weights)", r)
-		}
-		mark[r] = int32(local) + 1
-	}
-	for fi, f := range feats {
-		fullOrd := ord.order[f*ord.rows : (f+1)*ord.rows]
-		fullVals := ord.vals[f*ord.rows : (f+1)*ord.rows]
-		base := fi * n
-		pos := 0
-		for p, i := range fullOrd {
-			if li := mark[i]; li != 0 {
-				st.idx[base+pos] = I(li - 1)
-				st.colX[base+int(li-1)] = fullVals[p]
-				st.labs[base+pos] = L(y[i])
-				st.wts[base+pos] = weights[li-1]
-				pos++
-			}
-		}
-	}
-	act := st.actArena[:0]
-	for f := 0; f < dim; f++ {
-		act = append(act, int32(f))
-	}
-	st.actArena = act
-	t.root = growT(t, st, 0, n, 0, act)
+	t.root = t.grow(0, len(rows), 0, st.spans)
 	return nil
 }
 
@@ -598,212 +432,234 @@ func argmax(h []int) int {
 	return best
 }
 
-// grow builds the subtree for the samples held in the [lo, hi)
-// subrange of every feature segment of st. act lists the features
-// still non-constant on this node's path (original feature ids); the
-// scan prunes it further and only the surviving columns are
-// partitioned for the children. All sample-count arithmetic is in
-// weighted units (weight 1 per sample when st.wts is nil), so a
-// weighted bag grows the same tree a materialized multiset would.
-func growT[L labelID, I sampleID](t *DecisionTree, st *fitState[L, I], lo, hi, depth int, act []int32) *treeNode {
-	m := hi - lo
-	curIdx, curLabs, curWts := st.cur(depth)
+// split is one node's search for its best threshold. The scan keeps
+// the Gini terms as integer sums of squared class counts on either
+// side of the boundary, sumL and sumR: moving w samples of a class
+// with l on the left and r on the right changes them by w·(2l+w) and
+// −w·(2r−w), so a candidate costs O(1). With
+//
+//	score = sumL/nLeft + sumR/nRight
+//
+// the weighted Gini decrease is (score − sumP/w)/w, a monotone map, so
+// maximizing score selects the split maximizing the decrease and the
+// MinImpurityDecrease gate becomes the floor minScore. All counts are
+// in weighted units.
+type split struct {
+	counts   []int // the node's class histogram
+	w        int   // its total weight
+	sumP     int64 // Σ counts²
+	minLeaf  int
+	minScore float64
+
+	sumL, sumR int64
+	nLeft      int
+
+	best      span // best.f < 0: no admissible split yet
+	threshold float64
+	score     float64
+}
+
+// try scores the boundary between adjacent distinct values v < next.
+// Only a strictly better score replaces the incumbent, so among equal
+// scores the first in (feature, value) order wins.
+func (s *split) try(sp span, v, next float64, sumL, sumR int64, nLeft int) {
+	nRight := s.w - nLeft
+	if nLeft >= s.minLeaf && nRight >= s.minLeaf {
+		score := float64(sumL)/float64(nLeft) + float64(sumR)/float64(nRight)
+		if score >= s.minScore && score > s.score {
+			s.best, s.threshold, s.score = sp, (v+next)/2, score
+		}
+	}
+}
+
+// run moves the cells of e across the boundary one by one, trying the
+// boundary after each cell whose successor — the next cell, or after
+// the last one the value next when more says there is one — differs.
+func (st *growState) run(s *split, sp span, e []entry, next float64, more bool) {
+	left, counts, info := st.left, s.counts, st.info
+	sumL, sumR, nLeft := s.sumL, s.sumR, s.nLeft
+	for i, en := range e {
+		x := info[en.row]
+		w := int64(x.weight)
+		l := int64(left[x.label])
+		r := int64(counts[x.label]) - l
+		sumL += w * (2*l + w)
+		sumR -= w * (2*r - w)
+		left[x.label] += int(w)
+		nLeft += int(w)
+		nv := next
+		if i+1 < len(e) {
+			nv = e[i+1].v
+		} else if !more {
+			break
+		}
+		if en.v != nv { // can't split between equal values
+			s.try(sp, en.v, nv, sumL, sumR, nLeft)
+		}
+	}
+	s.sumL, s.sumR, s.nLeft = sumL, sumR, nLeft
+}
+
+// scan tries every threshold of one feature within a node of m
+// samples, in ascending value order: e holds the node's non-zero cells
+// of the feature, the other m − len(e) samples are zeros. The zero
+// block crosses the boundary in one step — the histogram left of it
+// afterwards is the node's minus the positives' — and contributes the
+// single threshold between zero and the first positive; the boundary
+// below the block belongs to the last negative.
+func (st *growState) scan(s *split, sp span, e []entry, m int) {
+	neg := 0
+	for neg < len(e) && e[neg].v < 0 {
+		neg++
+	}
+	zeros := m > len(e)
+	clear(st.left)
+	s.sumL, s.sumR, s.nLeft = 0, s.sumP, 0
+	if neg > 0 {
+		next, more := 0.0, zeros
+		if !zeros && neg < len(e) {
+			next, more = e[neg].v, true
+		}
+		st.run(s, sp, e[:neg], next, more)
+	}
+	if neg == len(e) {
+		return // nothing above the negatives or the zero block
+	}
+	if zeros {
+		clear(st.pos)
+		posW := 0
+		for _, en := range e[neg:] {
+			x := st.info[en.row]
+			st.pos[x.label] += int(x.weight)
+			posW += int(x.weight)
+		}
+		s.sumL, s.sumR, s.nLeft = 0, 0, s.w-posW
+		for c, p := range st.pos {
+			l := s.counts[c] - p
+			st.left[c] = l
+			s.sumL += int64(l) * int64(l)
+			s.sumR += int64(p) * int64(p)
+		}
+		s.try(sp, 0, e[neg].v, s.sumL, s.sumR, s.nLeft)
+	}
+	st.run(s, sp, e[neg:], 0, false)
+}
+
+// constant reports whether a feature with non-zero cells e is constant
+// within a node of m samples (a span is never empty, so all-zero
+// features are not in a node's list to begin with).
+func constant(e []entry, m int) bool { return len(e) == m && e[0].v == e[m-1].v }
+
+// grow builds the subtree for the samples st.ids[lo:hi], whose
+// non-zero cells are the spans listed in act.
+func (t *DecisionTree) grow(lo, hi, depth int, act []span) *treeNode {
+	st := &t.st
+	ids := st.ids[lo:hi]
+	m := len(ids)
 	counts := t.newCounts()
-	// Only the active features' segments were partitioned down to this
-	// node, so the class histogram must read one of those (every
-	// segment carries the same labels in its own sort order; act is
-	// never empty — the root lists every feature, and a child's list
-	// contains at least the feature its parent split on).
-	labBase := int(act[0]) * st.n
-	W := m // total weighted samples in the node
-	if curWts == nil {
-		for _, yc := range curLabs[labBase+lo : labBase+hi] {
-			counts[yc]++
-		}
-	} else {
-		W = 0
-		wf := curWts[labBase+lo : labBase+hi]
-		for p, yc := range curLabs[labBase+lo : labBase+hi] {
-			w := int(wf[p])
-			counts[yc] += w
-			W += w
-		}
+	w := 0
+	for _, id := range ids {
+		x := st.info[id]
+		counts[x.label] += int(x.weight)
+		w += int(x.weight)
 	}
 	node := t.newNode()
 	node.prediction = argmax(counts)
 	node.counts = counts
-	node.samples = W
-	imp := gini(counts, W)
-	if imp == 0 || depth >= t.Opts.MaxDepth || W < t.Opts.MinSamplesSplit {
+	node.samples = w
+	if gini(counts, w) == 0 || depth >= t.Opts.MaxDepth || w < t.Opts.MinSamplesSplit {
 		return node
 	}
 
 	// Zero-gain splits are allowed (as in CART): on XOR-like data the
 	// root split has zero immediate Gini decrease but enables pure
 	// children. Growth is still bounded by MaxDepth / MinSamplesLeaf.
-	//
-	// The scan keeps the Gini terms incrementally as integer sums of
-	// squared class counts: moving one sample of class yc across the
-	// boundary changes Σ_c leftCounts[c]² by 2·l+1 and the right sum
-	// by −(2·r−1), so each candidate costs O(1) instead of O(classes).
-	// With
-	//
-	//	score = sumL/nLeft + sumR/nRight
-	//
-	// the weighted Gini decrease is (score − sumP/m)/m, a monotone map,
-	// so maximizing score selects the same split the O(classes) scan
-	// would, and the MinImpurityDecrease gate becomes a score floor.
-	bestFeature, bestThreshold := -1, 0.0
-	bestScore := math.Inf(-1)
-	n := float64(W)
-	var sumP int64
+	s := split{counts: counts, w: w, minLeaf: t.Opts.MinSamplesLeaf, best: span{f: -1}, score: math.Inf(-1)}
 	for _, c := range counts {
-		sumP += int64(c) * int64(c)
+		s.sumP += int64(c) * int64(c)
 	}
-	minScore := float64(sumP)/n + t.Opts.MinImpurityDecrease*n
-	leftCounts := st.leftCounts
-	minLeaf := t.Opts.MinSamplesLeaf
-	arenaMark := len(st.actArena)
-
-	for _, f32 := range act {
-		f := int(f32)
-		base := f*st.n + lo
-		colf := curIdx[base : base+m]
-		lf := curLabs[base : base+m]
-		// vX is the feature's full value column, indexed by local
-		// sample id; colf walks it in sorted-value order.
-		vX := st.colX[f*st.n : f*st.n+st.n]
-		v := vX[int(colf[0])]
-		if v == vX[int(colf[m-1])] {
-			continue // feature constant within the node: drop from subtree
-		}
-		st.actArena = append(st.actArena, f32)
-		for c := range leftCounts {
-			leftCounts[c] = 0
-		}
-		sumL, sumR := int64(0), sumP
-		nLeft := 0 // weighted samples left of the boundary
-		if curWts == nil {
-			// Unit-weight fast path: w = 1 folds the incremental update
-			// to sumL += 2l+1, sumR -= 2r−1 with no weight loads.
-			for i := 0; i < m-1; i++ {
-				yc := lf[i]
-				l := int64(leftCounts[yc])
-				r := int64(counts[yc]) - l
-				sumL += 2*l + 1
-				sumR -= 2*r - 1
-				leftCounts[yc]++
-				nLeft++
-				next := vX[int(colf[i+1])]
-				if v != next { // can't split between equal values
-					nRight := W - nLeft
-					if nLeft >= minLeaf && nRight >= minLeaf {
-						score := float64(sumL)/float64(nLeft) + float64(sumR)/float64(nRight)
-						if score >= minScore && score > bestScore {
-							bestFeature = f
-							bestThreshold = (v + next) / 2
-							bestScore = score
-						}
-					}
-					v = next
-				}
-			}
-			continue
-		}
-		wf := curWts[base : base+m]
-		for i := 0; i < m-1; i++ {
-			yc := lf[i]
-			w := int64(wf[i])
-			// Moving w samples of class yc across the boundary changes
-			// Σ_c left² by w·(2l+w) and the right sum by −w·(2r−w).
-			l := int64(leftCounts[yc])
-			r := int64(counts[yc]) - l
-			sumL += w * (2*l + w)
-			sumR -= w * (2*r - w)
-			leftCounts[yc] += int(w)
-			nLeft += int(w)
-			next := vX[int(colf[i+1])]
-			if v != next { // can't split between equal values
-				nRight := W - nLeft
-				if nLeft >= minLeaf && nRight >= minLeaf {
-					score := float64(sumL)/float64(nLeft) + float64(sumR)/float64(nRight)
-					if score >= minScore && score > bestScore {
-						bestFeature = f
-						bestThreshold = (v + next) / 2
-						bestScore = score
-					}
-				}
-				v = next
-			}
+	n := float64(w)
+	s.minScore = float64(s.sumP)/n + t.Opts.MinImpurityDecrease*n
+	src, dst := st.cur, st.alt
+	if depth&1 == 1 {
+		src, dst = dst, src
+	}
+	for _, sp := range act {
+		if e := src[sp.lo:sp.hi]; !constant(e, m) {
+			st.scan(&s, sp, e, m)
 		}
 	}
-	childAct := st.actArena[arenaMark:len(st.actArena):len(st.actArena)]
-	if bestFeature < 0 {
-		st.actArena = st.actArena[:arenaMark]
+	if s.best.f < 0 {
 		return node
 	}
 
-	// Stable partition of every sorted column by the chosen split,
-	// writing each column (indices, values, labels) into the other
-	// parity's same [lo, hi) positions so the children are again
-	// contiguous [lo, lo+nLeft) and [lo+nLeft, hi) subranges — no
-	// copy-back pass. goesLeft is shared across the recursion: only
-	// this node's sample entries are read, and all are written first.
-	goesLeft := st.goesLeft
-	nLeftPos := 0 // child boundary is in sample positions, not weights
-	bfBase := bestFeature*st.n + lo
-	vXb := st.colX[bestFeature*st.n : bestFeature*st.n+st.n]
-	for _, i := range curIdx[bfBase : bfBase+m] {
+	// Route every sample: the zeros of the chosen feature all go one
+	// way, its non-zero cells by value. The sample list is partitioned
+	// in place — nothing depends on its order.
+	var zerosLeft uint8
+	if 0 <= s.threshold {
+		zerosLeft = 1
+	}
+	for _, id := range ids {
+		st.goesLeft[id] = zerosLeft
+	}
+	for _, en := range src[s.best.lo:s.best.hi] {
 		var g uint8
-		if vXb[int(i)] <= bestThreshold {
+		if en.v <= s.threshold {
 			g = 1
 		}
-		goesLeft[int(i)] = g
-		nLeftPos += int(g)
+		st.goesLeft[en.row] = g
 	}
-	if nLeftPos == 0 || nLeftPos == m {
-		st.actArena = st.actArena[:arenaMark]
+	nLeft := 0
+	for p, id := range ids {
+		if st.goesLeft[id] != 0 {
+			ids[p], ids[nLeft] = ids[nLeft], id
+			nLeft++
+		}
+	}
+	if nLeft == 0 || nLeft == m {
 		return node // numerically degenerate split
 	}
-	dstIdx, dstLabs, dstWts := st.next(depth)
-	for _, f32 := range childAct {
-		f := int(f32)
-		base := f*st.n + lo
-		col := curIdx[base : base+m]
-		lf := curLabs[base : base+m]
-		dIdx := dstIdx[base : base+m]
-		dLab := dstLabs[base : base+m]
-		// Branchless routing: g selects the left or right write cursor
-		// without a data-dependent jump. Values are not moved at all —
-		// children re-gather them from colX through the routed ids.
-		li, ri := 0, nLeftPos
-		if curWts != nil {
-			wf := curWts[base : base+m]
-			dWts := dstWts[base : base+m]
-			for p, i := range col {
-				g := int(goesLeft[int(i)])
-				to := ri + (li-ri)*g
-				dIdx[to], dLab[to], dWts[to] = i, lf[p], wf[p]
-				li += g
-				ri += 1 - g
-			}
+
+	// Stable partition of each non-constant feature's cells into the
+	// other parity; a child's list keeps the features it has cells of.
+	mark := len(st.spans)
+	st.spans = slices.Grow(st.spans, 2*len(act))[:mark+2*len(act)]
+	leftAct := st.spans[mark : mark : mark+len(act)]
+	rightAct := st.spans[mark+len(act) : mark+len(act)]
+	for _, sp := range act {
+		e := src[sp.lo:sp.hi]
+		if constant(e, m) {
 			continue
 		}
-		for p, i := range col {
-			g := int(goesLeft[int(i)])
-			to := ri + (li-ri)*g
-			dIdx[to], dLab[to] = i, lf[p]
+		k := 0
+		for _, en := range e {
+			k += int(st.goesLeft[en.row])
+		}
+		// Branchless routing: g selects the left or right write cursor
+		// without a data-dependent jump.
+		d := dst[sp.lo:sp.hi]
+		li, ri := 0, k
+		for _, en := range e {
+			g := int(st.goesLeft[en.row])
+			d[ri+(li-ri)*g] = en
 			li += g
 			ri += 1 - g
 		}
+		if k > 0 {
+			leftAct = append(leftAct, span{sp.f, sp.lo, sp.lo + k})
+		}
+		if k < len(e) {
+			rightAct = append(rightAct, span{sp.f, sp.lo + k, sp.hi})
+		}
 	}
-	bestDecrease := (bestScore - float64(sumP)/n) / n
-	t.importance[bestFeature] += bestDecrease * n
-	node.feature = bestFeature
-	node.threshold = bestThreshold
-	node.left = growT(t, st, lo, lo+nLeftPos, depth+1, childAct)
-	node.right = growT(t, st, lo+nLeftPos, hi, depth+1, childAct)
-	st.actArena = st.actArena[:arenaMark]
+	decrease := (s.score - float64(s.sumP)/n) / n // weighted Gini decrease
+	t.importance[s.best.f] += decrease * n
+	node.feature = s.best.f
+	node.threshold = s.threshold
+	node.left = t.grow(lo, lo+nLeft, depth+1, leftAct)
+	node.right = t.grow(lo+nLeft, hi, depth+1, rightAct)
+	st.spans = st.spans[:mark]
 	return node
 }
 

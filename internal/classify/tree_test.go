@@ -1,9 +1,14 @@
 package classify
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"adahealth/internal/cluster"
+	"adahealth/internal/synth"
+	"adahealth/internal/vsm"
 )
 
 // xorData is not linearly separable; trees must nail it.
@@ -52,6 +57,23 @@ func TestTreeFitErrors(t *testing.T) {
 	}
 	if err := tr.Fit([][]float64{{1, 2}, {3}}, []int{0, 1}); err == nil {
 		t.Error("accepted ragged rows")
+	}
+	// A NaN has no sort position and an infinity no midpoint: the
+	// presort names the cell instead of growing a garbage tree, for the
+	// tree and for the forest that shares the view.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		X := [][]float64{{1, 2}, {3, 4}, {5, bad}}
+		err := tr.Fit(X, []int{0, 1, 0})
+		if err == nil || !strings.Contains(err.Error(), "row 2, column 1") {
+			t.Errorf("Fit with %v: err = %v, want one naming row 2, column 1", bad, err)
+		}
+		if err := NewRandomForest(ForestOptions{NumTrees: 2}).Fit(X, []int{0, 1, 0}); err == nil {
+			t.Errorf("forest accepted %v", bad)
+		}
+	}
+	// Negative zero is a zero, not an error.
+	if err := tr.Fit([][]float64{{math.Copysign(0, -1)}, {1}}, []int{0, 1}); err != nil {
+		t.Errorf("rejected -0: %v", err)
 	}
 }
 
@@ -298,4 +320,72 @@ func TestFitSubsetErrors(t *testing.T) {
 	if err := tr.FitSubset(X, y, []int{0, 1, 2}, nil); err != nil {
 		t.Errorf("nil ord: %v", err)
 	}
+	// ... and rejects a non-finite cell even in a row outside the subset:
+	// the view is of the whole matrix.
+	bad := [][]float64{{1, 2}, {math.NaN(), 4}, {5, 6}}
+	if err := tr.FitSubset(bad, y, []int{0, 2}, nil); err == nil {
+		t.Error("accepted NaN feature")
+	}
+	if err := NewRandomForest(ForestOptions{NumTrees: 2}).FitSubset(bad, y, []int{0, 2}, nil); err == nil {
+		t.Error("forest accepted NaN feature")
+	}
+	if _, err := NewColumnOrder([][]float64{{0, math.Inf(1)}}); err == nil {
+		t.Error("NewColumnOrder accepted +Inf")
+	}
 }
+
+// BenchmarkTreeCV is the robustness assessment's kernel without the
+// daemon: one 10-fold cross-validation of the tree on a matrix of the
+// benchmark's cohort shape (1000 patients × the 64 most frequent exam
+// types, K-means labels at K = 8), every fold fitting through one
+// shared ColumnOrder and predicting its held-out rows.
+func BenchmarkTreeCV(b *testing.B) {
+	cfg := synth.DefaultConfig()
+	cfg.NumPatients, cfg.TargetRecords, cfg.NumExamTypes, cfg.NumProfiles = 1000, 15000, 159, 8
+	log, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := vsm.Build(log, vsm.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	X := m.Project(64).Rows
+	fit, err := cluster.KMeans(X, cluster.Options{K: 8, Seed: 1, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	y := fit.Labels
+	const folds = 10
+	train := make([][]int, folds)
+	for i := range X {
+		for f := range train {
+			if i%folds != f {
+				train[f] = append(train[f], i)
+			}
+		}
+	}
+	ord, err := NewColumnOrder(X)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := NewDecisionTree(TreeOptions{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		correct := 0
+		for f, rows := range train {
+			if err := tree.FitSubset(X, y, rows, ord); err != nil {
+				b.Fatal(err)
+			}
+			for r := f; r < len(X); r += folds {
+				if tree.Predict(X[r]) == y[r] {
+					correct++
+				}
+			}
+		}
+		benchSink = correct
+	}
+}
+
+var benchSink int

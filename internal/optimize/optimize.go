@@ -31,12 +31,13 @@
 // derive the per-K clustering seed with KSeed, score identically, and
 // are deterministic for every Parallelism value.
 //
-// Every worker owns one reusable decision tree (refit per fold — the
-// fit-state buffers persist), one rand.Rand reseeded per K, and (in
+// Every worker owns one reusable decision tree (refit per fold — its
+// grower buffers persist), one rand.Rand reseeded per K, and (in
 // legacy mode) one cluster.Scratch, and all workers share a single
-// presorted classify.ColumnOrder of the data: the presort depends
-// only on the feature matrix, so one build serves every fold of every
-// K.
+// classify.ColumnOrder of the data — the sparse presorted view the
+// tree is grown from. It depends only on the feature matrix and is
+// never written after it is built, so one build serves every fold of
+// every K on every worker.
 package optimize
 
 import (
