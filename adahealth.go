@@ -42,15 +42,15 @@
 //	report, _ := engine.Analyze(log)
 //	fmt.Println(report.Sweep.BestK)
 //
-// The K-optimization sweep warm-starts by default (each K seeded from
-// the previous K's converged centroids) and self-selects an exact
-// K-means kernel per data shape — Elkan over the sparse CSR view for
-// VSM matrices, Hamerly or kd-tree filtering for dense data — with
-// Sculley mini-batch available (approximate, deterministic) for
-// very large logs. Pick a kernel explicitly via the per-job config
-// override ("Sweep":{"Cluster":{"Algorithm":"elkan"}}), the
-// -algorithm CLI flag, or cluster.Options.Algorithm; see the
-// internal/cluster package doc for the full algorithm matrix.
+// The K-optimization sweep is warm-started (each K seeded from the
+// previous K's converged centroids) and clusters with Lloyd's K-means,
+// which runs a sparse-aware parallel scan over the CSR view of the VSM
+// matrix and a dense scan on dense data, with Sculley mini-batch
+// available (approximate, deterministic) for very large logs. Pick a
+// kernel explicitly via the per-job config override
+// ("Sweep":{"Cluster":{"Algorithm":"dense-lloyd"}}), the -algorithm
+// CLI flag, or cluster.Options.Algorithm; see the internal/cluster
+// package doc for the algorithm table.
 //
 // Either way the pipeline executes as a concurrent stage DAG:
 // independent stages (pattern mining, the K sweep, demand extraction,

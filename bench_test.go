@@ -3,7 +3,6 @@
 //
 //	E1 BenchmarkTableI       — Table I, the K-optimization sweep
 //	E2 BenchmarkPartialMining — §IV-B partial-mining series
-//	A1 BenchmarkKMeansAblation — Lloyd vs kd-tree filtering K-means
 //	A2 BenchmarkFPMAblation    — Apriori vs FP-Growth over support
 //	A3 BenchmarkDocstore       — K-DB substrate throughput
 //	A4 BenchmarkVSMWeighting   — transformation choice vs similarity
@@ -16,12 +15,10 @@ package adahealth_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"adahealth/internal/classify"
 	"adahealth/internal/cluster"
 	"adahealth/internal/core"
 	"adahealth/internal/dataset"
@@ -118,118 +115,20 @@ func runPartialOnMatrix(m *vsm.Matrix) (*partialResult, error) {
 
 type partialResult = experiments.PartialResult
 
-// BenchmarkKMeansAblation compares Lloyd against the kd-tree filtering
-// algorithm (the paper's reference [3]) in both regimes (A1):
-//
-//   - "vsm": the paper's own unit-norm patient vectors (points on a
-//     sphere), where bounding-box pruning barely pays — Lloyd and
-//     filtering are close at every K. It runs at the paper's own
-//     operating point (Table I sweeps K ∈ {6..20}); K=64 over 6,380
-//     rows would put ~100 rows in a cluster and measure nothing the
-//     paper or the router targets, so the large-K cases live on the
-//     blob workloads instead;
-//   - "blobs": 64 lattice-centered Euclidean clusters with mutual
-//     overlap, at d=3 (the Kanungo et al. filtering workload) and d=8
-//     with wider noise. Overlapping many-cluster data is the large-K
-//     stress case: Hamerly's single second-closest bound collapses,
-//     Elkan's per-centroid bounds pay O(n·K) decay traffic every
-//     iteration, and the kd-tree filter degrades as dimension grows —
-//     the regime yinyang's group bounds are built for.
-func BenchmarkKMeansAblation(b *testing.B) {
-	m, _ := benchSetup(b)
-	vsmSub := m.Project(8)
-
-	rng := rand.New(rand.NewSource(1))
-	makeBlobs := func(d int, noise float64) [][]float64 {
-		data := make([][]float64, 20000)
-		for i := range data {
-			c := i % 64
-			row := make([]float64, d)
-			for j := range row {
-				row[j] = float64((c*5+j*3)%17)*3 + rng.NormFloat64()*noise
-			}
-			data[i] = row
-		}
-		return data
-	}
-
-	workloads := []struct {
-		name string
-		data [][]float64
-		ks   []int
-	}{
-		{"vsm-d8", vsmSub.Rows, []int{8}},
-		{"blobs-d3", makeBlobs(3, 0.4), []int{8, 64}},
-		{"blobs-d8", makeBlobs(8, 1.5), []int{64}},
-	}
-	for _, w := range workloads {
-		for _, k := range w.ks {
-			// Lloyd auto-routes to the sparse kernel when the data is
-			// sparse enough; DenseLloyd pins the classic dense scan so
-			// the sparse speedup stays visible side by side. Hamerly,
-			// Elkan and Yinyang are the exact triangle-inequality
-			// kernels, minibatch the approximate Sculley kernel, and
-			// auto the shape-based router (elkan at K=8 on vsm-d8;
-			// hamerly at K=8 / filtering at K=64 on the blob
-			// workloads, with yinyang the large-K pick off the
-			// low-dimension kd-tree path).
-			for _, alg := range []cluster.Algorithm{
-				cluster.Lloyd, cluster.DenseLloyd, cluster.SparseLloyd, cluster.Filtering,
-				cluster.Hamerly, cluster.Elkan, cluster.Yinyang,
-				cluster.AlgorithmMiniBatch, cluster.AlgorithmAuto,
-			} {
-				b.Run(fmt.Sprintf("%s/K=%d/%s", w.name, k, alg), func(b *testing.B) {
-					// One Scratch per sub-benchmark, primed by an untimed
-					// warm-up run: the measurement is the warm-started
-					// sweep's steady state, where bound matrices and
-					// accumulators live in the reused Scratch instead of
-					// being reallocated per run (Elkan's O(n·K) lower-bound
-					// matrix alone was 10.9 MB/op at blobs-d3/K=64 without
-					// it; what remains is the freshly allocated Result).
-					scratch := &cluster.Scratch{}
-					opts := cluster.Options{
-						K: k, Seed: 1, Algorithm: alg, MaxIter: 30, Scratch: scratch,
-					}
-					if _, err := cluster.KMeans(w.data, opts); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := cluster.KMeans(w.data, opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkFPMAblation compares Apriori and FP-Growth over the visit
 // baskets as the support threshold drops: FP-Growth's advantage grows
-// at low support (A2). All threshold runs share one fpm.Transactions
-// encoding, built once outside the measured loops — the per-threshold
-// cost is pure mining, not basket re-materialization. The Encode
-// sub-benchmarks price the shared one-time step itself, from string
-// baskets and straight from the cached CSR view of the VSM matrix.
+// at low support (A2). The FP-Growth runs share one fpm.Transactions
+// encoding, built once outside the measured loops, so their
+// per-threshold cost is pure mining; Apriori, the test reference,
+// normalizes its string baskets on every call. The Encode
+// sub-benchmark prices the shared one-time step itself.
 func BenchmarkFPMAblation(b *testing.B) {
-	m, visits := benchSetup(b)
+	_, visits := benchSetup(b)
 	shared := fpm.NewTransactions(visits)
 	b.Run("Encode/visits", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			fpm.NewTransactions(benchVisits)
-		}
-	})
-	b.Run("Encode/csr", func(b *testing.B) {
-		csr := m.Sparse()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := fpm.TransactionsFromCSR(csr, m.Features); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	for _, suppFrac := range []float64{0.04, 0.02, 0.01} {
@@ -240,7 +139,7 @@ func BenchmarkFPMAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("Apriori/supp=%.0f%%", suppFrac*100), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := shared.Apriori(minSupp); err != nil {
+				if _, err := fpm.Apriori(visits, minSupp); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -449,46 +348,6 @@ func BenchmarkDocstore(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkRobustnessAssessor ablates the paper's choice of a single
-// decision tree for the cluster-robustness assessment (A5): the same
-// (features → cluster label) task is evaluated with 5-fold CV under
-// four different classifiers; accuracy is reported per assessor.
-func BenchmarkRobustnessAssessor(b *testing.B) {
-	m, _ := benchSetup(b)
-	working := m.Project(m.FeaturesForCoverage(0.85))
-	cr, err := cluster.KMeans(working.Rows, cluster.Options{K: 8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	assessors := []struct {
-		name    string
-		factory classify.Factory
-	}{
-		{"tree", func() classify.Classifier {
-			return classify.NewDecisionTree(classify.TreeOptions{})
-		}},
-		{"forest", func() classify.Classifier {
-			return classify.NewRandomForest(classify.ForestOptions{NumTrees: 10, Seed: 1})
-		}},
-		{"naive-bayes", func() classify.Classifier { return classify.NewGaussianNB() }},
-		{"majority", func() classify.Classifier { return classify.NewMajority() }},
-	}
-	for _, a := range assessors {
-		b.Run(a.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cv, err := eval.CrossValidate(a.factory, working.Rows, cr.Labels, 5, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(cv.Metrics.Accuracy*100, "accuracy%")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkVSMWeighting measures how the data-transformation choice

@@ -23,7 +23,6 @@ import (
 	"adahealth/internal/cluster"
 	"adahealth/internal/core"
 	"adahealth/internal/dataset"
-	"adahealth/internal/optimize"
 	"adahealth/internal/service"
 	"adahealth/internal/synth"
 )
@@ -42,8 +41,7 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "max concurrently running stages (0 = all cores)")
 		trace      = flag.String("trace", "", "write the stage schedule (Report.Stages) to this file as JSON")
 		traceHTML  = flag.String("trace-html", "", "render the stage schedule to this file as a self-contained HTML Gantt view (same data as -trace)")
-		algorithm  = flag.String("algorithm", "", "K-means assignment kernel for the sweep and partial mining: lloyd, dense-lloyd, sparse-lloyd, filtering, hamerly, elkan, minibatch or auto (default: lloyd auto-routing)")
-		warmStart  = flag.Bool("warmstart", true, "warm-start the K sweep: seed each K from the previous K's centroids (false = legacy independent seeding)")
+		algorithm  = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd")
 		stageTO    = flag.Duration("stage-timeout", 0, "per-stage attempt deadline; a stage exceeding it fails the analysis with a typed error (0 = none)")
 	)
 	flag.Parse()
@@ -91,9 +89,6 @@ func main() {
 	}
 	cfg.Sweep.Cluster.Algorithm = alg
 	cfg.Partial.Cluster.Algorithm = alg
-	if !*warmStart {
-		cfg.Sweep.WarmStart = optimize.WarmStartOff
-	}
 	engine, err := core.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "adahealth: %v\n", err)

@@ -63,7 +63,6 @@ import (
 	"adahealth/internal/cluster"
 	"adahealth/internal/core"
 	"adahealth/internal/kdb"
-	"adahealth/internal/optimize"
 	"adahealth/internal/repl"
 	"adahealth/internal/service"
 	"adahealth/internal/stream"
@@ -93,8 +92,7 @@ func main() {
 		workers = flag.Int("workers", 0, "max concurrently running jobs (0 = service default)")
 		queue   = flag.Int("queue", 0, "admission queue depth before 429s (0 = service default)")
 		jobs    = flag.Int("jobs", 0, "stage pool size shared by all running jobs (0 = all cores)")
-		algo    = flag.String("algorithm", "", "base K-means kernel: lloyd, filtering, hamerly, elkan, minibatch or auto (jobs may override per submission)")
-		warm    = flag.Bool("warmstart", true, "warm-start K sweeps: seed each K from the previous K's centroids (false = legacy independent seeding)")
+		algo    = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd (jobs may override per submission)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
 		stageTO = flag.Duration("stage-timeout", 0, "per-stage attempt deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
 		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profile the daemon under cmd/loadgen traffic)")
@@ -127,9 +125,6 @@ func main() {
 	}
 	engineCfg.Sweep.Cluster.Algorithm = alg
 	engineCfg.Partial.Cluster.Algorithm = alg
-	if !*warm {
-		engineCfg.Sweep.WarmStart = optimize.WarmStartOff
-	}
 
 	svc, err := service.New(service.Config{
 		Engine:     engineCfg,

@@ -36,16 +36,15 @@ type refNode struct {
 }
 
 type refTree struct {
-	opts       TreeOptions
-	X          [][]float64
-	y          []int
-	classes    int
-	importance []float64
+	opts    TreeOptions
+	X       [][]float64
+	y       []int
+	classes int
 }
 
 // refFit grows the reference tree on every row of X.
-func refFit(X [][]float64, y []int, opts TreeOptions) (*refNode, []float64) {
-	rt := &refTree{opts: opts.withDefaults(), X: X, y: y, importance: make([]float64, len(X[0]))}
+func refFit(X [][]float64, y []int, opts TreeOptions) *refNode {
+	rt := &refTree{opts: opts.withDefaults(), X: X, y: y}
 	for _, c := range y {
 		if c+1 > rt.classes {
 			rt.classes = c + 1
@@ -55,7 +54,7 @@ func refFit(X [][]float64, y []int, opts TreeOptions) (*refNode, []float64) {
 	for i := range ids {
 		ids[i] = i
 	}
-	return rt.grow(ids, 0), rt.importance
+	return rt.grow(ids, 0)
 }
 
 func (rt *refTree) histogram(ids []int) []int {
@@ -130,7 +129,6 @@ func (rt *refTree) grow(ids []int, depth int) *refNode {
 	if len(left) == 0 || len(right) == 0 {
 		return node
 	}
-	rt.importance[bestFeature] += (bestScore - float64(sumP)/n) / n * n
 	node.feature, node.threshold = bestFeature, bestThreshold
 	node.left = rt.grow(left, depth+1)
 	node.right = rt.grow(right, depth+1)
@@ -138,9 +136,8 @@ func (rt *refTree) grow(ids []int, depth int) *refNode {
 }
 
 // sameTree compares a fitted tree with the reference node by node:
-// structure, feature, threshold and importance with ==, histograms
-// element-wise.
-func sameTree(got *DecisionTree, want *refNode, wantImp []float64) error {
+// structure, feature and threshold with ==, histograms element-wise.
+func sameTree(got *DecisionTree, want *refNode) error {
 	var walk func(g *treeNode, w *refNode, path string) error
 	walk = func(g *treeNode, w *refNode, path string) error {
 		if g.samples != w.samples || g.prediction != w.prediction || !slices.Equal(g.counts, w.counts) {
@@ -162,15 +159,7 @@ func sameTree(got *DecisionTree, want *refNode, wantImp []float64) error {
 		}
 		return walk(g.right, w.right, path+"R")
 	}
-	if err := walk(got.root, want, "·"); err != nil {
-		return err
-	}
-	for f, v := range wantImp {
-		if got.importance[f] != v {
-			return fmt.Errorf("importance[%d] = %v, reference %v", f, got.importance[f], v)
-		}
-	}
-	return nil
+	return walk(got.root, want, "·")
 }
 
 // randomMatrix draws n×d features at the given non-zero density. tie
@@ -200,10 +189,9 @@ func randomMatrix(rng *rand.Rand, n, d int, density float64, levels int, mixed b
 	return X
 }
 
-// checkAgainstReference fits rows of (X, y) through FitSubset and —
-// with integer weights, over a feature bag, the way the forest fits a
-// member — through fit, and compares both with the reference grown on
-// the materialized data.
+// checkAgainstReference fits a shuffled subset of the rows of (X, y)
+// through FitSubset, twice on one tree, and compares both fits with the
+// reference grown on the materialized subset.
 func checkAgainstReference(rng *rand.Rand, X [][]float64, y []int, opts TreeOptions) error {
 	ord, err := NewColumnOrder(X)
 	if err != nil {
@@ -226,41 +214,15 @@ func checkAgainstReference(rng *rand.Rand, X [][]float64, y []int, opts TreeOpti
 	for i, r := range rows {
 		subX[i], subY[i] = X[r], y[r]
 	}
-	want, wantImp := refFit(subX, subY, opts)
+	want := refFit(subX, subY, opts)
 	tree := NewDecisionTree(opts)
 	for refit := 0; refit < 2; refit++ { // the second fit reuses the tree's buffers
 		if err := tree.FitSubset(X, y, rows, ord); err != nil {
 			return err
 		}
-		if err := sameTree(tree, want, wantImp); err != nil {
+		if err := sameTree(tree, want); err != nil {
 			return fmt.Errorf("FitSubset (fit %d): %w", refit, err)
 		}
-	}
-
-	// A weighted bag over a feature bag against the materialized,
-	// projected multiset.
-	feats := rng.Perm(len(X[0]))[:1+rng.Intn(len(X[0]))]
-	weights := make([]int32, len(rows))
-	var bagX [][]float64
-	var bagY []int
-	for i, r := range rows {
-		weights[i] = int32(1 + rng.Intn(3))
-		proj := make([]float64, len(feats))
-		for fi, f := range feats {
-			proj[fi] = X[r][f]
-		}
-		for c := int32(0); c < weights[i]; c++ {
-			bagX = append(bagX, proj)
-			bagY = append(bagY, y[r])
-		}
-	}
-	want, wantImp = refFit(bagX, bagY, opts)
-	bag := NewDecisionTree(opts)
-	if err := bag.fit(ord, y, rows, weights, feats); err != nil {
-		return err
-	}
-	if err := sameTree(bag, want, wantImp); err != nil {
-		return fmt.Errorf("weighted bag: %w", err)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 )
 
 // TreeOptions bounds decision-tree growth.
@@ -40,12 +39,8 @@ func (o TreeOptions) withDefaults() TreeOptions {
 type DecisionTree struct {
 	Opts TreeOptions
 
-	root     *treeNode
-	classes  int
-	features int
-	// importance[f] accumulates the total weighted impurity decrease
-	// contributed by splits on feature f.
-	importance []float64
+	root    *treeNode
+	classes int
 
 	// Node and class-histogram storage is slab-allocated on the tree
 	// and reused across refits of the same instance (each fit resets
@@ -218,13 +213,6 @@ func NewColumnOrder(X [][]float64) (*ColumnOrder, error) {
 	return &ColumnOrder{rows: n, dim: d, start: start, entries: entries}, nil
 }
 
-// SubsetFitter is implemented by classifiers that can train on a row
-// subset of a matrix with a shared presorted view — the
-// cross-validation fast path.
-type SubsetFitter interface {
-	FitSubset(X [][]float64, y []int, rows []int, ord *ColumnOrder) error
-}
-
 // checkOrderShape rejects a ColumnOrder built for a different matrix.
 // The column count is read defensively so an empty X yields an error,
 // not an index panic.
@@ -250,7 +238,7 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 	for i := range rows {
 		rows[i] = i
 	}
-	return t.fit(ord, y, rows, nil, nil)
+	return t.fit(ord, y, rows)
 }
 
 // FitSubset trains on the rows subset of X — distinct row indices, in
@@ -269,13 +257,7 @@ func (t *DecisionTree) FitSubset(X [][]float64, y []int, rows []int, ord *Column
 	if err := checkOrderShape(ord, X); err != nil {
 		return err
 	}
-	return t.fit(ord, y, rows, nil, nil)
-}
-
-// sample is what a fit knows about one matrix row.
-type sample struct {
-	label  int32
-	weight int32 // multiplicity in the training set; 0 when not in it
+	return t.fit(ord, y, rows)
 }
 
 // span is the sub-range of the fit's entry arrays holding one node's
@@ -289,16 +271,16 @@ type span struct{ f, lo, hi int }
 //
 // A node owns a contiguous run of sample ids (matrix row indices) and,
 // per feature that is not all-zero within it, one span of entries: its
-// non-zero cells of that feature in ascending value order. Labels and
-// weights are looked up by row, so nothing but the 16-byte entries is
-// carried through the columns. The entries come in two parities: a
+// non-zero cells of that feature in ascending value order. Labels are
+// looked up by row, so nothing but the 16-byte entries is carried
+// through the columns. The entries come in two parities: a
 // node at depth d reads src = parity d&1 and stable-partitions each
 // span into the same positions of the other parity, so its children
 // read contiguous sub-spans again with no copy-back. Sibling subtrees
 // own disjoint positions at every parity.
 type growState struct {
-	info     []sample // by matrix row
-	goesLeft []uint8  // by matrix row; 0/1 so the partition is branchless
+	label    []int32 // by matrix row; -1 when the row is not in the fit
+	goesLeft []uint8 // by matrix row; 0/1 so the partition is branchless
 	ids      []int32
 	cur, alt []entry
 	// spans is a stack of active-feature lists: a node pushes one list
@@ -316,93 +298,58 @@ type growState struct {
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // fit is the one way a tree is grown: on the distinct rows of ord's
-// matrix, weights[i] > 0 being the multiplicity of rows[i] (nil: all
-// one) and feats the columns of ord that make up the tree's feature
-// space, in that order (nil: all of them). A row of weight w behaves
-// exactly like w adjacent copies: copies share every value, so no
-// threshold can fall between them and the tree is the one the
-// materialized multiset would grow.
-func (t *DecisionTree) fit(ord *ColumnOrder, y []int, rows []int, weights []int32, feats []int) error {
+// matrix, with y labelling every row of it.
+func (t *DecisionTree) fit(ord *ColumnOrder, y []int, rows []int) error {
 	if len(y) != ord.rows {
 		return fmt.Errorf("classify: %d rows but %d labels", ord.rows, len(y))
 	}
 	if len(rows) == 0 {
 		return fmt.Errorf("classify: empty training subset")
 	}
-	if weights != nil && len(weights) != len(rows) {
-		return fmt.Errorf("classify: %d weights for %d rows", len(weights), len(rows))
-	}
-	dim := ord.dim
-	if feats != nil {
-		if dim = len(feats); dim == 0 {
-			return fmt.Errorf("classify: empty feature bag")
-		}
-		for _, f := range feats {
-			if f < 0 || f >= ord.dim {
-				return fmt.Errorf("classify: bagged feature %d outside [0,%d)", f, ord.dim)
-			}
-		}
-	}
 	st := &t.st
-	st.info = resized(st.info, ord.rows)
-	clear(st.info)
+	st.label = resized(st.label, ord.rows)
+	for i := range st.label {
+		st.label[i] = -1
+	}
 	st.ids = st.ids[:0]
 	classes := 0
-	for i, r := range rows {
+	for _, r := range rows {
 		if r < 0 || r >= ord.rows {
 			return fmt.Errorf("classify: training row %d outside [0,%d)", r, ord.rows)
 		}
 		if y[r] < 0 {
 			return fmt.Errorf("classify: negative label %d at row %d", y[r], r)
 		}
-		w := int32(1)
-		if weights != nil {
-			if w = weights[i]; w <= 0 {
-				return fmt.Errorf("classify: non-positive weight %d for row %d", w, r)
-			}
-		}
 		// The filter below keeps each matrix row once, so a repeated row
 		// would silently train on one copy.
-		if st.info[r].weight != 0 {
-			return fmt.Errorf("classify: duplicate training row %d (multiplicity belongs in weights)", r)
+		if st.label[r] >= 0 {
+			return fmt.Errorf("classify: duplicate training row %d", r)
 		}
-		st.info[r] = sample{label: int32(y[r]), weight: w}
+		st.label[r] = int32(y[r])
 		st.ids = append(st.ids, int32(r))
 		classes = max(classes, y[r]+1)
 	}
 
 	t.Opts = t.Opts.withDefaults()
 	t.classes = classes
-	t.features = dim
-	t.importance = make([]float64, dim)
 	t.resetArena()
 	st.goesLeft = resized(st.goesLeft, ord.rows)
 	st.left = resized(st.left, classes)
 	st.pos = resized(st.pos, classes)
 
 	// Filter the view's columns to the training rows: O(non-zeros).
-	column := func(fi int) []entry {
-		if feats != nil {
-			fi = feats[fi]
-		}
-		return ord.entries[ord.start[fi]:ord.start[fi+1]]
-	}
-	nnz := 0
-	for fi := 0; fi < dim; fi++ {
-		nnz += len(column(fi))
-	}
-	st.cur = resized(st.cur, nnz)[:0]
-	st.alt = resized(st.alt, nnz)
+	st.cur = resized(st.cur, len(ord.entries))[:0]
+	st.alt = resized(st.alt, len(ord.entries))
 	st.spans = st.spans[:0]
-	for fi := 0; fi < dim; fi++ {
+	for f := 0; f < ord.dim; f++ {
 		lo := len(st.cur)
-		for _, e := range column(fi) {
-			if st.info[e.row].weight != 0 {
+		for _, e := range ord.entries[ord.start[f]:ord.start[f+1]] {
+			if st.label[e.row] >= 0 {
 				st.cur = append(st.cur, e)
 			}
 		}
 		if len(st.cur) > lo {
-			st.spans = append(st.spans, span{fi, lo, len(st.cur)})
+			st.spans = append(st.spans, span{f, lo, len(st.cur)})
 		}
 	}
 	t.root = t.grow(0, len(rows), 0, st.spans)
@@ -440,13 +387,12 @@ func argmax(h []int) int {
 //
 //	score = sumL/nLeft + sumR/nRight
 //
-// the weighted Gini decrease is (score − sumP/w)/w, a monotone map, so
+// the weighted Gini decrease is (score − sumP/n)/n, a monotone map, so
 // maximizing score selects the split maximizing the decrease and the
-// MinImpurityDecrease gate becomes the floor minScore. All counts are
-// in weighted units.
+// MinImpurityDecrease gate becomes the floor minScore.
 type split struct {
 	counts   []int // the node's class histogram
-	w        int   // its total weight
+	n        int   // its sample count
 	sumP     int64 // Σ counts²
 	minLeaf  int
 	minScore float64
@@ -463,7 +409,7 @@ type split struct {
 // Only a strictly better score replaces the incumbent, so among equal
 // scores the first in (feature, value) order wins.
 func (s *split) try(sp span, v, next float64, sumL, sumR int64, nLeft int) {
-	nRight := s.w - nLeft
+	nRight := s.n - nLeft
 	if nLeft >= s.minLeaf && nRight >= s.minLeaf {
 		score := float64(sumL)/float64(nLeft) + float64(sumR)/float64(nRight)
 		if score >= s.minScore && score > s.score {
@@ -476,17 +422,16 @@ func (s *split) try(sp span, v, next float64, sumL, sumR int64, nLeft int) {
 // boundary after each cell whose successor — the next cell, or after
 // the last one the value next when more says there is one — differs.
 func (st *growState) run(s *split, sp span, e []entry, next float64, more bool) {
-	left, counts, info := st.left, s.counts, st.info
+	left, counts, label := st.left, s.counts, st.label
 	sumL, sumR, nLeft := s.sumL, s.sumR, s.nLeft
 	for i, en := range e {
-		x := info[en.row]
-		w := int64(x.weight)
-		l := int64(left[x.label])
-		r := int64(counts[x.label]) - l
-		sumL += w * (2*l + w)
-		sumR -= w * (2*r - w)
-		left[x.label] += int(w)
-		nLeft += int(w)
+		c := label[en.row]
+		l := int64(left[c])
+		r := int64(counts[c]) - l
+		sumL += 2*l + 1
+		sumR -= 2*r - 1
+		left[c]++
+		nLeft++
 		nv := next
 		if i+1 < len(e) {
 			nv = e[i+1].v
@@ -527,13 +472,10 @@ func (st *growState) scan(s *split, sp span, e []entry, m int) {
 	}
 	if zeros {
 		clear(st.pos)
-		posW := 0
 		for _, en := range e[neg:] {
-			x := st.info[en.row]
-			st.pos[x.label] += int(x.weight)
-			posW += int(x.weight)
+			st.pos[st.label[en.row]]++
 		}
-		s.sumL, s.sumR, s.nLeft = 0, 0, s.w-posW
+		s.sumL, s.sumR, s.nLeft = 0, 0, s.n-(len(e)-neg)
 		for c, p := range st.pos {
 			l := s.counts[c] - p
 			st.left[c] = l
@@ -557,28 +499,25 @@ func (t *DecisionTree) grow(lo, hi, depth int, act []span) *treeNode {
 	ids := st.ids[lo:hi]
 	m := len(ids)
 	counts := t.newCounts()
-	w := 0
 	for _, id := range ids {
-		x := st.info[id]
-		counts[x.label] += int(x.weight)
-		w += int(x.weight)
+		counts[st.label[id]]++
 	}
 	node := t.newNode()
 	node.prediction = argmax(counts)
 	node.counts = counts
-	node.samples = w
-	if gini(counts, w) == 0 || depth >= t.Opts.MaxDepth || w < t.Opts.MinSamplesSplit {
+	node.samples = m
+	if gini(counts, m) == 0 || depth >= t.Opts.MaxDepth || m < t.Opts.MinSamplesSplit {
 		return node
 	}
 
 	// Zero-gain splits are allowed (as in CART): on XOR-like data the
 	// root split has zero immediate Gini decrease but enables pure
 	// children. Growth is still bounded by MaxDepth / MinSamplesLeaf.
-	s := split{counts: counts, w: w, minLeaf: t.Opts.MinSamplesLeaf, best: span{f: -1}, score: math.Inf(-1)}
+	s := split{counts: counts, n: m, minLeaf: t.Opts.MinSamplesLeaf, best: span{f: -1}, score: math.Inf(-1)}
 	for _, c := range counts {
 		s.sumP += int64(c) * int64(c)
 	}
-	n := float64(w)
+	n := float64(m)
 	s.minScore = float64(s.sumP)/n + t.Opts.MinImpurityDecrease*n
 	src, dst := st.cur, st.alt
 	if depth&1 == 1 {
@@ -653,8 +592,6 @@ func (t *DecisionTree) grow(lo, hi, depth int, act []span) *treeNode {
 			rightAct = append(rightAct, span{sp.f, sp.lo + k, sp.hi})
 		}
 	}
-	decrease := (s.score - float64(s.sumP)/n) / n // weighted Gini decrease
-	t.importance[s.best.f] += decrease * n
 	node.feature = s.best.f
 	node.threshold = s.threshold
 	node.left = t.grow(lo, lo+nLeft, depth+1, leftAct)
@@ -708,54 +645,4 @@ func (t *DecisionTree) NumLeaves() int {
 		return c(n.left) + c(n.right)
 	}
 	return c(t.root)
-}
-
-// FeatureImportance returns the normalized impurity-decrease
-// importance per feature (sums to 1 when any split occurred).
-func (t *DecisionTree) FeatureImportance() []float64 {
-	out := make([]float64, len(t.importance))
-	total := 0.0
-	for _, v := range t.importance {
-		total += v
-	}
-	if total == 0 {
-		return out
-	}
-	for i, v := range t.importance {
-		out[i] = v / total
-	}
-	return out
-}
-
-// Rules renders the fitted tree as human-readable IF/THEN rules, one
-// per leaf, using featureNames (nil falls back to x[i] notation).
-// Knowledge items in the K-DB store these strings.
-func (t *DecisionTree) Rules(featureNames []string) []string {
-	if t.root == nil {
-		return nil
-	}
-	name := func(f int) string {
-		if f < len(featureNames) {
-			return featureNames[f]
-		}
-		return fmt.Sprintf("x[%d]", f)
-	}
-	var rules []string
-	var walk func(n *treeNode, conds []string)
-	walk = func(n *treeNode, conds []string) {
-		if n.isLeaf() {
-			cond := "always"
-			if len(conds) > 0 {
-				cond = strings.Join(conds, " AND ")
-			}
-			rules = append(rules, fmt.Sprintf("IF %s THEN class=%d (n=%d)",
-				cond, n.prediction, n.samples))
-			return
-		}
-		walk(n.left, append(conds, fmt.Sprintf("%s <= %.4g", name(n.feature), n.threshold)))
-		walk(n.right, append(conds[:len(conds):len(conds)],
-			fmt.Sprintf("%s > %.4g", name(n.feature), n.threshold)))
-	}
-	walk(t.root, nil)
-	return rules
 }

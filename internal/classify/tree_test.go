@@ -59,16 +59,12 @@ func TestTreeFitErrors(t *testing.T) {
 		t.Error("accepted ragged rows")
 	}
 	// A NaN has no sort position and an infinity no midpoint: the
-	// presort names the cell instead of growing a garbage tree, for the
-	// tree and for the forest that shares the view.
+	// presort names the cell instead of growing a garbage tree.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		X := [][]float64{{1, 2}, {3, 4}, {5, bad}}
 		err := tr.Fit(X, []int{0, 1, 0})
 		if err == nil || !strings.Contains(err.Error(), "row 2, column 1") {
 			t.Errorf("Fit with %v: err = %v, want one naming row 2, column 1", bad, err)
-		}
-		if err := NewRandomForest(ForestOptions{NumTrees: 2}).Fit(X, []int{0, 1, 0}); err == nil {
-			t.Errorf("forest accepted %v", bad)
 		}
 	}
 	// Negative zero is a zero, not an error.
@@ -180,49 +176,6 @@ func TestTreeConstantFeatures(t *testing.T) {
 	}
 }
 
-func TestTreeFeatureImportance(t *testing.T) {
-	// Only feature 0 is informative.
-	rng := rand.New(rand.NewSource(6))
-	var X [][]float64
-	var y []int
-	for i := 0; i < 200; i++ {
-		label := i % 2
-		X = append(X, []float64{float64(label)*4 + rng.NormFloat64()*0.2, rng.NormFloat64()})
-		y = append(y, label)
-	}
-	tr := NewDecisionTree(TreeOptions{MaxDepth: 6})
-	if err := tr.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	imp := tr.FeatureImportance()
-	if imp[0] < 0.9 {
-		t.Errorf("importance of informative feature = %v, want > 0.9 (all: %v)", imp[0], imp)
-	}
-	sum := imp[0] + imp[1]
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("importances sum to %v, want 1", sum)
-	}
-}
-
-func TestTreeRules(t *testing.T) {
-	X, y := xorData()
-	tr := NewDecisionTree(TreeOptions{MaxDepth: 4})
-	if err := tr.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	rules := tr.Rules([]string{"examA", "examB"})
-	if len(rules) != tr.NumLeaves() {
-		t.Fatalf("rules = %d, leaves = %d", len(rules), tr.NumLeaves())
-	}
-	joined := strings.Join(rules, "\n")
-	if !strings.Contains(joined, "examA") {
-		t.Errorf("rules do not use feature names: %s", joined)
-	}
-	if !strings.Contains(joined, "THEN class=") {
-		t.Errorf("rules missing THEN clause: %s", joined)
-	}
-}
-
 func TestTreeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	X, y := gaussianClasses(rng, 40)
@@ -326,11 +279,22 @@ func TestFitSubsetErrors(t *testing.T) {
 	if err := tr.FitSubset(bad, y, []int{0, 2}, nil); err == nil {
 		t.Error("accepted NaN feature")
 	}
-	if err := NewRandomForest(ForestOptions{NumTrees: 2}).FitSubset(bad, y, []int{0, 2}, nil); err == nil {
-		t.Error("forest accepted NaN feature")
-	}
 	if _, err := NewColumnOrder([][]float64{{0, math.Inf(1)}}); err == nil {
 		t.Error("NewColumnOrder accepted +Inf")
+	}
+}
+
+func TestFitSubsetEmptyMatrixErrorsNotPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	X, _ := gaussianClasses(rng, 10)
+	ord, err := NewColumnOrder(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty matrix with a populated ColumnOrder must be rejected
+	// with an error, not an index panic from the shape message.
+	if err := NewDecisionTree(TreeOptions{}).FitSubset(nil, nil, []int{0}, ord); err == nil {
+		t.Error("tree accepted empty matrix with non-empty ColumnOrder")
 	}
 }
 

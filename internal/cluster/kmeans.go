@@ -1,53 +1,24 @@
-// Package cluster implements the center-based clustering algorithms
-// used by ADA-HEALTH: K-means with k-means++ seeding, in the classic
-// Lloyd formulation, the kd-tree filtering formulation of Kanungo et
-// al. (the paper's reference [3]), a sparse-aware parallel kernel
-// tuned for the VSM patient matrices, the Hamerly/Elkan/Yinyang
-// triangle-inequality bounded kernels, Sculley mini-batch K-means,
-// and bisecting K-means.
+// Package cluster implements the center-based clustering ADA-HEALTH
+// sweeps and streams: K-means with k-means++ seeding, run either by
+// Lloyd's algorithm — as a dense scan or as a sparse-aware parallel
+// kernel tuned for the VSM patient matrices — or by Sculley's
+// mini-batch K-means.
 //
-// # Algorithm matrix
+// # Algorithms
 //
-// Every Algorithm except AlgorithmMiniBatch is exact — it converges
-// to the same fixed point Lloyd does on the same seeding:
-//
-//	algorithm    exactness                  data        strength
-//	---------    -------------------------  ----------  -----------------------------------
-//	lloyd        exact, ≡ Lloyd bit-for-bit any         auto-routes dense vs sparse scan
-//	dense-lloyd  exact (the reference)      dense       baseline
-//	sparse-lloyd exact, ≡ Lloyd bit-for-bit sparse/CSR  O(K·nnz) scan, parallel workers
-//	hamerly      exact, ≡ Lloyd bit-for-bit any         1 bound/point: low-dim, small K
-//	elkan        exact, ≡ Lloyd bit-for-bit any         K bounds/point: high-dim, moderate K
-//	yinyang      exact, ≡ Lloyd bit-for-bit any         K/10 group bounds/point: large K
-//	             (Ding et al., ICML 2015)               without elkan's O(n·K) bound memory
-//	filtering    exact (≢ bit-for-bit: kd-  dense       low-dim dense, large K
-//	             tree subtree sums reorder
-//	             the fp accumulation)
-//	minibatch    APPROXIMATE (Sculley),     any         per-iteration cost independent of n
+//	algorithm    exactness                   runs where
+//	---------    --------------------------  ------------------------------------
+//	lloyd        exact (the default)         the sweep and partial mining; routes
+//	                                         to the sparse kernel when it pays
+//	dense-lloyd  exact (the reference)       the equivalence tests
+//	sparse-lloyd exact, ≡ dense bit-for-bit  the equivalence tests (forced CSR)
+//	minibatch    APPROXIMATE (Sculley),      the stream's online re-clustering
 //	             deterministic under Seed
-//	auto         exact (routes below)       any
 //
-// AlgorithmAuto routing rules, in order: data sparse enough for the
-// CSR kernel to pay (SparseProfitable) → yinyang over the CSR view
-// when K ≥ 32, else elkan; dense with ≤ 16 dimensions → filtering
-// when K ≥ 32, else hamerly; dense high-dimensional → yinyang when
-// K ≥ 32, else elkan. Large K favors yinyang because its per-point
-// bound state is G ≈ K/10 floats instead of elkan's K, so the decay
-// pass touches an order less memory per iteration and the bounds stay
-// tighter than hamerly's single second-closest bound, which collapses
-// once many centroids crowd the second position; elkan remains the
-// pick below the K=32 line, where its per-centroid bounds prune
-// hardest and their maintenance still fits cache. Mini-batch is never
-// auto-selected: trading exactness for scale is an explicit caller
-// decision.
-//
-// "≡ Lloyd bit-for-bit" means identical Labels/SSE/Iterations/
-// Centroids, property-tested across seeds, worker counts and
-// dense/CSR inputs, with two documented caveats: the norm-identity
-// cancellation case below, and exact distance ties (a bounded kernel
-// proves "no strictly closer centroid" and keeps the incumbent,
-// where Lloyd's fresh scan picks the lowest index — measure zero on
-// continuous data).
+// "auto" is accepted as a name for lloyd (AlgorithmAuto is the same
+// value). lloyd picks the sparse kernel when a CSR view is supplied or
+// when SparseProfitable says the data is sparse enough for it to pay,
+// and the dense scan otherwise.
 //
 // # Sparse kernel design
 //
@@ -100,7 +71,6 @@ import (
 	"math/rand"
 	"runtime"
 
-	"adahealth/internal/kdtree"
 	"adahealth/internal/vec"
 )
 
@@ -114,63 +84,30 @@ const (
 	// result is bit-for-bit identical either way for well-scaled data
 	// (see the package comment for the cancellation caveat).
 	Lloyd Algorithm = iota
-	// Filtering is the kd-tree filtering algorithm of Kanungo et al.
-	Filtering
 	// DenseLloyd forces the dense serial assignment step.
 	DenseLloyd
 	// SparseLloyd forces the sparse-aware parallel kernel.
 	SparseLloyd
-	// Hamerly is the one-lower-bound triangle-inequality kernel
-	// (Hamerly 2010): exact, bit-for-bit identical to Lloyd, and
-	// skips the whole centroid scan for points whose bounds prove the
-	// assignment unchanged. Best for low-dimensional dense data at
-	// moderate K.
-	Hamerly
-	// Elkan is the per-centroid-lower-bound triangle-inequality kernel
-	// (Elkan 2003): exact like Hamerly, with tighter pruning that pays
-	// at larger K and on high-dimensional (sparse) data, at O(n·K)
-	// bound memory.
-	Elkan
 	// AlgorithmMiniBatch is Sculley-style mini-batch K-means:
-	// approximate (NOT bit-for-bit comparable to Lloyd; excluded from
-	// the exactness property tests), deterministic under Seed, with
-	// per-iteration cost independent of the dataset size — the kernel
-	// for >100k-patient logs.
+	// approximate (NOT bit-for-bit comparable to Lloyd), deterministic
+	// under Seed, with per-iteration cost independent of the dataset
+	// size.
 	AlgorithmMiniBatch
-	// Yinyang is the group-filtered triangle-inequality kernel (Ding et
-	// al. 2015): exact like Hamerly/Elkan, with one upper bound plus
-	// G ≈ K/10 group lower bounds per point — Elkan-grade pruning at a
-	// tenth of the bound memory. The large-K exact kernel.
-	Yinyang
-	// AlgorithmAuto picks an exact kernel from the data shape: sparse
-	// data routes to Yinyang at large K and Elkan below it, both over
-	// the CSR view; low-dimensional dense data to Hamerly (or to the
-	// kd-tree Filtering kernel once K is large enough for cell pruning
-	// to win); high-dimensional dense data to Yinyang at large K, else
-	// Elkan. See the package comment for the routing matrix.
-	AlgorithmAuto
 )
+
+// AlgorithmAuto is the default kernel under the name "auto": Lloyd.
+const AlgorithmAuto = Lloyd
 
 func (a Algorithm) String() string {
 	switch a {
 	case Lloyd:
 		return "lloyd"
-	case Filtering:
-		return "filtering"
 	case DenseLloyd:
 		return "dense-lloyd"
 	case SparseLloyd:
 		return "sparse-lloyd"
-	case Hamerly:
-		return "hamerly"
-	case Elkan:
-		return "elkan"
 	case AlgorithmMiniBatch:
 		return "minibatch"
-	case Yinyang:
-		return "yinyang"
-	case AlgorithmAuto:
-		return "auto"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -178,37 +115,28 @@ func (a Algorithm) String() string {
 
 // Valid reports whether a names a known algorithm.
 func (a Algorithm) Valid() bool {
-	return a >= Lloyd && a <= AlgorithmAuto
+	return a >= Lloyd && a <= AlgorithmMiniBatch
 }
 
 // ParseAlgorithm maps an algorithm name (as produced by String) back
-// to its value; the empty string selects the Lloyd default.
+// to its value; the empty string and "auto" select the Lloyd default.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
-	case "", "lloyd":
+	case "", "lloyd", "auto":
 		return Lloyd, nil
-	case "filtering":
-		return Filtering, nil
 	case "dense-lloyd":
 		return DenseLloyd, nil
 	case "sparse-lloyd":
 		return SparseLloyd, nil
-	case "hamerly":
-		return Hamerly, nil
-	case "elkan":
-		return Elkan, nil
 	case "minibatch":
 		return AlgorithmMiniBatch, nil
-	case "yinyang":
-		return Yinyang, nil
-	case "auto":
-		return AlgorithmAuto, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown algorithm %q (want lloyd, filtering, dense-lloyd, sparse-lloyd, hamerly, elkan, minibatch, yinyang or auto)", s)
+	return 0, fmt.Errorf("cluster: unknown algorithm %q (want lloyd, dense-lloyd, sparse-lloyd or minibatch; auto means lloyd)", s)
 }
 
 // MarshalText encodes the algorithm as its name, so a JSON config
-// override carries "algorithm": "elkan" instead of an opaque integer.
+// override carries "algorithm": "dense-lloyd" instead of an opaque
+// integer.
 func (a Algorithm) MarshalText() ([]byte, error) {
 	if !a.Valid() {
 		return nil, fmt.Errorf("cluster: cannot marshal %s", a)
@@ -226,69 +154,6 @@ func (a *Algorithm) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Auto-routing thresholds: below autoFilteringMaxDim dimensions the
-// kd-tree's bounding boxes are tight enough to prune, and from
-// autoFilteringMinK centroids the per-cell candidate pruning
-// amortizes the tree walk; everything else goes to a bounded kernel.
-const (
-	autoFilteringMaxDim = 16
-	autoFilteringMinK   = 32
-	// autoYinyangMinK is the centroid count from which the yinyang
-	// group bounds out-prune Elkan's per-centroid bounds on the routes
-	// without a kd-tree: below it G = ⌈K/10⌉ is too coarse to filter
-	// and Elkan's O(n·K) bound memory is still cheap.
-	autoYinyangMinK = 32
-)
-
-// autoAlgorithm resolves AlgorithmAuto for a dataset shape. Sparse
-// data (the VSM regime — the caller resolves sparsity by probing
-// AutoCSR once, so csr != nil means "sparse enough to pay") routes to
-// Yinyang at large K and Elkan below it, both over the CSR view.
-// Low-dimensional dense data routes to the kd-tree filtering kernel at
-// large K (where cell pruning wins decisively — see
-// BenchmarkKMeansAblation blobs-d3/K=64) and Hamerly at small K.
-// High-dimensional dense data, where no kd-tree helps, routes to
-// Yinyang at large K and Elkan below it.
-func autoAlgorithm(d, k int, csr *vec.CSRMatrix) Algorithm {
-	if csr != nil {
-		if k >= autoYinyangMinK {
-			return Yinyang
-		}
-		return Elkan
-	}
-	if d <= autoFilteringMaxDim {
-		if k >= autoFilteringMinK {
-			return Filtering
-		}
-		return Hamerly
-	}
-	if k >= autoYinyangMinK {
-		return Yinyang
-	}
-	return Elkan
-}
-
-// InitMethod selects centroid seeding.
-type InitMethod int
-
-const (
-	// KMeansPP is k-means++ (D² sampling); the default.
-	KMeansPP InitMethod = iota
-	// RandomInit picks K distinct points uniformly.
-	RandomInit
-)
-
-func (m InitMethod) String() string {
-	switch m {
-	case KMeansPP:
-		return "kmeans++"
-	case RandomInit:
-		return "random"
-	default:
-		return fmt.Sprintf("InitMethod(%d)", int(m))
-	}
-}
-
 // Options configures a K-means run. Zero values get sensible defaults
 // from (Options).withDefaults.
 type Options struct {
@@ -296,14 +161,12 @@ type Options struct {
 	MaxIter   int     // default 100
 	Tolerance float64 // max centroid movement for convergence; default 1e-8
 	Seed      int64
-	Init      InitMethod
 	Algorithm Algorithm
-	LeafSize  int // kd-tree leaf size for Filtering; default kdtree.DefaultLeafSize
 
-	// Parallelism bounds the worker goroutines of the sparse and
-	// bounded parallel assignment steps: 0 uses all cores
-	// (runtime.GOMAXPROCS(0)), 1 is serial. The result is identical
-	// for every value (see the package comment).
+	// Parallelism bounds the worker goroutines of the sparse kernel's
+	// assignment step: 0 uses all cores (runtime.GOMAXPROCS(0)), 1 is
+	// serial. The result is identical for every value (see the package
+	// comment).
 	Parallelism int
 
 	// BatchSize is the AlgorithmMiniBatch sample size per iteration;
@@ -320,9 +183,9 @@ type Options struct {
 	Rand *rand.Rand `json:"-"`
 
 	// Scratch, when non-nil, supplies the run's working memory
-	// (labels, counts, sums, bounds, kd-tree) and is grown in place —
-	// the reuse hook that lets a K sweep run allocation-free after the
-	// first K. A Scratch must not be shared by concurrent runs.
+	// (labels, counts, sums, mini-batch buffers) and is grown in place
+	// — the reuse hook that lets a K sweep run allocation-free after
+	// the first K. A Scratch must not be shared by concurrent runs.
 	Scratch *Scratch `json:"-"`
 }
 
@@ -349,7 +212,7 @@ type Result struct {
 	Iterations int
 	Converged  bool
 	// Algorithm names the assignment kernel that actually ran
-	// ("lloyd", "sparse-lloyd", "filtering", ...).
+	// ("lloyd", "dense-lloyd", "sparse-lloyd" or "minibatch").
 	Algorithm string
 }
 
@@ -361,28 +224,17 @@ const sparseAutoThreshold = 0.5
 // SparseProfitable reports whether the sparse kernel is expected to
 // beat the dense scan for a dataset of the given shape and density.
 // Callers holding a prebuilt CSR view (e.g. vsm.Matrix.Sparse) use it
-// to decide whether to hand the view to KMeansCSR.
+// to decide whether to hand the view to KMeansCSRContext.
 func SparseProfitable(rows, cols int, density float64) bool {
 	return cols >= 8 && rows >= 32 && density <= sparseAutoThreshold
 }
 
 // AutoCSR scans data and returns a fresh CSR view when
 // SparseProfitable says the sparse kernel will pay, else nil. The nil
-// result is accepted by KMeansCSR, which then falls back to the
-// dense-data entry point, so call sites stay uniform.
+// result is accepted by KMeansCSRContext, which then runs on the dense
+// rows, so call sites stay uniform.
 func AutoCSR(data [][]float64) *vec.CSRMatrix {
-	if len(data) == 0 || len(data[0]) == 0 {
-		return nil
-	}
-	nnz := 0
-	for _, row := range data {
-		for _, v := range row {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	if !SparseProfitable(len(data), len(data[0]), float64(nnz)/float64(len(data)*len(data[0]))) {
+	if len(data) == 0 || !SparseProfitable(len(data), len(data[0]), vec.Density(data)) {
 		return nil
 	}
 	return vec.NewCSRFromDense(data)
@@ -401,22 +253,17 @@ func KMeansContext(ctx context.Context, data [][]float64, opts Options) (*Result
 	return run(ctx, data, nil, opts)
 }
 
-// KMeansCSR is KMeans over a prebuilt sparse view, so repeated runs on
-// the same matrix (e.g. the Table I K sweep) share one CSR build.
-// dense, when non-nil, must be the dense view of m; it is used by the
-// cold paths (seeding, empty-cluster repair, final SSE) so that
-// results stay bit-for-bit identical to dense serial Lloyd. A nil
-// dense is materialized once from m.
-func KMeansCSR(m *vec.CSRMatrix, dense [][]float64, opts Options) (*Result, error) {
-	return KMeansCSRContext(context.Background(), m, dense, opts)
-}
-
-// KMeansCSRContext is KMeansCSR with cancellation, the entry point the
-// pipeline's sweep and partial-mining stages use.
+// KMeansCSRContext is KMeansContext over a prebuilt sparse view, so
+// repeated runs on the same matrix (e.g. the Table I K sweep) share one
+// CSR build — the entry point the pipeline's sweep and partial-mining
+// stages use. dense, when non-nil, must be the dense view of m; it is
+// used by the cold paths (seeding, empty-cluster repair, final SSE) so
+// that results stay bit-for-bit identical to dense serial Lloyd. A nil
+// dense is materialized once from m; a nil m runs on dense alone.
 func KMeansCSRContext(ctx context.Context, m *vec.CSRMatrix, dense [][]float64, opts Options) (*Result, error) {
 	if m == nil {
 		if dense == nil {
-			return nil, fmt.Errorf("cluster: KMeansCSR needs a CSR view or dense rows")
+			return nil, fmt.Errorf("cluster: KMeansCSRContext needs a CSR view or dense rows")
 		}
 		return run(ctx, dense, nil, opts)
 	}
@@ -431,6 +278,9 @@ func KMeansCSRContext(ctx context.Context, m *vec.CSRMatrix, dense [][]float64, 
 }
 
 func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options) (*Result, error) {
+	if !opts.Algorithm.Valid() {
+		return nil, fmt.Errorf("cluster: unknown algorithm %s", opts.Algorithm)
+	}
 	opts = opts.withDefaults()
 	n := len(data)
 	if n == 0 {
@@ -456,8 +306,7 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 		rng.Seed(opts.Seed)
 	}
 	var centroids [][]float64
-	switch {
-	case opts.InitialCentroids != nil:
+	if opts.InitialCentroids != nil {
 		if len(opts.InitialCentroids) != opts.K {
 			return nil, fmt.Errorf("cluster: %d initial centroids for K=%d",
 				len(opts.InitialCentroids), opts.K)
@@ -470,100 +319,42 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 			}
 			centroids[i] = vec.Clone(c)
 		}
-	case opts.Init == RandomInit:
-		centroids = randomInit(data, opts.K, rng)
-	default:
+	} else {
 		centroids = kmeansPPInit(data, opts.K, rng)
 	}
 
-	// Resolve the assignment kernel. Auto and the bounded kernels share
-	// one sparsity probe: AutoCSR scans the non-zeros once and returns
-	// a view only when the sparse arithmetic pays.
-	algo := opts.Algorithm
-	probed := false
-	if algo == AlgorithmAuto {
-		if csr == nil {
-			csr = AutoCSR(data)
-			probed = true
-		}
-		algo = autoAlgorithm(d, opts.K, csr)
-	}
-	if algo == AlgorithmMiniBatch {
+	// Resolve the assignment kernel: a non-nil csr selects the sparse
+	// kernel from here on.
+	switch opts.Algorithm {
+	case AlgorithmMiniBatch:
 		return runMiniBatch(ctx, data, centroids, rng, opts)
-	}
-	useSparse := false
-	switch algo {
+	case DenseLloyd:
+		csr = nil
 	case SparseLloyd:
-		useSparse = true
-	case Lloyd:
-		if csr != nil {
-			useSparse = true
-		} else {
-			nnz := 0
-			for _, row := range data {
-				for _, v := range row {
-					if v != 0 {
-						nnz++
-					}
-				}
-			}
-			useSparse = SparseProfitable(n, d, float64(nnz)/float64(n*d))
-		}
-	case Hamerly, Elkan, Yinyang:
-		// The bounded kernels score distances through the CSR identity
-		// whenever the sparse view exists or would pay (same routing as
-		// Lloyd), and densely otherwise.
-		if csr == nil && !probed {
-			csr = AutoCSR(data)
-		}
-	}
-
-	var tree *kdtree.Tree
-	var filterScratch *kdtree.FilterScratch
-	if algo == Filtering {
-		var err error
-		if opts.Scratch != nil {
-			tree, err = opts.Scratch.treeFor(data, opts.LeafSize)
-			filterScratch = opts.Scratch.filterScratch()
-		} else {
-			tree, err = kdtree.Build(data, opts.LeafSize)
-			filterScratch = &kdtree.FilterScratch{}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building kd-tree: %w", err)
-		}
-	}
-	var sk *sparseKernel
-	if useSparse {
 		if csr == nil {
 			csr = vec.NewCSRFromDense(data)
 		}
-		sk = newSparseKernel(csr, opts.K, opts.Parallelism)
+	case Lloyd:
+		if csr == nil {
+			csr = AutoCSR(data)
+		}
 	}
-	// The triangle-inequality kernels (Hamerly, Elkan, Yinyang) share
-	// one shape: a filtered label scan plus drift bookkeeping between
-	// iterations, behind the boundedScanner interface.
-	var bk boundedScanner
-	switch algo {
-	case Hamerly, Elkan:
-		bk = newBoundedKernel(algo == Elkan, data, csr, opts.K, opts.Parallelism, opts.Scratch)
-	case Yinyang:
-		bk = newYinyangKernel(data, csr, centroids, opts.Parallelism, opts.Scratch)
+	var sk *sparseKernel
+	name := opts.Algorithm
+	if csr != nil {
+		sk = newSparseKernel(csr, opts.K, opts.Parallelism)
+		name = SparseLloyd
 	}
 
 	var (
 		labels []int
 		counts []int
 		sums   [][]float64
-		drift  []float64
 	)
 	if opts.Scratch != nil {
 		labels = opts.Scratch.ints(&opts.Scratch.labels, n)
 		counts = opts.Scratch.ints(&opts.Scratch.counts, opts.K)
 		sums = opts.Scratch.sumBuffers(opts.K, d)
-		if bk != nil {
-			drift = opts.Scratch.f64(&opts.Scratch.driftBuf, opts.K)
-		}
 	} else {
 		labels = make([]int, n)
 		counts = make([]int, opts.K)
@@ -571,37 +362,22 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 		for i := range sums {
 			sums[i] = make([]float64, d)
 		}
-		if bk != nil {
-			drift = make([]float64, opts.K)
-		}
 	}
-	var repaired []int
 
-	name := algo
-	if algo == Lloyd && sk != nil {
-		name = SparseLloyd
-	}
 	res := &Result{K: opts.K, Algorithm: name.String()}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// One Lloyd iteration is the cancellation granularity of the
-		// hot loop (including the bounded kernels' inner loops, which
-		// run within one iteration): milliseconds at paper scale, so a
-		// cancelled context is honoured promptly without a per-point
-		// check in the kernel.
+		// hot loop: milliseconds at paper scale, so a cancelled context
+		// is honoured promptly without a per-point check in the kernel.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		res.Iterations = iter + 1
 
 		// Assignment step.
-		switch {
-		case tree != nil:
-			tree.FilterStepScratch(centroids, labels, sums, counts, filterScratch)
-		case bk != nil:
-			bk.assign(centroids, labels, sums, counts)
-		case sk != nil:
+		if sk != nil {
 			sk.assign(centroids, labels, sums, counts)
-		default:
+		} else {
 			for i := range sums {
 				for j := range sums[i] {
 					sums[i][j] = 0
@@ -616,49 +392,32 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 			}
 		}
 
-		moved, rep := updateCentroids(data, centroids, labels, sums, counts, drift, repaired[:0])
-		repaired = rep
-		if bk != nil {
-			bk.noteUpdate(drift, repaired)
-		}
-		if moved <= opts.Tolerance {
+		if updateCentroids(data, centroids, labels, sums, counts) <= opts.Tolerance {
 			res.Converged = true
 			break
 		}
 	}
 
 	// Final assignment against the converged centroids, plus SSE. The
-	// sparse and bounded kernels compute the argmin; the distance
-	// itself is always recomputed densely so the SSE matches serial
-	// dense Lloyd exactly.
+	// sparse kernel computes the argmin; the distance itself is always
+	// recomputed densely so the SSE matches serial dense Lloyd exactly.
 	res.Centroids = centroids
 	res.Labels = make([]int, n)
 	res.Sizes = make([]int, opts.K)
-	switch {
-	case bk != nil:
-		// The bounded scan refines the previous labels, so seed the
-		// result array with them before the final pass.
-		copy(res.Labels, labels)
-		bk.assignLabels(centroids, res.Labels)
-		for i, x := range data {
-			c := res.Labels[i]
-			res.Sizes[c]++
-			res.SSE += vec.SquaredEuclidean(x, centroids[c])
-		}
-	case sk != nil:
+	if sk != nil {
 		sk.assignLabels(centroids, res.Labels)
 		for i, x := range data {
 			c := res.Labels[i]
 			res.Sizes[c]++
 			res.SSE += vec.SquaredEuclidean(x, centroids[c])
 		}
-	default:
-		for i, x := range data {
-			c, dist := vec.ArgMinDistance(x, centroids)
-			res.Labels[i] = c
-			res.Sizes[c]++
-			res.SSE += dist
-		}
+		return res, nil
+	}
+	for i, x := range data {
+		c, dist := vec.ArgMinDistance(x, centroids)
+		res.Labels[i] = c
+		res.Sizes[c]++
+		res.SSE += dist
 	}
 	return res, nil
 }
@@ -670,13 +429,7 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 // counts and sum contributions move to the repaired cluster) so that
 // a second empty cluster repaired in the same iteration cannot pick
 // the same farthest point.
-//
-// drift, when non-nil, receives the per-centroid movement (the decay
-// the bounded kernels fold into their triangle-inequality bounds), and
-// repaired collects the indices of reseeded points (whose bounds must
-// be reset: their label changed outside the assignment scan). repaired
-// is appended to and returned so callers can reuse its backing array.
-func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64, counts []int, drift []float64, repaired []int) (float64, []int) {
+func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64, counts []int) float64 {
 	moved := 0.0
 	for c := range centroids {
 		if counts[c] == 0 {
@@ -692,10 +445,6 @@ func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64
 					sums[old][j] -= v
 				}
 			}
-			if drift != nil {
-				drift[c] = delta
-			}
-			repaired = append(repaired, far)
 			if delta > moved {
 				moved = delta
 			}
@@ -705,15 +454,11 @@ func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64
 		for j := range centroids[c] {
 			centroids[c][j] = sums[c][j] / float64(counts[c])
 		}
-		delta := vec.Euclidean(prev, centroids[c])
-		if drift != nil {
-			drift[c] = delta
-		}
-		if delta > moved {
+		if delta := vec.Euclidean(prev, centroids[c]); delta > moved {
 			moved = delta
 		}
 	}
-	return moved, repaired
+	return moved
 }
 
 // farthestPoint returns the index of the point with the largest
@@ -726,15 +471,6 @@ func farthestPoint(data [][]float64, centroids [][]float64, labels []int) int {
 		}
 	}
 	return best
-}
-
-func randomInit(data [][]float64, k int, rng *rand.Rand) [][]float64 {
-	perm := rng.Perm(len(data))
-	out := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		out[i] = vec.Clone(data[perm[i]])
-	}
-	return out
 }
 
 // kmeansPPInit seeds centroids by D² sampling (Arthur & Vassilvitskii).
@@ -775,106 +511,4 @@ func kmeansPPInit(data [][]float64, k int, rng *rand.Rand) [][]float64 {
 		}
 	}
 	return out
-}
-
-// SSEOf recomputes the sum of squared errors of data against a fitted
-// model's centroids/labels. It is exported for evaluation code.
-func SSEOf(data [][]float64, centroids [][]float64, labels []int) float64 {
-	sse := 0.0
-	for i, x := range data {
-		sse += vec.SquaredEuclidean(x, centroids[labels[i]])
-	}
-	return sse
-}
-
-// BisectingKMeans builds K clusters by repeatedly 2-means-splitting
-// the cluster with the largest SSE. It returns a Result in the same
-// shape as KMeans.
-func BisectingKMeans(data [][]float64, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	n := len(data)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no data")
-	}
-	if opts.K < 1 || opts.K > n {
-		return nil, fmt.Errorf("cluster: K=%d outside [1,%d]", opts.K, n)
-	}
-	type clust struct {
-		members []int
-		center  []float64
-		sse     float64
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	center := vec.Mean(data)
-	start := clust{members: all, center: center}
-	for _, i := range all {
-		start.sse += vec.SquaredEuclidean(data[i], center)
-	}
-	clusters := []clust{start}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	for len(clusters) < opts.K {
-		// Pick the cluster with the largest SSE that can be split.
-		worst := -1
-		for i, c := range clusters {
-			if len(c.members) < 2 {
-				continue
-			}
-			if worst == -1 || c.sse > clusters[worst].sse {
-				worst = i
-			}
-		}
-		if worst == -1 {
-			break // nothing splittable
-		}
-		target := clusters[worst]
-		sub := make([][]float64, len(target.members))
-		for i, m := range target.members {
-			sub[i] = data[m]
-		}
-		split, err := KMeans(sub, Options{
-			K: 2, MaxIter: opts.MaxIter, Tolerance: opts.Tolerance,
-			Seed: rng.Int63(), Init: opts.Init, Algorithm: Lloyd,
-			Parallelism: opts.Parallelism,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var parts [2]clust
-		for i := range parts {
-			parts[i].center = split.Centroids[i]
-		}
-		for i, m := range target.members {
-			c := split.Labels[i]
-			parts[c].members = append(parts[c].members, m)
-			parts[c].sse += vec.SquaredEuclidean(data[m], split.Centroids[c])
-		}
-		if len(parts[0].members) == 0 || len(parts[1].members) == 0 {
-			// Degenerate split (identical points): stop splitting.
-			break
-		}
-		clusters[worst] = parts[0]
-		clusters = append(clusters, parts[1])
-	}
-
-	res := &Result{
-		K:         len(clusters),
-		Labels:    make([]int, n),
-		Sizes:     make([]int, len(clusters)),
-		Algorithm: "bisecting",
-		Converged: true,
-	}
-	res.Centroids = make([][]float64, len(clusters))
-	for c, cl := range clusters {
-		res.Centroids[c] = cl.center
-		res.Sizes[c] = len(cl.members)
-		for _, m := range cl.members {
-			res.Labels[m] = c
-		}
-		res.SSE += cl.sse
-	}
-	return res, nil
 }

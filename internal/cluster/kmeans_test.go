@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,6 +53,12 @@ func TestKMeansErrors(t *testing.T) {
 	if _, err := KMeans(data, Options{K: 1, InitialCentroids: [][]float64{{1, 2}}}); err == nil {
 		t.Error("accepted initial centroid of wrong dimension")
 	}
+	// An out-of-range Algorithm must not silently run dense Lloyd.
+	for _, a := range []Algorithm{Algorithm(42), Algorithm(-1), AlgorithmMiniBatch + 1} {
+		if _, err := KMeans(data, Options{K: 1, Algorithm: a}); err == nil {
+			t.Errorf("accepted %s", a)
+		}
+	}
 }
 
 func TestKMeansRecoverseparatedBlobs(t *testing.T) {
@@ -101,7 +108,11 @@ func TestKMeansSizesAndSSEConsistent(t *testing.T) {
 	if total != len(data) {
 		t.Errorf("sizes sum = %d, want %d", total, len(data))
 	}
-	if got := SSEOf(data, res.Centroids, res.Labels); math.Abs(got-res.SSE) > 1e-6 {
+	got := 0.0
+	for i, x := range data {
+		got += vec.SquaredEuclidean(x, res.Centroids[res.Labels[i]])
+	}
+	if math.Abs(got-res.SSE) > 1e-6 {
 		t.Errorf("SSE mismatch: result %v vs recomputed %v", res.SSE, got)
 	}
 }
@@ -171,39 +182,6 @@ func TestSSEDecreasesWithK(t *testing.T) {
 	}
 }
 
-// Property: Lloyd and Filtering produce identical assignments from the
-// same initial centroids (the filtering algorithm is exact).
-func TestFilteringMatchesLloyd(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10; trial++ {
-		data, _ := blobs(rng, 3, 40, 1+rng.Intn(5), 6)
-		init := make([][]float64, 3)
-		perm := rng.Perm(len(data))
-		for i := range init {
-			init[i] = vec.Clone(data[perm[i]])
-		}
-		lloyd, err := KMeans(data, Options{K: 3, InitialCentroids: init, Algorithm: Lloyd})
-		if err != nil {
-			t.Fatal(err)
-		}
-		filt, err := KMeans(data, Options{K: 3, InitialCentroids: init, Algorithm: Filtering, LeafSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(lloyd.SSE-filt.SSE) > 1e-6*(1+lloyd.SSE) {
-			t.Fatalf("trial %d: SSE lloyd %v vs filtering %v", trial, lloyd.SSE, filt.SSE)
-		}
-		for i := range lloyd.Labels {
-			dl := vec.SquaredEuclidean(data[i], lloyd.Centroids[lloyd.Labels[i]])
-			df := vec.SquaredEuclidean(data[i], filt.Centroids[filt.Labels[i]])
-			if math.Abs(dl-df) > 1e-6*(1+dl) {
-				t.Fatalf("trial %d point %d: assignment distance differs (%v vs %v)",
-					trial, i, dl, df)
-			}
-		}
-	}
-}
-
 func TestEmptyClusterRepair(t *testing.T) {
 	// Force an empty cluster: initial centroid far away from all data.
 	data := [][]float64{{0, 0}, {0.1, 0}, {0, 0.1}, {5, 5}, {5.1, 5}, {5, 5.1}}
@@ -221,77 +199,156 @@ func TestEmptyClusterRepair(t *testing.T) {
 	}
 }
 
-func TestRandomInitDistinctPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data, _ := blobs(rng, 2, 20, 2, 5)
-	res, err := KMeans(data, Options{K: 4, Seed: 5, Init: RandomInit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centroids) != 4 {
-		t.Errorf("centroids = %d", len(res.Centroids))
-	}
-}
-
-func TestBisectingKMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	data, _ := blobs(rng, 4, 50, 3, 10)
-	res, err := BisectingKMeans(data, Options{K: 4, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K != 4 {
-		t.Fatalf("K = %d, want 4", res.K)
-	}
-	total := 0
-	for _, s := range res.Sizes {
-		total += s
-	}
-	if total != len(data) {
-		t.Errorf("sizes sum = %d, want %d", total, len(data))
-	}
-	// Should score comparably to plain K-means on separated blobs.
-	plain, _ := KMeans(data, Options{K: 4, Seed: 2})
-	if res.SSE > plain.SSE*2.5 {
-		t.Errorf("bisecting SSE %v far worse than plain %v", res.SSE, plain.SSE)
-	}
-}
-
-func TestBisectingErrors(t *testing.T) {
-	if _, err := BisectingKMeans(nil, Options{K: 2}); err == nil {
-		t.Error("accepted empty data")
-	}
-	if _, err := BisectingKMeans([][]float64{{1}}, Options{K: 2}); err == nil {
-		t.Error("accepted K > n")
-	}
-}
-
-func TestBisectingDegenerateDuplicates(t *testing.T) {
-	data := make([][]float64, 10)
-	for i := range data {
-		data[i] = []float64{1, 1}
-	}
-	res, err := BisectingKMeans(data, Options{K: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K < 1 {
-		t.Errorf("K = %d", res.K)
-	}
-	total := 0
-	for _, s := range res.Sizes {
-		total += s
-	}
-	if total != len(data) {
-		t.Errorf("sizes sum = %d, want %d", total, len(data))
-	}
-}
-
 func TestAlgorithmStrings(t *testing.T) {
-	if Lloyd.String() != "lloyd" || Filtering.String() != "filtering" {
-		t.Error("Algorithm String() drifted")
+	for a, want := range []string{"lloyd", "dense-lloyd", "sparse-lloyd", "minibatch"} {
+		if got := Algorithm(a).String(); got != want {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", a, got, want)
+		}
 	}
-	if KMeansPP.String() != "kmeans++" || RandomInit.String() != "random" {
-		t.Error("InitMethod String() drifted")
+	if AlgorithmAuto.String() != "lloyd" {
+		t.Errorf("AlgorithmAuto.String() = %q, want lloyd", AlgorithmAuto)
+	}
+}
+
+// A shared Scratch across runs of varying K (the warm-started sweep's
+// reuse pattern) must not change any result bit.
+func TestScratchReuseAcrossRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	data := randRows(rng, 150, 12, 0.3)
+	scratch := &Scratch{}
+	for _, alg := range []Algorithm{Lloyd, DenseLloyd, SparseLloyd, AlgorithmMiniBatch} {
+		for _, k := range []int{2, 5, 9, 4} { // deliberately non-monotone
+			want, err := KMeans(data, Options{K: k, Seed: 9, Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := KMeans(data, Options{K: k, Seed: 9, Algorithm: alg, Scratch: scratch, Rand: rand.New(rand.NewSource(0))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, int(alg), k, want, got)
+		}
+	}
+}
+
+// Mini-batch K-means is approximate but must be deterministic under
+// Seed and structurally valid; on well-separated blobs it should land
+// near the Lloyd objective.
+func TestMiniBatchDeterministicAndReasonable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	data := make([][]float64, 600)
+	for i := range data {
+		c := i % 4
+		data[i] = []float64{float64(c%2)*20 + rng.NormFloat64(), float64(c/2)*20 + rng.NormFloat64()}
+	}
+	a, err := KMeans(data, Options{K: 4, Seed: 5, Algorithm: AlgorithmMiniBatch, BatchSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := KMeans(data, Options{K: 4, Seed: 5, Algorithm: AlgorithmMiniBatch, BatchSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, 0, 0, a, b)
+	if a.Algorithm != "minibatch" {
+		t.Errorf("Algorithm = %q, want minibatch", a.Algorithm)
+	}
+	total := 0
+	for _, s := range a.Sizes {
+		total += s
+	}
+	if total != len(data) {
+		t.Errorf("sizes sum %d, want %d", total, len(data))
+	}
+	lloyd, err := KMeans(data, Options{K: 4, Seed: 5, Algorithm: DenseLloyd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.SSE > lloyd.SSE*2+1 {
+		t.Errorf("mini-batch SSE %.2f far above Lloyd %.2f on separable blobs", a.SSE, lloyd.SSE)
+	}
+}
+
+// "auto" is the default kernel: it routes exactly as Lloyd does —
+// sparse data to the CSR kernel, dense data to the dense scan.
+func TestAlgorithmAutoRouting(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, tc := range []struct {
+		name string
+		data [][]float64
+		want string
+	}{
+		{"sparse-highdim", randRows(rng, 120, 40, 0.1), "sparse-lloyd"},
+		{"dense-lowdim", randRows(rng, 120, 3, 1.0), "lloyd"},
+		{"dense-highdim", randRows(rng, 120, 24, 1.0), "lloyd"},
+	} {
+		res, err := KMeans(tc.data, Options{K: 8, Seed: 1, Algorithm: AlgorithmAuto})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Algorithm != tc.want {
+			t.Errorf("%s: routed to %q, want %q", tc.name, res.Algorithm, tc.want)
+		}
+	}
+	if a, err := ParseAlgorithm("auto"); err != nil || a != Lloyd {
+		t.Errorf(`ParseAlgorithm("auto") = %s, %v; want lloyd`, a, err)
+	}
+}
+
+// Auto routing must never alter the result: on every routed shape
+// (sparse → the CSR kernel, dense → the dense scan), at small and large
+// K, the whole result matches the dense-lloyd reference bit for bit.
+func TestAutoRoutingNeverAltersResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := []struct {
+		name string
+		data [][]float64
+		k    int
+	}{
+		{"sparse-smallK", randRows(rng, 150, 40, 0.1), 8},
+		{"sparse-largeK", randRows(rng, 150, 40, 0.1), 40},
+		{"dense-lowdim-smallK", randRows(rng, 150, 3, 1.0), 8},
+		{"dense-lowdim-largeK", randRows(rng, 150, 3, 1.0), 40},
+		{"dense-highdim-smallK", randRows(rng, 150, 24, 1.0), 8},
+		{"dense-highdim-largeK", randRows(rng, 150, 24, 1.0), 40},
+	}
+	for _, tc := range cases {
+		want, err := KMeans(tc.data, Options{K: tc.k, Seed: 6, Algorithm: DenseLloyd})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := KMeans(tc.data, Options{K: tc.k, Seed: 6, Algorithm: AlgorithmAuto})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireIdentical(t, tc.k, 0, want, got)
+	}
+}
+
+func TestAlgorithmTextRoundTrip(t *testing.T) {
+	for _, a := range []Algorithm{Lloyd, DenseLloyd, SparseLloyd, AlgorithmMiniBatch} {
+		b, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Algorithm
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", b, err)
+		}
+		if back != a {
+			t.Errorf("round trip %s -> %s", a, back)
+		}
+	}
+	var a Algorithm
+	for _, gone := range []string{`"nope"`, `"elkan"`, `"hamerly"`, `"yinyang"`, `"filtering"`} {
+		if err := json.Unmarshal([]byte(gone), &a); err == nil {
+			t.Errorf("accepted unknown algorithm name %s", gone)
+		}
+	}
+	if _, err := json.Marshal(Algorithm(42)); err == nil {
+		t.Error("marshalled an out-of-range algorithm")
+	}
+	if _, err := ParseAlgorithm(""); err != nil {
+		t.Errorf("empty name should parse as default: %v", err)
 	}
 }

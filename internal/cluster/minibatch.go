@@ -17,10 +17,9 @@ const DefaultBatchSize = 1024
 // its nearest centroid, and moves that centroid toward the point with
 // a per-centroid learning rate 1/v(c), where v(c) counts every point
 // the centroid has ever absorbed. The result is approximate — labels
-// and SSE are NOT bit-for-bit comparable to Lloyd and the exactness
-// property tests exclude it — but an iteration costs O(b·K·d)
-// regardless of n, which is what makes >100k-patient datasets
-// tractable. The run is deterministic under Options.Seed: one serial
+// and SSE are NOT bit-for-bit comparable to Lloyd — but an iteration
+// costs O(b·K·d) regardless of n, which is what makes >100k-patient
+// datasets tractable. The run is deterministic under Options.Seed: one serial
 // rand stream drives both seeding and batch sampling.
 //
 // Convergence is declared when the largest per-batch centroid movement

@@ -1,15 +1,11 @@
 package cluster
 
-import "adahealth/internal/kdtree"
-
 // Scratch owns the reusable working memory of a K-means run: the
-// per-iteration labels/counts/sums, the bounded kernels' bound arrays,
-// the worker pool's partial counts, the kd-tree filtering scratch, and
-// the kd-tree itself (which depends only on the data, so a K sweep on
-// one matrix builds it once). A sweep evaluating many K values on one
-// dataset passes the same Scratch to every run via Options.Scratch and
-// cuts the per-K allocations to (almost) zero; buffers grow as needed
-// and are never shrunk.
+// per-iteration labels/counts/sums and the mini-batch kernel's sample
+// buffers. A sweep evaluating many K values on one dataset passes the
+// same Scratch to every run via Options.Scratch and cuts the per-K
+// allocations to (almost) zero; buffers grow as needed and are never
+// shrunk.
 //
 // A Scratch must not be shared by concurrent runs — it is the working
 // state of exactly one run at a time. Results (Labels, Sizes,
@@ -20,25 +16,6 @@ type Scratch struct {
 	counts   []int
 	sums     [][]float64
 	sumsBack []float64
-
-	upper, lower, cNorm2, half, s []float64
-	driftBuf                      []float64
-	partial                       [][]int
-
-	// yinyang kernel state: centroid grouping, per-group drift, and the
-	// per-worker min/second-min scan slabs. The bound matrix itself
-	// shares the lower slot with Elkan.
-	yinGroup, yinMembers, yinOffsets []int
-	yinDrift                         []float64
-	yinScan                          []float64
-	yinScanSlab                      [][]float64
-
-	filter *kdtree.FilterScratch
-	tree   *kdtree.Tree
-	// treeData/treeLeaf identify the dataset+leaf size the cached tree
-	// was built for (slice identity: same backing array, same length).
-	treeData []([]float64)
-	treeLeaf int
 
 	// batch scratch for the mini-batch kernel
 	batchIdx  []int
@@ -82,60 +59,4 @@ func (s *Scratch) sumBuffers(k, d int) [][]float64 {
 		s.sums[i] = back[i*d : (i+1)*d : (i+1)*d]
 	}
 	return s.sums
-}
-
-// partials returns workers zeroed length-k count vectors.
-func (s *Scratch) partials(workers, k int) [][]int {
-	if cap(s.partial) < workers {
-		s.partial = make([][]int, workers)
-	}
-	s.partial = s.partial[:workers]
-	for w := range s.partial {
-		if cap(s.partial[w]) < k {
-			s.partial[w] = make([]int, k)
-		}
-		s.partial[w] = s.partial[w][:k]
-		for c := range s.partial[w] {
-			s.partial[w][c] = 0
-		}
-	}
-	return s.partial
-}
-
-// yinScanSlabs returns workers zeroed 3·g-float scan slabs backed by
-// one contiguous array.
-func (s *Scratch) yinScanSlabs(workers, g int) [][]float64 {
-	back := s.f64(&s.yinScan, workers*3*g)
-	if cap(s.yinScanSlab) < workers {
-		s.yinScanSlab = make([][]float64, workers)
-	}
-	s.yinScanSlab = s.yinScanSlab[:workers]
-	for w := range s.yinScanSlab {
-		s.yinScanSlab[w] = back[w*3*g : (w+1)*3*g : (w+1)*3*g]
-	}
-	return s.yinScanSlab
-}
-
-// filterScratch returns the shared kd-tree filtering scratch.
-func (s *Scratch) filterScratch() *kdtree.FilterScratch {
-	if s.filter == nil {
-		s.filter = &kdtree.FilterScratch{}
-	}
-	return s.filter
-}
-
-// treeFor returns a kd-tree over data, rebuilding only when the data
-// or leaf size differs from the cached build (identity comparison: the
-// sweep hands the same row slice to every K).
-func (s *Scratch) treeFor(data [][]float64, leafSize int) (*kdtree.Tree, error) {
-	if s.tree != nil && s.treeLeaf == leafSize && len(s.treeData) == len(data) &&
-		len(data) > 0 && &s.treeData[0] == &data[0] {
-		return s.tree, nil
-	}
-	tree, err := kdtree.Build(data, leafSize)
-	if err != nil {
-		return nil, err
-	}
-	s.tree, s.treeData, s.treeLeaf = tree, data, leafSize
-	return tree, nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestSparseParallelMatchesDenseLloydWithSeeding(t *testing.T) {
 	}
 }
 
-// KMeansCSR with a prebuilt CSR view (the Sweep path) must agree with
+// KMeansCSRContext with a prebuilt CSR view (the Sweep path) must agree with
 // building the CSR internally, and with dense Lloyd.
 func TestKMeansCSRSharedViewMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -137,7 +138,7 @@ func TestKMeansCSRSharedViewMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := KMeansCSR(csr, data, Options{K: 4, InitialCentroids: init})
+	shared, err := KMeansCSRContext(context.Background(), csr, data, Options{K: 4, InitialCentroids: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestKMeansCSRSharedViewMatches(t *testing.T) {
 	}
 
 	// A nil dense view is materialized from the CSR.
-	fromCSR, err := KMeansCSR(csr, nil, Options{K: 4, InitialCentroids: init})
+	fromCSR, err := KMeansCSRContext(context.Background(), csr, nil, Options{K: 4, InitialCentroids: init})
 	if err != nil {
 		t.Fatal(err)
 	}

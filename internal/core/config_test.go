@@ -29,7 +29,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"unknown partial algorithm", Config{Partial: partial.Config{Cluster: cluster.Options{Algorithm: cluster.Algorithm(-1)}}}, "algorithm"},
 		{"negative batch size", Config{Sweep: optimize.SweepConfig{Cluster: cluster.Options{BatchSize: -5}}}, "batch"},
 		{"negative partial batch size", Config{Partial: partial.Config{Cluster: cluster.Options{BatchSize: -1}}}, "batch"},
-		{"unknown warm-start mode", Config{Sweep: optimize.SweepConfig{WarmStart: optimize.WarmStart(3)}}, "warm-start"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,7 +51,7 @@ func TestNewAcceptsZeroAndBoundaryConfig(t *testing.T) {
 		{},
 		{MinSupportFrac: 1, MinConfidence: 1},
 		{MinSupportFrac: 0.02, MinConfidence: 0.6, MaxPatternItems: 10, Parallelism: 2, Seed: 42},
-		{Sweep: optimize.SweepConfig{Cluster: cluster.Options{Algorithm: cluster.Elkan}, WarmStart: optimize.WarmStartOff}},
+		{Sweep: optimize.SweepConfig{Cluster: cluster.Options{Algorithm: cluster.DenseLloyd}}},
 		{Sweep: optimize.SweepConfig{Cluster: cluster.Options{Algorithm: cluster.AlgorithmMiniBatch, BatchSize: 512}}},
 	} {
 		e, err := New(cfg)

@@ -163,9 +163,6 @@ func (c Config) Validate() error {
 	if c.Partial.Cluster.BatchSize < 0 {
 		return fmt.Errorf("core: negative partial-mining mini-batch size %d (0 selects the default of %d)", c.Partial.Cluster.BatchSize, cluster.DefaultBatchSize)
 	}
-	if !c.Sweep.WarmStart.Valid() {
-		return fmt.Errorf("core: unknown sweep warm-start mode %d (0 = on, 1 = off)", c.Sweep.WarmStart)
-	}
 	return nil
 }
 
@@ -401,8 +398,7 @@ type AnalyzeOptions struct {
 	// drift-triggered full re-analysis is scheduled. The rows are
 	// remapped onto the analysis's own (possibly projected) feature
 	// space by exam code and take precedence over recall-stage seeds;
-	// they apply only on the warm-started sweep chain
-	// (Sweep.WarmStart on, the default) and are dropped when fewer
+	// they seed the warm-started sweep chain and are dropped when fewer
 	// than half of the seed features survive the remap, falling back
 	// to the recall/cold behaviour. Any row count works: the sweep
 	// completes short seed sets by farthest-point splits and

@@ -223,10 +223,7 @@ func applyRecallHints(cfg optimize.SweepConfig, hints *recallHints, features []s
 		cfg.Ks = narrowed
 		outcome.NarrowedKs = narrowed
 	}
-	// Centroid seeds only exist on the warm-started chain; the legacy
-	// independent-seeding sweep ignores SeedCentroids, so claiming a
-	// seed there would put false warm-start evidence in the Report.
-	if len(hints.centroids) > 0 && cfg.WarmStart == optimize.WarmStartOn {
+	if len(hints.centroids) > 0 {
 		if seeds := remapCentroids(hints.centroids, hints.features, features); seeds != nil {
 			cfg.SeedCentroids = seeds
 			outcome.SeededCentroids = len(seeds)

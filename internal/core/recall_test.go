@@ -186,38 +186,6 @@ func TestRecallRepeatAnalysisSameDataset(t *testing.T) {
 	}
 }
 
-// TestRecallLegacySweepClaimsNoSeeding: under WarmStartOff the sweep
-// ignores SeedCentroids, so the Report must not claim centroids were
-// seeded (the K narrowing still applies and is real).
-func TestRecallLegacySweepClaimsNoSeeding(t *testing.T) {
-	cfg := recallConfig()
-	cfg.Sweep.WarmStart = optimize.WarmStartOff
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logA := seededLog(t, 1)
-	logA.Name = "twin-a"
-	logB := seededLog(t, 2)
-	logB.Name = "twin-b"
-	if _, err := e.Analyze(logA); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Analyze(logB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Recall == nil || !rep.Recall.Hit {
-		t.Fatalf("recall = %+v, want hit", rep.Recall)
-	}
-	if rep.Recall.SeededCentroids != 0 || rep.Recall.SeedDataset != "" {
-		t.Errorf("legacy sweep claims seeding: %+v", rep.Recall)
-	}
-	if len(rep.Recall.NarrowedKs) == 0 {
-		t.Errorf("K narrowing lost under legacy sweep: %+v", rep.Recall)
-	}
-}
-
 // TestRecallHelperUnits covers the grid-narrowing and centroid-remap
 // edge cases.
 func TestRecallHelperUnits(t *testing.T) {

@@ -310,9 +310,9 @@ func (e *Engine) runSweep(ctx context.Context, s *pipelineState) error {
 	// Explicit caller seeds (the streaming layer's live online model)
 	// outrank recall-derived ones: they describe this very dataset's
 	// current structure, not a similar dataset's past. Same contract
-	// as recall seeding — warm chain only, remapped by exam code onto
-	// the working feature space, dropped on insufficient overlap.
-	if len(s.seedCentroids) > 0 && cfg.WarmStart == optimize.WarmStartOn {
+	// as recall seeding — remapped by exam code onto the working
+	// feature space, dropped on insufficient overlap.
+	if len(s.seedCentroids) > 0 {
 		if seeds := remapCentroids(s.seedCentroids, s.seedFeatures, s.working.Features); seeds != nil {
 			cfg.SeedCentroids = seeds
 		}

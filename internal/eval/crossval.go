@@ -107,8 +107,8 @@ func CrossValidate(factory classify.Factory, X [][]float64, y []int, k int, seed
 // presorted column view of X (classify.NewColumnOrder), the reuse
 // hook for sweeps that cross-validate many label vectors over one
 // matrix: the presort depends only on X, so one build serves every K
-// and every fold. A nil ord is built internally on demand. ord must
-// have been built from this exact X.
+// and every fold. A nil ord is built internally. ord must have been
+// built from this exact X.
 func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k int, seed int64, ord *classify.ColumnOrder) (*CVResult, error) {
 	if len(X) != len(y) {
 		return nil, fmt.Errorf("eval: %d rows but %d labels", len(X), len(y))
@@ -126,14 +126,15 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 	pooled := NewConfusion(classes)
 	res := &CVResult{Folds: k}
 
-	// Classifiers implementing classify.SubsetFitter (the decision
-	// tree, the random forest) train against one shared presorted view
-	// of X instead of re-sorting a materialized 90% copy for every
-	// fold, and the single factory-built instance is refit per fold —
-	// FitSubset fully resets the model, so one instance serves all k
-	// folds without reallocating its fit state.
-	var subsetClf classify.SubsetFitter
-
+	// One factory-built classifier serves all k folds: FitSubset fully
+	// resets the model, and every fold trains against one shared
+	// presorted view of X instead of re-sorting a materialized 90% copy.
+	clf := factory()
+	if ord == nil {
+		if ord, err = classify.NewColumnOrder(X); err != nil {
+			return nil, fmt.Errorf("eval: presorting: %w", err)
+		}
+	}
 	inTest := make([]bool, len(X))
 	trainRows := make([]int, 0, len(X))
 	for f, test := range folds {
@@ -143,41 +144,14 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 		for _, i := range test {
 			inTest[i] = true
 		}
-		var clf classify.Classifier
-		if subsetClf != nil {
-			clf = subsetClf.(classify.Classifier)
-		} else {
-			clf = factory()
+		trainRows = trainRows[:0]
+		for i := range X {
+			if !inTest[i] {
+				trainRows = append(trainRows, i)
+			}
 		}
-		if sf, ok := clf.(classify.SubsetFitter); ok {
-			subsetClf = sf
-			if ord == nil {
-				var err error
-				if ord, err = classify.NewColumnOrder(X); err != nil {
-					return nil, fmt.Errorf("eval: presorting: %w", err)
-				}
-			}
-			trainRows = trainRows[:0]
-			for i := range X {
-				if !inTest[i] {
-					trainRows = append(trainRows, i)
-				}
-			}
-			if err := sf.FitSubset(X, y, trainRows, ord); err != nil {
-				return nil, fmt.Errorf("eval: fold %d fit: %w", f, err)
-			}
-		} else {
-			var trainX [][]float64
-			var trainY []int
-			for i := range X {
-				if !inTest[i] {
-					trainX = append(trainX, X[i])
-					trainY = append(trainY, y[i])
-				}
-			}
-			if err := clf.Fit(trainX, trainY); err != nil {
-				return nil, fmt.Errorf("eval: fold %d fit: %w", f, err)
-			}
+		if err := clf.FitSubset(X, y, trainRows, ord); err != nil {
+			return nil, fmt.Errorf("eval: fold %d fit: %w", f, err)
 		}
 		foldConf := NewConfusion(classes)
 		for _, i := range test {

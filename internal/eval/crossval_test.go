@@ -112,13 +112,20 @@ func TestCrossValidateSeparableData(t *testing.T) {
 	if res.Metrics.Accuracy < 0.95 {
 		t.Errorf("CV accuracy = %.3f, want >= 0.95 on separable data", res.Metrics.Accuracy)
 	}
-	if res.Confusion.Total() != len(X) {
-		t.Errorf("pooled confusion total = %d, want %d", res.Confusion.Total(), len(X))
+	total := 0
+	for _, row := range res.Confusion.M {
+		for _, n := range row {
+			total += n
+		}
+	}
+	if total != len(X) {
+		t.Errorf("pooled confusion total = %d, want %d", total, len(X))
 	}
 }
 
 func TestCrossValidateMajorityBaseline(t *testing.T) {
-	// Majority baseline accuracy equals the majority class share.
+	// A tree that may not split is the majority baseline: its CV
+	// accuracy equals the majority class share.
 	X := make([][]float64, 100)
 	y := make([]int, 100)
 	for i := range X {
@@ -129,7 +136,10 @@ func TestCrossValidateMajorityBaseline(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	res, err := CrossValidate(func() classify.Classifier { return classify.NewMajority() }, X, y, 10, 2)
+	stump := func() classify.Classifier {
+		return classify.NewDecisionTree(classify.TreeOptions{MinSamplesSplit: len(X) + 1})
+	}
+	res, err := CrossValidate(stump, X, y, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +173,7 @@ func TestCrossValidateDeterministicForSeed(t *testing.T) {
 }
 
 func TestCrossValidateErrors(t *testing.T) {
-	factory := func() classify.Classifier { return classify.NewMajority() }
+	factory := func() classify.Classifier { return classify.NewDecisionTree(classify.TreeOptions{}) }
 	if _, err := CrossValidate(factory, [][]float64{{1}}, []int{0, 1}, 2, 0); err == nil {
 		t.Error("accepted X/y mismatch")
 	}

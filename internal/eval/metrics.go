@@ -1,8 +1,10 @@
 // Package eval implements the interestingness and quality metrics that
 // drive ADA-HEALTH's data-analytics optimization: the SSE and overall
 // similarity clustering indexes, classification metrics (accuracy,
-// macro precision/recall/F1) with k-fold cross-validation for the
-// robustness assessment of cluster sets, and silhouette scores.
+// macro precision/recall/F1) with stratified k-fold cross-validation
+// for the robustness assessment of cluster sets, silhouette and
+// Davies-Bouldin scores, and the purity/ARI/NMI agreement scores for
+// comparing a clustering with reference labels.
 package eval
 
 import (
@@ -35,9 +37,6 @@ func (c *Confusion) Add(truth, pred int) error {
 	c.n++
 	return nil
 }
-
-// Total reports the number of recorded observations.
-func (c *Confusion) Total() int { return c.n }
 
 // Accuracy returns the fraction of correct predictions (0 when empty).
 func (c *Confusion) Accuracy() float64 {

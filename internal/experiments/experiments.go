@@ -11,7 +11,6 @@ import (
 	"io"
 	"sort"
 
-	"adahealth/internal/cluster"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 	"adahealth/internal/synth"
@@ -217,16 +216,15 @@ func RunTableIOnMatrix(ctx context.Context, m *vsm.Matrix, cfg TableIConfig) (*T
 		}
 	}
 
-	// SweepMatrix warm-starts each K from the previous one and routes
-	// every evaluation through the auto-selected exact kernel (Elkan
-	// over the working subset's cached CSR view — the VSM matrix is
-	// sparse by construction).
+	// SweepMatrix warm-starts each K from the previous one and clusters
+	// with the default Lloyd kernel, which runs the sparse scan over the
+	// working subset's cached CSR view (the VSM matrix is sparse by
+	// construction).
 	sweep, err := optimize.SweepMatrix(ctx, working, optimize.SweepConfig{
 		Ks:          ks,
 		CVFolds:     cfg.CVFolds,
 		Seed:        cfg.Seed,
 		Parallelism: cfg.Parallelism,
-		Cluster:     cluster.Options{Algorithm: cluster.AlgorithmAuto},
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +310,7 @@ func ArchitectureDiagram() string {
   ┌───────────────────────────────┐     │  3 descriptors           │
   │ Mining engines                │---->│  4 clustering knowledge  │
   │  internal/cluster (K-means,   │     │  5 pattern knowledge     │
-  │  filtering), internal/fpm     │     │  6 user feedback         │
+  │  mini-batch), internal/fpm    │     │  6 user feedback         │
   └───────────────┬───────────────┘     │                          │
                   v                     │                          │
   ┌───────────────────────────────┐     │                          │

@@ -55,9 +55,8 @@ func SortItemsets(sets []Itemset) {
 
 // Apriori mines all itemsets with support >= minSupport (absolute
 // count, >= 1) using level-wise candidate generation with subset
-// pruning. Callers mining the same baskets at several thresholds
-// should build a Transactions once and call its Apriori method, which
-// reuses one normalization across calls.
+// pruning. It is the reference the FP-Growth miner is tested against;
+// the pipeline mines with FP-Growth over a shared Transactions.
 func Apriori(txs [][]string, minSupport int) ([]Itemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)

@@ -3,7 +3,6 @@ package fpm
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Taxonomy maps an item to its more abstract parent (e.g. an exam code
@@ -243,10 +242,4 @@ func FilterByLevel(sets []GeneralizedItemset, level int) []GeneralizedItemset {
 		}
 	}
 	return out
-}
-
-// Describe renders a generalized itemset for reports.
-func (g GeneralizedItemset) Describe() string {
-	return fmt.Sprintf("{%s} (support=%d, level=%d)",
-		strings.Join(g.Items, ", "), g.Support, g.MaxLevel)
 }

@@ -3,7 +3,6 @@ package fpm
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"adahealth/internal/vec"
 )
@@ -11,9 +10,9 @@ import (
 // Transactions is a shared, integer-encoded transaction database: the
 // one-time normalization (dedup + sort), item dictionary and global
 // frequency counts that every mining run needs, built once and reused
-// across algorithms and support thresholds — e.g. the A2 ablation
-// sweeps three thresholds over one encoding instead of
-// re-materializing baskets per run.
+// across support thresholds — e.g. the A2 ablation sweeps three
+// thresholds over one encoding instead of re-materializing baskets per
+// run.
 //
 // Item ids are assigned in lexicographic name order, so id comparisons
 // reproduce string comparisons exactly and the int-encoded miners emit
@@ -23,9 +22,6 @@ type Transactions struct {
 	ptr   []int    // transaction i occupies items[ptr[i]:ptr[i+1]]
 	items []int32  // sorted unique item ids per transaction, flat
 	freq  []int    // per-id transaction frequency
-
-	normOnce sync.Once
-	norm     [][]string // lazily decoded normalized view (Apriori path)
 }
 
 // NewTransactions normalizes and encodes string baskets once. Empty
@@ -113,7 +109,7 @@ func TransactionsFromCSR(m *vec.CSRMatrix, features []string) (*Transactions, er
 	t := &Transactions{
 		dict:  dict,
 		ptr:   make([]int, 1, n+1),
-		items: make([]int32, 0, m.NNZ()),
+		items: make([]int32, 0, len(m.Values)),
 		freq:  make([]int, len(dict)),
 	}
 	ids := make([]int32, 0, 32)
@@ -156,26 +152,4 @@ func (t *Transactions) FPGrowth(minSupport int) ([]Itemset, error) {
 		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
 	}
 	return fpGrowthEncoded(t, minSupport), nil
-}
-
-// Apriori mines all itemsets with support >= minSupport with the
-// level-wise algorithm, reusing the one cached normalized basket view
-// across calls instead of re-normalizing per threshold.
-func (t *Transactions) Apriori(minSupport int) ([]Itemset, error) {
-	if minSupport < 1 {
-		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
-	}
-	t.normOnce.Do(func() {
-		norm := make([][]string, t.NumTx())
-		for i := range norm {
-			ids := t.tx(i)
-			tx := make([]string, len(ids))
-			for p, id := range ids {
-				tx[p] = t.dict[id]
-			}
-			norm[i] = tx // ids ascend ⇒ names already sorted and unique
-		}
-		t.norm = norm
-	})
-	return aprioriNorm(t.norm, minSupport), nil
 }

@@ -30,7 +30,7 @@ func fingerprint(res *SweepResult) sweepFingerprint {
 }
 
 // TestArenaSweepBitForBit drives a heterogeneous job sequence — mixed
-// dimensionality, K grids, warm modes, and tree options, the shape mix
+// dimensionality, K grids, parallelism and tree options, the shape mix
 // a service's arena sees across tenants — twice: once with every sweep
 // on fresh worker state, once with every sweep drawing slabs from one
 // shared Arena. Every result must be bit-for-bit identical.
@@ -43,9 +43,8 @@ func TestArenaSweepBitForBit(t *testing.T) {
 	}{
 		{"warm-d6", structured(rng, 4, 40, 6), SweepConfig{
 			Ks: []int{2, 3, 4, 6}, CVFolds: 4, Seed: 1, Parallelism: 3}},
-		{"legacy-d3", structured(rng, 3, 30, 3), SweepConfig{
-			Ks: []int{2, 4, 5}, CVFolds: 3, Seed: 9, Parallelism: 2,
-			WarmStart: WarmStartOff}},
+		{"warm-d3", structured(rng, 3, 30, 3), SweepConfig{
+			Ks: []int{2, 4, 5}, CVFolds: 3, Seed: 9, Parallelism: 2}},
 		// Wider rows after narrower ones, then narrower again: slab
 		// buffers must regrow and re-zero across shape changes.
 		{"warm-d10", structured(rng, 5, 25, 10), SweepConfig{
@@ -143,15 +142,14 @@ func TestArenaPoolBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	arena.mu.Lock()
-	n := len(arena.free)
-	arena.mu.Unlock()
-	// Warm mode: ≤ Parallelism CV workers + 1 chain worker.
-	if n > cfg.Parallelism+1 {
-		t.Errorf("arena holds %d slabs after serial sweeps; want <= %d", n, cfg.Parallelism+1)
+	// ≤ Parallelism CV workers' trees + 1 chain.
+	trees, chains := len(arena.trees.free), len(arena.chains.free)
+	if trees > cfg.Parallelism || chains > 1 {
+		t.Errorf("arena holds %d trees and %d chains after serial sweeps; want <= %d and <= 1",
+			trees, chains, cfg.Parallelism)
 	}
-	if n == 0 {
-		t.Error("arena never retained a slab")
+	if trees == 0 || chains == 0 {
+		t.Errorf("arena never retained a slab (%d trees, %d chains)", trees, chains)
 	}
 }
 

@@ -10,30 +10,18 @@
 //
 // # Sweep execution
 //
-// Two sweep strategies share one assessment path:
+// The sweep is warm-started: the K values are clustered serially in
+// ascending order, the smallest K seeded by k-means++ under KSeed (or
+// by recalled prior centroids) and every later K from the previous K's
+// converged centroids plus farthest-point splits for the extra
+// centers. The chain owns one cluster.Scratch and one rand.Rand reused
+// across every run, so it is nearly allocation-free. The expensive
+// robustness assessments fan out over a worker pool as each clustering
+// completes, so CV of K=6 overlaps clustering of K=7. The rows are
+// deterministic for every Parallelism value.
 //
-//   - Warm-started (the default, SweepConfig.WarmStart == WarmStartOn):
-//     the K values are clustered serially in ascending order, each K
-//     seeded from the previous K's converged centroids plus
-//     farthest-point splits for the extra centers, with one
-//     cluster.Scratch reused across every run (labels, sums, bounds,
-//     kd-tree) so the chain is nearly allocation-free. The expensive
-//     robustness assessments fan out over a worker pool as each
-//     clustering completes, so CV of K=6 overlaps clustering of K=7.
-//   - Legacy (WarmStartOff): every K is seeded independently
-//     (k-means++ under its own derived seed) and evaluated on the
-//     worker pool, exactly as before warm starting existed; rows are
-//     bit-for-bit identical to the historical output.
-//
-// Warm starting changes the seeding, and therefore the per-K local
-// optimum the classifier re-predicts — the rows are not comparable
-// bit-for-bit between the two modes, only statistically. Both modes
-// derive the per-K clustering seed with KSeed, score identically, and
-// are deterministic for every Parallelism value.
-//
-// Every worker owns one reusable decision tree (refit per fold — its
-// grower buffers persist), one rand.Rand reseeded per K, and (in
-// legacy mode) one cluster.Scratch, and all workers share a single
+// Every CV worker owns one reusable decision tree (refit per fold — its
+// grower buffers persist), and all workers share a single
 // classify.ColumnOrder of the data — the sparse presorted view the
 // tree is grown from. It depends only on the feature matrix and is
 // never written after it is built, so one build serves every fold of
@@ -44,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -56,41 +43,11 @@ import (
 	"adahealth/internal/vsm"
 )
 
-// WarmStart selects the sweep's seeding strategy. The zero value is
-// WarmStartOn: K values are evaluated in ascending order and each
-// clustering is seeded from the previous one.
-type WarmStart int
-
-const (
-	// WarmStartOn evaluates K ascending, seeding K's centroids from
-	// the previous K's converged centroids plus farthest-point splits.
-	WarmStartOn WarmStart = iota
-	// WarmStartOff seeds every K independently (k-means++ under the
-	// KSeed-derived seed) — the legacy pre-warm-start behaviour,
-	// preserved bit-for-bit.
-	WarmStartOff
-)
-
-func (w WarmStart) String() string {
-	switch w {
-	case WarmStartOn:
-		return "on"
-	case WarmStartOff:
-		return "off"
-	default:
-		return fmt.Sprintf("WarmStart(%d)", int(w))
-	}
-}
-
-// Valid reports whether w is a known mode.
-func (w WarmStart) Valid() bool { return w == WarmStartOn || w == WarmStartOff }
-
 // KSeed derives the per-K clustering seed from the sweep seed. It is
-// the one seed formula shared by the legacy independent-seeding path,
-// the warm-started path (which uses it for the smallest K's k-means++
-// run and for per-worker rand reseeding), and the pipeline's final
-// clustering stage — so a sweep's selected K re-clusters under
-// exactly the seed the sweep evaluated it with.
+// the one seed formula shared by the warm-started chain (the smallest
+// K's k-means++ run and the rand reseeding of every run) and the
+// pipeline's final clustering stage — so a sweep's selected K
+// re-clusters under exactly the seed the sweep evaluated it with.
 func KSeed(seed int64, k int) int64 { return seed + int64(k)*7919 }
 
 // SweepConfig configures a parameter sweep.
@@ -106,36 +63,32 @@ type SweepConfig struct {
 	Cluster cluster.Options
 	// Tree configures the robustness-assessment decision tree.
 	Tree classify.TreeOptions
-	// Parallelism bounds concurrent K evaluations (legacy mode) or
-	// concurrent robustness assessments (warm-started mode); <= 0 uses
+	// Parallelism bounds concurrent robustness assessments; <= 0 uses
 	// all cores (runtime.GOMAXPROCS(0)). This worker pool stands in
 	// for the paper's "online cloud-based services for automatic
 	// configuration of data analytics".
 	Parallelism int
-	// WarmStart selects the seeding strategy; the zero value warms
-	// each K from the previous one (see the package comment).
-	WarmStart WarmStart
 
 	// SeedCentroids, when non-nil, seed the warm-started chain's first
 	// (smallest) K instead of k-means++: the K-DB recall stage passes
 	// prior converged centroids of a statistically similar dataset
 	// here, remapped onto this sweep's feature space. Fewer than K rows
 	// are completed by farthest-point splits, more are truncated. Nil
-	// (the default, and always in WarmStartOff mode) leaves the sweep
-	// bit-for-bit identical to a cold run. Rows must match the data's
-	// dimensionality.
+	// (the default) leaves the sweep bit-for-bit identical to a cold
+	// run. Rows must match the data's dimensionality.
 	SeedCentroids [][]float64
 
-	// Arena, when non-nil, lends the sweep its worker slabs (decision
-	// tree, cluster scratch, RNG) instead of allocating fresh ones —
-	// the cross-job reuse hook for long-lived services. Results are
-	// bit-for-bit identical with or without it; see Arena.
+	// Arena, when non-nil, lends the sweep its worker state (the CV
+	// workers' decision trees, the chain's cluster scratch and RNG)
+	// instead of allocating fresh ones — the cross-job reuse hook for
+	// long-lived services. Results are bit-for-bit identical with or
+	// without it; see Arena.
 	Arena *Arena `json:"-"`
 
 	// csr, when non-nil, is a shared sparse view of the data rows (set
 	// by SweepMatrix, or built internally when the data is sparse
-	// enough): every K evaluation then routes through the sparse-aware
-	// K-means kernels against one CSR build.
+	// enough): every K's clustering then routes through the sparse
+	// K-means kernel against one CSR build.
 	csr *vec.CSRMatrix
 }
 
@@ -224,10 +177,6 @@ func Sweep(ctx context.Context, data [][]float64, cfg SweepConfig) (*SweepResult
 			return nil, fmt.Errorf("optimize: K=%d exceeds %d rows", k, len(data))
 		}
 	}
-	if !cfg.WarmStart.Valid() {
-		return nil, fmt.Errorf("optimize: unknown WarmStart mode %d", cfg.WarmStart)
-	}
-
 	if cfg.csr == nil {
 		// Compress once and share across every K evaluation when the
 		// data is sparse enough for the sparse kernels to pay.
@@ -240,15 +189,7 @@ func Sweep(ctx context.Context, data [][]float64, cfg SweepConfig) (*SweepResult
 		return nil, fmt.Errorf("optimize: presorting features: %w", err)
 	}
 
-	var (
-		rows []KResult
-		crs  []*cluster.Result
-	)
-	if cfg.WarmStart == WarmStartOn {
-		rows, crs = sweepWarm(ctx, data, cfg, ord)
-	} else {
-		rows, crs = sweepLegacy(ctx, data, cfg, ord)
-	}
+	rows, crs := sweepWarm(ctx, data, cfg, ord)
 
 	// A cancelled context outranks per-row errors: return it unwrapped
 	// so callers can match with errors.Is.
@@ -285,71 +226,21 @@ func SweepMatrix(ctx context.Context, m *vsm.Matrix, cfg SweepConfig) (*SweepRes
 	return Sweep(ctx, m.Rows, cfg)
 }
 
-// sweepWorker is the reusable per-worker state of a sweep: one
-// decision tree whose fit buffers survive refits, one cluster scratch
-// (legacy mode clusters on the workers), and the hoisted cluster
-// options so they are not rebuilt per K.
-type sweepWorker struct {
-	cfg     SweepConfig
-	ord     *classify.ColumnOrder
-	tree    *classify.DecisionTree
-	scratch *cluster.Scratch
-	opts    cluster.Options
-	slab    *workerSlab // non-nil iff checked out of cfg.Arena
-}
-
-func newSweepWorker(cfg SweepConfig, ord *classify.ColumnOrder) *sweepWorker {
-	w := &sweepWorker{cfg: cfg, ord: ord, opts: cfg.Cluster}
-	if cfg.Arena != nil {
-		w.slab = cfg.Arena.acquire(cfg.Tree)
-		w.tree = w.slab.tree
-		w.scratch = w.slab.scratch
-		w.opts.Rand = w.slab.rng
-	} else {
-		w.tree = classify.NewDecisionTree(cfg.Tree)
-		w.scratch = &cluster.Scratch{}
-		// One generator per worker, reseeded by the run (cluster.run
-		// calls Rand.Seed(KSeed(...))) — the per-K stream is identical
-		// to a freshly constructed rand.New(rand.NewSource(KSeed(...))),
-		// which is also why an arena slab's generator can carry over.
-		w.opts.Rand = rand.New(rand.NewSource(0))
-	}
-	if w.opts.Parallelism == 0 && cfg.Parallelism > 1 {
-		// The sweep pool already saturates the cores with concurrent
-		// evaluations; keep each kernel serial unless explicitly
-		// configured, instead of GOMAXPROCS² goroutines contending
-		// through per-iteration barriers. Results are identical for
-		// any worker count, so this is purely a scheduling choice.
-		w.opts.Parallelism = 1
-	}
-	w.opts.Scratch = w.scratch
-	return w
+// cvWorker is one robustness-assessment worker: a decision tree whose
+// grower buffers survive refits, on loan from cfg.Arena when one is set.
+type cvWorker struct {
+	cfg  SweepConfig
+	ord  *classify.ColumnOrder
+	slab *treeSlab
 }
 
 // factory returns the worker's reusable tree; eval.CrossValidate
 // refits it per fold (FitSubset fully resets the model).
-func (w *sweepWorker) factory() classify.Classifier { return w.tree }
-
-// close returns the worker's slab to the arena it came from.
-func (w *sweepWorker) close() {
-	if w.slab != nil {
-		w.cfg.Arena.release(w.slab)
-		w.slab = nil
-	}
-}
-
-// clusterK runs the clustering of one K under the worker's scratch.
-func (w *sweepWorker) clusterK(ctx context.Context, data [][]float64, k int, initial [][]float64) (*cluster.Result, error) {
-	opts := w.opts
-	opts.K = k
-	opts.Seed = KSeed(w.cfg.Seed, k)
-	opts.InitialCentroids = initial
-	return cluster.KMeansCSRContext(ctx, w.cfg.csr, data, opts)
-}
+func (w *cvWorker) factory() classify.Classifier { return w.slab.tree }
 
 // assess scores one fitted clustering: SSE, overall similarity, and
 // the decision-tree robustness assessment under CVFolds-fold CV.
-func (w *sweepWorker) assess(ctx context.Context, data [][]float64, k int, cr *cluster.Result) KResult {
+func (w *cvWorker) assess(ctx context.Context, data [][]float64, k int, cr *cluster.Result) KResult {
 	out := KResult{K: k, SSE: cr.SSE, Iterations: cr.Iterations}
 
 	os, err := eval.OverallSimilarity(data, cr.Labels, cr.K)
@@ -374,51 +265,6 @@ func (w *sweepWorker) assess(ctx context.Context, data [][]float64, k int, cr *c
 	out.F1 = cv.Metrics.MacroF1
 	out.Combined = (out.Accuracy + out.Precision + out.Recall) / 3
 	return out
-}
-
-// evaluateK runs one independent clustering + robustness assessment —
-// the legacy sweep's unit of work.
-func (w *sweepWorker) evaluateK(ctx context.Context, data [][]float64, k int) (KResult, *cluster.Result) {
-	cr, err := w.clusterK(ctx, data, k, nil)
-	if err != nil {
-		return KResult{K: k, Err: err.Error()}, nil
-	}
-	return w.assess(ctx, data, k, cr), cr
-}
-
-// sweepLegacy evaluates every K independently on a bounded worker
-// pool; each worker reuses one tree/scratch across the Ks it takes.
-func sweepLegacy(ctx context.Context, data [][]float64, cfg SweepConfig, ord *classify.ColumnOrder) ([]KResult, []*cluster.Result) {
-	rows := make([]KResult, len(cfg.Ks))
-	crs := make([]*cluster.Result, len(cfg.Ks))
-	workers := cfg.Parallelism
-	if workers > len(cfg.Ks) {
-		workers = len(cfg.Ks)
-	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newSweepWorker(cfg, ord)
-			defer w.close()
-			for i := range idxCh {
-				k := cfg.Ks[i]
-				if err := ctx.Err(); err != nil {
-					rows[i] = KResult{K: k, Err: err.Error()}
-					continue
-				}
-				rows[i], crs[i] = w.evaluateK(ctx, data, k)
-			}
-		}()
-	}
-	for i := range cfg.Ks {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	return rows, crs
 }
 
 // sweepWarm clusters the Ks serially in ascending order, warm-seeding
@@ -448,8 +294,8 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := newSweepWorker(cfg, ord)
-			defer w.close()
+			w := &cvWorker{cfg: cfg, ord: ord, slab: cfg.Arena.tree(cfg.Tree)}
+			defer cfg.Arena.putTree(w.slab)
 			for j := range jobs {
 				if err := ctx.Err(); err != nil {
 					rows[j.i] = KResult{K: j.k, Err: err.Error()}
@@ -460,13 +306,26 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 		}()
 	}
 
-	// The clustering chain owns its own worker state (serial by
-	// construction: K+1 needs K's centroids). SeedCentroids, when the
-	// recall stage supplied prior knowledge, stand in as the "previous
-	// K" for the smallest K of the chain; otherwise it seeds k-means++
-	// exactly as a cold sweep does.
-	cw := newSweepWorker(cfg, ord)
-	defer cw.close()
+	// The clustering chain owns its own state (serial by construction:
+	// K+1 needs K's centroids). Its generator is reseeded by every run
+	// (cluster.run calls Rand.Seed(KSeed(...))), so the per-K stream is
+	// that of a fresh rand.New(rand.NewSource(KSeed(...))) — which is
+	// also why an arena's generator can carry over between sweeps.
+	chain := cfg.Arena.chain()
+	defer cfg.Arena.putChain(chain)
+	opts := cfg.Cluster
+	opts.Scratch, opts.Rand = chain.scratch, chain.rng
+	if opts.Parallelism == 0 && cfg.Parallelism > 1 {
+		// The CV pool already saturates the cores; keep the kernel
+		// serial unless explicitly configured, instead of GOMAXPROCS²
+		// goroutines contending through per-iteration barriers. Results
+		// are identical for any worker count, so this is purely a
+		// scheduling choice.
+		opts.Parallelism = 1
+	}
+	// SeedCentroids, when the recall stage supplied prior knowledge,
+	// stand in as the "previous K" for the smallest K of the chain;
+	// otherwise it seeds k-means++ exactly as a cold sweep does.
 	prev := cfg.SeedCentroids
 	var chainErr error
 	for _, i := range order {
@@ -479,11 +338,11 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 			rows[i] = KResult{K: k, Err: err.Error()}
 			continue
 		}
-		var initial [][]float64
+		opts.K, opts.Seed, opts.InitialCentroids = k, KSeed(cfg.Seed, k), nil
 		if prev != nil {
-			initial = warmSeed(prev, data, cfg.csr, k)
+			opts.InitialCentroids = warmSeed(prev, data, cfg.csr, k)
 		}
-		cr, err := cw.clusterK(ctx, data, k, initial)
+		cr, err := cluster.KMeansCSRContext(ctx, cfg.csr, data, opts)
 		if err != nil {
 			// Later Ks would warm-seed from this failed run; mark the
 			// rest of the chain instead of silently skipping them.

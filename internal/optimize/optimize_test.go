@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"adahealth/internal/classify"
 	"adahealth/internal/cluster"
-	"adahealth/internal/eval"
 )
 
 // structured builds data with `k` well-separated groups so that the
@@ -178,12 +176,12 @@ func TestElbowK(t *testing.T) {
 	}
 }
 
-func TestSweepWithFilteringAlgorithm(t *testing.T) {
+func TestSweepWithDenseLloydAlgorithm(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := structured(rng, 3, 40, 4)
 	res, err := Sweep(context.Background(), data, SweepConfig{
 		Ks: []int{2, 3, 4}, CVFolds: 3, Seed: 5,
-		Cluster: cluster.Options{Algorithm: cluster.Filtering},
+		Cluster: cluster.Options{Algorithm: cluster.DenseLloyd},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,39 +191,7 @@ func TestSweepWithFilteringAlgorithm(t *testing.T) {
 	}
 }
 
-// The legacy path (WarmStartOff) must reproduce the historical
-// independent-seeding semantics exactly: for every K, a k-means++
-// clustering under KSeed(seed, k) and a CV assessment under seed+k,
-// computed here by hand against the public cluster/eval APIs.
-func TestSweepLegacyMatchesIndependentEvaluation(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	data := structured(rng, 3, 40, 5)
-	cfg := SweepConfig{Ks: []int{2, 4, 6}, CVFolds: 4, Seed: 11, WarmStart: WarmStartOff}
-	res, err := Sweep(context.Background(), data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range cfg.Ks {
-		cr, err := cluster.KMeans(data, cluster.Options{K: k, Seed: KSeed(cfg.Seed, k)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[i].SSE != cr.SSE {
-			t.Errorf("K=%d: SSE %v, want independent-run %v", k, res.Rows[i].SSE, cr.SSE)
-		}
-		cv, err := eval.CrossValidate(func() classify.Classifier {
-			return classify.NewDecisionTree(classify.TreeOptions{})
-		}, data, cr.Labels, cfg.CVFolds, cfg.Seed+int64(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[i].Accuracy != cv.Metrics.Accuracy {
-			t.Errorf("K=%d: accuracy %v, want independent-run %v", k, res.Rows[i].Accuracy, cv.Metrics.Accuracy)
-		}
-	}
-}
-
-// The warm-started sweep (the default) must evaluate every requested K
+// The warm-started sweep must evaluate every requested K
 // (in the caller's row order), keep SSE non-increasing over ascending
 // K (each K starts from the previous optimum plus a split, so its
 // converged SSE cannot exceed it), and stay deterministic across
@@ -294,13 +260,5 @@ func TestWarmSeed(t *testing.T) {
 func TestKSeedFormula(t *testing.T) {
 	if KSeed(1, 6) != 1+6*7919 {
 		t.Errorf("KSeed(1,6) = %d", KSeed(1, 6))
-	}
-}
-
-func TestSweepRejectsUnknownWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	data := structured(rng, 2, 10, 3)
-	if _, err := Sweep(context.Background(), data, SweepConfig{Ks: []int{2}, WarmStart: WarmStart(9)}); err == nil {
-		t.Error("accepted unknown WarmStart mode")
 	}
 }

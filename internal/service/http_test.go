@@ -314,9 +314,11 @@ func TestDaemonInlineDecodedLog(t *testing.T) {
 }
 
 // TestDaemonAlgorithmOverride: a per-job config override names the
-// K-means kernel by its string form ("elkan", "auto", ...) — the
-// cluster.Algorithm JSON text encoding — and an unknown name is a 400
-// at admission, not a mid-job failure.
+// K-means kernel by its string form ("dense-lloyd", "auto", ...) — the
+// cluster.Algorithm JSON text encoding — and an unknown name, including
+// one of the deleted kernels, is a 400 at admission, not a mid-job
+// failure. "auto" is the default kernel's alias and encodes back as
+// "lloyd".
 func TestDaemonAlgorithmOverride(t *testing.T) {
 	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
 	if err != nil {
@@ -326,21 +328,29 @@ func TestDaemonAlgorithmOverride(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	body := fmt.Sprintf(`{
-		"synthetic": %s,
-		"config": {"Seed": 1, "Sweep": {"Ks": [2, 3], "CVFolds": 2, "Cluster": {"Algorithm": "elkan"}}}
-	}`, mustJSON(t, synth.SmallConfig()))
-	resp, err := http.Post(srv.URL+"/v1/analyses", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	submit := func(algorithm string) (*http.Response, SubmitResponse) {
+		t.Helper()
+		body := fmt.Sprintf(`{
+			"synthetic": %s,
+			"config": {"Seed": 1, "Sweep": {"Ks": [2, 3], "CVFolds": 2, "Cluster": {"Algorithm": %q}}}
+		}`, mustJSON(t, synth.SmallConfig()), algorithm)
+		resp, err := http.Post(srv.URL+"/v1/analyses", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub SubmitResponse
+		if resp.StatusCode == http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp, sub
 	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+
+	resp, sub := submit("dense-lloyd")
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("elkan override = %d, want 202", resp.StatusCode)
+		t.Fatalf("dense-lloyd override = %d, want 202", resp.StatusCode)
 	}
 	var state JobState
 	deadline := time.Now().Add(30 * time.Second)
@@ -357,18 +367,25 @@ func TestDaemonAlgorithmOverride(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if state.Status != StatusDone {
-		t.Fatalf("elkan-override job finished %s (%s)", state.Status, state.Error)
+		t.Fatalf("dense-lloyd-override job finished %s (%s)", state.Status, state.Error)
 	}
 
-	bad := fmt.Sprintf(`{"synthetic": %s, "config": {"Sweep": {"Cluster": {"Algorithm": "nonsense"}}}}`,
-		mustJSON(t, synth.SmallConfig()))
-	resp, err = http.Post(srv.URL+"/v1/analyses", "application/json", strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
+	resp, sub = submit("auto")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("auto override = %d, want 202", resp.StatusCode)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown algorithm = %d, want 400", resp.StatusCode)
+	job, ok := svc.Job(sub.ID)
+	if !ok {
+		t.Fatalf("auto job %s not found", sub.ID)
+	}
+	if got := mustJSON(t, job.engine.Config().Sweep.Cluster.Algorithm); got != `"lloyd"` {
+		t.Errorf("auto override encodes back as %s, want \"lloyd\"", got)
+	}
+
+	for _, name := range []string{"nonsense", "elkan", "hamerly", "yinyang", "filtering"} {
+		if resp, _ := submit(name); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("algorithm %q = %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CSRMatrix is a compressed-sparse-row matrix: the nonzeros of row i
 // are Values[RowPtr[i]:RowPtr[i+1]], with their column indices in the
@@ -113,18 +110,6 @@ func (m *CSRMatrix) NumRows() int { return len(m.RowPtr) - 1 }
 // NumCols reports the logical (dense) number of columns.
 func (m *CSRMatrix) NumCols() int { return m.Cols }
 
-// NNZ reports the number of stored nonzeros.
-func (m *CSRMatrix) NNZ() int { return len(m.Values) }
-
-// Density is NNZ over the dense cell count, in [0,1].
-func (m *CSRMatrix) Density() float64 {
-	cells := m.NumRows() * m.Cols
-	if cells == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / float64(cells)
-}
-
 // RowView returns the nonzero values and column indices of row i as
 // shared (read-only) slices into the flat arrays.
 func (m *CSRMatrix) RowView(i int) (vals []float64, cols []int32) {
@@ -134,37 +119,6 @@ func (m *CSRMatrix) RowView(i int) (vals []float64, cols []int32) {
 
 // RowNorm2 returns the cached squared Euclidean norm of row i.
 func (m *CSRMatrix) RowNorm2(i int) float64 { return m.rowNorm2[i] }
-
-// RowNorm returns the Euclidean norm of row i.
-func (m *CSRMatrix) RowNorm(i int) float64 { return math.Sqrt(m.rowNorm2[i]) }
-
-// DotDense returns ⟨row i, dense⟩. dense must have NumCols entries.
-func (m *CSRMatrix) DotDense(i int, dense []float64) float64 {
-	if len(dense) != m.Cols {
-		panic(fmt.Sprintf("vec: CSRMatrix.DotDense length mismatch %d vs %d", len(dense), m.Cols))
-	}
-	vals, cols := m.RowView(i)
-	return SparseDot(vals, cols, dense)
-}
-
-// DenseRow materializes row i into dst (which must have NumCols
-// entries), zeroing it first, and returns dst. A nil dst allocates.
-func (m *CSRMatrix) DenseRow(i int, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, m.Cols)
-	}
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("vec: CSRMatrix.DenseRow length mismatch %d vs %d", len(dst), m.Cols))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	vals, cols := m.RowView(i)
-	for p, v := range vals {
-		dst[cols[p]] = v
-	}
-	return dst
-}
 
 // Dense materializes the whole matrix as fresh dense rows sharing one
 // contiguous backing array.
@@ -180,15 +134,4 @@ func (m *CSRMatrix) Dense() [][]float64 {
 		}
 	}
 	return rows
-}
-
-// SparseRow returns row i as a standalone Sparse vector (copies).
-func (m *CSRMatrix) SparseRow(i int) Sparse {
-	vals, cols := m.RowView(i)
-	s := Sparse{Len: m.Cols, Indices: make([]int, len(cols)), Values: make([]float64, len(vals))}
-	for p := range cols {
-		s.Indices[p] = int(cols[p])
-	}
-	copy(s.Values, vals)
-	return s
 }

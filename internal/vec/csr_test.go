@@ -36,15 +36,6 @@ func TestCSRRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		scratch := make([]float64, 9)
-		for i := range rows {
-			got := m.DenseRow(i, scratch)
-			for j := range rows[i] {
-				if got[j] != rows[i][j] {
-					t.Fatalf("DenseRow(%d)[%d] = %v, want %v", i, j, got[j], rows[i][j])
-				}
-			}
-		}
 	}
 }
 
@@ -61,16 +52,9 @@ func TestCSRNormsAndDots(t *testing.T) {
 		if got := m.RowNorm2(i); math.Abs(got-wantN2) > 1e-12 {
 			t.Errorf("RowNorm2(%d) = %v, want %v", i, got, wantN2)
 		}
-		if got, want := m.RowNorm(i), math.Sqrt(wantN2); math.Abs(got-want) > 1e-12 {
-			t.Errorf("RowNorm(%d) = %v, want %v", i, got, want)
-		}
-		wantDot := Dot(rows[i], dense)
-		if got := m.DotDense(i, dense); math.Abs(got-wantDot) > 1e-12 {
-			t.Errorf("DotDense(%d) = %v, want %v", i, got, wantDot)
-		}
-		s := m.SparseRow(i)
-		if got := s.Dot(dense); math.Abs(got-wantDot) > 1e-12 {
-			t.Errorf("SparseRow(%d).Dot = %v, want %v", i, got, wantDot)
+		vals, cols := m.RowView(i)
+		if got, want := SparseDot(vals, cols, dense), Dot(rows[i], dense); math.Abs(got-want) > 1e-12 {
+			t.Errorf("row %d sparse dot = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -78,19 +62,14 @@ func TestCSRNormsAndDots(t *testing.T) {
 func TestCSRDensityAndNNZ(t *testing.T) {
 	rows := [][]float64{{1, 0, 0, 2}, {0, 0, 0, 0}, {3, 4, 5, 6}}
 	m := NewCSRFromDense(rows)
-	if m.NNZ() != 6 {
-		t.Errorf("NNZ = %d, want 6", m.NNZ())
+	if len(m.Values) != 6 || len(m.ColIdx) != 6 {
+		t.Errorf("stored %d values / %d columns, want 6", len(m.Values), len(m.ColIdx))
 	}
-	if got, want := m.Density(), 6.0/12.0; got != want {
-		t.Errorf("Density = %v, want %v", got, want)
+	if got, want := Density(rows), 6.0/12.0; got != want {
+		t.Errorf("Density(rows) = %v, want %v", got, want)
 	}
-	empty := NewCSRFromDense(nil)
-	if empty.NumRows() != 0 || empty.Density() != 0 {
-		t.Errorf("empty CSR: rows=%d density=%v", empty.NumRows(), empty.Density())
-	}
-	// The dense-side probe must agree with the CSR's own density.
-	if got := Density(rows); got != m.Density() {
-		t.Errorf("Density(rows) = %v, want %v", got, m.Density())
+	if empty := NewCSRFromDense(nil); empty.NumRows() != 0 {
+		t.Errorf("empty CSR: rows=%d", empty.NumRows())
 	}
 	if Density(nil) != 0 {
 		t.Errorf("Density(nil) = %v, want 0", Density(nil))

@@ -17,10 +17,10 @@ import "fmt"
 // Bit-for-bit contract: every unrolled loop keeps a SINGLE accumulator
 // updated in the same element order as the plain range loop it
 // replaced. IEEE-754 addition is performed in an identical sequence,
-// so every kernel (lloyd, sparse-lloyd, hamerly, elkan, yinyang,
-// minibatch) sees exactly the arithmetic it saw before the unroll —
-// the speedup comes from eliminated bounds checks and amortized loop
-// overhead, never from a reassociated reduction.
+// so every kernel (lloyd, dense-lloyd, sparse-lloyd, minibatch) sees
+// exactly the arithmetic it saw before the unroll — the speedup comes
+// from eliminated bounds checks and amortized loop overhead, never
+// from a reassociated reduction.
 
 // Dot returns the inner product of a and b. It panics if the lengths
 // differ, since that is always a programming error.
