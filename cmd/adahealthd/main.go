@@ -152,17 +152,18 @@ func main() {
 	}
 
 	handler := stream.HandlerOptions(svc, mgr, service.HandlerOptions{ReadFallback: *fallbk})
+	var leader *repl.Leader
 	if dir != "" {
 		// A durable K-DB can lead replication: mount the WAL-shipping
 		// endpoints followers bootstrap from and tail.
-		leaderH, err := repl.NewLeaderHandler(svc.Engine().KDB().Store(), repl.LeaderOptions{})
+		leader, err = repl.NewLeaderHandler(svc.Engine().KDB().Store(), repl.LeaderOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
 			os.Exit(1)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
-		mux.Handle("/v1/replication/", leaderH)
+		mux.Handle("/v1/replication/", leader)
 		handler = mux
 	}
 	if *pprofOn {
@@ -179,6 +180,11 @@ func main() {
 		handler = mux
 	}
 	srv := newServer(*addr, handler)
+	if leader != nil {
+		// Shutdown waits for every response to finish, and a follower's
+		// WAL stream never finishes on its own.
+		srv.RegisterOnShutdown(leader.Close)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

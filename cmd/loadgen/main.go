@@ -394,15 +394,16 @@ func startSelf(workers, queue int, seed int64, kdbDir string) (base string, shut
 		return "", nil, err
 	}
 	handler := stream.Handler(svc, mgr)
+	var leader *repl.Leader
 	if kdbDir != "" {
-		leaderH, err := repl.NewLeaderHandler(svc.Engine().KDB().Store(), repl.LeaderOptions{})
+		leader, err = repl.NewLeaderHandler(svc.Engine().KDB().Store(), repl.LeaderOptions{})
 		if err != nil {
 			_ = svc.Close()
 			return "", nil, err
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
-		mux.Handle("/v1/replication/", leaderH)
+		mux.Handle("/v1/replication/", leader)
 		handler = mux
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -411,6 +412,9 @@ func startSelf(workers, queue int, seed int64, kdbDir string) (base string, shut
 		return "", nil, err
 	}
 	srv := &http.Server{Handler: handler}
+	if leader != nil {
+		srv.RegisterOnShutdown(leader.Close) // end open WAL streams
+	}
 	go func() { _ = srv.Serve(ln) }()
 	shutdown = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

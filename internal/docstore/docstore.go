@@ -108,6 +108,15 @@
 //     offset zero; its own durable WAL size is thereafter its resume
 //     offset, because its log is a byte-identical prefix of the
 //     leader's.
+//
+//   - Change notification: WALReader.Changed hands out a channel that
+//     the log's next durable change closes — a commit once its bytes
+//     are fsynced and counted in the durable offset, a reset
+//     (compaction or snapshot install; the woken Read waits for the new
+//     epoch and returns ErrCompacted), or Close (the woken Read fails).
+//     A failed commit is not a change. Take the channel before the Read
+//     it guards, never after: then a commit landing between the two
+//     still closes the channel held, and no wake-up is lost.
 package docstore
 
 import "encoding/json"

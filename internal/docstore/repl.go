@@ -151,12 +151,29 @@ func (s *Store) WALReader() (*WALReader, error) {
 	return &WALReader{s: s}, nil
 }
 
+// Changed returns a channel that is closed at the log's next durable
+// change — a group commit advancing the durable offset, a compaction or
+// snapshot install resetting the log, or Close — so a caught-up reader
+// can block instead of polling. Each change closes the channel handed
+// out before it; later calls get a fresh one.
+//
+// Take it BEFORE Read: a change that lands after Changed returns closes
+// the channel already held, so the ordering "ch := Changed(); Read;
+// wait on ch" cannot miss a commit the Read did not see. Taken after
+// Read, a commit landing in between is lost until the next one.
+//
+// A wake-up says only "read again". After a compaction the Read waits
+// for the new epoch and returns ErrCompacted; after Close it returns an
+// error. A failed (poisoning) commit is not a durable change and does
+// not fire it.
+func (r *WALReader) Changed() <-chan struct{} { return r.s.wal.watch() }
+
 // Read returns up to maxBytes (<= 0 selects DefaultWALReadChunk) of
 // raw frame bytes starting at byte offset `from` of the given epoch's
 // WAL, plus the store's current durable position. An empty slice with
 // a nil error means the follower is caught up. ErrCompacted reports a
 // position that no longer exists (stale epoch, or an offset past the
-// durable log).
+// durable log); reading a closed store fails.
 func (r *WALReader) Read(epoch, from int64, maxBytes int) ([]byte, ReplPosition, error) {
 	s := r.s
 	if maxBytes <= 0 {
@@ -169,6 +186,9 @@ func (r *WALReader) Read(epoch, from int64, maxBytes int) ([]byte, ReplPosition,
 		Epoch:  s.epoch.Load(),
 		Offset: s.wal.size.Load(),
 		Frames: s.wal.frames.Load(),
+	}
+	if s.wal.closed() {
+		return nil, pos, errWALClosed
 	}
 	if epoch != pos.Epoch || from > pos.Offset || from < 0 {
 		return nil, pos, ErrCompacted

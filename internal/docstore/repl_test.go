@@ -500,3 +500,89 @@ func TestReplicaReapplyIsIdempotent(t *testing.T) {
 		t.Fatalf("doc n = %v, want 2", docs[0]["n"])
 	}
 }
+
+// TestReplChangedSignal pins WALReader.Changed: a commit closes the
+// channel taken before it, and the Read after sees the commit; a
+// compaction closes it, and a Read woken by it returns ErrCompacted; a
+// poisoned, failed commit neither fires it nor advances the offset;
+// Close fires it, and Read fails afterwards.
+func TestReplChangedSignal(t *testing.T) {
+	ffs := faultfs.New(nil, 1)
+	s := openFaulty(t, t.TempDir(), ffs)
+	rd, err := s.WALReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Collection("items")
+	fired := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+
+	ch := rd.Changed()
+	if fired(ch) || rd.Changed() != ch {
+		t.Fatal("the signal must stay open, and stay the same channel, until the log changes")
+	}
+	if _, err := c.Insert(Document{"_id": "a", "v": 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	if !fired(ch) {
+		t.Fatal("a commit did not fire the signal taken before it")
+	}
+	data, pos, err := rd.Read(0, 0, 0)
+	if err != nil || len(data) == 0 || pos.Offset != int64(len(data)) {
+		t.Fatalf("Read after the commit = %d bytes at %+v, %v; want the whole commit", len(data), pos, err)
+	}
+
+	// Compaction wakes a waiter while it still holds the write gate; the
+	// woken Read waits for the new epoch and finds its position gone.
+	ch = rd.Changed()
+	if fired(ch) {
+		t.Fatal("a fresh signal is already fired")
+	}
+	woken := make(chan error, 1)
+	go func() {
+		<-ch
+		_, _, err := rd.Read(pos.Epoch, pos.Offset, 0)
+		woken <- err
+	}()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-woken; !errors.Is(err, ErrCompacted) {
+		t.Fatalf("Read woken by a compaction = %v, want ErrCompacted", err)
+	}
+
+	// A failed commit poisons the store but is no durable change.
+	ch = rd.Changed()
+	before := s.ReplStatus()
+	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
+	if _, err := c.Insert(Document{"_id": "b", "v": 2.0}); !errors.Is(err, ErrStoreBroken) {
+		t.Fatalf("insert over a failed commit = %v, want ErrStoreBroken", err)
+	}
+	ffs.Clear()
+	if fired(ch) {
+		t.Fatal("a failed commit fired the change signal")
+	}
+	if after := s.ReplStatus(); after != before {
+		t.Fatalf("a failed commit moved the durable position %+v -> %+v", before, after)
+	}
+	if data, _, err := rd.Read(before.Epoch, before.Offset, 0); err != nil || len(data) != 0 {
+		t.Fatalf("Read past a failed commit = %d bytes, %v; want none", len(data), err)
+	}
+
+	_ = s.Close() // refuses the compaction (poisoned) but closes the log
+	if !fired(ch) {
+		t.Fatal("Close did not fire the change signal")
+	}
+	if !fired(rd.Changed()) {
+		t.Fatal("the signal of a closed store must already be fired")
+	}
+	if _, _, err := rd.Read(before.Epoch, before.Offset, 0); err == nil {
+		t.Fatal("Read after Close succeeded; a stream woken by Close would never end")
+	}
+}

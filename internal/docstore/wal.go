@@ -3,6 +3,7 @@ package docstore
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -101,6 +102,44 @@ type wal struct {
 	// bufFrames counts the frames currently in buf (guarded by mu),
 	// folded into frames when their batch commits.
 	bufFrames int64
+	// changed is closed at the log's next durable change and then
+	// dropped (guarded by mu). It is made only when a reader asks for
+	// it, so a store nobody streams from pays one nil check per commit.
+	changed chan struct{}
+}
+
+// errWALClosed refuses writes and replication reads after close.
+var errWALClosed = errors.New("docstore: WAL closed")
+
+// closedChan is the change signal of a closed log: already closed, so
+// a waiter wakes at once and its next read reports the close.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// watch returns the channel the next durable change closes.
+func (w *wal) watch() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.done {
+		return closedChan
+	}
+	if w.changed == nil {
+		w.changed = make(chan struct{})
+	}
+	return w.changed
+}
+
+// signalLocked wakes every watcher of the current change signal; the
+// caller holds mu and has already published the change (size, frames,
+// reset or done).
+func (w *wal) signalLocked() {
+	if w.changed != nil {
+		close(w.changed)
+		w.changed = nil
+	}
 }
 
 // openWAL opens (creating if needed) the log at path, replays its
@@ -231,7 +270,7 @@ func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
-		return nil, fmt.Errorf("docstore: WAL closed")
+		return nil, errWALClosed
 	}
 	if w.failErr != nil {
 		return nil, fmt.Errorf("docstore: WAL failed earlier: %w", w.failErr)
@@ -302,18 +341,19 @@ func (w *wal) commitPending() {
 	}
 	walCommitSeconds.ObserveSince(t0)
 	walCommitFrames.Observe(float64(nframes))
+	w.mu.Lock()
 	if err != nil {
 		err = fmt.Errorf("%w: %w", ErrStoreBroken, err)
-		w.mu.Lock()
 		if w.failErr == nil {
 			w.failErr = err
 		}
-		w.mu.Unlock()
 	} else {
 		w.size.Add(int64(len(data)))
 		w.frames.Add(nframes)
 		walFramesTotal.Add(nframes)
+		w.signalLocked()
 	}
+	w.mu.Unlock()
 	// Recycle the written buffer unless one outsized commit grew it:
 	// pinning that forever would cost more than regrowing it.
 	if cap(data) <= walBufKeep {
@@ -332,7 +372,7 @@ func (w *wal) appendRaw(data []byte, nframes int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
-		return fmt.Errorf("docstore: WAL closed")
+		return errWALClosed
 	}
 	if w.failErr != nil {
 		return fmt.Errorf("docstore: WAL failed earlier: %w", w.failErr)
@@ -355,6 +395,13 @@ func (w *wal) appendRaw(data []byte, nframes int64) error {
 	w.frames.Add(nframes)
 	walFramesTotal.Add(nframes)
 	return nil
+}
+
+// closed reports whether close has begun.
+func (w *wal) closed() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.done
 }
 
 // failed returns the latched commit failure, if any.
@@ -387,10 +434,12 @@ func (w *wal) flushNow() error {
 
 // reset empties the log after a snapshot compaction. The caller must
 // guarantee no writer is in flight (the store holds its compaction
-// lock exclusively).
+// lock exclusively). It signals even on failure: a waiter that wakes
+// for nothing just reads again.
 func (w *wal) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.signalLocked()
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("docstore: resetting WAL: %w", err)
 	}
@@ -416,6 +465,7 @@ func (w *wal) close() error {
 		return nil
 	}
 	w.done = true
+	w.signalLocked()
 	w.mu.Unlock()
 	close(w.wake)
 	<-w.exit

@@ -7,6 +7,13 @@
 // runs — so a follower restart is an ordinary recovery, and its
 // durable WAL size is its resume offset.
 //
+// The leader's stream is commit-woken, not polled: a caught-up stream
+// blocks on the store's durable-change signal and ships each group
+// commit as soon as it is fsynced, so commit → follower applied costs
+// one round of shipping and applying rather than a timer period. Close
+// the Leader on daemon shutdown so open streams end and the drain can
+// finish.
+//
 // The follower is robustness-first: capped exponential backoff with
 // full jitter between attempts (reset only on real progress — applied
 // frames or a completed bootstrap, never on a mere status poll), a
@@ -23,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"adahealth/internal/docstore"
@@ -48,27 +56,15 @@ const (
 // LeaderOptions tunes the leader's replication endpoints; zero values
 // select the defaults.
 type LeaderOptions struct {
-	// PollInterval is how often an idle WAL stream re-checks the log
-	// for new frames (default 100ms).
-	PollInterval time.Duration
 	// KeepaliveInterval is how long an idle stream waits before
 	// emitting a keepalive frame so the follower's stall watchdog and
 	// contact gauge see a live leader (default 5s).
 	KeepaliveInterval time.Duration
-	// MaxChunk caps the bytes served per WAL read (default
-	// docstore.DefaultWALReadChunk).
-	MaxChunk int
 }
 
 func (o LeaderOptions) withDefaults() LeaderOptions {
-	if o.PollInterval <= 0 {
-		o.PollInterval = 100 * time.Millisecond
-	}
 	if o.KeepaliveInterval <= 0 {
 		o.KeepaliveInterval = 5 * time.Second
-	}
-	if o.MaxChunk <= 0 {
-		o.MaxChunk = docstore.DefaultWALReadChunk
 	}
 	return o
 }
@@ -88,27 +84,43 @@ type snapshotResponse struct {
 //	GET /v1/replication/wal      raw frame stream from ?epoch=&from=
 //	                             (409 when the position compacted away)
 //
-// The WAL stream long-polls: caught-up streams stay open, serving new
-// frames as they commit and keepalive frames while idle, until the
-// client disconnects or a compaction retires the epoch.
-func NewLeaderHandler(s *docstore.Store, opts LeaderOptions) (http.Handler, error) {
+// The WAL stream is commit-woken: a caught-up stream stays open and
+// blocks on the store's change signal (docstore.WALReader.Changed),
+// shipping each commit's frames as soon as they are durable and a
+// keepalive frame after KeepaliveInterval without bytes. It ends when
+// the client disconnects, a compaction retires the epoch, the store
+// closes, or the Leader is closed.
+func NewLeaderHandler(s *docstore.Store, opts LeaderOptions) (*Leader, error) {
 	reader, err := s.WALReader()
 	if err != nil {
 		return nil, fmt.Errorf("repl: %w", err)
 	}
-	l := &leader{s: s, reader: reader, opts: opts.withDefaults()}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+StatusPath, l.status)
-	mux.HandleFunc("GET "+SnapshotPath, l.snapshot)
-	mux.HandleFunc("GET "+WALPath, l.wal)
-	return mux, nil
+	l := &Leader{s: s, reader: reader, opts: opts.withDefaults(), done: make(chan struct{})}
+	l.mux.HandleFunc("GET "+StatusPath, l.status)
+	l.mux.HandleFunc("GET "+SnapshotPath, l.snapshot)
+	l.mux.HandleFunc("GET "+WALPath, l.wal)
+	return l, nil
 }
 
-type leader struct {
+// Leader serves the replication endpoints (an http.Handler). Close it
+// when the daemon drains: http.Server.Shutdown does not end long-lived
+// responses, so register it with RegisterOnShutdown.
+type Leader struct {
 	s      *docstore.Store
 	reader *docstore.WALReader
 	opts   LeaderOptions
+	mux    http.ServeMux
+
+	done      chan struct{}
+	closeOnce sync.Once
 }
+
+// ServeHTTP routes a request to its replication endpoint.
+func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) { l.mux.ServeHTTP(w, r) }
+
+// Close ends every open WAL stream and answers later WAL requests with
+// 503. It does not wait for the streams' handlers to return.
+func (l *Leader) Close() { l.closeOnce.Do(func() { close(l.done) }) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -122,11 +134,11 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	}{err.Error()})
 }
 
-func (l *leader) status(w http.ResponseWriter, r *http.Request) {
+func (l *Leader) status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, l.s.ReplStatus())
 }
 
-func (l *leader) snapshot(w http.ResponseWriter, r *http.Request) {
+func (l *Leader) snapshot(w http.ResponseWriter, r *http.Request) {
 	pos, files, err := l.s.SnapshotBootstrap()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -137,9 +149,10 @@ func (l *leader) snapshot(w http.ResponseWriter, r *http.Request) {
 
 // wal streams raw frames from the requested position. The first read
 // decides the response: a compacted position is a 409 (bootstrap
-// needed), a fault is a 500; after bytes are on the wire errors can
-// only end the stream, and the follower re-resolves via status.
-func (l *leader) wal(w http.ResponseWriter, r *http.Request) {
+// needed), a fault is a 500, a closed Leader a 503; after bytes are on
+// the wire errors can only end the stream, and the follower re-resolves
+// via status.
+func (l *Leader) wal(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	epoch, err1 := strconv.ParseInt(q.Get("epoch"), 10, 64)
 	from, err2 := strconv.ParseInt(q.Get("from"), 10, 64)
@@ -152,8 +165,17 @@ func (l *leader) wal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, errors.New("repl: streaming unsupported by connection"))
 		return
 	}
+	select {
+	case <-l.done:
+		writeError(w, http.StatusServiceUnavailable, errors.New("repl: leader is shutting down"))
+		return
+	default:
+	}
 
-	data, pos, err := l.reader.Read(epoch, from, l.opts.MaxChunk)
+	// Every Read below is preceded by taking the change signal, so a
+	// commit landing between the Read and the wait still wakes it.
+	changed := l.reader.Changed()
+	data, pos, err := l.reader.Read(epoch, from, 0)
 	switch {
 	case errors.Is(err, docstore.ErrCompacted):
 		writeError(w, http.StatusConflict, err)
@@ -172,7 +194,8 @@ func (l *leader) wal(w http.ResponseWriter, r *http.Request) {
 	// connected/last-contact gauges) pending for a whole interval.
 	flusher.Flush()
 
-	idleSince := time.Now()
+	keepalive := time.NewTimer(l.opts.KeepaliveInterval)
+	defer keepalive.Stop()
 	var fc frameCounter
 	for {
 		if len(data) > 0 {
@@ -182,25 +205,27 @@ func (l *leader) wal(w http.ResponseWriter, r *http.Request) {
 			framesShippedTotal.Add(fc.count(data))
 			flusher.Flush()
 			from += int64(len(data))
-			idleSince = time.Now()
+			keepalive.Reset(l.opts.KeepaliveInterval)
 		} else {
-			if time.Since(idleSince) >= l.opts.KeepaliveInterval {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-l.done:
+				return
+			case <-changed:
+			case <-keepalive.C:
 				if _, err := w.Write(docstore.KeepaliveFrame()); err != nil {
 					return
 				}
 				flusher.Flush()
-				idleSince = time.Now()
-			}
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(l.opts.PollInterval):
+				keepalive.Reset(l.opts.KeepaliveInterval)
 			}
 		}
-		data, _, err = l.reader.Read(epoch, from, l.opts.MaxChunk)
+		changed = l.reader.Changed()
+		data, _, err = l.reader.Read(epoch, from, 0)
 		if err != nil {
-			// Compacted mid-stream or a read fault: end the stream;
-			// the follower re-resolves its position via status.
+			// Compacted mid-stream, the store closed, or a read fault:
+			// end the stream; the follower re-resolves via status.
 			return
 		}
 	}

@@ -16,9 +16,9 @@ import (
 	"adahealth/internal/knowledge"
 )
 
-// fastLeaderOpts keeps the stream loop snappy for tests.
+// fastLeaderOpts keeps idle streams' keepalives frequent for tests.
 func fastLeaderOpts() LeaderOptions {
-	return LeaderOptions{PollInterval: 5 * time.Millisecond, KeepaliveInterval: 50 * time.Millisecond}
+	return LeaderOptions{KeepaliveInterval: 50 * time.Millisecond}
 }
 
 func fastFollowerOpts(url, dir string) FollowerOptions {
