@@ -58,8 +58,6 @@
 // cancellation through every compute kernel, Engine.AnalyzeMany
 // batches several logs over one shared pool, and Report.Stages carries
 // per-stage wall-time/allocation traces (also persisted in the K-DB).
-// Set Config.Sequential for the legacy serial execution, which
-// produces a bit-for-bit identical Report.
 //
 // With Config.KDBDir set, the knowledge base is a durable storage
 // engine: per-dataset sharded collections, a group-committed

@@ -161,7 +161,6 @@ func BenchmarkFPMAblation(b *testing.B) {
 // with spare cores "batch" beats "serial" wall-clock while doing
 // identical work (A6); on a single-core host the two are equal up to
 // scheduling noise (the committed snapshots record the host CPU).
-// "sequential" pins the legacy serial stage order as the baseline.
 func BenchmarkAnalyzeMany(b *testing.B) {
 	makeLogs := func() []*dataset.Log {
 		logs := make([]*dataset.Log, 4)
@@ -178,18 +177,15 @@ func BenchmarkAnalyzeMany(b *testing.B) {
 		return logs
 	}
 	logs := makeLogs()
-	engineCfg := func(sequential bool) core.Config {
-		return core.Config{
-			Seed:       1,
-			Sequential: sequential,
-			Partial:    partial.Config{Ks: []int{4}},
-			Sweep:      optimize.SweepConfig{Ks: []int{3, 4, 5}, CVFolds: 4},
-		}
+	engineCfg := core.Config{
+		Seed:    1,
+		Partial: partial.Config{Ks: []int{4}},
+		Sweep:   optimize.SweepConfig{Ks: []int{3, 4, 5}, CVFolds: 4},
 	}
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e, err := core.New(engineCfg(false))
+			e, err := core.New(engineCfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -201,21 +197,7 @@ func BenchmarkAnalyzeMany(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e, err := core.New(engineCfg(false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, log := range logs {
-				if _, err := e.AnalyzeContext(context.Background(), log); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e, err := core.New(engineCfg(true))
+			e, err := core.New(engineCfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,7 +8,7 @@
 //	adahealth -data dir/                  # analyze CSVs written by datagen
 //	adahealth -kdb-dir kdbdir/ -top 15    # persist the K-DB (durable WAL), show 15 items
 //	adahealth -synthetic -timeout 90s     # bound the analysis wall-clock
-//	adahealth -synthetic -sequential      # legacy serial stage execution
+//	adahealth -synthetic -jobs 1          # run one stage at a time
 //	adahealth -synthetic -trace out.json  # dump the stage schedule as JSON
 //	adahealth -synthetic -trace-html out.html  # render the schedule as an HTML Gantt view
 package main
@@ -29,20 +29,19 @@ import (
 
 func main() {
 	var (
-		dataDir    = flag.String("data", "", "directory with exams/patients/records CSVs")
-		synthetic  = flag.Bool("synthetic", false, "analyze a synthetic paper-scale dataset")
-		small      = flag.Bool("small", false, "with -synthetic: use the small test-scale dataset")
-		kdbDir     = flag.String("kdb-dir", "", "knowledge-base persistence directory (WAL + snapshots, crash-recoverable; default: in-memory)")
-		kdbOld     = flag.String("kdb", "", "alias of -kdb-dir (kept for compatibility)")
-		seed       = flag.Int64("seed", 1, "seed for data generation and algorithms")
-		top        = flag.Int("top", 10, "number of ranked knowledge items to print")
-		timeout    = flag.Duration("timeout", 0, "abort the analysis after this duration (0 = no limit)")
-		sequential = flag.Bool("sequential", false, "run pipeline stages serially (legacy execution)")
-		jobs       = flag.Int("jobs", 0, "max concurrently running stages (0 = all cores)")
-		trace      = flag.String("trace", "", "write the stage schedule (Report.Stages) to this file as JSON")
-		traceHTML  = flag.String("trace-html", "", "render the stage schedule to this file as a self-contained HTML Gantt view (same data as -trace)")
-		algorithm  = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd")
-		stageTO    = flag.Duration("stage-timeout", 0, "per-stage attempt deadline; a stage exceeding it fails the analysis with a typed error (0 = none)")
+		dataDir   = flag.String("data", "", "directory with exams/patients/records CSVs")
+		synthetic = flag.Bool("synthetic", false, "analyze a synthetic paper-scale dataset")
+		small     = flag.Bool("small", false, "with -synthetic: use the small test-scale dataset")
+		kdbDir    = flag.String("kdb-dir", "", "knowledge-base persistence directory (WAL + snapshots, crash-recoverable; default: in-memory)")
+		kdbOld    = flag.String("kdb", "", "alias of -kdb-dir (kept for compatibility)")
+		seed      = flag.Int64("seed", 1, "seed for data generation and algorithms")
+		top       = flag.Int("top", 10, "number of ranked knowledge items to print")
+		timeout   = flag.Duration("timeout", 0, "abort the analysis after this duration (0 = no limit)")
+		jobs      = flag.Int("jobs", 0, "max concurrently running stages (0 = all cores, 1 = one at a time)")
+		trace     = flag.String("trace", "", "write the stage schedule (Report.Stages) to this file as JSON")
+		traceHTML = flag.String("trace-html", "", "render the stage schedule to this file as a self-contained HTML Gantt view (same data as -trace)")
+		algorithm = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd")
+		stageTO   = flag.Duration("stage-timeout", 0, "per-stage deadline; a stage exceeding it fails the analysis with a typed error (0 = none)")
 	)
 	flag.Parse()
 
@@ -83,7 +82,6 @@ func main() {
 	cfg := core.Config{
 		KDBDir:       dir,
 		Seed:         *seed,
-		Sequential:   *sequential,
 		Parallelism:  *jobs,
 		StageTimeout: *stageTO,
 	}

@@ -94,7 +94,7 @@ func main() {
 		jobs    = flag.Int("jobs", 0, "stage pool size shared by all running jobs (0 = all cores)")
 		algo    = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd (jobs may override per submission)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
-		stageTO = flag.Duration("stage-timeout", 0, "per-stage attempt deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
+		stageTO = flag.Duration("stage-timeout", 0, "per-stage deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
 		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profile the daemon under cmd/loadgen traffic)")
 		driftTh = flag.Float64("drift-threshold", 0, "live-dataset descriptor drift that triggers a full warm-started re-analysis (0 = default 0.15)")
 		traces  = flag.Int("max-stage-traces", 0, "newest stage traces kept per dataset at flush time (0 = default 256, negative = unbounded)")

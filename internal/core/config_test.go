@@ -29,6 +29,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"unknown partial algorithm", Config{Partial: partial.Config{Cluster: cluster.Options{Algorithm: cluster.Algorithm(-1)}}}, "algorithm"},
 		{"negative batch size", Config{Sweep: optimize.SweepConfig{Cluster: cluster.Options{BatchSize: -5}}}, "batch"},
 		{"negative partial batch size", Config{Partial: partial.Config{Cluster: cluster.Options{BatchSize: -1}}}, "batch"},
+		{"sweep K below 2", Config{Sweep: optimize.SweepConfig{Ks: []int{1}}}, "K=1"},
+		{"partial K below 1", Config{Partial: partial.Config{Ks: []int{0}}}, "K must be"},
+		{"partial fractions without full data", Config{Partial: partial.Config{Fractions: []float64{0.5}}}, "last fraction"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,9 +17,10 @@
 // threaded through every compute kernel via context.Context, per-stage
 // wall-time and allocation metrics land in Report.Stages and the
 // K-DB's stage_traces collection, and AnalyzeMany batches several logs
-// over one shared pool. Config.Sequential selects the legacy serial
-// path, which executes the same stages in declaration order and
-// produces a bit-for-bit identical Report.
+// over one shared pool. Each stage runs once, with panic isolation and
+// an optional deadline (Config.StageTimeout). The Report does not
+// depend on how stages interleave: Parallelism 1 runs them one at a
+// time and produces a bit-for-bit identical Report.
 package core
 
 import (
@@ -72,36 +73,16 @@ type Config struct {
 	KDBDir string
 	// Seed drives every stochastic component.
 	Seed int64
-	// Sequential forces the legacy serial execution: the same stages,
-	// run one at a time in declaration order on the calling goroutine.
-	// The concurrent DAG produces a bit-for-bit identical Report; this
-	// flag exists for debugging, deterministic profiling, and the
-	// equivalence tests.
-	Sequential bool
 	// Parallelism bounds how many stages run concurrently — one pool
 	// shared across all logs of an AnalyzeMany call (or all jobs of a
 	// service), so batch analysis does not oversubscribe the machine;
-	// 0 uses all cores (runtime.GOMAXPROCS(0)), negative is rejected
-	// by Validate.
+	// 0 uses all cores (runtime.GOMAXPROCS(0)), 1 runs stages one at a
+	// time, negative is rejected by Validate.
 	Parallelism int
-	// StageRetries re-runs a stage that fails with a transient error
-	// (see Transient) up to this many extra times before failing the
-	// analysis, with capped exponential backoff between attempts. The
-	// built-in stages mark their K-DB write failures transient (the
-	// environmental case: a saturated disk behind the WAL); compute
-	// failures stay deterministic and never retry, nor do
-	// cancellations. Attempt counts land in Report.Stages and the
-	// stage_traces collection. 0 (the default) disables retries.
-	StageRetries int
-	// StageRetryBackoff caps the delay before the first retry, doubled
-	// per attempt and capped at 2s; the actual sleep is drawn uniformly
-	// from (0, cap] (full jitter), so retrying stages across a batch do
-	// not synchronize. 0 selects the 50ms default.
-	StageRetryBackoff time.Duration
-	// StageTimeout bounds each stage attempt's wall time: an attempt
-	// exceeding it fails the analysis with a *StageTimeoutError
-	// (errors.Is-matchable against context.DeadlineExceeded). 0 (the
-	// default) disables per-stage deadlines.
+	// StageTimeout bounds each stage's wall time: a stage exceeding it
+	// fails the analysis with a *StageTimeoutError (errors.Is-matchable
+	// against context.DeadlineExceeded). 0 (the default) disables
+	// per-stage deadlines.
 	StageTimeout time.Duration
 }
 
@@ -145,8 +126,8 @@ func (c Config) Validate() error {
 	if c.Recall.MaxSources < 0 {
 		return fmt.Errorf("core: negative Recall.MaxSources %d (0 selects the default of 3)", c.Recall.MaxSources)
 	}
-	if err := c.validateRetry(); err != nil {
-		return err
+	if c.StageTimeout < 0 {
+		return fmt.Errorf("core: negative StageTimeout %v (0 disables per-stage deadlines)", c.StageTimeout)
 	}
 	if c.Seed < 0 {
 		return fmt.Errorf("core: negative Seed %d (seeds must be non-negative so derived per-component seeds stay in range)", c.Seed)
@@ -162,6 +143,12 @@ func (c Config) Validate() error {
 	}
 	if c.Partial.Cluster.BatchSize < 0 {
 		return fmt.Errorf("core: negative partial-mining mini-batch size %d (0 selects the default of %d)", c.Partial.Cluster.BatchSize, cluster.DefaultBatchSize)
+	}
+	if err := c.Sweep.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := c.Partial.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -303,7 +290,7 @@ type Report struct {
 	// persisted to the K-DB's stage_traces collection.
 	Stages []kdb.StageTrace
 	// StageConcurrency is the maximum number of stages the scheduler
-	// observed running at the same instant (1 under Config.Sequential).
+	// observed running at the same instant (1 when Parallelism is 1).
 	StageConcurrency int
 
 	// Degraded is non-nil when the analysis completed without its full
@@ -562,7 +549,6 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 	if err := validateStages(stages); err != nil {
 		return nil, err
 	}
-	pool, observe := opts.Pool, opts.Observer
 	s := &pipelineState{
 		log:           log,
 		rep:           &Report{},
@@ -570,29 +556,11 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 		seedCentroids: opts.SeedCentroids,
 		seedFeatures:  opts.SeedFeatures,
 	}
-
-	var (
-		sr  *scheduleResult
-		err error
-	)
-	if e.cfg.Sequential {
-		if pool != nil {
-			// Sequential pipelines inside a batch still occupy one
-			// shared-pool slot each, so AnalyzeMany stays bounded.
-			select {
-			case pool <- struct{}{}:
-				defer func() { <-pool }()
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		sr, err = runSequential(ctx, stages, s, e.retryPolicy(), observe)
-	} else {
-		if pool == nil {
-			pool = NewStagePool(e.parallelism())
-		}
-		sr, err = runDAG(ctx, stages, s, pool, e.retryPolicy(), observe)
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewStagePool(e.parallelism())
 	}
+	sr, err := runDAG(ctx, stages, s, pool, e.cfg.StageTimeout, opts.Observer)
 	if err != nil {
 		return nil, err
 	}

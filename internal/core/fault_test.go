@@ -32,13 +32,14 @@ func (p *panicStage) Run(ctx context.Context, s *pipelineState) error {
 // slowStage sleeps for d (honouring ctx) before succeeding.
 type slowStage struct {
 	name    string
+	inputs  []string
 	outputs []string
 	d       time.Duration
 	calls   atomic.Int32
 }
 
 func (sl *slowStage) Name() string      { return sl.name }
-func (sl *slowStage) Inputs() []string  { return nil }
+func (sl *slowStage) Inputs() []string  { return sl.inputs }
 func (sl *slowStage) Outputs() []string { return sl.outputs }
 func (sl *slowStage) Run(ctx context.Context, s *pipelineState) error {
 	sl.calls.Add(1)
@@ -52,37 +53,35 @@ func (sl *slowStage) Run(ctx context.Context, s *pipelineState) error {
 
 // TestStagePanicIsolated: a panicking stage must surface as a
 // *PanicError carrying the stage name and a stack trace — failing the
-// analysis, not the process — on both scheduler paths, and must never
-// be retried (the panic is deterministic until someone fixes the code).
+// analysis, not the process — after running exactly once, and the
+// stage that consumes its output must never start.
 func TestStagePanicIsolated(t *testing.T) {
-	for _, mode := range []string{"sequential", "dag"} {
-		t.Run(mode, func(t *testing.T) {
-			st := &panicStage{name: "boom", outputs: []string{"x"}}
-			rp := retryPolicy{retries: 3, backoff: time.Millisecond}
-			var err error
-			if mode == "sequential" {
-				_, err = runSequential(context.Background(), []Stage{st}, retryState(), rp, nil)
-			} else {
-				_, err = runDAG(context.Background(), []Stage{st}, retryState(), make(chan struct{}, 1), rp, nil)
-			}
-			if err == nil {
-				t.Fatal("panicking stage reported success")
-			}
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("error = %v (%T), want *PanicError", err, err)
-			}
-			if pe.Stage != "boom" || pe.Value != "stage exploded" {
-				t.Errorf("panic error = %+v, want stage boom value %q", pe, "stage exploded")
-			}
-			if !strings.Contains(string(pe.Stack), "panicStage") {
-				t.Error("panic stack does not reach the panicking stage")
-			}
-			if got := st.calls.Load(); got != 1 {
-				t.Errorf("panicking stage ran %d times, want 1 (no retry)", got)
-			}
-		})
-	}
+	t.Run("dag", func(t *testing.T) {
+		st := &panicStage{name: "boom", outputs: []string{"x"}}
+		ran := false
+		stages := []Stage{st, testStage("down", []string{"x"}, []string{"y"},
+			func(context.Context, *pipelineState) error { ran = true; return nil })}
+		_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 1), 0, nil)
+		if err == nil {
+			t.Fatal("panicking stage reported success")
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("error = %v (%T), want *PanicError", err, err)
+		}
+		if pe.Stage != "boom" || pe.Value != "stage exploded" {
+			t.Errorf("panic error = %+v, want stage boom value %q", pe, "stage exploded")
+		}
+		if !strings.Contains(string(pe.Stack), "panicStage") {
+			t.Error("panic stack does not reach the panicking stage")
+		}
+		if got := st.calls.Load(); got != 1 {
+			t.Errorf("panicking stage ran %d times, want 1", got)
+		}
+		if ran {
+			t.Error("downstream stage ran after its producer panicked")
+		}
+	})
 }
 
 // TestStagePanicDoesNotWedgeDAG: with more than one stage in flight,
@@ -95,7 +94,7 @@ func TestStagePanicDoesNotWedgeDAG(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := runDAG(context.Background(), stages, retryState(), make(chan struct{}, 2), retryPolicy{}, nil)
+		_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 2), 0, nil)
 		done <- err
 	}()
 	select {
@@ -109,44 +108,68 @@ func TestStagePanicDoesNotWedgeDAG(t *testing.T) {
 	}
 }
 
-// TestStageTimeout: an attempt exceeding the per-stage budget fails
-// with *StageTimeoutError (matching context.DeadlineExceeded) and is
-// not retried; a stage finishing inside the budget is untouched.
+// TestStageTimeout: a stage exceeding the per-stage budget fails with
+// *StageTimeoutError (matching context.DeadlineExceeded) after running
+// once; a stage finishing inside the budget is untouched. With a
+// sibling still in flight, the timeout — not the sibling's
+// cancellation — is the error, and runDAG returns promptly.
 func TestStageTimeout(t *testing.T) {
-	st := &slowStage{name: "glacial", outputs: []string{"x"}, d: 10 * time.Second}
-	rp := retryPolicy{retries: 3, backoff: time.Millisecond, timeout: 20 * time.Millisecond}
-	start := time.Now()
-	_, err := runSequential(context.Background(), []Stage{st}, retryState(), rp, nil)
-	if err == nil {
-		t.Fatal("stage past its deadline reported success")
-	}
-	var te *StageTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("error = %v (%T), want *StageTimeoutError", err, err)
-	}
-	if te.Stage != "glacial" || te.Timeout != 20*time.Millisecond {
-		t.Errorf("timeout error = %+v", te)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Error("timeout error does not match context.DeadlineExceeded")
-	}
-	if got := st.calls.Load(); got != 1 {
-		t.Errorf("timed-out stage ran %d times, want 1 (no retry)", got)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("timeout took %v, want ~20ms", elapsed)
+	const budget = 100 * time.Millisecond
+	checkTimeout := func(t *testing.T, err error, elapsed time.Duration) {
+		t.Helper()
+		var te *StageTimeoutError
+		if !errors.As(err, &te) {
+			t.Fatalf("error = %v (%T), want *StageTimeoutError", err, err)
+		}
+		if te.Stage != "glacial" || te.Timeout != budget {
+			t.Errorf("timeout error = %+v", te)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Error("timeout error does not match context.DeadlineExceeded")
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Error("timeout reported as a cancellation")
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("timeout took %v, want ~%v", elapsed, budget)
+		}
 	}
 
-	fast := &slowStage{name: "brisk", outputs: []string{"x"}, d: time.Millisecond}
-	if _, err := runSequential(context.Background(), []Stage{fast}, retryState(),
-		retryPolicy{timeout: 5 * time.Second}, nil); err != nil {
-		t.Fatalf("stage inside its budget failed: %v", err)
-	}
+	t.Run("alone", func(t *testing.T) {
+		// One slot: brisk runs first, inside its budget, then glacial
+		// times out.
+		fast := &slowStage{name: "brisk", outputs: []string{"x"}, d: time.Millisecond}
+		st := &slowStage{name: "glacial", inputs: []string{"x"}, outputs: []string{"y"}, d: 10 * time.Second}
+		start := time.Now()
+		_, err := runDAG(context.Background(), []Stage{fast, st}, testState(), make(chan struct{}, 1), budget, nil)
+		checkTimeout(t, err, time.Since(start))
+		if got := fast.calls.Load(); got != 1 {
+			t.Errorf("stage inside its budget ran %d times, want 1", got)
+		}
+		if got := st.calls.Load(); got != 1 {
+			t.Errorf("timed-out stage ran %d times, want 1", got)
+		}
+	})
+
+	t.Run("in-flight sibling", func(t *testing.T) {
+		// The sibling starts half a budget after glacial (behind gate),
+		// so glacial's deadline fires while the sibling is still inside
+		// its own.
+		gate := &slowStage{name: "gate", outputs: []string{"g"}, d: budget / 2}
+		sibling := &slowStage{name: "sibling", inputs: []string{"g"}, outputs: []string{"x"}, d: 10 * time.Second}
+		st := &slowStage{name: "glacial", outputs: []string{"y"}, d: 10 * time.Second}
+		start := time.Now()
+		sr, err := runDAG(context.Background(), []Stage{gate, sibling, st}, testState(), make(chan struct{}, 2), budget, nil)
+		checkTimeout(t, err, time.Since(start))
+		if got := sibling.calls.Load(); got != 1 || sr.maxConcurrent != 2 {
+			t.Errorf("sibling ran %d times, max concurrent %d; want it in flight beside glacial", got, sr.maxConcurrent)
+		}
+	})
 }
 
 // TestStageTimeoutCallerCancelWins: when the caller's context is
 // cancelled the error must stay the plain context error, not be
-// misreported as a per-attempt deadline.
+// misreported as a per-stage deadline.
 func TestStageTimeoutCallerCancelWins(t *testing.T) {
 	st := &slowStage{name: "glacial", outputs: []string{"x"}, d: 10 * time.Second}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -154,29 +177,13 @@ func TestStageTimeoutCallerCancelWins(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err := runSequential(ctx, []Stage{st}, retryState(),
-		retryPolicy{timeout: time.Minute}, nil)
+	_, err := runDAG(ctx, []Stage{st}, testState(), make(chan struct{}, 1), time.Minute, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 	var te *StageTimeoutError
 	if errors.As(err, &te) {
 		t.Error("caller cancellation misreported as a stage timeout")
-	}
-}
-
-// TestJitterBackoffBounds: full jitter draws stay in (0, d].
-func TestJitterBackoffBounds(t *testing.T) {
-	for _, d := range []time.Duration{time.Millisecond, 50 * time.Millisecond, maxStageBackoff} {
-		for i := 0; i < 200; i++ {
-			got := jitterBackoff(d)
-			if got <= 0 || got > d {
-				t.Fatalf("jitterBackoff(%v) = %v, want in (0, %v]", d, got, d)
-			}
-		}
-	}
-	if got := jitterBackoff(0); got != 0 {
-		t.Errorf("jitterBackoff(0) = %v", got)
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"runtime/metrics"
 	"sort"
 	"sync"
@@ -10,6 +12,38 @@ import (
 
 	"adahealth/internal/kdb"
 )
+
+// PanicError is a recovered stage panic: the scheduler isolates it to
+// the panicking stage's own analysis — the job fails with this error,
+// stack attached, and the process (a daemon serving other jobs) keeps
+// running.
+type PanicError struct {
+	// Stage is the panicking stage's name.
+	Stage string
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("stage %s panicked: %v", p.Stage, p.Value)
+}
+
+// StageTimeoutError fails a stage that exceeded Config.StageTimeout.
+// It unwraps to context.DeadlineExceeded, so errors.Is-matching works.
+type StageTimeoutError struct {
+	// Stage is the stage that ran out of time.
+	Stage string
+	// Timeout is the per-stage budget it exceeded.
+	Timeout time.Duration
+}
+
+func (e *StageTimeoutError) Error() string {
+	return fmt.Sprintf("stage %s exceeded its %v deadline", e.Stage, e.Timeout)
+}
+
+func (e *StageTimeoutError) Unwrap() error { return context.DeadlineExceeded }
 
 // scheduleResult is what one pipeline execution hands back: the
 // per-stage traces (ordered by start time) and the maximum number of
@@ -23,9 +57,8 @@ type scheduleResult struct {
 // produced by exactly one stage, every input produced by some stage,
 // and the declaration order topologically valid (each stage's inputs
 // produced by strictly earlier stages). The last property is stronger
-// than mere acyclicity; it is what lets the sequential path execute
-// the declaration order directly and guarantees the concurrent
-// scheduler can always make progress.
+// than mere acyclicity; it rules out cycles in one pass and guarantees
+// the scheduler can always make progress.
 func validateStages(stages []Stage) error {
 	producer := map[string]string{}
 	for _, st := range stages {
@@ -72,46 +105,40 @@ func heapAllocBytes() uint64 {
 	return sample[0].Value.Uint64()
 }
 
-// runSequential executes stages one by one in declaration order — the
-// legacy pre-DAG behaviour, kept behind Config.Sequential as the
-// reference implementation the DAG is equivalence-tested against.
-func runSequential(ctx context.Context, stages []Stage, s *pipelineState, rp retryPolicy, observe StageObserver) (*scheduleResult, error) {
-	res := &scheduleResult{maxConcurrent: 1}
-	for _, st := range stages {
-		if err := ctx.Err(); err != nil {
-			return res, err
+// runStageAttempt runs one stage once, with panic isolation (a panic
+// becomes a *PanicError failing this analysis, never the process) and
+// the optional per-stage deadline (0 = none; exceeding it is a
+// *StageTimeoutError).
+func runStageAttempt(ctx context.Context, st Stage, s *pipelineState, timeout time.Duration) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Stage: st.Name(), Value: v, Stack: debug.Stack()}
 		}
-		start := time.Now()
-		observe.observe(s.log.Name, st.Name(), StageStart, start, nil)
-		a0 := heapAllocBytes()
-		attempts, err := executeStage(ctx, st, s, rp)
-		end := time.Now()
-		observe.observe(s.log.Name, st.Name(), StageFinish, end, err)
-		res.traces = append(res.traces, kdb.StageTrace{
-			Dataset:    s.log.Name,
-			Stage:      st.Name(),
-			Start:      start,
-			End:        end,
-			WallNanos:  end.Sub(start).Nanoseconds(),
-			AllocBytes: heapAllocBytes() - a0,
-			Sequential: true,
-			Attempts:   attempts,
-		})
-		if err != nil {
-			return res, stageErr(ctx, st, err)
-		}
+	}()
+	if timeout <= 0 {
+		return st.Run(ctx, s)
 	}
-	return res, nil
+	actx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	err = st.Run(actx, s)
+	// Distinguish "this stage ran out of its budget" (the stage ctx
+	// expired while the parent is alive) from the caller giving up.
+	if err != nil && ctx.Err() == nil && actx.Err() != nil &&
+		errors.Is(err, context.DeadlineExceeded) {
+		return &StageTimeoutError{Stage: st.Name(), Timeout: timeout}
+	}
+	return err
 }
 
 // runDAG executes stages respecting their declared data dependencies,
 // running independent stages concurrently on the bounded worker pool
 // behind pool (a counting semaphore, shared across logs by
-// AnalyzeMany). On the first stage failure the remaining un-started
-// stages are abandoned and in-flight ones are cancelled; the first
-// error (by completion time) is returned, except that a cancelled
-// parent context always surfaces as ctx.Err().
-func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool chan struct{}, rp retryPolicy, observe StageObserver) (*scheduleResult, error) {
+// AnalyzeMany). Each stage runs once, under the per-stage timeout (0 =
+// none). On the first stage failure the remaining un-started stages
+// are abandoned and in-flight ones are cancelled; the first error (by
+// completion time) is returned, except that a cancelled parent context
+// always surfaces as ctx.Err().
+func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool chan struct{}, timeout time.Duration, observe StageObserver) (*scheduleResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -161,7 +188,7 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool chan str
 			start := time.Now()
 			observe.observe(s.log.Name, st.Name(), StageStart, start, nil)
 			a0 := heapAllocBytes()
-			attempts, err := executeStage(ctx, st, s, rp)
+			err := runStageAttempt(ctx, st, s, timeout)
 			end := time.Now()
 			observe.observe(s.log.Name, st.Name(), StageFinish, end, err)
 			results <- outcome{
@@ -174,7 +201,6 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool chan str
 					End:        end,
 					WallNanos:  end.Sub(start).Nanoseconds(),
 					AllocBytes: heapAllocBytes() - a0,
-					Attempts:   attempts,
 				},
 			}
 		}()

@@ -92,7 +92,7 @@ func TestRunDAGOverlapsIndependentStages(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	sr, err := runDAG(ctx, stages, testState(), make(chan struct{}, 2), retryPolicy{}, nil)
+	sr, err := runDAG(ctx, stages, testState(), make(chan struct{}, 2), 0, nil)
 	if err != nil {
 		t.Fatalf("runDAG: %v (serial scheduling would deadlock into this)", err)
 	}
@@ -137,7 +137,7 @@ func TestRunDAGRespectsDependencies(t *testing.T) {
 		testStage("mid", []string{"x"}, []string{"y"}, record("mid")),
 		testStage("sink", []string{"y"}, []string{"z"}, record("sink")),
 	}
-	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 4), retryPolicy{}, nil)
+	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 4), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunDAGPoolBoundsConcurrency(t *testing.T) {
 				return nil
 			}))
 	}
-	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 1), retryPolicy{}, nil)
+	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 1), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRunDAGErrorSkipsDownstream(t *testing.T) {
 		testStage("down", []string{"x"}, []string{"y"},
 			func(context.Context, *pipelineState) error { ran = true; return nil }),
 	}
-	_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 2), retryPolicy{}, nil)
+	_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 2), 0, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -194,17 +194,21 @@ func TestRunDAGCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := runDAG(ctx, []Stage{testStage("a", nil, []string{"x"}, nil)},
-		testState(), make(chan struct{}, 1), retryPolicy{}, nil)
+		testState(), make(chan struct{}, 1), 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestRunSequentialOrderAndTraces: the serial run (a one-slot pool,
+// what Parallelism 1 gives) executes a chain in declaration order,
+// one stage at a time, and traces each stage with the dataset name
+// and a valid interval that ends before the next stage starts.
 func TestRunSequentialOrderAndTraces(t *testing.T) {
 	var order []string
 	record := func(name string) func(ctx context.Context, s *pipelineState) error {
 		return func(context.Context, *pipelineState) error {
-			order = append(order, name) // no lock: sequential by contract
+			order = append(order, name) // no lock: one slot, and a chain
 			return nil
 		}
 	}
@@ -212,7 +216,7 @@ func TestRunSequentialOrderAndTraces(t *testing.T) {
 		testStage("one", nil, []string{"x"}, record("one")),
 		testStage("two", []string{"x"}, []string{"y"}, record("two")),
 	}
-	sr, err := runSequential(context.Background(), stages, testState(), retryPolicy{}, nil)
+	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 1), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,17 +224,20 @@ func TestRunSequentialOrderAndTraces(t *testing.T) {
 		t.Errorf("order = %v", order)
 	}
 	if sr.maxConcurrent != 1 {
-		t.Errorf("sequential max concurrent = %d", sr.maxConcurrent)
+		t.Errorf("serial max concurrent = %d", sr.maxConcurrent)
 	}
-	for _, tr := range sr.traces {
-		if !tr.Sequential {
-			t.Errorf("trace %s not flagged sequential", tr.Stage)
-		}
+	if len(sr.traces) != len(stages) {
+		t.Fatalf("traces = %d, want %d", len(sr.traces), len(stages))
+	}
+	for i, tr := range sr.traces {
 		if tr.Dataset != "sched-test" {
 			t.Errorf("trace %s dataset = %q", tr.Stage, tr.Dataset)
 		}
 		if tr.WallNanos < 0 || tr.End.Before(tr.Start) {
 			t.Errorf("trace %s has invalid interval", tr.Stage)
+		}
+		if i > 0 && tr.Start.Before(sr.traces[i-1].End) {
+			t.Errorf("trace %s starts before %s ends", tr.Stage, sr.traces[i-1].Stage)
 		}
 	}
 }

@@ -35,10 +35,10 @@ import (
 // intermediate data), add fields for its products to pipelineState or
 // Report, and append it to pipelineStages. Declaration order in
 // pipelineStages must remain a valid topological order — every input
-// produced by an earlier stage — because the sequential path executes
-// stages in exactly that order (validateStages enforces it at
-// construction). The scheduler derives all concurrency from the
-// declared keys; no stage ever spells out "runs in parallel with X".
+// produced by an earlier stage — which is how validateStages rules out
+// cycles at construction. The scheduler derives all concurrency from
+// the declared keys; no stage ever spells out "runs in parallel with
+// X".
 type Stage interface {
 	// Name identifies the stage in traces and error messages.
 	Name() string
@@ -158,8 +158,8 @@ func (f *funcStage) Run(ctx context.Context, s *pipelineState) error {
 }
 
 // pipelineStages returns the built-in analysis DAG in a topologically
-// valid declaration order (the order the sequential path executes, and
-// the order of the paper's Figure 1 narrative):
+// valid declaration order (the order of the paper's Figure 1
+// narrative):
 //
 //	characterize ─────────────┬──────────────────────────┐
 //	transform → partialmine → sweep → cluster ─┐         │
@@ -226,8 +226,8 @@ func (e *Engine) pipelineStages() []Stage {
 		},
 		&funcStage{
 			// endgoals consumes the stored knowledge (not just the
-			// in-memory items) so the recommender sees the same K-DB
-			// state the legacy sequential pipeline gave it.
+			// in-memory items) so the recommender sees this analysis's
+			// knowledge in the K-DB, however the stages interleave.
 			name:    "endgoals",
 			inputs:  []string{keyDescriptor, keyKnowledge},
 			outputs: []string{keyEndGoals},

@@ -226,16 +226,10 @@ type StageTrace struct {
 	// querying without time parsing).
 	WallNanos int64 `json:"wall_ns"`
 	// AllocBytes is the process-wide heap-allocation delta observed
-	// during the stage: exact under sequential execution, an upper
-	// bound when other stages run concurrently.
+	// during the stage: exact when it ran alone (Parallelism 1 and no
+	// other analysis), an upper bound when other stages run
+	// concurrently.
 	AllocBytes uint64 `json:"alloc_bytes"`
-	// Sequential records whether the legacy sequential path produced
-	// this trace (Config.Sequential), so timings are comparable.
-	Sequential bool `json:"sequential"`
-	// Attempts counts how many times the stage ran: 1 normally, more
-	// when the scheduler's transient-retry policy re-ran it (the
-	// trace's interval then spans every attempt including backoff).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // Wall returns the stage's wall-clock duration.

@@ -1,11 +1,13 @@
 package kdb
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"adahealth/internal/dataset"
+	"adahealth/internal/docstore"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/stats"
 )
@@ -306,10 +308,22 @@ func TestStageTracesRoundTrip(t *testing.T) {
 		{Dataset: "diab", Stage: "sweep", Start: base.Add(time.Millisecond),
 			End: base.Add(50 * time.Millisecond), WallNanos: 49e6, AllocBytes: 1 << 20},
 		{Dataset: "diab", Stage: "characterize", Start: base,
-			End: base.Add(2 * time.Millisecond), WallNanos: 2e6, Sequential: true},
+			End: base.Add(2 * time.Millisecond), WallNanos: 2e6},
 		{Dataset: "other", Stage: "characterize", Start: base, End: base},
 	}
 	if err := k.StoreStageTraces(traces); err != nil {
+		t.Fatal(err)
+	}
+	// A trace as older builds wrote it, with the since-removed
+	// sequential-path flag and retry count: it still loads, the extra
+	// keys ignored.
+	var legacy docstore.Document
+	if err := json.Unmarshal([]byte(`{"dataset":"diab","stage":"recall",
+		"start":"2026-07-29T10:00:00.0005Z","end":"2026-07-29T10:00:00.0009Z",
+		"wall_ns":400000,"alloc_bytes":64,"sequential":true,"attempts":3}`), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.store.Collection(CollStageTraces).Insert(legacy); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Flush(); err != nil {
@@ -325,26 +339,26 @@ func TestStageTracesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("stage traces for diab = %d, want 2", len(got))
+	if len(got) != 3 {
+		t.Fatalf("stage traces for diab = %d, want 3", len(got))
 	}
-	if got[0].Stage != "characterize" || got[1].Stage != "sweep" {
-		t.Errorf("traces not ordered by start: %q, %q", got[0].Stage, got[1].Stage)
+	if got[0].Stage != "characterize" || got[1].Stage != "recall" || got[2].Stage != "sweep" {
+		t.Errorf("traces not ordered by start: %q, %q, %q", got[0].Stage, got[1].Stage, got[2].Stage)
 	}
-	if !got[0].Sequential || got[1].Sequential {
-		t.Errorf("sequential flags lost in round trip")
+	if got[1].Wall() != 400*time.Microsecond || got[1].AllocBytes != 64 {
+		t.Errorf("legacy trace = %+v", got[1])
 	}
-	if got[1].Wall() != 49*time.Millisecond {
-		t.Errorf("wall = %v, want 49ms", got[1].Wall())
+	if got[2].Wall() != 49*time.Millisecond {
+		t.Errorf("wall = %v, want 49ms", got[2].Wall())
 	}
-	if got[1].AllocBytes != 1<<20 {
-		t.Errorf("alloc bytes = %d", got[1].AllocBytes)
+	if got[2].AllocBytes != 1<<20 {
+		t.Errorf("alloc bytes = %d", got[2].AllocBytes)
 	}
 	all, err := re.StageTraces("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 {
-		t.Errorf("all stage traces = %d, want 3", len(all))
+	if len(all) != 4 {
+		t.Errorf("all stage traces = %d, want 4", len(all))
 	}
 }

@@ -23,7 +23,6 @@
 //
 //	core_stage_seconds{stage}               histogram  per-stage wall latency (start → finish event)
 //	core_stage_total{stage,outcome}         counter    stage executions: ok | error
-//	core_stage_retries_total{stage}         counter    extra attempts beyond the first (from stage traces)
 //	core_stage_panics_total{stage}          counter    recovered stage panics (core.PanicError)
 //
 // Knowledge store (internal/docstore, internal/kdb):

@@ -112,6 +112,18 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	return c
 }
 
+// Validate rejects a K grid value below 2; the zero value (the default
+// grid) passes. Whether each K fits the data is Sweep's check, because
+// it depends on the rows.
+func (c SweepConfig) Validate() error {
+	for _, k := range c.Ks {
+		if k < 2 {
+			return fmt.Errorf("optimize: K=%d below 2", k)
+		}
+	}
+	return nil
+}
+
 // KResult is one row of Table I: the quality indexes for one K.
 type KResult struct {
 	K          int     `json:"k"`
@@ -169,10 +181,10 @@ func Sweep(ctx context.Context, data [][]float64, cfg SweepConfig) (*SweepResult
 	if len(data) == 0 {
 		return nil, fmt.Errorf("optimize: no data")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	for _, k := range cfg.Ks {
-		if k < 2 {
-			return nil, fmt.Errorf("optimize: K=%d below 2", k)
-		}
 		if k > len(data) {
 			return nil, fmt.Errorf("optimize: K=%d exceeds %d rows", k, len(data))
 		}

@@ -61,7 +61,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// Validate checks c as a run would use it, defaults filled in, so the
+// zero value passes: fractions in (0, 1], non-decreasing, ending at 1,
+// and every K at least 1.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	last := 0.0
 	for _, f := range c.Fractions {
 		if f <= 0 || f > 1 {
@@ -126,10 +130,10 @@ func (r *Result) SelectedStep() Step { return r.Steps[r.Selected] }
 // honoured between (fraction, K) probes and inside every clustering
 // run; a cancelled run returns ctx.Err().
 func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	res := &Result{Strategy: "horizontal", Tolerance: cfg.Tolerance}
 
 	for _, frac := range cfg.Fractions {
@@ -173,10 +177,10 @@ func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, err
 // subsets (all exam types retained). Rows are sampled without
 // replacement with a seeded shuffle so each step extends the previous.
 func RunVertical(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	res := &Result{Strategy: "vertical", Tolerance: cfg.Tolerance}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -38,7 +38,13 @@ func TestConfigValidation(t *testing.T) {
 			if _, err := RunHorizontal(context.Background(), m, c.cfg); err == nil {
 				t.Errorf("accepted %s", c.name)
 			}
+			if err := c.cfg.Validate(); err == nil {
+				t.Errorf("Validate accepted %s", c.name)
+			}
 		})
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("zero Config rejected: %v", err)
 	}
 }
 

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"adahealth/internal/core"
+	"adahealth/internal/optimize"
+	"adahealth/internal/partial"
 	"adahealth/internal/synth"
 )
 
@@ -45,6 +48,30 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// waitDone polls a job's status until it is terminal and fails the
+// test unless the job finished done.
+func waitDone(t *testing.T, srv *httptest.Server, id string) JobState {
+	t.Helper()
+	var state JobState
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if code := getJSON(t, srv, "/v1/analyses/"+id, &state); code != http.StatusOK {
+			t.Fatalf("status = %d", code)
+		}
+		if state.Status.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", state.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if state.Status != StatusDone {
+		t.Fatalf("job finished %s (%s)", state.Status, state.Error)
+	}
+	return state
 }
 
 // TestDaemonEndToEnd drives the full HTTP lifecycle against a real
@@ -229,6 +256,10 @@ func TestDaemonBadRequests(t *testing.T) {
 	}{
 		{"no source", SubmitRequest{}},
 		{"bad override", SubmitRequest{Synthetic: ptrCfg(synth.SmallConfig()), Config: &core.Config{MinConfidence: 5}}},
+		// Grids the run would fail on after its first stages.
+		{"sweep K below 2", SubmitRequest{Synthetic: ptrCfg(synth.SmallConfig()), Config: &core.Config{Sweep: optimize.SweepConfig{Ks: []int{1}}}}},
+		{"partial K below 1", SubmitRequest{Synthetic: ptrCfg(synth.SmallConfig()), Config: &core.Config{Partial: partial.Config{Ks: []int{0}}}}},
+		{"partial fractions without full data", SubmitRequest{Synthetic: ptrCfg(synth.SmallConfig()), Config: &core.Config{Partial: partial.Config{Fractions: []float64{0.5}}}}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, srv, "/v1/analyses", tc.body)
@@ -330,45 +361,15 @@ func TestDaemonAlgorithmOverride(t *testing.T) {
 
 	submit := func(algorithm string) (*http.Response, SubmitResponse) {
 		t.Helper()
-		body := fmt.Sprintf(`{
-			"synthetic": %s,
-			"config": {"Seed": 1, "Sweep": {"Ks": [2, 3], "CVFolds": 2, "Cluster": {"Algorithm": %q}}}
-		}`, mustJSON(t, synth.SmallConfig()), algorithm)
-		resp, err := http.Post(srv.URL+"/v1/analyses", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sub SubmitResponse
-		if resp.StatusCode == http.StatusAccepted {
-			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp, sub
+		return submitOverride(t, srv, fmt.Sprintf(
+			`{"Seed": 1, "Sweep": {"Ks": [2, 3], "CVFolds": 2, "Cluster": {"Algorithm": %q}}}`, algorithm))
 	}
 
 	resp, sub := submit("dense-lloyd")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("dense-lloyd override = %d, want 202", resp.StatusCode)
 	}
-	var state JobState
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if code := getJSON(t, srv, "/v1/analyses/"+sub.ID, &state); code != http.StatusOK {
-			t.Fatalf("status = %d", code)
-		}
-		if state.Status.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", state.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if state.Status != StatusDone {
-		t.Fatalf("dense-lloyd-override job finished %s (%s)", state.Status, state.Error)
-	}
+	waitDone(t, srv, sub.ID)
 
 	resp, sub = submit("auto")
 	if resp.StatusCode != http.StatusAccepted {
@@ -387,6 +388,48 @@ func TestDaemonAlgorithmOverride(t *testing.T) {
 			t.Errorf("algorithm %q = %d, want 400", name, resp.StatusCode)
 		}
 	}
+}
+
+// TestDaemonIgnoresRemovedConfigKeys: an older client's per-job config
+// carrying the since-removed scheduler and retry keys is still admitted
+// and completes; the unknown keys are ignored.
+func TestDaemonIgnoresRemovedConfigKeys(t *testing.T) {
+	config, err := os.ReadFile("testdata/removed_config_keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	resp, sub := submitOverride(t, srv, string(config))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("override with removed keys = %d, want 202", resp.StatusCode)
+	}
+	waitDone(t, srv, sub.ID)
+}
+
+// submitOverride posts a small synthetic analysis whose per-job config
+// override is the JSON object config.
+func submitOverride(t *testing.T, srv *httptest.Server, config string) (*http.Response, SubmitResponse) {
+	t.Helper()
+	body := fmt.Sprintf(`{"synthetic": %s, "config": %s}`, mustJSON(t, synth.SmallConfig()), config)
+	resp, err := http.Post(srv.URL+"/v1/analyses", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sub SubmitResponse
+	if resp.StatusCode == http.StatusAccepted {
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp, sub
 }
 
 func mustJSON(t *testing.T, v any) string {

@@ -326,7 +326,7 @@ func (j *Job) finish(rep *core.Report, err error) {
 	status := j.status
 	j.mu.Unlock()
 
-	recordTerminalMetrics(j, status, rep, err, now)
+	recordTerminalMetrics(j, status, err, now)
 	j.emitLifecycle(status, now)
 
 	j.mu.Lock()

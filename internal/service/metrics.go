@@ -27,8 +27,6 @@ var (
 		"Per-stage wall latency from the scheduler's start/finish trace points.", nil, "stage")
 	stageTotal = obs.Default().CounterVec("core_stage_total",
 		"Stage executions by outcome.", "stage", "outcome")
-	stageRetriesTotal = obs.Default().CounterVec("core_stage_retries_total",
-		"Extra stage attempts beyond the first, from finished jobs' stage traces.", "stage")
 	stagePanicsTotal = obs.Default().CounterVec("core_stage_panics_total",
 		"Recovered stage panics isolated to their analysis.", "stage")
 )
@@ -89,20 +87,10 @@ func (j *Job) recordStageMetrics(ev core.StageEvent) {
 }
 
 // recordTerminalMetrics counts a job's terminal outcome: state and
-// class latency always; per-stage retries from the report's traces
-// (the scheduler fires one observer pair per stage regardless of
-// attempts, so retries are only visible here); panics from the
-// error chain.
-func recordTerminalMetrics(j *Job, status Status, rep *core.Report, err error, finished time.Time) {
+// class latency always; panics from the error chain.
+func recordTerminalMetrics(j *Job, status Status, err error, finished time.Time) {
 	jobsTotal.With(string(status)).Inc()
 	jobDurationSeconds.With(priorityClass(j.priority)).Observe(finished.Sub(j.queuedAt).Seconds())
-	if rep != nil {
-		for _, tr := range rep.Stages {
-			if tr.Attempts > 1 {
-				stageRetriesTotal.With(tr.Stage).Add(int64(tr.Attempts - 1))
-			}
-		}
-	}
 	var pe *core.PanicError
 	if errors.As(err, &pe) {
 		stage := pe.Stage

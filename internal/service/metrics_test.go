@@ -66,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestTraceHTMLEndpoint: /v1/analyses/{id}/trace.html answers 409
 // while the job runs and, once done, renders the TraceDump as an HTML
-// document with an SVG bar per stage and the retry annotation.
+// document with an SVG bar per stage.
 func TestTraceHTMLEndpoint(t *testing.T) {
 	svc, err := New(Config{Engine: fastConfig(1), Workers: 1, QueueDepth: 2})
 	if err != nil {
@@ -80,8 +80,8 @@ func TestTraceHTMLEndpoint(t *testing.T) {
 		return &core.Report{
 			Descriptor: stats.Descriptor{DatasetName: "trace-ds"},
 			Stages: []kdb.StageTrace{
-				{Dataset: "trace-ds", Stage: "characterize", Start: t0, End: t0.Add(40 * time.Millisecond), Attempts: 1},
-				{Dataset: "trace-ds", Stage: "sweep", Start: t0.Add(40 * time.Millisecond), End: t0.Add(400 * time.Millisecond), Attempts: 3},
+				{Dataset: "trace-ds", Stage: "characterize", Start: t0, End: t0.Add(40 * time.Millisecond)},
+				{Dataset: "trace-ds", Stage: "sweep", Start: t0.Add(40 * time.Millisecond), End: t0.Add(400 * time.Millisecond)},
 			},
 			StageConcurrency: 2,
 		}, nil
@@ -124,11 +124,7 @@ func TestTraceHTMLEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	html := string(body)
-	for _, want := range []string{
-		"<svg", "trace-ds", "characterize", "sweep",
-		"×3",      // the retried stage's attempt annotation
-		"retried", // the retry highlight class
-	} {
+	for _, want := range []string{"<svg", "trace-ds", "characterize", "sweep"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("trace.html missing %q", want)
 		}
@@ -194,12 +190,10 @@ func TestAdmissionMetricsMove(t *testing.T) {
 	}
 }
 
-// TestStageMetricsMove: a finished job's per-stage retry totals and
-// terminal counters move by exactly what its report says — the stage
-// observer seam and the terminal accounting, no scheduler changes.
+// TestStageMetricsMove: a finished job's terminal counters move by
+// exactly one job — the terminal accounting, no scheduler changes.
 func TestStageMetricsMove(t *testing.T) {
 	reg := obs.Default()
-	retries0 := reg.Value("core_stage_retries_total", "sweep")
 	done0 := reg.Value("service_jobs_total", "done")
 	durInteractive0 := reg.Value("service_job_duration_seconds", "interactive")
 
@@ -210,8 +204,8 @@ func TestStageMetricsMove(t *testing.T) {
 	t.Cleanup(func() { _ = svc.Close() })
 	svc.runJob = func(j *Job) (*core.Report, error) {
 		return &core.Report{Stages: []kdb.StageTrace{
-			{Stage: "sweep", Attempts: 3},
-			{Stage: "cluster", Attempts: 1},
+			{Stage: "sweep"},
+			{Stage: "cluster"},
 		}}, nil
 	}
 
@@ -223,9 +217,6 @@ func TestStageMetricsMove(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if d := reg.Value("core_stage_retries_total", "sweep") - retries0; d != 2 {
-		t.Errorf("sweep retries delta = %v, want 2", d)
-	}
 	if d := reg.Value("service_jobs_total", "done") - done0; d != 1 {
 		t.Errorf("done jobs delta = %v, want 1", d)
 	}

@@ -358,7 +358,7 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 // comparableReport strips execution telemetry and the closure-bearing
-// recommendations, as the core DAG/sequential equivalence test does.
+// recommendations, as the core scheduling-equivalence test does.
 func comparableReport(rep *core.Report) core.Report {
 	c := *rep
 	c.Stages = nil

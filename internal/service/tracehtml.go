@@ -14,9 +14,8 @@ import (
 // encoding the JSON status serves — as a self-contained HTML Gantt /
 // flame view: one row per stage in start order on a shared time axis
 // (inline SVG, no external assets), so overlapping bars are the DAG
-// stages that actually ran concurrently, and stages the scheduler's
-// transient-retry policy re-ran are highlighted with their attempt
-// count. GET /v1/analyses/{id}/trace.html serves it for finished jobs;
+// stages that actually ran concurrently. GET
+// /v1/analyses/{id}/trace.html serves it for finished jobs;
 // `adahealth -trace-html` writes the identical document offline.
 func WriteTraceHTML(w io.Writer, d TraceDump) error {
 	return traceTemplate.Execute(w, newTraceView(d))
@@ -41,8 +40,6 @@ type traceBar struct {
 	TextY    float64
 	Inside   bool // duration label fits inside the bar
 	Duration string
-	Attempts int
-	Retried  bool
 	Title    string // hover tooltip
 }
 
@@ -56,9 +53,7 @@ type traceView struct {
 	Dataset     string
 	Concurrency int
 	StageCount  int
-	Retries     int
 	Total       string
-	Sequential  bool
 	Empty       bool
 	SVGWidth    float64
 	SVGHeight   float64
@@ -97,12 +92,6 @@ func newTraceView(d TraceDump) traceView {
 		if tr.End.After(max) {
 			max = tr.End
 		}
-		if tr.Attempts > 1 {
-			v.Retries += tr.Attempts - 1
-		}
-		if tr.Sequential {
-			v.Sequential = true
-		}
 	}
 	span := max.Sub(min)
 	if span <= 0 {
@@ -128,13 +117,8 @@ func newTraceView(d TraceDump) traceView {
 			W:        w,
 			TextY:    traceAxisH + float64(i)*traceRowH + traceRowH/2 + 4,
 			Duration: formatDur(tr.End.Sub(tr.Start)),
-			Attempts: tr.Attempts,
-			Retried:  tr.Attempts > 1,
-			Title: fmt.Sprintf("%s: %s, %d attempt(s), +%s after t0",
-				tr.Stage, formatDur(tr.End.Sub(tr.Start)), tr.Attempts, formatDur(tr.Start.Sub(min))),
-		}
-		if b.Retried {
-			b.Duration += fmt.Sprintf("  ×%d", tr.Attempts)
+			Title: fmt.Sprintf("%s: %s, +%s after t0",
+				tr.Stage, formatDur(tr.End.Sub(tr.Start)), formatDur(tr.Start.Sub(min))),
 		}
 		// Wide bars carry their duration inside; narrow ones to the
 		// right (or to the left at the chart's edge).
@@ -189,7 +173,6 @@ svg { background: #fff; border: 1px solid #d0d7de; border-radius: 6px; }
 .tick-label { font: 10px system-ui, sans-serif; fill: #57606a; }
 .grid { stroke: #eaeef2; stroke-width: 1; }
 .bar { fill: #4e79a7; }
-.bar.retried { fill: #e15759; }
 .legend { margin-top: 10px; color: #57606a; font-size: 12px; }
 .swatch { display: inline-block; width: 10px; height: 10px; border-radius: 2px; margin-right: 4px; }
 </style>
@@ -198,8 +181,7 @@ svg { background: #fff; border: 1px solid #d0d7de; border-radius: 6px; }
 <h1>Stage schedule — {{.Dataset}}</h1>
 <div class="meta">
   <b>{{.StageCount}}</b> stages · total wall <b>{{.Total}}</b> ·
-  stage concurrency <b>{{.Concurrency}}</b> ·
-  retries <b>{{.Retries}}</b>{{if .Sequential}} · <b>sequential run</b>{{end}}
+  stage concurrency <b>{{.Concurrency}}</b>
 </div>
 {{if .Empty}}
 <p>No stage traces were recorded for this analysis.</p>
@@ -211,12 +193,11 @@ svg { background: #fff; border: 1px solid #d0d7de; border-radius: 6px; }
   <text class="tick-label" x="{{printf "%.1f" .X}}" y="{{printf "%.1f" $.AxisY}}" text-anchor="middle">{{.Label}}</text>
 {{end}}
 {{range .Bars}}  <text class="stage-label" x="8" y="{{printf "%.1f" .TextY}}">{{.Stage}}</text>
-  <rect class="bar{{if .Retried}} retried{{end}}" x="{{printf "%.1f" .X}}" y="{{printf "%.1f" .Y}}" width="{{printf "%.1f" .W}}" height="16" rx="2"><title>{{.Title}}</title></rect>
+  <rect class="bar" x="{{printf "%.1f" .X}}" y="{{printf "%.1f" .Y}}" width="{{printf "%.1f" .W}}" height="16" rx="2"><title>{{.Title}}</title></rect>
   <text class="dur{{if .Inside}} inside{{end}}" x="{{printf "%.1f" .TextX}}" y="{{printf "%.1f" .TextY}}"{{if not .Inside}}{{if lt .TextX .X}} text-anchor="end"{{end}}{{end}}>{{.Duration}}</text>
 {{end}}</svg>
 <div class="legend">
   <span class="swatch" style="background:#4e79a7"></span>stage execution interval
-  &nbsp;&nbsp;<span class="swatch" style="background:#e15759"></span>retried stage (interval spans every attempt)
   &nbsp;&nbsp;— overlapping rows ran concurrently on the stage pool
 </div>
 {{end}}

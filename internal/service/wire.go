@@ -56,11 +56,6 @@ type JobState struct {
 	// Trace carries the finished analysis's stage schedule in the same
 	// encoding `adahealth -trace` dumps; nil until the job is done.
 	Trace *TraceDump `json:"trace,omitempty"`
-	// Retries totals the stage re-runs the scheduler's transient-retry
-	// policy performed across the analysis (the sum of attempts−1 over
-	// the stage traces) — the load-harness gauge for how much of a
-	// job's latency went to retry/backoff. 0 until the job is done.
-	Retries int `json:"retries,omitempty"`
 }
 
 // State snapshots a job into its wire form. All mutable fields come
@@ -90,11 +85,6 @@ func (j *Job) State() JobState {
 	if snap.report != nil {
 		dump := NewTraceDump(snap.report)
 		st.Trace = &dump
-		for _, tr := range snap.report.Stages {
-			if tr.Attempts > 1 {
-				st.Retries += tr.Attempts - 1
-			}
-		}
 	}
 	return st
 }

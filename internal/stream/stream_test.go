@@ -299,7 +299,7 @@ func TestDriftTriggersResweep(t *testing.T) {
 
 // TestResweepReportMatchesEngine is the acceptance property: the
 // drift-triggered full re-analysis produces a Report bit-for-bit
-// identical (modulo execution telemetry, as the DAG/sequential
+// identical (modulo execution telemetry, as the scheduling-
 // equivalence test strips) to core.Engine analysis of the equivalent
 // accumulated batch log with the same seed options.
 func TestResweepReportMatchesEngine(t *testing.T) {
@@ -368,7 +368,7 @@ func TestResweepReportMatchesEngine(t *testing.T) {
 }
 
 // comparableReport strips execution telemetry and the closure-bearing
-// recommendations, as the core DAG/sequential equivalence test does.
+// recommendations, as the core scheduling-equivalence test does.
 func comparableReport(rep *core.Report) core.Report {
 	c := *rep
 	c.Stages = nil
