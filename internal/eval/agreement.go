@@ -130,67 +130,3 @@ func NormalizedMutualInfo(a, b []int) (float64, error) {
 	}
 	return nmi, nil
 }
-
-// DaviesBouldin is the Davies-Bouldin internal validity index of a
-// clustering (lower is better): the mean over clusters of the worst
-// ratio of within-cluster scatter sums to centroid separation.
-func DaviesBouldin(data [][]float64, centroids [][]float64, labels []int) (float64, error) {
-	k := len(centroids)
-	if k < 2 {
-		return 0, fmt.Errorf("eval: Davies-Bouldin needs >= 2 clusters, got %d", k)
-	}
-	if len(data) != len(labels) {
-		return 0, fmt.Errorf("eval: %d points but %d labels", len(data), len(labels))
-	}
-	scatter := make([]float64, k)
-	counts := make([]int, k)
-	for i, x := range data {
-		c := labels[i]
-		if c < 0 || c >= k {
-			return 0, fmt.Errorf("eval: label %d out of range [0,%d)", c, k)
-		}
-		d := 0.0
-		for j, v := range x {
-			diff := v - centroids[c][j]
-			d += diff * diff
-		}
-		scatter[c] += math.Sqrt(d)
-		counts[c]++
-	}
-	for c := range scatter {
-		if counts[c] > 0 {
-			scatter[c] /= float64(counts[c])
-		}
-	}
-	db := 0.0
-	active := 0
-	for i := 0; i < k; i++ {
-		if counts[i] == 0 {
-			continue
-		}
-		worst := 0.0
-		for j := 0; j < k; j++ {
-			if i == j || counts[j] == 0 {
-				continue
-			}
-			sep := 0.0
-			for d := range centroids[i] {
-				diff := centroids[i][d] - centroids[j][d]
-				sep += diff * diff
-			}
-			sep = math.Sqrt(sep)
-			if sep == 0 {
-				continue
-			}
-			if r := (scatter[i] + scatter[j]) / sep; r > worst {
-				worst = r
-			}
-		}
-		db += worst
-		active++
-	}
-	if active == 0 {
-		return 0, fmt.Errorf("eval: no populated clusters")
-	}
-	return db / float64(active), nil
-}

@@ -130,29 +130,3 @@ func TestNMIBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestDaviesBouldin(t *testing.T) {
-	// Tight, well-separated clusters → small DB; loose overlapping
-	// clusters → larger DB.
-	tight := [][]float64{{0, 0}, {0.1, 0}, {10, 0}, {10.1, 0}}
-	cents := [][]float64{{0.05, 0}, {10.05, 0}}
-	labels := []int{0, 0, 1, 1}
-	small, err := DaviesBouldin(tight, cents, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose := [][]float64{{0, 0}, {4, 0}, {6, 0}, {10, 0}}
-	big, err := DaviesBouldin(loose, cents, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small >= big {
-		t.Errorf("DB tight %v >= loose %v", small, big)
-	}
-	if _, err := DaviesBouldin(tight, [][]float64{{0, 0}}, labels); err == nil {
-		t.Error("accepted single cluster")
-	}
-	if _, err := DaviesBouldin(tight, cents, []int{0}); err == nil {
-		t.Error("accepted label mismatch")
-	}
-}

@@ -2,29 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"adahealth/internal/vec"
 )
-
-// SSE is the sum of squared errors over all points with respect to the
-// centroid of their assigned cluster — the cohesion index of
-// Section IV-A ("the smaller the SSE, the better the quality").
-func SSE(data [][]float64, centroids [][]float64, labels []int) (float64, error) {
-	if len(data) != len(labels) {
-		return 0, fmt.Errorf("eval: %d points but %d labels", len(data), len(labels))
-	}
-	sse := 0.0
-	for i, x := range data {
-		c := labels[i]
-		if c < 0 || c >= len(centroids) {
-			return 0, fmt.Errorf("eval: label %d out of range [0,%d)", c, len(centroids))
-		}
-		sse += vec.SquaredEuclidean(x, centroids[c])
-	}
-	return sse, nil
-}
 
 // OverallSimilarity is the paper's interestingness metric for partial
 // mining (Section IV-A, citing Tan/Steinbach/Kumar): the cluster
@@ -82,66 +62,4 @@ func OverallSimilarity(data [][]float64, labels []int, k int) (float64, error) {
 		os += nc / n * meanNormSq
 	}
 	return os, nil
-}
-
-// Silhouette returns the mean silhouette coefficient over (a sample
-// of) the points: (b-a)/max(a,b) where a is the mean intra-cluster
-// distance and b the mean distance to the nearest other cluster.
-// sample <= 0 evaluates every point. Clusters with one member score 0.
-func Silhouette(data [][]float64, labels []int, k int, sample int, seed int64) (float64, error) {
-	n := len(data)
-	if n == 0 {
-		return 0, fmt.Errorf("eval: no data")
-	}
-	if n != len(labels) {
-		return 0, fmt.Errorf("eval: %d points but %d labels", n, len(labels))
-	}
-	sizes := make([]int, k)
-	for _, c := range labels {
-		if c < 0 || c >= k {
-			return 0, fmt.Errorf("eval: label %d out of range [0,%d)", c, k)
-		}
-		sizes[c]++
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	if sample > 0 && sample < n {
-		rng := rand.New(rand.NewSource(seed))
-		rng.Shuffle(n, func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		idx = idx[:sample]
-	}
-
-	total := 0.0
-	for _, i := range idx {
-		ci := labels[i]
-		if sizes[ci] < 2 {
-			continue // silhouette of singleton defined as 0
-		}
-		sumTo := make([]float64, k)
-		for j, xj := range data {
-			if j == i {
-				continue
-			}
-			sumTo[labels[j]] += vec.Euclidean(data[i], xj)
-		}
-		a := sumTo[ci] / float64(sizes[ci]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == ci || sizes[c] == 0 {
-				continue
-			}
-			if m := sumTo[c] / float64(sizes[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue // only one non-empty cluster
-		}
-		if m := math.Max(a, b); m > 0 {
-			total += (b - a) / m
-		}
-	}
-	return total / float64(len(idx)), nil
 }

@@ -8,24 +8,6 @@ import (
 	"adahealth/internal/classify"
 )
 
-// KFold partitions indices 0..n-1 into k shuffled folds whose sizes
-// differ by at most one.
-func KFold(n, k int, seed int64) ([][]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("eval: k-fold needs k >= 2, got %d", k)
-	}
-	if n < k {
-		return nil, fmt.Errorf("eval: %d samples cannot fill %d folds", n, k)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	folds := make([][]int, k)
-	for i, p := range perm {
-		folds[i%k] = append(folds[i%k], p)
-	}
-	return folds, nil
-}
-
 // StratifiedKFold partitions indices into k folds preserving the class
 // proportions of y as closely as possible.
 func StratifiedKFold(y []int, k int, seed int64) ([][]int, error) {

@@ -7,42 +7,6 @@ import (
 	"adahealth/internal/classify"
 )
 
-func TestKFoldPartition(t *testing.T) {
-	folds, err := KFold(103, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 10 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		if len(f) < 10 || len(f) > 11 {
-			t.Errorf("fold size = %d, want 10 or 11", len(f))
-		}
-		for _, i := range f {
-			seen[i]++
-		}
-	}
-	if len(seen) != 103 {
-		t.Errorf("covered %d indices, want 103", len(seen))
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Errorf("index %d appears %d times", i, n)
-		}
-	}
-}
-
-func TestKFoldErrors(t *testing.T) {
-	if _, err := KFold(10, 1, 0); err == nil {
-		t.Error("accepted k=1")
-	}
-	if _, err := KFold(3, 5, 0); err == nil {
-		t.Error("accepted n < k")
-	}
-}
-
 func TestStratifiedKFoldPreservesProportions(t *testing.T) {
 	// 80/20 class balance across 10 folds of 10.
 	y := make([]int, 100)

@@ -1,10 +1,10 @@
 // Package eval implements the interestingness and quality metrics that
-// drive ADA-HEALTH's data-analytics optimization: the SSE and overall
-// similarity clustering indexes, classification metrics (accuracy,
-// macro precision/recall/F1) with stratified k-fold cross-validation
-// for the robustness assessment of cluster sets, silhouette and
-// Davies-Bouldin scores, and the purity/ARI/NMI agreement scores for
-// comparing a clustering with reference labels.
+// drive ADA-HEALTH's data-analytics optimization: the overall
+// similarity clustering index (the SSE comes with each K-means fit),
+// classification metrics (accuracy, macro precision/recall/F1) with
+// stratified k-fold cross-validation for the robustness assessment of
+// cluster sets, and the purity/ARI/NMI agreement scores for comparing
+// a clustering with reference labels.
 package eval
 
 import (

@@ -3,8 +3,6 @@ package fpm
 import (
 	"fmt"
 	"sort"
-
-	"adahealth/internal/vec"
 )
 
 // Transactions is a shared, integer-encoded transaction database: the
@@ -74,60 +72,6 @@ func NewTransactions(txs [][]string) *Transactions {
 		t.ptr = append(t.ptr, len(t.items))
 	}
 	return t
-}
-
-// TransactionsFromCSR builds patient-level baskets straight from a CSR
-// matrix (e.g. the cached vsm.Matrix.Sparse view): one basket per row,
-// containing the feature names of the row's nonzero columns. No dense
-// rows or string baskets are materialized in between — the CSR's
-// column indices are translated to dictionary ids in one pass.
-func TransactionsFromCSR(m *vec.CSRMatrix, features []string) (*Transactions, error) {
-	if m == nil {
-		return nil, fmt.Errorf("fpm: nil CSR matrix")
-	}
-	if len(features) != m.NumCols() {
-		return nil, fmt.Errorf("fpm: %d feature names for %d CSR columns",
-			len(features), m.NumCols())
-	}
-	// Dictionary in lexicographic order; colToID maps CSR columns onto
-	// dictionary ids.
-	dict := append([]string(nil), features...)
-	sort.Strings(dict)
-	nameToID := make(map[string]int32, len(dict))
-	for id, it := range dict {
-		if _, dup := nameToID[it]; dup {
-			return nil, fmt.Errorf("fpm: duplicate feature name %q", it)
-		}
-		nameToID[it] = int32(id)
-	}
-	colToID := make([]int32, len(features))
-	for col, name := range features {
-		colToID[col] = nameToID[name]
-	}
-
-	n := m.NumRows()
-	t := &Transactions{
-		dict:  dict,
-		ptr:   make([]int, 1, n+1),
-		items: make([]int32, 0, len(m.Values)),
-		freq:  make([]int, len(dict)),
-	}
-	ids := make([]int32, 0, 32)
-	for i := 0; i < n; i++ {
-		_, cols := m.RowView(i)
-		ids = ids[:0]
-		for _, c := range cols {
-			ids = append(ids, colToID[c])
-		}
-		// Column order is ascending but dictionary order may differ.
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			t.freq[id]++
-		}
-		t.items = append(t.items, ids...)
-		t.ptr = append(t.ptr, len(t.items))
-	}
-	return t, nil
 }
 
 // NumTx reports the number of transactions.

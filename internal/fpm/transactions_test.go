@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"adahealth/internal/vec"
 )
 
 // randomBaskets generates unnormalized baskets (duplicates, empties)
@@ -86,68 +84,6 @@ func TestTransactionsEncoding(t *testing.T) {
 	}
 	if tr.freq[1] != 2 { // "c" appears in two baskets
 		t.Errorf("freq[c] = %d, want 2", tr.freq[1])
-	}
-}
-
-// TestTransactionsFromCSRMatchesDenseBaskets checks the CSR-fed path:
-// baskets derived from the sparse view must mine identically to
-// baskets materialized from the dense rows.
-func TestTransactionsFromCSRMatchesDenseBaskets(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	// Feature names deliberately NOT in column order, so the
-	// column→dictionary-id remapping is exercised.
-	features := []string{"EXM9", "EXM1", "EXM5", "EXM3", "EXM7", "EXM0"}
-	rows := make([][]float64, 50)
-	for i := range rows {
-		row := make([]float64, len(features))
-		for j := range row {
-			if rng.Intn(3) == 0 {
-				row[j] = float64(1 + rng.Intn(4))
-			}
-		}
-		rows[i] = row
-	}
-	csr := vec.NewCSRFromDense(rows)
-	fromCSR, err := TransactionsFromCSR(csr, features)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	baskets := make([][]string, len(rows))
-	for i, row := range rows {
-		for j, v := range row {
-			if v != 0 {
-				baskets[i] = append(baskets[i], features[j])
-			}
-		}
-	}
-	ref := NewTransactions(baskets)
-
-	for _, supp := range []int{2, 5, 10} {
-		got, err := fromCSR.FPGrowth(supp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.FPGrowth(supp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("supp %d: CSR-fed mining differs from dense baskets", supp)
-		}
-	}
-}
-
-func TestTransactionsFromCSRErrors(t *testing.T) {
-	if _, err := TransactionsFromCSR(nil, nil); err == nil {
-		t.Error("accepted nil matrix")
-	}
-	csr := vec.NewCSRFromDense([][]float64{{1, 0}, {0, 1}})
-	if _, err := TransactionsFromCSR(csr, []string{"only-one"}); err == nil {
-		t.Error("accepted mismatched feature names")
-	}
-	if _, err := TransactionsFromCSR(csr, []string{"dup", "dup"}); err == nil {
-		t.Error("accepted duplicate feature names")
 	}
 }
 

@@ -4,23 +4,19 @@
 // as the quality of the extracted knowledge is close enough to what
 // the full data would yield.
 //
-// Two strategies are provided, mirroring Section III of the paper:
-//
-//   - Horizontal: the preliminary implementation of Section IV-B —
-//     incremental subsets of examination *types* picked in decreasing
-//     frequency order (reducing the feature space while retaining all
-//     patients). Quality is the overall-similarity index, and the
-//     smallest subset within a tolerance (5% in the paper) of the
-//     full-data value is selected.
-//   - Vertical: incremental subsets of *patients* (rows), for when the
-//     input cardinality, not the dimensionality, is the bottleneck.
+// The strategy is the paper's horizontal one, the preliminary
+// implementation of Section IV-B: incremental subsets of examination
+// *types* picked in decreasing frequency order (reducing the feature
+// space while retaining all patients). Quality is the
+// overall-similarity index, and the smallest subset within a tolerance
+// (5% in the paper) of the full-data value is selected. Section III's
+// vertical strategy (subsets of patients) is not implemented.
 package partial
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"adahealth/internal/cluster"
 	"adahealth/internal/eval"
@@ -30,9 +26,9 @@ import (
 
 // Config controls a partial-mining run.
 type Config struct {
-	// Fractions are the increasing data portions to probe. For the
-	// horizontal strategy they are fractions of exam *types* (the
-	// paper probes 0.20, 0.40 and 1.00); the last fraction must be 1.
+	// Fractions are the increasing portions of exam *types* to probe
+	// (the paper probes 0.20, 0.40 and 1.00); the last fraction must
+	// be 1.
 	Fractions []float64
 	// Ks are the cluster counts the probe runs are evaluated at; the
 	// paper's conclusion holds "regardless of the number of clusters".
@@ -89,14 +85,13 @@ func (c Config) Validate() error {
 
 // Step reports one probe of the incremental analysis.
 type Step struct {
-	// Fraction of the probed dimension (exam types or patients).
+	// Fraction of the exam types probed.
 	Fraction float64 `json:"fraction"`
 	// NumFeatures / NumRows actually used.
 	NumFeatures int `json:"num_features"`
 	NumRows     int `json:"num_rows"`
 	// RowCoverage is the fraction of raw records covered (the paper's
-	// "percentage of the original row data"); for the vertical
-	// strategy it is the fraction of patients.
+	// "percentage of the original row data").
 	RowCoverage float64 `json:"row_coverage"`
 	// SimilarityByK maps each probed K to the overall similarity of
 	// the clustering *derived from this subset*, evaluated in the
@@ -173,64 +168,10 @@ func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, err
 	return res, nil
 }
 
-// RunVertical performs the same adaptive loop over increasing patient
-// subsets (all exam types retained). Rows are sampled without
-// replacement with a seeded shuffle so each step extends the previous.
-func RunVertical(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	res := &Result{Strategy: "vertical", Tolerance: cfg.Tolerance}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	perm := rng.Perm(m.NumRows())
-
-	for _, frac := range cfg.Fractions {
-		nr := int(math.Round(frac * float64(m.NumRows())))
-		if nr < 1 {
-			nr = 1
-		}
-		rows := make([][]float64, nr)
-		for i := 0; i < nr; i++ {
-			rows[i] = m.Rows[perm[i]]
-		}
-		step := Step{
-			Fraction:      frac,
-			NumFeatures:   m.NumFeatures(),
-			NumRows:       nr,
-			RowCoverage:   float64(nr) / float64(m.NumRows()),
-			SimilarityByK: map[int]float64{},
-		}
-		// One CSR build per patient subset, shared by all probed Ks.
-		csr := cluster.AutoCSR(rows)
-		for _, k := range cfg.Ks {
-			if k > nr {
-				continue // cannot form k clusters from fewer rows
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			os, err := probeSimilarity(ctx, csr, rows, m.Rows, k, cfg)
-			if err != nil {
-				return nil, probeErr(ctx, frac, k, err)
-			}
-			step.SimilarityByK[k] = os
-		}
-		res.Steps = append(res.Steps, step)
-	}
-	finishSelection(res, cfg)
-	return res, nil
-}
-
 // probeSimilarity clusters subsetRows into k groups and evaluates the
-// induced labelling on evalRows (the full data).
-//
-// For the horizontal strategy the subset has the same patients in a
-// reduced feature space: each patient keeps their subset-derived
-// label. For the vertical strategy the subset is a sample of patients
-// in the full space: the remaining patients are assigned to the
-// nearest learned centroid, the standard out-of-sample extension.
+// induced labelling on evalRows (the full data): the subset has the
+// same patients in a reduced feature space, so each patient keeps
+// their subset-derived label.
 func probeSimilarity(ctx context.Context, csr *vec.CSRMatrix, subsetRows, evalRows [][]float64, k int, cfg Config) (float64, error) {
 	opts := cfg.Cluster
 	opts.K = k
@@ -239,16 +180,7 @@ func probeSimilarity(ctx context.Context, csr *vec.CSRMatrix, subsetRows, evalRo
 	if err != nil {
 		return 0, err
 	}
-	var labels []int
-	if len(subsetRows) == len(evalRows) {
-		labels = cr.Labels
-	} else {
-		labels = make([]int, len(evalRows))
-		for i, x := range evalRows {
-			labels[i], _ = vec.ArgMinDistance(x, cr.Centroids)
-		}
-	}
-	return eval.OverallSimilarity(evalRows, labels, cr.K)
+	return eval.OverallSimilarity(evalRows, cr.Labels, cr.K)
 }
 
 // probeErr keeps cancellation errors unwrapped (so errors.Is matches

@@ -139,46 +139,6 @@ func TestHorizontalSimilarityDecreasesWithFewerExams(t *testing.T) {
 	}
 }
 
-func TestVertical(t *testing.T) {
-	m := smallMatrix(t)
-	res, err := RunVertical(context.Background(), m, Config{Seed: 1, Fractions: []float64{0.3, 0.6, 1}, Ks: []int{4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Strategy != "vertical" {
-		t.Errorf("strategy = %q", res.Strategy)
-	}
-	if len(res.Steps) != 3 {
-		t.Fatalf("steps = %d", len(res.Steps))
-	}
-	for i, s := range res.Steps {
-		if s.NumFeatures != m.NumFeatures() {
-			t.Errorf("step %d dropped features", i)
-		}
-	}
-	if res.Steps[0].NumRows >= res.Steps[2].NumRows {
-		t.Errorf("rows not increasing: %d vs %d", res.Steps[0].NumRows, res.Steps[2].NumRows)
-	}
-	if res.Steps[2].NumRows != m.NumRows() {
-		t.Errorf("reference step rows = %d, want all %d", res.Steps[2].NumRows, m.NumRows())
-	}
-}
-
-func TestVerticalSkipsOversizedK(t *testing.T) {
-	m := smallMatrix(t)
-	// First fraction yields very few rows; K larger than that row
-	// count must be skipped, not error.
-	res, err := RunVertical(context.Background(), m, Config{
-		Seed: 1, Fractions: []float64{0.005, 1}, Ks: []int{2, 500},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Steps[0].SimilarityByK[500]; ok && res.Steps[0].NumRows < 500 {
-		t.Error("oversized K probed on undersized row subset")
-	}
-}
-
 func TestDeterministicForSeed(t *testing.T) {
 	m := smallMatrix(t)
 	a, err := RunHorizontal(context.Background(), m, Config{Seed: 5})

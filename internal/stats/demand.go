@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"sort"
 	"time"
 
 	"adahealth/internal/dataset"
@@ -37,69 +36,4 @@ func MonthlyDemand(l *dataset.Log) []DemandPoint {
 		cur = cur.AddDate(0, 1, 0)
 	}
 	return out
-}
-
-// DemandByCategory aggregates monthly volume per exam category,
-// giving the per-department view a hospital administrator plans with.
-func DemandByCategory(l *dataset.Log) map[string][]DemandPoint {
-	min, max, ok := l.TimeSpan()
-	if !ok {
-		return nil
-	}
-	catOf := map[string]string{}
-	for _, e := range l.Exams {
-		catOf[e.Code] = e.Category
-	}
-	type key struct {
-		cat  string
-		y, m int
-	}
-	counts := map[key]int{}
-	cats := map[string]bool{}
-	for _, r := range l.Records {
-		c := catOf[r.ExamCode]
-		cats[c] = true
-		counts[key{c, r.Date.Year(), int(r.Date.Month())}]++
-	}
-	catList := make([]string, 0, len(cats))
-	for c := range cats {
-		catList = append(catList, c)
-	}
-	sort.Strings(catList)
-
-	out := map[string][]DemandPoint{}
-	for _, c := range catList {
-		cur := time.Date(min.Year(), min.Month(), 1, 0, 0, 0, 0, time.UTC)
-		end := time.Date(max.Year(), max.Month(), 1, 0, 0, 0, 0, time.UTC)
-		for !cur.After(end) {
-			out[c] = append(out[c], DemandPoint{
-				Year:  cur.Year(),
-				Month: int(cur.Month()),
-				Count: counts[key{c, cur.Year(), int(cur.Month())}],
-			})
-			cur = cur.AddDate(0, 1, 0)
-		}
-	}
-	return out
-}
-
-// PeakToMeanRatio summarizes the burstiness of a demand series: max
-// monthly volume over mean monthly volume (1 = perfectly flat). It
-// returns 0 for an empty series.
-func PeakToMeanRatio(series []DemandPoint) float64 {
-	if len(series) == 0 {
-		return 0
-	}
-	sum, max := 0, 0
-	for _, p := range series {
-		sum += p.Count
-		if p.Count > max {
-			max = p.Count
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(series))
-	return float64(max) / mean
 }

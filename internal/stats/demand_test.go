@@ -58,35 +58,3 @@ func TestMonthlyDemandEmptyLog(t *testing.T) {
 		t.Errorf("empty log demand = %v", got)
 	}
 }
-
-func TestDemandByCategory(t *testing.T) {
-	byCat := DemandByCategory(demandLog(t))
-	if len(byCat) != 2 {
-		t.Fatalf("categories = %d, want 2", len(byCat))
-	}
-	cardio := byCat["cardio"]
-	if len(cardio) != 3 || cardio[0].Count != 2 || cardio[2].Count != 1 {
-		t.Errorf("cardio series = %+v", cardio)
-	}
-	renal := byCat["renal"]
-	if renal[0].Count != 1 || renal[1].Count != 0 || renal[2].Count != 0 {
-		t.Errorf("renal series = %+v", renal)
-	}
-}
-
-func TestPeakToMeanRatio(t *testing.T) {
-	flat := []DemandPoint{{Count: 5}, {Count: 5}, {Count: 5}}
-	if got := PeakToMeanRatio(flat); got != 1 {
-		t.Errorf("flat ratio = %v, want 1", got)
-	}
-	bursty := []DemandPoint{{Count: 0}, {Count: 0}, {Count: 30}}
-	if got := PeakToMeanRatio(bursty); got != 3 {
-		t.Errorf("bursty ratio = %v, want 3", got)
-	}
-	if got := PeakToMeanRatio(nil); got != 0 {
-		t.Errorf("empty ratio = %v", got)
-	}
-	if got := PeakToMeanRatio([]DemandPoint{{Count: 0}}); got != 0 {
-		t.Errorf("all-zero ratio = %v", got)
-	}
-}

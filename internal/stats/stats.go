@@ -173,65 +173,3 @@ func TopShareByCount(counts []int, k int) float64 {
 	}
 	return float64(top) / float64(total)
 }
-
-// Sparsity returns the fraction of zero entries in a dense matrix. A
-// matrix with no cells has sparsity 0.
-func Sparsity(rows [][]float64) float64 {
-	cells, zeros := 0, 0
-	for _, r := range rows {
-		cells += len(r)
-		for _, v := range r {
-			if v == 0 {
-				zeros++
-			}
-		}
-	}
-	if cells == 0 {
-		return 0
-	}
-	return float64(zeros) / float64(cells)
-}
-
-// Histogram counts xs into nbins equal-width bins over [min,max].
-// Edges returns the nbins+1 bin boundaries.
-type Histogram struct {
-	Counts []int
-	Edges  []float64
-}
-
-// NewHistogram builds a histogram with nbins equal-width bins spanning
-// the sample range. Returns an empty histogram for empty input or
-// nbins < 1.
-func NewHistogram(xs []float64, nbins int) Histogram {
-	if len(xs) == 0 || nbins < 1 {
-		return Histogram{}
-	}
-	min, max := xs[0], xs[0]
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	h := Histogram{Counts: make([]int, nbins), Edges: make([]float64, nbins+1)}
-	width := (max - min) / float64(nbins)
-	if width == 0 {
-		width = 1
-	}
-	for i := range h.Edges {
-		h.Edges[i] = min + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - min) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		h.Counts[b]++
-	}
-	return h
-}

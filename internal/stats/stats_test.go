@@ -114,47 +114,6 @@ func TestTopShareByCount(t *testing.T) {
 	}
 }
 
-func TestSparsity(t *testing.T) {
-	m := [][]float64{{0, 1}, {0, 0}}
-	if got := Sparsity(m); !almostEqual(got, 0.75, 1e-12) {
-		t.Errorf("Sparsity = %v, want 0.75", got)
-	}
-	if got := Sparsity(nil); got != 0 {
-		t.Errorf("empty Sparsity = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(h.Counts) != 5 {
-		t.Fatalf("bins = %d", len(h.Counts))
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d, want 10", total)
-	}
-	if h.Edges[0] != 0 || !almostEqual(h.Edges[5], 9, 1e-9) {
-		t.Errorf("edges = %v", h.Edges)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{3, 3, 3}, 4)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("constant-sample histogram total = %d, want 3", total)
-	}
-	if h2 := NewHistogram(nil, 3); h2.Counts != nil {
-		t.Errorf("empty histogram = %+v", h2)
-	}
-}
-
 // Property: entropy is maximal for uniform distributions.
 func TestEntropyUniformIsMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

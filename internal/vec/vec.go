@@ -4,67 +4,10 @@
 // Vector Space Model matrices produced from medical examination logs.
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Norm returns the Euclidean (L2) norm of a.
 func Norm(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
-// NormL1 returns the Manhattan (L1) norm of a.
-func NormL1(a []float64) float64 {
-	s := 0.0
-	for _, x := range a {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// Normalize scales a to unit L2 norm in place and returns it. The zero
-// vector is returned unchanged.
-func Normalize(a []float64) []float64 {
-	n := Norm(a)
-	if n == 0 {
-		return a
-	}
-	for i := range a {
-		a[i] /= n
-	}
-	return a
-}
-
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Add length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Scale multiplies a by s in place and returns it.
-func Scale(a []float64, s float64) []float64 {
-	for i := range a {
-		a[i] *= s
-	}
-	return a
-}
 
 // Clone returns a copy of a.
 func Clone(a []float64) []float64 {
@@ -76,55 +19,6 @@ func Clone(a []float64) []float64 {
 // Euclidean returns ||a-b||.
 func Euclidean(a, b []float64) float64 { return math.Sqrt(SquaredEuclidean(a, b)) }
 
-// Manhattan returns the L1 distance between a and b.
-func Manhattan(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Manhattan length mismatch %d vs %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i, x := range a {
-		s += math.Abs(x - b[i])
-	}
-	return s
-}
-
-// CosineSimilarity returns the cosine of the angle between a and b, in
-// [-1, 1]. The similarity with a zero vector is defined as 0.
-func CosineSimilarity(a, b []float64) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	s := Dot(a, b) / (na * nb)
-	if s > 1 {
-		s = 1
-	}
-	if s < -1 {
-		s = -1
-	}
-	return s
-}
-
-// CosineDistance returns 1 - CosineSimilarity(a, b), in [0, 2].
-func CosineDistance(a, b []float64) float64 { return 1 - CosineSimilarity(a, b) }
-
-// DistanceFunc maps two equal-length vectors to a non-negative
-// dissimilarity.
-type DistanceFunc func(a, b []float64) float64
-
-// Mean returns the centroid of rows. It panics on an empty input or
-// ragged rows.
-func Mean(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		panic("vec: Mean of no rows")
-	}
-	out := make([]float64, len(rows[0]))
-	for _, r := range rows {
-		AddTo(out, r)
-	}
-	return Scale(out, 1/float64(len(rows)))
-}
-
 // ArgMinDistance returns the index of the centroid nearest to x under
 // squared Euclidean distance, and that distance.
 func ArgMinDistance(x []float64, centroids [][]float64) (int, float64) {
@@ -135,77 +29,4 @@ func ArgMinDistance(x []float64, centroids [][]float64) (int, float64) {
 		}
 	}
 	return best, bestD
-}
-
-// Sparse is a sparse vector: sorted unique indices with their values.
-type Sparse struct {
-	Len     int // logical (dense) length
-	Indices []int
-	Values  []float64
-}
-
-// NewSparse converts a dense vector to sparse form.
-func NewSparse(dense []float64) Sparse {
-	s := Sparse{Len: len(dense)}
-	for i, v := range dense {
-		if v != 0 {
-			s.Indices = append(s.Indices, i)
-			s.Values = append(s.Values, v)
-		}
-	}
-	return s
-}
-
-// Dense materializes the sparse vector.
-func (s Sparse) Dense() []float64 {
-	out := make([]float64, s.Len)
-	for k, i := range s.Indices {
-		out[i] = s.Values[k]
-	}
-	return out
-}
-
-// NNZ reports the number of stored non-zero entries.
-func (s Sparse) NNZ() int { return len(s.Indices) }
-
-// Dot returns the inner product with a dense vector of matching
-// logical length.
-func (s Sparse) Dot(dense []float64) float64 {
-	if s.Len != len(dense) {
-		panic(fmt.Sprintf("vec: Sparse.Dot length mismatch %d vs %d", s.Len, len(dense)))
-	}
-	sum := 0.0
-	for k, i := range s.Indices {
-		sum += s.Values[k] * dense[i]
-	}
-	return sum
-}
-
-// Norm returns the Euclidean norm of the sparse vector.
-func (s Sparse) Norm() float64 {
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// SquaredEuclideanSparse computes ||s - dense||² without materializing s.
-func (s Sparse) SquaredEuclideanSparse(dense []float64) float64 {
-	if s.Len != len(dense) {
-		panic(fmt.Sprintf("vec: length mismatch %d vs %d", s.Len, len(dense)))
-	}
-	// ||s-d||² = ||d||² + Σ_nz (s_i-d_i)² - d_i².
-	sum := 0.0
-	for _, v := range dense {
-		sum += v * v
-	}
-	for k, i := range s.Indices {
-		d := s.Values[k] - dense[i]
-		sum += d*d - dense[i]*dense[i]
-	}
-	if sum < 0 {
-		sum = 0 // guard against floating point cancellation
-	}
-	return sum
 }

@@ -2,7 +2,6 @@ package vec
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -31,35 +30,15 @@ func TestNorms(t *testing.T) {
 	if got := Norm(v); got != 5 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	if got := NormL1([]float64{-3, 4}); got != 7 {
-		t.Errorf("NormL1 = %v, want 7", got)
-	}
 }
 
-func TestNormalize(t *testing.T) {
-	v := Normalize([]float64{3, 4})
-	if !almostEqual(Norm(v), 1) {
-		t.Errorf("normalized norm = %v, want 1", Norm(v))
-	}
-	z := Normalize([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Errorf("zero vector changed: %v", z)
-	}
-}
-
-func TestAddSubScaleClone(t *testing.T) {
-	a, b := []float64{1, 2}, []float64{3, 5}
-	if s := Add(a, b); s[0] != 4 || s[1] != 7 {
-		t.Errorf("Add = %v", s)
-	}
-	if d := Sub(b, a); d[0] != 2 || d[1] != 3 {
-		t.Errorf("Sub = %v", d)
-	}
+func TestClone(t *testing.T) {
+	a := []float64{1, 2}
 	c := Clone(a)
-	Scale(c, 2)
-	if c[0] != 2 || c[1] != 4 {
-		t.Errorf("Scale = %v", c)
+	if c[0] != 1 || c[1] != 2 {
+		t.Errorf("Clone = %v", c)
 	}
+	c[0] = 9
 	if a[0] != 1 {
 		t.Error("Clone did not copy")
 	}
@@ -72,31 +51,6 @@ func TestDistances(t *testing.T) {
 	}
 	if got := Euclidean(a, b); got != 5 {
 		t.Errorf("Euclidean = %v, want 5", got)
-	}
-	if got := Manhattan(a, b); got != 7 {
-		t.Errorf("Manhattan = %v, want 7", got)
-	}
-}
-
-func TestCosine(t *testing.T) {
-	if got := CosineSimilarity([]float64{1, 0}, []float64{0, 1}); !almostEqual(got, 0) {
-		t.Errorf("orthogonal cos = %v, want 0", got)
-	}
-	if got := CosineSimilarity([]float64{2, 2}, []float64{1, 1}); !almostEqual(got, 1) {
-		t.Errorf("parallel cos = %v, want 1", got)
-	}
-	if got := CosineSimilarity([]float64{1, 1}, []float64{0, 0}); got != 0 {
-		t.Errorf("zero-vector cos = %v, want 0", got)
-	}
-	if got := CosineDistance([]float64{1, 0}, []float64{-1, 0}); !almostEqual(got, 2) {
-		t.Errorf("opposite cosine distance = %v, want 2", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	m := Mean([][]float64{{1, 2}, {3, 4}})
-	if m[0] != 2 || m[1] != 3 {
-		t.Errorf("Mean = %v, want [2 3]", m)
 	}
 }
 
@@ -111,47 +65,6 @@ func TestArgMinDistance(t *testing.T) {
 	}
 }
 
-func TestSparseRoundTrip(t *testing.T) {
-	dense := []float64{0, 1.5, 0, 0, -2, 0}
-	s := NewSparse(dense)
-	if s.NNZ() != 2 {
-		t.Errorf("NNZ = %d, want 2", s.NNZ())
-	}
-	back := s.Dense()
-	for i := range dense {
-		if back[i] != dense[i] {
-			t.Fatalf("Dense()[%d] = %v, want %v", i, back[i], dense[i])
-		}
-	}
-}
-
-func TestSparseDotMatchesDense(t *testing.T) {
-	dense := []float64{0, 1, 0, 3}
-	other := []float64{5, 6, 7, 8}
-	s := NewSparse(dense)
-	if got, want := s.Dot(other), Dot(dense, other); !almostEqual(got, want) {
-		t.Errorf("sparse dot = %v, dense dot = %v", got, want)
-	}
-}
-
-// Property: cosine similarity is symmetric and bounded. Inputs are
-// mapped into a finite, non-overflowing range: the identity only holds
-// where the arithmetic itself cannot overflow.
-func TestCosinePropertySymmetricBounded(t *testing.T) {
-	squash := func(v float64) float64 { return math.Atan(v) * 10 }
-	f := func(a, b [8]float64) bool {
-		x, y := make([]float64, 8), make([]float64, 8)
-		for i := range x {
-			x[i], y[i] = squash(a[i]), squash(b[i])
-		}
-		s1, s2 := CosineSimilarity(x, y), CosineSimilarity(y, x)
-		return almostEqual(s1, s2) && s1 >= -1 && s1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: triangle inequality for the Euclidean distance.
 func TestEuclideanTriangleInequality(t *testing.T) {
 	f := func(a, b, c [6]float64) bool {
@@ -162,28 +75,6 @@ func TestEuclideanTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: sparse squared distance equals dense squared distance.
-func TestSparseSquaredEuclideanProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(20)
-		dense := make([]float64, n)
-		other := make([]float64, n)
-		for i := range dense {
-			if rng.Float64() < 0.6 { // sparse-ish
-				dense[i] = rng.NormFloat64()
-			}
-			other[i] = rng.NormFloat64()
-		}
-		s := NewSparse(dense)
-		got := s.SquaredEuclideanSparse(other)
-		want := SquaredEuclidean(dense, other)
-		if math.Abs(got-want) > 1e-6*(1+want) {
-			t.Fatalf("trial %d: sparse %v vs dense %v", trial, got, want)
-		}
 	}
 }
 
@@ -202,13 +93,4 @@ func TestNormZeroIffZero(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMeanPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Mean of no rows did not panic")
-		}
-	}()
-	Mean(nil)
 }
