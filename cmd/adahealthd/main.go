@@ -83,60 +83,53 @@ func newServer(addr string, handler http.Handler) *http.Server {
 	}
 }
 
-func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "HTTP listen address")
-		kdbDir  = flag.String("kdb-dir", "", "knowledge-base persistence directory (WAL + snapshots, crash-recoverable; default: in-memory)")
-		kdbOld  = flag.String("kdb", "", "alias of -kdb-dir (kept for compatibility)")
-		seed    = flag.Int64("seed", 1, "base analysis seed (jobs may override per submission)")
-		workers = flag.Int("workers", 0, "max concurrently running jobs (0 = service default)")
-		queue   = flag.Int("queue", 0, "admission queue depth before 429s (0 = service default)")
-		jobs    = flag.Int("jobs", 0, "stage pool size shared by all running jobs (0 = all cores)")
-		algo    = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd (jobs may override per submission)")
-		drain   = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
-		stageTO = flag.Duration("stage-timeout", 0, "per-stage deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
-		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profile the daemon under cmd/loadgen traffic)")
-		driftTh = flag.Float64("drift-threshold", 0, "live-dataset descriptor drift that triggers a full warm-started re-analysis (0 = default 0.15)")
-		traces  = flag.Int("max-stage-traces", 0, "newest stage traces kept per dataset at flush time (0 = default 256, negative = unbounded)")
-		follow  = flag.String("follow", "", "run as a warm-standby follower of this leader URL (requires -kdb-dir; serves the knowledge read endpoints only)")
-		fallbk  = flag.String("read-fallback", "", "warm-standby URL the knowledge read endpoints route to while the K-DB breaker is degraded")
-	)
-	flag.Parse()
+// options are the leader role's flags.
+type options struct {
+	kdbDir       string
+	seed         int64
+	workers      int
+	queue        int
+	jobs         int
+	algorithm    cluster.Algorithm
+	stageTimeout time.Duration
+	pprof        bool
+	drift        float64
+	traces       int
+	readFallback string
+}
 
-	dir := *kdbDir
-	if dir == "" {
-		dir = *kdbOld
-	}
-	if *follow != "" {
-		runFollower(*addr, dir, *follow, *drain)
-		return
-	}
+// leader is the wired leader role: the service and the handler tree
+// serving it.
+type leader struct {
+	svc     *service.Service
+	handler http.Handler
+	// repl is the WAL-shipping endpoint set; nil for an in-memory K-DB.
+	repl *repl.Leader
+}
 
-	alg, err := cluster.ParseAlgorithm(*algo)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
-		os.Exit(2)
-	}
+// newLeader builds the service, its stream manager and the handler
+// tree over them: the job and live-dataset API, the replication
+// endpoints when the K-DB is durable, and pprof when asked for.
+func newLeader(o options) (*leader, error) {
 	engineCfg := core.Config{
-		KDBDir:       dir,
-		Seed:         *seed,
-		Parallelism:  *jobs,
-		StageTimeout: *stageTO,
+		KDBDir:       o.kdbDir,
+		Seed:         o.seed,
+		Parallelism:  o.jobs,
+		StageTimeout: o.stageTimeout,
 	}
-	engineCfg.Sweep.Cluster.Algorithm = alg
-	engineCfg.Partial.Cluster.Algorithm = alg
+	engineCfg.Sweep.Cluster.Algorithm = o.algorithm
+	engineCfg.Partial.Cluster.Algorithm = o.algorithm
 
 	svc, err := service.New(service.Config{
 		Engine:     engineCfg,
-		Workers:    *workers,
-		QueueDepth: *queue,
+		Workers:    o.workers,
+		QueueDepth: o.queue,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	if *traces != 0 {
-		svc.Engine().KDB().SetStageTraceLimit(*traces)
+	if o.traces != 0 {
+		svc.Engine().KDB().SetStageTraceLimit(o.traces)
 	}
 
 	// The streaming manager resumes any live datasets persisted in the
@@ -144,46 +137,86 @@ func main() {
 	// picks up every stream where the last acknowledged append left it.
 	mgr, err := stream.NewManager(stream.Config{
 		Service:        svc,
-		DriftThreshold: *driftTh,
+		DriftThreshold: o.drift,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
-		os.Exit(1)
+		_ = svc.Close()
+		return nil, err
 	}
 
-	handler := stream.HandlerOptions(svc, mgr, service.HandlerOptions{ReadFallback: *fallbk})
-	var leader *repl.Leader
-	if dir != "" {
+	l := &leader{svc: svc, handler: stream.HandlerOptions(svc, mgr, service.HandlerOptions{ReadFallback: o.readFallback})}
+	if o.kdbDir != "" {
 		// A durable K-DB can lead replication: mount the WAL-shipping
 		// endpoints followers bootstrap from and tail.
-		leader, err = repl.NewLeaderHandler(svc.Engine().KDB().Store(), repl.LeaderOptions{})
+		l.repl, err = repl.NewLeaderHandler(svc.Engine().KDB().Store(), repl.LeaderOptions{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
-			os.Exit(1)
+			_ = svc.Close()
+			return nil, err
 		}
 		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.Handle("/v1/replication/", leader)
-		handler = mux
+		mux.Handle("/", l.handler)
+		mux.Handle("/v1/replication/", l.repl)
+		l.handler = mux
 	}
-	if *pprofOn {
+	if o.pprof {
 		// The profiling surface rides on the API port behind an opt-in
 		// flag: `go tool pprof http://host:port/debug/pprof/profile`
 		// while loadgen drives traffic.
 		mux := http.NewServeMux()
-		mux.Handle("/", handler)
+		mux.Handle("/", l.handler)
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
+		l.handler = mux
 	}
-	srv := newServer(*addr, handler)
-	if leader != nil {
+	return l, nil
+}
+
+func main() {
+	var o options
+	addr := flag.String("addr", ":8080", "HTTP listen address")
+	flag.StringVar(&o.kdbDir, "kdb-dir", "", "knowledge-base persistence directory (WAL + snapshots, crash-recoverable; default: in-memory)")
+	kdbOld := flag.String("kdb", "", "alias of -kdb-dir (kept for compatibility)")
+	flag.Int64Var(&o.seed, "seed", 1, "base analysis seed (jobs may override per submission)")
+	flag.IntVar(&o.workers, "workers", 0, "max concurrently running jobs (0 = service default)")
+	flag.IntVar(&o.queue, "queue", 0, "admission queue depth before 429s (0 = service default)")
+	flag.IntVar(&o.jobs, "jobs", 0, "stage pool size shared by all running jobs (0 = all cores)")
+	algo := flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd (jobs may override per submission)")
+	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
+	flag.DurationVar(&o.stageTimeout, "stage-timeout", 0, "per-stage deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
+	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ (profile the daemon under cmd/loadgen traffic)")
+	flag.Float64Var(&o.drift, "drift-threshold", 0, "live-dataset descriptor drift that triggers a full warm-started re-analysis (0 = default 0.15)")
+	flag.IntVar(&o.traces, "max-stage-traces", 0, "newest stage traces kept per dataset at flush time (0 = default 256, negative = unbounded)")
+	follow := flag.String("follow", "", "run as a warm-standby follower of this leader URL (requires -kdb-dir; serves the knowledge read endpoints only)")
+	flag.StringVar(&o.readFallback, "read-fallback", "", "warm-standby URL the knowledge read endpoints route to while the K-DB breaker is degraded")
+	flag.Parse()
+
+	if o.kdbDir == "" {
+		o.kdbDir = *kdbOld
+	}
+	if *follow != "" {
+		runFollower(*addr, o.kdbDir, *follow, *drain)
+		return
+	}
+
+	var err error
+	if o.algorithm, err = cluster.ParseAlgorithm(*algo); err != nil {
+		fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
+		os.Exit(2)
+	}
+	l, err := newLeader(o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "adahealthd: %v\n", err)
+		os.Exit(1)
+	}
+	svc := l.svc
+	srv := newServer(*addr, l.handler)
+	if l.repl != nil {
 		// Shutdown waits for every response to finish, and a follower's
 		// WAL stream never finishes on its own.
-		srv.RegisterOnShutdown(leader.Close)
+		srv.RegisterOnShutdown(l.repl.Close)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

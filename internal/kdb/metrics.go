@@ -4,8 +4,9 @@ import "adahealth/internal/obs"
 
 // Circuit-breaker instruments on the default registry (see the
 // metric-name reference in package obs). A process holding several
-// K-DB handles (tests, loadgen -self) shares these series: the mode
-// gauge tracks the most recent transition, the counters aggregate.
+// K-DB handles (tests, the benchmark's leader and standby) shares
+// these series: the mode gauge tracks the most recent transition, the
+// counters aggregate.
 var (
 	breakerModeGauge = obs.Default().GaugeVec("kdb_breaker_mode",
 		"1 on the active circuit-breaker mode, 0 on the others.", "mode")

@@ -4,8 +4,9 @@
 // GET /metrics on both daemon roles. Instruments are cheap enough for
 // hot paths — a counter increment is one atomic add, a histogram
 // observation is a binary search plus two atomics — and registration
-// is idempotent so several services in one process (tests, loadgen
-// -self) share the Default registry without collisions.
+// is idempotent so several services in one process (tests, the
+// benchmark's in-process daemons) share the Default registry without
+// collisions.
 //
 // # Metric-name reference
 //
