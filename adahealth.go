@@ -54,7 +54,8 @@
 //
 // Either way the pipeline executes as a concurrent stage DAG:
 // independent stages (pattern mining, the K sweep, demand extraction,
-// ...) overlap on a bounded worker pool, Engine.AnalyzeContext threads
+// ...) overlap on a bounded pool of CPU slots that the sweep and
+// partial mining also fan their units out over, Engine.AnalyzeContext threads
 // cancellation through every compute kernel, Engine.AnalyzeMany
 // batches several logs over one shared pool, and Report.Stages carries
 // per-stage wall-time/allocation traces (also persisted in the K-DB).

@@ -8,7 +8,7 @@
 //	adahealth -data dir/                  # analyze CSVs written by datagen
 //	adahealth -kdb-dir kdbdir/ -top 15    # persist the K-DB (durable WAL), show 15 items
 //	adahealth -synthetic -timeout 90s     # bound the analysis wall-clock
-//	adahealth -synthetic -jobs 1          # run one stage at a time
+//	adahealth -synthetic -jobs 1          # one CPU slot: run everything one at a time
 //	adahealth -synthetic -trace out.json  # dump the stage schedule as JSON
 //	adahealth -synthetic -trace-html out.html  # render the schedule as an HTML Gantt view
 package main
@@ -37,7 +37,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for data generation and algorithms")
 		top       = flag.Int("top", 10, "number of ranked knowledge items to print")
 		timeout   = flag.Duration("timeout", 0, "abort the analysis after this duration (0 = no limit)")
-		jobs      = flag.Int("jobs", 0, "max concurrently running stages (0 = all cores, 1 = one at a time)")
+		jobs      = flag.Int("jobs", 0, "CPU slots shared by all jobs' stages and their fan-out (0 = all cores, 1 = one at a time)")
 		trace     = flag.String("trace", "", "write the stage schedule (Report.Stages) to this file as JSON")
 		traceHTML = flag.String("trace-html", "", "render the stage schedule to this file as a self-contained HTML Gantt view (same data as -trace)")
 		algorithm = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd")

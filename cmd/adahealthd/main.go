@@ -182,7 +182,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "base analysis seed (jobs may override per submission)")
 	flag.IntVar(&o.workers, "workers", 0, "max concurrently running jobs (0 = service default)")
 	flag.IntVar(&o.queue, "queue", 0, "admission queue depth before 429s (0 = service default)")
-	flag.IntVar(&o.jobs, "jobs", 0, "stage pool size shared by all running jobs (0 = all cores)")
+	flag.IntVar(&o.jobs, "jobs", 0, "CPU slots shared by all jobs' stages and their fan-out (0 = all cores)")
 	algo := flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd (jobs may override per submission)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
 	flag.DurationVar(&o.stageTimeout, "stage-timeout", 0, "per-stage deadline; a stage exceeding it fails its job, not the daemon (0 = none)")

@@ -12,15 +12,25 @@
 // The pipeline is an explicit stage DAG (see Stage): each stage
 // declares the state keys it consumes and produces, and a scheduler
 // topologically orders the stages and runs independent ones
-// concurrently on a bounded worker pool — pattern mining overlaps the
-// K-sweep, demand extraction overlaps clustering. Cancellation is
-// threaded through every compute kernel via context.Context, per-stage
-// wall-time and allocation metrics land in Report.Stages and the
-// K-DB's stage_traces collection, and AnalyzeMany batches several logs
-// over one shared pool. Each stage runs once, with panic isolation and
-// an optional deadline (Config.StageTimeout). The Report does not
-// depend on how stages interleave: Parallelism 1 runs them one at a
-// time and produces a bit-for-bit identical Report.
+// concurrently on a bounded pool of CPU slots (slots.Pool) — pattern
+// mining overlaps the K-sweep, demand extraction overlaps clustering.
+// The pool is the analysis's one CPU budget: a running stage holds one
+// slot, and the sweep and partial-mining stages fan their independent
+// units (one CV assessment per K, one probe per (fraction, K)) out over
+// whatever slots are idle right now, never waiting for one. A lone
+// analysis so keeps every core busy, and analyses sharing a pool
+// (AnalyzeMany, a job service) never compute on more goroutines than
+// it has slots.
+//
+// Cancellation is threaded through every compute kernel via
+// context.Context, per-stage wall-time and allocation metrics land in
+// Report.Stages and the K-DB's stage_traces collection, and AnalyzeMany
+// batches several logs over one shared pool. Each stage runs once, with
+// panic isolation (covering its fan-out units, whichever goroutine runs
+// them) and an optional deadline (Config.StageTimeout). The Report does
+// not depend on how stages interleave or how their units spread:
+// Parallelism 1 runs everything one unit at a time and produces a
+// bit-for-bit identical Report.
 package core
 
 import (
@@ -40,6 +50,7 @@ import (
 	"adahealth/internal/knowledge"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
+	"adahealth/internal/slots"
 	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
@@ -73,11 +84,12 @@ type Config struct {
 	KDBDir string
 	// Seed drives every stochastic component.
 	Seed int64
-	// Parallelism bounds how many stages run concurrently — one pool
-	// shared across all logs of an AnalyzeMany call (or all jobs of a
-	// service), so batch analysis does not oversubscribe the machine;
-	// 0 uses all cores (runtime.GOMAXPROCS(0)), 1 runs stages one at a
-	// time, negative is rejected by Validate.
+	// Parallelism sizes the CPU budget: how many stages, and units of
+	// their fan-out, run at once — one pool shared across all logs of
+	// an AnalyzeMany call (or all jobs of a service), so batch analysis
+	// does not oversubscribe the machine; 0 uses all cores
+	// (runtime.GOMAXPROCS(0)), 1 runs everything one at a time,
+	// negative is rejected by Validate.
 	Parallelism int
 	// StageTimeout bounds each stage's wall time: a stage exceeding it
 	// fails the analysis with a *StageTimeoutError (errors.Is-matchable
@@ -327,30 +339,18 @@ func (e *Engine) AnalyzeContext(ctx context.Context, log *dataset.Log) (*Report,
 	return e.AnalyzeWith(ctx, log, AnalyzeOptions{})
 }
 
-// StagePool is a bounded counting semaphore shared by concurrently
-// executing analyses: every running stage holds one slot, so however
-// many analyses are in flight, at most cap(pool) stages execute at
-// once. AnalyzeMany sizes one from Config.Parallelism; a long-running
-// service creates one at startup and passes it to every job's
-// AnalyzeWith.
-type StagePool chan struct{}
-
-// NewStagePool builds a stage pool admitting n concurrent stages
-// (n < 1 uses all cores).
-func NewStagePool(n int) StagePool {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return make(StagePool, n)
-}
-
 // AnalyzeOptions tunes one shared-dispatch analysis. The zero value
 // reproduces AnalyzeContext: a private pool, no observer, a K-DB flush
 // on completion.
 type AnalyzeOptions struct {
-	// Pool is the stage pool this analysis shares with its siblings
-	// (nil = a private pool sized by Config.Parallelism).
-	Pool StagePool
+	// Pool is the CPU budget this analysis shares with its siblings
+	// (nil = a private pool sized by Config.Parallelism): every running
+	// stage holds one slot, and the sweep and partial-mining stages
+	// borrow idle ones for their units, so however many analyses are in
+	// flight, at most cap(Pool) goroutines compute at once. AnalyzeMany
+	// sizes one from Config.Parallelism; a long-running service creates
+	// one at startup and passes it to every job.
+	Pool slots.Pool
 	// Observer, when non-nil, receives a StageEvent at every stage
 	// start and finish — the scheduler's trace points — while the
 	// analysis runs. Calls come from scheduler goroutines and stop
@@ -360,17 +360,6 @@ type AnalyzeOptions struct {
 	// (AnalyzeMany, a job service) set it and flush once themselves:
 	// concurrent flushes would race on the docstore's snapshot files.
 	NoFlush bool
-	// FairShare, when > 0, derates the analysis's inner sweep and
-	// partial-mining parallelism to a 1/FairShare share of the stage
-	// pool and pins the K-means kernels serial — the batch fairness
-	// rule AnalyzeMany applies with FairShare = len(logs), and a
-	// service applies with its worker count (even a 1-slot service
-	// sets it: the stage pool and sweep pool already carry the
-	// concurrency, so the kernels must not also fan out to all
-	// cores). Sweep results are identical for every worker count, so
-	// this only affects scheduling. 0 leaves the kernels free to use
-	// the whole machine, as a lone Analyze call should.
-	FairShare int
 	// Arena, when non-nil, lends the analysis's K sweep its reusable
 	// worker slabs (decision trees, cluster scratch, RNGs) so a
 	// long-lived caller stops paying those allocations on every job.
@@ -409,57 +398,24 @@ func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts Analyze
 		// index it before fanning out, as AnalyzeMany does.)
 		log.EnsureIndexes()
 	}
-	be := e
-	if opts.FairShare > 0 {
-		be = e.derated(opts.FairShare)
-	}
 	// Mark the dataset in flight for the recall stage's concurrent-
 	// sibling exclusion (see inflightSet).
 	if log != nil {
 		e.inflight.add(log.Name)
 		defer e.inflight.remove(log.Name)
 	}
-	return be.analyze(ctx, log, opts)
-}
-
-// derated returns a copy of the engine whose inner sweep and
-// partial-mining parallelism is reduced to a fair 1/n share of the
-// stage pool, so n concurrent analyses do not each fan their kernels
-// out to GOMAXPROCS workers on top of the stage-level concurrency.
-// Explicitly pinned values are left alone.
-func (e *Engine) derated(n int) *Engine {
-	be := *e
-	if be.cfg.Sweep.Parallelism <= 0 {
-		be.cfg.Sweep.Parallelism = e.parallelism() / n
-		if be.cfg.Sweep.Parallelism < 1 {
-			be.cfg.Sweep.Parallelism = 1
-		}
-		if be.cfg.Sweep.Cluster.Parallelism == 0 {
-			// The stage pool and the sweep pool already carry the
-			// batch concurrency; keep the K-means kernel serial.
-			be.cfg.Sweep.Cluster.Parallelism = 1
-		}
-	}
-	if be.cfg.Partial.Cluster.Parallelism == 0 {
-		// Same for the partial-mining probe runs: concurrent
-		// partialmine stages must not each fan the kernel out to
-		// GOMAXPROCS workers.
-		be.cfg.Partial.Cluster.Parallelism = 1
-	}
-	return &be
+	return e.analyze(ctx, log, opts)
 }
 
 // AnalyzeMany analyzes several logs as one batch sharing a single
 // bounded stage pool, so concurrent logs interleave their independent
 // stages instead of oversubscribing the machine with len(logs) full
-// pipelines. When Sweep.Parallelism is unset, each log's K sweep is
-// additionally derated to its fair share of the pool, so the batch's
-// total compute fan-out stays at roughly Config.Parallelism (sweep
-// results are identical for every worker count, so this only affects
-// scheduling). Reports are returned in input order. On failure the
-// remaining work is cancelled and the first error (preferring a stage
-// failure over a cancellation victim) is returned alongside the
-// reports that did complete.
+// pipelines: each log's sweep and partial mining fan out only over
+// slots its siblings leave idle, so the batch's total compute stays at
+// Config.Parallelism goroutines. Reports are returned in input order.
+// On failure the remaining work is cancelled and the first error
+// (preferring a stage failure over a cancellation victim) is returned
+// alongside the reports that did complete.
 //
 // Reports are deterministic per log with one caveat: the end-goal
 // recommender reads the whole shared K-DB, so once feedback exists for
@@ -476,13 +432,11 @@ func (e *Engine) AnalyzeMany(ctx context.Context, logs []*dataset.Log) ([]*Repor
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pool := NewStagePool(e.parallelism())
-
-	// Each log is one shared-dispatch analysis: one stage pool, batch
-	// fair-share derating, flush deferred to the single batch flush
-	// below (per-log flushes from concurrent goroutines would race on
-	// the docstore's snapshot temp files).
-	opts := AnalyzeOptions{Pool: pool, NoFlush: true, FairShare: len(logs)}
+	// Each log is one shared-dispatch analysis: one CPU budget, flush
+	// deferred to the single batch flush below (per-log flushes from
+	// concurrent goroutines would race on the docstore's snapshot temp
+	// files).
+	opts := AnalyzeOptions{Pool: slots.New(e.parallelism()), NoFlush: true}
 	// Index every log serially before fanning out: a log submitted
 	// twice in one batch would otherwise have two goroutines racing to
 	// build its lazy lookup tables. Registering every batch member as
@@ -535,12 +489,12 @@ func (e *Engine) AnalyzeMany(ctx context.Context, logs []*dataset.Log) ([]*Repor
 }
 
 // analyze runs one log through the stage graph. opts.Pool is the
-// shared stage semaphore (nil = private pool sized by
-// Config.Parallelism); opts.NoFlush defers the K-DB flush to the
-// caller (AnalyzeMany runs one batch-level flush so concurrent
-// snapshot writes cannot tear); opts.Observer, when non-nil, receives
-// stage start/finish events live; opts.Arena backs the sweep stage's
-// worker slabs; opts.SeedCentroids/SeedFeatures warm-start the sweep.
+// shared CPU budget (nil = private pool sized by Config.Parallelism);
+// opts.NoFlush defers the K-DB flush to the caller (AnalyzeMany runs
+// one batch-level flush so concurrent snapshot writes cannot tear);
+// opts.Observer, when non-nil, receives stage start/finish events
+// live; opts.Arena backs the sweep stage's worker slabs;
+// opts.SeedCentroids/SeedFeatures warm-start the sweep.
 func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	if log.NumPatients() == 0 || log.NumRecords() == 0 {
 		return nil, fmt.Errorf("core: log %q is empty", log.Name)
@@ -552,15 +506,15 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 	s := &pipelineState{
 		log:           log,
 		rep:           &Report{},
+		pool:          opts.Pool,
 		arena:         opts.Arena,
 		seedCentroids: opts.SeedCentroids,
 		seedFeatures:  opts.SeedFeatures,
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = NewStagePool(e.parallelism())
+	if s.pool == nil {
+		s.pool = slots.New(e.parallelism())
 	}
-	sr, err := runDAG(ctx, stages, s, pool, e.cfg.StageTimeout, opts.Observer)
+	sr, err := runDAG(ctx, stages, s, s.pool, e.cfg.StageTimeout, opts.Observer)
 	if err != nil {
 		return nil, err
 	}

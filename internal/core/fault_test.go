@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"adahealth/internal/docstore"
 	"adahealth/internal/faultfs"
 	"adahealth/internal/kdb"
+	"adahealth/internal/slots"
 )
 
 // panicStage panics on every run.
@@ -82,6 +84,47 @@ func TestStagePanicIsolated(t *testing.T) {
 			t.Error("downstream stage ran after its producer panicked")
 		}
 	})
+}
+
+// explodeInUnit is a fan-out unit's body that panics, named so the
+// test can find it on the recovered stack.
+func explodeInUnit() { panic("unit exploded") }
+
+// TestStagePanicInFanOutIsolated: a panic in a unit a stage fanned out
+// over the CPU budget — on a helper goroutine, not the stage's own —
+// still fails only the analysis, as a *PanicError carrying the unit's
+// value and the helper's stack, and no helper outlives the stage.
+func TestStagePanicInFanOutIsolated(t *testing.T) {
+	base := runtime.NumGoroutine()
+	pool := slots.New(2)
+	st := testStage("fan", nil, []string{"x"}, func(context.Context, *pipelineState) error {
+		g := slots.NewGroup(pool)
+		onHelper := make(chan struct{})
+		g.Go(func() { close(onHelper); explodeInUnit() })
+		<-onHelper // the stage holds one slot; the unit took the other
+		g.Wait()
+		return nil
+	})
+	_, err := runDAG(context.Background(), []Stage{st}, testState(), pool, 0, nil)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error = %v (%T), want *PanicError", err, err)
+	}
+	if pe.Stage != "fan" || pe.Value != "unit exploded" {
+		t.Errorf("panic error = stage %q value %v, want stage fan value %q", pe.Stage, pe.Value, "unit exploded")
+	}
+	if !strings.Contains(string(pe.Stack), "explodeInUnit") {
+		t.Errorf("panic stack does not reach the panicking unit:\n%s", pe.Stack)
+	}
+	if len(pool) != 0 {
+		t.Errorf("%d slots still held after the stage failed", len(pool))
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the stage (baseline %d)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestStagePanicDoesNotWedgeDAG: with more than one stage in flight,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"adahealth/internal/kdb"
+	"adahealth/internal/slots"
 )
 
 // PanicError is a recovered stage panic: the scheduler isolates it to
@@ -108,11 +109,17 @@ func heapAllocBytes() uint64 {
 // runStageAttempt runs one stage once, with panic isolation (a panic
 // becomes a *PanicError failing this analysis, never the process) and
 // the optional per-stage deadline (0 = none; exceeding it is a
-// *StageTimeoutError).
+// *StageTimeoutError). A panic in one of the stage's fan-out units
+// reaches here re-raised by slots.Group.Wait, carrying the stack of the
+// goroutine it happened on.
 func runStageAttempt(ctx context.Context, st Stage, s *pipelineState, timeout time.Duration) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &PanicError{Stage: st.Name(), Value: v, Stack: debug.Stack()}
+			pe := &PanicError{Stage: st.Name(), Value: v, Stack: debug.Stack()}
+			if up, ok := v.(*slots.Panic); ok {
+				pe.Value, pe.Stack = up.Value, up.Stack
+			}
+			err = pe
 		}
 	}()
 	if timeout <= 0 {
@@ -131,14 +138,14 @@ func runStageAttempt(ctx context.Context, st Stage, s *pipelineState, timeout ti
 }
 
 // runDAG executes stages respecting their declared data dependencies,
-// running independent stages concurrently on the bounded worker pool
-// behind pool (a counting semaphore, shared across logs by
-// AnalyzeMany). Each stage runs once, under the per-stage timeout (0 =
-// none). On the first stage failure the remaining un-started stages
-// are abandoned and in-flight ones are cancelled; the first error (by
-// completion time) is returned, except that a cancelled parent context
-// always surfaces as ctx.Err().
-func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool chan struct{}, timeout time.Duration, observe StageObserver) (*scheduleResult, error) {
+// running independent stages concurrently on the CPU budget pool
+// (shared across logs by AnalyzeMany and across a service's jobs): a
+// stage holds one slot while it runs. Each stage runs once, under the
+// per-stage timeout (0 = none). On the first stage failure the
+// remaining un-started stages are abandoned and in-flight ones are
+// cancelled; the first error (by completion time) is returned, except
+// that a cancelled parent context always surfaces as ctx.Err().
+func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Pool, timeout time.Duration, observe StageObserver) (*scheduleResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -176,7 +183,7 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool chan str
 				results <- outcome{idx: idx, err: ctx.Err()}
 				return
 			}
-			defer func() { <-pool }()
+			defer pool.Release()
 			// Both select cases can be ready at once; never start a
 			// stage under a context that is already dead.
 			if err := ctx.Err(); err != nil {

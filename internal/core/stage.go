@@ -16,6 +16,7 @@ import (
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 	"adahealth/internal/ranking"
+	"adahealth/internal/slots"
 	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
@@ -85,6 +86,10 @@ type pipelineState struct {
 	// recallHints is the recall stage's retrieved prior knowledge
 	// (nil on a miss or when recall is disabled — the cold path).
 	recallHints *recallHints
+	// pool is the analysis's CPU budget: the scheduler runs each stage
+	// on one of its slots, and the sweep and partialmine stages lend it
+	// to their fan-out (SweepConfig.Budget, partial.Config.Budget).
+	pool slots.Pool
 	// arena, when non-nil, backs the sweep stage's worker slabs with
 	// buffers that outlive this analysis (see AnalyzeOptions.Arena).
 	arena *optimize.Arena
@@ -281,7 +286,9 @@ func (e *Engine) runTransform(ctx context.Context, s *pipelineState) error {
 }
 
 func (e *Engine) runPartial(ctx context.Context, s *pipelineState) error {
-	pres, err := partial.RunHorizontal(ctx, s.matrix, e.cfg.Partial)
+	cfg := e.cfg.Partial
+	cfg.Budget = s.pool
+	pres, err := partial.RunHorizontal(ctx, s.matrix, cfg)
 	if err != nil {
 		return wrapStageErr(ctx, "partial mining", err)
 	}
@@ -299,6 +306,7 @@ func (e *Engine) runSweep(ctx context.Context, s *pipelineState) error {
 	// configuration passes through untouched: the cold path is
 	// bit-for-bit the pre-recall pipeline.
 	cfg := e.cfg.Sweep
+	cfg.Budget = s.pool
 	if cfg.Arena == nil {
 		// The caller's cross-job arena backs this sweep's worker slabs
 		// unless the engine config pinned its own.

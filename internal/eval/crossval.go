@@ -73,7 +73,6 @@ type CVResult struct {
 	Folds     int
 	Metrics   Metrics
 	Confusion *Confusion
-	PerFold   []Metrics
 }
 
 // CrossValidate trains factory-built classifiers on k-1 folds and
@@ -135,7 +134,6 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 		if err := clf.FitSubset(X, y, trainRows, ord); err != nil {
 			return nil, fmt.Errorf("eval: fold %d fit: %w", f, err)
 		}
-		foldConf := NewConfusion(classes)
 		for _, i := range test {
 			pred := clf.Predict(X[i])
 			if pred < 0 || pred >= classes {
@@ -144,11 +142,7 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 			if err := pooled.Add(y[i], pred); err != nil {
 				return nil, err
 			}
-			if err := foldConf.Add(y[i], pred); err != nil {
-				return nil, err
-			}
 		}
-		res.PerFold = append(res.PerFold, MetricsOf(foldConf))
 	}
 	res.Confusion = pooled
 	res.Metrics = MetricsOf(pooled)

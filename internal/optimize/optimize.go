@@ -15,17 +15,22 @@
 // by recalled prior centroids) and every later K from the previous K's
 // converged centroids plus farthest-point splits for the extra
 // centers. The chain owns one cluster.Scratch and one rand.Rand reused
-// across every run, so it is nearly allocation-free. The expensive
-// robustness assessments fan out over a worker pool as each clustering
-// completes, so CV of K=6 overlaps clustering of K=7. The rows are
-// deterministic for every Parallelism value.
+// across every run, so it is nearly allocation-free. Each K's robustness
+// assessment is one unit of work handed to a slots.Group as soon as its
+// clustering completes: the unit runs on a helper when the CPU budget
+// (SweepConfig.Budget — the daemon's stage pool — or a private pool of
+// Parallelism slots) has an idle slot right now, and otherwise on the
+// sweep's own goroutine once the chain is done. So CV of K=6 overlaps
+// clustering of K=7 on an idle machine, and a loaded one runs no extra
+// goroutine. Each unit writes only its own row, so the rows are
+// deterministic for every budget.
 //
-// Every CV worker owns one reusable decision tree (refit per fold — its
-// grower buffers persist), and all workers share a single
-// classify.ColumnOrder of the data — the sparse presorted view the
-// tree is grown from. It depends only on the feature matrix and is
+// Every CV unit borrows one reusable decision tree from the arena
+// (refit per fold — its grower buffers persist), and all units share a
+// single classify.ColumnOrder of the data — the sparse presorted view
+// the tree is grown from. It depends only on the feature matrix and is
 // never written after it is built, so one build serves every fold of
-// every K on every worker.
+// every K on every goroutine.
 package optimize
 
 import (
@@ -34,11 +39,11 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"adahealth/internal/classify"
 	"adahealth/internal/cluster"
 	"adahealth/internal/eval"
+	"adahealth/internal/slots"
 	"adahealth/internal/vec"
 	"adahealth/internal/vsm"
 )
@@ -63,11 +68,18 @@ type SweepConfig struct {
 	Cluster cluster.Options
 	// Tree configures the robustness-assessment decision tree.
 	Tree classify.TreeOptions
-	// Parallelism bounds concurrent robustness assessments; <= 0 uses
-	// all cores (runtime.GOMAXPROCS(0)). This worker pool stands in
-	// for the paper's "online cloud-based services for automatic
-	// configuration of data analytics".
+	// Parallelism sizes the private CPU budget a sweep without Budget
+	// runs its robustness assessments on; <= 0 uses all cores
+	// (runtime.GOMAXPROCS(0)). This budget stands in for the paper's
+	// "online cloud-based services for automatic configuration of data
+	// analytics".
 	Parallelism int
+	// Budget, when non-nil, is the CPU budget shared with the rest of
+	// the caller (the pipeline's stage pool): the sweep, which already
+	// holds one of its slots, borrows idle ones for its assessments and
+	// keeps the K-means kernel serial. Results are identical for every
+	// budget.
+	Budget slots.Pool `json:"-"`
 
 	// SeedCentroids, when non-nil, seed the warm-started chain's first
 	// (smallest) K instead of k-means++: the K-DB recall stage passes
@@ -238,23 +250,16 @@ func SweepMatrix(ctx context.Context, m *vsm.Matrix, cfg SweepConfig) (*SweepRes
 	return Sweep(ctx, m.Rows, cfg)
 }
 
-// cvWorker is one robustness-assessment worker: a decision tree whose
-// grower buffers survive refits, on loan from cfg.Arena when one is set.
-type cvWorker struct {
-	cfg  SweepConfig
-	ord  *classify.ColumnOrder
-	slab *treeSlab
-}
-
-// factory returns the worker's reusable tree; eval.CrossValidate
-// refits it per fold (FitSubset fully resets the model).
-func (w *cvWorker) factory() classify.Classifier { return w.slab.tree }
-
 // assess scores one fitted clustering: SSE, overall similarity, and
-// the decision-tree robustness assessment under CVFolds-fold CV.
-func (w *cvWorker) assess(ctx context.Context, data [][]float64, k int, cr *cluster.Result) KResult {
+// the decision-tree robustness assessment under CVFolds-fold CV, on a
+// tree borrowed from cfg.Arena (refit per fold; its grower buffers
+// survive refits).
+func assess(ctx context.Context, data [][]float64, cfg SweepConfig, ord *classify.ColumnOrder, k int, cr *cluster.Result) KResult {
 	out := KResult{K: k, SSE: cr.SSE, Iterations: cr.Iterations}
-
+	if err := ctx.Err(); err != nil {
+		out.Err = err.Error()
+		return out
+	}
 	os, err := eval.OverallSimilarity(data, cr.Labels, cr.K)
 	if err != nil {
 		out.Err = err.Error()
@@ -266,7 +271,10 @@ func (w *cvWorker) assess(ctx context.Context, data [][]float64, k int, cr *clus
 		out.Err = err.Error()
 		return out
 	}
-	cv, err := eval.CrossValidateWithOrder(w.factory, data, cr.Labels, w.cfg.CVFolds, w.cfg.Seed+int64(k), w.ord)
+	slab := cfg.Arena.tree(cfg.Tree)
+	defer cfg.Arena.putTree(slab)
+	tree := func() classify.Classifier { return slab.tree }
+	cv, err := eval.CrossValidateWithOrder(tree, data, cr.Labels, cfg.CVFolds, cfg.Seed+int64(k), ord)
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -280,9 +288,10 @@ func (w *cvWorker) assess(ctx context.Context, data [][]float64, k int, cr *clus
 }
 
 // sweepWarm clusters the Ks serially in ascending order, warm-seeding
-// each from the previous converged centroids, while the robustness
-// assessments fan out over the worker pool — the clustering chain and
-// the CV of earlier Ks overlap.
+// each from the previous converged centroids, and hands every finished
+// clustering's robustness assessment to a slots.Group as one unit: the
+// clustering chain and the CV of earlier Ks overlap on whatever slots of
+// the budget are idle, and the chain's goroutine runs what is left.
 func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *classify.ColumnOrder) ([]KResult, []*cluster.Result) {
 	rows := make([]KResult, len(cfg.Ks))
 	crs := make([]*cluster.Result, len(cfg.Ks))
@@ -292,32 +301,10 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 	}
 	sort.SliceStable(order, func(a, b int) bool { return cfg.Ks[order[a]] < cfg.Ks[order[b]] })
 
-	type cvJob struct {
-		i, k int
-		cr   *cluster.Result
+	if cfg.Arena == nil {
+		// A sweep-local arena: the CV units share their trees.
+		cfg.Arena = NewArena()
 	}
-	jobs := make(chan cvJob, len(cfg.Ks))
-	var wg sync.WaitGroup
-	workers := cfg.Parallelism
-	if workers > len(cfg.Ks) {
-		workers = len(cfg.Ks)
-	}
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &cvWorker{cfg: cfg, ord: ord, slab: cfg.Arena.tree(cfg.Tree)}
-			defer cfg.Arena.putTree(w.slab)
-			for j := range jobs {
-				if err := ctx.Err(); err != nil {
-					rows[j.i] = KResult{K: j.k, Err: err.Error()}
-					continue
-				}
-				rows[j.i] = w.assess(ctx, data, j.k, j.cr)
-			}
-		}()
-	}
-
 	// The clustering chain owns its own state (serial by construction:
 	// K+1 needs K's centroids). Its generator is reseeded by every run
 	// (cluster.run calls Rand.Seed(KSeed(...))), so the per-K stream is
@@ -325,10 +312,20 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 	// also why an arena's generator can carry over between sweeps.
 	chain := cfg.Arena.chain()
 	defer cfg.Arena.putChain(chain)
+
+	budget := cfg.Budget
+	if budget == nil {
+		budget = slots.New(cfg.Parallelism)
+	}
+	cv := slots.NewGroup(budget)
+	// Deferred, so no CV helper outlives the sweep even if the chain
+	// panics; each unit writes only its own row.
+	defer cv.Wait()
+
 	opts := cfg.Cluster
 	opts.Scratch, opts.Rand = chain.scratch, chain.rng
-	if opts.Parallelism == 0 && cfg.Parallelism > 1 {
-		// The CV pool already saturates the cores; keep the kernel
+	if opts.Parallelism == 0 && (cfg.Budget != nil || cfg.Parallelism > 1) {
+		// The CV units already fill the budget's cores; keep the kernel
 		// serial unless explicitly configured, instead of GOMAXPROCS²
 		// goroutines contending through per-iteration barriers. Results
 		// are identical for any worker count, so this is purely a
@@ -364,10 +361,8 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 		}
 		prev = cr.Centroids
 		crs[i] = cr
-		jobs <- cvJob{i: i, k: k, cr: cr}
+		cv.Go(func() { rows[i] = assess(ctx, data, cfg, ord, k, cr) })
 	}
-	close(jobs)
-	wg.Wait()
 	return rows, crs
 }
 

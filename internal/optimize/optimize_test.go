@@ -4,9 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"adahealth/internal/cluster"
+	"adahealth/internal/slots"
 )
 
 // structured builds data with `k` well-separated groups so that the
@@ -148,6 +152,52 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if a.BestK != b.BestK {
 		t.Errorf("BestK differs: %d vs %d", a.BestK, b.BestK)
+	}
+}
+
+// TestSweepEqualAcrossBudgets: the CV units spread over whatever budget
+// the caller lends — none idle (every unit on the sweep's goroutine),
+// one idle slot beside the sweep's own, eight — and the rows are the
+// same as the private pool's.
+func TestSweepEqualAcrossBudgets(t *testing.T) {
+	data := structured(rand.New(rand.NewSource(11)), 3, 40, 4)
+	cfg := SweepConfig{Ks: []int{2, 3, 4, 6}, CVFolds: 4, Seed: 9, Parallelism: 1}
+	want, err := Sweep(context.Background(), data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := slots.New(1)
+	full.TryAcquire()
+	lone := slots.New(2)
+	lone.TryAcquire()
+	for name, budget := range map[string]slots.Pool{"full": full, "lone": lone, "8": slots.New(8)} {
+		cfg.Budget = budget
+		got, err := Sweep(context.Background(), data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) || got.BestK != want.BestK {
+			t.Errorf("budget %s: rows differ from the private pool's", name)
+		}
+	}
+}
+
+// TestSweepCancelledLeavesNoGoroutine: a sweep cancelled mid-chain
+// returns the bare context error after every CV helper exited.
+func TestSweepCancelledLeavesNoGoroutine(t *testing.T) {
+	data := structured(rand.New(rand.NewSource(3)), 6, 1500, 16)
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	_, err := Sweep(ctx, data, SweepConfig{Ks: DefaultKs(), Seed: 2, Budget: slots.New(4)})
+	if err != context.Canceled {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the sweep (baseline %d)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -11,15 +11,24 @@
 // overall-similarity index, and the smallest subset within a tolerance
 // (5% in the paper) of the full-data value is selected. Section III's
 // vertical strategy (subsets of patients) is not implemented.
+//
+// Every (fraction, K) probe is an independent clustering run, so the
+// probes are units of a slots.Group: with a CPU budget (Config.Budget,
+// the pipeline's stage pool) they fan out over its idle slots with the
+// K-means kernel pinned serial; without one they run in order on the
+// caller, each free to parallelize its kernel. Each probe writes only
+// its own cell, so the Result is identical for every budget.
 package partial
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"adahealth/internal/cluster"
 	"adahealth/internal/eval"
+	"adahealth/internal/slots"
 	"adahealth/internal/vec"
 	"adahealth/internal/vsm"
 )
@@ -41,6 +50,11 @@ type Config struct {
 	// Cluster carries the K-means options used by the probe runs
 	// (K and Seed fields are overridden per run).
 	Cluster cluster.Options
+	// Budget, when non-nil, is the CPU budget shared with the rest of
+	// the caller (the pipeline's stage pool): the run, which already
+	// holds one of its slots, borrows idle ones for its probes. Results
+	// are identical for every budget.
+	Budget slots.Pool `json:"-"`
 }
 
 // withDefaults fills in the paper's parameters.
@@ -122,47 +136,68 @@ func (r *Result) SelectedStep() Step { return r.Steps[r.Selected] }
 // RunHorizontal performs the incremental exam-type analysis of
 // Section IV-B on a VSM matrix whose features are ordered by
 // decreasing frequency (as vsm.Build guarantees). The context is
-// honoured between (fraction, K) probes and inside every clustering
-// run; a cancelled run returns ctx.Err().
+// honoured before every (fraction, K) probe and inside every clustering
+// run; a cancelled run returns ctx.Err(). Of several failing probes the
+// first in (fraction, K) order is reported.
 func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	if cfg.Budget != nil && cfg.Cluster.Parallelism == 0 {
+		// The probes already fill the budget's cores.
+		cfg.Cluster.Parallelism = 1
+	}
 	res := &Result{Strategy: "horizontal", Tolerance: cfg.Tolerance}
+	sims := make([]float64, len(cfg.Fractions)*len(cfg.Ks))
+	errs := make([]error, len(sims))
 
-	for _, frac := range cfg.Fractions {
-		nf := int(math.Round(frac * float64(m.NumFeatures())))
-		if nf < 1 {
-			nf = 1
-		}
-		sub := m.Project(nf)
-		step := Step{
-			Fraction:      frac,
-			NumFeatures:   sub.NumFeatures(),
-			NumRows:       sub.NumRows(),
-			RowCoverage:   m.CoverageAt(nf),
-			SimilarityByK: map[int]float64{},
-		}
-		// The probe runs at every K share the projection's cached
-		// sparse view (nil when the data is too dense to pay; density
-		// is probed on the dense rows so no unused CSR is built).
-		var csr *vec.CSRMatrix
-		if sub.NumRows() > 0 &&
-			cluster.SparseProfitable(sub.NumRows(), sub.NumFeatures(), vec.Density(sub.Rows)) {
-			csr = sub.Sparse()
-		}
-		for _, k := range cfg.Ks {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	probes := slots.NewGroup(cfg.Budget)
+	// Deferred, so no probe helper outlives the run even if building a
+	// projection panics; each probe writes only its own cell.
+	func() {
+		defer probes.Wait()
+		for fi, frac := range cfg.Fractions {
+			nf := int(math.Round(frac * float64(m.NumFeatures())))
+			if nf < 1 {
+				nf = 1
 			}
-			os, err := probeSimilarity(ctx, csr, sub.Rows, m.Rows, k, cfg)
-			if err != nil {
-				return nil, probeErr(ctx, frac, k, err)
+			sub := m.Project(nf)
+			res.Steps = append(res.Steps, Step{
+				Fraction:      frac,
+				NumFeatures:   sub.NumFeatures(),
+				NumRows:       sub.NumRows(),
+				RowCoverage:   m.CoverageAt(nf),
+				SimilarityByK: map[int]float64{},
+			})
+			// The probe runs at every K share the projection's cached
+			// sparse view (nil when the data is too dense to pay; density
+			// is probed on the dense rows so no unused CSR is built). It is
+			// built here, before any probe of this fraction is queued.
+			var csr *vec.CSRMatrix
+			if sub.NumRows() > 0 &&
+				cluster.SparseProfitable(sub.NumRows(), sub.NumFeatures(), vec.Density(sub.Rows)) {
+				csr = sub.Sparse()
 			}
-			step.SimilarityByK[k] = os
+			for ki, k := range cfg.Ks {
+				cell := fi*len(cfg.Ks) + ki
+				probes.Go(func() {
+					if errs[cell] = ctx.Err(); errs[cell] == nil {
+						sims[cell], errs[cell] = probeSimilarity(ctx, csr, sub.Rows, m.Rows, k, cfg)
+					}
+				})
+			}
 		}
-		res.Steps = append(res.Steps, step)
+	}()
+
+	for fi, frac := range cfg.Fractions {
+		for ki, k := range cfg.Ks {
+			cell := fi*len(cfg.Ks) + ki
+			if errs[cell] != nil {
+				return nil, probeErr(ctx, frac, k, errs[cell])
+			}
+			res.Steps[fi].SimilarityByK[k] = sims[cell]
+		}
 	}
 	finishSelection(res, cfg)
 	return res, nil
@@ -197,11 +232,19 @@ func probeErr(ctx context.Context, frac float64, k int, err error) error {
 // final (full-data) step and picks the smallest step within tolerance.
 func finishSelection(res *Result, cfg Config) {
 	ref := res.Steps[len(res.Steps)-1].SimilarityByK
+	// Sum in ascending K, not map order: float addition is not
+	// associative, and RelDiff must not vary from run to run.
+	ks := make([]int, 0, len(ref))
+	for k := range ref {
+		ks = append(ks, k)
+	}
+	sort.Ints(ks)
 	for i := range res.Steps {
 		step := &res.Steps[i]
 		sum, n := 0.0, 0
-		for k, os := range step.SimilarityByK {
-			full, ok := ref[k]
+		for _, k := range ks {
+			os, ok := step.SimilarityByK[k]
+			full := ref[k]
 			if !ok || full == 0 {
 				continue
 			}

@@ -2,8 +2,12 @@ package partial
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"adahealth/internal/slots"
 	"adahealth/internal/synth"
 	"adahealth/internal/vsm"
 )
@@ -158,5 +162,52 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 	if a.Selected != b.Selected {
 		t.Errorf("selection differs: %d vs %d", a.Selected, b.Selected)
+	}
+}
+
+// TestHorizontalEqualAcrossBudgets: the probes fan out over whatever
+// budget the caller lends, and the Result is bit-for-bit the same for
+// none (every probe in order on the caller, kernel unpinned) and for 1,
+// 2 and 8 slots.
+func TestHorizontalEqualAcrossBudgets(t *testing.T) {
+	m := smallMatrix(t)
+	cfg := Config{Seed: 4, Fractions: []float64{0.2, 0.4, 0.7, 1}, Ks: []int{3, 6, 8}}
+	want, err := RunHorizontal(context.Background(), m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 8} {
+		cfg.Budget = slots.New(n)
+		got, err := RunHorizontal(context.Background(), m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("budget of %d slots: result differs from the unbudgeted run", n)
+		}
+	}
+}
+
+// TestHorizontalErrorIsFirstFailingProbe: of several failing probes the
+// first in (fraction, K) order is the error, however the probes
+// interleave; a cancelled run returns the bare context error.
+func TestHorizontalErrorIsFirstFailingProbe(t *testing.T) {
+	m := smallMatrix(t)
+	tooMany := m.NumRows() + 1
+	for _, n := range []int{0, 2, 8} {
+		cfg := Config{Seed: 1, Ks: []int{3, tooMany + 1, tooMany}}
+		if n > 0 {
+			cfg.Budget = slots.New(n)
+		}
+		_, err := RunHorizontal(context.Background(), m, cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("fraction 0.2 at K=%d:", tooMany+1)) {
+			t.Errorf("budget %d: error = %v, want the probe at fraction 0.2, K=%d", n, err, tooMany+1)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := RunHorizontal(ctx, m, Config{Seed: 1, Budget: cfg.Budget}); err != context.Canceled {
+			t.Errorf("budget %d: cancelled run returned %v, want the bare context.Canceled", n, err)
+		}
 	}
 }

@@ -52,17 +52,24 @@ func TestChaosFollowerBackoffUnderLeaderWALFaults(t *testing.T) {
 	defer f.Close()
 	f.Start(context.Background())
 
-	soak := 600 * time.Millisecond
-	time.Sleep(soak)
-	fired := inj.Fired()
-	if fired == 0 {
-		t.Fatal("injected WAL read fault never fired — the scenario is not exercising the leader's log reads")
+	// Wait for the first faulted read (bootstrap and connect come
+	// first, and a loaded machine may take a while), then soak: the
+	// bound below is a rate over the time since that first attempt,
+	// so a slow scheduler neither fails nor excuses the check.
+	for deadline := time.Now().Add(10 * time.Second); inj.Fired() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("injected WAL read fault never fired — the scenario is not exercising the leader's log reads")
+		}
 	}
+	first := time.Now()
+	time.Sleep(600 * time.Millisecond)
+	fired, soak := inj.Fired(), time.Since(first)
 	// Unthrottled, the loop would attempt thousands of reads in the
 	// soak window; with 10ms..80ms full-jitter backoff the expected
-	// attempt count is ~15. Allow generous slack — the bound only has
-	// to rule out spinning.
-	if maxAttempts := 60; fired > maxAttempts {
+	// rate is one attempt per ~40 ms. Allow generous slack — one
+	// attempt per 10 ms, plus the first — the bound only has to rule
+	// out spinning.
+	if maxAttempts := 1 + int(soak/(10*time.Millisecond)); fired > maxAttempts {
 		t.Fatalf("leader WAL read fault fired %d times in %v — the follower is retrying without backoff (want <= %d)",
 			fired, soak, maxAttempts)
 	}

@@ -4,9 +4,11 @@
 // the whole DAG run. A Service owns a bounded admission queue with
 // backpressure (Submit fast-rejects with ErrQueueFull, SubmitWait
 // blocks under a context), a fixed set of worker slots dispatching the
-// highest-priority queued job first, and one stage pool shared by
-// every running job so hospital-wide traffic becomes an admission and
-// scheduling problem rather than a goroutine-per-caller free-for-all.
+// highest-priority queued job first, and one stage pool — the CPU
+// budget every running job's stages and their fan-out share, so a lone
+// job uses every idle core and a busy service never oversubscribes —
+// so hospital-wide traffic becomes an admission and scheduling problem
+// rather than a goroutine-per-caller free-for-all.
 //
 // Jobs expose Status, Wait, Cancel and a live Events stream fed from
 // the scheduler's stage trace points. cmd/adahealthd serves this API
@@ -26,6 +28,7 @@ import (
 	"adahealth/internal/dataset"
 	"adahealth/internal/kdb"
 	"adahealth/internal/optimize"
+	"adahealth/internal/slots"
 )
 
 var (
@@ -51,10 +54,12 @@ type Config struct {
 	// Engine is the shared engine's configuration (validated by
 	// core.New; bad values reject service construction).
 	Engine core.Config
-	// Workers bounds how many jobs run concurrently. Each running job
-	// schedules its stages on the one shared stage pool, so Workers
-	// trades per-job latency against cross-job throughput rather than
-	// adding compute. <= 0 defaults to 4.
+	// Workers bounds how many jobs run concurrently. It adds no
+	// compute: every running job schedules its stages, and their
+	// sweep and partial-mining fan-out, on the one shared CPU budget
+	// (Engine.Parallelism slots), and a lone job uses every idle slot.
+	// More workers overlap more jobs on the same slots. <= 0 defaults
+	// to 4.
 	Workers int
 	// QueueDepth bounds how many admitted jobs may wait for a worker;
 	// beyond it Submit returns ErrQueueFull. <= 0 defaults to 64.
@@ -90,10 +95,10 @@ func (c Config) withDefaults() Config {
 
 // Service is a long-running analysis service: one shared engine, a
 // bounded priority admission queue, and Workers dispatch slots over
-// one shared stage pool.
+// one shared CPU budget.
 type Service struct {
 	engine *core.Engine
-	pool   core.StagePool
+	pool   slots.Pool
 	cfg    Config
 	// arena carries sweep worker slabs (decision trees, cluster
 	// scratch, RNGs) across jobs: slabs are checked out per sweep
@@ -169,7 +174,7 @@ func NewWithEngine(engine *core.Engine, cfg Config) *Service {
 	s := &Service{
 		engine:      engine,
 		arena:       optimize.NewArena(),
-		pool:        core.NewStagePool(engine.StageParallelism()),
+		pool:        slots.New(engine.StageParallelism()),
 		cfg:         cfg,
 		queueSlots:  make(chan struct{}, cfg.QueueDepth),
 		baseCtx:     ctx,
@@ -631,17 +636,15 @@ func (s *Service) safeRun(j *Job) (rep *core.Report, err error) {
 	return s.runJob(j)
 }
 
-// defaultRun dispatches the job onto the shared stage pool through the
-// engine's single dispatch path. FairShare derates each job's inner
-// kernels to its fair share of the pool, exactly as AnalyzeMany treats
-// a batch; the K-DB flush is deferred to the serialized service-level
-// flush in run.
+// defaultRun dispatches the job onto the shared CPU budget through the
+// engine's single dispatch path, exactly as AnalyzeMany treats a batch;
+// the K-DB flush is deferred to the serialized service-level flush in
+// run.
 func (s *Service) defaultRun(j *Job) (*core.Report, error) {
 	return j.engine.AnalyzeWith(j.ctx, j.log, core.AnalyzeOptions{
 		Pool:          s.pool,
 		Observer:      j.observeStage,
 		NoFlush:       true,
-		FairShare:     s.cfg.Workers,
 		Arena:         s.arena,
 		SeedCentroids: j.seedCentroids,
 		SeedFeatures:  j.seedFeatures,
