@@ -2,6 +2,10 @@ package stream
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -488,5 +492,58 @@ func TestOnlineReclusterDeterministic(t *testing.T) {
 	}
 	if a, b := build(), build(); !reflect.DeepEqual(a, b) {
 		t.Fatal("online model not deterministic across identical append schedules")
+	}
+}
+
+// TestOnlineModelDigestPinned pins the online model's bits: a fixed
+// register-plus-appends schedule runs through Dataset.Append, and the
+// SHA-256 over every revision's modelRev and centroid bits must equal
+// the recorded value. Any change to the mini-batch step — its
+// assignment kernel, sampling, update order or seeding — that moves a
+// single bit of any revision's model fails here.
+func TestOnlineModelDigestPinned(t *testing.T) {
+	const want = "db78ce4cbd91b21e239c659a9e950f712772729a20c3ad1d5fafc6b7643d0e5b"
+	svc := testService(t, fastConfig(17, ""))
+	mgr, err := NewManager(Config{Service: svc, DriftThreshold: 10, OnlineK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := genLog(t, 17, 160, 2000)
+	first, rest := splitLog(full, 10)
+	if _, err := mgr.Register("live-pin", first.exams, first.patients, first.records); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := mgr.Get("live-pin")
+	h := sha256.New()
+	fold := func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(d.modelRev))
+		h.Write(buf[:])
+		for _, c := range d.centroids {
+			for _, v := range c {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	fold()
+	revisions := 1
+	for _, b := range rest {
+		if len(b.patients) == 0 && len(b.records) == 0 {
+			continue
+		}
+		if _, err := d.Append(nil, b.patients, b.records); err != nil {
+			t.Fatal(err)
+		}
+		fold()
+		revisions++
+	}
+	if revisions < 8 {
+		t.Fatalf("schedule produced only %d revisions", revisions)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("online model digest over %d revisions = %s, want %s", revisions, got, want)
 	}
 }
