@@ -6,19 +6,22 @@
 //
 // # Algorithms
 //
-//	algorithm    exactness                   runs where
-//	---------    --------------------------  ------------------------------------
-//	lloyd        exact (the default)         the sweep and partial mining; routes
-//	                                         to the sparse kernel when it pays
-//	dense-lloyd  exact (the reference)       the equivalence tests
-//	sparse-lloyd exact, ≡ dense bit-for-bit  the equivalence tests (forced CSR)
-//	minibatch    APPROXIMATE (Sculley),      the stream's online re-clustering
-//	             deterministic under Seed
+//	algorithm    exactness                      runs where
+//	---------    -----------------------------  ------------------------------------
+//	lloyd        exact (the default)            the sweep and partial mining; routes
+//	                                            to the sparse kernel when it pays
+//	dense-lloyd  exact (the reference)          the equivalence tests
+//	sparse-lloyd exact; ≡ dense only when no    the equivalence tests (forced CSR)
+//	             point's argmin is a near-tie
+//	minibatch    APPROXIMATE (Sculley),         the stream's online re-clustering;
+//	             deterministic under Seed; its  the assignment step is pruned on a
+//	             sparse step ≡ its dense step   CSR view when one is given or pays
 //
 // "auto" is accepted as a name for lloyd (AlgorithmAuto is the same
 // value). lloyd picks the sparse kernel when a CSR view is supplied or
 // when SparseProfitable says the data is sparse enough for it to pay,
-// and the dense scan otherwise.
+// and the dense scan otherwise. minibatch makes the same choice for
+// its assignment step (see "Pruned exact assignment").
 //
 // # Sparse kernel design
 //
@@ -55,14 +58,39 @@
 // bit-for-bit the same model. Against serial dense Lloyd the kernel
 // is bit-for-bit identical (same Labels, SSE, Iterations — seeding,
 // empty-cluster repair, convergence test and the final SSE pass all
-// share the dense code paths) whenever every point's winning-centroid
-// margin exceeds the rounding error of the norm identity, which holds
-// for the unit-norm VSM rows and generally for well-scaled data (the
-// property tests exercise random sparse/dense inputs). The caveat is
-// catastrophic cancellation: when ‖x‖ ≈ ‖c‖ ≫ ‖x−c‖ (e.g. raw
-// coordinates around 1e8), the identity can round a near-tied argmin
-// the other way and the two kernels may drift apart; force DenseLloyd
-// if exact parity on such data matters more than speed.
+// share the dense code paths) only while every point's winning-centroid
+// margin exceeds the rounding error of the norm identity. Random
+// continuous data meets that (the property tests exercise random
+// sparse/dense inputs); the VSM matrices do not. Their rows are
+// normalized exam counts, and count patterns repeat, so a row is often
+// equidistant from two centroids in exact arithmetic; each kernel's
+// rounding then decides the tie its own way. On the full-scale Table I
+// working matrix (6,380 × 57, seed 1) the first assignment pass of a
+// k-means++ fit already disagrees on 26 rows at K = 6, and
+// sparse-lloyd and dense-lloyd end with different labels at every K
+// of the grid. Catastrophic cancellation (‖x‖ ≈ ‖c‖ ≫ ‖x−c‖, e.g. raw
+// coordinates around 1e8) parts them the same way. The pinned Table I
+// and sweep digests are sparse-lloyd's; force DenseLloyd where dense
+// parity matters more than speed.
+//
+// # Pruned exact assignment
+//
+// The mini-batch kernel keeps the dense kernel's answer while paying
+// the sparse kernel's price. For each point it scores every centroid
+// through the same identity, at O(K·nnz) over a transposed centroid
+// block, together with a rigorous floating-point bound on how far that
+// estimate can sit from the dense vec.SquaredEuclidean value (the
+// derivation is on prunedArgMin). A centroid whose lower bound exceeds
+// the best upper bound provably cannot win or tie and is discarded;
+// if more than one centroid survives (ties, near-ties, cancellation)
+// the survivors are rescored densely in index order with a strict
+// "<", and a bound that is not finite sends the point to
+// vec.ArgMinDistance. The step therefore returns exactly
+// vec.ArgMinDistance's index for every point, and a mini-batch model
+// on a CSR view is bit-for-bit the model of the dense scan
+// (TestMiniBatchCSRMatchesDense, FuzzPrunedArgMinMatchesDense).
+// Within an iteration the centroids are frozen, so a point sampled
+// twice reuses its label.
 package cluster
 
 import (
@@ -81,8 +109,9 @@ const (
 	// Lloyd is the classic O(n·K·d) per-iteration algorithm. It
 	// auto-routes to the sparse kernel when the data is sparse enough
 	// for it to pay (or when a prebuilt CSR view is supplied); the
-	// result is bit-for-bit identical either way for well-scaled data
-	// (see the package comment for the cancellation caveat).
+	// result matches the dense scan bit for bit only when no point's
+	// argmin is a near-tie (see the package comment: count data, where
+	// distances tie in exact arithmetic, is the common exception).
 	Lloyd Algorithm = iota
 	// DenseLloyd forces the dense serial assignment step.
 	DenseLloyd
@@ -91,7 +120,9 @@ const (
 	// AlgorithmMiniBatch is Sculley-style mini-batch K-means:
 	// approximate (NOT bit-for-bit comparable to Lloyd), deterministic
 	// under Seed, with per-iteration cost independent of the dataset
-	// size.
+	// size. Its pruned sparse assignment step returns exactly the dense
+	// scan's labels, so the model is the same with or without a CSR
+	// view.
 	AlgorithmMiniBatch
 )
 
@@ -254,12 +285,13 @@ func KMeansContext(ctx context.Context, data [][]float64, opts Options) (*Result
 }
 
 // KMeansCSRContext is KMeansContext over a prebuilt sparse view, so
-// repeated runs on the same matrix (e.g. the Table I K sweep) share one
-// CSR build — the entry point the pipeline's sweep and partial-mining
-// stages use. dense, when non-nil, must be the dense view of m; it is
-// used by the cold paths (seeding, empty-cluster repair, final SSE) so
-// that results stay bit-for-bit identical to dense serial Lloyd. A nil
-// dense is materialized once from m; a nil m runs on dense alone.
+// repeated runs on the same matrix (e.g. the Table I K sweep, or a
+// live dataset's re-clusterings) share one CSR build — the entry point
+// the pipeline's sweep and partial-mining stages and the stream's
+// online model use. dense, when non-nil, must be the dense view of m;
+// the cold paths (seeding, empty-cluster repair, final SSE) and the
+// mini-batch kernel's centroid updates run on it. A nil dense is
+// materialized once from m; a nil m runs on dense alone.
 func KMeansCSRContext(ctx context.Context, m *vec.CSRMatrix, dense [][]float64, opts Options) (*Result, error) {
 	if m == nil {
 		if dense == nil {
@@ -327,7 +359,10 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 	// kernel from here on.
 	switch opts.Algorithm {
 	case AlgorithmMiniBatch:
-		return runMiniBatch(ctx, data, centroids, rng, opts)
+		if csr == nil {
+			csr = AutoCSR(data)
+		}
+		return runMiniBatch(ctx, data, csr, centroids, rng, opts)
 	case DenseLloyd:
 		csr = nil
 	case SparseLloyd:

@@ -18,15 +18,23 @@ const DefaultBatchSize = 1024
 // a per-centroid learning rate 1/v(c), where v(c) counts every point
 // the centroid has ever absorbed. The result is approximate — labels
 // and SSE are NOT bit-for-bit comparable to Lloyd — but an iteration
-// costs O(b·K·d) regardless of n, which is what makes >100k-patient
-// datasets tractable. The run is deterministic under Options.Seed: one serial
-// rand stream drives both seeding and batch sampling.
+// costs O(b·K·d) regardless of n (O(b·(K·nnz + d)) on a CSR view),
+// which is what makes >100k-patient datasets tractable. The run is
+// deterministic under Options.Seed: one serial rand stream drives both
+// seeding and batch sampling.
+//
+// With a CSR view (csr non-nil, the sparse view of data) the nearest
+// centroid comes from prunedArgMin, which returns exactly the index
+// vec.ArgMinDistance would at O(K·nnz) per point for all but the
+// near-tied centroids, so the model is bit-for-bit the one the dense
+// scan produces. Within an iteration the centroids are frozen, so a
+// row drawn twice reuses its label.
 //
 // Convergence is declared when the largest per-batch centroid movement
 // drops to Options.Tolerance, mirroring the Lloyd criterion; the final
 // Labels/Sizes/SSE come from one exact full assignment pass against
 // the frozen centroids.
-func runMiniBatch(ctx context.Context, data [][]float64, centroids [][]float64, rng *rand.Rand, opts Options) (*Result, error) {
+func runMiniBatch(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, centroids [][]float64, rng *rand.Rand, opts Options) (*Result, error) {
 	n := len(data)
 	d := len(data[0])
 	b := opts.BatchSize
@@ -37,21 +45,18 @@ func runMiniBatch(ctx context.Context, data [][]float64, centroids [][]float64, 
 		b = n
 	}
 
-	var (
-		batch    []int
-		labs     []int
-		prevFlat []float64
-		absorbed = make([]int, opts.K)
-	)
-	if opts.Scratch != nil {
-		batch = opts.Scratch.ints(&opts.Scratch.batchIdx, b)
-		labs = opts.Scratch.ints(&opts.Scratch.batchLab, b)
-		prevFlat = opts.Scratch.f64(&opts.Scratch.prevCents, opts.K*d)
-	} else {
-		batch = make([]int, b)
-		labs = make([]int, b)
-		prevFlat = make([]float64, opts.K*d)
+	s := opts.Scratch
+	if s == nil {
+		s = new(Scratch)
 	}
+	var (
+		batch    = s.ints(&s.batchIdx, b)
+		prevFlat = s.f64(&s.prevCents, opts.K*d)
+		stamp    = s.ints(&s.rowStamp, n)
+		rowLab   = s.ints(&s.rowLab, n)
+		absorbed = make([]int, opts.K)
+		near     = newPrunedArgMin(csr, data, opts.K, s)
+	)
 
 	res := &Result{K: opts.K, Algorithm: AlgorithmMiniBatch.String()}
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -66,19 +71,23 @@ func runMiniBatch(ctx context.Context, data [][]float64, centroids [][]float64, 
 		// Cache assignments for the whole batch against the frozen
 		// centroids, then apply the sequential per-point updates
 		// (Sculley's two-phase step).
-		for i, p := range batch {
-			c, _ := vec.ArgMinDistance(data[p], centroids)
-			labs[i] = c
+		near.load(centroids)
+		for _, p := range batch {
+			if stamp[p] != iter+1 {
+				stamp[p] = iter + 1
+				rowLab[p] = near.argmin(p, centroids)
+			}
 		}
 		for c := range centroids {
 			copy(prevFlat[c*d:(c+1)*d], centroids[c])
 		}
-		for i, p := range batch {
-			c := labs[i]
+		for _, p := range batch {
+			c := rowLab[p]
 			absorbed[c]++
 			eta := 1 / float64(absorbed[c])
-			cent := centroids[c]
-			for j, v := range data[p] {
+			x := data[p]
+			cent := centroids[c][:len(x)]
+			for j, v := range x {
 				cent[j] += eta * (v - cent[j])
 			}
 		}
@@ -97,11 +106,12 @@ func runMiniBatch(ctx context.Context, data [][]float64, centroids [][]float64, 
 	res.Centroids = centroids
 	res.Labels = make([]int, n)
 	res.Sizes = make([]int, opts.K)
+	near.load(centroids)
 	for i, x := range data {
-		c, dist := vec.ArgMinDistance(x, centroids)
+		c := near.argmin(i, centroids)
 		res.Labels[i] = c
 		res.Sizes[c]++
-		res.SSE += dist
+		res.SSE += vec.SquaredEuclidean(x, centroids[c])
 	}
 	return res, nil
 }

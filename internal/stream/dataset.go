@@ -94,6 +94,9 @@ type Dataset struct {
 	// (features in the live matrix's current ranking order).
 	centroids [][]float64
 	features  []string
+	// scratch is the re-clustering's working memory, reused (and
+	// grown) across appends.
+	scratch cluster.Scratch
 
 	// baseline is the descriptor of the last fully analyzed state (the
 	// registration descriptor until the first resweep completes);
@@ -316,6 +319,8 @@ func (d *Dataset) applyLocked(exams []Exam, patients []Patient, records []Record
 // reclusterLocked refreshes the online model with one mini-batch
 // K-means pass over the live matrix, warm-started from the previous
 // centroids (remapped by exam code when the feature ranking moved).
+// It runs on the live matrix's maintained CSR view, so the kernel's
+// sparse assignment step reuses it instead of recompressing the rows.
 // The seed derives from the revision, so a recovered daemon catching
 // up re-clusters identically to the uncrashed one.
 func (d *Dataset) reclusterLocked() {
@@ -335,13 +340,14 @@ func (d *Dataset) reclusterLocked() {
 		BatchSize: cfg.OnlineBatchSize,
 		MaxIter:   cfg.OnlineMaxIter,
 		Seed:      d.mgr.svc.Engine().Config().Seed + int64(d.revision),
+		Scratch:   &d.scratch,
 	}
 	if len(d.centroids) == k {
 		if seeds := core.RemapCentroids(d.centroids, d.features, m.Features); seeds != nil {
 			opts.InitialCentroids = seeds
 		}
 	}
-	res, err := cluster.KMeans(m.Rows, opts)
+	res, err := cluster.KMeansCSRContext(context.Background(), m.Sparse(), m.Rows, opts)
 	if err != nil {
 		// Online model refresh is best-effort: the durable append
 		// already succeeded, the model just stays at its previous

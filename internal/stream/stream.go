@@ -16,7 +16,14 @@
 //     centroids. It answers "what do the patient groups look like
 //     right now" within one append's latency, but its clustering is a
 //     stochastic approximation, not the paper's exact DOC/sweep
-//     output.
+//     output. One re-clustering runs Config.OnlineMaxIter iterations
+//     over batches of up to Config.OnlineBatchSize rows sampled from
+//     the whole live matrix; the assignment step runs on the matrix's
+//     maintained CSR view at O(K·nnz) per sampled row rather than
+//     O(K·d), in working memory the dataset keeps across appends. That
+//     sparse step returns exactly the dense scan's labels, so the
+//     model's bits are those of the dense mini-batch loop
+//     (TestOnlineModelDigestPinned); only its cost moved.
 //
 //   - The FULL model is exact and expensive: when the descriptor
 //     drifts past Config.DriftThreshold from the last fully analyzed
