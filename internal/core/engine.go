@@ -169,7 +169,6 @@ func (c Config) Validate() error {
 type Engine struct {
 	cfg      Config
 	kdb      *kdb.KDB
-	txc      *txCache
 	inflight *inflightSet
 }
 
@@ -220,7 +219,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: opening K-DB: %w", err)
 	}
-	return &Engine{cfg: cfg, kdb: k, txc: newTxCache(), inflight: newInflightSet()}, nil
+	return &Engine{cfg: cfg, kdb: k, inflight: newInflightSet()}, nil
 }
 
 // NewWithKDB builds an engine over an already-open K-DB, which the
@@ -232,7 +231,7 @@ func NewWithKDB(cfg Config, k *kdb.KDB) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg.withDefaults(), kdb: k, txc: newTxCache(), inflight: newInflightSet()}, nil
+	return &Engine{cfg: cfg.withDefaults(), kdb: k, inflight: newInflightSet()}, nil
 }
 
 // WithConfig returns a derived engine that analyzes under cfg but
@@ -246,7 +245,7 @@ func (e *Engine) WithConfig(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.KDBDir = e.cfg.KDBDir
-	return &Engine{cfg: cfg.withDefaults(), kdb: e.kdb, txc: e.txc, inflight: e.inflight}, nil
+	return &Engine{cfg: cfg.withDefaults(), kdb: e.kdb, inflight: e.inflight}, nil
 }
 
 // Config returns the engine's resolved configuration (defaults filled
@@ -260,19 +259,6 @@ func (e *Engine) KDB() *kdb.KDB { return e.kdb }
 // StageParallelism reports the resolved stage-pool size
 // (Config.Parallelism, or all cores when unset).
 func (e *Engine) StageParallelism() int { return e.parallelism() }
-
-// ReleaseLog drops the engine's cached per-log state (the patterns
-// stage's transaction encoding). Long-running callers that know a log
-// will not be re-analyzed — the job service, once a submission's last
-// job finishes — call this so request-scoped logs do not stay pinned
-// in memory until cache eviction. Releasing a log that is mid-analysis
-// is safe: the analysis keeps its reference and a later re-analysis
-// simply rebuilds.
-func (e *Engine) ReleaseLog(log *dataset.Log) { e.txc.release(log) }
-
-// CachedLogs reports how many logs currently hold cached per-log state
-// (observability: the daemon's memory footprint tracks this).
-func (e *Engine) CachedLogs() int { return e.txc.size() }
 
 // Report is the complete outcome of one automated analysis.
 type Report struct {
@@ -498,6 +484,9 @@ func (e *Engine) AnalyzeMany(ctx context.Context, logs []*dataset.Log) ([]*Repor
 func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	if log.NumPatients() == 0 || log.NumRecords() == 0 {
 		return nil, fmt.Errorf("core: log %q is empty", log.Name)
+	}
+	if err := log.Encoded().Check(); err != nil {
+		return nil, fmt.Errorf("core: log %q: %w", log.Name, err)
 	}
 	stages := e.pipelineStages()
 	if err := validateStages(stages); err != nil {

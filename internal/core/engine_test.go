@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/kdb"
@@ -130,6 +132,25 @@ func TestAnalyzeEmptyLog(t *testing.T) {
 	}
 	if _, err := e.Analyze(dataset.NewLog("empty")); err == nil {
 		t.Error("empty log accepted")
+	}
+}
+
+// TestAnalyzeRefusesUncleanLog: an analysis of a log that repeats a
+// patient id or names an unregistered exam type fails before any stage
+// runs, with the integrity error.
+func TestAnalyzeRefusesUncleanLog(t *testing.T) {
+	e, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2015, 1, 2, 0, 0, 0, 0, time.UTC)
+	for _, l := range []*dataset.Log{
+		{Exams: []dataset.ExamType{{Code: "E"}}, Patients: []dataset.Patient{{ID: "P"}, {ID: "P"}}, Records: []dataset.Record{{PatientID: "P", ExamCode: "E", Date: at}}},
+		{Exams: []dataset.ExamType{{Code: "E"}}, Patients: []dataset.Patient{{ID: "P"}}, Records: []dataset.Record{{PatientID: "P", ExamCode: "F", Date: at}}},
+	} {
+		if _, err := e.Analyze(l); err == nil || !strings.Contains(err.Error(), "dataset:") {
+			t.Errorf("unclean log analyzed: %v", err)
+		}
 	}
 }
 

@@ -364,16 +364,16 @@ func (e *Engine) runPatterns(ctx context.Context, s *pipelineState) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// The visit baskets and their taxonomy extension depend only on
-	// the log, so the int-encoded transaction database is built once
-	// per log and shared across analyses (and across engines derived
-	// via WithConfig).
-	ext, numTx := e.txc.basketsFor(s.log)
+	// The visit baskets come straight from the log's encoding: exam
+	// keys, already grouped and de-duplicated, with no string hashed.
+	enc := s.log.Encoded()
+	tax := taxonomyOf(s.log)
+	ext := tax.ExtendEncoded(fpm.EncodeTransactions(enc.ExamCodes, enc.VisitPtr, enc.VisitExams))
+	numTx := enc.NumVisits()
 	minSupport := int(e.cfg.MinSupportFrac * float64(numTx))
 	if minSupport < 2 {
 		minSupport = 2
 	}
-	tax := taxonomyOf(s.log)
 	gsets, err := fpm.MineGeneralizedEncoded(ext, tax, minSupport)
 	if err != nil {
 		return fmt.Errorf("pattern mining: %w", err)

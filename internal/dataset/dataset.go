@@ -1,10 +1,38 @@
 // Package dataset defines the medical examination-log data model used
 // throughout ADA-HEALTH: patients, examination types, and timestamped
-// examination records, together with loading, saving and validation.
+// examination records, together with loading and saving.
 //
 // The model mirrors the dataset described in Section IV of the paper:
 // an anonymized log of diabetic patients where each record carries at
 // least a unique patient identifier and the type and date of an exam.
+//
+// # The encoded log
+//
+// Log is the row form, for I/O and the public API. Every stage that
+// characterizes or transforms a log reads its Encoded instead: integer
+// patient and exam keys per record, a civil-day number per record, and
+// the records grouped into visits by one integer sort. A Log caches
+// its Encoded; the Add methods keep it in step, appending to the
+// exported slices is noticed, and ReindexAfterLoad rebuilds it after
+// rows were rewritten in place. Encoded.Check reports whether the log
+// is referentially clean, which the service checks at admission and
+// core before an analysis; the encoding itself represents any log,
+// clean or not, so Characterize never fails.
+//
+// A visit is a patient's records on one calendar date, the date being
+// the record's own: 23:30 at −05:00 is that day, not the next one in
+// UTC. Log.Visits dates a visit UTC midnight of that date. Spans
+// between records (Descriptor.SpanDays) still come from instants.
+//
+// Concurrency: building the encoding writes to the Log, reading a
+// current one does not. A log handed to concurrent readers — the
+// stage DAG's root stages — is encoded first, serially, with
+// EnsureIndexes; after that Encoded, Visits, Patient and Exam are safe
+// to call concurrently until the next write to the log.
+//
+// The request decoder (DecodeEnvelope, DecodeBatch, ReadJSON) reads
+// JSON straight into rows and the encoding, exactly as encoding/json
+// would read it into the same types (FuzzDecodeLogMatchesStdlib).
 package dataset
 
 import (
@@ -54,8 +82,9 @@ type Log struct {
 	Patients []Patient  `json:"patients"`
 	Records  []Record   `json:"records"`
 
-	examIndex    map[string]int
-	patientIndex map[string]int
+	// enc is the dictionary-coded form, built lazily by Encoded and
+	// kept in step by the Add methods.
+	enc *Encoded
 }
 
 // NewLog returns an empty Log with the given name.
@@ -65,76 +94,102 @@ func NewLog(name string) *Log {
 
 // AddExam registers an exam type. Duplicate codes are rejected.
 func (l *Log) AddExam(e ExamType) error {
-	l.ensureIndexes()
-	if _, dup := l.examIndex[e.Code]; dup {
+	enc := l.dicts()
+	if k, dup := enc.examOf[e.Code]; dup && int(k) < enc.NumExams {
 		return fmt.Errorf("dataset: duplicate exam code %q", e.Code)
 	}
-	l.examIndex[e.Code] = len(l.Exams)
 	l.Exams = append(l.Exams, e)
+	if len(enc.ExamCodes) > enc.NumExams {
+		// Unregistered codes hold the keys above the registration rows;
+		// re-encode rather than renumber them.
+		l.enc = nil
+		return nil
+	}
+	enc.examOf[e.Code] = int32(enc.NumExams)
+	enc.ExamCodes = append(enc.ExamCodes, e.Code)
+	enc.NumExams++
 	return nil
 }
 
 // AddPatient registers a patient. Duplicate IDs are rejected.
 func (l *Log) AddPatient(p Patient) error {
-	l.ensureIndexes()
-	if _, dup := l.patientIndex[p.ID]; dup {
+	enc := l.dicts()
+	if k, dup := enc.patientOf[p.ID]; dup && int(k) < enc.NumPatients {
 		return fmt.Errorf("dataset: duplicate patient ID %q", p.ID)
 	}
-	l.patientIndex[p.ID] = len(l.Patients)
 	l.Patients = append(l.Patients, p)
+	if len(enc.PatientIDs) > enc.NumPatients {
+		l.enc = nil
+		return nil
+	}
+	enc.patientOf[p.ID] = int32(enc.NumPatients)
+	enc.PatientIDs = append(enc.PatientIDs, p.ID)
+	enc.NumPatients++
 	return nil
 }
 
 // AddRecord appends an examination record. The patient and exam type
 // must already be registered.
 func (l *Log) AddRecord(r Record) error {
-	l.ensureIndexes()
-	if _, ok := l.patientIndex[r.PatientID]; !ok {
+	enc := l.dicts()
+	if k, ok := enc.patientOf[r.PatientID]; !ok || int(k) >= enc.NumPatients {
 		return fmt.Errorf("dataset: record references unknown patient %q", r.PatientID)
 	}
-	if _, ok := l.examIndex[r.ExamCode]; !ok {
+	if k, ok := enc.examOf[r.ExamCode]; !ok || int(k) >= enc.NumExams {
 		return fmt.Errorf("dataset: record references unknown exam code %q", r.ExamCode)
 	}
 	l.Records = append(l.Records, r)
 	return nil
 }
 
-func (l *Log) ensureIndexes() {
-	if l.examIndex == nil {
-		l.examIndex = make(map[string]int, len(l.Exams))
-		for i, e := range l.Exams {
-			l.examIndex[e.Code] = i
-		}
+// dicts returns the encoding with at least its registration
+// dictionaries current, starting over when the exported fields were
+// changed behind the Add methods' back.
+func (l *Log) dicts() *Encoded {
+	e := l.enc
+	if e == nil || e.NumPatients != len(l.Patients) || e.NumExams != len(l.Exams) || len(e.Patient) > len(l.Records) {
+		e = newEncoded(l)
+		l.enc = e
 	}
-	if l.patientIndex == nil {
-		l.patientIndex = make(map[string]int, len(l.Patients))
-		for i, p := range l.Patients {
-			l.patientIndex[p.ID] = i
-		}
-	}
+	return e
 }
 
-// ReindexAfterLoad rebuilds the internal lookup tables. It must be
-// called after populating the exported fields directly (e.g. after
-// decoding from JSON).
+// Encoded returns the log's dictionary-coded form, encoding the
+// records not yet encoded and regrouping visits when records were
+// added. A current encoding is only read, so concurrent callers are
+// safe once one call has built it; the first call is not, which is
+// what EnsureIndexes is for.
+func (l *Log) Encoded() *Encoded {
+	e := l.dicts()
+	if len(e.Patient) < len(l.Records) {
+		e.encodeRecords(l.Records[len(e.Patient):])
+	}
+	if e.grouped != len(l.Records) {
+		e.group()
+	}
+	return e
+}
+
+// ReindexAfterLoad rebuilds the encoding from scratch. It must be
+// called after changing the exported fields in place (e.g. rewriting
+// ids); appending rows, registrations included, is noticed without it.
 func (l *Log) ReindexAfterLoad() {
-	l.examIndex = nil
-	l.patientIndex = nil
-	l.ensureIndexes()
+	l.enc = nil
+	l.Encoded()
 }
 
-// EnsureIndexes builds the internal lookup tables if they are missing,
-// leaving valid ones untouched. Accessors build them lazily on first
-// use, which is not safe when that first use happens on several
+// EnsureIndexes builds the encoding if it is missing or behind the
+// rows, leaving a current one untouched. Readers build it lazily on
+// first use, which is not safe when that first use happens on several
 // goroutines at once — callers handing one log to concurrent readers
-// (e.g. the stage DAG's root stages) index it here, serially, first.
-func (l *Log) EnsureIndexes() { l.ensureIndexes() }
+// (e.g. the stage DAG's root stages) encode it here, serially, first.
+func (l *Log) EnsureIndexes() { l.Encoded() }
 
 // Exam returns the exam type for code, if registered.
 func (l *Log) Exam(code string) (ExamType, bool) {
-	l.ensureIndexes()
-	i, ok := l.examIndex[code]
-	if !ok {
+	enc := l.dicts()
+	i, ok := enc.examOf[code]
+	if !ok || int(i) >= enc.NumExams {
 		return ExamType{}, false
 	}
 	return l.Exams[i], true
@@ -142,9 +197,9 @@ func (l *Log) Exam(code string) (ExamType, bool) {
 
 // Patient returns the patient for id, if registered.
 func (l *Log) Patient(id string) (Patient, bool) {
-	l.ensureIndexes()
-	i, ok := l.patientIndex[id]
-	if !ok {
+	enc := l.dicts()
+	i, ok := enc.patientOf[id]
+	if !ok || int(i) >= enc.NumPatients {
 		return Patient{}, false
 	}
 	return l.Patients[i], true
@@ -228,42 +283,26 @@ type Visit struct {
 	ExamCodes []string
 }
 
-// Visits groups records into per-patient per-day visits. Exam codes
-// within a visit are sorted and de-duplicated; visits are ordered by
-// patient registration order, then date.
+// Visits groups records into per-patient per-day visits: a visit is
+// a record's calendar date in the record's own UTC offset, dated UTC
+// midnight. Exam codes within a visit are sorted and de-duplicated;
+// visits are ordered by patient registration order, then date. It is
+// a projection of Encoded's visit arrays.
 func (l *Log) Visits() []Visit {
-	type key struct {
-		patient string
-		day     string
+	e := l.Encoded()
+	codes := make([]string, len(e.VisitExams))
+	for i, x := range e.VisitExams {
+		codes[i] = e.ExamCodes[x]
 	}
-	byKey := make(map[key]map[string]bool)
-	for _, r := range l.Records {
-		k := key{r.PatientID, r.Date.Format("2006-01-02")}
-		set := byKey[k]
-		if set == nil {
-			set = make(map[string]bool)
-			byKey[k] = set
+	visits := make([]Visit, e.NumVisits())
+	for v := range visits {
+		lo, hi := e.VisitPtr[v], e.VisitPtr[v+1]
+		visits[v] = Visit{
+			PatientID: e.PatientIDs[e.VisitPatient[v]],
+			Date:      DayTime(e.VisitDay[v]),
+			ExamCodes: codes[lo:hi:hi],
 		}
-		set[r.ExamCode] = true
 	}
-	l.ensureIndexes()
-	visits := make([]Visit, 0, len(byKey))
-	for k, set := range byKey {
-		codes := make([]string, 0, len(set))
-		for c := range set {
-			codes = append(codes, c)
-		}
-		sort.Strings(codes)
-		d, _ := time.Parse("2006-01-02", k.day)
-		visits = append(visits, Visit{PatientID: k.patient, Date: d, ExamCodes: codes})
-	}
-	sort.Slice(visits, func(i, j int) bool {
-		pi, pj := l.patientIndex[visits[i].PatientID], l.patientIndex[visits[j].PatientID]
-		if pi != pj {
-			return pi < pj
-		}
-		return visits[i].Date.Before(visits[j].Date)
-	})
 	return visits
 }
 

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -275,30 +277,109 @@ func TestReadCSVMalformed(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	l := sampleLog(t)
-	issues := l.Validate(ValidateOptions{MinAge: 4, MaxAge: 95, From: day(0), To: day(365)})
-	if len(issues) != 0 {
-		t.Errorf("clean log has issues: %v", issues)
+// ReferenceVisits is the string-keyed grouping Log.Visits was before
+// it became a projection of Encoded, kept as the equivalence tests'
+// reference: a visit is a record's date formatted in the record's own
+// location, and visits sort by the patient's registration row (the
+// last row of a repeated id; 0 for an unregistered one, as the map
+// miss gave), then date — in no defined order among ties.
+func ReferenceVisits(l *Log) []Visit {
+	type key struct {
+		patient string
+		day     string
 	}
+	byKey := make(map[key]map[string]bool)
+	for _, r := range l.Records {
+		k := key{r.PatientID, r.Date.Format("2006-01-02")}
+		set := byKey[k]
+		if set == nil {
+			set = make(map[string]bool)
+			byKey[k] = set
+		}
+		set[r.ExamCode] = true
+	}
+	patientIndex := make(map[string]int, len(l.Patients))
+	for i, p := range l.Patients {
+		patientIndex[p.ID] = i
+	}
+	visits := make([]Visit, 0, len(byKey))
+	for k, set := range byKey {
+		codes := make([]string, 0, len(set))
+		for c := range set {
+			codes = append(codes, c)
+		}
+		sort.Strings(codes)
+		d, _ := time.Parse("2006-01-02", k.day)
+		visits = append(visits, Visit{PatientID: k.patient, Date: d, ExamCodes: codes})
+	}
+	sort.Slice(visits, func(i, j int) bool {
+		pi, pj := patientIndex[visits[i].PatientID], patientIndex[visits[j].PatientID]
+		if pi != pj {
+			return pi < pj
+		}
+		return visits[i].Date.Before(visits[j].Date)
+	})
+	return visits
+}
 
-	l.Patients = append(l.Patients, Patient{ID: "P99", Age: 120})
-	l.Records = append(l.Records, Record{"PXX", "EX001", day(-5)})
-	issues = l.Validate(ValidateOptions{MinAge: 4, MaxAge: 95, From: day(0), To: day(365)})
-	var ageIssue, refIssue, dateIssue bool
-	for _, is := range issues {
-		s := is.String()
-		if strings.Contains(s, "age 120") {
-			ageIssue = true
-		}
-		if strings.Contains(s, "unknown patient") {
-			refIssue = true
-		}
-		if strings.Contains(s, "before observation") {
-			dateIssue = true
+// TestEncodedFollowsRows: the encoding keeps up with rows added
+// through the Add methods and with rows appended to the exported
+// fields directly, and ReindexAfterLoad picks up rows rewritten in
+// place.
+func TestEncodedFollowsRows(t *testing.T) {
+	l := sampleLog(t)
+	check := func(what string) {
+		t.Helper()
+		if got, want := l.Visits(), ReferenceVisits(l); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: visits\n got %+v\nwant %+v", what, got, want)
 		}
 	}
-	if !ageIssue || !refIssue || !dateIssue {
-		t.Errorf("missing issues (age=%v ref=%v date=%v): %v", ageIssue, refIssue, dateIssue, issues)
+	check("built")
+	if err := l.AddPatient(Patient{ID: "P4"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AddExam(ExamType{Code: "EX000"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AddRecord(Record{"P4", "EX000", day(2)}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Add")
+	l.Records = append(l.Records, Record{"P2", "EX002", day(5).Add(20 * time.Hour)})
+	check("after a direct append")
+	l.Records[0].PatientID = "P3"
+	l.ReindexAfterLoad()
+	check("after an in-place rewrite")
+	if err := l.Encoded().Check(); err != nil {
+		t.Fatalf("clean log: %v", err)
+	}
+}
+
+// TestCheck: Check names the first duplicate or dangling reference and
+// passes a clean log.
+func TestCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(l *Log)
+		want string
+	}{
+		{"clean", func(*Log) {}, ""},
+		{"duplicate patient", func(l *Log) { l.Patients = append(l.Patients, Patient{ID: "P2"}) }, `duplicate patient ID "P2"`},
+		{"duplicate exam", func(l *Log) { l.Exams = append(l.Exams, ExamType{Code: "EX003"}) }, `duplicate exam code "EX003"`},
+		{"unknown patient", func(l *Log) { l.Records = append(l.Records, Record{"P9", "EX001", day(1)}) }, `record 6 references unknown patient "P9"`},
+		{"unknown exam", func(l *Log) { l.Records = append(l.Records, Record{"P1", "EX9", day(1)}) }, `record 6 references unknown exam code "EX9"`},
+	} {
+		l := sampleLog(t)
+		tc.edit(l)
+		err := l.Encoded().Check()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -181,13 +181,21 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON decodes a log written by WriteJSON and rebuilds its indexes.
+// ReadJSON decodes a log written by WriteJSON, reading the first JSON
+// value as json.NewDecoder(r).Decode would, and encodes it.
 func ReadJSON(r io.Reader) (*Log, error) {
-	var l Log
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading JSON: %w", err)
+	}
+	d := newDecoder(data, true)
+	if err := d.top(); err != nil {
 		return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
 	}
-	l.ReindexAfterLoad()
+	var l Log
+	if err := d.log(&l, true); err != nil {
+		return nil, err
+	}
+	d.finish(&l)
 	return &l, nil
 }

@@ -57,7 +57,8 @@ func (t *fpTree) insert(items []int32, count int) {
 //
 // This entry point encodes the baskets first; callers mining the same
 // baskets repeatedly (several support thresholds, several algorithms)
-// should build a Transactions once and use its methods instead.
+// should build a Transactions once and mine it with
+// MineGeneralizedEncoded instead.
 func FPGrowth(txs [][]string, minSupport int) ([]Itemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)

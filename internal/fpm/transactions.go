@@ -1,8 +1,8 @@
 package fpm
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Transactions is a shared, integer-encoded transaction database: the
@@ -26,44 +26,70 @@ type Transactions struct {
 // items are dropped and duplicates within a basket collapse, exactly
 // as the one-shot miners normalize.
 func NewTransactions(txs [][]string) *Transactions {
-	// Dictionary over all distinct items, lexicographic.
-	seen := map[string]int32{}
+	ids := map[string]int32{}
+	var names []string
+	ptr := make([]int32, 1, len(txs)+1)
+	var items []int32
 	for _, tx := range txs {
 		for _, it := range tx {
-			if it != "" {
-				seen[it] = 0
+			id, ok := ids[it]
+			if !ok {
+				id = int32(len(names))
+				names = append(names, it)
+				ids[it] = id
 			}
+			items = append(items, id)
+		}
+		ptr = append(ptr, int32(len(items)))
+	}
+	return EncodeTransactions(names, ptr, items)
+}
+
+// EncodeTransactions is NewTransactions over baskets already coded
+// against a list of distinct names: basket i is items[ptr[i]:ptr[i+1]],
+// each item an index into names. It hashes no strings, so a caller
+// holding integer-keyed baskets (dataset.Encoded's visits) skips the
+// string pass.
+func EncodeTransactions(names []string, ptr, items []int32) *Transactions {
+	// Dictionary over the non-empty names the baskets use, lexicographic.
+	remap := make([]int32, len(names))
+	for _, id := range items {
+		remap[id] = 1
+	}
+	var order []int32
+	for id, used := range remap {
+		if used == 1 && names[id] != "" {
+			order = append(order, int32(id))
 		}
 	}
-	dict := make([]string, 0, len(seen))
-	for it := range seen {
-		dict = append(dict, it)
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	for id := range remap {
+		remap[id] = -1
 	}
-	sort.Strings(dict)
-	for id, it := range dict {
-		seen[it] = int32(id)
+	dict := make([]string, len(order))
+	for id, old := range order {
+		remap[old] = int32(id)
+		dict[id] = names[old]
 	}
 
+	n := len(ptr) - 1
 	t := &Transactions{
-		dict: dict,
-		ptr:  make([]int, 1, len(txs)+1),
-		freq: make([]int, len(dict)),
+		dict:  dict,
+		ptr:   make([]int, 1, n+1),
+		items: make([]int32, 0, len(items)),
+		freq:  make([]int, len(dict)),
 	}
 	mark := make([]bool, len(dict))
 	ids := make([]int32, 0, 16)
-	for _, tx := range txs {
+	for i := 0; i < n; i++ {
 		ids = ids[:0]
-		for _, it := range tx {
-			if it == "" {
-				continue
-			}
-			id := seen[it]
-			if !mark[id] {
+		for _, old := range items[ptr[i]:ptr[i+1]] {
+			if id := remap[old]; id >= 0 && !mark[id] {
 				mark[id] = true
 				ids = append(ids, id)
 			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			mark[id] = false
 			t.freq[id]++
@@ -77,23 +103,6 @@ func NewTransactions(txs [][]string) *Transactions {
 // NumTx reports the number of transactions.
 func (t *Transactions) NumTx() int { return len(t.ptr) - 1 }
 
-// NumItems reports the dictionary size.
-func (t *Transactions) NumItems() int { return len(t.dict) }
-
-// Item returns the name behind an item id.
-func (t *Transactions) Item(id int32) string { return t.dict[id] }
-
 // tx returns the (sorted, unique) item ids of transaction i as a
 // shared read-only view.
 func (t *Transactions) tx(i int) []int32 { return t.items[t.ptr[i]:t.ptr[i+1]] }
-
-// FPGrowth mines all itemsets with support >= minSupport over the
-// shared encoding (see FPGrowth for the algorithm); repeated calls at
-// different thresholds reuse the same dictionary, frequencies and
-// encoded baskets.
-func (t *Transactions) FPGrowth(minSupport int) ([]Itemset, error) {
-	if minSupport < 1 {
-		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
-	}
-	return fpGrowthEncoded(t, minSupport), nil
-}

@@ -27,8 +27,9 @@ func randomBaskets(rng *rand.Rand, n int) [][]string {
 
 // TestTransactionsMinersMatchOneShot is the shared-encoding
 // equivalence property: for random baskets and several thresholds,
-// Transactions.FPGrowth must emit exactly the itemsets of the one-shot
-// entry point (which normalizes per call) and of the Apriori reference.
+// FP-Growth over one shared encoding must emit exactly the itemsets of
+// the one-shot entry point (which normalizes per call) and of the
+// Apriori reference.
 func TestTransactionsMinersMatchOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5; trial++ {
@@ -39,10 +40,7 @@ func TestTransactionsMinersMatchOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotFP, err := shared.FPGrowth(minSupport)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotFP := fpGrowthEncoded(shared, minSupport)
 			if !reflect.DeepEqual(gotFP, wantFP) {
 				t.Fatalf("trial %d supp %d: shared FPGrowth differs:\n%v\nvs\n%v",
 					trial, minSupport, gotFP, wantFP)
@@ -67,14 +65,9 @@ func TestTransactionsEncoding(t *testing.T) {
 	if tr.NumTx() != 3 {
 		t.Errorf("NumTx = %d", tr.NumTx())
 	}
-	if tr.NumItems() != 3 {
-		t.Errorf("NumItems = %d", tr.NumItems())
-	}
 	// Dictionary is lexicographic: a < c < x.
-	for id, want := range []string{"a", "c", "x"} {
-		if got := tr.Item(int32(id)); got != want {
-			t.Errorf("Item(%d) = %q, want %q", id, got, want)
-		}
+	if want := []string{"a", "c", "x"}; !reflect.DeepEqual(tr.dict, want) {
+		t.Errorf("dict = %q, want %q", tr.dict, want)
 	}
 	if got := tr.tx(0); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("tx(0) = %v, want [0 1 2]", got)
@@ -89,7 +82,35 @@ func TestTransactionsEncoding(t *testing.T) {
 
 func TestTransactionsMinSupportValidation(t *testing.T) {
 	tr := NewTransactions([][]string{{"a"}})
-	if _, err := tr.FPGrowth(0); err == nil {
-		t.Error("FPGrowth accepted minSupport 0")
+	if _, err := MineGeneralizedEncoded(tr, nil, 0); err == nil {
+		t.Error("MineGeneralizedEncoded accepted minSupport 0")
+	}
+}
+
+// TestEncodeTransactionsMatchesStrings: baskets coded against a name
+// list encode exactly as the same baskets as strings, unused and empty
+// names dropped.
+func TestEncodeTransactionsMatchesStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"h", "", "c", "a", "unused", "f", "b"}
+	for trial := 0; trial < 20; trial++ {
+		var txs [][]string
+		ptr, items := []int32{0}, []int32(nil)
+		for i := rng.Intn(30); i >= 0; i-- {
+			var tx []string
+			for j := rng.Intn(6); j > 0; j-- {
+				id := int32(rng.Intn(len(names)))
+				if names[id] == "unused" {
+					continue
+				}
+				tx = append(tx, names[id])
+				items = append(items, id)
+			}
+			txs = append(txs, tx)
+			ptr = append(ptr, int32(len(items)))
+		}
+		if got, want := EncodeTransactions(names, ptr, items), NewTransactions(txs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: EncodeTransactions\n got %+v\nwant %+v", trial, got, want)
+		}
 	}
 }

@@ -145,3 +145,76 @@ func TestSubmitDecodeGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitRefusesUncleanLog: a log that repeats an id or names a
+// patient or exam type it does not register is refused at admission
+// with a 400, instead of failing mid-job or turning a repeated patient
+// into two matrix rows.
+func TestSubmitRefusesUncleanLog(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	const rec = `{"patient_id":"P1","exam_code":"EX1","date":"2015-01-02T00:00:00Z"}`
+	for name, body := range map[string]string{
+		"unknown patient":   `{"log":{"exams":[{"code":"EX1"}],"patients":[{"id":"P1"}],"records":[` + rec + `,{"patient_id":"P2","exam_code":"EX1","date":"2015-01-02T00:00:00Z"}]}}`,
+		"unknown exam":      `{"log":{"exams":[{"code":"EX1"}],"patients":[{"id":"P1"}],"records":[` + rec + `,{"patient_id":"P1","exam_code":"EX2","date":"2015-01-02T00:00:00Z"}]}}`,
+		"duplicate patient": `{"log":{"exams":[{"code":"EX1"}],"patients":[{"id":"P1"},{"id":"P1","age":3}],"records":[` + rec + `]}}`,
+		"duplicate exam":    `{"log":{"exams":[{"code":"EX1"},{"code":"EX1"}],"patients":[{"id":"P1"}],"records":[` + rec + `]}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/analyses", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, msg)
+		}
+	}
+	if st := svc.Stats(); st.Queued+st.Running != 0 {
+		t.Errorf("refused logs left jobs behind: %+v", st)
+	}
+}
+
+// TestBodyLimit: a body over MaxBodyBytes gets a 413, whether its
+// declared length says so up front or a chunked body runs past it.
+func TestBodyLimit(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	h := NewHandler(svc)
+
+	declared := httptest.NewRequest(http.MethodPost, "/v1/analyses", bytes.NewReader([]byte(`{}`)))
+	declared.ContentLength = MaxBodyBytes + 1
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, declared)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared oversize: status %d, want 413", w.Code)
+	}
+
+	long := io.MultiReader(bytes.NewReader([]byte(`{"name":"`)), io.LimitReader(zeros{}, MaxBodyBytes))
+	chunked := httptest.NewRequest(http.MethodPost, "/v1/analyses", long)
+	chunked.ContentLength = -1
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, chunked)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked oversize: status %d, want 413", w.Code)
+	}
+}
+
+// zeros reads as an endless run of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,9 +136,44 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
+// MaxBodyBytes bounds the body of a log-bearing request (POST
+// /v1/analyses, PUT /v1/datasets/{id}, POST /v1/datasets/{id}/visits):
+// about twice the JSON of the paper's full 6,380-patient log.
+const MaxBodyBytes = 16 << 20
+
+// ReadBody reads r's whole body, refusing one over MaxBodyBytes. On
+// failure it writes the error response — 413 for an oversized body,
+// 400 otherwise — and returns false.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > MaxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes))
+		return nil, false
+	}
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", MaxBodyBytes))
+		} else {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		}
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
 func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return
+	}
+	// The log member goes through the log decoder, which also encodes
+	// it; the rest of the request through encoding/json.
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := dataset.DecodeEnvelope(body, &req, &req.Log); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

@@ -98,10 +98,6 @@ type Job struct {
 	events chan StageEvent
 	subs   []chan StageEvent // Subscribe streams (SSE consumers)
 	done   chan struct{}
-
-	// onFinish runs exactly once, after the job reaches its terminal
-	// state (the service releases per-log cached state here).
-	onFinish func()
 }
 
 // ID returns the job's service-unique identifier.
@@ -342,7 +338,4 @@ func (j *Job) finish(rep *core.Report, err error) {
 
 	close(j.done)
 	j.cancel() // release the deadline timer and wake the reap watcher
-	if j.onFinish != nil {
-		j.onFinish()
-	}
 }

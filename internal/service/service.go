@@ -13,6 +13,19 @@
 // Jobs expose Status, Wait, Cancel and a live Events stream fed from
 // the scheduler's stage trace points. cmd/adahealthd serves this API
 // over HTTP (see NewHandler).
+//
+// # Admission encodes the log
+//
+// A log is encoded once, at the door (dataset.Encoded): the HTTP
+// routes read the body once, under MaxBodyBytes, and decode it with
+// the dataset package's byte decoder, which builds the encoding in the
+// same pass. Submit then encodes whatever is not yet current (a struct
+// literal from a library caller arrives unencoded) under the admission
+// lock, so concurrent Submits sharing one log pointer cannot race and
+// the DAG's concurrent root stages only ever read the encoding; and it
+// refuses a log that is not referentially clean (a repeated id, a
+// record naming an unregistered patient or exam type) before it
+// queues, which the HTTP layer answers with 400.
 package service
 
 import (
@@ -122,7 +135,6 @@ type Service struct {
 	queue   jobHeap
 	jobs    map[string]*Job
 	order   []string // admission order, for terminal-job eviction
-	logRefs map[*dataset.Log]int
 	nextSeq uint64
 	running int
 	closed  bool
@@ -180,7 +192,6 @@ func NewWithEngine(engine *core.Engine, cfg Config) *Service {
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		jobs:        make(map[string]*Job),
-		logRefs:     make(map[*dataset.Log]int),
 		flushReq:    make(chan struct{}, 1),
 		flushStop:   make(chan struct{}),
 		flusherDone: make(chan struct{}),
@@ -324,25 +335,27 @@ func (s *Service) admit(log *dataset.Log, opts []Option) (*Job, error) {
 		admissionsTotal.With("closed").Inc()
 		return nil, ErrClosed
 	}
-	// Logs arrive from arbitrary construction paths (JSON decoding in
-	// the daemon, struct literals in library callers) with their lazy
-	// lookup tables unbuilt; building them here — serialized under the
-	// admission lock, so concurrent Submits sharing one log pointer
-	// cannot race — keeps the concurrent DAG's root stages from
-	// materializing them mid-analysis.
+	// Logs arrive from arbitrary construction paths with their
+	// encoding current (the HTTP decoder builds it as it reads) or
+	// unbuilt (struct literals in library callers); encoding here —
+	// serialized under the admission lock, so concurrent Submits
+	// sharing one log pointer cannot race — keeps the concurrent DAG's
+	// root stages from building it mid-analysis, and lets a log that
+	// is not referentially clean be refused at the door instead of
+	// failing mid-job.
 	log.EnsureIndexes()
+	if err := log.Encoded().Check(); err != nil {
+		s.mu.Unlock()
+		cancel()
+		release()
+		admissionsTotal.With("invalid").Inc()
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	s.nextSeq++
 	j.seq = s.nextSeq
 	j.id = fmt.Sprintf("job-%06d", j.seq)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	// Jobs are usually the only holders of their (request-scoped) log;
-	// refcount submissions per pointer and drop the engine's cached
-	// per-log state when the last job over a log finishes, so the
-	// daemon's memory does not grow with every submission until cache
-	// eviction.
-	s.logRefs[log]++
-	j.onFinish = func() { s.releaseLog(log) }
 	s.evictLocked()
 	// The queued event is emitted before the job becomes visible to
 	// workers, so an Events consumer always sees queued before
@@ -649,22 +662,6 @@ func (s *Service) defaultRun(j *Job) (*core.Report, error) {
 		SeedCentroids: j.seedCentroids,
 		SeedFeatures:  j.seedFeatures,
 	})
-}
-
-// releaseLog drops one job's claim on its log's cached engine state,
-// releasing the cache entry when no queued or running job shares the
-// pointer.
-func (s *Service) releaseLog(log *dataset.Log) {
-	s.mu.Lock()
-	s.logRefs[log]--
-	last := s.logRefs[log] <= 0
-	if last {
-		delete(s.logRefs, log)
-	}
-	s.mu.Unlock()
-	if last {
-		s.engine.ReleaseLog(log)
-	}
 }
 
 // reapQueued finishes a job whose context ended while it still sat in

@@ -22,17 +22,28 @@ func MonthlyDemand(l *dataset.Log) []DemandPoint {
 	if !ok {
 		return nil
 	}
-	type ym struct{ y, m int }
-	counts := map[ym]int{}
-	for _, r := range l.Records {
-		counts[ym{r.Date.Year(), int(r.Date.Month())}]++
+	// Counts per month of the window, by the records' calendar dates in
+	// their own offsets; a date outside the window's months (possible
+	// across offsets) counts nowhere.
+	first := min.Year()*12 + int(min.Month()) - 1
+	months := max.Year()*12 + int(max.Month()) - first
+	if months < 0 {
+		months = 0
+	}
+	counts := make([]int, months)
+	enc := l.Encoded()
+	for _, day := range enc.Day {
+		y, m, _ := dataset.DayTime(day).Date()
+		if i := y*12 + int(m) - 1 - first; i >= 0 && i < len(counts) {
+			counts[i]++
+		}
 	}
 	var out []DemandPoint
 	cur := time.Date(min.Year(), min.Month(), 1, 0, 0, 0, 0, time.UTC)
 	end := time.Date(max.Year(), max.Month(), 1, 0, 0, 0, 0, time.UTC)
 	for !cur.After(end) {
-		key := ym{cur.Year(), int(cur.Month())}
-		out = append(out, DemandPoint{Year: key.y, Month: key.m, Count: counts[key]})
+		y, m := cur.Year(), int(cur.Month())
+		out = append(out, DemandPoint{Year: y, Month: m, Count: counts[y*12+m-1-first]})
 		cur = cur.AddDate(0, 1, 0)
 	}
 	return out

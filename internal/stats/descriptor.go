@@ -58,24 +58,27 @@ func Characterize(l *dataset.Log) Descriptor {
 		NumExamTypes: l.NumExamTypes(),
 	}
 
-	// RecordsPerPatient and ExamFrequencies are maps: sort the values
-	// before any floating-point accumulation so the summaries are
-	// bit-for-bit reproducible run to run (Go randomizes map iteration
-	// order, and the higher-moment and entropy sums are not exact, so
-	// an arbitrary order perturbs the last ulp).
-	perPatient := l.RecordsPerPatient()
+	// Per-key counts over the log's encoding. The values are sorted
+	// before any floating-point accumulation, so the summaries do not
+	// depend on key order.
+	enc := l.Encoded()
+	perPatient := make([]int, len(enc.PatientIDs))
+	for _, p := range enc.Patient {
+		perPatient[p]++
+	}
 	rp := make([]float64, 0, len(perPatient))
-	for _, c := range perPatient {
-		rp = append(rp, float64(c))
+	for k, c := range perPatient {
+		if enc.IsPatientKey(k) {
+			rp = append(rp, float64(c))
+		}
 	}
 	sort.Float64s(rp)
 	d.RecordsPerPatient = Summarize(rp)
 
-	visits := l.Visits()
-	d.NumVisits = len(visits)
-	vs := make([]float64, len(visits))
-	for i, v := range visits {
-		vs[i] = float64(len(v.ExamCodes))
+	d.NumVisits = enc.NumVisits()
+	vs := make([]float64, d.NumVisits)
+	for v := range vs {
+		vs[v] = float64(enc.VisitPtr[v+1] - enc.VisitPtr[v])
 	}
 	d.ExamsPerVisit = Summarize(vs)
 
@@ -85,10 +88,15 @@ func Characterize(l *dataset.Log) Descriptor {
 	}
 	d.Age = Summarize(ages)
 
-	freqMap := l.ExamFrequencies()
-	counts := make([]int, 0, len(freqMap))
-	for _, c := range freqMap {
-		counts = append(counts, c)
+	perExam := make([]int, len(enc.ExamCodes))
+	for _, x := range enc.Exam {
+		perExam[x]++
+	}
+	counts := make([]int, 0, len(perExam))
+	for k, c := range perExam {
+		if enc.IsExamKey(k) {
+			counts = append(counts, c)
+		}
 	}
 	sort.Ints(counts)
 	d.FrequencyEntropy = Entropy(counts)
@@ -99,14 +107,9 @@ func Characterize(l *dataset.Log) Descriptor {
 
 	// Sparsity of the patient × exam count matrix: non-zero cells are
 	// the distinct (patient, exam) pairs.
-	type cell struct{ p, e string }
-	nz := make(map[cell]bool, l.NumRecords())
-	for _, r := range l.Records {
-		nz[cell{r.PatientID, r.ExamCode}] = true
-	}
 	cells := l.NumPatients() * l.NumExamTypes()
 	if cells > 0 {
-		d.VSMSparsity = 1 - float64(len(nz))/float64(cells)
+		d.VSMSparsity = 1 - float64(enc.DistinctPairs)/float64(cells)
 	}
 
 	if min, max, ok := l.TimeSpan(); ok {

@@ -7,7 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"adahealth/internal/service"
 )
 
 const goldenBase = `"exams":[{"code":"EX1","name":"Checkup","category":"routine"},{"code":"EX2","name":"Kidney","category":"renal"}],"patients":[{"id":"P1","age":50},{"id":"P2","age":61,"profile":"a"}],"records":[{"patient_id":"P1","exam_code":"EX1","date":"2015-01-02T00:00:00Z"},{"patient_id":"P1","exam_code":"EX2","date":"2015-01-02T00:00:00Z"},{"patient_id":"P2","exam_code":"EX1","date":"2015-02-03T00:00:00Z"}]`
@@ -163,5 +166,29 @@ func TestRegisterAppendDecodeGolden(t *testing.T) {
 				t.Errorf("log after append\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// TestLiveRoutesBodyLimit: both live-dataset routes answer a body over
+// service.MaxBodyBytes with a 413.
+func TestLiveRoutesBodyLimit(t *testing.T) {
+	svc := testService(t, fastConfig(1, ""))
+	mgr, err := NewManager(Config{Service: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(svc, mgr)
+	if _, err := mgr.Register("big", nil, []Patient{{ID: "P1"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{"PUT /v1/datasets/other", "POST /v1/datasets/big/visits"} {
+		method, path, _ := strings.Cut(target, " ")
+		req := httptest.NewRequest(method, path, bytes.NewReader([]byte(`{}`)))
+		req.ContentLength = service.MaxBodyBytes + 1
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", target, w.Code)
+		}
 	}
 }

@@ -91,8 +91,12 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (h *httpAPI) register(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("id")
+	body, ok := service.ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	if err := dataset.DecodeEnvelope(body, &req, &req.Log); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -149,12 +153,18 @@ func (h *httpAPI) append(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req AppendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, ok := service.ReadBody(w, r)
+	if !ok {
+		return
+	}
+	// An AppendRequest is log-shaped without the name: its rows go
+	// through the log decoder.
+	var batch dataset.Log
+	if err := dataset.DecodeBatch(body, &batch); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	st, err := d.Append(req.Exams, req.Patients, req.Records)
+	st, err := d.Append(batch.Exams, batch.Patients, batch.Records)
 	switch {
 	case errors.Is(err, ErrDurability):
 		writeError(w, http.StatusServiceUnavailable, err)

@@ -2,8 +2,6 @@ package synth
 
 import (
 	"testing"
-
-	"adahealth/internal/dataset"
 )
 
 func TestGenerateSmallShape(t *testing.T) {
@@ -41,12 +39,19 @@ func TestGenerateValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	issues := log.Validate(dataset.ValidateOptions{
-		MinAge: cfg.AgeMin, MaxAge: cfg.AgeMax,
-		From: cfg.StartDate, To: cfg.StartDate.AddDate(0, 0, cfg.Days),
-	})
-	if len(issues) != 0 {
-		t.Errorf("generated log has %d validation issues, first: %v", len(issues), issues[0])
+	if err := log.Encoded().Check(); err != nil {
+		t.Errorf("generated log: %v", err)
+	}
+	for _, p := range log.Patients {
+		if p.Age < cfg.AgeMin || p.Age > cfg.AgeMax {
+			t.Fatalf("patient %s age %d outside [%d,%d]", p.ID, p.Age, cfg.AgeMin, cfg.AgeMax)
+		}
+	}
+	end := cfg.StartDate.AddDate(0, 0, cfg.Days)
+	for i, r := range log.Records {
+		if r.Date.Before(cfg.StartDate) || r.Date.After(end) {
+			t.Fatalf("record %d dated %v outside the observation window", i, r.Date)
+		}
 	}
 }
 

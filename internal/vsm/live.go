@@ -238,7 +238,7 @@ func (lv *Live) rebuild(order []int, features []string) {
 
 // featureOrder returns canonical code indices sorted by global record
 // frequency descending, code ascending — the exact ordering contract
-// of dataset.Log.ExamsByFrequency that Build consumes.
+// Build applies to the log's exam keys.
 func (lv *Live) featureOrder() []int {
 	order := make([]int, len(lv.codes))
 	for i := range order {

@@ -7,8 +7,11 @@
 package vsm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"adahealth/internal/dataset"
@@ -104,15 +107,37 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 	if l.NumExamTypes() == 0 {
 		return nil, fmt.Errorf("vsm: log has no exam types")
 	}
-	features := l.ExamsByFrequency()
-	fIdx := make(map[string]int, len(features))
-	for i, f := range features {
-		fIdx[f] = i
+	enc := l.Encoded()
+	// Features are the distinct exam codes, unregistered ones included,
+	// by decreasing record count, ties broken by code.
+	keyFreq := make([]int, len(enc.ExamCodes))
+	for _, x := range enc.Exam {
+		keyFreq[x]++
 	}
-	pIdx := make(map[string]int, l.NumPatients())
+	keys := make([]int32, 0, len(keyFreq))
+	for k := range keyFreq {
+		if enc.IsExamKey(k) {
+			keys = append(keys, int32(k))
+		}
+	}
+	slices.SortFunc(keys, func(a, b int32) int {
+		if c := cmp.Compare(keyFreq[b], keyFreq[a]); c != 0 {
+			return c
+		}
+		return strings.Compare(enc.ExamCodes[a], enc.ExamCodes[b])
+	})
+	features := make([]string, len(keys))
+	freq := make([]int, len(keys))
+	column := make([]int32, len(keyFreq))
+	fIdx := make(map[string]int, len(features))
+	for i, k := range keys {
+		features[i] = enc.ExamCodes[k]
+		freq[i] = keyFreq[k]
+		column[k] = int32(i)
+		fIdx[features[i]] = i
+	}
 	ids := make([]string, l.NumPatients())
 	for i, p := range l.Patients {
-		pIdx[p.ID] = i
 		ids[i] = p.ID
 	}
 
@@ -121,16 +146,13 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 	for i := range raw {
 		raw[i], backing = backing[:len(features)], backing[len(features):]
 	}
-	freq := make([]int, len(features))
-	for _, r := range l.Records {
-		p, okP := pIdx[r.PatientID]
-		f, okF := fIdx[r.ExamCode]
-		if !okP || !okF {
+	for i, p := range enc.Patient {
+		if int(p) >= enc.NumPatients {
+			r := l.Records[i]
 			return nil, fmt.Errorf("vsm: record references unknown patient %q or exam %q",
 				r.PatientID, r.ExamCode)
 		}
-		raw[p][f]++
-		freq[f]++
+		raw[p][column[enc.Exam[i]]]++
 	}
 
 	m := &Matrix{
