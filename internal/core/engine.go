@@ -377,13 +377,6 @@ type AnalyzeOptions struct {
 // service (internal/service) submits each admitted job here with its
 // own pool and event observer.
 func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
-	if log != nil {
-		// The DAG's root stages read the log concurrently; build its
-		// lazy lookup tables before any of them race to do it. (Callers
-		// running concurrent AnalyzeWith calls on one log pointer must
-		// index it before fanning out, as AnalyzeMany does.)
-		log.EnsureIndexes()
-	}
 	// Mark the dataset in flight for the recall stage's concurrent-
 	// sibling exclusion (see inflightSet).
 	if log != nil {
@@ -423,14 +416,11 @@ func (e *Engine) AnalyzeMany(ctx context.Context, logs []*dataset.Log) ([]*Repor
 	// concurrent goroutines would race on the docstore's snapshot temp
 	// files).
 	opts := AnalyzeOptions{Pool: slots.New(e.parallelism()), NoFlush: true}
-	// Index every log serially before fanning out: a log submitted
-	// twice in one batch would otherwise have two goroutines racing to
-	// build its lazy lookup tables. Registering every batch member as
-	// in flight up front (before any analysis can run its recall
-	// stage) is what makes batch recall deterministic: no member ever
-	// recalls a sibling, regardless of completion order.
+	// Registering every batch member as in flight up front (before
+	// any analysis can run its recall stage) is what makes batch
+	// recall deterministic: no member ever recalls a sibling,
+	// regardless of completion order.
 	for _, log := range logs {
-		log.EnsureIndexes()
 		e.inflight.add(log.Name)
 	}
 	defer func() {

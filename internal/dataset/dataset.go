@@ -24,20 +24,21 @@
 // UTC. Log.Visits dates a visit UTC midnight of that date. Spans
 // between records (Descriptor.SpanDays) still come from instants.
 //
-// Concurrency: building the encoding writes to the Log, reading a
-// current one does not. A log handed to concurrent readers — the
-// stage DAG's root stages — is encoded first, serially, with
-// EnsureIndexes; after that Encoded, Visits, Patient and Exam are safe
-// to call concurrently until the next write to the log.
+// Concurrency: a Log guards its encoding with a mutex, so Encoded,
+// Visits, Patient and Exam are safe to call from any number of
+// goroutines, the first call (which builds the encoding) included.
+// Writing rows — the Add methods, changing the exported slices,
+// ReindexAfterLoad — must not overlap those calls or a reader's use of
+// the Encoded they returned.
 //
 // The request decoder (DecodeEnvelope, DecodeBatch, ReadJSON) reads
-// JSON straight into rows and the encoding, exactly as encoding/json
+// JSON straight into rows, interning ids, exactly as encoding/json
 // would read it into the same types (FuzzDecodeLogMatchesStdlib).
 package dataset
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 	"time"
 )
 
@@ -82,8 +83,9 @@ type Log struct {
 	Patients []Patient  `json:"patients"`
 	Records  []Record   `json:"records"`
 
-	// enc is the dictionary-coded form, built lazily by Encoded and
-	// kept in step by the Add methods.
+	// mu guards enc, the dictionary-coded form, built lazily by
+	// Encoded and kept in step by the Add methods.
+	mu  sync.Mutex
 	enc *Encoded
 }
 
@@ -94,6 +96,8 @@ func NewLog(name string) *Log {
 
 // AddExam registers an exam type. Duplicate codes are rejected.
 func (l *Log) AddExam(e ExamType) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	enc := l.dicts()
 	if k, dup := enc.examOf[e.Code]; dup && int(k) < enc.NumExams {
 		return fmt.Errorf("dataset: duplicate exam code %q", e.Code)
@@ -113,6 +117,8 @@ func (l *Log) AddExam(e ExamType) error {
 
 // AddPatient registers a patient. Duplicate IDs are rejected.
 func (l *Log) AddPatient(p Patient) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	enc := l.dicts()
 	if k, dup := enc.patientOf[p.ID]; dup && int(k) < enc.NumPatients {
 		return fmt.Errorf("dataset: duplicate patient ID %q", p.ID)
@@ -131,6 +137,8 @@ func (l *Log) AddPatient(p Patient) error {
 // AddRecord appends an examination record. The patient and exam type
 // must already be registered.
 func (l *Log) AddRecord(r Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	enc := l.dicts()
 	if k, ok := enc.patientOf[r.PatientID]; !ok || int(k) >= enc.NumPatients {
 		return fmt.Errorf("dataset: record references unknown patient %q", r.PatientID)
@@ -144,7 +152,7 @@ func (l *Log) AddRecord(r Record) error {
 
 // dicts returns the encoding with at least its registration
 // dictionaries current, starting over when the exported fields were
-// changed behind the Add methods' back.
+// changed behind the Add methods' back. l.mu must be held.
 func (l *Log) dicts() *Encoded {
 	e := l.enc
 	if e == nil || e.NumPatients != len(l.Patients) || e.NumExams != len(l.Exams) || len(e.Patient) > len(l.Records) {
@@ -156,10 +164,14 @@ func (l *Log) dicts() *Encoded {
 
 // Encoded returns the log's dictionary-coded form, encoding the
 // records not yet encoded and regrouping visits when records were
-// added. A current encoding is only read, so concurrent callers are
-// safe once one call has built it; the first call is not, which is
-// what EnsureIndexes is for.
+// added.
 func (l *Log) Encoded() *Encoded {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.encodedLocked()
+}
+
+func (l *Log) encodedLocked() *Encoded {
 	e := l.dicts()
 	if len(e.Patient) < len(l.Records) {
 		e.encodeRecords(l.Records[len(e.Patient):])
@@ -174,19 +186,16 @@ func (l *Log) Encoded() *Encoded {
 // called after changing the exported fields in place (e.g. rewriting
 // ids); appending rows, registrations included, is noticed without it.
 func (l *Log) ReindexAfterLoad() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.enc = nil
-	l.Encoded()
+	l.encodedLocked()
 }
-
-// EnsureIndexes builds the encoding if it is missing or behind the
-// rows, leaving a current one untouched. Readers build it lazily on
-// first use, which is not safe when that first use happens on several
-// goroutines at once — callers handing one log to concurrent readers
-// (e.g. the stage DAG's root stages) encode it here, serially, first.
-func (l *Log) EnsureIndexes() { l.Encoded() }
 
 // Exam returns the exam type for code, if registered.
 func (l *Log) Exam(code string) (ExamType, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	enc := l.dicts()
 	i, ok := enc.examOf[code]
 	if !ok || int(i) >= enc.NumExams {
@@ -197,6 +206,8 @@ func (l *Log) Exam(code string) (ExamType, bool) {
 
 // Patient returns the patient for id, if registered.
 func (l *Log) Patient(id string) (Patient, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	enc := l.dicts()
 	i, ok := enc.patientOf[id]
 	if !ok || int(i) >= enc.NumPatients {
@@ -225,36 +236,6 @@ func (l *Log) ExamFrequencies() map[string]int {
 		freq[r.ExamCode]++
 	}
 	return freq
-}
-
-// ExamsByFrequency returns exam codes ordered by decreasing record
-// count; ties are broken by code so the order is deterministic.
-func (l *Log) ExamsByFrequency() []string {
-	freq := l.ExamFrequencies()
-	codes := make([]string, 0, len(freq))
-	for c := range freq {
-		codes = append(codes, c)
-	}
-	sort.Slice(codes, func(i, j int) bool {
-		if freq[codes[i]] != freq[codes[j]] {
-			return freq[codes[i]] > freq[codes[j]]
-		}
-		return codes[i] < codes[j]
-	})
-	return codes
-}
-
-// RecordsPerPatient returns the number of records for every patient ID.
-// Patients with zero records are included.
-func (l *Log) RecordsPerPatient() map[string]int {
-	counts := make(map[string]int, len(l.Patients))
-	for _, p := range l.Patients {
-		counts[p.ID] = 0
-	}
-	for _, r := range l.Records {
-		counts[r.PatientID]++
-	}
-	return counts
 }
 
 // TimeSpan returns the earliest and latest record dates. ok is false

@@ -94,7 +94,7 @@ func TestExamFrequencies(t *testing.T) {
 
 func TestExamsByFrequencyOrder(t *testing.T) {
 	l := sampleLog(t)
-	got := l.ExamsByFrequency()
+	got := ReferenceExamsByFrequency(l)
 	want := []string{"EX001", "EX002", "EX003"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -110,7 +110,7 @@ func TestExamsByFrequencyTieBreak(t *testing.T) {
 	l.AddPatient(Patient{ID: "P1"})
 	l.AddRecord(Record{"P1", "A", day(0)})
 	l.AddRecord(Record{"P1", "B", day(1)})
-	got := l.ExamsByFrequency()
+	got := ReferenceExamsByFrequency(l)
 	if got[0] != "A" || got[1] != "B" {
 		t.Errorf("tie-break not lexicographic: %v", got)
 	}
@@ -119,7 +119,7 @@ func TestExamsByFrequencyTieBreak(t *testing.T) {
 func TestRecordsPerPatientIncludesZero(t *testing.T) {
 	l := sampleLog(t)
 	l.AddPatient(Patient{ID: "P4", Age: 50})
-	counts := l.RecordsPerPatient()
+	counts := ReferenceRecordsPerPatient(l)
 	if c, ok := counts["P4"]; !ok || c != 0 {
 		t.Errorf("P4 count = %d,%v; want 0,true", c, ok)
 	}
@@ -275,6 +275,38 @@ func TestReadCSVMalformed(t *testing.T) {
 	if err == nil {
 		t.Fatal("empty CSV accepted")
 	}
+}
+
+// ReferenceExamsByFrequency returns exam codes ordered by decreasing
+// record count, ties broken by code: the column order vsm.Build used
+// before it read Encoded, kept as the equivalence tests' reference.
+func ReferenceExamsByFrequency(l *Log) []string {
+	freq := l.ExamFrequencies()
+	codes := make([]string, 0, len(freq))
+	for c := range freq {
+		codes = append(codes, c)
+	}
+	sort.Slice(codes, func(i, j int) bool {
+		if freq[codes[i]] != freq[codes[j]] {
+			return freq[codes[i]] > freq[codes[j]]
+		}
+		return codes[i] < codes[j]
+	})
+	return codes
+}
+
+// ReferenceRecordsPerPatient returns the number of records for every
+// patient ID, patients with zero records included: the counts
+// stats.Characterize summarized before it read Encoded.
+func ReferenceRecordsPerPatient(l *Log) map[string]int {
+	counts := make(map[string]int, len(l.Patients))
+	for _, p := range l.Patients {
+		counts[p.ID] = 0
+	}
+	for _, r := range l.Records {
+		counts[r.PatientID]++
+	}
+	return counts
 }
 
 // ReferenceVisits is the string-keyed grouping Log.Visits was before

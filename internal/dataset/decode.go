@@ -17,10 +17,9 @@ import (
 // encoding/json's Decoder accepts and rejects for the same types and
 // yielding the same values (FuzzDecodeLogMatchesStdlib holds it to
 // that). It reads the first value and ignores any bytes after it, as
-// the Decoder does. Along the way it interns ids — every record naming
-// a patient shares that patient's id string — and keeps each row's
-// interned id, so the log's Encoded comes out of the same pass without
-// hashing an id again.
+// the Decoder does. Decoding a whole log, it interns ids: every record
+// naming a patient shares that patient's id string. It does not encode
+// the log; whoever keeps it builds the Encoded from the rows.
 //
 // What it inherits rather than re-derives: dates go through
 // (*time.Time).UnmarshalJSON, ages follow encoding/json's int rules,
@@ -33,8 +32,9 @@ const maxDepth = 10000
 
 // DecodeBatch reads the first JSON value in data — an object with the
 // members exams, patients and records, and no name — into l's rows, as
-// decoding into a struct with just those three fields would. l is not
-// encoded: a batch only carries rows to append elsewhere.
+// decoding into a struct with just those three fields would. Its ids
+// are not interned: a batch only carries a few rows to append
+// elsewhere.
 func DecodeBatch(data []byte, l *Log) error {
 	d := newDecoder(data, false)
 	if err := d.top(); err != nil {
@@ -46,8 +46,8 @@ func DecodeBatch(data []byte, l *Log) error {
 // DecodeEnvelope reads the first JSON value in data as
 // json.NewDecoder(bytes.NewReader(data)).Decode(v) would, where v
 // points to a struct whose field named "log" is the *Log at log: that
-// member goes through the log decoder and is encoded, every other
-// member through encoding/json.
+// member goes through the log decoder, every other member through
+// encoding/json.
 func DecodeEnvelope(data []byte, v any, log **Log) error {
 	d := newDecoder(data, true)
 	if err := d.top(); err != nil {
@@ -100,9 +100,6 @@ func DecodeEnvelope(data []byte, v any, log **Log) error {
 			return fmt.Errorf("dataset: decoding JSON: %w", err)
 		}
 	}
-	if *log != nil {
-		d.finish(*log)
-	}
 	return nil
 }
 
@@ -113,48 +110,38 @@ type decoder struct {
 	memberStart int    // offset of the current member's key
 	buf, fbuf   []byte // unescaped-string and folded-key scratch
 
-	// intern is set when the decoded log is to be encoded. fresh stays
-	// set while every row was decoded exactly once into a zero value,
-	// so patQ/examQ/recP/recE (interned ids per row) describe the rows;
-	// otherwise finish encodes from the rows.
-	intern      bool
-	fresh       bool
-	patients    interner
-	exams       interner
-	patQ, examQ []int32
-	recP, recE  []int32
-	seenRows    [3]int // exams, patients, records members seen
-	started     bool   // a log object was begun
+	// intern is set when ids are interned, in patients and exams.
+	intern   bool
+	patients interner
+	exams    interner
 }
 
+// interner hands out one string per distinct id.
 type interner struct {
-	of  map[string]int32
-	ids []string
+	of map[string]string
 	// last is the id added last: a log lists a patient's records
 	// together, so most record ids repeat the one before.
-	last int32
+	last string
 }
 
-func (t *interner) add(s []byte) (int32, string) {
-	if len(t.ids) > 0 && t.ids[t.last] == string(s) {
-		return t.last, t.ids[t.last]
+func (t *interner) add(s []byte) string {
+	if t.last == string(s) {
+		return t.last
 	}
-	q, ok := t.of[string(s)]
+	str, ok := t.of[string(s)]
 	if !ok {
-		q = int32(len(t.ids))
-		str := string(s)
-		t.of[str] = q
-		t.ids = append(t.ids, str)
+		str = string(s)
+		t.of[str] = str
 	}
-	t.last = q
-	return q, t.ids[q]
+	t.last = str
+	return str
 }
 
 func newDecoder(data []byte, intern bool) *decoder {
-	d := &decoder{data: data, intern: intern, fresh: intern}
+	d := &decoder{data: data, intern: intern}
 	if intern {
-		d.patients.of = make(map[string]int32)
-		d.exams.of = make(map[string]int32)
+		d.patients.of = make(map[string]string)
+		d.exams.of = make(map[string]string)
 	}
 	return d
 }
@@ -568,9 +555,8 @@ func is(key []byte, name string) bool {
 }
 
 // stringInto decodes a string member into dst, interning it in t when
-// t is non-nil and reporting its interned id in q. null leaves dst
-// (and q) as they were.
-func (d *decoder) stringInto(dst *string, t *interner, q *int32) error {
+// t is non-nil. null leaves dst as it was.
+func (d *decoder) stringInto(dst *string, t *interner) error {
 	c, err := d.next()
 	if err != nil {
 		return err
@@ -582,7 +568,7 @@ func (d *decoder) stringInto(dst *string, t *interner, q *int32) error {
 			return err
 		}
 		if t != nil {
-			*q, *dst = t.add(s)
+			*dst = t.add(s)
 		} else {
 			*dst = string(s)
 		}
@@ -709,73 +695,48 @@ func sliceInto[T any](d *decoder, s *[]T, elem func(*T) error) error {
 // log decodes a log-shaped object (or null) into l; named selects
 // whether a "name" member is l's Name or an unknown member.
 func (d *decoder) log(l *Log, named bool) error {
-	if l.Exams != nil || l.Patients != nil || l.Records != nil || d.started {
-		d.fresh = false
-	}
-	d.started = true
 	var pats, exams *interner
 	if d.intern {
 		pats, exams = &d.patients, &d.exams
 	}
-	seen := func(i int) {
-		if d.seenRows[i]++; d.seenRows[i] > 1 {
-			d.fresh = false
-		}
-	}
 	exam := func(x *ExamType) error {
-		q := int32(-1)
-		err := d.structInto(func(f []byte) (bool, error) {
+		return d.structInto(func(f []byte) (bool, error) {
 			switch {
 			case is(f, "CODE"):
-				return true, d.stringInto(&x.Code, exams, &q)
+				return true, d.stringInto(&x.Code, exams)
 			case is(f, "NAME"):
-				return true, d.stringInto(&x.Name, nil, nil)
+				return true, d.stringInto(&x.Name, nil)
 			case is(f, "CATEGORY"):
-				return true, d.stringInto(&x.Category, nil, nil)
+				return true, d.stringInto(&x.Category, nil)
 			}
 			return false, nil
 		})
-		if d.fresh {
-			d.examQ = append(d.examQ, d.orEmpty(exams, q))
-		}
-		return err
 	}
 	patient := func(p *Patient) error {
-		q := int32(-1)
-		err := d.structInto(func(f []byte) (bool, error) {
+		return d.structInto(func(f []byte) (bool, error) {
 			switch {
 			case is(f, "ID"):
-				return true, d.stringInto(&p.ID, pats, &q)
+				return true, d.stringInto(&p.ID, pats)
 			case is(f, "AGE"):
 				return true, d.intInto(&p.Age)
 			case is(f, "PROFILE"):
-				return true, d.stringInto(&p.Profile, nil, nil)
+				return true, d.stringInto(&p.Profile, nil)
 			}
 			return false, nil
 		})
-		if d.fresh {
-			d.patQ = append(d.patQ, d.orEmpty(pats, q))
-		}
-		return err
 	}
 	record := func(r *Record) error {
-		qp, qe := int32(-1), int32(-1)
-		err := d.structInto(func(f []byte) (bool, error) {
+		return d.structInto(func(f []byte) (bool, error) {
 			switch {
 			case is(f, "PATIENT_ID"):
-				return true, d.stringInto(&r.PatientID, pats, &qp)
+				return true, d.stringInto(&r.PatientID, pats)
 			case is(f, "EXAM_CODE"):
-				return true, d.stringInto(&r.ExamCode, exams, &qe)
+				return true, d.stringInto(&r.ExamCode, exams)
 			case is(f, "DATE"):
 				return true, d.timeInto(&r.Date)
 			}
 			return false, nil
 		})
-		if d.fresh {
-			d.recP = append(d.recP, d.orEmpty(pats, qp))
-			d.recE = append(d.recE, d.orEmpty(exams, qe))
-		}
-		return err
 	}
 	return d.structInto(func(f []byte) (bool, error) {
 		switch {
@@ -783,97 +744,14 @@ func (d *decoder) log(l *Log, named bool) error {
 			if !named {
 				return false, nil
 			}
-			return true, d.stringInto(&l.Name, nil, nil)
+			return true, d.stringInto(&l.Name, nil)
 		case is(f, "EXAMS"):
-			seen(0)
 			return true, sliceInto(d, &l.Exams, exam)
 		case is(f, "PATIENTS"):
-			seen(1)
 			return true, sliceInto(d, &l.Patients, patient)
 		case is(f, "RECORDS"):
-			seen(2)
 			return true, sliceInto(d, &l.Records, record)
 		}
 		return false, nil
 	})
-}
-
-// orEmpty is q, or the interned id of "" for a row that named none.
-func (d *decoder) orEmpty(t *interner, q int32) int32 {
-	if q < 0 {
-		q, _ = t.add(nil)
-	}
-	return q
-}
-
-// finish encodes l: from the interned ids when they describe its rows,
-// from the rows otherwise.
-func (d *decoder) finish(l *Log) {
-	if !d.fresh || len(d.patQ) != len(l.Patients) || len(d.examQ) != len(l.Exams) || len(d.recP) != len(l.Records) {
-		l.ReindexAfterLoad()
-		return
-	}
-	e := &Encoded{
-		PatientIDs:  make([]string, len(l.Patients)),
-		ExamCodes:   make([]string, len(l.Exams)),
-		NumPatients: len(l.Patients),
-		NumExams:    len(l.Exams),
-		Patient:     make([]int32, len(l.Records)),
-		Exam:        make([]int32, len(l.Records)),
-		Day:         make([]int64, len(l.Records)),
-		grouped:     -1,
-	}
-	patKey := keysOf(&d.patients, d.patQ, e.PatientIDs, &e.dupPatients)
-	examKey := keysOf(&d.exams, d.examQ, e.ExamCodes, &e.dupExams)
-	for i, r := range l.Records {
-		e.Patient[i] = keyFor(&d.patients, patKey, d.recP[i], &e.PatientIDs)
-		e.Exam[i] = keyFor(&d.exams, examKey, d.recE[i], &e.ExamCodes)
-		e.Day[i] = civilDay(r.Date)
-	}
-	// The interners' maps become the id → key dictionaries; an id a
-	// repeated member overwrote before any row kept it has no key.
-	e.patientOf = d.patients.rekey(patKey)
-	e.examOf = d.exams.rekey(examKey)
-	l.enc = e
-	e.group()
-}
-
-// rekey turns the interner's map into id → key, dropping ids without
-// a key.
-func (t *interner) rekey(key []int32) map[string]int32 {
-	for s, q := range t.of {
-		if key[q] >= 0 {
-			t.of[s] = key[q]
-		} else {
-			delete(t.of, s)
-		}
-	}
-	return t.of
-}
-
-// keysOf maps interned ids to registration rows (the last row of a
-// repeated id, flagging dup), -1 for ids no row registers.
-func keysOf(t *interner, rowQ []int32, names []string, dup *bool) []int32 {
-	key := make([]int32, len(t.ids))
-	for i := range key {
-		key[i] = -1
-	}
-	for row, q := range rowQ {
-		if key[q] >= 0 {
-			*dup = true
-		}
-		key[q] = int32(row)
-		names[row] = t.ids[q]
-	}
-	return key
-}
-
-// keyFor returns the key of interned id q, giving an unregistered id
-// the next key above the rows on first reference.
-func keyFor(t *interner, key []int32, q int32, names *[]string) int32 {
-	if key[q] < 0 {
-		key[q] = int32(len(*names))
-		*names = append(*names, t.ids[q])
-	}
-	return key[q]
 }

@@ -130,7 +130,7 @@ func referenceCharacterize(l *dataset.Log) stats.Descriptor {
 		NumExamTypes: l.NumExamTypes(),
 	}
 	rp := []float64{}
-	for _, c := range l.RecordsPerPatient() {
+	for _, c := range dataset.ReferenceRecordsPerPatient(l) {
 		rp = append(rp, float64(c))
 	}
 	sort.Float64s(rp)
@@ -224,7 +224,7 @@ func TestMonthlyDemandEqualsReference(t *testing.T) {
 // referenceBuild is vsm.Build's count matrix over string maps: the
 // features, the raw rows, or the error.
 func referenceBuild(l *dataset.Log) (features []string, raw [][]float64, err error) {
-	features = l.ExamsByFrequency()
+	features = dataset.ReferenceExamsByFrequency(l)
 	fIdx := map[string]int{}
 	for i, f := range features {
 		fIdx[f] = i

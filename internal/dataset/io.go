@@ -182,7 +182,7 @@ func (l *Log) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON decodes a log written by WriteJSON, reading the first JSON
-// value as json.NewDecoder(r).Decode would, and encodes it.
+// value as json.NewDecoder(r).Decode would.
 func ReadJSON(r io.Reader) (*Log, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -196,6 +196,5 @@ func ReadJSON(r io.Reader) (*Log, error) {
 	if err := d.log(&l, true); err != nil {
 		return nil, err
 	}
-	d.finish(&l)
 	return &l, nil
 }

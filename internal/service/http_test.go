@@ -287,10 +287,10 @@ func ptr[T any](v T) *T { return &v }
 
 func ptrCfg(c synth.Config) *synth.Config { return &c }
 
-// TestDaemonInlineDecodedLog is the regression test for the
-// decoded-log index race: the concurrent DAG's root stages must not
-// race to build a decoded log's encoding (this test fails under -race
-// without the admission-time encode).
+// TestDaemonInlineDecodedLog: a log decoded from a request body runs
+// to completion on the concurrent DAG, whose root stages read its
+// encoding at once (a -race check; TestSubmitSharedUnencodedLog covers
+// concurrent Submits of one log pointer).
 func TestDaemonInlineDecodedLog(t *testing.T) {
 	svc, err := New(Config{Engine: fastConfig(1), Workers: 2})
 	if err != nil {

@@ -18,11 +18,11 @@
 //
 // A log is encoded once, at the door (dataset.Encoded): the HTTP
 // routes read the body once, under MaxBodyBytes, and decode it with
-// the dataset package's byte decoder, which builds the encoding in the
-// same pass. Submit then encodes whatever is not yet current (a struct
-// literal from a library caller arrives unencoded) under the admission
-// lock, so concurrent Submits sharing one log pointer cannot race and
-// the DAG's concurrent root stages only ever read the encoding; and it
+// the dataset package's byte decoder. Submit encodes the log, however
+// it was built, before it takes the admission lock, so the DAG's
+// concurrent root stages only ever read the encoding and status
+// queries and dispatch never wait on an encode; the Log guards its own
+// build, so concurrent Submits sharing one log pointer are safe. It
 // refuses a log that is not referentially clean (a repeated id, a
 // record naming an unregistered patient or exam type) before it
 // queues, which the HTTP layer answers with 400.
@@ -299,6 +299,15 @@ func (s *Service) admit(log *dataset.Log, opts []Option) (*Job, error) {
 		}
 		engine = derived
 	}
+	// Encode the log here, before the admission lock (the Log guards
+	// its own build), so the DAG's root stages only read the encoding
+	// and a log that is not referentially clean is refused at the door
+	// instead of failing mid-job.
+	if err := log.Encoded().Check(); err != nil {
+		release()
+		admissionsTotal.With("invalid").Inc()
+		return nil, fmt.Errorf("service: %w", err)
+	}
 
 	var (
 		jctx   context.Context
@@ -334,22 +343,6 @@ func (s *Service) admit(log *dataset.Log, opts []Option) (*Job, error) {
 		release()
 		admissionsTotal.With("closed").Inc()
 		return nil, ErrClosed
-	}
-	// Logs arrive from arbitrary construction paths with their
-	// encoding current (the HTTP decoder builds it as it reads) or
-	// unbuilt (struct literals in library callers); encoding here —
-	// serialized under the admission lock, so concurrent Submits
-	// sharing one log pointer cannot race — keeps the concurrent DAG's
-	// root stages from building it mid-analysis, and lets a log that
-	// is not referentially clean be refused at the door instead of
-	// failing mid-job.
-	log.EnsureIndexes()
-	if err := log.Encoded().Check(); err != nil {
-		s.mu.Unlock()
-		cancel()
-		release()
-		admissionsTotal.With("invalid").Inc()
-		return nil, fmt.Errorf("service: %w", err)
 	}
 	s.nextSeq++
 	j.seq = s.nextSeq

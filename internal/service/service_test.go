@@ -327,6 +327,43 @@ func TestBadSubmissionRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestSubmitSharedUnencodedLog: concurrent Submits of one log pointer
+// whose encoding was never built — a struct literal, as library
+// callers and the stream's resweep snapshots pass — build it once
+// between them, outside the admission lock, and both jobs complete.
+// Under -race this fails unless the Log guards its own build.
+func TestSubmitSharedUnencodedLog(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	src := testLog(t, 5)
+	log := &dataset.Log{Name: src.Name, Exams: src.Exams, Patients: src.Patients, Records: src.Records}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	jobs := make([]*Job, 2)
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs[i], errs[i] = svc.Submit(ctx, log)
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("submit %d: %v", i, errs[i])
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %s: %v", j.ID(), err)
+		}
+	}
+}
+
 // TestShutdownDrains: Shutdown lets queued jobs finish, then Submit
 // reports ErrClosed.
 func TestShutdownDrains(t *testing.T) {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adahealth/internal/dataset"
 )
 
 func doReq(t *testing.T, method, url string, body any) (*http.Response, []byte) {
@@ -107,10 +109,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	first, rest := splitLog(full, 1)
 
 	// Register with the inline first half.
-	initial := *full
-	initial.Patients = first.patients
-	initial.Records = first.records
-	resp, body := doReq(t, http.MethodPut, srv.URL+"/v1/datasets/live-http", RegisterRequest{Log: &initial})
+	initial := &dataset.Log{Name: full.Name, Exams: full.Exams, Patients: first.patients, Records: first.records}
+	resp, body := doReq(t, http.MethodPut, srv.URL+"/v1/datasets/live-http", RegisterRequest{Log: initial})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register = %d: %s", resp.StatusCode, body)
 	}

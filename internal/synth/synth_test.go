@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -116,8 +119,8 @@ func TestGenerateCoverageShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	codes := log.ExamsByFrequency()
 	freq := log.ExamFrequencies()
+	codes := slices.SortedFunc(maps.Keys(freq), func(a, b string) int { return cmp.Compare(freq[b], freq[a]) })
 	coverage := func(frac float64) float64 {
 		n := int(frac * float64(len(codes)))
 		covered := 0
