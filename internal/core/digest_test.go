@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"adahealth/internal/dataset"
 	"adahealth/internal/synth"
 )
 
@@ -46,17 +48,7 @@ func TestReportDigestPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := synth.DefaultConfig()
-			cfg.Seed = tc.seed
-			cfg.NumPatients = tc.patients
-			cfg.TargetRecords = 15 * tc.patients
-			cfg.NumExamTypes = tc.examTypes
-			cfg.NumProfiles = tc.profiles
-			log, err := synth.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			log.Name = tc.name
+			log := digestCohort(t, tc.name, tc.seed, tc.patients, tc.examTypes, tc.profiles)
 			e, err := New(Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -69,5 +61,53 @@ func TestReportDigestPinned(t *testing.T) {
 				t.Errorf("%s report digest %s, want %s", tc.name, got, tc.want)
 			}
 		})
+	}
+}
+
+// digestCohort synthesizes a named cohort of 15 records per patient.
+func digestCohort(t *testing.T, name string, seed int64, patients, examTypes, profiles int) *dataset.Log {
+	t.Helper()
+	cfg := synth.DefaultConfig()
+	cfg.Seed = seed
+	cfg.NumPatients = patients
+	cfg.TargetRecords = 15 * patients
+	cfg.NumExamTypes = examTypes
+	cfg.NumProfiles = profiles
+	log, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Name = name
+	return log
+}
+
+// TestRecallHitReportDigestPinned pins a Report whose recall hits:
+// three clinic-shaped cohorts (300 patients, 40 exam types, 4
+// profiles) are analyzed on one engine, then the first is analyzed
+// again. The warm Report — recall sources, prior and narrowed Ks, the
+// seeded sweep and the end-goal recommendations trained over the
+// K-DB's history — must hash to a committed constant.
+func TestRecallHitReportDigestPinned(t *testing.T) {
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := make([]*dataset.Log, 3)
+	for i := range logs {
+		logs[i] = digestCohort(t, fmt.Sprintf("clinic-%c", 'a'+i), 100+int64(i), 300, 40, 4)
+		if _, err := e.Analyze(logs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := e.Analyze(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recall == nil || !rep.Recall.Hit {
+		t.Fatalf("warm recall = %+v, want a hit", rep.Recall)
+	}
+	const want = "8aa2736b1f224f0b590b7ad493f70122f625c4de6023a344953ef55db7a76468"
+	if got := reportDigest(t, rep); got != want {
+		t.Errorf("recall-hit report digest %s, want %s", got, want)
 	}
 }

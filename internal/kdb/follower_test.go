@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"adahealth/internal/docstore"
 	"adahealth/internal/knowledge"
 )
 
@@ -13,7 +12,7 @@ import (
 // mutation and flush with ErrFollower, and never touches the store on
 // Close (the replica owns its lifecycle).
 func TestFollowerServesReplicatedReads(t *testing.T) {
-	leaderDir, replDir := t.TempDir(), t.TempDir()
+	leaderDir := t.TempDir()
 	leader, err := Open(leaderDir)
 	if err != nil {
 		t.Fatal(err)
@@ -32,43 +31,7 @@ func TestFollowerServesReplicatedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ship the leader's durable log into a fresh replica.
-	rep, err := docstore.OpenReplica(docstore.Options{Dir: replDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	if rep.NeedsBootstrap() {
-		snapPos, files, err := leader.Store().SnapshotBootstrap()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.InstallSnapshot(snapPos.Epoch, files); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reader, err := leader.Store().WALReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := rep.Position()
-	for {
-		data, leaderPos, err := reader.Read(pos.Epoch, pos.Offset, docstore.DefaultWALReadChunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			if pos.Offset != leaderPos.Offset {
-				t.Fatalf("caught up at offset %d, leader at %d", pos.Offset, leaderPos.Offset)
-			}
-			break
-		}
-		if _, _, err := rep.ApplyFrames(data); err != nil {
-			t.Fatal(err)
-		}
-		pos = rep.Position()
-	}
-
+	rep := replicaOf(t, leader)
 	f := Follower(rep.Store())
 	if got := f.Health().Mode; got != ModeFollower {
 		t.Fatalf("follower health mode = %q, want %q", got, ModeFollower)

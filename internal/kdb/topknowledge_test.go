@@ -1,8 +1,13 @@
 package kdb
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"adahealth/internal/docstore"
 	"adahealth/internal/knowledge"
 )
 
@@ -66,4 +71,149 @@ func ids(items []knowledge.Item) []string {
 		out[i] = it.ID
 	}
 	return out
+}
+
+// referenceTopKnowledge is TopKnowledge as it was first written:
+// decode every item in scope, keep those holding the metric, and
+// stable-sort by descending metric with the ID as tie-break.
+func referenceTopKnowledge(k *KDB, datasetName, metric string, n int) ([]knowledge.Item, error) {
+	items, err := k.KnowledgeItems(datasetName)
+	if err != nil {
+		return nil, err
+	}
+	withMetric := items[:0]
+	for _, it := range items {
+		if _, ok := it.Metrics[metric]; ok {
+			withMetric = append(withMetric, it)
+		}
+	}
+	sort.SliceStable(withMetric, func(i, j int) bool {
+		mi, mj := withMetric[i].Metrics[metric], withMetric[j].Metrics[metric]
+		if mi != mj {
+			return mi > mj
+		}
+		return withMetric[i].ID < withMetric[j].ID
+	})
+	if n > 0 && len(withMetric) > n {
+		withMetric = withMetric[:n]
+	}
+	return withMetric, nil
+}
+
+// randomItems draws n knowledge items over two datasets and every
+// kind (so both collections fill), with IDs from a small pool (an ID
+// can sit in both collections), metric values from a small set (ties)
+// and each metric present only sometimes.
+func randomItems(rng *rand.Rand, n int) []knowledge.Item {
+	kinds := []knowledge.Kind{knowledge.KindClusterSet, knowledge.KindCluster, knowledge.KindPattern, knowledge.KindRule}
+	values := []float64{0.5, 1, 2, 3}
+	items := make([]knowledge.Item, n)
+	for i := range items {
+		it := knowledge.Item{
+			ID:      fmt.Sprintf("i%02d", rng.Intn(3*n/2+1)),
+			Kind:    kinds[rng.Intn(len(kinds))],
+			Dataset: []string{"a", "b"}[rng.Intn(2)],
+			Title:   fmt.Sprintf("item %d", i),
+			Tags:    []string{"T1", "T2"}[:rng.Intn(3)],
+		}
+		for _, m := range []string{"support", "lift", "size"} {
+			if rng.Intn(3) > 0 {
+				if it.Metrics == nil {
+					it.Metrics = map[string]float64{}
+				}
+				it.Metrics[m] = values[rng.Intn(len(values))]
+			}
+		}
+		items[i] = it
+	}
+	return items
+}
+
+// checkTopKnowledge compares TopKnowledge with the reference on every
+// scope, metric and n of the grid.
+func checkTopKnowledge(t *testing.T, k *KDB) {
+	t.Helper()
+	for _, ds := range []string{"", "a", "b", "none"} {
+		for _, metric := range []string{"support", "lift", "size", "absent"} {
+			for _, n := range []int{0, 1, 3, 1000} {
+				want, werr := referenceTopKnowledge(k, ds, metric, n)
+				got, err := k.TopKnowledge(ds, metric, n)
+				if (err != nil) != (werr != nil) {
+					t.Fatalf("TopKnowledge(%q, %q, %d) error %v, reference %v", ds, metric, n, err, werr)
+				}
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("TopKnowledge(%q, %q, %d) = %v, reference %v", ds, metric, n, ids(got), ids(want))
+				}
+			}
+		}
+	}
+}
+
+// TestTopKnowledgeMatchesReference: on random items in both knowledge
+// collections — metric ties broken by ID, items lacking the metric,
+// scoped and unscoped, n = 0 and n past the matches — TopKnowledge
+// returns exactly the reference's items, on the leader and on a
+// follower fed the leader's WAL.
+func TestTopKnowledgeMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			leader, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leader.Close()
+			rng := rand.New(rand.NewSource(seed))
+			for batch := 0; batch < 3; batch++ {
+				if err := leader.StoreKnowledgeItems(randomItems(rng, 12)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkTopKnowledge(t, leader)
+			checkTopKnowledge(t, Follower(replicaOf(t, leader).Store()))
+		})
+	}
+}
+
+// replicaOf ships the leader's durable log into a fresh replica, which
+// the test's cleanup closes.
+func replicaOf(t *testing.T, leader *KDB) *docstore.Replica {
+	t.Helper()
+	rep, err := docstore.OpenReplica(docstore.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	if rep.NeedsBootstrap() {
+		snapPos, files, err := leader.Store().SnapshotBootstrap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.InstallSnapshot(snapPos.Epoch, files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader, err := leader.Store().WALReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := rep.Position()
+	for {
+		data, leaderPos, err := reader.Read(pos.Epoch, pos.Offset, docstore.DefaultWALReadChunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			if pos.Offset != leaderPos.Offset {
+				t.Fatalf("caught up at offset %d, leader at %d", pos.Offset, leaderPos.Offset)
+			}
+			return rep
+		}
+		if _, _, err := rep.ApplyFrames(data); err != nil {
+			t.Fatal(err)
+		}
+		pos = rep.Position()
+	}
 }
