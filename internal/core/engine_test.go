@@ -169,7 +169,7 @@ func TestAnalyzePersistsKDBToDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := re.KnowledgeItems("")
+	items, err := re.KnowledgeItems("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,7 +341,7 @@ func TestAnalyzeDegradedSnapshotFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k2.Close()
-	items, err := k2.KnowledgeItems(log.Name)
+	items, err := k2.KnowledgeItems(log.Name, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,9 +134,9 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 			(hit.Dataset != s.log.Name || n > 1) {
 			continue
 		}
-		items, err := e.kdb.KnowledgeItems(hit.Dataset)
+		items, err := e.kdb.ClusterSets(hit.Dataset)
 		if err != nil {
-			// A poison document (foreign schema, hand edit) under one
+			// A poison cluster set (foreign schema, hand edit) under one
 			// dataset must not permanently fail every analysis that
 			// ranks it similar — recall is an accelerator, so skip the
 			// dataset and keep looking.
@@ -144,9 +144,6 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 		}
 		src := RecallSource{Dataset: hit.Dataset, Similarity: hit.Similarity}
 		for _, it := range items {
-			if it.Kind != knowledge.KindClusterSet {
-				continue
-			}
 			k := int(it.Metrics["k"])
 			if k >= 2 {
 				src.Ks = append(src.Ks, k)

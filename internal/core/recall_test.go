@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"adahealth/internal/docstore"
+	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
+	"adahealth/internal/obs"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 )
@@ -230,5 +234,83 @@ func TestRecallHelperUnits(t *testing.T) {
 	bad.Recall.MaxSources = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative MaxSources accepted")
+	}
+}
+
+// TestRecallPoisonDocuments: recall decodes only a source's cluster
+// sets, so an undecodable pattern item (foreign schema, hand edit) no
+// longer hides the dataset's cluster knowledge, while an undecodable
+// cluster set still makes recall skip the dataset.
+func TestRecallPoisonDocuments(t *testing.T) {
+	e, err := New(recallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	logA := seededLog(t, 1)
+	logA.Name = "twin-a"
+	if _, err := e.Analyze(logA); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(coll string, doc docstore.Document) {
+		t.Helper()
+		if _, err := e.KDB().Store().Collection(coll).Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sources := func(name string) []string {
+		t.Helper()
+		log := seededLog(t, 2)
+		log.Name = name
+		rep, err := e.Analyze(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, src := range rep.Recall.Sources {
+			out = append(out, src.Dataset)
+		}
+		return out
+	}
+
+	insert(kdb.CollPatternKI, docstore.Document{
+		"dataset": "twin-a", "kind": string(knowledge.KindPattern), "metrics": "not-an-object",
+	})
+	if got := sources("twin-b"); !reflect.DeepEqual(got, []string{"twin-a"}) {
+		t.Errorf("recall sources with an undecodable pattern item = %v, want [twin-a]", got)
+	}
+
+	insert(kdb.CollClusterKI, docstore.Document{
+		"dataset": "twin-a", "kind": string(knowledge.KindClusterSet), "metrics": map[string]any{"k": "six"},
+	})
+	if got := sources("twin-c"); !reflect.DeepEqual(got, []string{"twin-b"}) {
+		t.Errorf("recall sources with an undecodable cluster set = %v, want [twin-b] (twin-a skipped)", got)
+	}
+}
+
+// TestAnalysisDecodesDoNotGrowWithHistory: the K-DB reads on an
+// analysis' path decode only what they use, so one analysis decodes as
+// many documents after 100 prior analyses as after 10 — recall's
+// hit/miss feedback rows, other datasets' items and the descriptors
+// already seen are never decoded again.
+func TestAnalysisDecodesDoNotGrowWithHistory(t *testing.T) {
+	e, err := New(recallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := seededLog(t, 1)
+	decodes := func() float64 { return obs.Default().Value("kdb_documents_decoded_total") }
+	counts := map[int]float64{}
+	for i := 0; i <= 100; i++ {
+		log.Name = fmt.Sprintf("ward-%d", i%5)
+		before := decodes()
+		if _, err := e.Analyze(log); err != nil {
+			t.Fatal(err)
+		}
+		if i == 10 || i == 100 {
+			counts[i] = decodes() - before
+		}
+	}
+	if counts[10] == 0 || counts[10] != counts[100] {
+		t.Errorf("documents decoded by one analysis: %v after 10 priors, %v after 100; want equal and non-zero", counts[10], counts[100])
 	}
 }

@@ -1,8 +1,9 @@
 package docstore
 
 import (
+	"cmp"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -356,10 +357,13 @@ func (c *Collection) Count() int {
 // unspecified order, stopping early when fn returns false; order is the
 // document's insertion-order stamp (sorting on it recovers Find's
 // order). fn runs under a shard read lock and receives the store's
-// internal document: it must treat it as strictly read-only, must not
-// retain it past the call, and must not call back into the collection
-// (deadlock). It is the zero-allocation read path for whole-collection
-// aggregation (e.g. the K-DB's descriptor-similarity scoring).
+// internal document: it must treat it as strictly read-only and must
+// not call back into the collection (deadlock). The store never
+// mutates a stored document in place — every write binds a fresh copy
+// — so fn may keep the document after the call, read-only, as a
+// snapshot of that version. It is the zero-allocation read path for
+// whole-collection aggregation (e.g. the K-DB's descriptor-similarity
+// scoring).
 func (c *Collection) Scan(fn func(doc Document, order int64) bool) {
 	for _, sh := range c.shards {
 		sh.mu.RLock()
@@ -373,18 +377,35 @@ func (c *Collection) Scan(fn func(doc Document, order int64) bool) {
 	}
 }
 
-// collect gathers copies of all entries matching f (nil matches
-// everything) from every shard, unsorted.
+// collect gathers the entries matching f (nil matches everything) from
+// every shard in insertion order, without copying their documents.
 func (c *Collection) collect(f Filter) []entry {
 	var out []entry
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		for _, e := range sh.docs {
 			if f == nil || f(e.doc) {
-				out = append(out, entry{doc: copyDoc(e.doc), order: e.order})
+				out = append(out, *e)
 			}
 		}
 		sh.mu.RUnlock()
+	}
+	sortByOrder(out)
+	return out
+}
+
+func sortByOrder(entries []entry) {
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.order, b.order) })
+}
+
+// copies deep-copies the entries' documents, in order (nil when none).
+func copies(entries []entry) []Document {
+	if len(entries) == 0 {
+		return nil
+	}
+	out := make([]Document, len(entries))
+	for i := range entries {
+		out[i] = copyDoc(entries[i].doc)
 	}
 	return out
 }
@@ -392,40 +413,7 @@ func (c *Collection) collect(f Filter) []entry {
 // Find returns copies of all documents matching the filter (nil
 // matches everything), in insertion order.
 func (c *Collection) Find(f Filter) []Document {
-	entries := c.collect(f)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].order < entries[j].order })
-	out := make([]Document, len(entries))
-	for i := range entries {
-		out[i] = entries[i].doc
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// FindOne returns the first matching document in insertion order.
-func (c *Collection) FindOne(f Filter) (Document, bool) {
-	var (
-		best      Document
-		bestOrder int64 = -1
-	)
-	// Stored documents are never mutated in place (Insert/Update bind
-	// fresh copies), so holding a reference across shard unlocks is
-	// safe; one copy at the end de-aliases the result.
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for _, e := range sh.docs {
-			if (f == nil || f(e.doc)) && (bestOrder < 0 || e.order < bestOrder) {
-				best, bestOrder = e.doc, e.order
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	if best == nil {
-		return nil, false
-	}
-	return copyDoc(best), true
+	return copies(c.collect(f))
 }
 
 // CreateIndex builds (or rebuilds) an equality index on field;
@@ -458,23 +446,37 @@ func (c *Collection) CreateIndex(field string) {
 	}
 }
 
-// FindEq returns documents whose field equals value, in insertion
-// order, using the per-shard indexes when the field is indexed and
-// falling back to a scan otherwise. When the field is also the shard
-// field and the value a string, only the owning stripe is touched.
-func (c *Collection) FindEq(field string, value any) []Document {
-	c.cfgMu.RLock()
-	indexed := false
-	for _, f := range c.indexed {
-		if f == field {
-			indexed = true
-			break
+// WalkEq calls fn on every document whose field equals value, in
+// insertion order, stopping early when fn returns false. It is Scan's
+// zero-copy read under Scan's contract — fn receives the store's own
+// document, strictly read-only, which it may keep as a snapshot — but
+// ordered, and answered from the per-shard index when the field is
+// indexed (a scan otherwise). When the field is also the shard field
+// and the value a string, only the owning stripe is touched. fn runs
+// after the shard locks are released, so it may read the collection.
+func (c *Collection) WalkEq(field string, value any, fn func(doc Document, order int64) bool) {
+	for _, e := range c.eqEntries(field, value) {
+		if !fn(e.doc, e.order) {
+			return
 		}
 	}
+}
+
+// FindEq returns copies of the documents whose field equals value, in
+// insertion order: WalkEq plus one copyDoc per match.
+func (c *Collection) FindEq(field string, value any) []Document {
+	return copies(c.eqEntries(field, value))
+}
+
+// eqEntries is the one lookup behind WalkEq and FindEq: the entries
+// whose field equals value, uncopied, in insertion order.
+func (c *Collection) eqEntries(field string, value any) []entry {
+	c.cfgMu.RLock()
+	indexed := slices.Contains(c.indexed, field)
 	shardField := c.shardField
 	c.cfgMu.RUnlock()
 	if !indexed {
-		return c.Find(Eq(field, value))
+		return c.collect(Eq(field, value))
 	}
 
 	key := normalize(value)
@@ -483,7 +485,7 @@ func (c *Collection) FindEq(field string, value any) []Document {
 		sh.mu.RLock()
 		for _, id := range sh.indexes[field][key] {
 			if e, live := sh.docs[id]; live {
-				entries = append(entries, entry{doc: copyDoc(e.doc), order: e.order})
+				entries = append(entries, *e)
 			}
 		}
 		sh.mu.RUnlock()
@@ -499,15 +501,8 @@ func (c *Collection) FindEq(field string, value any) []Document {
 			scanShard(sh)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].order < entries[j].order })
-	out := make([]Document, len(entries))
-	for i := range entries {
-		out[i] = entries[i].doc
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	sortByOrder(entries)
+	return entries
 }
 
 // indexEntry adds d to every index of the shard (caller holds the

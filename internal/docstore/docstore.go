@@ -169,18 +169,6 @@ func And(filters ...Filter) Filter {
 	}
 }
 
-// Or matches documents satisfying at least one filter.
-func Or(filters ...Filter) Filter {
-	return func(d Document) bool {
-		for _, f := range filters {
-			if f(d) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // normalize maps values onto their JSON-decoded equivalents so that
 // documents that have round-tripped through disk compare equal to
 // fresh ones (all numbers become float64).

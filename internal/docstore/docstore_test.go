@@ -3,6 +3,7 @@ package docstore
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -121,9 +122,6 @@ func TestFindFilters(t *testing.T) {
 	if got := len(c.Find(And(Eq("kind", "k1"), Gt("n", 5)))); got != 2 {
 		t.Errorf("And matched %d, want 2 (n=7,9)", got)
 	}
-	if got := len(c.Find(Or(Lt("n", 1), Gt("n", 8)))); got != 2 {
-		t.Errorf("Or matched %d, want 2 (n=0,9)", got)
-	}
 	if got := len(c.Find(nil)); got != 10 {
 		t.Errorf("nil filter matched %d, want all 10", got)
 	}
@@ -140,20 +138,6 @@ func TestFindInsertionOrder(t *testing.T) {
 		if normalize(d["n"]) != float64(i) {
 			t.Fatalf("order broken at %d: %v", i, d["n"])
 		}
-	}
-}
-
-func TestFindOne(t *testing.T) {
-	s, _ := Open("")
-	c := s.Collection("items")
-	c.Insert(Document{"n": 1})
-	c.Insert(Document{"n": 2})
-	d, ok := c.FindOne(Gt("n", 1.5))
-	if !ok || normalize(d["n"]) != 2.0 {
-		t.Errorf("FindOne = %v, %v", d, ok)
-	}
-	if _, ok := c.FindOne(Gt("n", 99)); ok {
-		t.Error("FindOne matched nothing but reported ok")
 	}
 }
 
@@ -186,6 +170,45 @@ func TestIndexedFind(t *testing.T) {
 	// Unindexed field falls back to scan.
 	if got := c.FindEq("n", 5); len(got) != 1 {
 		t.Errorf("fallback FindEq matched %d, want 1", len(got))
+	}
+}
+
+// TestWalkEqIsFindEqWithoutCopies: on the shard-field index and on the
+// scan fallback, WalkEq visits exactly the documents FindEq returns
+// copies of, in the same insertion order, and it stops when fn returns
+// false.
+func TestWalkEqIsFindEqWithoutCopies(t *testing.T) {
+	s, _ := Open("")
+	c := s.Collection("items")
+	c.ShardBy("dataset")
+	c.CreateIndex("dataset")
+	for i := 0; i < 60; i++ {
+		c.Insert(Document{"dataset": fmt.Sprintf("d%d", i%3), "n": i % 7})
+	}
+	for _, q := range []struct {
+		field string
+		value any
+	}{{"dataset", "d1"}, {"n", 4}, {"n", 99}} {
+		want := c.FindEq(q.field, q.value)
+		var got []Document
+		c.WalkEq(q.field, q.value, func(d Document, _ int64) bool {
+			got = append(got, d)
+			return true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("WalkEq(%s=%v) visited %d documents, FindEq returned %d (or the order differs)", q.field, q.value, len(got), len(want))
+		}
+		if len(got) > 0 && reflect.ValueOf(got[0]).Pointer() == reflect.ValueOf(want[0]).Pointer() {
+			t.Errorf("FindEq(%s=%v) returned a stored document, not a copy", q.field, q.value)
+		}
+	}
+	visited := 0
+	c.WalkEq("dataset", "d1", func(Document, int64) bool {
+		visited++
+		return visited < 3
+	})
+	if visited != 3 {
+		t.Errorf("WalkEq visited %d documents after fn returned false at the third, want 3", visited)
 	}
 }
 

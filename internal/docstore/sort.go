@@ -27,24 +27,17 @@ const (
 // stable sort. Equal keys therefore yield the same result order on
 // every store, including one rebuilt from a WAL replay.
 func (c *Collection) FindSorted(f Filter, field string, order Order, limit int) []Document {
+	// collect returns insertion order, so the stable sort's fallback
+	// for incomparable pairs is insertion order, as documented; only
+	// the documents kept past limit are copied.
 	entries := c.collect(f)
-	// Pre-sort by insertion order so the stable sort's fallback for
-	// incomparable pairs is insertion order, as documented.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].order < entries[j].order })
 	sort.SliceStable(entries, func(i, j int) bool {
 		return docLess(entries[i].doc, entries[j].doc, field, order)
 	})
 	if limit > 0 && len(entries) > limit {
 		entries = entries[:limit]
 	}
-	out := make([]Document, len(entries))
-	for i := range entries {
-		out[i] = entries[i].doc
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return copies(entries)
 }
 
 // SortDocuments stable-sorts an already-retrieved document slice (in

@@ -180,15 +180,26 @@ func NewRecommender(k *kdb.KDB) *Recommender {
 // feedback (falling back to exploratory-first priors, per the paper's
 // preference for algorithms that "do not require apriori knowledge").
 func (r *Recommender) Recommend(d stats.Descriptor) ([]Recommendation, error) {
-	model, trained, err := r.trainInterestModel()
+	goalIndex := r.goalIndex()
+	model, trained, err := r.trainInterestModel(goalIndex)
 	if err != nil {
 		return nil, err
 	}
-	goalIndex := map[ID]int{}
+	return r.recommend(d, goalIndex, model, trained), nil
+}
+
+// goalIndex maps each catalog goal to its position.
+func (r *Recommender) goalIndex() map[ID]int {
+	goalIndex := make(map[ID]int, len(r.goals))
 	for i, g := range r.goals {
 		goalIndex[g.ID] = i
 	}
+	return goalIndex
+}
 
+// recommend judges every goal on d, predicting interest with model
+// when trained and from the priors otherwise.
+func (r *Recommender) recommend(d stats.Descriptor, goalIndex map[ID]int, model classify.Classifier, trained bool) []Recommendation {
 	out := make([]Recommendation, 0, len(r.goals))
 	for _, g := range r.goals {
 		ok, reason := g.check(d)
@@ -213,7 +224,7 @@ func (r *Recommender) Recommend(d stats.Descriptor) ([]Recommendation, error) {
 		}
 		return out[i].Goal.ID < out[j].Goal.ID
 	})
-	return out, nil
+	return out
 }
 
 // priorInterest encodes the paper's exploratory-first stance.
@@ -274,16 +285,28 @@ func featuresFor(d stats.Descriptor, goalIdx, numGoals int) []float64 {
 }
 
 // trainInterestModel builds the decision-tree interest predictor from
-// the K-DB's goal-labelled feedback joined with stored descriptors.
+// the K-DB's catalog-goal feedback joined with stored descriptors. The
+// K-DB selects those rows on their goal and decodes only them, so the
+// recall stage's per-job hit/miss rows cost the trainer nothing.
 // trained is false when there is not enough feedback yet.
-func (r *Recommender) trainInterestModel() (classify.Classifier, bool, error) {
+func (r *Recommender) trainInterestModel(goalIndex map[ID]int) (classify.Classifier, bool, error) {
 	if r.kdb == nil {
 		return nil, false, nil
 	}
-	feedback, err := r.kdb.FeedbackFor("")
+	feedback, err := r.kdb.GoalFeedback(func(goal string) bool {
+		_, ok := goalIndex[ID(goal)]
+		return ok
+	})
 	if err != nil {
 		return nil, false, err
 	}
+	return r.fitInterestModel(feedback, goalIndex)
+}
+
+// fitInterestModel trains on the feedback entries labelled with a
+// catalog goal whose dataset has a stored descriptor (other entries
+// are skipped).
+func (r *Recommender) fitInterestModel(feedback []kdb.Feedback, goalIndex map[ID]int) (classify.Classifier, bool, error) {
 	descs, err := r.kdb.Descriptors()
 	if err != nil {
 		return nil, false, err
@@ -292,17 +315,10 @@ func (r *Recommender) trainInterestModel() (classify.Classifier, bool, error) {
 	for _, d := range descs {
 		descByName[d.DatasetName] = d
 	}
-	goalIndex := map[ID]int{}
-	for i, g := range r.goals {
-		goalIndex[g.ID] = i
-	}
 
 	var X [][]float64
 	var y []int
 	for _, fb := range feedback {
-		if fb.Goal == "" {
-			continue
-		}
 		gi, ok := goalIndex[ID(fb.Goal)]
 		if !ok {
 			continue

@@ -203,3 +203,66 @@ func TestFeedbackWithoutDescriptorIgnored(t *testing.T) {
 		t.Error("model trained from unjoinable feedback")
 	}
 }
+
+// TestGoalFeedbackTrainsLikeFullScan: with catalog-goal feedback rows
+// interleaved with the recall stage's hit/miss rows (and rows with no
+// or an unknown goal), Recommend — which reads only the catalog-goal
+// rows — gives exactly the recommendations of the model trained on
+// every feedback row, FeedbackFor("").
+func TestGoalFeedbackTrainsLikeFullScan(t *testing.T) {
+	k, err := kdb.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"rich", "mid", "thin"}
+	for i, name := range names {
+		d := richDescriptor()
+		d.DatasetName = name
+		d.NumPatients /= i + 1
+		d.NumVisits /= 2*i + 1
+		if _, err := k.StoreDescriptor(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goals := []string{string(GoalAdverseEvents), "recall-warm-start", string(GoalPatientGroups),
+		"", string(GoalCompliance), "recall-warm-start", "not-a-goal", string(GoalResourcePlanning)}
+	interests := []knowledge.Interest{knowledge.InterestHigh, knowledge.InterestLow, knowledge.InterestMedium}
+	for i := 0; i < 40; i++ {
+		if err := k.RecordFeedback(kdb.Feedback{
+			User: "u", Dataset: names[i%len(names)], ItemID: fmt.Sprintf("i%d", i),
+			Goal: goals[i%len(goals)], Interest: interests[(i/3)%len(interests)],
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := NewRecommender(k)
+	all, err := k.FeedbackFor("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goalIndex := r.goalIndex()
+	model, trained, err := r.fitInterestModel(all, goalIndex)
+	if err != nil || !trained {
+		t.Fatalf("reference model: trained %v, err %v", trained, err)
+	}
+	for _, name := range names {
+		d := richDescriptor()
+		d.DatasetName = name
+		got, err := r.Recommend(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.recommend(d, goalIndex, model, trained)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d recommendations, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Goal.ID != w.Goal.ID || g.Feasible != w.Feasible || g.Reason != w.Reason ||
+				g.Interest != w.Interest || g.Score != w.Score || g.Source != w.Source {
+				t.Errorf("%s #%d: got %+v, want %+v", name, i, g, w)
+			}
+		}
+	}
+}

@@ -99,7 +99,7 @@ func TestBreakerReadOnlyTripAndRecover(t *testing.T) {
 	}
 
 	// Reads keep serving; writes are refused and counted.
-	if _, err := k.KnowledgeItems("a"); err != nil {
+	if _, err := k.KnowledgeItems("a", 0); err != nil {
 		t.Fatalf("read while read-only: %v", err)
 	}
 	if _, _, ok := k.LatestDescriptor("a"); !ok {

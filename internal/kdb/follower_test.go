@@ -37,7 +37,7 @@ func TestFollowerServesReplicatedReads(t *testing.T) {
 		t.Fatalf("follower health mode = %q, want %q", got, ModeFollower)
 	}
 
-	got, err := f.KnowledgeItems("ward-a")
+	got, err := f.KnowledgeItems("ward-a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

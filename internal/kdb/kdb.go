@@ -22,6 +22,23 @@
 // path of the paper's self-learning loop (the recall stage warm-starts
 // new analyses from it).
 //
+// # Reads decode only what they return
+//
+// Decoding a stored document into a typed value is a JSON round trip,
+// the dominant cost of a read. So reads select, filter and rank on the
+// stored documents in place (docstore's zero-copy Scan and WalkEq) and
+// decode only what they return, each counted by
+// kdb_documents_decoded_total: ClusterSets (recall's read) the
+// dataset's cluster-set items, GoalFeedback (the end-goal trainer's)
+// the rows with an accepted goal, TopKnowledge the top n after ranking
+// on the stored metrics.<m> and id fields, KnowledgeItems its first
+// limit items. Descriptors are decoded once per process (descCache).
+// A document that does not decode (a foreign schema, a hand edit)
+// therefore fails a read only when that read returns it: an undecodable
+// pattern item no longer hides its dataset's cluster sets from recall,
+// while an undecodable cluster set still does. TopKnowledge also fails
+// when a ranked document's metric or id is not of its decoded type.
+//
 // # Failure semantics
 //
 // A circuit breaker (see Health) classifies disk trouble into two
@@ -41,9 +58,12 @@
 package kdb
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -367,7 +387,9 @@ func toDoc(v any) (docstore.Document, error) {
 	return d, nil
 }
 
+// fromDoc decodes a document into out: the one decode of every read.
 func fromDoc(d docstore.Document, out any) error {
+	documentsDecoded.Inc()
 	raw, err := json.Marshal(d)
 	if err != nil {
 		return err
@@ -575,29 +597,87 @@ func (k *KDB) collectionFor(kind knowledge.Kind) *docstore.Collection {
 	}
 }
 
-// KnowledgeItems returns all items of the dataset from both knowledge
-// collections (dataset == "" returns everything).
-func (k *KDB) KnowledgeItems(datasetName string) ([]knowledge.Item, error) {
+// knowledgeColls are the two knowledge collections in read order.
+func (k *KDB) knowledgeColls() [2]*docstore.Collection {
+	return [2]*docstore.Collection{k.store.Collection(CollClusterKI), k.store.Collection(CollPatternKI)}
+}
+
+// KnowledgeItems returns the items of the dataset from both knowledge
+// collections (dataset == "" returns everything), cluster items first,
+// each collection in insertion order, truncated to limit (<= 0 returns
+// all). Only the returned items are decoded.
+func (k *KDB) KnowledgeItems(datasetName string, limit int) ([]knowledge.Item, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	var out []knowledge.Item
-	for _, coll := range []*docstore.Collection{
-		k.store.Collection(CollClusterKI),
-		k.store.Collection(CollPatternKI),
-	} {
-		var docs []docstore.Document
-		if datasetName == "" {
-			docs = coll.Find(nil)
-		} else {
-			docs = coll.FindEq("dataset", datasetName)
+	var docs []docstore.Document
+	for _, coll := range k.knowledgeColls() {
+		docs = append(docs, inScope(coll, datasetName, nil)...)
+	}
+	if limit > 0 && len(docs) > limit {
+		docs = docs[:limit]
+	}
+	return decodeAll[knowledge.Item](docs, "knowledge item")
+}
+
+// ClusterSets returns the dataset's cluster-set items — the fitted
+// models recall warm-starts from — in insertion order. They live only
+// in knowledge_cluster (see collectionFor); they are selected on the
+// stored documents' kind, and only they are decoded.
+func (k *KDB) ClusterSets(datasetName string) ([]knowledge.Item, error) {
+	if err := k.br.beforeRead(); err != nil {
+		return nil, err
+	}
+	docs := inScope(k.store.Collection(CollClusterKI), datasetName, func(d docstore.Document) bool {
+		return d["kind"] == string(knowledge.KindClusterSet)
+	})
+	return decodeAll[knowledge.Item](docs, "cluster-set item")
+}
+
+// inScope returns the documents of coll in scope that keep accepts
+// (nil keeps all), in insertion order. They are the store's own
+// documents, uncopied: callers only read them (see
+// docstore.Collection.Scan), and decode just the ones they return.
+func inScope(coll *docstore.Collection, datasetName string, keep func(docstore.Document) bool) []docstore.Document {
+	type stamped struct {
+		doc   docstore.Document
+		order int64
+	}
+	var sel []stamped
+	walkScope(coll, datasetName, func(d docstore.Document, order int64) bool {
+		if keep == nil || keep(d) {
+			sel = append(sel, stamped{d, order})
 		}
-		for _, doc := range docs {
-			var it knowledge.Item
-			if err := fromDoc(doc, &it); err != nil {
-				return nil, fmt.Errorf("kdb: decoding knowledge item: %w", err)
-			}
-			out = append(out, it)
+		return true
+	})
+	if datasetName == "" { // a scan: unordered
+		slices.SortFunc(sel, func(a, b stamped) int { return cmp.Compare(a.order, b.order) })
+	}
+	docs := make([]docstore.Document, len(sel))
+	for i, s := range sel {
+		docs[i] = s.doc
+	}
+	return docs
+}
+
+// walkScope walks coll without copying: the dataset's documents in
+// insertion order when datasetName is set (WalkEq), every document in
+// no order otherwise (Scan).
+func walkScope(coll *docstore.Collection, datasetName string, fn func(d docstore.Document, order int64) bool) {
+	if datasetName != "" {
+		coll.WalkEq("dataset", datasetName, fn)
+	} else {
+		coll.Scan(fn)
+	}
+}
+
+// decodeAll decodes docs in order, failing on the first that does not
+// decode.
+func decodeAll[T any](docs []docstore.Document, what string) ([]T, error) {
+	out := make([]T, len(docs))
+	for i, d := range docs {
+		if err := fromDoc(d, &out[i]); err != nil {
+			return nil, fmt.Errorf("kdb: decoding %s: %w", what, err)
 		}
 	}
 	return out, nil
@@ -647,58 +727,120 @@ func (k *KDB) recordFeedback(fb Feedback) error {
 	return nil
 }
 
-// FeedbackFor returns feedback entries, filtered by dataset when
-// datasetName is non-empty.
+// FeedbackFor returns feedback entries in insertion order, filtered by
+// dataset when datasetName is non-empty.
 func (k *KDB) FeedbackFor(datasetName string) ([]Feedback, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	coll := k.store.Collection(CollFeedback)
-	var docs []docstore.Document
-	if datasetName == "" {
-		docs = coll.Find(nil)
-	} else {
-		docs = coll.FindEq("dataset", datasetName)
+	return decodeAll[Feedback](inScope(k.store.Collection(CollFeedback), datasetName, nil), "feedback")
+}
+
+// GoalFeedback returns the feedback entries whose goal isGoal accepts,
+// in insertion order. Rows are selected on the stored documents' goal
+// field and only the accepted ones are decoded, so rows with another
+// goal (the recall stage's hit/miss records) cost no decode.
+func (k *KDB) GoalFeedback(isGoal func(goal string) bool) ([]Feedback, error) {
+	if err := k.br.beforeRead(); err != nil {
+		return nil, err
 	}
-	out := make([]Feedback, 0, len(docs))
-	for _, doc := range docs {
-		var fb Feedback
-		if err := fromDoc(doc, &fb); err != nil {
-			return nil, fmt.Errorf("kdb: decoding feedback: %w", err)
-		}
-		out = append(out, fb)
-	}
-	return out, nil
+	docs := inScope(k.store.Collection(CollFeedback), "", func(d docstore.Document) bool {
+		goal, _ := d["goal"].(string)
+		return isGoal(goal)
+	})
+	return decodeAll[Feedback](docs, "feedback")
 }
 
 // TopKnowledge returns up to n knowledge items of a dataset with the
 // highest value of the given metric (e.g. "support", "confidence",
-// "lift", "size"); items lacking the metric are excluded. It answers
-// the navigation layer's "most interesting first" queries directly
-// from the K-DB.
+// "lift", "size"), ties broken by ascending ID; items lacking the
+// metric are excluded. It answers the navigation layer's "most
+// interesting first" queries directly from the K-DB: items are ranked
+// on their stored metrics.<metric> and id fields and only the top n
+// are decoded. A ranked document whose metric is not a JSON number, or
+// whose id is not a JSON string, fails the call.
 func (k *KDB) TopKnowledge(datasetName, metric string, n int) ([]knowledge.Item, error) {
-	items, err := k.KnowledgeItems(datasetName)
-	if err != nil {
+	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	withMetric := items[:0]
-	for _, it := range items {
-		if _, ok := it.Metrics[metric]; ok {
-			withMetric = append(withMetric, it)
+	// The rank is total: metric descending, then ID, then KnowledgeItems'
+	// order (cluster collection first, each in insertion order), so it
+	// is the stable sort of a full decode. top keeps the best
+	// n candidates in rank order as they stream past (every candidate
+	// when n <= 0, sorted at the end).
+	type ranked struct {
+		doc   docstore.Document
+		value float64
+		id    string
+		coll  int
+		order int64
+	}
+	rank := func(a, b ranked) int {
+		if c := cmp.Compare(b.value, a.value); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		if a.coll != b.coll {
+			return a.coll - b.coll
+		}
+		return cmp.Compare(a.order, b.order)
+	}
+	var (
+		top []ranked
+		bad docstore.Document
+	)
+	for ci, coll := range k.knowledgeColls() {
+		walkScope(coll, datasetName, func(d docstore.Document, order int64) bool {
+			raw, ok := rawMetrics(d)[metric]
+			if !ok {
+				return true
+			}
+			v, okV := jsonFloat(raw)
+			id, okID := jsonString(d["id"])
+			if !okV || !okID {
+				bad = d
+			}
+			r := ranked{d, v, id, ci, order}
+			switch {
+			case n <= 0:
+				top = append(top, r)
+			case len(top) < n || rank(r, top[n-1]) < 0:
+				i, _ := slices.BinarySearchFunc(top, r, rank)
+				top = slices.Insert(top, i, r)
+				top = top[:min(len(top), n)]
+			}
+			return true
+		})
+	}
+	if bad != nil {
+		return nil, fmt.Errorf("kdb: knowledge item %s: metric %q or id is not of its decoded type", bad.ID(), metric)
+	}
+	if n <= 0 {
+		slices.SortFunc(top, rank)
+	}
+	out := make([]knowledge.Item, len(top))
+	for i, c := range top {
+		if err := fromDoc(c.doc, &out[i]); err != nil {
+			return nil, fmt.Errorf("kdb: decoding knowledge item: %w", err)
 		}
 	}
-	sort.SliceStable(withMetric, func(i, j int) bool {
-		mi, mj := withMetric[i].Metrics[metric], withMetric[j].Metrics[metric]
-		if mi != mj {
-			return mi > mj
-		}
-		return withMetric[i].ID < withMetric[j].ID
-	})
-	if n > 0 && len(withMetric) > n {
-		withMetric = withMetric[:n]
-	}
-	return withMetric, nil
+	return out, nil
 }
+
+// rawMetrics is a stored knowledge document's metrics object (nil when
+// absent or not an object).
+func rawMetrics(d docstore.Document) map[string]any {
+	m, _ := d["metrics"].(map[string]any)
+	return m
+}
+
+// jsonFloat and jsonString read a stored JSON scalar as the value it
+// decodes to; null decodes to the zero value.
+func jsonFloat(v any) (float64, bool) { f, ok := v.(float64); return f, ok || v == nil }
+
+func jsonString(v any) (string, bool) { s, ok := v.(string); return s, ok || v == nil }
 
 // Counts reports the document count of every collection, in the order
 // of the paper's data model.

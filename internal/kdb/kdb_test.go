@@ -150,14 +150,14 @@ func TestKnowledgeItemsRoutingAndRoundTrip(t *testing.T) {
 	if counts[CollClusterKI] != 1 || counts[CollPatternKI] != 2 {
 		t.Errorf("routing counts = %v", counts)
 	}
-	got, err := k.KnowledgeItems("tiny")
+	got, err := k.KnowledgeItems("tiny", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("items for tiny = %d, want 2", len(got))
 	}
-	all, err := k.KnowledgeItems("")
+	all, err := k.KnowledgeItems("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStoreKnowledgeItemsUpsert(t *testing.T) {
 	if err := k.StoreKnowledgeItems([]knowledge.Item{it}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := k.KnowledgeItems("d")
+	got, _ := k.KnowledgeItems("d", 0)
 	if len(got) != 1 {
 		t.Fatalf("upsert duplicated: %d items", len(got))
 	}
@@ -206,7 +206,7 @@ func TestSetInterest(t *testing.T) {
 	if err := k.SetInterest("p1", knowledge.KindPattern, knowledge.InterestHigh); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := k.KnowledgeItems("d")
+	got, _ := k.KnowledgeItems("d", 0)
 	if got[0].Interest != knowledge.InterestHigh {
 		t.Errorf("interest = %v", got[0].Interest)
 	}

@@ -16,6 +16,8 @@ var (
 		"Writes refused while the breaker held the store read-only or offline.")
 	flushesTotal = obs.Default().CounterVec("kdb_flushes_total",
 		"K-DB flush attempts that reached the store, by outcome.", "outcome")
+	documentsDecoded = obs.Default().Counter("kdb_documents_decoded_total",
+		"Stored K-DB documents decoded into typed values.")
 )
 
 // setModeGauge flips the enum gauge to m: one series per mode, the

@@ -9,6 +9,7 @@ import (
 
 	"adahealth/internal/docstore"
 	"adahealth/internal/knowledge"
+	"adahealth/internal/obs"
 )
 
 func TestTopKnowledge(t *testing.T) {
@@ -77,7 +78,7 @@ func ids(items []knowledge.Item) []string {
 // decode every item in scope, keep those holding the metric, and
 // stable-sort by descending metric with the ID as tie-break.
 func referenceTopKnowledge(k *KDB, datasetName, metric string, n int) ([]knowledge.Item, error) {
-	items, err := k.KnowledgeItems(datasetName)
+	items, err := k.KnowledgeItems(datasetName, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -215,5 +216,74 @@ func replicaOf(t *testing.T, leader *KDB) *docstore.Replica {
 			t.Fatal(err)
 		}
 		pos = rep.Position()
+	}
+}
+
+// TestTopKnowledgePoisonDocuments: TopKnowledge fails when a document
+// it returns does not decode, or when a ranked document's metric or id
+// is not of its decoded type; an undecodable document it neither ranks
+// nor returns does not fail it.
+func TestTopKnowledgePoisonDocuments(t *testing.T) {
+	cases := []struct {
+		name    string
+		doc     docstore.Document
+		wantErr bool
+	}{
+		{"returned doc does not decode", docstore.Document{"id": "bad", "metrics": map[string]any{"support": 20.0}, "tags": "not-a-list"}, true},
+		{"ranked below n does not decode", docstore.Document{"id": "bad", "metrics": map[string]any{"support": 1.0}, "tags": "not-a-list"}, false},
+		{"unranked doc does not decode", docstore.Document{"id": "bad", "metrics": map[string]any{"lift": "high"}}, false},
+		{"ranked metric is a string", docstore.Document{"id": "bad", "metrics": map[string]any{"support": "high"}}, true},
+		{"ranked id is a number", docstore.Document{"id": 7.0, "metrics": map[string]any{"support": 1.0}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, _ := Open("")
+			if err := k.StoreKnowledgeItems([]knowledge.Item{
+				{ID: "p1", Kind: knowledge.KindPattern, Dataset: "d", Metrics: map[string]float64{"support": 10}},
+				{ID: "p2", Kind: knowledge.KindPattern, Dataset: "d", Metrics: map[string]float64{"support": 5}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			doc := tc.doc
+			doc["dataset"], doc["kind"] = "d", string(knowledge.KindPattern)
+			if _, err := k.Store().Collection(CollPatternKI).Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+			top, err := k.TopKnowledge("d", "support", 2)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("TopKnowledge = %v, want an error", ids(top))
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(ids(top), []string{"p1", "p2"}) {
+				t.Fatalf("TopKnowledge = %v (err %v), want [p1 p2]", ids(top), err)
+			}
+		})
+	}
+}
+
+// TestKnowledgeItemsLimitDecodesOnlyReturned: KnowledgeItems with a
+// limit returns the first limit items of the unlimited read and
+// decodes only those.
+func TestKnowledgeItemsLimitDecodesOnlyReturned(t *testing.T) {
+	k, _ := Open("")
+	if err := k.StoreKnowledgeItems(randomItems(rand.New(rand.NewSource(1)), 30)); err != nil {
+		t.Fatal(err)
+	}
+	all, err := k.KnowledgeItems("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().Value("kdb_documents_decoded_total")
+	got, err := k.KnowledgeItems("", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded := obs.Default().Value("kdb_documents_decoded_total") - before; decoded != 5 {
+		t.Errorf("KnowledgeItems(limit 5) decoded %v documents, want 5", decoded)
+	}
+	if !reflect.DeepEqual(got, all[:5]) {
+		t.Errorf("KnowledgeItems(limit 5) = %v, want %v", ids(got), ids(all[:5]))
 	}
 }

@@ -38,6 +38,7 @@
 //	kdb_breaker_mode{mode}                  gauge      1 on the active circuit-breaker mode, 0 elsewhere
 //	kdb_breaker_trips_total                 counter    healthy → degraded transitions
 //	kdb_dropped_writes_total                counter    writes refused while degraded
+//	kdb_documents_decoded_total             counter    stored documents decoded into typed values (reads decode only what they return)
 //
 // Replication (internal/repl):
 //

@@ -145,11 +145,11 @@ func TestChaosConvergenceSoak(t *testing.T) {
 	assertWALPrefixIdentical(t, leaderDir, followerDir)
 
 	fkb := kdb.Follower(f2.Store())
-	got, err := fkb.KnowledgeItems("ward-a")
+	got, err := fkb.KnowledgeItems("ward-a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := leader.KnowledgeItems("ward-a")
+	want, err := leader.KnowledgeItems("ward-a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	assertWALPrefixIdentical(t, leaderDir, followerDir)
 
 	fkb := kdb.Follower(f2.Store())
-	got, err := fkb.KnowledgeItems("ward-a")
+	got, err := fkb.KnowledgeItems("ward-a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestFollowerResumesAfterMidFrameCut(t *testing.T) {
 		t.Errorf("reconnects = %d, want >= 2 (the cut stream plus the resume)", f.Lag().Reconnects)
 	}
 	fkb := kdb.Follower(f.Store())
-	got, err := fkb.KnowledgeItems("ward-a")
+	got, err := fkb.KnowledgeItems("ward-a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestChaosWALFaultJobsSucceedDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k2.Close()
-	items, err := k2.KnowledgeItems("pre-fault")
+	items, err := k2.KnowledgeItems("pre-fault", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Log("every soak job had dropped writes; durability check vacuous this run")
 	}
 	for _, name := range cleanNames {
-		items, err := k2.KnowledgeItems(name)
+		items, err := k2.KnowledgeItems(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -413,10 +413,7 @@ func serveKnowledge(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 	if metric := q.Get("metric"); metric != "" {
 		items, err = kb.TopKnowledge(q.Get("dataset"), metric, limit)
 	} else {
-		items, err = kb.KnowledgeItems(q.Get("dataset"))
-		if limit > 0 && len(items) > limit {
-			items = items[:limit]
-		}
+		items, err = kb.KnowledgeItems(q.Get("dataset"), limit)
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)

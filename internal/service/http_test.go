@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"adahealth/internal/core"
+	"adahealth/internal/kdb"
+	"adahealth/internal/knowledge"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 	"adahealth/internal/synth"
@@ -432,4 +434,42 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestKnowledgeWithoutMetricTruncatesAtLimit: GET /v1/knowledge without
+// ?metric= answers with exactly the bytes of the first ?limit= items
+// (default 50) of the dataset's full read.
+func TestKnowledgeWithoutMetricTruncatesAtLimit(t *testing.T) {
+	kb, err := kdb.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []knowledge.Item
+	for i := 0; i < 60; i++ {
+		kind := knowledge.KindPattern
+		if i%3 == 0 {
+			kind = knowledge.KindCluster
+		}
+		items = append(items, knowledge.Item{ID: fmt.Sprintf("k%02d", i), Kind: kind, Dataset: "ward-a",
+			Metrics: map[string]float64{"support": float64(i % 7)}})
+	}
+	if err := kb.StoreKnowledgeItems(items); err != nil {
+		t.Fatal(err)
+	}
+	all, err := kb.KnowledgeItems("ward-a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		n     int
+	}{{"&limit=7", 7}, {"", 50}, {"&limit=0", 60}, {"&limit=100", 60}} {
+		got := httptest.NewRecorder()
+		serveKnowledge(got, httptest.NewRequest("GET", "/v1/knowledge?dataset=ward-a"+tc.query, nil), kb)
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, knowledgeResponse{Dataset: "ward-a", Count: tc.n, Items: all[:tc.n]})
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%q: status %d, body differs from the first %d items of the full read", tc.query, got.Code, tc.n)
+		}
+	}
 }

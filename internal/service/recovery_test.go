@@ -35,7 +35,7 @@ func TestKDBRecoveryAfterKill(t *testing.T) {
 	}
 	// Record expert feedback so collection 6 holds a user entry too
 	// (the recall stage has already recorded its miss there).
-	items, err := svc.Engine().KDB().KnowledgeItems(log.Name)
+	items, err := svc.Engine().KDB().KnowledgeItems(log.Name, 0)
 	if err != nil || len(items) == 0 {
 		t.Fatalf("knowledge items: %v (%d)", err, len(items))
 	}
@@ -69,7 +69,7 @@ func TestKDBRecoveryAfterKill(t *testing.T) {
 	}
 	// The recovered knowledge is queryable and carries the centroid
 	// payload future recalls warm-start from.
-	recovered, err := re.KnowledgeItems(log.Name)
+	recovered, err := re.KnowledgeItems(log.Name, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
