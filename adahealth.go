@@ -58,7 +58,8 @@
 // partial mining also fan their units out over, Engine.AnalyzeContext threads
 // cancellation through every compute kernel, Engine.AnalyzeMany
 // batches several logs over one shared pool, and Report.Stages carries
-// per-stage wall-time/allocation traces (also persisted in the K-DB).
+// per-stage wall-time/allocation traces (they travel with the Report;
+// the K-DB does not store them).
 //
 // With Config.KDBDir set, the knowledge base is a durable storage
 // engine: per-dataset sharded collections, a group-committed
@@ -104,8 +105,8 @@ type (
 	// DataConfig controls the synthetic diabetic-log generator.
 	DataConfig = synth.Config
 
-	// KDB is the knowledge database (the paper's six collections),
-	// backed by a sharded, WAL-durable document store when Config.
+	// KDB is the knowledge database (the four of the paper's six
+	// collections that something reads back), backed by a sharded, WAL-durable document store when Config.
 	// KDBDir is set.
 	KDB = kdb.KDB
 	// KDBQuery is a declarative filter/sort/limit lookup over a K-DB
@@ -117,7 +118,7 @@ type (
 	// Feedback is one expert judgement stored in the K-DB.
 	Feedback = kdb.Feedback
 	// StageTrace is the recorded execution of one pipeline stage.
-	StageTrace = kdb.StageTrace
+	StageTrace = core.StageTrace
 
 	// RecallConfig tunes the knowledge-recall stage (Config.Recall):
 	// prior K-DB knowledge of similar datasets warm-starts the sweep.

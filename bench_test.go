@@ -3,7 +3,7 @@
 //
 //	E1 BenchmarkTableI       — Table I, the K-optimization sweep
 //	E2 BenchmarkPartialMining — §IV-B partial-mining series
-//	A2 BenchmarkFPMAblation    — Apriori vs FP-Growth over support
+//	A2 BenchmarkFPMAblation    — Apriori vs FP-Growth over support (internal/fpm)
 //	A3 BenchmarkDocstore       — K-DB substrate throughput
 //	A4 BenchmarkVSMWeighting   — transformation choice vs similarity
 //	A6 BenchmarkAnalyzeMany    — batch stage-DAG vs serial pipelines
@@ -25,7 +25,6 @@ import (
 	"adahealth/internal/docstore"
 	"adahealth/internal/eval"
 	"adahealth/internal/experiments"
-	"adahealth/internal/fpm"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 	"adahealth/internal/synth"
@@ -35,12 +34,11 @@ import (
 var (
 	benchOnce   sync.Once
 	benchMatrix *vsm.Matrix
-	benchVisits [][]string
 	benchErr    error
 )
 
 // benchSetup builds the paper-scale dataset once for all benchmarks.
-func benchSetup(b *testing.B) (*vsm.Matrix, [][]string) {
+func benchSetup(b *testing.B) *vsm.Matrix {
 	b.Helper()
 	benchOnce.Do(func() {
 		log, err := synth.Generate(synth.DefaultConfig())
@@ -51,26 +49,18 @@ func benchSetup(b *testing.B) (*vsm.Matrix, [][]string) {
 		benchMatrix, benchErr = vsm.Build(log, vsm.Options{
 			Weighting: vsm.Count, Normalization: vsm.L2,
 		})
-		if benchErr != nil {
-			return
-		}
-		visits := log.Visits()
-		benchVisits = make([][]string, len(visits))
-		for i, v := range visits {
-			benchVisits[i] = v.ExamCodes
-		}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchMatrix, benchVisits
+	return benchMatrix
 }
 
 // BenchmarkTableI regenerates Table I: the full K ∈ {6..20} sweep with
 // SSE and 10-fold cross-validated decision-tree metrics on the
 // 85%-of-rows subset (experiment E1).
 func BenchmarkTableI(b *testing.B) {
-	m, _ := benchSetup(b)
+	m := benchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,7 +80,7 @@ func BenchmarkTableI(b *testing.B) {
 // BenchmarkPartialMining regenerates the §IV-B series: overall
 // similarity of 20%/40%/100% exam-type subsets (experiment E2).
 func BenchmarkPartialMining(b *testing.B) {
-	m, _ := benchSetup(b)
+	m := benchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -114,46 +104,6 @@ func runPartialOnMatrix(m *vsm.Matrix) (*partialResult, error) {
 }
 
 type partialResult = experiments.PartialResult
-
-// BenchmarkFPMAblation compares Apriori and FP-Growth over the visit
-// baskets as the support threshold drops: FP-Growth's advantage grows
-// at low support (A2). The FP-Growth runs share one fpm.Transactions
-// encoding, built once outside the measured loops, and mine it with
-// no taxonomy, so their per-threshold cost is pure mining; Apriori, the test reference,
-// normalizes its string baskets on every call. The Encode
-// sub-benchmark prices the shared one-time step itself.
-func BenchmarkFPMAblation(b *testing.B) {
-	_, visits := benchSetup(b)
-	shared := fpm.NewTransactions(visits)
-	b.Run("Encode/visits", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fpm.NewTransactions(benchVisits)
-		}
-	})
-	for _, suppFrac := range []float64{0.04, 0.02, 0.01} {
-		minSupp := int(suppFrac * float64(len(visits)))
-		if minSupp < 2 {
-			minSupp = 2
-		}
-		b.Run(fmt.Sprintf("Apriori/supp=%.0f%%", suppFrac*100), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fpm.Apriori(visits, minSupp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("FPGrowth/supp=%.0f%%", suppFrac*100), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fpm.MineGeneralizedEncoded(shared, nil, minSupp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAnalyzeMany compares batch pipeline execution over one
 // shared stage pool against the same logs analyzed back to back: the

@@ -94,7 +94,6 @@ type options struct {
 	stageTimeout time.Duration
 	pprof        bool
 	drift        float64
-	traces       int
 	readFallback string
 }
 
@@ -127,9 +126,6 @@ func newLeader(o options) (*leader, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if o.traces != 0 {
-		svc.Engine().KDB().SetStageTraceLimit(o.traces)
 	}
 
 	// The streaming manager resumes any live datasets persisted in the
@@ -188,7 +184,6 @@ func main() {
 	flag.DurationVar(&o.stageTimeout, "stage-timeout", 0, "per-stage deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ (profile the daemon under cmd/loadgen traffic)")
 	flag.Float64Var(&o.drift, "drift-threshold", 0, "live-dataset descriptor drift that triggers a full warm-started re-analysis (0 = default 0.15)")
-	flag.IntVar(&o.traces, "max-stage-traces", 0, "newest stage traces kept per dataset at flush time (0 = default 256, negative = unbounded)")
 	follow := flag.String("follow", "", "run as a warm-standby follower of this leader URL (requires -kdb-dir; serves the knowledge read endpoints only)")
 	flag.StringVar(&o.readFallback, "read-fallback", "", "warm-standby URL the knowledge read endpoints route to while the K-DB breaker is degraded")
 	flag.Parse()

@@ -68,6 +68,7 @@ func TestDurableLeaderServesMetricsAndReplication(t *testing.T) {
 		"service_admissions_total",
 		"service_jobs_total",
 		"core_stage_seconds",
+		"core_recall_total",
 		"docstore_wal_commit_seconds",
 		"kdb_breaker_mode",
 		"repl_frames_behind",

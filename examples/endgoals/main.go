@@ -78,7 +78,7 @@ func main() {
 	fmt.Println("round 2 (after expert feedback):")
 	printGoals(round2)
 
-	fmt.Println("\nK-DB collection sizes (the paper's six-collection data model):")
+	fmt.Println("\nK-DB collection sizes (the paper's collections 3–6 plus the live-dataset pair):")
 	for name, n := range engine.KDB().Counts() {
 		fmt.Printf("  %-18s %d\n", name, n)
 	}

@@ -124,13 +124,13 @@ func TestAnalyzeDAGMatchesSequential(t *testing.T) {
 		if serialRep.StageConcurrency != 1 {
 			t.Errorf("seed %d: 1-slot StageConcurrency = %d, want 1", seed, serialRep.StageConcurrency)
 		}
-		// The traces were persisted to the K-DB of each engine.
-		stored, err := dagEngine.KDB().StageTraces(log.Name)
+		// The knowledge was persisted to the K-DB of each engine.
+		stored, err := dagEngine.KDB().KnowledgeItems(log.Name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(stored) != want {
-			t.Errorf("seed %d: K-DB holds %d stage traces, want %d", seed, len(stored), want)
+		if len(stored) != len(dagRep.Ranked) {
+			t.Errorf("seed %d: K-DB holds %d knowledge items, want %d", seed, len(stored), len(dagRep.Ranked))
 		}
 	}
 }
@@ -252,7 +252,7 @@ func TestAnalyzeManyEmpty(t *testing.T) {
 func TestAnalyzeManyPersistsSharedKDB(t *testing.T) {
 	// Batch analyses share one disk-backed K-DB; the single batch-level
 	// flush must leave a loadable snapshot containing every log's
-	// traces and knowledge (a torn concurrent flush would fail Open).
+	// knowledge (a torn concurrent flush would fail Open).
 	dir := t.TempDir()
 	cfg := seededConfig(1)
 	cfg.KDBDir = dir
@@ -272,12 +272,12 @@ func TestAnalyzeManyPersistsSharedKDB(t *testing.T) {
 		t.Fatalf("reopening batch K-DB: %v", err)
 	}
 	for _, l := range logs {
-		traces, err := re.KDB().StageTraces(l.Name)
+		items, err := re.KDB().KnowledgeItems(l.Name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(traces) == 0 {
-			t.Errorf("no persisted stage traces for %s", l.Name)
+		if len(items) == 0 {
+			t.Errorf("no persisted knowledge items for %s", l.Name)
 		}
 	}
 }

@@ -24,7 +24,7 @@
 //
 // Cancellation is threaded through every compute kernel via
 // context.Context, per-stage wall-time and allocation metrics land in
-// Report.Stages and the K-DB's stage_traces collection, and AnalyzeMany
+// Report.Stages, and AnalyzeMany
 // batches several logs over one shared pool. Each stage runs once, with
 // panic isolation (covering its fan-out units, whichever goroutine runs
 // them) and an optional deadline (Config.StageTimeout). The Report does
@@ -235,7 +235,7 @@ func NewWithKDB(cfg Config, k *kdb.KDB) (*Engine, error) {
 }
 
 // WithConfig returns a derived engine that analyzes under cfg but
-// shares this engine's knowledge base and transaction cache. It is how
+// shares this engine's knowledge base and in-flight dataset set. It is how
 // a long-running service runs per-job configuration overrides (seed,
 // thresholds, sweep grid) without opening a second K-DB. The override
 // is validated like New validates; KDBDir is ignored — the K-DB is
@@ -263,7 +263,7 @@ func (e *Engine) StageParallelism() int { return e.parallelism() }
 // Report is the complete outcome of one automated analysis.
 type Report struct {
 	Descriptor      stats.Descriptor
-	Transformed     kdb.TransformedSummary
+	Transformed     TransformedSummary
 	Partial         *partial.Result
 	SelectedSubset  int // features used after partial mining
 	Sweep           *optimize.SweepResult
@@ -284,9 +284,8 @@ type Report struct {
 
 	// Stages holds the per-stage execution traces of this analysis,
 	// ordered by start time; overlapping [Start, End) intervals show
-	// which stages actually ran concurrently. The same traces are
-	// persisted to the K-DB's stage_traces collection.
-	Stages []kdb.StageTrace
+	// which stages actually ran concurrently.
+	Stages []StageTrace
 	// StageConcurrency is the maximum number of stages the scheduler
 	// observed running at the same instant (1 when Parallelism is 1).
 	StageConcurrency int
@@ -296,11 +295,24 @@ type Report struct {
 	Degraded *Degradation `json:"degraded,omitempty"`
 }
 
+// TransformedSummary describes the analysis's transformed dataset: the
+// VSM configuration and shape rather than the full matrix, which is
+// recomputable from the log.
+type TransformedSummary struct {
+	Dataset     string   `json:"dataset"`
+	Weighting   string   `json:"weighting"`
+	Norm        string   `json:"normalization"`
+	NumRows     int      `json:"num_rows"`
+	NumFeatures int      `json:"num_features"`
+	Sparsity    float64  `json:"sparsity"`
+	Features    []string `json:"features"`
+}
+
 // Degradation reports that an analysis completed gracefully degraded:
 // K-DB writes were dropped or the recall read fell back because the
 // knowledge store was read-only, offline, or broken. The analytical
 // results themselves are complete and correct — only the
-// self-learning side effects (stored knowledge, feedback, traces,
+// self-learning side effects (stored descriptor and knowledge,
 // flushes) were shed.
 type Degradation struct {
 	// DroppedKDBWrites counts the K-DB writes the pipeline shed.
@@ -500,13 +512,8 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 	s.rep.Stages = sr.traces
 	s.rep.StageConcurrency = sr.maxConcurrent
 
-	// Telemetry and durability are soft from here on: the analysis
-	// already produced its results, and every acknowledged K-DB write
-	// is on the WAL — a failing trace store or flush degrades the run
-	// (recorded in Report.Degraded) instead of discarding it.
-	if err := e.kdb.StoreStageTraces(sr.traces); err != nil {
-		s.noteDrop("store stage traces", err)
-	}
+	// Every acknowledged K-DB write is already on the WAL, so a failing
+	// flush degrades the run (Report.Degraded) instead of discarding it.
 	if !opts.NoFlush {
 		if err := e.kdb.Flush(); err != nil {
 			s.noteDegraded("flush", err)

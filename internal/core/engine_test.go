@@ -114,8 +114,9 @@ func TestAnalyzePopulatesKDB(t *testing.T) {
 	if counts[kdb.CollDescriptors] != 1 {
 		t.Errorf("descriptors stored = %d", counts[kdb.CollDescriptors])
 	}
-	if counts[kdb.CollTransformed] != 1 {
-		t.Errorf("transformed stored = %d", counts[kdb.CollTransformed])
+	// Recall counts its outcome in core_recall_total, not as a row.
+	if counts[kdb.CollFeedback] != 0 {
+		t.Errorf("feedback stored = %d, want 0", counts[kdb.CollFeedback])
 	}
 	if counts[kdb.CollClusterKI] == 0 {
 		t.Error("no clustering knowledge stored")

@@ -4,9 +4,19 @@ import (
 	"context"
 	"sort"
 
-	"adahealth/internal/kdb"
-	"adahealth/internal/knowledge"
+	"adahealth/internal/obs"
 	"adahealth/internal/optimize"
+)
+
+// recallTotal counts recall outcomes (see the metric-name reference in
+// package obs); Report.Recall carries each job's own. Its three series
+// exist from package init, so the first scrape shows them.
+var (
+	recallTotal = obs.Default().CounterVec("core_recall_total",
+		"Recall-stage outcomes: hit, miss, or fallback (the K-DB could not be read).", "outcome")
+	recallHit      = recallTotal.With("hit")
+	recallMiss     = recallTotal.With("miss")
+	recallFallback = recallTotal.With("fallback")
 )
 
 // RecallConfig tunes the recall stage: the paper's self-learning loop,
@@ -86,9 +96,8 @@ type recallHints struct {
 // runRecall retrieves prior knowledge for statistically similar
 // datasets from the K-DB and stages it for the sweep. A miss leaves
 // the pipeline configuration untouched — the cold path is bit-for-bit
-// the pre-recall behaviour — and both outcomes are recorded as
-// feedback (collection 6), so the K-DB accumulates how often its own
-// memory pays off.
+// the pre-recall behaviour. Every outcome counts in core_recall_total,
+// so the fleet view shows how often the K-DB's memory pays off.
 func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 	cfg := e.cfg.Recall.withDefaults()
 	if cfg.Disabled {
@@ -109,6 +118,7 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 		// losing it must never lose the run.
 		s.rep.Recall = &RecallOutcome{Fallback: err.Error()}
 		s.noteDegraded("recall", err)
+		recallFallback.Inc()
 		return nil
 	}
 	outcome := &RecallOutcome{}
@@ -164,7 +174,8 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 
 	if len(kSet) == 0 {
 		// Miss: no similar dataset has produced cluster knowledge yet.
-		return e.recordRecallFeedback(s, outcome, "")
+		recallMiss.Inc()
+		return nil
 	}
 	for k := range kSet {
 		hints.priorKs = append(hints.priorKs, k)
@@ -174,31 +185,7 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 	outcome.PriorKs = hints.priorKs
 	outcome.SeedDataset = hints.seedDataset
 	s.recallHints = &hints
-	return e.recordRecallFeedback(s, outcome, hints.seedDataset)
-}
-
-// recordRecallFeedback appends the hit/miss record to the feedback
-// collection. Its Goal is not a catalog end-goal, so the end-goal
-// interest model ignores it; it exists so the K-DB tracks how often
-// recall finds usable experience.
-func (e *Engine) recordRecallFeedback(s *pipelineState, outcome *RecallOutcome, seedDataset string) error {
-	interest := knowledge.InterestLow // miss
-	if outcome.Hit {
-		interest = knowledge.InterestHigh
-	}
-	fb := kdb.Feedback{
-		User:     "recall-stage",
-		Dataset:  s.log.Name,
-		ItemID:   seedDataset,
-		ItemKind: "recall",
-		Goal:     "recall-warm-start",
-		Interest: interest,
-	}
-	if err := e.kdb.RecordFeedback(fb); err != nil {
-		// Soft: the hit/miss bookkeeping is telemetry for the
-		// self-learning loop, never worth failing the analysis over.
-		s.noteDrop("recall feedback", err)
-	}
+	recallHit.Inc()
 	return nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
+	"adahealth/internal/faultfs"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/obs"
@@ -108,21 +110,59 @@ func TestRecallWarmStartsSimilarDataset(t *testing.T) {
 	if wi, ci := sweepIterations(warmRep), sweepIterations(coldRep); wi >= ci {
 		t.Errorf("warm sweep iterations = %d, want < cold %d", wi, ci)
 	}
+}
 
-	// Both outcomes land in the feedback collection.
-	fb, err := warm.KDB().FeedbackFor("twin-b")
+// TestRecallCountsOutcomes: each recall outcome increments its own
+// core_recall_total series exactly once, and no other — a miss on a
+// cold dataset, a hit on the same dataset once warm, a fallback on an
+// offline K-DB.
+func TestRecallCountsOutcomes(t *testing.T) {
+	outcomes := []string{"hit", "miss", "fallback"}
+	counts := func() map[string]float64 {
+		m := map[string]float64{}
+		for _, o := range outcomes {
+			m[o] = obs.Default().Value("core_recall_total", o)
+		}
+		return m
+	}
+	analyze := func(want string, e *Engine, log *dataset.Log) {
+		t.Helper()
+		before := counts()
+		if _, err := e.Analyze(log); err != nil {
+			t.Fatal(err)
+		}
+		after := counts()
+		for _, o := range outcomes {
+			wantDelta := 0.0
+			if o == want {
+				wantDelta = 1
+			}
+			if d := after[o] - before[o]; d != wantDelta {
+				t.Errorf("%s analysis: core_recall_total{outcome=%q} moved by %v, want %v", want, o, d, wantDelta)
+			}
+		}
+	}
+
+	e, err := New(recallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, f := range fb {
-		if f.ItemKind == "recall" && f.Interest == knowledge.InterestHigh {
-			found = true
-		}
+	log := seededLog(t, 1)
+	analyze("miss", e, log)
+	analyze("hit", e, log)
+
+	ffs := faultfs.New(nil, 1)
+	k, err := kdb.OpenStore(docstore.Options{Dir: t.TempDir(), FS: ffs})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Errorf("no recall-hit feedback recorded: %+v", fb)
+	defer k.Close()
+	offline, err := NewWithKDB(recallConfig(), k)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
+	analyze("fallback", offline, log)
 }
 
 // TestRecallMissKeepsColdPathBitForBit: when recall finds nothing, the
@@ -289,9 +329,9 @@ func TestRecallPoisonDocuments(t *testing.T) {
 
 // TestAnalysisDecodesDoNotGrowWithHistory: the K-DB reads on an
 // analysis' path decode only what they use, so one analysis decodes as
-// many documents after 100 prior analyses as after 10 — recall's
-// hit/miss feedback rows, other datasets' items and the descriptors
-// already seen are never decoded again.
+// many documents after 100 prior analyses as after 10 — other
+// datasets' items and the descriptors already seen are never decoded
+// again.
 func TestAnalysisDecodesDoNotGrowWithHistory(t *testing.T) {
 	e, err := New(recallConfig())
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"adahealth/internal/kdb"
 	"adahealth/internal/slots"
 )
 
@@ -46,11 +45,36 @@ func (e *StageTimeoutError) Error() string {
 
 func (e *StageTimeoutError) Unwrap() error { return context.DeadlineExceeded }
 
+// StageTrace is the recorded execution of one pipeline stage: what
+// ran, when, for how long, and roughly how much it allocated.
+// Report.Stages holds one per stage of the analysis.
+type StageTrace struct {
+	// Dataset is the analyzed log's name.
+	Dataset string `json:"dataset"`
+	// Stage is the stage name in the pipeline DAG.
+	Stage string `json:"stage"`
+	// Start / End delimit the stage's wall-clock execution interval;
+	// overlapping intervals between stages of one analysis are the
+	// direct evidence of concurrent execution.
+	Start time.Time `json:"start"`
+	End   time.Time `json:"end"`
+	// WallNanos is End − Start in nanoseconds.
+	WallNanos int64 `json:"wall_ns"`
+	// AllocBytes is the process-wide heap-allocation delta observed
+	// during the stage: exact when it ran alone (Parallelism 1 and no
+	// other analysis), an upper bound when other stages run
+	// concurrently.
+	AllocBytes uint64 `json:"alloc_bytes"`
+}
+
+// Wall returns the stage's wall-clock duration.
+func (t StageTrace) Wall() time.Duration { return time.Duration(t.WallNanos) }
+
 // scheduleResult is what one pipeline execution hands back: the
 // per-stage traces (ordered by start time) and the maximum number of
 // stages observed running at once.
 type scheduleResult struct {
-	traces        []kdb.StageTrace
+	traces        []StageTrace
 	maxConcurrent int
 }
 
@@ -152,7 +176,7 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 	type outcome struct {
 		idx   int
 		err   error
-		trace kdb.StageTrace
+		trace StageTrace
 	}
 	results := make(chan outcome)
 
@@ -201,7 +225,7 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 			results <- outcome{
 				idx: idx,
 				err: err,
-				trace: kdb.StageTrace{
+				trace: StageTrace{
 					Dataset:    s.log.Name,
 					Stage:      st.Name(),
 					Start:      start,

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"adahealth/internal/cluster"
@@ -135,14 +135,7 @@ func (s *pipelineState) degradation() *Degradation {
 	if s.droppedWrites == 0 && len(s.degradeReasons) == 0 {
 		return nil
 	}
-	sorted := append([]string(nil), s.degradeReasons...)
-	sort.Strings(sorted)
-	reasons := sorted[:0]
-	for i, r := range sorted {
-		if i == 0 || r != sorted[i-1] {
-			reasons = append(reasons, r)
-		}
-	}
+	reasons := slices.Compact(slices.Sorted(slices.Values(s.degradeReasons)))
 	return &Degradation{DroppedKDBWrites: s.droppedWrites, Reasons: reasons}
 }
 
@@ -270,7 +263,7 @@ func (e *Engine) runTransform(ctx context.Context, s *pipelineState) error {
 		return fmt.Errorf("transforming: %w", err)
 	}
 	s.matrix = matrix
-	s.rep.Transformed = kdb.TransformedSummary{
+	s.rep.Transformed = TransformedSummary{
 		Dataset:     s.log.Name,
 		Weighting:   e.cfg.VSM.Weighting.String(),
 		Norm:        e.cfg.VSM.Normalization.String(),
@@ -278,9 +271,6 @@ func (e *Engine) runTransform(ctx context.Context, s *pipelineState) error {
 		NumFeatures: matrix.NumFeatures(),
 		Sparsity:    matrix.Sparsity(),
 		Features:    matrix.Features,
-	}
-	if _, err := e.kdb.StoreTransformed(s.rep.Transformed); err != nil {
-		s.noteDrop("store transformed summary", err) // soft: degrade, don't fail
 	}
 	return nil
 }

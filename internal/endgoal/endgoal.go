@@ -286,8 +286,9 @@ func featuresFor(d stats.Descriptor, goalIdx, numGoals int) []float64 {
 
 // trainInterestModel builds the decision-tree interest predictor from
 // the K-DB's catalog-goal feedback joined with stored descriptors. The
-// K-DB selects those rows on their goal and decodes only them, so the
-// recall stage's per-job hit/miss rows cost the trainer nothing.
+// K-DB selects those rows on their goal and decodes only them, so rows
+// with another goal (the recall hit/miss rows older builds wrote) cost
+// the trainer nothing.
 // trained is false when there is not enough feedback yet.
 func (r *Recommender) trainInterestModel(goalIndex map[ID]int) (classify.Classifier, bool, error) {
 	if r.kdb == nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"adahealth/internal/knowledge"
 	"adahealth/internal/obs"
@@ -63,8 +62,8 @@ func TestConcurrentStoreKnowledgeItemsSameIDs(t *testing.T) {
 }
 
 // TestStoreBatchesShareWALCommits pins what the K-DB write path costs
-// in durability waits: one analysis's knowledge items and its stage
-// traces each ride at most two group commits (one when no other
+// in durability waits: one analysis's knowledge items, inserted or
+// updated, ride at most two group commits (one when no other
 // writer's commit picks up the batch's first frames early), not one
 // per document. The count is the observation count of
 // docstore_wal_commit_seconds, which the benchmark's
@@ -88,23 +87,7 @@ func TestStoreBatchesShareWALCommits(t *testing.T) {
 		}
 	}
 
-	start := time.Date(2016, 5, 16, 9, 0, 0, 0, time.UTC)
-	traces := make([]StageTrace, 11)
-	for i := range traces {
-		traces[i] = StageTrace{
-			Dataset: "ward-a", Stage: fmt.Sprintf("stage-%d", i),
-			Start: start.Add(time.Duration(i) * time.Millisecond), End: start.Add(time.Duration(i+1) * time.Millisecond),
-			WallNanos: int64(time.Millisecond),
-		}
-	}
-	before := commits()
-	if err := k.StoreStageTraces(traces); err != nil {
-		t.Fatal(err)
-	}
-	if d := commits() - before; d < 1 || d > 2 {
-		t.Errorf("storing 11 stage traces took %v WAL commits, want 1 or 2", d)
-	}
-	if got := k.Counts(); got[CollClusterKI]+got[CollPatternKI] != 100 || got[CollStageTraces] != 11 {
+	if got := k.Counts(); got[CollClusterKI]+got[CollPatternKI] != 100 {
 		t.Errorf("counts after the batches = %v", got)
 	}
 }

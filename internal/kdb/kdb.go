@@ -1,13 +1,19 @@
 // Package kdb implements ADA-HEALTH's Knowledge Database: the
 // persistent memory that drives the self-learning analysis tasks.
-// Its data model is exactly the six collections of Section IV-A:
+// Its data model is the six collections of Section IV-A, of which it
+// stores the four something reads back:
 //
-//  1. raw_datasets      — the original datasets
-//  2. transformed       — the transformed datasets after preprocessing
+//  1. raw_datasets      — not stored: the log comes with the request (a
+//     live dataset's, in live_appends)
+//  2. transformed       — not stored: its summary is Report.Transformed
 //  3. descriptors       — statistical descriptors of data distributions
 //  4. knowledge_cluster — knowledge items from clustering algorithms
 //  5. knowledge_pattern — knowledge items from pattern discovery
 //  6. feedback          — user interaction feedback
+//
+// The streaming layer adds live_datasets and live_appends. Documents an
+// older build wrote to raw_datasets, transformed or stage_traces, and
+// its recall hit/miss rows in feedback, still load; nothing reads them.
 //
 // The store is the embedded document store of package docstore (the
 // MongoDB substitution; see DESIGN.md): every collection is striped
@@ -65,25 +71,18 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
-	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/stats"
 )
 
-// Collection names of the paper's data model, plus the engine's own
-// operational telemetry (stage_traces, added by the stage-graph
-// pipeline engine — not part of the paper's six collections).
+// Collection names of the persisted part of the paper's data model.
 const (
-	CollRaw         = "raw_datasets"
-	CollTransformed = "transformed"
 	CollDescriptors = "descriptors"
 	CollClusterKI   = "knowledge_cluster"
 	CollPatternKI   = "knowledge_pattern"
 	CollFeedback    = "feedback"
-	CollStageTraces = "stage_traces"
 	// Live-dataset collections back the streaming subsystem
 	// (internal/stream): one state document per registered live
 	// dataset and one append-only document per accepted visit batch,
@@ -91,13 +90,6 @@ const (
 	CollLiveDatasets = "live_datasets"
 	CollLiveAppends  = "live_appends"
 )
-
-// DefaultStageTraceLimit is the default retention cap of stage traces
-// per dataset: a busy daemon otherwise accumulates seven-plus traces
-// per analysis forever in the one collection nothing evicts, which
-// eventually dominates snapshot size and reopen time. 256 traces ≈ the
-// last ~25–35 analyses of one dataset.
-const DefaultStageTraceLimit = 256
 
 // Feedback is one user interaction: a domain expert grading a
 // knowledge item's interestingness for a dataset.
@@ -110,7 +102,7 @@ type Feedback struct {
 	Interest knowledge.Interest `json:"interest"`
 }
 
-// KDB wraps the document store with the six-collection schema.
+// KDB wraps the document store with the K-DB's collection schema.
 type KDB struct {
 	store *docstore.Store
 	br    *breaker
@@ -123,12 +115,6 @@ type KDB struct {
 	// cached with their error.
 	descMu    sync.Mutex
 	descCache map[string]decodedDescriptor
-
-	// traceMu guards traceLimit, the per-dataset stage-trace
-	// retention cap enforced at flush time (0 or negative disables
-	// eviction).
-	traceMu    sync.Mutex
-	traceLimit int
 
 	// foldMu guards foldThreshold, the live_appends fold trigger
 	// enforced at flush time (0 or negative disables folding).
@@ -149,30 +135,17 @@ func OpenStore(opts docstore.Options) (*KDB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kdb: %w", err)
 	}
-	k := &KDB{
-		store:         s,
-		br:            newBreaker(),
-		descCache:     map[string]decodedDescriptor{},
-		traceLimit:    DefaultStageTraceLimit,
-		foldThreshold: DefaultLiveFoldThreshold,
-	}
-	configureCollections(s)
-	return k, nil
+	return newKDB(s), nil
 }
 
-// configureCollections applies the K-DB's striping and index layout —
+// newKDB wraps s and applies the K-DB's striping and index layout —
 // shared by OpenStore and Follower so a replication follower answers
 // the same dataset-scoped queries with the same single-stripe paths.
-func configureCollections(s *docstore.Store) {
+func newKDB(s *docstore.Store) *KDB {
 	// Stripe every collection by its dataset field: concurrent
 	// analyses of different datasets then write disjoint shards, and a
 	// dataset-scoped FindEq touches a single stripe.
-	s.Collection(CollRaw).ShardBy("name")
-	for _, name := range []string{
-		CollTransformed, CollDescriptors, CollClusterKI,
-		CollPatternKI, CollFeedback, CollStageTraces,
-		CollLiveDatasets, CollLiveAppends,
-	} {
+	for _, name := range collections {
 		s.Collection(name).ShardBy("dataset")
 	}
 	// Equality indexes on the access paths the pipeline uses.
@@ -180,9 +153,13 @@ func configureCollections(s *docstore.Store) {
 	s.Collection(CollPatternKI).CreateIndex("dataset")
 	s.Collection(CollDescriptors).CreateIndex("dataset")
 	s.Collection(CollFeedback).CreateIndex("dataset")
-	s.Collection(CollFeedback).CreateIndex("item_id")
-	s.Collection(CollStageTraces).CreateIndex("dataset")
 	s.Collection(CollLiveAppends).CreateIndex("dataset")
+	return &KDB{
+		store:         s,
+		br:            newBreaker(),
+		descCache:     map[string]decodedDescriptor{},
+		foldThreshold: DefaultLiveFoldThreshold,
+	}
 }
 
 // Follower wraps a replication follower's store (docstore.Replica) in
@@ -193,28 +170,10 @@ func configureCollections(s *docstore.Store) {
 // compaction belongs to the leader). The replica's lifecycle owns the
 // store: Close on a follower K-DB is a no-op.
 func Follower(s *docstore.Store) *KDB {
-	k := &KDB{
-		store:         s,
-		br:            newBreaker(),
-		descCache:     map[string]decodedDescriptor{},
-		traceLimit:    DefaultStageTraceLimit,
-		foldThreshold: DefaultLiveFoldThreshold,
-	}
+	k := newKDB(s)
 	k.br.mode = ModeFollower
 	setModeGauge(ModeFollower)
-	configureCollections(s)
 	return k
-}
-
-// SetStageTraceLimit caps how many stage traces the K-DB retains per
-// dataset: the newest n survive, older ones are evicted during Flush
-// (eviction piggybacks on the flush WAL batch, so reopen replays the
-// same bounded set). n <= 0 disables eviction. The default is
-// DefaultStageTraceLimit.
-func (k *KDB) SetStageTraceLimit(n int) {
-	k.traceMu.Lock()
-	k.traceLimit = n
-	k.traceMu.Unlock()
 }
 
 // Close compacts and releases a disk-backed K-DB (no-op in memory).
@@ -227,90 +186,6 @@ func (k *KDB) Close() error {
 	return k.store.Close()
 }
 
-// StageTrace is the recorded execution of one pipeline stage: what
-// ran, when, for how long, and roughly how much it allocated. The
-// stage-graph engine stores one per stage per analysis, so the K-DB
-// accumulates a per-dataset performance history alongside the
-// knowledge itself.
-type StageTrace struct {
-	// Dataset is the analyzed log's name.
-	Dataset string `json:"dataset"`
-	// Stage is the stage name in the pipeline DAG.
-	Stage string `json:"stage"`
-	// Start / End delimit the stage's wall-clock execution interval;
-	// overlapping intervals between stages of one analysis are the
-	// direct evidence of concurrent execution.
-	Start time.Time `json:"start"`
-	End   time.Time `json:"end"`
-	// WallNanos is End − Start in nanoseconds (denormalized for
-	// querying without time parsing).
-	WallNanos int64 `json:"wall_ns"`
-	// AllocBytes is the process-wide heap-allocation delta observed
-	// during the stage: exact when it ran alone (Parallelism 1 and no
-	// other analysis), an upper bound when other stages run
-	// concurrently.
-	AllocBytes uint64 `json:"alloc_bytes"`
-}
-
-// Wall returns the stage's wall-clock duration.
-func (t StageTrace) Wall() time.Duration { return time.Duration(t.WallNanos) }
-
-// StoreStageTraces appends the traces of one analysis run.
-func (k *KDB) StoreStageTraces(traces []StageTrace) error {
-	if err := k.br.beforeWrite(); err != nil {
-		return err
-	}
-	err := k.storeStageTraces(traces)
-	k.br.afterWrite(err)
-	return err
-}
-
-// storeStageTraces writes one analysis's traces as one batch: one
-// durability wait, not one per trace.
-func (k *KDB) storeStageTraces(traces []StageTrace) error {
-	coll := k.store.Collection(CollStageTraces)
-	b := k.store.Begin()
-	defer b.Commit()
-	for _, tr := range traces {
-		doc, err := toDoc(tr)
-		if err != nil {
-			return fmt.Errorf("kdb: encoding stage trace %s/%s: %w", tr.Dataset, tr.Stage, err)
-		}
-		if _, err := b.Insert(coll, doc); err != nil {
-			return fmt.Errorf("kdb: storing stage trace %s/%s: %w", tr.Dataset, tr.Stage, err)
-		}
-	}
-	if err := b.Commit(); err != nil {
-		return fmt.Errorf("kdb: storing stage traces: %w", err)
-	}
-	return nil
-}
-
-// StageTraces returns stored traces, filtered by dataset when
-// datasetName is non-empty, ordered by start time.
-func (k *KDB) StageTraces(datasetName string) ([]StageTrace, error) {
-	if err := k.br.beforeRead(); err != nil {
-		return nil, err
-	}
-	coll := k.store.Collection(CollStageTraces)
-	var docs []docstore.Document
-	if datasetName == "" {
-		docs = coll.Find(nil)
-	} else {
-		docs = coll.FindEq("dataset", datasetName)
-	}
-	out := make([]StageTrace, 0, len(docs))
-	for _, doc := range docs {
-		var tr StageTrace
-		if err := fromDoc(doc, &tr); err != nil {
-			return nil, fmt.Errorf("kdb: decoding stage trace: %w", err)
-		}
-		out = append(out, tr)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out, nil
-}
-
 // Flush persists the store when it is disk-backed. Flush is the
 // breaker's half-open probe point: while read-only it is refused with
 // ErrReadOnly until the cooldown elapses, then one flush runs and its
@@ -319,55 +194,15 @@ func (k *KDB) Flush() error {
 	if err := k.br.beforeFlush(); err != nil {
 		return err
 	}
-	// Retention runs at flush time so eviction deletes ride the same
-	// WAL the flush is about to compact; a failed eviction counts as
-	// a flush failure for the breaker. Live-append folding rides the
-	// same batch for the same reason.
-	err := k.evictStageTraces()
-	if err == nil {
-		err = k.foldLiveAppends()
-	}
+	// Live-append folding runs at flush time so its deletes ride the
+	// WAL the flush is about to compact; a failed fold counts as a
+	// flush failure for the breaker.
+	err := k.foldLiveAppends()
 	if err == nil {
 		err = k.store.Flush()
 	}
 	k.br.afterFlush(err)
 	return err
-}
-
-// evictStageTraces drops, per dataset, all but the newest traceLimit
-// stage traces (by insertion order — traces of one analysis are
-// inserted batch-wise in execution order).
-func (k *KDB) evictStageTraces() error {
-	k.traceMu.Lock()
-	limit := k.traceLimit
-	k.traceMu.Unlock()
-	if limit <= 0 {
-		return nil
-	}
-	coll := k.store.Collection(CollStageTraces)
-	counts := map[string]int{}
-	coll.Scan(func(d docstore.Document, _ int64) bool {
-		name, _ := d["dataset"].(string)
-		counts[name]++
-		return true
-	})
-	b := k.store.Begin()
-	defer b.Commit()
-	for name, c := range counts {
-		if c <= limit {
-			continue
-		}
-		docs := coll.FindEq("dataset", name)
-		for _, doc := range docs[:len(docs)-limit] {
-			if err := b.Delete(coll, doc.ID()); err != nil {
-				return fmt.Errorf("kdb: evicting stage trace of %q: %w", name, err)
-			}
-		}
-	}
-	if err := b.Commit(); err != nil {
-		return fmt.Errorf("kdb: evicting stage traces: %w", err)
-	}
-	return nil
 }
 
 // Store exposes the underlying document store (read-mostly uses such
@@ -395,78 +230,6 @@ func fromDoc(d docstore.Document, out any) error {
 		return err
 	}
 	return json.Unmarshal(raw, out)
-}
-
-// StoreDataset records an original dataset (collection 1). The full
-// log is embedded in the document; the returned ID identifies it.
-func (k *KDB) StoreDataset(l *dataset.Log) (string, error) {
-	if err := k.br.beforeWrite(); err != nil {
-		return "", err
-	}
-	id, err := k.storeDataset(l)
-	k.br.afterWrite(err)
-	return id, err
-}
-
-func (k *KDB) storeDataset(l *dataset.Log) (string, error) {
-	doc, err := toDoc(l)
-	if err != nil {
-		return "", fmt.Errorf("kdb: encoding dataset: %w", err)
-	}
-	doc["name"] = l.Name
-	id, err := k.store.Collection(CollRaw).Insert(doc)
-	if err != nil {
-		return "", fmt.Errorf("kdb: storing dataset: %w", err)
-	}
-	return id, nil
-}
-
-// Dataset loads a stored dataset by document ID.
-func (k *KDB) Dataset(id string) (*dataset.Log, error) {
-	if err := k.br.beforeRead(); err != nil {
-		return nil, err
-	}
-	doc, ok := k.store.Collection(CollRaw).Get(id)
-	if !ok {
-		return nil, fmt.Errorf("kdb: no dataset with id %q", id)
-	}
-	var l dataset.Log
-	if err := fromDoc(doc, &l); err != nil {
-		return nil, fmt.Errorf("kdb: decoding dataset %q: %w", id, err)
-	}
-	l.ReindexAfterLoad()
-	return &l, nil
-}
-
-// TransformedSummary describes a transformed dataset (collection 2):
-// the VSM configuration and shape rather than the full matrix, which
-// is recomputable from the raw dataset.
-type TransformedSummary struct {
-	Dataset     string   `json:"dataset"`
-	Weighting   string   `json:"weighting"`
-	Norm        string   `json:"normalization"`
-	NumRows     int      `json:"num_rows"`
-	NumFeatures int      `json:"num_features"`
-	Sparsity    float64  `json:"sparsity"`
-	Features    []string `json:"features"`
-}
-
-// StoreTransformed records a transformation summary (collection 2).
-func (k *KDB) StoreTransformed(ts TransformedSummary) (string, error) {
-	if err := k.br.beforeWrite(); err != nil {
-		return "", err
-	}
-	id, err := k.storeTransformed(ts)
-	k.br.afterWrite(err)
-	return id, err
-}
-
-func (k *KDB) storeTransformed(ts TransformedSummary) (string, error) {
-	doc, err := toDoc(ts)
-	if err != nil {
-		return "", fmt.Errorf("kdb: encoding transformed summary: %w", err)
-	}
-	return k.store.Collection(CollTransformed).Insert(doc)
 }
 
 // StoreDescriptor records a statistical descriptor (collection 3).
@@ -683,26 +446,6 @@ func decodeAll[T any](docs []docstore.Document, what string) ([]T, error) {
 	return out, nil
 }
 
-// SetInterest updates the stored interest label of a knowledge item.
-func (k *KDB) SetInterest(itemID string, kind knowledge.Kind, interest knowledge.Interest) error {
-	if err := k.br.beforeWrite(); err != nil {
-		return err
-	}
-	err := k.setInterest(itemID, kind, interest)
-	k.br.afterWrite(err)
-	return err
-}
-
-func (k *KDB) setInterest(itemID string, kind knowledge.Kind, interest knowledge.Interest) error {
-	coll := k.collectionFor(kind)
-	doc, ok := coll.Get(itemID)
-	if !ok {
-		return fmt.Errorf("kdb: no knowledge item %q", itemID)
-	}
-	doc["interest"] = string(interest)
-	return coll.Update(itemID, doc)
-}
-
 // RecordFeedback appends one user interaction (collection 6).
 func (k *KDB) RecordFeedback(fb Feedback) error {
 	if err := k.br.beforeWrite(); err != nil {
@@ -739,7 +482,8 @@ func (k *KDB) FeedbackFor(datasetName string) ([]Feedback, error) {
 // GoalFeedback returns the feedback entries whose goal isGoal accepts,
 // in insertion order. Rows are selected on the stored documents' goal
 // field and only the accepted ones are decoded, so rows with another
-// goal (the recall stage's hit/miss records) cost no decode.
+// goal (such as the recall hit/miss rows older builds wrote) cost no
+// decode.
 func (k *KDB) GoalFeedback(isGoal func(goal string) bool) ([]Feedback, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
@@ -842,15 +586,17 @@ func jsonFloat(v any) (float64, bool) { f, ok := v.(float64); return f, ok || v 
 
 func jsonString(v any) (string, bool) { s, ok := v.(string); return s, ok || v == nil }
 
-// Counts reports the document count of every collection, in the order
-// of the paper's data model.
+// collections are the K-DB's collections, in the order of the paper's
+// data model.
+var collections = []string{
+	CollDescriptors, CollClusterKI, CollPatternKI, CollFeedback,
+	CollLiveDatasets, CollLiveAppends,
+}
+
+// Counts reports the document count of every collection.
 func (k *KDB) Counts() map[string]int {
 	out := map[string]int{}
-	for _, name := range []string{
-		CollRaw, CollTransformed, CollDescriptors,
-		CollClusterKI, CollPatternKI, CollFeedback, CollStageTraces,
-		CollLiveDatasets, CollLiveAppends,
-	} {
+	for _, name := range collections {
 		out[name] = k.store.Collection(name).Count()
 	}
 	return out

@@ -1,13 +1,11 @@
 package kdb
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"adahealth/internal/dataset"
-	"adahealth/internal/docstore"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/stats"
 )
@@ -28,32 +26,6 @@ func tinyLog(t *testing.T) *dataset.Log {
 		t.Fatal(err)
 	}
 	return l
-}
-
-func TestDatasetRoundTrip(t *testing.T) {
-	k, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := k.StoreDataset(tinyLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := k.Dataset(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPatients() != 1 || got.NumRecords() != 1 || got.NumExamTypes() != 1 {
-		t.Errorf("round trip shape = %d/%d/%d",
-			got.NumPatients(), got.NumExamTypes(), got.NumRecords())
-	}
-	// Indexes must work after load.
-	if _, ok := got.Patient("P1"); !ok {
-		t.Error("patient index not rebuilt")
-	}
-	if _, err := k.Dataset("nope"); err == nil {
-		t.Error("missing dataset id accepted")
-	}
 }
 
 func TestDescriptors(t *testing.T) {
@@ -196,25 +168,6 @@ func TestStoreKnowledgeItemsUpsert(t *testing.T) {
 	}
 }
 
-func TestSetInterest(t *testing.T) {
-	k, _ := Open("")
-	it := knowledge.Item{ID: "p1", Kind: knowledge.KindPattern, Dataset: "d",
-		Interest: knowledge.InterestUnknown}
-	if err := k.StoreKnowledgeItems([]knowledge.Item{it}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SetInterest("p1", knowledge.KindPattern, knowledge.InterestHigh); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := k.KnowledgeItems("d", 0)
-	if got[0].Interest != knowledge.InterestHigh {
-		t.Errorf("interest = %v", got[0].Interest)
-	}
-	if err := k.SetInterest("missing", knowledge.KindPattern, knowledge.InterestLow); err == nil {
-		t.Error("missing item accepted")
-	}
-}
-
 func TestFeedback(t *testing.T) {
 	k, _ := Open("")
 	if err := k.RecordFeedback(Feedback{
@@ -283,82 +236,15 @@ func TestPersistence(t *testing.T) {
 func TestCountsCoversAllCollections(t *testing.T) {
 	k, _ := Open("")
 	counts := k.Counts()
-	// The paper's six collections plus the engine's stage_traces and
-	// the streaming layer's two live collections.
-	if len(counts) != 9 {
-		t.Errorf("counts covers %d collections, want 9", len(counts))
+	// The four persisted collections of the paper's model plus the
+	// streaming layer's two live collections.
+	if len(counts) != 6 {
+		t.Errorf("counts covers %d collections, want 6", len(counts))
 	}
-	for _, name := range []string{CollRaw, CollTransformed, CollDescriptors,
-		CollClusterKI, CollPatternKI, CollFeedback, CollStageTraces,
-		CollLiveDatasets, CollLiveAppends} {
+	for _, name := range []string{CollDescriptors, CollClusterKI,
+		CollPatternKI, CollFeedback, CollLiveDatasets, CollLiveAppends} {
 		if _, ok := counts[name]; !ok {
 			t.Errorf("collection %s missing from Counts", name)
 		}
-	}
-}
-
-func TestStageTracesRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	k, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2026, 7, 29, 10, 0, 0, 0, time.UTC)
-	traces := []StageTrace{
-		{Dataset: "diab", Stage: "sweep", Start: base.Add(time.Millisecond),
-			End: base.Add(50 * time.Millisecond), WallNanos: 49e6, AllocBytes: 1 << 20},
-		{Dataset: "diab", Stage: "characterize", Start: base,
-			End: base.Add(2 * time.Millisecond), WallNanos: 2e6},
-		{Dataset: "other", Stage: "characterize", Start: base, End: base},
-	}
-	if err := k.StoreStageTraces(traces); err != nil {
-		t.Fatal(err)
-	}
-	// A trace as older builds wrote it, with the since-removed
-	// sequential-path flag and retry count: it still loads, the extra
-	// keys ignored.
-	var legacy docstore.Document
-	if err := json.Unmarshal([]byte(`{"dataset":"diab","stage":"recall",
-		"start":"2026-07-29T10:00:00.0005Z","end":"2026-07-29T10:00:00.0009Z",
-		"wall_ns":400000,"alloc_bytes":64,"sequential":true,"attempts":3}`), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.store.Collection(CollStageTraces).Insert(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Reload from disk: traces survive and filter by dataset, ordered
-	// by start time.
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := re.StageTraces("diab")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("stage traces for diab = %d, want 3", len(got))
-	}
-	if got[0].Stage != "characterize" || got[1].Stage != "recall" || got[2].Stage != "sweep" {
-		t.Errorf("traces not ordered by start: %q, %q, %q", got[0].Stage, got[1].Stage, got[2].Stage)
-	}
-	if got[1].Wall() != 400*time.Microsecond || got[1].AllocBytes != 64 {
-		t.Errorf("legacy trace = %+v", got[1])
-	}
-	if got[2].Wall() != 49*time.Millisecond {
-		t.Errorf("wall = %v, want 49ms", got[2].Wall())
-	}
-	if got[2].AllocBytes != 1<<20 {
-		t.Errorf("alloc bytes = %d", got[2].AllocBytes)
-	}
-	all, err := re.StageTraces("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 4 {
-		t.Errorf("all stage traces = %d, want 4", len(all))
 	}
 }

@@ -211,14 +211,14 @@ func (k *KDB) SetLiveFoldThreshold(n int) {
 }
 
 // foldLiveAppends compacts, per live dataset, every batch the control
-// record's revision already reflects into a single fold document —
-// the live_appends analogue of stage-trace eviction, bounding restart
-// replay to the fold plus the un-reflected tail. Only revisions <= the
-// control revision fold: a batch past it could still be ahead of a
-// control record whose upsert lagged a crash, and recovery must see it
-// individually. The new fold is logged before the deletes of the
-// documents it covers, and LiveBatches tolerates the overlap, so a
-// crash at any point between the frames replays correctly.
+// record's revision already reflects into a single fold document,
+// bounding restart replay to the fold plus the un-reflected tail. Only
+// revisions <= the control revision fold: a batch past it could still
+// be ahead of a control record whose upsert lagged a crash, and
+// recovery must see it individually. The new fold is logged before the
+// deletes of the documents it covers, and LiveBatches tolerates the
+// overlap, so a crash at any point between the frames replays
+// correctly.
 func (k *KDB) foldLiveAppends() error {
 	k.foldMu.Lock()
 	limit := k.foldThreshold

@@ -117,97 +117,6 @@ func TestLiveBatchesOrderedReplay(t *testing.T) {
 	}
 }
 
-// TestStageTraceEviction: at flush time, only the newest N traces per
-// dataset survive; other datasets and the under-cap dataset are
-// untouched, and the bounded set is what a reopen recovers.
-func TestStageTraceEviction(t *testing.T) {
-	dir := t.TempDir()
-	k, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.SetStageTraceLimit(5)
-	base := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
-	mktrace := func(ds string, i int) StageTrace {
-		return StageTrace{
-			Dataset: ds, Stage: fmt.Sprintf("stage-%02d", i),
-			Start: base.Add(time.Duration(i) * time.Second),
-			End:   base.Add(time.Duration(i)*time.Second + time.Millisecond),
-		}
-	}
-	for i := 0; i < 12; i++ {
-		if err := k.StoreStageTraces([]StageTrace{mktrace("busy", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if err := k.StoreStageTraces([]StageTrace{mktrace("quiet", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	busy, err := k.StageTraces("busy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(busy) != 5 {
-		t.Fatalf("busy retained %d traces, want 5", len(busy))
-	}
-	for i, tr := range busy {
-		if want := fmt.Sprintf("stage-%02d", 7+i); tr.Stage != want {
-			t.Errorf("busy trace %d = %s, want %s (newest-N retention)", i, tr.Stage, want)
-		}
-	}
-	quiet, err := k.StageTraces("quiet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(quiet) != 3 {
-		t.Errorf("quiet retained %d traces, want 3 (under cap, untouched)", len(quiet))
-	}
-
-	if err := k.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	busy, err = re.StageTraces("busy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(busy) != 5 {
-		t.Errorf("reopen recovered %d busy traces, want the bounded 5", len(busy))
-	}
-}
-
-// TestStageTraceEvictionDisabled: a non-positive limit disables
-// eviction entirely.
-func TestStageTraceEvictionDisabled(t *testing.T) {
-	k, _ := Open("")
-	k.SetStageTraceLimit(0)
-	for i := 0; i < 10; i++ {
-		if err := k.StoreStageTraces([]StageTrace{{Dataset: "d", Stage: fmt.Sprintf("s%d", i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	traces, err := k.StageTraces("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 10 {
-		t.Errorf("retained %d traces with eviction disabled, want 10", len(traces))
-	}
-}
-
 // foldBatch builds one single-revision batch: revision 1 registers the
 // exam and patient namespaces, later revisions append disjoint records.
 func foldBatch(ds string, rev int) LiveBatch {

@@ -59,8 +59,7 @@ func (q Query) filter() docstore.Filter {
 // sorted by SortBy when set (deterministic under equal keys), in
 // insertion order otherwise. An equality constraint on the dataset
 // field routes through the collection's index and shard on both
-// paths, so dataset-scoped queries never scan the whole collection
-// (stage_traces is unbounded).
+// paths, so dataset-scoped queries never scan the whole collection.
 func (k *KDB) Query(q Query) ([]docstore.Document, error) {
 	if q.Collection == "" {
 		return nil, fmt.Errorf("kdb: query without collection")

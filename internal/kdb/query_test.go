@@ -31,37 +31,37 @@ func TestQueryFilterSortLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tr := range []StageTrace{
-		{Dataset: "a", Stage: "sweep", WallNanos: 300},
-		{Dataset: "a", Stage: "cluster", WallNanos: 100},
-		{Dataset: "b", Stage: "sweep", WallNanos: 900},
-		{Dataset: "a", Stage: "patterns", WallNanos: 200},
+	for i, d := range []stats.Descriptor{
+		descFixture("a", 3, 300, 0.5),
+		descFixture("a", 1, 100, 0.5),
+		descFixture("b", 9, 900, 0.5),
+		descFixture("a", 2, 200, 0.5),
 	} {
-		if err := k.StoreStageTraces([]StageTrace{tr}); err != nil {
-			t.Fatalf("trace %d: %v", i, err)
+		if _, err := k.StoreDescriptor(d); err != nil {
+			t.Fatalf("descriptor %d: %v", i, err)
 		}
 	}
 
 	docs, err := k.Query(Query{
-		Collection: CollStageTraces,
+		Collection: CollDescriptors,
 		Eq:         map[string]any{"dataset": "a"},
-		SortBy:     "wall_ns",
+		SortBy:     "num_records",
 		Descending: true,
 		Limit:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 2 || docs[0]["stage"] != "sweep" || docs[1]["stage"] != "patterns" {
+	if len(docs) != 2 || docs[0]["num_patients"] != 3.0 || docs[1]["num_patients"] != 2.0 {
 		t.Errorf("sorted query = %v", docs)
 	}
 
 	// Unsorted dataset-equality path (index + shard) with a residual
 	// numeric constraint.
 	docs, err = k.Query(Query{
-		Collection: CollStageTraces,
+		Collection: CollDescriptors,
 		Eq:         map[string]any{"dataset": "a"},
-		Gt:         map[string]float64{"wall_ns": 150},
+		Gt:         map[string]float64{"num_records": 150},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 
 	"adahealth/internal/core"
 	"adahealth/internal/faultfs"
-	"adahealth/internal/kdb"
 	"adahealth/internal/obs"
 	"adahealth/internal/stats"
 )
@@ -79,7 +78,7 @@ func TestTraceHTMLEndpoint(t *testing.T) {
 		t0 := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 		return &core.Report{
 			Descriptor: stats.Descriptor{DatasetName: "trace-ds"},
-			Stages: []kdb.StageTrace{
+			Stages: []core.StageTrace{
 				{Dataset: "trace-ds", Stage: "characterize", Start: t0, End: t0.Add(40 * time.Millisecond)},
 				{Dataset: "trace-ds", Stage: "sweep", Start: t0.Add(40 * time.Millisecond), End: t0.Add(400 * time.Millisecond)},
 			},
@@ -203,7 +202,7 @@ func TestStageMetricsMove(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = svc.Close() })
 	svc.runJob = func(j *Job) (*core.Report, error) {
-		return &core.Report{Stages: []kdb.StageTrace{
+		return &core.Report{Stages: []core.StageTrace{
 			{Stage: "sweep"},
 			{Stage: "cluster"},
 		}}, nil

@@ -9,8 +9,8 @@ import (
 // TestKDBRecoveryAfterKill is the durability acceptance path: a
 // disk-backed service analyzes a dataset, the process "dies" (the
 // store is abandoned without Close/compaction, so recovery runs purely
-// off the WAL), and a reopened K-DB holds every collection of the
-// paper's data model.
+// off the WAL), and a reopened K-DB holds every collection the job and
+// an expert's feedback write.
 func TestKDBRecoveryAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastConfig(1)
@@ -21,11 +21,6 @@ func TestKDBRecoveryAfterKill(t *testing.T) {
 	}
 
 	log := testLog(t, 1)
-	// Collection 1 (raw datasets) is populated by explicit archival,
-	// not by the pipeline; store it like an ingesting caller would.
-	if _, err := svc.Engine().KDB().StoreDataset(log); err != nil {
-		t.Fatal(err)
-	}
 	job, err := svc.Submit(t.Context(), log)
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +28,7 @@ func TestKDBRecoveryAfterKill(t *testing.T) {
 	if _, err := job.Wait(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	// Record expert feedback so collection 6 holds a user entry too
-	// (the recall stage has already recorded its miss there).
+	// Record expert feedback so collection 6 holds an entry too.
 	items, err := svc.Engine().KDB().KnowledgeItems(log.Name, 0)
 	if err != nil || len(items) == 0 {
 		t.Fatalf("knowledge items: %v (%d)", err, len(items))
@@ -56,9 +50,7 @@ func TestKDBRecoveryAfterKill(t *testing.T) {
 	}
 	got := re.Counts()
 	for _, coll := range []string{
-		kdb.CollRaw, kdb.CollTransformed, kdb.CollDescriptors,
-		kdb.CollClusterKI, kdb.CollPatternKI, kdb.CollFeedback,
-		kdb.CollStageTraces,
+		kdb.CollDescriptors, kdb.CollClusterKI, kdb.CollPatternKI, kdb.CollFeedback,
 	} {
 		if got[coll] == 0 {
 			t.Errorf("collection %s empty after recovery", coll)

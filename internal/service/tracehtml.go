@@ -7,7 +7,7 @@ import (
 	"sort"
 	"time"
 
-	"adahealth/internal/kdb"
+	"adahealth/internal/core"
 )
 
 // WriteTraceHTML renders a TraceDump — the same stage-schedule
@@ -76,7 +76,7 @@ func newTraceView(d TraceDump) traceView {
 		return v
 	}
 
-	stages := append([]kdb.StageTrace(nil), d.Stages...)
+	stages := append([]core.StageTrace(nil), d.Stages...)
 	sort.SliceStable(stages, func(i, j int) bool {
 		if !stages[i].Start.Equal(stages[j].Start) {
 			return stages[i].Start.Before(stages[j].Start)

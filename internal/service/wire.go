@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"adahealth/internal/core"
-	"adahealth/internal/kdb"
 )
 
 // TraceDump is the stage-schedule encoding shared by the daemon's
@@ -15,9 +14,9 @@ import (
 // flame-style inspection of the DAG schedule (overlapping intervals
 // are the stages that actually ran concurrently).
 type TraceDump struct {
-	Dataset          string           `json:"dataset"`
-	StageConcurrency int              `json:"stage_concurrency"`
-	Stages           []kdb.StageTrace `json:"stages"`
+	Dataset          string            `json:"dataset"`
+	StageConcurrency int               `json:"stage_concurrency"`
+	Stages           []core.StageTrace `json:"stages"`
 }
 
 // NewTraceDump projects a report's execution telemetry.
