@@ -105,13 +105,12 @@ type (
 	// DataConfig controls the synthetic diabetic-log generator.
 	DataConfig = synth.Config
 
-	// KDB is the knowledge database (the four of the paper's six
-	// collections that something reads back), backed by a sharded, WAL-durable document store when Config.
-	// KDBDir is set.
+	// KDB is the knowledge database: the four of the paper's six
+	// collections that something reads back, each read through a typed
+	// accessor (TopKnowledge, KnowledgeItems, SimilarDatasets, …), and
+	// backed by a sharded, WAL-durable document store when
+	// Config.KDBDir is set.
 	KDB = kdb.KDB
-	// KDBQuery is a declarative filter/sort/limit lookup over a K-DB
-	// collection.
-	KDBQuery = kdb.Query
 	// DatasetSimilarity is one hit of a descriptor-similarity lookup
 	// (KDB.SimilarDatasets — the recall stage's retrieval path).
 	DatasetSimilarity = kdb.DatasetSimilarity

@@ -203,7 +203,7 @@ func BenchmarkDocstore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := c.Find(docstore.Eq("dataset", "d7")); len(got) != 500 {
+			if got := c.FindEq("dataset", "d7"); len(got) != 500 {
 				b.Fatalf("got %d", len(got))
 			}
 		}
@@ -258,27 +258,6 @@ func BenchmarkDocstore(b *testing.B) {
 				i++
 			}
 		})
-	})
-	// QuerySorted measures the typed query layer: a filtered,
-	// field-sorted, limited lookup with the documented ID tie-break.
-	b.Run("QuerySorted", func(b *testing.B) {
-		s, _ := docstore.Open("")
-		c := s.Collection("knowledge")
-		c.ShardBy("dataset")
-		c.CreateIndex("dataset")
-		for i := 0; i < 10000; i++ {
-			c.Insert(docstore.Document{
-				"dataset": fmt.Sprintf("d%d", i%20), "support": i % 97, "n": i,
-			})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got := c.FindSorted(docstore.Eq("dataset", "d7"), "support", docstore.Desc, 10)
-			if len(got) != 10 {
-				b.Fatalf("got %d", len(got))
-			}
-		}
 	})
 }
 

@@ -61,7 +61,7 @@ func TestBatchContract(t *testing.T) {
 
 	// Visible before Commit, in insertion order with the upserted
 	// document still first.
-	got := c.Find(nil)
+	got := c.Find()
 	if len(got) != 3 || got[0].ID() != "first" || got[0]["v"] != 10 || got[1].ID() != "third" || got[2].ID() != gen {
 		t.Fatalf("contents before Commit = %v", got)
 	}

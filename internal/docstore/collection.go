@@ -377,14 +377,15 @@ func (c *Collection) Scan(fn func(doc Document, order int64) bool) {
 	}
 }
 
-// collect gathers the entries matching f (nil matches everything) from
-// every shard in insertion order, without copying their documents.
-func (c *Collection) collect(f Filter) []entry {
+// collect gathers the entries match accepts (nil accepts every one)
+// from every shard in insertion order, without copying their
+// documents.
+func (c *Collection) collect(match func(Document) bool) []entry {
 	var out []entry
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		for _, e := range sh.docs {
-			if f == nil || f(e.doc) {
+			if match == nil || match(e.doc) {
 				out = append(out, *e)
 			}
 		}
@@ -410,14 +411,15 @@ func copies(entries []entry) []Document {
 	return out
 }
 
-// Find returns copies of all documents matching the filter (nil
-// matches everything), in insertion order.
-func (c *Collection) Find(f Filter) []Document {
-	return copies(c.collect(f))
+// Find returns copies of every document, in insertion order.
+func (c *Collection) Find() []Document {
+	return copies(c.collect(nil))
 }
 
 // CreateIndex builds (or rebuilds) an equality index on field;
-// FindEq then answers from the index.
+// FindEq then answers from the index. Only scalar values (strings,
+// numbers, booleans) are indexed: a document whose field holds an
+// object, an array or null matches no equality lookup.
 func (c *Collection) CreateIndex(field string) {
 	c.cfgMu.Lock()
 	found := false
@@ -436,8 +438,7 @@ func (c *Collection) CreateIndex(field string) {
 		sh.mu.Lock()
 		idx := map[any][]string{}
 		for id, e := range sh.docs {
-			if v, ok := e.doc[field]; ok {
-				key := normalize(v)
+			if key, ok := normalize(e.doc[field]); ok {
 				idx[key] = append(idx[key], id)
 			}
 		}
@@ -475,11 +476,17 @@ func (c *Collection) eqEntries(field string, value any) []entry {
 	indexed := slices.Contains(c.indexed, field)
 	shardField := c.shardField
 	c.cfgMu.RUnlock()
+	key, ok := normalize(value)
+	if !ok {
+		return nil
+	}
 	if !indexed {
-		return c.collect(Eq(field, value))
+		return c.collect(func(d Document) bool {
+			v, ok := normalize(d[field])
+			return ok && v == key
+		})
 	}
 
-	key := normalize(value)
 	var entries []entry
 	scanShard := func(sh *shard) {
 		sh.mu.RLock()
@@ -509,8 +516,7 @@ func (c *Collection) eqEntries(field string, value any) []entry {
 // shard lock).
 func (sh *shard) indexEntry(d Document) {
 	for field, idx := range sh.indexes {
-		if v, ok := d[field]; ok {
-			key := normalize(v)
+		if key, ok := normalize(d[field]); ok {
 			idx[key] = append(idx[key], d.ID())
 		}
 	}
@@ -520,11 +526,10 @@ func (sh *shard) indexEntry(d Document) {
 // the shard lock).
 func (sh *shard) unindexEntry(d Document) {
 	for field, idx := range sh.indexes {
-		v, ok := d[field]
+		key, ok := normalize(d[field])
 		if !ok {
 			continue
 		}
-		key := normalize(v)
 		ids := idx[key]
 		for i, id := range ids {
 			if id == d.ID() {

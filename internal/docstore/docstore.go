@@ -1,8 +1,10 @@
 // Package docstore is an embedded, concurrency-safe JSON document
 // store: named collections of schemaless documents with generated IDs,
-// filter queries, secondary equality indexes, and — when disk-backed —
-// real durability via a write-ahead log with group commit plus
-// periodic snapshot compaction.
+// secondary equality indexes, and — when disk-backed — real durability
+// via a write-ahead log with group commit plus periodic snapshot
+// compaction. A read is Get (by ID), Find (every document), FindEq or
+// WalkEq (field equality, answered from an index when there is one),
+// Scan (every document, unordered, uncopied) or Count.
 //
 // It substitutes for the "cluster of MongoDBs" on which the paper's
 // preliminary K-DB is built: the K-DB needs exactly this data model —
@@ -131,52 +133,20 @@ func (d Document) ID() string {
 	return id
 }
 
-// Filter selects documents; it must not mutate its argument.
-type Filter func(Document) bool
-
-// Eq matches documents whose field equals value (JSON-normalized
-// comparison: numbers compare as float64).
-func Eq(field string, value any) Filter {
-	want := normalize(value)
-	return func(d Document) bool { return normalize(d[field]) == want }
-}
-
-// Gt matches documents whose numeric field exceeds value.
-func Gt(field string, value float64) Filter {
-	return func(d Document) bool {
-		f, ok := toFloat(d[field])
-		return ok && f > value
-	}
-}
-
-// Lt matches documents whose numeric field is below value.
-func Lt(field string, value float64) Filter {
-	return func(d Document) bool {
-		f, ok := toFloat(d[field])
-		return ok && f < value
-	}
-}
-
-// And matches documents satisfying every filter.
-func And(filters ...Filter) Filter {
-	return func(d Document) bool {
-		for _, f := range filters {
-			if !f(d) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// normalize maps values onto their JSON-decoded equivalents so that
-// documents that have round-tripped through disk compare equal to
-// fresh ones (all numbers become float64).
-func normalize(v any) any {
+// normalize maps a field value onto its JSON-decoded equivalent, so
+// that documents that have round-tripped through disk compare equal to
+// fresh ones (all numbers become float64). ok is false for a value no
+// equality lookup can match: an object, an array or null. Only the
+// scalars it accepts are hashable, so only they become index keys.
+func normalize(v any) (key any, ok bool) {
 	if f, ok := toFloat(v); ok {
-		return f
+		return f, true
 	}
-	return v
+	switch v.(type) {
+	case string, bool:
+		return v, true
+	}
+	return nil, false
 }
 
 func toFloat(v any) (float64, bool) {

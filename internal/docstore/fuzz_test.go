@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -11,11 +12,15 @@ import (
 // store. Open must never panic. When it succeeds, the log on disk must
 // be the input cut at a frame boundary (the committed prefix, every
 // frame whole), and reopening it must give the same documents and the
-// same WAL size: recovery is idempotent. The store is released without
-// Close, as a killed process leaves it, because Close compacts.
+// same WAL size: recovery is idempotent. Each open also applies the
+// K-DB's layout (every collection striped and indexed by dataset) and
+// runs one indexed FindEq, which must return exactly the documents
+// whose dataset is that string. The store is released without Close,
+// as a killed process leaves it, because Close compacts.
 //
 // Seeds live in testdata/fuzz/FuzzWALReplay: frames a real store
-// wrote, their truncations and bit flips.
+// wrote, their truncations and bit flips, and CRC-valid frames whose
+// dataset is an object or an array.
 func FuzzWALReplay(f *testing.F) {
 	// One directory serves every input: an input only ever leaves
 	// wal.log behind, which the next one overwrites.
@@ -29,6 +34,20 @@ func FuzzWALReplay(f *testing.F) {
 			s, err := OpenOptions(Options{Dir: dir, NoSync: true})
 			if err != nil {
 				return "", 0, false
+			}
+			for _, name := range s.CollectionNames() {
+				c := s.Collection(name)
+				c.ShardBy("dataset")
+				c.CreateIndex("dataset")
+				var want []Document
+				for _, d := range c.Find() {
+					if d["dataset"] == "ward-a" {
+						want = append(want, d)
+					}
+				}
+				if got := c.FindEq("dataset", "ward-a"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: FindEq(dataset=ward-a) = %v, want %v", name, got, want)
+				}
 			}
 			state, size = dump(t, s), s.WALSize()
 			if err := s.wal.close(); err != nil {

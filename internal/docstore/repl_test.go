@@ -20,7 +20,7 @@ func dumpStore(t *testing.T, s *Store) []byte {
 	t.Helper()
 	out := map[string][]Document{}
 	for _, name := range s.CollectionNames() {
-		docs := s.Collection(name).Find(nil)
+		docs := s.Collection(name).Find()
 		if len(docs) > 0 {
 			out[name] = docs
 		}
@@ -492,7 +492,7 @@ func TestReplicaReapplyIsIdempotent(t *testing.T) {
 	if _, _, err := rep.ApplyFrames(data); err != nil {
 		t.Fatal(err)
 	}
-	docs := rep.Store().Collection("c").Find(nil)
+	docs := rep.Store().Collection("c").Find()
 	if len(docs) != 1 {
 		t.Fatalf("%d docs after duplicate re-apply, want 1", len(docs))
 	}

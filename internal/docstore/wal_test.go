@@ -18,7 +18,7 @@ func dump(t *testing.T, s *Store) string {
 	t.Helper()
 	out := map[string][]Document{}
 	for _, name := range s.CollectionNames() {
-		out[name] = s.Collection(name).Find(nil)
+		out[name] = s.Collection(name).Find()
 	}
 	raw, err := json.Marshal(out)
 	if err != nil {
@@ -374,7 +374,7 @@ func TestConcurrentExplicitIDInsertRejected(t *testing.T) {
 		if errs != 1 {
 			t.Fatalf("round %d: %d of 2 racing inserts failed, want exactly 1", round, errs)
 		}
-		live := c.Find(Eq("_id", id))
+		live := c.FindEq("_id", id)
 		if len(live) != 1 {
 			t.Fatalf("round %d: %d live documents with _id %q, want 1", round, len(live), id)
 		}
@@ -436,9 +436,8 @@ func TestConcurrentReadersWritersDurable(t *testing.T) {
 				default:
 				}
 				c.FindEq("dataset", fmt.Sprintf("d%d", r%writers))
-				c.Find(Gt("i", 20))
+				c.Find()
 				c.Count()
-				c.FindSorted(nil, "i", Desc, 5)
 			}
 		}(r)
 	}

@@ -22,11 +22,11 @@
 // — mutations hit a group-committed write-ahead log and survive a
 // daemon kill, with snapshot compaction bounding reopen time.
 //
-// Beyond the typed accessors, Query offers declarative
-// filter/sort/limit lookups over any collection, and SimilarDatasets
-// ranks stored descriptors by statistical similarity — the retrieval
-// path of the paper's self-learning loop (the recall stage warm-starts
-// new analyses from it).
+// Every read is a typed accessor over one collection; there is no
+// generic query. SimilarDatasets ranks stored descriptors by
+// statistical similarity — the retrieval path of the paper's
+// self-learning loop (the recall stage warm-starts new analyses from
+// it).
 //
 // # Reads decode only what they return
 //
@@ -116,9 +116,9 @@ type KDB struct {
 	descMu    sync.Mutex
 	descCache map[string]decodedDescriptor
 
-	// foldMu guards foldThreshold, the live_appends fold trigger
-	// enforced at flush time (0 or negative disables folding).
-	foldMu        sync.Mutex
+	// foldThreshold is how many fold-eligible live_appends documents
+	// trigger a flush-time fold (DefaultLiveFoldThreshold; 0 or
+	// negative disables folding). It is fixed at construction.
 	foldThreshold int
 }
 
@@ -140,7 +140,7 @@ func OpenStore(opts docstore.Options) (*KDB, error) {
 
 // newKDB wraps s and applies the K-DB's striping and index layout —
 // shared by OpenStore and Follower so a replication follower answers
-// the same dataset-scoped queries with the same single-stripe paths.
+// the same dataset-scoped reads with the same single-stripe paths.
 func newKDB(s *docstore.Store) *KDB {
 	// Stripe every collection by its dataset field: concurrent
 	// analyses of different datasets then write disjoint shards, and a
@@ -163,8 +163,8 @@ func newKDB(s *docstore.Store) *KDB {
 }
 
 // Follower wraps a replication follower's store (docstore.Replica) in
-// a read-only K-DB: the knowledge read paths — Query, KnowledgeItems,
-// SimilarDatasets, the typed accessors — serve from the replicated
+// a read-only K-DB: the typed read accessors (KnowledgeItems,
+// TopKnowledge, SimilarDatasets, ...) serve from the replicated
 // collections, while every write and flush is refused with ErrFollower
 // (the store's only writer is the replication apply loop, and
 // compaction belongs to the leader). The replica's lifecycle owns the

@@ -94,37 +94,15 @@ func (k *KDB) storeLiveDataset(st LiveDatasetState) error {
 	return nil
 }
 
-// LiveDataset loads one live dataset's control record; ok is false
-// when the dataset is not registered.
-func (k *KDB) LiveDataset(name string) (LiveDatasetState, bool, error) {
-	if err := k.br.beforeRead(); err != nil {
-		return LiveDatasetState{}, false, err
-	}
-	doc, ok := k.store.Collection(CollLiveDatasets).Get(liveStateID(name))
-	if !ok {
-		return LiveDatasetState{}, false, nil
-	}
-	var st LiveDatasetState
-	if err := fromDoc(doc, &st); err != nil {
-		return LiveDatasetState{}, false, fmt.Errorf("kdb: decoding live dataset %q: %w", name, err)
-	}
-	return st, true, nil
-}
-
 // LiveDatasets returns every registered live dataset's control record,
 // sorted by dataset name.
 func (k *KDB) LiveDatasets() ([]LiveDatasetState, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	docs := k.store.Collection(CollLiveDatasets).Find(nil)
-	out := make([]LiveDatasetState, 0, len(docs))
-	for _, doc := range docs {
-		var st LiveDatasetState
-		if err := fromDoc(doc, &st); err != nil {
-			return nil, fmt.Errorf("kdb: decoding live dataset: %w", err)
-		}
-		out = append(out, st)
+	out, err := k.liveStatesUnguarded()
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
 	return out, nil
@@ -202,14 +180,6 @@ func (k *KDB) LiveBatches(name string) ([]LiveBatch, error) {
 // cost O(lag) at roughly one fold per few dozen appends.
 const DefaultLiveFoldThreshold = 32
 
-// SetLiveFoldThreshold overrides how many eligible batches trigger a
-// flush-time fold (n <= 0 disables folding).
-func (k *KDB) SetLiveFoldThreshold(n int) {
-	k.foldMu.Lock()
-	k.foldThreshold = n
-	k.foldMu.Unlock()
-}
-
 // foldLiveAppends compacts, per live dataset, every batch the control
 // record's revision already reflects into a single fold document,
 // bounding restart replay to the fold plus the un-reflected tail. Only
@@ -220,10 +190,7 @@ func (k *KDB) SetLiveFoldThreshold(n int) {
 // overlap, so a crash at any point between the frames replays
 // correctly.
 func (k *KDB) foldLiveAppends() error {
-	k.foldMu.Lock()
-	limit := k.foldThreshold
-	k.foldMu.Unlock()
-	if limit <= 0 {
+	if k.foldThreshold <= 0 {
 		return nil
 	}
 	states, err := k.liveStatesUnguarded()
@@ -253,7 +220,7 @@ func (k *KDB) foldLiveAppends() error {
 				best = &cp
 			}
 		}
-		if len(eligible) < limit {
+		if len(eligible) < k.foldThreshold {
 			continue
 		}
 		// Merge: the longest fold's contents, then every uncovered
@@ -317,10 +284,11 @@ func (k *KDB) writeFold(coll *docstore.Collection, fold docstore.Document, cover
 	return b.Commit()
 }
 
-// liveStatesUnguarded reads every control record without the breaker
-// gate — it runs inside Flush, which already passed beforeFlush.
+// liveStatesUnguarded reads every control record, in insertion order,
+// without the breaker gate: Flush's fold calls it after beforeFlush,
+// and LiveDatasets after beforeRead.
 func (k *KDB) liveStatesUnguarded() ([]LiveDatasetState, error) {
-	docs := k.store.Collection(CollLiveDatasets).Find(nil)
+	docs := k.store.Collection(CollLiveDatasets).Find()
 	out := make([]LiveDatasetState, 0, len(docs))
 	for _, doc := range docs {
 		var st LiveDatasetState

@@ -48,19 +48,12 @@ func TestLiveStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, ok, err := re.LiveDataset("ward-a")
-	if err != nil || !ok {
-		t.Fatalf("LiveDataset after reopen: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Errorf("reloaded state differs:\nwant %+v\ngot  %+v", st, got)
-	}
 	all, err := re.LiveDatasets()
 	if err != nil || len(all) != 1 {
-		t.Fatalf("LiveDatasets = %d records, err %v; want 1", len(all), err)
+		t.Fatalf("LiveDatasets after reopen = %d records, err %v; want 1", len(all), err)
 	}
-	if _, ok, _ := re.LiveDataset("ward-b"); ok {
-		t.Error("unregistered dataset reported present")
+	if !reflect.DeepEqual(st, all[0]) {
+		t.Errorf("reloaded state differs:\nwant %+v\ngot  %+v", st, all[0])
 	}
 }
 
@@ -159,7 +152,7 @@ func TestLiveFoldAtFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.SetLiveFoldThreshold(4)
+	k.foldThreshold = 4
 	for rev := 1; rev <= 6; rev++ {
 		if err := k.AppendLiveBatch(foldBatch("ward-a", rev)); err != nil {
 			t.Fatal(err)
@@ -231,7 +224,7 @@ func TestLiveFoldCrashAtEveryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	k.SetLiveFoldThreshold(4)
+	k.foldThreshold = 4
 	for rev := 1; rev <= 6; rev++ {
 		if err := k.AppendLiveBatch(foldBatch("ward-a", rev)); err != nil {
 			t.Fatal(err)
@@ -292,7 +285,7 @@ func TestLiveFoldExtends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	k.SetLiveFoldThreshold(3)
+	k.foldThreshold = 3
 	for rev := 1; rev <= 3; rev++ {
 		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
 			t.Fatal(err)
@@ -337,7 +330,7 @@ func TestLiveFoldCrashLeftoversSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	k.SetLiveFoldThreshold(3)
+	k.foldThreshold = 3
 	for rev := 1; rev <= 4; rev++ {
 		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
 			t.Fatal(err)
@@ -394,7 +387,7 @@ func TestLiveFoldDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	k.SetLiveFoldThreshold(0)
+	k.foldThreshold = 0
 	for rev := 1; rev <= 10; rev++ {
 		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
 			t.Fatal(err)

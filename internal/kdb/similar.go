@@ -1,117 +1,11 @@
 package kdb
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"adahealth/internal/docstore"
 	"adahealth/internal/stats"
 )
-
-// Query is a declarative K-DB lookup: filter/sort/limit over one of
-// the store's collections. It is the typed query surface the service
-// endpoints and the recall stage share, so ad-hoc navigation and the
-// self-learning loop read the knowledge base through one path.
-type Query struct {
-	// Collection names the target collection (one of the Coll*
-	// constants, or any collection present in the store).
-	Collection string `json:"collection"`
-	// Eq holds field = value constraints (JSON-normalized comparison;
-	// an equality on an indexed field answers from the index).
-	Eq map[string]any `json:"eq,omitempty"`
-	// Gt / Lt hold strict numeric range constraints.
-	Gt map[string]float64 `json:"gt,omitempty"`
-	Lt map[string]float64 `json:"lt,omitempty"`
-	// SortBy orders results by a document field (insertion order when
-	// empty); ties break on document ID (see docstore.FindSorted).
-	SortBy string `json:"sort_by,omitempty"`
-	// Descending flips the sort direction.
-	Descending bool `json:"descending,omitempty"`
-	// Limit truncates the result (<= 0 returns everything).
-	Limit int `json:"limit,omitempty"`
-}
-
-// filter compiles the constraint sets into one docstore filter
-// (nil when unconstrained).
-func (q Query) filter() docstore.Filter {
-	var fs []docstore.Filter
-	for f, v := range q.Eq {
-		fs = append(fs, docstore.Eq(f, v))
-	}
-	for f, v := range q.Gt {
-		fs = append(fs, docstore.Gt(f, v))
-	}
-	for f, v := range q.Lt {
-		fs = append(fs, docstore.Lt(f, v))
-	}
-	switch len(fs) {
-	case 0:
-		return nil
-	case 1:
-		return fs[0]
-	default:
-		return docstore.And(fs...)
-	}
-}
-
-// Query runs a declarative lookup and returns matching documents:
-// sorted by SortBy when set (deterministic under equal keys), in
-// insertion order otherwise. An equality constraint on the dataset
-// field routes through the collection's index and shard on both
-// paths, so dataset-scoped queries never scan the whole collection.
-func (k *KDB) Query(q Query) ([]docstore.Document, error) {
-	if q.Collection == "" {
-		return nil, fmt.Errorf("kdb: query without collection")
-	}
-	if err := k.br.beforeRead(); err != nil {
-		return nil, err
-	}
-	coll := k.store.Collection(q.Collection)
-	order := docstore.Asc
-	if q.Descending {
-		order = docstore.Desc
-	}
-
-	ds, hasDataset := q.Eq["dataset"]
-	if !hasDataset {
-		if q.SortBy != "" {
-			return coll.FindSorted(q.filter(), q.SortBy, order, q.Limit), nil
-		}
-		return truncate(coll.Find(q.filter()), q.Limit), nil
-	}
-
-	// Dataset equality: answer from the index/shard, apply the
-	// residual constraints on the narrowed set, then sort if asked
-	// (FindEq returns insertion order, which is what SortDocuments'
-	// tie-breaking contract expects as input order).
-	rest := q
-	rest.Eq = make(map[string]any, len(q.Eq)-1)
-	for f, v := range q.Eq {
-		if f != "dataset" {
-			rest.Eq[f] = v
-		}
-	}
-	docs := coll.FindEq("dataset", ds)
-	f := rest.filter()
-	out := docs[:0]
-	for _, d := range docs {
-		if f == nil || f(d) {
-			out = append(out, d)
-		}
-	}
-	if q.SortBy != "" {
-		return docstore.SortDocuments(out, q.SortBy, order, q.Limit), nil
-	}
-	return truncate(out, q.Limit), nil
-}
-
-func truncate(docs []docstore.Document, limit int) []docstore.Document {
-	if limit > 0 && len(docs) > limit {
-		return docs[:limit]
-	}
-	return docs
-}
 
 // DatasetSimilarity is one hit of a descriptor-similarity lookup.
 type DatasetSimilarity struct {

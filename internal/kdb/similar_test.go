@@ -26,55 +26,6 @@ func descFixture(name string, patients, records int, sparsity float64) stats.Des
 	}
 }
 
-func TestQueryFilterSortLimit(t *testing.T) {
-	k, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range []stats.Descriptor{
-		descFixture("a", 3, 300, 0.5),
-		descFixture("a", 1, 100, 0.5),
-		descFixture("b", 9, 900, 0.5),
-		descFixture("a", 2, 200, 0.5),
-	} {
-		if _, err := k.StoreDescriptor(d); err != nil {
-			t.Fatalf("descriptor %d: %v", i, err)
-		}
-	}
-
-	docs, err := k.Query(Query{
-		Collection: CollDescriptors,
-		Eq:         map[string]any{"dataset": "a"},
-		SortBy:     "num_records",
-		Descending: true,
-		Limit:      2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 || docs[0]["num_patients"] != 3.0 || docs[1]["num_patients"] != 2.0 {
-		t.Errorf("sorted query = %v", docs)
-	}
-
-	// Unsorted dataset-equality path (index + shard) with a residual
-	// numeric constraint.
-	docs, err = k.Query(Query{
-		Collection: CollDescriptors,
-		Eq:         map[string]any{"dataset": "a"},
-		Gt:         map[string]float64{"num_records": 150},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 {
-		t.Errorf("filtered query matched %d, want 2", len(docs))
-	}
-
-	if _, err := k.Query(Query{}); err == nil {
-		t.Error("query without collection accepted")
-	}
-}
-
 func TestSimilarDatasets(t *testing.T) {
 	k, err := Open("")
 	if err != nil {

@@ -179,9 +179,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (n must be ≥ 0 to keep the series monotone).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 func (c *Counter) value() float64 { return float64(c.v.Load()) }
 
 // CounterVec is a counter family with labels.

@@ -205,21 +205,12 @@ func (j *Job) Subscribe() (<-chan StageEvent, func()) {
 	return ch, cancel
 }
 
-// Progress returns a snapshot of every event emitted so far (including
-// any a slow Events consumer missed) — the daemon's status endpoint
-// reads this.
+// Progress returns a snapshot of every event emitted so far, including
+// any a slow Events consumer missed.
 func (j *Job) Progress() []StageEvent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]StageEvent(nil), j.progress...)
-}
-
-// Timestamps returns when the job was admitted, started and finished
-// (zero while not yet reached).
-func (j *Job) Timestamps() (queued, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.queuedAt, j.startedAt, j.finishedAt
 }
 
 // jobSnapshot is one internally consistent view of the job's mutable

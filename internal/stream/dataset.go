@@ -116,9 +116,6 @@ type Dataset struct {
 // not import dataset directly for one call).
 func newEmptyLog(name string) *dataset.Log { return dataset.NewLog(name) }
 
-// Name returns the dataset's registered name.
-func (d *Dataset) Name() string { return d.name }
-
 // DatasetStatus is a point-in-time snapshot of a live dataset: the
 // GET /v1/datasets/{id} body.
 type DatasetStatus struct {
@@ -466,13 +463,6 @@ func (d *Dataset) Subscribe() (<-chan Event, func()) {
 		}
 	}
 	return ch, cancel
-}
-
-// Events returns a snapshot of the bounded event history.
-func (d *Dataset) Events() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Event(nil), d.events...)
 }
 
 func (d *Dataset) emitLocked(ev Event) {

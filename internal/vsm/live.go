@@ -209,10 +209,6 @@ func (lv *Live) rebuild(order []int, features []string) {
 			raw[i][k] = lv.raw[i][c]
 		}
 	}
-	fIdx := make(map[string]int, d)
-	for k, f := range features {
-		fIdx[f] = k
-	}
 	freq := make([]int, d)
 	for k, c := range order {
 		freq[k] = lv.freq[c]
@@ -227,7 +223,6 @@ func (lv *Live) rebuild(order []int, features []string) {
 		raw:          raw,
 		featureFreq:  freq,
 		totalRecords: lv.total,
-		featureIndex: fIdx,
 	}
 	m.Rows = weigh(raw, lv.opts)
 	// Fire the once up front so Sparse() keeps returning the

@@ -93,7 +93,6 @@ type Matrix struct {
 	raw          [][]float64 // raw counts, feature order as Features
 	featureFreq  []int       // global record count per feature
 	totalRecords int
-	featureIndex map[string]int
 
 	sparseOnce sync.Once
 	sparse     *vec.CSRMatrix
@@ -129,12 +128,10 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 	features := make([]string, len(keys))
 	freq := make([]int, len(keys))
 	column := make([]int32, len(keyFreq))
-	fIdx := make(map[string]int, len(features))
 	for i, k := range keys {
 		features[i] = enc.ExamCodes[k]
 		freq[i] = keyFreq[k]
 		column[k] = int32(i)
-		fIdx[features[i]] = i
 	}
 	ids := make([]string, l.NumPatients())
 	for i, p := range l.Patients {
@@ -162,7 +159,6 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 		raw:          raw,
 		featureFreq:  freq,
 		totalRecords: l.NumRecords(),
-		featureIndex: fIdx,
 	}
 	m.Rows = weigh(raw, opts)
 	return m, nil
@@ -258,12 +254,6 @@ func (m *Matrix) NumRows() int { return len(m.Rows) }
 // NumFeatures reports the number of exam-type columns.
 func (m *Matrix) NumFeatures() int { return len(m.Features) }
 
-// FeatureIndex returns the column of an exam code.
-func (m *Matrix) FeatureIndex(code string) (int, bool) {
-	i, ok := m.featureIndex[code]
-	return i, ok
-}
-
 // CoverageAt returns the fraction of original records represented by
 // the first n (most frequent) features — the "percentage of raw data"
 // the paper reports for each partial-mining step.
@@ -320,10 +310,6 @@ func (m *Matrix) Project(n int) *Matrix {
 		raw:          raw,
 		featureFreq:  m.featureFreq[:n:n],
 		totalRecords: m.totalRecords,
-		featureIndex: make(map[string]int, n),
-	}
-	for i, f := range out.Features {
-		out.featureIndex[f] = i
 	}
 	out.Rows = weigh(raw, m.Opts)
 	return out

@@ -7,6 +7,14 @@
 # symbol defined in an archive and present in no root is unreachable.
 # Closures, go/defer wrappers, method values, compiler-generated
 # pointer-receiver wrappers and interface method stubs are not counted.
+#
+# A binary that formats or templates a value links every exported
+# method of its type, so the symbol scan cannot see an unused exported
+# method. A second pass (go run ./scripts/reachrefs) type-checks the
+# module's non-test sources and adds every exported internal/ function
+# or method no non-test file references, a method being exempt when its
+# type satisfies an interface that declares it.
+#
 # Unreachable names that may stay are listed, each with its reason, in
 # scripts/reach.allow ("pkg.Name" or "pkg.*" shell patterns, "# reason"
 # after). Stdlib and the go tool only.
@@ -48,7 +56,9 @@ awk 'FNR == 1 { f++ }
 			if (v in have) next
 		}
 		print
-	}' "$tmp/ifaces" "$tmp/defined" "$tmp/defined" | comm -23 - "$tmp/reached" >"$tmp/unreached"
+	}' "$tmp/ifaces" "$tmp/defined" "$tmp/defined" | comm -23 - "$tmp/reached" >"$tmp/unlinked"
+go run ./scripts/reachrefs >"$tmp/unreferenced"
+sort -u "$tmp/unlinked" "$tmp/unreferenced" >"$tmp/unreached"
 
 sed -e 's/#.*//' -e 's/[[:space:]]*$//' -e '/^$/d' scripts/reach.allow >"$tmp/allow"
 total=0 bad=0
