@@ -215,12 +215,15 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 				return
 			}
 			enter()
-			defer leave()
 			start := time.Now()
 			observe.observe(s.log.Name, st.Name(), StageStart, start, nil)
 			a0 := heapAllocBytes()
 			err := runStageAttempt(ctx, st, s, timeout)
 			end := time.Now()
+			// Leave before the send: the receiver may launch a
+			// dependent stage at once, and a strict chain must never
+			// count two stages running.
+			leave()
 			observe.observe(s.log.Name, st.Name(), StageFinish, end, err)
 			results <- outcome{
 				idx: idx,

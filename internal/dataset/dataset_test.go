@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -357,13 +358,24 @@ func ReferenceVisits(l *Log) []Visit {
 // TestEncodedFollowsRows: the encoding keeps up with rows added
 // through the Add methods and with rows appended to the exported
 // fields directly, and ReindexAfterLoad picks up rows rewritten in
-// place.
+// place. After every step the whole encoding, visit arrays and
+// DistinctPairs included, equals a fresh log's over the same rows, so
+// a regroup that reuses the visit arrays cannot leave stale data.
 func TestEncodedFollowsRows(t *testing.T) {
 	l := sampleLog(t)
 	check := func(what string) {
 		t.Helper()
 		if got, want := l.Visits(), ReferenceVisits(l); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: visits\n got %+v\nwant %+v", what, got, want)
+		}
+		fresh := &Log{
+			Name:     l.Name,
+			Exams:    slices.Clone(l.Exams),
+			Patients: slices.Clone(l.Patients),
+			Records:  slices.Clone(l.Records),
+		}
+		if got, want := l.Encoded(), fresh.Encoded(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: encoding\n got %+v\nwant %+v", what, got, want)
 		}
 	}
 	check("built")

@@ -21,7 +21,9 @@ import (
 // Exam keys follow the same rule against NumExams. Check reports
 // whether the log is referentially clean.
 //
-// An Encoded belongs to its Log and is read-only to callers.
+// An Encoded belongs to its Log and is read-only to callers. A regroup
+// after new records reuses the visit arrays, so a slice taken from an
+// Encoded is valid only until the next write to its log.
 type Encoded struct {
 	// PatientIDs and ExamCodes name every key: the registration rows in
 	// order, then the unregistered ids records reference.
@@ -216,10 +218,10 @@ func (e *Encoded) group() {
 		rank[x] = int32(r)
 	}
 
-	e.VisitPatient = make([]int32, 0, visits)
-	e.VisitDay = make([]int64, 0, visits)
-	e.VisitPtr = make([]int32, 1, visits+1)
-	e.VisitExams = make([]int32, 0, n)
+	e.VisitPatient = slices.Grow(e.VisitPatient[:0], visits)
+	e.VisitDay = slices.Grow(e.VisitDay[:0], visits)
+	e.VisitPtr = append(slices.Grow(e.VisitPtr[:0], visits+1), 0)
+	e.VisitExams = slices.Grow(e.VisitExams[:0], n)
 	e.DistinctPairs = 0
 	// pairStamp[x] is 1 + the last patient key seen with exam x;
 	// visitStamp[x] is 1 + the last visit holding it.

@@ -74,18 +74,17 @@ const eventHistory = 256
 // eventBuffer is the per-subscriber channel headroom past the replay.
 const eventBuffer = 64
 
-// Dataset is one live dataset: the accumulated examination log, the
-// incrementally maintained VSM and descriptor statistics, the online
-// mini-batch cluster model, and the drift detector that decides when a
-// full re-analysis pays.
+// Dataset is one live dataset: a vsm.Live, which holds the one
+// accumulated examination log and its incrementally maintained VSM,
+// the online mini-batch cluster model, and the drift detector that
+// decides when a full re-analysis pays. The drift descriptor is
+// stats.Characterize of that log, the function a full analysis runs.
 type Dataset struct {
 	mgr  *Manager
 	name string
 
 	mu   sync.Mutex
-	log  *dataset.Log
 	live *vsm.Live
-	acc  *stats.Accumulator
 
 	revision int // last durably applied batch revision
 	modelRev int // revision the online model reflects
@@ -111,10 +110,6 @@ type Dataset struct {
 	events []Event
 	subs   []chan Event
 }
-
-// newEmptyLog mirrors dataset.NewLog (kept separate so stream.go does
-// not import dataset directly for one call).
-func newEmptyLog(name string) *dataset.Log { return dataset.NewLog(name) }
 
 // DatasetStatus is a point-in-time snapshot of a live dataset: the
 // GET /v1/datasets/{id} body.
@@ -152,13 +147,14 @@ func (d *Dataset) Status() DatasetStatus {
 }
 
 func (d *Dataset) statusLocked() DatasetStatus {
+	l := d.live.Log()
 	return DatasetStatus{
 		Dataset:       d.name,
 		Revision:      d.revision,
 		ModelRevision: d.modelRev,
-		NumPatients:   d.log.NumPatients(),
-		NumExamTypes:  d.log.NumExamTypes(),
-		NumRecords:    d.log.NumRecords(),
+		NumPatients:   l.NumPatients(),
+		NumExamTypes:  l.NumExamTypes(),
+		NumRecords:    l.NumRecords(),
 		OnlineK:       len(d.centroids),
 		Drift:         d.drift,
 		Threshold:     d.mgr.cfg.DriftThreshold,
@@ -170,11 +166,11 @@ func (d *Dataset) statusLocked() DatasetStatus {
 
 // Append accepts one visit batch: new exam types, new patients, and
 // records over the union of already-known and batch-new identities.
-// The batch is validated against the accumulated state, durably
-// recorded in the K-DB (the WAL ack is the acknowledgement's
+// The batch is checked against the accumulated log (vsm.Live.Check),
+// durably recorded in the K-DB (the WAL ack is the acknowledgement's
 // durability point — a failure returns ErrDurability and applies
-// nothing), applied to the live VSM and descriptor statistics in
-// place, re-clustered online, and drift-checked. The returned status
+// nothing), appended to the log with the VSM updated in place,
+// re-clustered online, and drift-checked. The returned status
 // reflects the post-append state.
 func (d *Dataset) Append(exams []Exam, patients []Patient, records []Record) (DatasetStatus, error) {
 	d.mu.Lock()
@@ -200,10 +196,7 @@ func (d *Dataset) appendLocked(exams []Exam, patients []Patient, records []Recor
 }
 
 func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []Record) (DatasetStatus, error) {
-	if len(exams) == 0 && len(patients) == 0 && len(records) == 0 {
-		return DatasetStatus{}, fmt.Errorf("stream: empty batch for %q", d.name)
-	}
-	if err := d.validateBatch(exams, patients, records); err != nil {
+	if err := d.live.Check(exams, patients, records); err != nil {
 		return DatasetStatus{}, err
 	}
 
@@ -219,8 +212,8 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 		return DatasetStatus{}, fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 
-	// validateBatch proved every sub-apply below must succeed; a
-	// failure past this point is a bug, not an input error.
+	// Check proved the apply below must succeed; a failure past this
+	// point is a bug, not an input error.
 	if err := d.applyLocked(exams, patients, records); err != nil {
 		return DatasetStatus{}, fmt.Errorf("stream: applying validated batch %s@%d: %v", d.name, rev, err)
 	}
@@ -234,7 +227,7 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 
 	d.reclusterLocked()
 
-	desc := d.acc.Descriptor()
+	desc := stats.Characterize(d.live.Log())
 	if d.baseline == nil {
 		// Registration: the baseline is the initial descriptor until
 		// the first full analysis completes.
@@ -252,65 +245,10 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 	return d.statusLocked(), nil
 }
 
-// validateBatch checks a batch against the accumulated log without
-// mutating anything: duplicate exam codes or patient IDs (within the
-// batch or against history) and records referencing identities that
-// neither history nor this batch registers are rejected. Passing
-// implies the in-memory applies cannot fail.
-func (d *Dataset) validateBatch(exams []Exam, patients []Patient, records []Record) error {
-	newExams := make(map[string]bool, len(exams))
-	for _, e := range exams {
-		if e.Code == "" {
-			return fmt.Errorf("stream: exam with empty code")
-		}
-		if _, dup := d.log.Exam(e.Code); dup || newExams[e.Code] {
-			return fmt.Errorf("stream: duplicate exam code %q", e.Code)
-		}
-		newExams[e.Code] = true
-	}
-	newPatients := make(map[string]bool, len(patients))
-	for _, p := range patients {
-		if p.ID == "" {
-			return fmt.Errorf("stream: patient with empty ID")
-		}
-		if _, dup := d.log.Patient(p.ID); dup || newPatients[p.ID] {
-			return fmt.Errorf("stream: duplicate patient ID %q", p.ID)
-		}
-		newPatients[p.ID] = true
-	}
-	for _, r := range records {
-		if _, ok := d.log.Patient(r.PatientID); !ok && !newPatients[r.PatientID] {
-			return fmt.Errorf("stream: record references unknown patient %q", r.PatientID)
-		}
-		if _, ok := d.log.Exam(r.ExamCode); !ok && !newExams[r.ExamCode] {
-			return fmt.Errorf("stream: record references unknown exam code %q", r.ExamCode)
-		}
-	}
-	return nil
-}
-
-// applyLocked applies one (already validated or replayed) batch to the
-// accumulated log, the live VSM and the descriptor accumulator.
+// applyLocked applies one checked or replayed batch to the live log
+// and its VSM.
 func (d *Dataset) applyLocked(exams []Exam, patients []Patient, records []Record) error {
-	for _, e := range exams {
-		if err := d.log.AddExam(e); err != nil {
-			return err
-		}
-	}
-	for _, p := range patients {
-		if err := d.log.AddPatient(p); err != nil {
-			return err
-		}
-	}
-	for _, r := range records {
-		if err := d.log.AddRecord(r); err != nil {
-			return err
-		}
-	}
-	if err := d.live.Append(exams, patients, records); err != nil {
-		return err
-	}
-	return d.acc.Add(exams, patients, records)
+	return d.live.Append(exams, patients, records)
 }
 
 // reclusterLocked refreshes the online model with one mini-batch
@@ -362,11 +300,12 @@ func (d *Dataset) reclusterLocked() {
 // from the live centroids. Submission failures (queue full, degraded)
 // are soft: the drift persists, so the next append retries.
 func (d *Dataset) scheduleResweepLocked() {
+	l := d.live.Log()
 	snapshot := &dataset.Log{
 		Name:     d.name,
-		Exams:    append([]Exam(nil), d.log.Exams...),
-		Patients: append([]Patient(nil), d.log.Patients...),
-		Records:  append([]Record(nil), d.log.Records...),
+		Exams:    append([]Exam(nil), l.Exams...),
+		Patients: append([]Patient(nil), l.Patients...),
+		Records:  append([]Record(nil), l.Records...),
 	}
 	opts := []service.Option{
 		service.WithPriority(d.mgr.cfg.ResweepPriority),
@@ -413,8 +352,7 @@ func (d *Dataset) watchResweep(j *service.Job) {
 	resweepsTotal.With("completed").Inc()
 	d.baseline = &rep.Descriptor
 	d.lastAnalysis = j.ID()
-	desc := d.acc.Descriptor()
-	d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, desc)
+	d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, stats.Characterize(d.live.Log()))
 	driftGauge.With(d.name).Set(d.drift)
 	ev.Drift = d.drift
 	d.persistStateLocked()

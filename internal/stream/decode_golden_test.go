@@ -115,7 +115,7 @@ func datasetLogJSON(t *testing.T, mgr *Manager, name string) string {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	buf, err := json.Marshal(d.log)
+	buf, err := json.Marshal(d.live.Log())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,11 @@
 // The subsystem deliberately runs two models of different contracts:
 //
 //   - The ONLINE model is approximate and cheap: every accepted append
-//     updates the vector-space model and descriptor statistics
-//     incrementally in place (vsm.Live, stats.Accumulator — both
-//     property-tested equivalent to a from-scratch rebuild at every
-//     append boundary) and re-clusters with mini-batch K-means
+//     is checked by vsm.Live.Check, appended to the dataset's one
+//     log, which vsm.Live owns, and the vector-space model follows it
+//     in place (property-tested equal to vsm.Build on the log at every
+//     append boundary); the drift descriptor is stats.Characterize of
+//     the same log. The model then re-clusters with mini-batch K-means
 //     (cluster.AlgorithmMiniBatch), warm-started from the previous
 //     centroids. It answers "what do the patient groups look like
 //     right now" within one append's latency, but its clustering is a
@@ -122,8 +123,8 @@ type Manager struct {
 
 // NewManager builds a manager over cfg.Service and resumes every live
 // dataset persisted in the service's K-DB: each dataset's accepted
-// batches replay in revision order (rebuilding log, live VSM and
-// descriptor statistics), the online model and drift baseline restore
+// batches replay in revision order (rebuilding the log and its live
+// VSM), the online model and drift baseline restore
 // from the control record, and a dataset whose model lagged behind its
 // appends at crash time is re-clustered once to catch up.
 func NewManager(cfg Config) (*Manager, error) {
@@ -169,7 +170,7 @@ func (m *Manager) recover() error {
 		d.features = st.Features
 		d.modelRev = st.ModelRevision
 		if d.baseline == nil {
-			desc := d.acc.Descriptor()
+			desc := stats.Characterize(d.live.Log())
 			d.baseline = &desc
 		}
 		if d.modelRev != d.revision {
@@ -185,13 +186,9 @@ func (m *Manager) recover() error {
 // newDataset builds an empty in-memory live dataset (not yet
 // registered in the map or the K-DB).
 func (m *Manager) newDataset(name string) *Dataset {
-	return &Dataset{
-		mgr:  m,
-		name: name,
-		log:  newEmptyLog(name),
-		live: vsm.NewLive(m.vsmOptions()),
-		acc:  stats.NewAccumulator(name),
-	}
+	live := vsm.NewLive(m.vsmOptions())
+	live.Log().Name = name
+	return &Dataset{mgr: m, name: name, live: live}
 }
 
 func (m *Manager) vsmOptions() vsm.Options {

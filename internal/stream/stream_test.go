@@ -208,7 +208,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			d.mu.Unlock()
 			t.Fatalf("VSM diverged at boundary %d: %v", boundary, err)
 		}
-		gotDesc := d.acc.Descriptor()
+		gotDesc := stats.Characterize(d.live.Log())
 		d.mu.Unlock()
 		if wantDesc := stats.Characterize(acc); !reflect.DeepEqual(gotDesc, wantDesc) {
 			t.Fatalf("descriptor diverged at boundary %d:\nwant %+v\ngot  %+v", boundary, wantDesc, gotDesc)
@@ -275,11 +275,12 @@ func TestDriftTriggersResweep(t *testing.T) {
 	}
 	d.mu.Lock()
 	baseline := *d.baseline
+	current := stats.Characterize(d.live.Log())
 	d.mu.Unlock()
 	if !reflect.DeepEqual(baseline, rep.Descriptor) {
 		t.Fatal("baseline did not reset to the resweep report's descriptor")
 	}
-	if got := 1 - kdb.DescriptorSimilarity(baseline, d.acc.Descriptor()); got != final.Drift {
+	if got := 1 - kdb.DescriptorSimilarity(baseline, current); got != final.Drift {
 		t.Fatalf("drift gauge %v, want recomputed %v", final.Drift, got)
 	}
 

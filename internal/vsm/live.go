@@ -1,72 +1,49 @@
 package vsm
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/vec"
 )
 
-// Live maintains a VSM matrix under append-only growth of the
-// underlying examination log: new exam types, new patients and new
-// records arrive in batches and the feature-ordered Matrix view —
-// including its weighted rows, cached norms and CSR view — is updated
-// in place instead of re-running Build over the whole log.
-//
-// The maintained state is kept in canonical registration order (codes
-// and patients in the order they first appeared), with the Matrix as a
-// frequency-ordered projection of it. After every Append the view is
-// bit-for-bit identical to Build on the accumulated log (property:
+// Live is the VSM matrix of a log that grows by appended batches: new
+// exam types, new patients and new records. It owns the accumulated
+// dataset.Log and reads the log's dictionary encoding, so after every
+// Append, Matrix is bit-for-bit Build on that log (property:
 // Equivalent(live.Matrix(), rebuilt) == nil at every append boundary):
 //
 //   - When the global frequency ranking is unchanged, no new exam
 //     types arrived and weighting is local (Count/Binary/LogCount),
-//     only rows touched by the batch are re-weighed; brand-new patient
-//     rows are appended to the cached CSR view in place
-//     (vec.CSRMatrix.AppendDenseRows), leaving untouched rows' floats
-//     alone entirely.
+//     only the rows the batch touched are recounted and re-weighed in
+//     place; brand-new patient rows are appended to the cached CSR
+//     view in place (vec.CSRMatrix.AppendDenseRows), leaving untouched
+//     rows' floats alone entirely.
 //   - A ranking change, a new exam type, or TFIDF weighting (whose idf
-//     terms are global in N and df) re-derives the ordered view from
-//     the canonical counts — still O(patients × features), never a
-//     rescan of the accumulated records.
+//     terms are global in N and df) replaces the matrix with Build on
+//     the log.
 //
 // Live is not safe for concurrent use; the owner serializes Append
-// against reads of Matrix() (stream.Dataset holds its own lock).
+// against reads of Matrix and Log (stream.Dataset holds its own lock).
 type Live struct {
 	opts Options
-
-	codes   []string // canonical: registration order
-	codeIdx map[string]int
-	freq    []int // records per code, canonical order
-	total   int   // total records
-
-	ids   []string // canonical: registration order
-	idIdx map[string]int
-	raw   [][]float64 // counts per patient, canonical code order
-
-	mat *Matrix // frequency-ordered view; nil until ≥1 patient and code
+	log  *dataset.Log
+	keys []int32 // exam key of each Matrix column
+	mat  *Matrix // nil until ≥1 patient and exam type
 }
 
 // NewLive returns an empty live matrix with the given transform
-// options. Matrix() is nil until the first Append registers at least
-// one patient and one exam type.
+// options over an empty, unnamed log. Matrix() is nil until the first
+// Append registers at least one patient and one exam type.
 func NewLive(opts Options) *Live {
-	return &Live{
-		opts:    opts,
-		codeIdx: make(map[string]int),
-		idIdx:   make(map[string]int),
-	}
+	return &Live{opts: opts, log: dataset.NewLog("")}
 }
 
-// NumPatients reports the number of accumulated patients.
-func (lv *Live) NumPatients() int { return len(lv.ids) }
-
-// NumFeatures reports the number of accumulated exam types.
-func (lv *Live) NumFeatures() int { return len(lv.codes) }
-
-// NumRecords reports the number of accumulated examination records.
-func (lv *Live) NumRecords() int { return lv.total }
+// Log returns the accumulated log. Callers may read it and set its
+// Name; only Append adds rows to it.
+func (lv *Live) Log() *dataset.Log { return lv.log }
 
 // Matrix returns the maintained frequency-ordered view. The pointer is
 // stable across fast-path appends and replaced wholesale on rebuilds;
@@ -74,191 +51,123 @@ func (lv *Live) NumRecords() int { return lv.total }
 // consistent snapshot.
 func (lv *Live) Matrix() *Matrix { return lv.mat }
 
-// Append applies one validated batch: newly registered exam types and
-// patients plus records referencing registered ids (old or new). The
-// whole batch is validated before any state mutates, so a failed
-// Append leaves the view untouched — mirroring dataset.Log, which the
-// stream layer updates with the same batch first.
-func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, records []dataset.Record) error {
-	// Validate against current state plus the batch itself.
-	newCodes := make(map[string]bool, len(exams))
+// Check reports why the log cannot take a batch, or nil if it can: a
+// batch must hold something, and it must not register an empty, a
+// registered or a repeated exam code or patient ID, nor hold a record
+// naming an exam type or patient that neither the log nor the batch
+// registers. It changes nothing.
+func (lv *Live) Check(exams []dataset.ExamType, patients []dataset.Patient, records []dataset.Record) error {
+	if len(exams) == 0 && len(patients) == 0 && len(records) == 0 {
+		return errors.New("vsm: empty batch")
+	}
+	newExams := make(map[string]bool, len(exams))
 	for _, e := range exams {
-		if _, dup := lv.codeIdx[e.Code]; dup || newCodes[e.Code] {
-			return fmt.Errorf("vsm: live append: duplicate exam type %q", e.Code)
+		if e.Code == "" {
+			return errors.New("vsm: exam with empty code")
 		}
-		newCodes[e.Code] = true
+		if _, dup := lv.log.Exam(e.Code); dup || newExams[e.Code] {
+			return fmt.Errorf("vsm: duplicate exam code %q", e.Code)
+		}
+		newExams[e.Code] = true
 	}
-	newIDs := make(map[string]bool, len(patients))
+	newPatients := make(map[string]bool, len(patients))
 	for _, p := range patients {
-		if _, dup := lv.idIdx[p.ID]; dup || newIDs[p.ID] {
-			return fmt.Errorf("vsm: live append: duplicate patient %q", p.ID)
+		if p.ID == "" {
+			return errors.New("vsm: patient with empty ID")
 		}
-		newIDs[p.ID] = true
+		if _, dup := lv.log.Patient(p.ID); dup || newPatients[p.ID] {
+			return fmt.Errorf("vsm: duplicate patient ID %q", p.ID)
+		}
+		newPatients[p.ID] = true
 	}
 	for _, r := range records {
-		if _, ok := lv.idIdx[r.PatientID]; !ok && !newIDs[r.PatientID] {
-			return fmt.Errorf("vsm: live append: record references unknown patient %q", r.PatientID)
+		if _, ok := lv.log.Patient(r.PatientID); !ok && !newPatients[r.PatientID] {
+			return fmt.Errorf("vsm: record references unknown patient %q", r.PatientID)
 		}
-		if _, ok := lv.codeIdx[r.ExamCode]; !ok && !newCodes[r.ExamCode] {
-			return fmt.Errorf("vsm: live append: record references unknown exam %q", r.ExamCode)
-		}
-	}
-
-	// Grow canonical state: new code columns on every existing row,
-	// then new zero rows, then the count increments.
-	if len(exams) > 0 {
-		for i := range lv.raw {
-			lv.raw[i] = append(lv.raw[i], make([]float64, len(exams))...)
-		}
-		for _, e := range exams {
-			lv.codeIdx[e.Code] = len(lv.codes)
-			lv.codes = append(lv.codes, e.Code)
-			lv.freq = append(lv.freq, 0)
+		if _, ok := lv.log.Exam(r.ExamCode); !ok && !newExams[r.ExamCode] {
+			return fmt.Errorf("vsm: record references unknown exam code %q", r.ExamCode)
 		}
 	}
-	startPatients := len(lv.ids)
-	for _, p := range patients {
-		lv.idIdx[p.ID] = len(lv.ids)
-		lv.ids = append(lv.ids, p.ID)
-		lv.raw = append(lv.raw, make([]float64, len(lv.codes)))
-	}
-	dirty := make(map[int]bool)
-	for _, r := range records {
-		p := lv.idIdx[r.PatientID]
-		c := lv.codeIdx[r.ExamCode]
-		lv.raw[p][c]++
-		lv.freq[c]++
-		lv.total++
-		if p < startPatients {
-			dirty[p] = true
-		}
-	}
-
-	lv.sync(startPatients, dirty, len(exams) > 0)
 	return nil
 }
 
-// sync reconciles the frequency-ordered Matrix view with the canonical
-// state after one applied batch.
-func (lv *Live) sync(startPatients int, dirty map[int]bool, codesAdded bool) {
-	if len(lv.ids) == 0 || len(lv.codes) == 0 {
-		return
+// Append checks a batch, appends it to the log and brings the matrix
+// up to date. A rejected batch leaves the log and the matrix as they
+// were.
+func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, records []dataset.Record) error {
+	if err := lv.Check(exams, patients, records); err != nil {
+		return err
 	}
-	order := lv.featureOrder()
-	features := make([]string, len(order))
-	for k, c := range order {
-		features[k] = lv.codes[c]
+	l := lv.log
+	oldPatients, oldRecords := l.NumPatients(), l.NumRecords()
+	// Check passed, so none of these can fail.
+	for _, e := range exams {
+		_ = l.AddExam(e)
+	}
+	for _, p := range patients {
+		_ = l.AddPatient(p)
+	}
+	for _, r := range records {
+		_ = l.AddRecord(r)
+	}
+	if l.NumPatients() == 0 || l.NumExamTypes() == 0 {
+		return nil
 	}
 
+	enc := l.Encoded()
+	keys, keyFreq := featureOrder(enc)
 	m := lv.mat
-	fast := m != nil && !codesAdded && lv.opts.Weighting != TFIDF &&
-		stringsEqual(m.Features, features)
-	if !fast {
-		lv.rebuild(order, features)
-		return
+	if m == nil || len(exams) > 0 || lv.opts.Weighting == TFIDF || !slices.Equal(keys, lv.keys) {
+		m, err := Build(l, lv.opts)
+		if err != nil {
+			return err
+		}
+		// Fire the once up front so Sparse() keeps returning the
+		// maintained pointer after in-place updates.
+		m.Sparse()
+		lv.mat, lv.keys = m, keys
+		return nil
 	}
 
 	// Fast path: the column layout is unchanged, so only rows the
 	// batch touched need new floats. The per-feature frequencies
 	// still moved (same ranking, larger counts).
-	for k, c := range order {
-		m.featureFreq[k] = lv.freq[c]
+	column := make([]int32, len(keyFreq))
+	for j, k := range keys {
+		column[k] = int32(j)
+		m.featureFreq[j] = keyFreq[k]
 	}
-	m.totalRecords = lv.total
-
-	d := len(features)
-	var appended [][]float64
-	for i := startPatients; i < len(lv.ids); i++ {
-		rr := make([]float64, d)
-		for k, c := range order {
-			rr[k] = lv.raw[i][c]
-		}
-		out := make([]float64, d)
-		weighRowInto(out, rr, m.Opts, nil)
-		m.raw = append(m.raw, rr)
-		m.Rows = append(m.Rows, out)
-		m.PatientIDs = append(m.PatientIDs, lv.ids[i])
-		appended = append(appended, out)
+	m.totalRecords = l.NumRecords()
+	d := len(keys)
+	for _, p := range l.Patients[oldPatients:] {
+		m.raw = append(m.raw, make([]float64, d))
+		m.Rows = append(m.Rows, make([]float64, d))
+		m.PatientIDs = append(m.PatientIDs, p.ID)
 	}
-	for i := range dirty {
-		for k, c := range order {
-			m.raw[i][k] = lv.raw[i][c]
+	dirty := make(map[int32]bool)
+	for i, p := range enc.Patient[oldRecords:] {
+		m.raw[p][column[enc.Exam[oldRecords+i]]]++
+		if int(p) < oldPatients {
+			dirty[p] = true
 		}
+	}
+	for i := oldPatients; i < len(m.Rows); i++ {
 		weighRowInto(m.Rows[i], m.raw[i], m.Opts, nil)
+	}
+	for p := range dirty {
+		weighRowInto(m.Rows[p], m.raw[p], m.Opts, nil)
 	}
 	if len(dirty) == 0 {
 		// Pure growth: extend the cached CSR view and its norms in
 		// place; existing rows' compressed storage is untouched.
-		m.Sparse().AppendDenseRows(appended)
+		m.Sparse().AppendDenseRows(m.Rows[oldPatients:])
 	} else {
 		// An existing row's nonzero pattern may have changed; CSR
 		// storage is not splice-able, so recompress (O(n·d), no
 		// record rescan).
 		m.sparse = vec.NewCSRFromDense(m.Rows)
 	}
-}
-
-// rebuild re-derives the ordered view from the canonical counts.
-func (lv *Live) rebuild(order []int, features []string) {
-	n, d := len(lv.ids), len(features)
-	raw := make([][]float64, n)
-	backing := make([]float64, n*d)
-	for i := range raw {
-		raw[i], backing = backing[:d:d], backing[d:]
-		for k, c := range order {
-			raw[i][k] = lv.raw[i][c]
-		}
-	}
-	freq := make([]int, d)
-	for k, c := range order {
-		freq[k] = lv.freq[c]
-	}
-	ids := make([]string, n)
-	copy(ids, lv.ids)
-
-	m := &Matrix{
-		PatientIDs:   ids,
-		Features:     features,
-		Opts:         lv.opts,
-		raw:          raw,
-		featureFreq:  freq,
-		totalRecords: lv.total,
-	}
-	m.Rows = weigh(raw, lv.opts)
-	// Fire the once up front so Sparse() keeps returning the
-	// maintained pointer after in-place updates.
-	m.sparseOnce.Do(func() { m.sparse = vec.NewCSRFromDense(m.Rows) })
-	lv.mat = m
-}
-
-// featureOrder returns canonical code indices sorted by global record
-// frequency descending, code ascending — the exact ordering contract
-// Build applies to the log's exam keys.
-func (lv *Live) featureOrder() []int {
-	order := make([]int, len(lv.codes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := order[a], order[b]
-		if lv.freq[ca] != lv.freq[cb] {
-			return lv.freq[ca] > lv.freq[cb]
-		}
-		return lv.codes[ca] < lv.codes[cb]
-	})
-	return order
-}
-
-func stringsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // Equivalent reports whether two matrices are bit-for-bit identical in
@@ -269,10 +178,10 @@ func stringsEqual(a, b []string) bool {
 // tests use it to compare an incrementally grown view against Build on
 // the accumulated log at every append boundary.
 func Equivalent(a, b *Matrix) error {
-	if !stringsEqual(a.PatientIDs, b.PatientIDs) {
+	if !slices.Equal(a.PatientIDs, b.PatientIDs) {
 		return fmt.Errorf("vsm: patient ids differ")
 	}
-	if !stringsEqual(a.Features, b.Features) {
+	if !slices.Equal(a.Features, b.Features) {
 		return fmt.Errorf("vsm: features differ")
 	}
 	if a.Opts != b.Opts {

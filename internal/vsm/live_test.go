@@ -3,6 +3,8 @@ package vsm
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"adahealth/internal/dataset"
@@ -150,8 +152,8 @@ func TestLiveEquivalentToRebuild(t *testing.T) {
 	}
 }
 
-// TestLiveRejectsInvalidBatch: a rejected batch must leave the view
-// untouched and equivalent to the last good state.
+// TestLiveRejectsInvalidBatch: a rejected batch must leave the log's
+// rows and the view untouched and equivalent to the last good state.
 func TestLiveRejectsInvalidBatch(t *testing.T) {
 	full := smallLog(t, 3)
 	opts := Options{Weighting: Count, Normalization: L2}
@@ -159,11 +161,22 @@ func TestLiveRejectsInvalidBatch(t *testing.T) {
 	if err := live.Append(full.Exams, full.Patients, full.Records); err != nil {
 		t.Fatal(err)
 	}
+	newPatient := dataset.Patient{ID: "P-new"}
 	cases := []appendBatch{
+		{}, // empty batch
 		{exams: []dataset.ExamType{full.Exams[0]}},      // duplicate exam
 		{patients: []dataset.Patient{full.Patients[0]}}, // duplicate patient
+		{exams: []dataset.ExamType{{Code: "EX-new"}, {Code: "EX-new"}}},
+		{patients: []dataset.Patient{newPatient, newPatient}},
+		{exams: []dataset.ExamType{{Code: ""}}},             // empty code
+		{patients: []dataset.Patient{newPatient, {ID: ""}}}, // empty ID
 		{records: []dataset.Record{{PatientID: "nope", ExamCode: full.Exams[0].Code}}},
 		{records: []dataset.Record{{PatientID: full.Patients[0].ID, ExamCode: "nope"}}},
+		// A valid prefix must not be applied when a later row fails.
+		{patients: []dataset.Patient{newPatient}, records: []dataset.Record{
+			{PatientID: newPatient.ID, ExamCode: full.Exams[0].Code},
+			{PatientID: newPatient.ID, ExamCode: "nope"},
+		}},
 	}
 	want, err := Build(full, opts)
 	if err != nil {
@@ -172,6 +185,11 @@ func TestLiveRejectsInvalidBatch(t *testing.T) {
 	for i, b := range cases {
 		if err := live.Append(b.exams, b.patients, b.records); err == nil {
 			t.Errorf("case %d: invalid batch accepted", i)
+		}
+		got := live.Log()
+		if !reflect.DeepEqual(got.Exams, full.Exams) || !reflect.DeepEqual(got.Patients, full.Patients) ||
+			!reflect.DeepEqual(got.Records, full.Records) {
+			t.Errorf("case %d: log rows mutated by rejected batch", i)
 		}
 		if err := Equivalent(live.Matrix(), want); err != nil {
 			t.Errorf("case %d: view mutated by rejected batch: %v", i, err)
@@ -241,7 +259,7 @@ func TestLiveCSRPointerStableOnPureGrowth(t *testing.T) {
 	if err := Equivalent(live.Matrix(), want); err != nil {
 		t.Fatal(err)
 	}
-	if stringsEqual(beforeRows.Features, want.Features) && live.Matrix() == beforeRows {
+	if slices.Equal(beforeRows.Features, want.Features) && live.Matrix() == beforeRows {
 		if live.Matrix().Sparse() != before {
 			t.Error("pure-growth append reallocated the CSR view instead of extending it in place")
 		}

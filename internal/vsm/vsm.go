@@ -107,24 +107,7 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 		return nil, fmt.Errorf("vsm: log has no exam types")
 	}
 	enc := l.Encoded()
-	// Features are the distinct exam codes, unregistered ones included,
-	// by decreasing record count, ties broken by code.
-	keyFreq := make([]int, len(enc.ExamCodes))
-	for _, x := range enc.Exam {
-		keyFreq[x]++
-	}
-	keys := make([]int32, 0, len(keyFreq))
-	for k := range keyFreq {
-		if enc.IsExamKey(k) {
-			keys = append(keys, int32(k))
-		}
-	}
-	slices.SortFunc(keys, func(a, b int32) int {
-		if c := cmp.Compare(keyFreq[b], keyFreq[a]); c != 0 {
-			return c
-		}
-		return strings.Compare(enc.ExamCodes[a], enc.ExamCodes[b])
-	})
+	keys, keyFreq := featureOrder(enc)
 	features := make([]string, len(keys))
 	freq := make([]int, len(keys))
 	column := make([]int32, len(keyFreq))
@@ -162,6 +145,30 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 	}
 	m.Rows = weigh(raw, opts)
 	return m, nil
+}
+
+// featureOrder returns the column order of a Matrix over enc: the
+// distinct exam keys, unregistered ones included, by decreasing record
+// count, ties broken by code. keyFreq is every exam key's record
+// count. Build and Live both order columns by it.
+func featureOrder(enc *dataset.Encoded) (keys []int32, keyFreq []int) {
+	keyFreq = make([]int, len(enc.ExamCodes))
+	for _, x := range enc.Exam {
+		keyFreq[x]++
+	}
+	keys = make([]int32, 0, len(keyFreq))
+	for k := range keyFreq {
+		if enc.IsExamKey(k) {
+			keys = append(keys, int32(k))
+		}
+	}
+	slices.SortFunc(keys, func(a, b int32) int {
+		if c := cmp.Compare(keyFreq[b], keyFreq[a]); c != 0 {
+			return c
+		}
+		return strings.Compare(enc.ExamCodes[a], enc.ExamCodes[b])
+	})
+	return keys, keyFreq
 }
 
 // weigh applies weighting + normalization to a raw count matrix,
