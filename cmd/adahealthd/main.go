@@ -183,7 +183,7 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
 	flag.DurationVar(&o.stageTimeout, "stage-timeout", 0, "per-stage deadline; a stage exceeding it fails its job, not the daemon (0 = none)")
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ (profile the daemon under cmd/loadgen traffic)")
-	flag.Float64Var(&o.drift, "drift-threshold", 0, "live-dataset descriptor drift that triggers a full warm-started re-analysis (0 = default 0.15)")
+	flag.Float64Var(&o.drift, "drift-threshold", 0, "live-dataset descriptor drift that triggers a full re-analysis (0 = default 0.15)")
 	follow := flag.String("follow", "", "run as a warm-standby follower of this leader URL (requires -kdb-dir; serves the knowledge read endpoints only)")
 	flag.StringVar(&o.readFallback, "read-fallback", "", "warm-standby URL the knowledge read endpoints route to while the K-DB breaker is degraded")
 	flag.Parse()

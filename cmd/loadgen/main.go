@@ -512,7 +512,7 @@ func streamTenant(window, ctx context.Context, client *http.Client, base string,
 		t0 := time.Now()
 		code, err := doJSON(ctx, client, http.MethodPost, base+"/v1/datasets/"+name+"/visits",
 			visitBatch(log, rng, t, i, &day), &st)
-		// The append is synchronous through the online re-cluster, so
+		// The append is synchronous through the VSM and drift update, so
 		// the round trip is the append → model-updated freshness.
 		lat := time.Since(t0)
 		if err != nil || code != http.StatusAccepted {

@@ -1,5 +1,5 @@
 // Package cluster implements the center-based clustering ADA-HEALTH
-// sweeps and streams: K-means with k-means++ seeding, run either by
+// sweeps: K-means with k-means++ seeding, run either by
 // Lloyd's algorithm — as a dense scan or as a sparse-aware parallel
 // kernel tuned for the VSM patient matrices — or by Sculley's
 // mini-batch K-means.
@@ -13,9 +13,9 @@
 //	dense-lloyd  exact (the reference)          the equivalence tests
 //	sparse-lloyd exact; ≡ dense only when no    the equivalence tests (forced CSR)
 //	             point's argmin is a near-tie
-//	minibatch    APPROXIMATE (Sculley),         the stream's online re-clustering;
-//	             deterministic under Seed; its  the assignment step is pruned on a
-//	             sparse step ≡ its dense step   CSR view when one is given or pays
+//	minibatch    APPROXIMATE (Sculley),         only where selected (-algorithm or a
+//	             deterministic under Seed; its  per-job override); the assignment step
+//	             sparse step ≡ its dense step   is pruned on a CSR view when it pays
 //
 // "auto" is accepted as a name for lloyd (AlgorithmAuto is the same
 // value). lloyd picks the sparse kernel when a CSR view is supplied or
@@ -285,13 +285,12 @@ func KMeansContext(ctx context.Context, data [][]float64, opts Options) (*Result
 }
 
 // KMeansCSRContext is KMeansContext over a prebuilt sparse view, so
-// repeated runs on the same matrix (e.g. the Table I K sweep, or a
-// live dataset's re-clusterings) share one CSR build — the entry point
-// the pipeline's sweep and partial-mining stages and the stream's
-// online model use. dense, when non-nil, must be the dense view of m;
-// the cold paths (seeding, empty-cluster repair, final SSE) and the
-// mini-batch kernel's centroid updates run on it. A nil dense is
-// materialized once from m; a nil m runs on dense alone.
+// repeated runs on the same matrix (e.g. the Table I K sweep) share
+// one CSR build — the entry point the pipeline's sweep and
+// partial-mining stages use. dense, when non-nil, must be the dense
+// view of m; the cold paths (seeding, empty-cluster repair, final SSE)
+// and the mini-batch kernel's centroid updates run on it. A nil dense
+// is materialized once from m; a nil m runs on dense alone.
 func KMeansCSRContext(ctx context.Context, m *vec.CSRMatrix, dense [][]float64, opts Options) (*Result, error) {
 	if m == nil {
 		if dense == nil {

@@ -339,7 +339,8 @@ func (e *Engine) AnalyzeContext(ctx context.Context, log *dataset.Log) (*Report,
 
 // AnalyzeOptions tunes one shared-dispatch analysis. The zero value
 // reproduces AnalyzeContext: a private pool, no observer, a K-DB flush
-// on completion.
+// on completion. No option seeds the sweep: its one warm start is the
+// recall stage's prior knowledge.
 type AnalyzeOptions struct {
 	// Pool is the CPU budget this analysis shares with its siblings
 	// (nil = a private pool sized by Config.Parallelism): every running
@@ -366,21 +367,6 @@ type AnalyzeOptions struct {
 	// (see optimize.Arena) — but an explicitly configured
 	// Config.Sweep.Arena takes precedence.
 	Arena *optimize.Arena
-	// SeedCentroids, with SeedFeatures naming their columns by exam
-	// code, warm-starts the K sweep from caller-provided centroids —
-	// the streaming layer passes its live online model here when a
-	// drift-triggered full re-analysis is scheduled. The rows are
-	// remapped onto the analysis's own (possibly projected) feature
-	// space by exam code and take precedence over recall-stage seeds;
-	// they seed the warm-started sweep chain and are dropped when fewer
-	// than half of the seed features survive the remap, falling back
-	// to the recall/cold behaviour. Any row count works: the sweep
-	// completes short seed sets by farthest-point splits and
-	// truncates long ones (see optimize.SweepConfig.SeedCentroids).
-	SeedCentroids [][]float64
-	// SeedFeatures are the exam codes labelling SeedCentroids'
-	// columns. Required when SeedCentroids is set.
-	SeedFeatures []string
 }
 
 // AnalyzeWith is the single dispatch path every analysis funnels
@@ -481,8 +467,7 @@ func (e *Engine) AnalyzeMany(ctx context.Context, logs []*dataset.Log) ([]*Repor
 // opts.NoFlush defers the K-DB flush to the caller (AnalyzeMany runs
 // one batch-level flush so concurrent snapshot writes cannot tear);
 // opts.Observer, when non-nil, receives stage start/finish events
-// live; opts.Arena backs the sweep stage's worker slabs;
-// opts.SeedCentroids/SeedFeatures warm-start the sweep.
+// live; opts.Arena backs the sweep stage's worker slabs.
 func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	if log.NumPatients() == 0 || log.NumRecords() == 0 {
 		return nil, fmt.Errorf("core: log %q is empty", log.Name)
@@ -495,12 +480,10 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 		return nil, err
 	}
 	s := &pipelineState{
-		log:           log,
-		rep:           &Report{},
-		pool:          opts.Pool,
-		arena:         opts.Arena,
-		seedCentroids: opts.SeedCentroids,
-		seedFeatures:  opts.SeedFeatures,
+		log:   log,
+		rep:   &Report{},
+		pool:  opts.Pool,
+		arena: opts.Arena,
 	}
 	if s.pool == nil {
 		s.pool = slots.New(e.parallelism())

@@ -255,15 +255,6 @@ func narrowGrid(grid, priorKs []int) []int {
 	return sorted[first : last+1]
 }
 
-// RemapCentroids is the exported form of the recall stage's centroid
-// projection, shared with the streaming layer (internal/stream), whose
-// online model lives in the full live feature space and must be
-// carried onto a snapshot's feature ordering when seeding mini-batch
-// re-clustering or a drift-triggered full sweep.
-func RemapCentroids(centroids [][]float64, srcFeatures, dstFeatures []string) [][]float64 {
-	return remapCentroids(centroids, srcFeatures, dstFeatures)
-}
-
 // remapCentroids projects centroid rows from a source feature space
 // onto dst by feature name: matching exam codes carry their weight
 // over, codes absent from dst are dropped, dst codes the source never

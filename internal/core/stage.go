@@ -93,12 +93,6 @@ type pipelineState struct {
 	// arena, when non-nil, backs the sweep stage's worker slabs with
 	// buffers that outlive this analysis (see AnalyzeOptions.Arena).
 	arena *optimize.Arena
-	// seedCentroids/seedFeatures are caller-provided sweep seeds
-	// (AnalyzeOptions.SeedCentroids): the streaming layer's live
-	// online model, remapped onto the working feature space by the
-	// sweep stage. Set at construction, read-only thereafter.
-	seedCentroids [][]float64
-	seedFeatures  []string
 
 	// degradeMu guards the degradation notes below. Unlike the keyed
 	// DAG state, these are appended by whichever stages hit a soft
@@ -304,16 +298,6 @@ func (e *Engine) runSweep(ctx context.Context, s *pipelineState) error {
 	}
 	if s.recallHints != nil {
 		cfg = applyRecallHints(cfg, s.recallHints, s.working.Features, s.rep.Recall)
-	}
-	// Explicit caller seeds (the streaming layer's live online model)
-	// outrank recall-derived ones: they describe this very dataset's
-	// current structure, not a similar dataset's past. Same contract
-	// as recall seeding — remapped by exam code onto the working
-	// feature space, dropped on insufficient overlap.
-	if len(s.seedCentroids) > 0 {
-		if seeds := remapCentroids(s.seedCentroids, s.seedFeatures, s.working.Features); seeds != nil {
-			cfg.SeedCentroids = seeds
-		}
 	}
 	sweep, err := optimize.SweepMatrix(ctx, s.working, cfg)
 	if err != nil {

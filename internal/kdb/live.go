@@ -11,24 +11,19 @@ import (
 
 // LiveDatasetState is the durable control record of one streaming
 // dataset (collection live_datasets, one upserted document per
-// dataset): the applied and modelled revisions, the online model's
-// centroids in their feature space, the drift baseline the detector
-// compares against, and the last completed full analysis. The visit
-// data itself is not here — it is the ordered batch documents of
-// live_appends, which recovery replays; trusting the batches (not
-// this record's Revision) is what makes restart lossless even when a
-// crash lands between an acknowledged append and the state upsert.
+// dataset): the applied revision, the drift baseline the detector
+// compares against, the drift gauge, and the last completed full
+// analysis. The visit data itself is not here — it is the ordered
+// batch documents of live_appends, which recovery replays; trusting
+// the batches (not this record's Revision) is what makes restart
+// lossless even when a crash lands between an acknowledged append and
+// the state upsert. Records older builds wrote also carry
+// model_revision, centroids and features; decoding ignores them.
 type LiveDatasetState struct {
 	Dataset string `json:"dataset"`
 	// Revision is the last applied append revision at the time the
 	// state was written (the initial registration is revision 1).
 	Revision int `json:"revision"`
-	// ModelRevision is the revision the online model reflects.
-	ModelRevision int `json:"model_revision"`
-	// Centroids/Features are the live mini-batch model, labelled by
-	// exam code so it can be remapped across feature reorderings.
-	Centroids [][]float64 `json:"centroids,omitempty"`
-	Features  []string    `json:"features,omitempty"`
 	// Baseline is the descriptor of the last fully analyzed state —
 	// the drift detector's reference point.
 	Baseline *stats.Descriptor `json:"baseline,omitempty"`

@@ -22,14 +22,11 @@ func TestLiveStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := LiveDatasetState{
-		Dataset:       "ward-a",
-		Revision:      3,
-		ModelRevision: 3,
-		Centroids:     [][]float64{{1, 0.5}, {0, 2}},
-		Features:      []string{"EX001", "EX002"},
-		Baseline:      &stats.Descriptor{DatasetName: "ward-a", NumPatients: 10},
-		Drift:         0.04,
-		LastAnalysis:  "job-7",
+		Dataset:      "ward-a",
+		Revision:     3,
+		Baseline:     &stats.Descriptor{DatasetName: "ward-a", NumPatients: 10},
+		Drift:        0.04,
+		LastAnalysis: "job-7",
 	}
 	if err := k.StoreLiveDataset(st); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@
 //
 //	stream_append_seconds                   histogram  append → model-updated latency (in-place VSM refresh)
 //	stream_appends_total{outcome}           counter    live appends: ok | rejected | failed
-//	stream_drift{dataset}                   gauge      fraction of visits off-model since last sweep
+//	stream_drift{dataset}                   gauge      1 − descriptor similarity to the last full analysis
 //	stream_resweeps_total{event}            counter    scheduled | completed | failed
 //
 // Series appear in the exposition as soon as their package is linked

@@ -29,7 +29,7 @@ func TestDegradedReadRoutesToFallback(t *testing.T) {
 	var hits atomic.Int64
 	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		writeJSON(w, http.StatusOK, knowledgeResponse{
+		WriteJSON(w, http.StatusOK, knowledgeResponse{
 			Dataset: r.URL.Query().Get("dataset"),
 			Count:   1,
 			Items:   []knowledge.Item{{ID: "standby-item", Dataset: "ward-a"}},

@@ -124,7 +124,9 @@ type httpAPI struct {
 	mode func() kdb.Mode
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response:
+// every JSON answer of the job and live-dataset APIs.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -132,8 +134,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+// WriteError writes the {"error": ...} body every non-2xx JSON
+// response carries.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // MaxBodyBytes bounds the body of a log-bearing request (POST
@@ -146,7 +150,7 @@ const MaxBodyBytes = 16 << 20
 // 400 otherwise — and returns false.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.ContentLength > MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes))
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes))
 		return nil, false
 	}
 	var buf bytes.Buffer
@@ -156,9 +160,9 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", MaxBodyBytes))
+			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", MaxBodyBytes))
 		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		}
 		return nil, false
 	}
@@ -174,7 +178,7 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 	// it; the rest of the request through encoding/json.
 	var req SubmitRequest
 	if err := dataset.DecodeEnvelope(body, &req, &req.Log); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 
@@ -184,7 +188,7 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case req.Log != nil && req.Synthetic != nil:
-		writeError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
+		WriteError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
 		return
 	case req.Log != nil:
 		log = req.Log
@@ -195,11 +199,11 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		log, err = synth.Generate(cfg)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
 			return
 		}
 	default:
-		writeError(w, http.StatusBadRequest, errors.New("pass a log or a synthetic generator config"))
+		WriteError(w, http.StatusBadRequest, errors.New("pass a log or a synthetic generator config"))
 		return
 	}
 	if req.Name != "" {
@@ -226,22 +230,22 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 	job, err := h.svc.Submit(r.Context(), log, opts...)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrDegraded):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
+	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
 }
 
 func (h *httpAPI) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	job, ok := h.svc.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return nil, false
 	}
 	return job, true
@@ -252,7 +256,7 @@ func (h *httpAPI) status(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, job.State())
+	WriteJSON(w, http.StatusOK, job.State())
 }
 
 func (h *httpAPI) report(w http.ResponseWriter, r *http.Request) {
@@ -265,15 +269,15 @@ func (h *httpAPI) report(w http.ResponseWriter, r *http.Request) {
 		status := job.Status()
 		if status.Terminal() {
 			// Failed or cancelled: there is no report to serve.
-			writeError(w, http.StatusConflict,
+			WriteError(w, http.StatusConflict,
 				fmt.Errorf("job %s is %s: %v", job.ID(), status, job.Err()))
 			return
 		}
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; report not ready", job.ID(), status))
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	WriteJSON(w, http.StatusOK, rep)
 }
 
 // traceHTML renders a finished job's stage schedule as the HTML Gantt
@@ -288,11 +292,11 @@ func (h *httpAPI) traceHTML(w http.ResponseWriter, r *http.Request) {
 	if !done {
 		status := job.Status()
 		if status.Terminal() {
-			writeError(w, http.StatusConflict,
+			WriteError(w, http.StatusConflict,
 				fmt.Errorf("job %s is %s: %v", job.ID(), status, job.Err()))
 			return
 		}
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; trace not ready", job.ID(), status))
 		return
 	}
@@ -306,7 +310,7 @@ func (h *httpAPI) cancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
+	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
 }
 
 // events streams a job's progress as Server-Sent Events: every event
@@ -341,7 +345,7 @@ var sseKeepalive = 15 * time.Second
 func ServeSSE[E any](w http.ResponseWriter, r *http.Request, ch <-chan E) {
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
+		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -406,7 +410,7 @@ func serveKnowledge(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 	q := r.URL.Query()
 	limit, err := intParam(q.Get("limit"), 50)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var items []knowledge.Item
@@ -416,13 +420,13 @@ func serveKnowledge(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 		items, err = kb.KnowledgeItems(q.Get("dataset"), limit)
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if items == nil {
 		items = []knowledge.Item{}
 	}
-	writeJSON(w, http.StatusOK, knowledgeResponse{
+	WriteJSON(w, http.StatusOK, knowledgeResponse{
 		Dataset: q.Get("dataset"),
 		Metric:  q.Get("metric"),
 		Count:   len(items),
@@ -502,17 +506,17 @@ func serveSimilar(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 	name := r.PathValue("id")
 	limit, err := intParam(r.URL.Query().Get("limit"), 10)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	desc, _, ok := kb.LatestDescriptor(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no descriptor stored for dataset %q", name))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no descriptor stored for dataset %q", name))
 		return
 	}
 	hits, err := kb.SimilarDatasets(desc, "", 0)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// The dataset always matches itself; the endpoint answers "which
@@ -527,7 +531,7 @@ func serveSimilar(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, similarResponse{Dataset: name, Similar: out})
+	WriteJSON(w, http.StatusOK, similarResponse{Dataset: name, Similar: out})
 }
 
 func intParam(s string, def int) (int, error) {
@@ -552,7 +556,7 @@ func (h *httpAPI) health(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	kb := h.svc.Engine().KDB()
-	writeJSON(w, code, struct {
+	WriteJSON(w, code, struct {
 		Health
 		Stats
 		// KDBCounts is the per-collection document count and

@@ -467,7 +467,7 @@ func TestKnowledgeWithoutMetricTruncatesAtLimit(t *testing.T) {
 		got := httptest.NewRecorder()
 		serveKnowledge(got, httptest.NewRequest("GET", "/v1/knowledge?dataset=ward-a"+tc.query, nil), kb)
 		want := httptest.NewRecorder()
-		writeJSON(want, http.StatusOK, knowledgeResponse{Dataset: "ward-a", Count: tc.n, Items: all[:tc.n]})
+		WriteJSON(want, http.StatusOK, knowledgeResponse{Dataset: "ward-a", Count: tc.n, Items: all[:tc.n]})
 		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 			t.Errorf("%q: status %d, body differs from the first %d items of the full read", tc.query, got.Code, tc.n)
 		}

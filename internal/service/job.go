@@ -71,11 +71,6 @@ type Job struct {
 	engine   *core.Engine // base engine, or a per-job WithConfig derivation
 	deadline time.Time    // zero = none
 
-	// seedCentroids/seedFeatures carry a WithSeedCentroids warm-start
-	// seed into the engine run (immutable after admission).
-	seedCentroids [][]float64
-	seedFeatures  []string
-
 	ctx    context.Context
 	cancel context.CancelFunc
 

@@ -12,14 +12,12 @@ import (
 type Option func(*jobOptions)
 
 type jobOptions struct {
-	priority      int
-	deadline      time.Time
-	seed          int64
-	seedSet       bool
-	override      *core.Config
-	labels        map[string]string
-	seedCentroids [][]float64
-	seedFeatures  []string
+	priority int
+	deadline time.Time
+	seed     int64
+	seedSet  bool
+	override *core.Config
+	labels   map[string]string
 }
 
 // WithPriority sets the dispatch priority: among queued jobs the
@@ -50,20 +48,6 @@ func WithSeed(seed int64) Option {
 // precedence for the seed.
 func WithConfigOverride(cfg core.Config) Option {
 	return func(o *jobOptions) { o.override = &cfg }
-}
-
-// WithSeedCentroids seeds the job's warm-started sweep chain with
-// caller-provided centroids, labelled by feature (exam-code) name so
-// the engine can remap them onto the analysis' working feature space
-// (core.AnalyzeOptions.SeedCentroids). The streaming layer passes its
-// live online model here when a drift-triggered full re-analysis
-// should start from where the online model already is. The slices are
-// referenced, not copied — callers hand over ownership.
-func WithSeedCentroids(centroids [][]float64, features []string) Option {
-	return func(o *jobOptions) {
-		o.seedCentroids = centroids
-		o.seedFeatures = features
-	}
 }
 
 // WithLabels attaches caller metadata to the job (copied), surfaced by

@@ -320,20 +320,18 @@ func (s *Service) admit(log *dataset.Log, opts []Option) (*Job, error) {
 	}
 	now := time.Now()
 	j := &Job{
-		priority:      o.priority,
-		labels:        o.labels,
-		log:           log,
-		engine:        engine,
-		deadline:      o.deadline,
-		seedCentroids: o.seedCentroids,
-		seedFeatures:  o.seedFeatures,
-		ctx:           jctx,
-		cancel:        cancel,
-		heapIdx:       -1,
-		status:        StatusQueued,
-		queuedAt:      now,
-		events:        make(chan StageEvent, eventBuffer),
-		done:          make(chan struct{}),
+		priority: o.priority,
+		labels:   o.labels,
+		log:      log,
+		engine:   engine,
+		deadline: o.deadline,
+		ctx:      jctx,
+		cancel:   cancel,
+		heapIdx:  -1,
+		status:   StatusQueued,
+		queuedAt: now,
+		events:   make(chan StageEvent, eventBuffer),
+		done:     make(chan struct{}),
 	}
 
 	s.mu.Lock()
@@ -648,12 +646,10 @@ func (s *Service) safeRun(j *Job) (rep *core.Report, err error) {
 // run.
 func (s *Service) defaultRun(j *Job) (*core.Report, error) {
 	return j.engine.AnalyzeWith(j.ctx, j.log, core.AnalyzeOptions{
-		Pool:          s.pool,
-		Observer:      j.observeStage,
-		NoFlush:       true,
-		Arena:         s.arena,
-		SeedCentroids: j.seedCentroids,
-		SeedFeatures:  j.seedFeatures,
+		Pool:     s.pool,
+		Observer: j.observeStage,
+		NoFlush:  true,
+		Arena:    s.arena,
 	})
 }
 

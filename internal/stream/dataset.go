@@ -4,17 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
-	"adahealth/internal/cluster"
-	"adahealth/internal/core"
 	"adahealth/internal/dataset"
 	"adahealth/internal/kdb"
 	"adahealth/internal/service"
 	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
-
-	"sync"
 )
 
 // Convenience aliases so HTTP request bodies and callers read in the
@@ -35,11 +32,12 @@ const (
 	EventRegistered = "registered"
 	// EventAppended: a visit batch was durably accepted.
 	EventAppended = "appended"
-	// EventModelUpdated: the online model re-clustered over the
-	// appended state.
+	// EventModelUpdated: the live VSM and the drift gauge reflect the
+	// revision. It follows the revision's registered or appended event
+	// and precedes any resweep it schedules.
 	EventModelUpdated = "model-updated"
 	// EventResweepScheduled: descriptor drift crossed the threshold
-	// and a full warm-started re-analysis was submitted.
+	// and a full re-analysis was submitted as a service job.
 	EventResweepScheduled = "resweep-scheduled"
 	// EventResweepComplete: the full re-analysis finished (Err set if
 	// it failed); the drift baseline reset to its report's descriptor.
@@ -57,8 +55,8 @@ type Event struct {
 	Type string `json:"type"`
 	// Revision is the dataset revision the event refers to.
 	Revision int `json:"revision"`
-	// Drift is the drift gauge at emission time (appended and resweep
-	// events).
+	// Drift is the drift gauge at emission time; a revision's
+	// model-updated event is the first to carry its new value.
 	Drift float64 `json:"drift,omitempty"`
 	// JobID is the service job of a resweep event.
 	JobID string `json:"job_id,omitempty"`
@@ -76,9 +74,9 @@ const eventBuffer = 64
 
 // Dataset is one live dataset: a vsm.Live, which holds the one
 // accumulated examination log and its incrementally maintained VSM,
-// the online mini-batch cluster model, and the drift detector that
-// decides when a full re-analysis pays. The drift descriptor is
-// stats.Characterize of that log, the function a full analysis runs.
+// and the drift gauge that decides when a full re-analysis pays. The
+// drift descriptor is stats.Characterize of that log, the function a
+// full analysis runs.
 type Dataset struct {
 	mgr  *Manager
 	name string
@@ -86,16 +84,7 @@ type Dataset struct {
 	mu   sync.Mutex
 	live *vsm.Live
 
-	revision int // last durably applied batch revision
-	modelRev int // revision the online model reflects
-
-	// centroids/features are the online model, labelled by exam code
-	// (features in the live matrix's current ranking order).
-	centroids [][]float64
-	features  []string
-	// scratch is the re-clustering's working memory, reused (and
-	// grown) across appends.
-	scratch cluster.Scratch
+	revision int // last durably applied batch revision; 0 until registered
 
 	// baseline is the descriptor of the last fully analyzed state (the
 	// registration descriptor until the first resweep completes);
@@ -116,16 +105,13 @@ type Dataset struct {
 type DatasetStatus struct {
 	Dataset  string `json:"dataset"`
 	Revision int    `json:"revision"`
-	// ModelRevision is the revision the online model reflects (equal
-	// to Revision except in the instants between accept and model
-	// update).
+	// ModelRevision is the revision the live VSM and drift gauge
+	// reflect. An append updates both before it returns, so it always
+	// equals Revision; it stays for clients that check it.
 	ModelRevision int `json:"model_revision"`
 	NumPatients   int `json:"num_patients"`
 	NumExamTypes  int `json:"num_exam_types"`
 	NumRecords    int `json:"num_records"`
-	// OnlineK is the online model's current cluster count (0 while too
-	// few patients to cluster).
-	OnlineK int `json:"online_k"`
 	// Drift is the current drift gauge: 1 − descriptor similarity to
 	// the last fully analyzed state, compared against Threshold.
 	Drift     float64 `json:"drift"`
@@ -151,11 +137,10 @@ func (d *Dataset) statusLocked() DatasetStatus {
 	return DatasetStatus{
 		Dataset:       d.name,
 		Revision:      d.revision,
-		ModelRevision: d.modelRev,
+		ModelRevision: d.revision,
 		NumPatients:   l.NumPatients(),
 		NumExamTypes:  l.NumExamTypes(),
 		NumRecords:    l.NumRecords(),
-		OnlineK:       len(d.centroids),
 		Drift:         d.drift,
 		Threshold:     d.mgr.cfg.DriftThreshold,
 		Resweeping:    d.resweeping,
@@ -169,12 +154,15 @@ func (d *Dataset) statusLocked() DatasetStatus {
 // The batch is checked against the accumulated log (vsm.Live.Check),
 // durably recorded in the K-DB (the WAL ack is the acknowledgement's
 // durability point — a failure returns ErrDurability and applies
-// nothing), appended to the log with the VSM updated in place,
-// re-clustered online, and drift-checked. The returned status
-// reflects the post-append state.
+// nothing), appended to the log with the VSM updated in place, and
+// drift-checked. The returned status reflects the post-append state.
+// A dataset whose registration failed answers ErrUnknown.
 func (d *Dataset) Append(exams []Exam, patients []Patient, records []Record) (DatasetStatus, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.revision == 0 {
+		return DatasetStatus{}, fmt.Errorf("%w: %q", ErrUnknown, d.name)
+	}
 	return d.appendLocked(exams, patients, records)
 }
 
@@ -183,8 +171,8 @@ func (d *Dataset) appendLocked(exams []Exam, patients []Patient, records []Recor
 	st, err := d.appendInnerLocked(exams, patients, records)
 	switch {
 	case err == nil:
-		// The model update happens synchronously inside the append, so
-		// this latency IS append→model-updated.
+		// The VSM and drift update happen synchronously inside the
+		// append, so this latency IS append→model-updated.
 		appendSeconds.ObserveSince(t0)
 		appendsTotal.With("ok").Inc()
 	case errors.Is(err, ErrDurability):
@@ -214,7 +202,7 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 
 	// Check proved the apply below must succeed; a failure past this
 	// point is a bug, not an input error.
-	if err := d.applyLocked(exams, patients, records); err != nil {
+	if err := d.live.Append(exams, patients, records); err != nil {
 		return DatasetStatus{}, fmt.Errorf("stream: applying validated batch %s@%d: %v", d.name, rev, err)
 	}
 	d.revision = rev
@@ -225,8 +213,6 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 	}
 	d.emitLocked(Event{Type: evType, Revision: rev})
 
-	d.reclusterLocked()
-
 	desc := stats.Characterize(d.live.Log())
 	if d.baseline == nil {
 		// Registration: the baseline is the initial descriptor until
@@ -235,70 +221,22 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 		d.drift = 0
 	} else {
 		d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, desc)
-		if d.drift >= d.mgr.cfg.DriftThreshold && !d.resweeping {
-			d.scheduleResweepLocked()
-		}
 	}
 	driftGauge.With(d.name).Set(d.drift)
+	d.emitLocked(Event{Type: EventModelUpdated, Revision: rev})
+	if d.drift >= d.mgr.cfg.DriftThreshold && !d.resweeping {
+		d.scheduleResweepLocked()
+	}
 
 	d.persistStateLocked()
 	return d.statusLocked(), nil
 }
 
-// applyLocked applies one checked or replayed batch to the live log
-// and its VSM.
-func (d *Dataset) applyLocked(exams []Exam, patients []Patient, records []Record) error {
-	return d.live.Append(exams, patients, records)
-}
-
-// reclusterLocked refreshes the online model with one mini-batch
-// K-means pass over the live matrix, warm-started from the previous
-// centroids (remapped by exam code when the feature ranking moved).
-// It runs on the live matrix's maintained CSR view, so the kernel's
-// sparse assignment step reuses it instead of recompressing the rows.
-// The seed derives from the revision, so a recovered daemon catching
-// up re-clusters identically to the uncrashed one.
-func (d *Dataset) reclusterLocked() {
-	m := d.live.Matrix()
-	if m == nil || len(m.Rows) < 2 {
-		d.modelRev = d.revision
-		return
-	}
-	cfg := d.mgr.cfg
-	k := cfg.OnlineK
-	if k > len(m.Rows) {
-		k = len(m.Rows)
-	}
-	opts := cluster.Options{
-		K:         k,
-		Algorithm: cluster.AlgorithmMiniBatch,
-		BatchSize: cfg.OnlineBatchSize,
-		MaxIter:   cfg.OnlineMaxIter,
-		Seed:      d.mgr.svc.Engine().Config().Seed + int64(d.revision),
-		Scratch:   &d.scratch,
-	}
-	if len(d.centroids) == k {
-		if seeds := core.RemapCentroids(d.centroids, d.features, m.Features); seeds != nil {
-			opts.InitialCentroids = seeds
-		}
-	}
-	res, err := cluster.KMeansCSRContext(context.Background(), m.Sparse(), m.Rows, opts)
-	if err != nil {
-		// Online model refresh is best-effort: the durable append
-		// already succeeded, the model just stays at its previous
-		// revision until the next append.
-		return
-	}
-	d.centroids = res.Centroids
-	d.features = append([]string(nil), m.Features...)
-	d.modelRev = d.revision
-	d.emitLocked(Event{Type: EventModelUpdated, Revision: d.revision})
-}
-
-// scheduleResweepLocked submits a full warm-started re-analysis of a
-// snapshot of the accumulated log through the service job path, seeded
-// from the live centroids. Submission failures (queue full, degraded)
-// are soft: the drift persists, so the next append retries.
+// scheduleResweepLocked submits a full re-analysis of a snapshot of
+// the accumulated log as an ordinary service job, whose only warm
+// start is the pipeline's recall stage. Submission failures (queue
+// full, degraded) are soft: the drift persists, so the next append
+// retries.
 func (d *Dataset) scheduleResweepLocked() {
 	l := d.live.Log()
 	snapshot := &dataset.Log{
@@ -307,21 +245,14 @@ func (d *Dataset) scheduleResweepLocked() {
 		Patients: append([]Patient(nil), l.Patients...),
 		Records:  append([]Record(nil), l.Records...),
 	}
-	opts := []service.Option{
+	j, err := d.mgr.svc.Submit(context.Background(), snapshot,
 		service.WithPriority(d.mgr.cfg.ResweepPriority),
 		service.WithLabels(map[string]string{
 			"stream":   "resweep",
 			"dataset":  d.name,
 			"revision": fmt.Sprintf("%d", d.revision),
 		}),
-	}
-	if len(d.centroids) > 0 {
-		opts = append(opts, service.WithSeedCentroids(
-			append([][]float64(nil), d.centroids...),
-			append([]string(nil), d.features...),
-		))
-	}
-	j, err := d.mgr.svc.Submit(context.Background(), snapshot, opts...)
+	)
 	if err != nil {
 		return
 	}
@@ -360,18 +291,15 @@ func (d *Dataset) watchResweep(j *service.Job) {
 }
 
 // persistStateLocked upserts the control record. Failure is soft: the
-// batches in live_appends are the durability source; a stale control
-// record only costs a catch-up re-clustering at recovery.
+// batches in live_appends are the durability source, and recovery
+// replays them whatever revision the control record names.
 func (d *Dataset) persistStateLocked() {
 	_ = d.mgr.kdb.StoreLiveDataset(kdb.LiveDatasetState{
-		Dataset:       d.name,
-		Revision:      d.revision,
-		ModelRevision: d.modelRev,
-		Centroids:     d.centroids,
-		Features:      d.features,
-		Baseline:      d.baseline,
-		Drift:         d.drift,
-		LastAnalysis:  d.lastAnalysis,
+		Dataset:      d.name,
+		Revision:     d.revision,
+		Baseline:     d.baseline,
+		Drift:        d.drift,
+		LastAnalysis: d.lastAnalysis,
 	})
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,8 +13,8 @@ import (
 
 // RegisterRequest is the JSON body of PUT /v1/datasets/{id}: the
 // dataset's initial contents, either inline or generated server-side
-// (mirroring POST /v1/analyses). An absent body registers an empty
-// dataset that exists purely to be appended to.
+// (mirroring POST /v1/analyses). Exactly one of Log and Synthetic is
+// required, and the initial contents must be a valid non-empty batch.
 type RegisterRequest struct {
 	// Log is the inline initial examination log.
 	Log *dataset.Log `json:"log,omitempty"`
@@ -34,17 +33,11 @@ type AppendRequest struct {
 	Records  []Record  `json:"records,omitempty"`
 }
 
-// errorResponse is every non-2xx JSON body (same shape as the job
-// API's).
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Mount registers the live-dataset endpoints on mux:
 //
 //	PUT  /v1/datasets/{id}        register a live dataset (201 + status; 409 if taken)
 //	POST /v1/datasets/{id}/visits append a visit batch (202 + revision; 503 when not durable)
-//	GET  /v1/datasets/{id}        live model status + drift gauge + last analysis id
+//	GET  /v1/datasets/{id}        live status + drift gauge + last analysis id
 //	GET  /v1/datasets/{id}/events live event stream (SSE; model-updated, resweep-scheduled, ...)
 //
 // The handlers coexist with the job API's GET /v1/datasets/{id}/similar
@@ -77,27 +70,21 @@ type httpAPI struct {
 	mgr *Manager
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
 func (h *httpAPI) register(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("id")
+	// A taken name conflicts whatever the body holds (Register checks
+	// again, atomically, for a registration that races this one).
+	if _, taken := h.mgr.Get(name); taken {
+		service.WriteError(w, http.StatusConflict, fmt.Errorf("%w: %q", ErrExists, name))
+		return
+	}
 	body, ok := service.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	var req RegisterRequest
 	if err := dataset.DecodeEnvelope(body, &req, &req.Log); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	var (
@@ -106,7 +93,7 @@ func (h *httpAPI) register(w http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case req.Log != nil && req.Synthetic != nil:
-		writeError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
+		service.WriteError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
 		return
 	case req.Log != nil:
 		log = req.Log
@@ -117,32 +104,33 @@ func (h *httpAPI) register(w http.ResponseWriter, r *http.Request) {
 		}
 		log, err = synth.Generate(cfg)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
 			return
 		}
 	default:
-		log = dataset.NewLog(name)
+		service.WriteError(w, http.StatusBadRequest, errors.New("a registration needs log or synthetic"))
+		return
 	}
 
 	st, err := h.mgr.Register(name, log.Exams, log.Patients, log.Records)
 	switch {
 	case errors.Is(err, ErrExists):
-		writeError(w, http.StatusConflict, err)
+		service.WriteError(w, http.StatusConflict, err)
 		return
 	case errors.Is(err, ErrDurability):
-		writeError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, st)
+	service.WriteJSON(w, http.StatusCreated, st)
 }
 
 func (h *httpAPI) lookup(w http.ResponseWriter, r *http.Request) (*Dataset, bool) {
 	d, ok := h.mgr.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknown, r.PathValue("id")))
+		service.WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknown, r.PathValue("id")))
 		return nil, false
 	}
 	return d, true
@@ -161,21 +149,25 @@ func (h *httpAPI) append(w http.ResponseWriter, r *http.Request) {
 	// through the log decoder.
 	var batch dataset.Log
 	if err := dataset.DecodeBatch(body, &batch); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	st, err := d.Append(batch.Exams, batch.Patients, batch.Records)
 	switch {
+	case errors.Is(err, ErrUnknown):
+		service.WriteError(w, http.StatusNotFound, err)
+		return
 	case errors.Is(err, ErrDurability):
-		writeError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	// 202: the batch is durable and applied to the online model, but
-	// the exact full analysis it may have triggered runs asynchronously.
-	writeJSON(w, http.StatusAccepted, st)
+	// 202: the batch is durable and applied to the live VSM and drift
+	// gauge, but the full analysis it may have triggered runs
+	// asynchronously.
+	service.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (h *httpAPI) status(w http.ResponseWriter, r *http.Request) {
@@ -183,7 +175,7 @@ func (h *httpAPI) status(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, d.Status())
+	service.WriteJSON(w, http.StatusOK, d.Status())
 }
 
 // events streams the live dataset's event feed as Server-Sent Events,

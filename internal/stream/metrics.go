@@ -8,7 +8,7 @@ import "adahealth/internal/obs"
 // cardinality is operator-bounded.
 var (
 	appendSeconds = obs.Default().Histogram("stream_append_seconds",
-		"Append acceptance through online model update, in seconds (durable ack, in-place VSM apply, re-cluster, drift check).", nil)
+		"Append acceptance through model update, in seconds (durable ack, in-place VSM apply, drift check).", nil)
 	appendsTotal = obs.Default().CounterVec("stream_appends_total",
 		"Live visit-batch appends by outcome.", "outcome")
 	driftGauge = obs.Default().GaugeVec("stream_drift",

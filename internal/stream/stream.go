@@ -1,48 +1,35 @@
 // Package stream is the live-dataset subsystem: it accepts visit
-// batches appended to a registered dataset and keeps an analysis of
-// the accumulated log continuously available without re-running the
-// full batch pipeline per append.
+// batches appended to a registered dataset and keeps the accumulated
+// log's vector-space model and drift gauge current without re-running
+// the full batch pipeline per append.
 //
-// # Online/approximate versus full/exact
+// # One exact live model
 //
-// The subsystem deliberately runs two models of different contracts:
+// A live dataset is its log, its VSM and its drift gauge. Every
+// accepted append is checked by vsm.Live.Check, durably recorded,
+// appended to the dataset's one log, which vsm.Live owns, and the
+// vector-space model follows it in place (property-tested equal to
+// vsm.Build on the log at every append boundary). The drift
+// descriptor is stats.Characterize of the same log. Nothing here is
+// approximate: the live state is exactly what vsm.Build and
+// stats.Characterize compute on the accumulated log.
 //
-//   - The ONLINE model is approximate and cheap: every accepted append
-//     is checked by vsm.Live.Check, appended to the dataset's one
-//     log, which vsm.Live owns, and the vector-space model follows it
-//     in place (property-tested equal to vsm.Build on the log at every
-//     append boundary); the drift descriptor is stats.Characterize of
-//     the same log. The model then re-clusters with mini-batch K-means
-//     (cluster.AlgorithmMiniBatch), warm-started from the previous
-//     centroids. It answers "what do the patient groups look like
-//     right now" within one append's latency, but its clustering is a
-//     stochastic approximation, not the paper's exact DOC/sweep
-//     output. One re-clustering runs Config.OnlineMaxIter iterations
-//     over batches of up to Config.OnlineBatchSize rows sampled from
-//     the whole live matrix; the assignment step runs on the matrix's
-//     maintained CSR view at O(K·nnz) per sampled row rather than
-//     O(K·d), in working memory the dataset keeps across appends. That
-//     sparse step returns exactly the dense scan's labels, so the
-//     model's bits are those of the dense mini-batch loop
-//     (TestOnlineModelDigestPinned); only its cost moved.
-//
-//   - The FULL model is exact and expensive: when the descriptor
-//     drifts past Config.DriftThreshold from the last fully analyzed
-//     state, a complete warm-started analysis of the accumulated log
-//     is scheduled through the ordinary service job path, seeded from
-//     the live centroids (optimize.SweepConfig.SeedCentroids). Its
-//     Report is bit-for-bit the one core.Engine would produce for the
-//     same accumulated log and seeds — the streaming layer never
-//     dilutes the batch pipeline's exactness, it only decides when
-//     paying for it is worthwhile.
+// The live layer does not cluster. When the descriptor drifts past
+// Config.DriftThreshold from the last fully analyzed state, a snapshot
+// of the accumulated log is submitted as an ordinary service job. Its
+// Report is bit-for-bit the one core.Engine produces for the same log,
+// and its only warm start is the pipeline's recall stage, like any
+// other job's. At the defaults that stage never recalls the resweep's
+// own last analysis: drift >= 0.15 means similarity <= 0.85 to the
+// last analyzed descriptor, below recall's 0.9 floor
+// (core.RecallConfig.MinSimilarity).
 //
 // Drift is measured on the same descriptor feature vector the K-DB's
 // recall stage ranks dataset similarity with (kdb.DescriptorSimilarity,
 // scale-free): drift = 1 − similarity(baseline, current), so 0 means
 // statistically indistinguishable from the last analyzed state and the
 // default threshold 0.15 means the average descriptor feature moved
-// ~15% relative — the neighbourhood where recall would stop calling
-// the two states "the same dataset".
+// ~15% relative.
 //
 // Every accepted batch is durably recorded in the K-DB's live_appends
 // collection before the append is acknowledged (the WAL ack is the
@@ -83,15 +70,6 @@ type Config struct {
 	// kdb.DescriptorSimilarity feature vector) at which a full
 	// re-analysis is scheduled; <= 0 defaults to 0.15.
 	DriftThreshold float64
-	// OnlineK is the mini-batch model's cluster count (capped at the
-	// current patient count); <= 0 defaults to 8.
-	OnlineK int
-	// OnlineBatchSize is the mini-batch sample size per iteration;
-	// <= 0 uses the cluster package default.
-	OnlineBatchSize int
-	// OnlineMaxIter bounds mini-batch iterations per re-clustering;
-	// <= 0 defaults to 50.
-	OnlineMaxIter int
 	// ResweepPriority is the service priority of drift-triggered jobs
 	// (negative yields to interactive submissions).
 	ResweepPriority int
@@ -100,12 +78,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.15
-	}
-	if c.OnlineK <= 0 {
-		c.OnlineK = 8
-	}
-	if c.OnlineMaxIter <= 0 {
-		c.OnlineMaxIter = 50
 	}
 	return c
 }
@@ -124,9 +96,8 @@ type Manager struct {
 // NewManager builds a manager over cfg.Service and resumes every live
 // dataset persisted in the service's K-DB: each dataset's accepted
 // batches replay in revision order (rebuilding the log and its live
-// VSM), the online model and drift baseline restore
-// from the control record, and a dataset whose model lagged behind its
-// appends at crash time is re-clustered once to catch up.
+// VSM), and the drift baseline and gauge restore from the control
+// record.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("stream: Config.Service is required")
@@ -156,7 +127,7 @@ func (m *Manager) recover() error {
 		}
 		d := m.newDataset(st.Dataset)
 		for _, b := range batches {
-			if err := d.applyLocked(b.Exams, b.Patients, b.Records); err != nil {
+			if err := d.live.Append(b.Exams, b.Patients, b.Records); err != nil {
 				return fmt.Errorf("stream: replaying %s@%d: %w", st.Dataset, b.Revision, err)
 			}
 			// Trust the batches, not the control record: the recovered
@@ -166,17 +137,9 @@ func (m *Manager) recover() error {
 		d.baseline = st.Baseline
 		d.drift = st.Drift
 		d.lastAnalysis = st.LastAnalysis
-		d.centroids = st.Centroids
-		d.features = st.Features
-		d.modelRev = st.ModelRevision
 		if d.baseline == nil {
 			desc := stats.Characterize(d.live.Log())
 			d.baseline = &desc
-		}
-		if d.modelRev != d.revision {
-			// The crash landed between an acknowledged append and its
-			// model update: one catch-up re-clustering.
-			d.reclusterLocked()
 		}
 		m.datasets[st.Dataset] = d
 	}
@@ -232,13 +195,15 @@ func (m *Manager) Register(name string, exams []Exam, patients []Patient, record
 		return DatasetStatus{}, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	// Reserve the name while the initial batch persists; concurrent
-	// registrations of the same name must not interleave.
+	// registrations of the same name must not interleave. d is locked
+	// before it is published, so an append that finds it waits for
+	// the registration's outcome (and is refused if it failed).
 	d := m.newDataset(name)
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	m.datasets[name] = d
 	m.mu.Unlock()
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	st, err := d.appendLocked(exams, patients, records)
 	if err != nil {
 		m.mu.Lock()

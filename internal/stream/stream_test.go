@@ -2,16 +2,17 @@ package stream
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"adahealth/internal/core"
 	"adahealth/internal/dataset"
+	"adahealth/internal/docstore"
 	"adahealth/internal/kdb"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
@@ -306,7 +307,7 @@ func TestDriftTriggersResweep(t *testing.T) {
 // drift-triggered full re-analysis produces a Report bit-for-bit
 // identical (modulo execution telemetry, as the scheduling-
 // equivalence test strips) to core.Engine analysis of the equivalent
-// accumulated batch log with the same seed options.
+// accumulated batch log.
 func TestResweepReportMatchesEngine(t *testing.T) {
 	const seed = 7
 	svc := testService(t, fastConfig(seed, t.TempDir()))
@@ -329,13 +330,6 @@ func TestResweepReportMatchesEngine(t *testing.T) {
 		t.Fatalf("append did not schedule a resweep: %+v", st)
 	}
 
-	// The seed centroids the resweep was submitted with: the online
-	// model as of the triggering append (no further appends happen).
-	d.mu.Lock()
-	seeds := append([][]float64(nil), d.centroids...)
-	feats := append([]string(nil), d.features...)
-	d.mu.Unlock()
-
 	waitStatus(t, d, "resweep completion", func(st DatasetStatus) bool {
 		return !st.Resweeping && st.LastAnalysis != ""
 	})
@@ -349,7 +343,7 @@ func TestResweepReportMatchesEngine(t *testing.T) {
 	}
 
 	// A fresh engine (same config and seed, its own empty K-DB) over
-	// the equivalent accumulated batch log, with the same seed options.
+	// the equivalent accumulated batch log.
 	engine, err := core.New(fastConfig(seed, ""))
 	if err != nil {
 		t.Fatal(err)
@@ -360,10 +354,7 @@ func TestResweepReportMatchesEngine(t *testing.T) {
 		Patients: append(append([]Patient(nil), first.patients...), rest[0].patients...),
 		Records:  append(append([]Record(nil), first.records...), rest[0].records...),
 	}
-	want, err := engine.AnalyzeWith(context.Background(), batchLog, core.AnalyzeOptions{
-		SeedCentroids: seeds,
-		SeedFeatures:  feats,
-	})
+	want, err := engine.AnalyzeWith(context.Background(), batchLog, core.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +376,11 @@ func comparableReport(rep *core.Report) core.Report {
 // TestManagerRecovery: a manager over a K-DB directory another manager
 // wrote resumes every live dataset — including an append whose control
 // record never landed (the crash-between-ack-and-update window), which
-// must replay from the batch log and catch the model up.
+// must replay from the batch log.
 func TestManagerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	svcA := testService(t, fastConfig(11, dir))
-	mgrA, err := NewManager(Config{Service: svcA, DriftThreshold: 10, OnlineK: 4})
+	mgrA, err := NewManager(Config{Service: svcA, DriftThreshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,12 +394,9 @@ func TestManagerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dA.Status()
-	dA.mu.Lock()
-	centroidsA := append([][]float64(nil), dA.centroids...)
-	dA.mu.Unlock()
 
 	// Simulate the crash window: revision 3 reaches the WAL (the client
-	// was acked) but no control record or model update follows.
+	// was acked) but no control record update follows.
 	if err := svcA.Engine().KDB().AppendLiveBatch(kdb.LiveBatch{
 		Dataset:  "live-rec",
 		Revision: before.Revision + 1,
@@ -421,7 +409,7 @@ func TestManagerRecovery(t *testing.T) {
 	// A second service over the same directory (the WAL replays; the
 	// first is abandoned as a killed process would be).
 	svcB := testService(t, fastConfig(11, dir))
-	mgrB, err := NewManager(Config{Service: svcB, DriftThreshold: 10, OnlineK: 4})
+	mgrB, err := NewManager(Config{Service: svcB, DriftThreshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,18 +429,6 @@ func TestManagerRecovery(t *testing.T) {
 		t.Fatalf("recovered %d records, want %d", after.NumRecords, wantRecords)
 	}
 
-	// Fully persisted state round-trips exactly: replay a third manager
-	// after B persisted its catch-up, and the online model must match
-	// B's (the recluster seed derives from the revision).
-	dB.mu.Lock()
-	centroidsB := append([][]float64(nil), dB.centroids...)
-	dB.mu.Unlock()
-	if len(centroidsB) == 0 || reflect.DeepEqual(centroidsA, centroidsB) {
-		// (different revisions re-cluster with different seeds over
-		// different data; equality would suggest the catch-up never ran)
-		t.Fatalf("catch-up recluster suspect: %d centroids", len(centroidsB))
-	}
-
 	// The recovered dataset keeps accepting appends.
 	if _, err := dB.Append(nil, []Patient{{ID: "PR-1", Age: 40}},
 		[]Record{{PatientID: "PR-1", ExamCode: first.exams[0].Code, Date: time.Now()}}); err != nil {
@@ -463,88 +439,143 @@ func TestManagerRecovery(t *testing.T) {
 	}
 }
 
-// TestOnlineReclusterDeterministic: the same appends against two
-// managers produce identical online models (the recluster seed is a
-// pure function of engine seed and revision).
-func TestOnlineReclusterDeterministic(t *testing.T) {
-	build := func() [][]float64 {
-		svc := testService(t, fastConfig(13, ""))
-		mgr, err := NewManager(Config{Service: svc, DriftThreshold: 10, OnlineK: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full := genLog(t, 13, 40, 400)
-		first, rest := splitLog(full, 2)
-		if _, err := mgr.Register("live-det", first.exams, first.patients, first.records); err != nil {
-			t.Fatal(err)
-		}
-		d, _ := mgr.Get("live-det")
-		for _, b := range rest {
-			if len(b.patients) == 0 && len(b.records) == 0 {
-				continue
-			}
-			if _, err := d.Append(nil, b.patients, b.records); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return append([][]float64(nil), d.centroids...)
+// TestAppendDuringFailedRegistration: an append that finds a dataset
+// whose registration then fails is refused with ErrUnknown, and
+// nothing of it survives a restart.
+func TestAppendDuringFailedRegistration(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("racing an append against a registration needs two Ps")
 	}
-	if a, b := build(), build(); !reflect.DeepEqual(a, b) {
-		t.Fatal("online model not deterministic across identical append schedules")
-	}
-}
-
-// TestOnlineModelDigestPinned pins the online model's bits: a fixed
-// register-plus-appends schedule runs through Dataset.Append, and the
-// SHA-256 over every revision's modelRev and centroid bits must equal
-// the recorded value. Any change to the mini-batch step — its
-// assignment kernel, sampling, update order or seeding — that moves a
-// single bit of any revision's model fails here.
-func TestOnlineModelDigestPinned(t *testing.T) {
-	const want = "db78ce4cbd91b21e239c659a9e950f712772729a20c3ad1d5fafc6b7643d0e5b"
-	svc := testService(t, fastConfig(17, ""))
-	mgr, err := NewManager(Config{Service: svc, DriftThreshold: 10, OnlineK: 8})
+	dir := t.TempDir()
+	svc := testService(t, fastConfig(19, dir))
+	mgr, err := NewManager(Config{Service: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := genLog(t, 17, 160, 2000)
-	first, rest := splitLog(full, 10)
-	if _, err := mgr.Register("live-pin", first.exams, first.patients, first.records); err != nil {
+	// A large log whose last record names an unknown patient: Check
+	// rejects it only after the dataset is published.
+	bad := genLog(t, 19, 3000, 12000)
+	records := append(append([]Record(nil), bad.Records...),
+		Record{PatientID: "ghost", ExamCode: bad.Exams[0].Code, Date: time.Now()})
+
+	raced := 0
+	for attempt := 0; attempt < 20 && raced == 0; attempt++ {
+		name := fmt.Sprintf("live-race-%d", attempt)
+		done := make(chan struct{})
+		appendErr := make(chan error, 1)
+		go func() {
+			defer close(appendErr)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if d, ok := mgr.Get(name); ok {
+					_, err := d.Append([]Exam{{Code: "RX"}}, []Patient{{ID: "RP"}},
+						[]Record{{PatientID: "RP", ExamCode: "RX", Date: time.Now()}})
+					appendErr <- err
+					return
+				}
+			}
+		}()
+		if _, err := mgr.Register(name, bad.Exams, bad.Patients, records); err == nil {
+			t.Fatal("registration with a dangling record accepted")
+		}
+		close(done)
+		err, ok := <-appendErr
+		if !ok {
+			continue // the append never found the dataset
+		}
+		raced++
+		if !errors.Is(err, ErrUnknown) {
+			t.Fatalf("append during a failed registration: err %v, want ErrUnknown", err)
+		}
+		if _, ok := mgr.Get(name); ok {
+			t.Fatalf("%s still registered after its registration failed", name)
+		}
+	}
+	if raced == 0 {
+		t.Fatal("no append found a dataset while its registration ran")
+	}
+
+	// Nothing was made durable: a restarted manager knows no dataset.
+	svcB := testService(t, fastConfig(19, dir))
+	mgrB, err := NewManager(Config{Service: svcB})
+	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := mgr.Get("live-pin")
-	h := sha256.New()
-	fold := func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(d.modelRev))
-		h.Write(buf[:])
-		for _, c := range d.centroids {
-			for _, v := range c {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
-		}
+	if got := mgrB.Datasets(); len(got) != 0 {
+		t.Fatalf("restart resurrected %d datasets: %+v", len(got), got)
 	}
-	fold()
-	revisions := 1
-	for _, b := range rest {
-		if len(b.patients) == 0 && len(b.records) == 0 {
-			continue
-		}
-		if _, err := d.Append(nil, b.patients, b.records); err != nil {
-			t.Fatal(err)
-		}
-		fold()
-		revisions++
+}
+
+// TestRecoverLegacyControlRecord: a live_datasets control record in
+// the shape older builds wrote, which also carries the retired online
+// model's model_revision, centroids and features, recovers without a
+// migration, and the dataset keeps taking appends.
+func TestRecoverLegacyControlRecord(t *testing.T) {
+	dir := t.TempDir()
+	svcA := testService(t, fastConfig(23, dir))
+	k := svcA.Engine().KDB()
+	log := genLog(t, 23, 40, 400)
+	if err := k.AppendLiveBatch(kdb.LiveBatch{
+		Dataset: "legacy", Revision: 1,
+		Exams: log.Exams, Patients: log.Patients, Records: log.Records,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if revisions < 8 {
-		t.Fatalf("schedule produced only %d revisions", revisions)
+	baseline := stats.Characterize(log)
+	raw, err := json.Marshal(map[string]any{
+		"_id":            "live:legacy",
+		"dataset":        "legacy",
+		"revision":       1,
+		"model_revision": 1,
+		"centroids":      [][]float64{{0.5, 0.25}, {0, 1}},
+		"features":       []string{log.Exams[0].Code, log.Exams[1].Code},
+		"baseline":       baseline,
+		"drift":          0.02,
+		"last_analysis":  "job-9",
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("online model digest over %d revisions = %s, want %s", revisions, got, want)
+	var doc docstore.Document
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Store().Collection(kdb.CollLiveDatasets).Insert(doc); err != nil {
+		t.Fatal(err)
+	}
+
+	// A second service over the same directory replays the WAL.
+	svcB := testService(t, fastConfig(23, dir))
+	mgr, err := NewManager(Config{Service: svcB, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := mgr.Get("legacy")
+	if !ok {
+		t.Fatal("legacy control record did not recover its dataset")
+	}
+	st := d.Status()
+	if st.Revision != 1 || st.ModelRevision != 1 || st.NumRecords != len(log.Records) ||
+		st.Drift != 0.02 || st.LastAnalysis != "job-9" {
+		t.Fatalf("recovered status = %+v", st)
+	}
+	d.mu.Lock()
+	gotPatients := d.baseline.NumPatients
+	d.mu.Unlock()
+	if gotPatients != baseline.NumPatients {
+		t.Fatalf("recovered baseline has %d patients, want %d", gotPatients, baseline.NumPatients)
+	}
+
+	st, err = d.Append(nil, []Patient{{ID: "PL-1", Age: 52}},
+		[]Record{{PatientID: "PL-1", ExamCode: log.Exams[0].Code, Date: time.Now()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Revision != 2 || st.NumRecords != len(log.Records)+1 {
+		t.Fatalf("post-recovery append status = %+v", st)
 	}
 }
