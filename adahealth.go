@@ -62,7 +62,7 @@
 // the K-DB does not store them).
 //
 // With Config.KDBDir set, the knowledge base is a durable storage
-// engine: per-dataset sharded collections, a group-committed
+// engine: dataset-indexed collections, a group-committed
 // write-ahead log (a killed process recovers every acknowledged write
 // on reopen), and snapshot compaction. Accumulated knowledge closes
 // the paper's self-learning loop — the pipeline's recall stage
@@ -108,7 +108,7 @@ type (
 	// KDB is the knowledge database: the four of the paper's six
 	// collections that something reads back, each read through a typed
 	// accessor (TopKnowledge, KnowledgeItems, SimilarDatasets, …), and
-	// backed by a sharded, WAL-durable document store when
+	// backed by an indexed, WAL-durable document store when
 	// Config.KDBDir is set.
 	KDB = kdb.KDB
 	// DatasetSimilarity is one hit of a descriptor-similarity lookup

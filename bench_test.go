@@ -220,7 +220,6 @@ func BenchmarkDocstore(b *testing.B) {
 		}
 		defer s.Close()
 		c := s.Collection("knowledge")
-		c.ShardBy("dataset")
 		b.ReportAllocs()
 		b.ResetTimer()
 		n := 0
@@ -236,7 +235,7 @@ func BenchmarkDocstore(b *testing.B) {
 		}
 	})
 	// WALInsertParallel exercises the group commit: concurrent writers
-	// over different dataset stripes share fsync batches.
+	// over different datasets share fsync batches.
 	b.Run("WALInsertParallel", func(b *testing.B) {
 		s, err := docstore.OpenOptions(docstore.Options{Dir: b.TempDir(), NoSync: true})
 		if err != nil {
@@ -244,7 +243,6 @@ func BenchmarkDocstore(b *testing.B) {
 		}
 		defer s.Close()
 		c := s.Collection("knowledge")
-		c.ShardBy("dataset")
 		b.ReportAllocs()
 		b.ResetTimer()
 		var wid atomic.Int64

@@ -72,7 +72,7 @@ func (b *Batch) finish(err error) error {
 }
 
 // log enqueues the WAL frame of a mutation the caller has just applied
-// under a shard lock (which is what orders frames touching one
+// under the collection lock (which is what orders frames touching one
 // document) and remembers the group commit that will carry it.
 func (b *Batch) log(rec walRecord) error {
 	if b.s.wal == nil {
@@ -117,10 +117,7 @@ func (b *Batch) Insert(c *Collection, doc Document) (string, error) {
 
 // Update replaces the document with the given ID (the _id field of the
 // replacement is forced to id); a missing ID fails and leaves the
-// batch usable. A replacement whose shard-key value differs moves the
-// document to its new stripe; lock-free readers (Get/Find) may
-// transiently miss a document mid-move, which is the one
-// linearizability caveat of the striped layout.
+// batch usable.
 func (b *Batch) Update(c *Collection, id string, doc Document) error {
 	cp := copyDoc(doc)
 	cp["_id"] = id
@@ -139,60 +136,42 @@ func (b *Batch) Upsert(c *Collection, doc Document) (string, error) {
 }
 
 // put applies one insert, update or upsert of cp (already a private
-// copy) in memory and enqueues its frame.
+// copy) in memory and enqueues its frame. The existence check, the
+// write and the enqueue are one step under the collection lock; the
+// durability wait comes after, so writers still share group commits.
 func (b *Batch) put(c *Collection, cp Document, mode putMode) (string, error) {
 	if err := b.check(c); err != nil {
 		return "", err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	id := cp.ID()
 	// An update never generates: its empty ID is looked up, and missed,
 	// like any other.
 	generated := id == "" && mode != putUpdate
 	if generated {
-		id = fmt.Sprintf("%s-%08d", c.name, c.idSeq.Add(1))
+		c.idSeq++
+		id = fmt.Sprintf("%s-%08d", c.name, c.idSeq)
 		cp["_id"] = id
 	}
-
-	// An explicit ID can already live in any stripe (documents stripe
-	// by shard-key value), so its existence check scans them all;
-	// explicitMu makes scan-then-write atomic against concurrent
-	// explicit-ID inserts, cross-stripe moves and deletes. It is
-	// released once the document is visible in its shard — before the
-	// durability wait — so explicit writes still share group commits.
-	// Generated IDs are unique by construction and skip the scan.
-	var src *shard
-	if !generated {
-		c.explicitMu.Lock()
-		defer c.explicitMu.Unlock()
-		var exists bool
-		src, exists = c.findShard(id)
-		if exists && mode == putInsert {
-			return "", fmt.Errorf("docstore: duplicate _id %q in collection %s", id, c.name)
-		}
-		if !exists && mode == putUpdate {
-			return "", fmt.Errorf("docstore: update of missing _id %q in %s", id, c.name)
-		}
+	old, exists := c.docs[id]
+	if exists && (mode == putInsert || generated) {
+		return "", fmt.Errorf("docstore: duplicate _id %q in collection %s", id, c.name)
+	}
+	if !exists && mode == putUpdate {
+		return "", fmt.Errorf("docstore: update of missing _id %q in %s", id, c.name)
 	}
 
-	dst := c.shards[c.shardIndex(cp)]
 	rec := walRecord{Collection: c.name, ID: id, Doc: cp}
-	if src != nil {
-		lockPair(src, dst)
-		defer unlockPair(src, dst)
-		old := src.docs[id]
-		src.unindexEntry(old.doc)
-		delete(src.docs, id)
+	if exists {
+		c.unindex(id, old.doc)
 		rec.Op, rec.Order = opUpdate, old.order
 	} else {
-		dst.mu.Lock()
-		defer dst.mu.Unlock()
-		if _, exists := dst.docs[id]; exists {
-			return "", fmt.Errorf("docstore: duplicate _id %q in collection %s", id, c.name)
-		}
-		rec.Op, rec.Order, rec.IDSeq = opInsert, c.orderSeq.Add(1), c.idSeq.Load()
+		c.orderSeq++
+		rec.Op, rec.Order, rec.IDSeq = opInsert, c.orderSeq, c.idSeq
 	}
-	dst.docs[id] = &entry{doc: cp, order: rec.Order}
-	dst.indexEntry(cp)
+	c.docs[id] = &entry{doc: cp, order: rec.Order}
+	c.index(id, cp)
 	if err := b.log(rec); err != nil {
 		return "", err
 	}
@@ -205,18 +184,13 @@ func (b *Batch) Delete(c *Collection, id string) error {
 	if err := b.check(c); err != nil {
 		return err
 	}
-	// Same scan-atomicity protocol as put: the find must not race a
-	// cross-stripe move.
-	c.explicitMu.Lock()
-	defer c.explicitMu.Unlock()
-	sh, ok := c.findShard(id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.docs[id]
 	if !ok {
 		return fmt.Errorf("docstore: delete of missing _id %q in %s", id, c.name)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := sh.docs[id]
-	sh.unindexEntry(old.doc)
-	delete(sh.docs, id)
+	c.unindex(id, old.doc)
+	delete(c.docs, id)
 	return b.log(walRecord{Op: opDelete, Collection: c.name, ID: id})
 }

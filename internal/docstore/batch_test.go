@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -21,7 +22,6 @@ func TestBatchContract(t *testing.T) {
 	}
 	defer s.Close()
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 	if _, err := c.Insert(Document{"_id": "first", "dataset": "d1", "v": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,6 @@ func TestConcurrentUpsertsOfOneID(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 	const writers, ids = 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -110,8 +109,8 @@ func TestConcurrentUpsertsOfOneID(t *testing.T) {
 			b := s.Begin()
 			defer b.Commit()
 			for i := 0; i < ids; i++ {
-				// Different shard keys per writer: the same ID moves
-				// between stripes under contention.
+				// Different datasets per writer: the same ID changes
+				// dataset under contention.
 				doc := Document{"_id": fmt.Sprintf("k%d", i), "dataset": fmt.Sprintf("d%d", w)}
 				if _, err := b.Upsert(c, doc); err != nil {
 					t.Errorf("writer %d upsert %d: %v", w, i, err)
@@ -122,5 +121,52 @@ func TestConcurrentUpsertsOfOneID(t *testing.T) {
 	wg.Wait()
 	if got := c.Count(); got != ids {
 		t.Errorf("%d documents after racing upserts, want %d", got, ids)
+	}
+}
+
+// TestReadersNeverMissMovedDocument: an update that changes a
+// document's dataset replaces it in one step, so a concurrent Get or
+// Find never misses the live document.
+func TestReadersNeverMissMovedDocument(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Collection("items")
+	c.CreateIndex("dataset")
+	if _, err := c.Insert(Document{"_id": "x", "dataset": "d0"}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var reads, misses atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_, ok := c.Get("x")
+				if !ok || len(c.Find()) != 1 {
+					misses.Add(1)
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for i := 1; i <= 20000; i++ {
+		if err := c.Update("x", Document{"dataset": fmt.Sprintf("d%d", i%16)}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n := misses.Load(); n > 0 {
+		t.Errorf("%d of %d reads missed the document", n, reads.Load())
 	}
 }

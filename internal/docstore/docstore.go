@@ -13,18 +13,20 @@
 //
 // # Storage engine
 //
-// Each collection is striped into a fixed set of shards keyed by a
-// configurable shard field (ShardBy; the K-DB stripes by dataset), so
-// concurrent readers and writers touching different datasets take
-// different locks. A disk-backed store appends every mutation to an
-// append-only WAL before acknowledging it; concurrent writers share
-// one fsync through group commit. Reopening a store loads the latest
-// per-collection snapshot and replays the WAL tail over it — a torn
-// final record (crash mid-write) is detected by CRC framing and
-// truncated, recovering the state of the last durable commit.
-// Flush compacts when the WAL has outgrown its budget: snapshots are
-// rewritten and the log is reset; replay is idempotent, so a crash
-// between the two steps loses nothing.
+// Each collection is one map of documents and its equality indexes
+// under one read-write lock. Every write already waits on the one WAL
+// committer and holds the lock only for its in-memory apply, and a
+// dataset-scoped read goes through the dataset index, so finer locks
+// would buy nothing; with one lock an update replaces a document in
+// one step, and no reader ever misses it. A disk-backed store appends
+// every mutation to an append-only WAL before acknowledging it;
+// concurrent writers share one fsync through group commit. Reopening
+// a store loads the latest per-collection snapshot and replays the
+// WAL tail over it — a torn final record (crash mid-write) is detected
+// by CRC framing and truncated, recovering the state of the last
+// durable commit. Flush compacts when the WAL has outgrown its budget:
+// snapshots are rewritten and the log is reset; replay is idempotent,
+// so a crash between the two steps loses nothing.
 //
 // # Batches
 //

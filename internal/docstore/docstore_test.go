@@ -171,14 +171,13 @@ func TestIndexedFind(t *testing.T) {
 	}
 }
 
-// TestWalkEqIsFindEqWithoutCopies: on the shard-field index and on the
+// TestWalkEqIsFindEqWithoutCopies: on the dataset index and on the
 // scan fallback, WalkEq visits exactly the documents FindEq returns
 // copies of, in the same insertion order, and it stops when fn returns
 // false.
 func TestWalkEqIsFindEqWithoutCopies(t *testing.T) {
 	s, _ := Open("")
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 	c.CreateIndex("dataset")
 	for i := 0; i < 60; i++ {
 		c.Insert(Document{"dataset": fmt.Sprintf("d%d", i%3), "n": i % 7})
@@ -225,7 +224,7 @@ func TestNumericNormalization(t *testing.T) {
 // TestNonScalarIndexedFieldMatchesNothing: a document whose indexed
 // field holds an object, an array or null is stored, reloaded, updated
 // and deleted like any other, and matches no equality lookup. The
-// K-DB layout (stripe and index by dataset) runs over every document a
+// K-DB layout (an index on dataset) runs over every document a
 // reopened store loads, so such a value must not panic it.
 func TestNonScalarIndexedFieldMatchesNothing(t *testing.T) {
 	dir := t.TempDir()
@@ -254,7 +253,6 @@ func TestNonScalarIndexedFieldMatchesNothing(t *testing.T) {
 	}
 	defer s.Close()
 	c = s.Collection("items")
-	c.ShardBy("dataset")
 	c.CreateIndex("dataset")
 	if _, err := c.Insert(Document{"_id": "late", "dataset": map[string]any{"name": "ward-b"}}); err != nil {
 		t.Fatal(err)

@@ -215,7 +215,6 @@ func TestBatchesRacingCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 
 	const writers, batches, perBatch = 4, 12, 6
 	var wg sync.WaitGroup

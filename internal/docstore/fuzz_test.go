@@ -13,7 +13,7 @@ import (
 // be the input cut at a frame boundary (the committed prefix, every
 // frame whole), and reopening it must give the same documents and the
 // same WAL size: recovery is idempotent. Each open also applies the
-// K-DB's layout (every collection striped and indexed by dataset) and
+// K-DB's layout (every collection indexed by dataset) and
 // runs one indexed FindEq, which must return exactly the documents
 // whose dataset is that string. The store is released without Close,
 // as a killed process leaves it, because Close compacts.
@@ -37,7 +37,6 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			for _, name := range s.CollectionNames() {
 				c := s.Collection(name)
-				c.ShardBy("dataset")
 				c.CreateIndex("dataset")
 				var want []Document
 				for _, d := range c.Find() {

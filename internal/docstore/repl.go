@@ -53,30 +53,7 @@ func writeReplMeta(fsys faultfs.FS, dir string, epoch int64) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, replMetaFile+".tmp")
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, replMetaFile)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeRawFile(fsys, dir, replMetaFile, raw)
 }
 
 // ReplPosition identifies a point in a store's replication stream:
@@ -410,20 +387,12 @@ func (r *Replica) ApplyFrames(data []byte) (consumed int, applied int64, err err
 			return 0, 0, werr
 		}
 		for _, rec := range recs {
-			if aerr := r.applyRecord(rec); aerr != nil {
+			if aerr := r.s.applyRecord(rec); aerr != nil {
 				return 0, 0, aerr
 			}
 		}
 	}
 	return off, int64(len(recs)), err
-}
-
-func (r *Replica) applyRecord(rec walRecord) error {
-	if rec.Collection == "" || rec.ID == "" {
-		return fmt.Errorf("docstore: replicated record without collection/id")
-	}
-	r.s.Collection(rec.Collection).applyReplicated(rec)
-	return nil
 }
 
 // InstallSnapshot replaces the replica's entire state with a leader
@@ -432,8 +401,8 @@ func (r *Replica) applyRecord(rec walRecord) error {
 // negative (durably) before any file changes, so an interrupted
 // install is detected on reopen and re-bootstrapped from scratch, and
 // only flips to the new epoch after every file and the reset WAL are
-// durable. In-memory collections are reloaded in place, preserving
-// shard-field and index configuration.
+// durable. In-memory collections are reloaded in place, keeping their
+// indexes.
 func (r *Replica) InstallSnapshot(epoch int64, files map[string][]byte) error {
 	if epoch < 0 {
 		return fmt.Errorf("docstore: snapshot with negative epoch %d", epoch)
@@ -442,17 +411,9 @@ func (r *Replica) InstallSnapshot(epoch int64, files map[string][]byte) error {
 	// destroy the current state.
 	snaps := make(map[string]snapshotFile, len(files))
 	for name, raw := range files {
-		var snap snapshotFile
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("docstore: decoding snapshot %s: %w", name, err)
-		}
-		if snap.IDSeq == 0 && snap.Seq != 0 {
-			snap.IDSeq = snap.Seq
-		}
-		for _, d := range snap.Docs {
-			if d.ID() == "" {
-				return fmt.Errorf("docstore: snapshot %s holds a document without _id", name)
-			}
+		snap, err := decodeSnapshot(name, raw)
+		if err != nil {
+			return err
 		}
 		snaps[name] = snap
 	}
@@ -520,11 +481,11 @@ func (r *Replica) InstallSnapshot(epoch int64, files map[string][]byte) error {
 	s.mu.RUnlock()
 	for _, name := range existing {
 		if _, ok := snaps[name]; !ok {
-			s.Collection(name).installSnapshot(snapshotFile{})
+			s.Collection(name).load(snapshotFile{})
 		}
 	}
 	for name, snap := range snaps {
-		s.Collection(name).installSnapshot(snap)
+		s.Collection(name).load(snap)
 	}
 	s.epoch.Store(epoch)
 	r.epoch = epoch

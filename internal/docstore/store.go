@@ -106,12 +106,19 @@ func OpenOptions(o Options) (*Store, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		if err := s.loadSnapshot(strings.TrimSuffix(name, ".json")); err != nil {
+		coll := strings.TrimSuffix(name, ".json")
+		raw, err := s.fs.ReadFile(filepath.Join(o.Dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("docstore: loading collection %s: %w", coll, err)
+		}
+		snap, err := decodeSnapshot(coll, raw)
+		if err != nil {
 			return nil, err
 		}
+		s.Collection(coll).load(snap)
 	}
-	// Replay the WAL tail over the snapshots. Recovery is
-	// single-threaded, so records apply without taking shard locks.
+	// Replay the WAL tail over the snapshots, through the same apply a
+	// replica runs on shipped frames.
 	w, err := openWAL(s.fs, filepath.Join(o.Dir, "wal.log"), !o.NoSync, s.applyRecord)
 	if err != nil {
 		return nil, err
@@ -120,23 +127,13 @@ func OpenOptions(o Options) (*Store, error) {
 	return s, nil
 }
 
-// applyRecord folds one replayed WAL record into the in-memory state.
+// applyRecord folds one replayed or replicated WAL record into the
+// in-memory state.
 func (s *Store) applyRecord(rec walRecord) error {
 	if rec.Collection == "" || rec.ID == "" {
 		return fmt.Errorf("docstore: WAL record without collection/id")
 	}
-	c := s.Collection(rec.Collection)
-	switch rec.Op {
-	case opInsert:
-		c.applyInsert(rec)
-	case opUpdate:
-		c.applyUpdate(rec)
-	case opDelete:
-		c.applyDelete(rec)
-	default:
-		return fmt.Errorf("docstore: unknown WAL op %q", rec.Op)
-	}
-	return nil
+	return s.Collection(rec.Collection).apply(rec)
 }
 
 // Collection returns the named collection, creating it if needed.
@@ -330,83 +327,28 @@ type snapshotFile struct {
 	Seq int64 `json:"seq,omitempty"`
 }
 
-func (s *Store) writeSnapshot(c *Collection) error {
-	entries := c.collect(nil)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].order < entries[j].order })
-	snap := snapshotFile{
-		IDSeq:    c.idSeq.Load(),
-		OrderSeq: c.orderSeq.Load(),
-		Docs:     make([]Document, len(entries)),
-		Orders:   make([]int64, len(entries)),
-	}
-	for i, e := range entries {
-		snap.Docs[i] = e.doc
-		snap.Orders[i] = e.order
-	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(s.dir, c.name+".json.tmp")
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, c.name+".json")); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-func (s *Store) loadSnapshot(name string) error {
-	raw, err := s.fs.ReadFile(filepath.Join(s.dir, name+".json"))
-	if err != nil {
-		return fmt.Errorf("docstore: loading collection %s: %w", name, err)
-	}
+// decodeSnapshot parses one collection's snapshot file, reading the
+// legacy ID counter and rejecting a document without an _id.
+func decodeSnapshot(name string, raw []byte) (snapshotFile, error) {
 	var snap snapshotFile
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("docstore: decoding collection %s: %w", name, err)
+		return snap, fmt.Errorf("docstore: decoding collection %s: %w", name, err)
 	}
-	c := newCollection(s, name)
 	if snap.IDSeq == 0 && snap.Seq != 0 {
 		snap.IDSeq = snap.Seq // legacy format
 	}
-	c.idSeq.Store(snap.IDSeq)
-	var maxOrder int64
-	for i, d := range snap.Docs {
-		id := d.ID()
-		if id == "" {
-			return fmt.Errorf("docstore: collection %s holds a document without _id", name)
-		}
-		order := int64(i + 1)
-		if i < len(snap.Orders) {
-			order = snap.Orders[i]
-		}
-		sh := c.shards[c.shardIndex(d)]
-		sh.docs[id] = &entry{doc: d, order: order}
-		if order > maxOrder {
-			maxOrder = order
+	for _, d := range snap.Docs {
+		if d.ID() == "" {
+			return snap, fmt.Errorf("docstore: collection %s holds a document without _id", name)
 		}
 	}
-	if snap.OrderSeq > maxOrder {
-		maxOrder = snap.OrderSeq
+	return snap, nil
+}
+
+func (s *Store) writeSnapshot(c *Collection) error {
+	raw, err := json.Marshal(c.snapshot())
+	if err != nil {
+		return err
 	}
-	c.orderSeq.Store(maxOrder)
-	s.collections[name] = c
-	return nil
+	return writeRawFile(s.fs, s.dir, c.name+".json", raw)
 }

@@ -252,12 +252,12 @@ func (r *walReader) Read(p []byte) (int, error) {
 }
 
 // enqueue frames rec into the pending batch and returns the batch to
-// wait on. It is cheap (no I/O) and safe to call while holding a shard
-// lock, which is what serializes records touching one document into
-// log order. It does not wake the committer: the frame rides whichever
-// group commit comes next, and a writer about to wait calls kick, so a
-// many-frame Batch costs one commit rather than one per frame the
-// committer happened to catch.
+// wait on. It is cheap (no I/O) and safe to call while holding a
+// collection lock, which is what serializes records touching one
+// document into log order. It does not wake the committer: the frame
+// rides whichever group commit comes next, and a writer about to wait
+// calls kick, so a many-frame Batch costs one commit rather than one
+// per frame the committer happened to catch.
 func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {

@@ -112,8 +112,8 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 	}
 
 	// One batch over both collections, one frame per mutation: every
-	// kind, an upsert taking each of its two paths, and a shard-key
-	// move. In-memory visibility precedes durability, so the state
+	// kind, an upsert taking each of its two paths, and a dataset
+	// change. In-memory visibility precedes durability, so the state
 	// after each mutation is the state its frame must recover.
 	a, b := s.Collection("a"), s.Collection("b")
 	batch := s.Begin()
@@ -289,17 +289,16 @@ func TestFlushCompactsBeyondBudget(t *testing.T) {
 	s.Close()
 }
 
-// TestShardByGroupsAndFinds checks dataset striping: FindEq on the
-// shard field stays correct (and single-stripe), cross-shard Get /
-// Update / Delete resolve IDs wherever they live, and an update that
-// changes the shard key moves the document.
+// TestShardByGroupsAndFinds checks the dataset index: FindEq on it
+// stays correct and in insertion order, Get / Update / Delete resolve
+// IDs, and an update that changes the dataset moves the document to
+// its new index key.
 func TestShardByGroupsAndFinds(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 	c.CreateIndex("dataset")
 	var ids []string
 	for i := 0; i < 64; i++ {
@@ -320,11 +319,11 @@ func TestShardByGroupsAndFinds(t *testing.T) {
 			}
 		}
 	}
-	// Cross-shard ID ops.
+	// ID ops.
 	if _, ok := c.Get(ids[13]); !ok {
 		t.Fatal("Get by ID failed under dataset striping")
 	}
-	// Shard-key change moves the document.
+	// A dataset change moves the document.
 	if err := c.Update(ids[13], Document{"dataset": "moved", "n": 13}); err != nil {
 		t.Fatal(err)
 	}
@@ -340,22 +339,21 @@ func TestShardByGroupsAndFinds(t *testing.T) {
 	if _, ok := c.Get(ids[13]); ok {
 		t.Fatal("deleted doc still visible")
 	}
-	// Duplicate explicit IDs are rejected across stripes.
+	// Duplicate explicit IDs are rejected whatever their dataset.
 	if _, err := c.Insert(Document{"_id": ids[20], "dataset": "other"}); err == nil {
 		t.Fatal("duplicate _id accepted across shard keys")
 	}
 }
 
 // TestConcurrentExplicitIDInsertRejected: two racing inserts of the
-// same explicit _id under different shard-key values must resolve to
-// exactly one winner (the duplicate check is atomic across stripes).
+// same explicit _id under different dataset values must resolve to
+// exactly one winner (the duplicate check and the write are atomic).
 func TestConcurrentExplicitIDInsertRejected(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 	for round := 0; round < 200; round++ {
 		id := fmt.Sprintf("race-%d", round)
 		results := make(chan error, 2)
@@ -382,7 +380,7 @@ func TestConcurrentExplicitIDInsertRejected(t *testing.T) {
 }
 
 // TestConcurrentReadersWritersDurable exercises the full engine under
-// the race detector: striped writers, concurrent readers, a flusher,
+// the race detector: per-dataset writers, concurrent readers, a flusher,
 // and an end-state recovery check.
 func TestConcurrentReadersWritersDurable(t *testing.T) {
 	dir := t.TempDir()
@@ -393,7 +391,6 @@ func TestConcurrentReadersWritersDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Collection("items")
-	c.ShardBy("dataset")
 	c.CreateIndex("dataset")
 
 	const writers, perWriter, readers = 8, 40, 4

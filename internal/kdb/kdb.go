@@ -16,11 +16,9 @@
 // its recall hit/miss rows in feedback, still load; nothing reads them.
 //
 // The store is the embedded document store of package docstore (the
-// MongoDB substitution; see DESIGN.md): every collection is striped
-// per dataset (lock striping keeps concurrent analyses of different
-// datasets off each other's locks), and a disk-backed K-DB is durable
-// — mutations hit a group-committed write-ahead log and survive a
-// daemon kill, with snapshot compaction bounding reopen time.
+// MongoDB substitution), and a disk-backed K-DB is durable — mutations
+// hit a group-committed write-ahead log and survive a daemon kill,
+// with snapshot compaction bounding reopen time.
 //
 // Every read is a typed accessor over one collection; there is no
 // generic query. SimilarDatasets ranks stored descriptors by
@@ -138,16 +136,10 @@ func OpenStore(opts docstore.Options) (*KDB, error) {
 	return newKDB(s), nil
 }
 
-// newKDB wraps s and applies the K-DB's striping and index layout —
-// shared by OpenStore and Follower so a replication follower answers
-// the same dataset-scoped reads with the same single-stripe paths.
+// newKDB wraps s and applies the K-DB's index layout — shared by
+// OpenStore and Follower so a replication follower answers the same
+// dataset-scoped reads through the same indexes.
 func newKDB(s *docstore.Store) *KDB {
-	// Stripe every collection by its dataset field: concurrent
-	// analyses of different datasets then write disjoint shards, and a
-	// dataset-scoped FindEq touches a single stripe.
-	for _, name := range collections {
-		s.Collection(name).ShardBy("dataset")
-	}
 	// Equality indexes on the access paths the pipeline uses.
 	s.Collection(CollClusterKI).CreateIndex("dataset")
 	s.Collection(CollPatternKI).CreateIndex("dataset")

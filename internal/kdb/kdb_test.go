@@ -55,7 +55,7 @@ func TestDescriptorsThroughCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Names chosen to stripe apart, the repeated one first and last.
+	// Three datasets, the repeated one first and last.
 	want := []stats.Descriptor{
 		descFixture("ward-a", 100, 1000, 0.5),
 		descFixture("ward-b", 200, 2000, 0.6),
