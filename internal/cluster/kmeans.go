@@ -398,6 +398,7 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 		}
 	}
 
+	prev := make([]float64, d) // a centroid before its update
 	res := &Result{K: opts.K, Algorithm: name.String()}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// One Lloyd iteration is the cancellation granularity of the
@@ -426,7 +427,7 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 			}
 		}
 
-		if updateCentroids(data, centroids, labels, sums, counts) <= opts.Tolerance {
+		if updateCentroids(data, centroids, labels, sums, counts, prev) <= opts.Tolerance {
 			res.Converged = true
 			break
 		}
@@ -462,8 +463,9 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 // assigned centroid; the point is claimed immediately (its label,
 // counts and sum contributions move to the repaired cluster) so that
 // a second empty cluster repaired in the same iteration cannot pick
-// the same farthest point.
-func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64, counts []int) float64 {
+// the same farthest point. prev is a length-d buffer the movement is
+// measured from.
+func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64, counts []int, prev []float64) float64 {
 	moved := 0.0
 	for c := range centroids {
 		if counts[c] == 0 {
@@ -484,7 +486,7 @@ func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64
 			}
 			continue
 		}
-		prev := vec.Clone(centroids[c])
+		copy(prev, centroids[c])
 		for j := range centroids[c] {
 			centroids[c][j] = sums[c][j] / float64(counts[c])
 		}

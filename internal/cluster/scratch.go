@@ -4,11 +4,9 @@ package cluster
 // per-iteration labels/counts/sums and the mini-batch kernel's sample,
 // row-memo and pruned-assignment buffers. A sweep evaluating many K
 // values on one dataset passes the same Scratch to every run via
-// Options.Scratch and cuts the per-K allocations to (almost) zero; a
-// live dataset passes one Scratch to every re-clustering as its matrix
-// grows. A buffer is allocated at exactly the size first asked for,
-// regrown geometrically (so a buffer tracking a growing dataset
-// reallocates O(log n) times), and never shrunk.
+// Options.Scratch and cuts the per-K allocations to (almost) zero. A
+// buffer is allocated at exactly the size first asked for, regrown
+// geometrically when a later run asks for more, and never shrunk.
 //
 // A Scratch must not be shared by concurrent runs — it is the working
 // state of exactly one run at a time. Results (Labels, Sizes,

@@ -11,13 +11,17 @@
 // Log is the row form, for I/O and the public API. Every stage that
 // characterizes or transforms a log reads its Encoded instead: integer
 // patient and exam keys per record, a civil-day number per record, and
-// the records grouped into visits by one integer sort. A Log caches
-// its Encoded; the Add methods keep it in step, appending to the
-// exported slices is noticed, and ReindexAfterLoad rebuilds it after
-// rows were rewritten in place. Encoded.Check reports whether the log
-// is referentially clean, which the service checks at admission and
-// core before an analysis; the encoding itself represents any log,
-// clean or not, so Characterize never fails.
+// the records grouped into visits by a counting sort on patient key. A
+// Log caches its Encoded; the Add methods keep it in step, appending
+// to the exported slices is noticed, and ReindexAfterLoad rebuilds it
+// after rows were rewritten in place. Keeping it in step costs what
+// was appended, not the log's history: new records are encoded and
+// grouped on their own and merged into the visits of the patients
+// they touch, which is an append when those patients are new.
+// Encoded.Check reports whether the log is referentially clean, which
+// the service checks at admission and core before an analysis; the
+// encoding itself represents any log, clean or not, so Characterize
+// never fails.
 //
 // A visit is a patient's records on one calendar date, the date being
 // the record's own: 23:30 at −05:00 is that day, not the next one in
@@ -162,9 +166,11 @@ func (l *Log) dicts() *Encoded {
 	return e
 }
 
-// Encoded returns the log's dictionary-coded form, encoding the
-// records not yet encoded and regrouping visits when records were
-// added.
+// Encoded returns the log's dictionary-coded form, bringing it up to
+// date with the rows appended since the last call: it encodes the new
+// records, merges them into the visits of the patients they touch, and
+// re-ranks the exam codes when new ones arrived. The result equals the
+// encoding a fresh Log over the same rows gives, field for field.
 func (l *Log) Encoded() *Encoded {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -176,7 +182,7 @@ func (l *Log) encodedLocked() *Encoded {
 	if len(e.Patient) < len(l.Records) {
 		e.encodeRecords(l.Records[len(e.Patient):])
 	}
-	if e.grouped != len(l.Records) {
+	if e.grouped != len(l.Records) || len(e.rank) != len(e.ExamCodes) {
 		e.group()
 	}
 	return e
@@ -238,22 +244,13 @@ func (l *Log) ExamFrequencies() map[string]int {
 	return freq
 }
 
-// TimeSpan returns the earliest and latest record dates. ok is false
-// when the log holds no records.
+// TimeSpan returns the earliest and latest record dates, the first
+// record holding each when several share the instant. ok is false
+// when the log holds no records. The encoding tracks both as it
+// encodes records, so this does not rescan them.
 func (l *Log) TimeSpan() (min, max time.Time, ok bool) {
-	if len(l.Records) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	min, max = l.Records[0].Date, l.Records[0].Date
-	for _, r := range l.Records[1:] {
-		if r.Date.Before(min) {
-			min = r.Date
-		}
-		if r.Date.After(max) {
-			max = r.Date
-		}
-	}
-	return min, max, true
+	e := l.Encoded()
+	return e.first, e.last, len(e.Day) > 0
 }
 
 // Visit is the set of exams one patient underwent on one date. Visits

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"time"
 )
@@ -11,8 +12,9 @@ import (
 // Encoded is the dictionary-coded form of a Log: every patient id and
 // exam code becomes an integer key, every record a (patient, exam,
 // civil day) triple of integers, and the records' grouping into visits
-// one integer sort. The characterization, transformation, demand and
-// pattern stages read it instead of hashing strings.
+// a counting sort by patient key. The characterization,
+// transformation, demand and pattern stages read it instead of
+// hashing strings.
 //
 // Keys below NumPatients are registration rows (a duplicated id maps
 // to its last row, as Patient(id) resolves it); a record naming an
@@ -21,8 +23,11 @@ import (
 // Exam keys follow the same rule against NumExams. Check reports
 // whether the log is referentially clean.
 //
-// An Encoded belongs to its Log and is read-only to callers. A regroup
-// after new records reuses the visit arrays, so a slice taken from an
+// The encoding follows appended rows at the cost of what they add:
+// new records are encoded and grouped on their own, and only the
+// patients they touch have their visits merged (group). An Encoded
+// belongs to its Log and is read-only to callers. A regroup after new
+// records rewrites the visit arrays in place, so a slice taken from an
 // Encoded is valid only until the next write to its log.
 type Encoded struct {
 	// PatientIDs and ExamCodes name every key: the registration rows in
@@ -62,6 +67,13 @@ type Encoded struct {
 	// grouped is the number of records the visit arrays cover, -1
 	// before the first grouping.
 	grouped int
+	// rank orders exam keys by code, the order of a visit's exams. It
+	// is rebuilt when a new code arrives.
+	rank []int32
+	// first and last are the earliest and latest record dates, the
+	// first record holding each when several share the instant: what
+	// Log.TimeSpan returns.
+	first, last time.Time
 }
 
 // newEncoded returns the registration dictionaries of l, with no
@@ -93,12 +105,18 @@ func newEncoded(l *Log) *Encoded {
 }
 
 // encodeRecords appends the columns of recs, giving unregistered ids
-// new keys.
+// new keys, and widens the time span to cover them.
 func (e *Encoded) encodeRecords(recs []Record) {
 	e.Patient = slices.Grow(e.Patient, len(recs))
 	e.Exam = slices.Grow(e.Exam, len(recs))
 	e.Day = slices.Grow(e.Day, len(recs))
 	for _, r := range recs {
+		if len(e.Day) == 0 || r.Date.Before(e.first) {
+			e.first = r.Date
+		}
+		if len(e.Day) == 0 || r.Date.After(e.last) {
+			e.last = r.Date
+		}
 		p, ok := e.patientOf[r.PatientID]
 		if !ok {
 			p = int32(len(e.PatientIDs))
@@ -175,27 +193,74 @@ func (e *Encoded) Check() error {
 	return nil
 }
 
-// group builds the visit arrays: a counting sort of the records by
-// patient key, a stable sort of each patient's records by day, then
-// one pass that cuts runs of equal day into visits.
+// group brings the visit arrays up to date with the records encoded
+// since the last grouping, regrouping only the patients those records
+// touch. It cuts the new records into visits after the existing ones
+// (a counting sort by patient key over the keys they span, then a sort
+// of each patient's records by day) and counts the (patient, exam)
+// pairs they add. When the new visits do not all sort after the last
+// existing one, splice merges them in. A first grouping is the same
+// routine with every patient touched; so is any grouping of a log
+// that holds unregistered patient ids, which placeUnregistered then
+// moves to where registration order puts them.
 func (e *Encoded) group() {
-	n, keys := len(e.Patient), len(e.PatientIDs)
-	start := make([]int32, keys+1)
-	for _, p := range e.Patient {
-		start[p+1]++
+	if len(e.rank) != len(e.ExamCodes) {
+		e.rankExams()
 	}
-	for k := 0; k < keys; k++ {
+	from := e.grouped
+	if from < 0 || len(e.PatientIDs) > e.NumPatients {
+		from = 0
+		e.VisitPatient, e.VisitDay, e.VisitExams = e.VisitPatient[:0], e.VisitDay[:0], e.VisitExams[:0]
+		e.VisitPtr = append(e.VisitPtr[:0], 0)
+		e.DistinctPairs = 0
+	}
+	if from < len(e.Patient) {
+		e.groupFrom(from)
+	}
+	if len(e.PatientIDs) > e.NumPatients {
+		e.placeUnregistered()
+	}
+	e.grouped = len(e.Patient)
+}
+
+// rankExams orders exam keys by code, the order of a visit's exams.
+func (e *Encoded) rankExams() {
+	byCode := make([]int32, len(e.ExamCodes))
+	for i := range byCode {
+		byCode[i] = int32(i)
+	}
+	slices.SortStableFunc(byCode, func(a, b int32) int { return strings.Compare(e.ExamCodes[a], e.ExamCodes[b]) })
+	e.rank = make([]int32, len(e.ExamCodes))
+	for r, x := range byCode {
+		e.rank[x] = int32(r)
+	}
+}
+
+// groupFrom groups records [from:] into visits appended after the
+// existing ones, then splices them in unless they already sort last.
+func (e *Encoded) groupFrom(from int) {
+	recs := e.Patient[from:]
+	lo, hi := recs[0], recs[0]
+	for _, p := range recs {
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	span := int(hi-lo) + 1
+	start := make([]int32, span+1)
+	for _, p := range recs {
+		start[p-lo+1]++
+	}
+	for k := 0; k < span; k++ {
 		start[k+1] += start[k]
 	}
-	order := make([]int32, n)
-	next := slices.Clone(start[:keys])
-	for i, p := range e.Patient {
-		order[next[p]] = int32(i)
-		next[p]++
+	order := make([]int32, len(recs))
+	next := slices.Clone(start[:span])
+	for i, p := range recs {
+		order[next[p-lo]] = int32(from + i)
+		next[p-lo]++
 	}
 	byDay := func(a, b int32) int { return cmp.Compare(e.Day[a], e.Day[b]) }
 	visits := 0
-	for k := 0; k < keys; k++ {
+	for k := 0; k < span; k++ {
 		g := order[start[k]:start[k+1]]
 		if len(g) > 1 {
 			slices.SortStableFunc(g, byDay)
@@ -207,34 +272,34 @@ func (e *Encoded) group() {
 		}
 	}
 
-	// rank orders exam keys by code, the order of a visit's exams.
-	rank := make([]int32, len(e.ExamCodes))
-	byCode := make([]int32, len(e.ExamCodes))
-	for i := range byCode {
-		byCode[i] = int32(i)
-	}
-	slices.SortStableFunc(byCode, func(a, b int32) int { return strings.Compare(e.ExamCodes[a], e.ExamCodes[b]) })
-	for r, x := range byCode {
-		rank[x] = int32(r)
-	}
-
-	e.VisitPatient = slices.Grow(e.VisitPatient[:0], visits)
-	e.VisitDay = slices.Grow(e.VisitDay[:0], visits)
-	e.VisitPtr = append(slices.Grow(e.VisitPtr[:0], visits+1), 0)
-	e.VisitExams = slices.Grow(e.VisitExams[:0], n)
-	e.DistinctPairs = 0
-	// pairStamp[x] is 1 + the last patient key seen with exam x;
-	// visitStamp[x] is 1 + the last visit holding it.
+	old, oldExams := e.NumVisits(), len(e.VisitExams)
+	e.VisitPatient = slices.Grow(e.VisitPatient, visits)
+	e.VisitDay = slices.Grow(e.VisitDay, visits)
+	e.VisitPtr = slices.Grow(e.VisitPtr, visits)
+	e.VisitExams = slices.Grow(e.VisitExams, len(recs))
+	// pairStamp[x] is 1 + the last patient key seen with exam x, its
+	// existing visits included; visitStamp[x] is 1 + the last visit
+	// holding it.
 	pairStamp := make([]int32, len(e.ExamCodes))
 	visitStamp := make([]int32, len(e.ExamCodes))
-	for k := 0; k < keys; k++ {
+	for k := 0; k < span; k++ {
 		g := order[start[k]:start[k+1]]
+		if len(g) == 0 {
+			continue
+		}
+		p := lo + int32(k)
+		stamp := p + 1
+		for v, _ := slices.BinarySearch(e.VisitPatient[:old], p); v < old && e.VisitPatient[v] == p; v++ {
+			for _, x := range e.VisitExams[e.VisitPtr[v]:e.VisitPtr[v+1]] {
+				pairStamp[x] = stamp
+			}
+		}
 		for i := 0; i < len(g); {
-			v, day, lo := int32(len(e.VisitPatient)+1), e.Day[g[i]], len(e.VisitExams)
+			v, day, first := int32(len(e.VisitPatient)+1), e.Day[g[i]], len(e.VisitExams)
 			for ; i < len(g) && e.Day[g[i]] == day; i++ {
 				x := e.Exam[g[i]]
-				if pairStamp[x] != int32(k+1) {
-					pairStamp[x] = int32(k + 1)
+				if pairStamp[x] != stamp {
+					pairStamp[x] = stamp
 					e.DistinctPairs++
 				}
 				if visitStamp[x] != v {
@@ -242,16 +307,117 @@ func (e *Encoded) group() {
 					e.VisitExams = append(e.VisitExams, x)
 				}
 			}
-			slices.SortFunc(e.VisitExams[lo:], func(a, b int32) int { return cmp.Compare(rank[a], rank[b]) })
-			e.VisitPatient = append(e.VisitPatient, int32(k))
+			slices.SortFunc(e.VisitExams[first:], func(a, b int32) int { return cmp.Compare(e.rank[a], e.rank[b]) })
+			e.VisitPatient = append(e.VisitPatient, p)
 			e.VisitDay = append(e.VisitDay, day)
 			e.VisitPtr = append(e.VisitPtr, int32(len(e.VisitExams)))
 		}
 	}
-	if keys > e.NumPatients {
-		e.placeUnregistered()
+	if old > 0 && !e.visitBefore(old-1, e.VisitPatient[old], e.VisitDay[old]) {
+		e.splice(old, oldExams)
 	}
-	e.grouped = n
+}
+
+// visitBefore reports whether visit v sorts before patient p's visit
+// on day.
+func (e *Encoded) visitBefore(v int, p int32, day int64) bool {
+	return e.VisitPatient[v] < p || e.VisitPatient[v] == p && e.VisitDay[v] < day
+}
+
+// splice merges the visits after the first old ones, which groupFrom
+// just cut from new records, into the old visits: a new visit on the
+// day of one of its patient's existing visits adds its exams to that
+// visit, and any other is inserted at its place. It works from the
+// back, in place, moving each old visit after the first insertion
+// once; the old visits before it stay where they are.
+func (e *Encoded) splice(old, oldExams int) {
+	newPatient := slices.Clone(e.VisitPatient[old:])
+	newDay := slices.Clone(e.VisitDay[old:])
+	newPtr := slices.Clone(e.VisitPtr[old:])
+	newExams := slices.Clone(e.VisitExams[oldExams:])
+	for i := range newPtr {
+		newPtr[i] -= int32(oldExams)
+	}
+	oldExamsOf := func(v int) []int32 { return e.VisitExams[e.VisitPtr[v]:e.VisitPtr[v+1]] }
+	newExamsOf := func(j int) []int32 { return newExams[newPtr[j]:newPtr[j+1]] }
+
+	// at[j] is the first old visit not before new visit j; the two
+	// merge when that visit is on the same patient and day.
+	at := make([]int, len(newPatient))
+	merges := func(j int) bool {
+		return at[j] < old && e.VisitPatient[at[j]] == newPatient[j] && e.VisitDay[at[j]] == newDay[j]
+	}
+	visits, exams := old, oldExams
+	for j := range newPatient {
+		at[j] = sort.Search(old, func(v int) bool { return !e.visitBefore(v, newPatient[j], newDay[j]) })
+		added := newExamsOf(j)
+		if merges(j) {
+			n := 0
+			for _, x := range added {
+				if !slices.Contains(oldExamsOf(at[j]), x) {
+					n++
+				}
+			}
+			exams += n
+		} else {
+			visits++
+			exams += len(added)
+		}
+	}
+	// The merged arrays are no longer than old and new side by side.
+	e.VisitPatient = e.VisitPatient[:visits]
+	e.VisitDay = e.VisitDay[:visits]
+	e.VisitPtr = e.VisitPtr[:visits+1]
+	e.VisitExams = e.VisitExams[:exams]
+
+	// w is the slot the next visit down goes to, x the end of its exams.
+	w, x := visits-1, exams
+	place := func(p int32, day int64, end int) {
+		e.VisitPatient[w], e.VisitDay[w] = p, day
+		e.VisitPtr[w+1] = int32(end)
+		w--
+	}
+	v := old - 1
+	for j := len(newPatient) - 1; j >= 0; j-- {
+		stop := at[j]
+		if merges(j) {
+			stop++
+		}
+		for ; v >= stop; v-- {
+			end, src := x, oldExamsOf(v)
+			x -= len(src)
+			copy(e.VisitExams[x:], src)
+			place(e.VisitPatient[v], e.VisitDay[v], end)
+		}
+		end, add := x, newExamsOf(j)
+		if !merges(j) {
+			x -= len(add)
+			copy(e.VisitExams[x:], add)
+			place(newPatient[j], newDay[j], end)
+			continue
+		}
+		// Merge the two exam lists, both in rank order, from the back.
+		src := oldExamsOf(v)
+		a, b := len(src)-1, len(add)-1
+		for b >= 0 {
+			x--
+			switch {
+			case a >= 0 && src[a] == add[b]:
+				e.VisitExams[x] = src[a]
+				a, b = a-1, b-1
+			case a >= 0 && e.rank[src[a]] > e.rank[add[b]]:
+				e.VisitExams[x] = src[a]
+				a--
+			default:
+				e.VisitExams[x] = add[b]
+				b--
+			}
+		}
+		x -= a + 1
+		copy(e.VisitExams[x:], src[:a+1])
+		place(e.VisitPatient[v], e.VisitDay[v], end)
+		v--
+	}
 }
 
 // placeUnregistered moves the visits of unregistered patients, which

@@ -272,6 +272,7 @@ func (c *Collection) eqEntries(field string, value any) []entry {
 	var out []entry
 	c.mu.RLock()
 	if idx, indexed := c.indexes[field]; indexed {
+		out = make([]entry, 0, len(idx[key]))
 		for _, id := range idx[key] {
 			out = append(out, *c.docs[id])
 		}

@@ -177,9 +177,10 @@ const DefaultLiveFoldThreshold = 32
 
 // foldLiveAppends compacts, per live dataset, every batch the control
 // record's revision already reflects into a single fold document,
-// bounding restart replay to the fold plus the un-reflected tail. Only
-// revisions <= the control revision fold: a batch past it could still
-// be ahead of a control record whose upsert lagged a crash, and
+// bounding restart replay to the fold plus the un-reflected tail. A
+// dataset with fewer batches than the threshold is skipped undecoded.
+// Only revisions <= the control revision fold: a batch past it could
+// still be ahead of a control record whose upsert lagged a crash, and
 // recovery must see it individually. The new fold is logged before the
 // deletes of the documents it covers, and LiveBatches tolerates the
 // overlap, so a crash at any point between the frames replays
@@ -194,6 +195,17 @@ func (k *KDB) foldLiveAppends() error {
 	}
 	coll := k.store.Collection(CollLiveAppends)
 	for _, st := range states {
+		// The eligible batches are some of the dataset's batches, so
+		// fewer batches than the threshold cannot fold: count them
+		// through the index, uncopied, before decoding any.
+		n := 0
+		coll.WalkEq("dataset", st.Dataset, func(docstore.Document, int64) bool {
+			n++
+			return n < k.foldThreshold
+		})
+		if n < k.foldThreshold {
+			continue
+		}
 		docs := coll.FindEq("dataset", st.Dataset)
 		type stored struct {
 			id string

@@ -404,3 +404,46 @@ func TestLiveFoldDisabled(t *testing.T) {
 		t.Errorf("got %d batches with folding disabled, want 10", len(batches))
 	}
 }
+
+// TestLiveFlushBelowThresholdAllocsFlat: a flush over datasets with
+// fewer batches than the fold threshold counts their batches through
+// the index and decodes none of them, so it allocates the same however
+// many batches they hold and however large those are.
+func TestLiveFlushBelowThresholdAllocsFlat(t *testing.T) {
+	flushAllocs := func(batches, records int) float64 {
+		k, err := Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer k.Close()
+		for _, ds := range []string{"ward-a", "ward-b"} {
+			for rev := 1; rev <= batches; rev++ {
+				b := foldBatch(ds, rev)
+				for len(b.Records) < records {
+					b.Records = append(b.Records, b.Records[0])
+				}
+				if err := k.AppendLiveBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := k.StoreLiveDataset(LiveDatasetState{Dataset: ds, Revision: batches}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := k.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := k.Store().Collection(CollLiveAppends).Count(); n != 2*batches {
+			t.Fatalf("live_appends holds %d docs after the flush, want %d: something folded", n, 2*batches)
+		}
+		return allocs
+	}
+	small := flushAllocs(2, 1)
+	large := flushAllocs(DefaultLiveFoldThreshold-1, 200)
+	if small != large {
+		t.Errorf("a flush allocates %v times over 2 one-record batches per dataset but %v over %d of 200 records",
+			small, large, DefaultLiveFoldThreshold-1)
+	}
+}

@@ -13,23 +13,32 @@ import (
 // exam types, new patients and new records. It owns the accumulated
 // dataset.Log and reads the log's dictionary encoding, so after every
 // Append, Matrix is bit-for-bit Build on that log (property:
-// Equivalent(live.Matrix(), rebuilt) == nil at every append boundary):
+// Equivalent(live.Matrix(), rebuilt) == nil at every append boundary).
 //
-//   - When the global frequency ranking is unchanged, no new exam
-//     types arrived and weighting is local (Count/Binary/LogCount),
-//     only the rows the batch touched are recounted and re-weighed in
-//     place; brand-new patient rows are appended to the cached CSR
-//     view in place (vec.CSRMatrix.AppendDenseRows), leaving untouched
-//     rows' floats alone entirely.
-//   - A ranking change, a new exam type, or TFIDF weighting (whose idf
-//     terms are global in N and df) replaces the matrix with Build on
-//     the log.
+// Only the first matrix is Build on the log. After that an append
+// costs what the batch holds, plus one pass over the matrix when the
+// column layout or global weights moved:
+//
+//   - Live keeps every exam type's record count, adds the batch's to
+//     them and orders the columns by them as Build does. When that
+//     order changed (a ranking flip, or new exam types, which widen
+//     every row), the raw counts move to their new columns in place.
+//   - The batch's records are added to the raw counts, brand-new
+//     patients getting new rows.
+//   - After a relayout, or always under TFIDF (whose idf terms are
+//     global in N and df), every row is re-weighed in place with
+//     Build's idf arithmetic, and the CSR view is recompressed.
+//     Otherwise only the rows the batch touched are re-weighed; a
+//     batch of brand-new patients only appends rows to the cached CSR
+//     view (vec.CSRMatrix.AppendDenseRows), and one that touched an
+//     existing row recompresses it.
 //
 // Live is not safe for concurrent use; the owner serializes Append
 // against reads of Matrix and Log (stream.Dataset holds its own lock).
 type Live struct {
 	opts Options
 	log  *dataset.Log
+	freq []int   // record count of every exam key
 	keys []int32 // exam key of each Matrix column
 	mat  *Matrix // nil until ≥1 patient and exam type
 }
@@ -45,10 +54,12 @@ func NewLive(opts Options) *Live {
 // Name; only Append adds rows to it.
 func (lv *Live) Log() *dataset.Log { return lv.log }
 
-// Matrix returns the maintained frequency-ordered view. The pointer is
-// stable across fast-path appends and replaced wholesale on rebuilds;
-// callers must not retain it across Append calls if they need a
-// consistent snapshot.
+// Matrix returns the maintained frequency-ordered view, nil before the
+// first matrix. From then on the pointer is stable: every Append
+// rewrites its Features, raw counts and Rows in place (rows and
+// columns are added, counts and weights change, columns move), and
+// so also whatever a Project of it shares with it. A caller that
+// needs a consistent snapshot must not retain it across Append calls.
 func (lv *Live) Matrix() *Matrix { return lv.mat }
 
 // Check reports why the log cannot take a batch, or nil if it can: a
@@ -115,9 +126,10 @@ func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, rec
 	}
 
 	enc := l.Encoded()
-	keys, keyFreq := featureOrder(enc)
+	lv.freq = addCounts(lv.freq, len(enc.ExamCodes), enc.Exam[oldRecords:])
+	keys := featureOrder(enc, lv.freq)
 	m := lv.mat
-	if m == nil || len(exams) > 0 || lv.opts.Weighting == TFIDF || !slices.Equal(keys, lv.keys) {
+	if m == nil {
 		m, err := Build(l, lv.opts)
 		if err != nil {
 			return err
@@ -129,13 +141,14 @@ func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, rec
 		return nil
 	}
 
-	// Fast path: the column layout is unchanged, so only rows the
-	// batch touched need new floats. The per-feature frequencies
-	// still moved (same ranking, larger counts).
-	column := make([]int32, len(keyFreq))
+	relayout := !slices.Equal(keys, lv.keys)
+	if relayout {
+		lv.relayout(enc, keys)
+	}
+	column := make([]int32, len(lv.freq))
 	for j, k := range keys {
 		column[k] = int32(j)
-		m.featureFreq[j] = keyFreq[k]
+		m.featureFreq[j] = lv.freq[k]
 	}
 	m.totalRecords = l.NumRecords()
 	d := len(keys)
@@ -151,6 +164,14 @@ func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, rec
 			dirty[p] = true
 		}
 	}
+	if relayout || m.Opts.Weighting == TFIDF {
+		weighInto(m.Rows, m.raw, m.Opts)
+		m.sparse = vec.NewCSRFromDense(m.Rows)
+		return nil
+	}
+
+	// The column layout and the weights are local: only rows the
+	// batch touched need new floats.
 	for i := oldPatients; i < len(m.Rows); i++ {
 		weighRowInto(m.Rows[i], m.raw[i], m.Opts, nil)
 	}
@@ -168,6 +189,46 @@ func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, rec
 		m.sparse = vec.NewCSRFromDense(m.Rows)
 	}
 	return nil
+}
+
+// relayout moves the matrix to the column order keys in place: every
+// raw row's counts move to their exam's new column, and when new exam
+// types arrived the raw and weighted rows widen (moving to a new
+// backing array) and Features and the frequencies follow. The caller
+// refills the frequencies and re-weighs every row.
+func (lv *Live) relayout(enc *dataset.Encoded, keys []int32) {
+	m := lv.mat
+	d, was := len(keys), len(lv.keys)
+	column := make([]int, len(lv.freq))
+	for j, k := range keys {
+		column[k] = j
+	}
+	to := make([]int, was) // the new column of each old one
+	for j, k := range lv.keys {
+		to[j] = column[k]
+	}
+	var rawBack, rowBack []float64
+	if d > was {
+		rawBack = make([]float64, len(m.raw)*d)
+		rowBack = make([]float64, len(m.raw)*d)
+	}
+	old := make([]float64, was)
+	for i, r := range m.raw {
+		copy(old, r)
+		if d > was {
+			m.raw[i], rawBack = rawBack[:d:d], rawBack[d:]
+			m.Rows[i], rowBack = rowBack[:d:d], rowBack[d:]
+		}
+		for j, v := range old {
+			m.raw[i][to[j]] = v
+		}
+	}
+	m.Features = m.Features[:0]
+	for _, k := range keys {
+		m.Features = append(m.Features, enc.ExamCodes[k])
+	}
+	m.featureFreq = append(m.featureFreq, make([]int, d-was)...)
+	lv.keys = keys
 }
 
 // Equivalent reports whether two matrices are bit-for-bit identical in

@@ -98,22 +98,43 @@ func smallLog(t *testing.T, seed int64) *dataset.Log {
 	return l
 }
 
+// shuffledLog returns l with its records in random order: split into
+// a schedule, most batches then bring records of returning patients,
+// and the exam ranking flips at most boundaries.
+func shuffledLog(l *dataset.Log, rng *rand.Rand) *dataset.Log {
+	out := &dataset.Log{Name: l.Name, Exams: l.Exams, Patients: l.Patients, Records: slices.Clone(l.Records)}
+	rng.Shuffle(len(out.Records), func(i, j int) { out.Records[i], out.Records[j] = out.Records[j], out.Records[i] })
+	return out
+}
+
 // TestLiveEquivalentToRebuild is the maintenance property: across
 // randomized append schedules, every transform option, and every
 // append boundary, the incrementally maintained Matrix — rows, raw
 // counts, frequency metadata, and the in-place-updated CSR view with
 // its cached norms — is bit-for-bit identical to Build on the
-// equivalent accumulated log.
+// equivalent accumulated log. The shuffled schedule's Binary cases
+// check that an in-place re-weigh clears the cells a relayout emptied.
 func TestLiveEquivalentToRebuild(t *testing.T) {
 	weightings := []Weighting{Count, Binary, LogCount, TFIDF}
 	norms := []Normalization{NoNorm, L2, L1}
+	type schedule struct {
+		name    string
+		full    *dataset.Log
+		batches []appendBatch
+	}
+	var schedules []schedule
 	for _, seed := range []int64{1, 7, 42} {
 		full := smallLog(t, seed)
-		batches := splitLog(full, rand.New(rand.NewSource(seed)))
+		schedules = append(schedules, schedule{fmt.Sprintf("seed%d", seed), full, splitLog(full, rand.New(rand.NewSource(seed)))})
+	}
+	shuffled := shuffledLog(smallLog(t, 5), rand.New(rand.NewSource(5)))
+	schedules = append(schedules, schedule{"shuffled5", shuffled, splitLog(shuffled, rand.New(rand.NewSource(5)))})
+	for _, sc := range schedules {
+		full, batches := sc.full, sc.batches
 		for _, w := range weightings {
 			for _, nm := range norms {
 				opts := Options{Weighting: w, Normalization: nm}
-				t.Run(fmt.Sprintf("seed%d/%s-%s", seed, w, nm), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s-%s", sc.name, w, nm), func(t *testing.T) {
 					acc := dataset.NewLog(full.Name)
 					live := NewLive(opts)
 					for bi, b := range batches {

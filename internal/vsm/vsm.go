@@ -107,7 +107,8 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 		return nil, fmt.Errorf("vsm: log has no exam types")
 	}
 	enc := l.Encoded()
-	keys, keyFreq := featureOrder(enc)
+	keyFreq := addCounts(nil, len(enc.ExamCodes), enc.Exam)
+	keys := featureOrder(enc, keyFreq)
 	features := make([]string, len(keys))
 	freq := make([]int, len(keys))
 	column := make([]int32, len(keyFreq))
@@ -147,16 +148,22 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 	return m, nil
 }
 
-// featureOrder returns the column order of a Matrix over enc: the
-// distinct exam keys, unregistered ones included, by decreasing record
-// count, ties broken by code. keyFreq is every exam key's record
-// count. Build and Live both order columns by it.
-func featureOrder(enc *dataset.Encoded) (keys []int32, keyFreq []int) {
-	keyFreq = make([]int, len(enc.ExamCodes))
-	for _, x := range enc.Exam {
-		keyFreq[x]++
+// addCounts grows freq, the record count of each exam key, to n keys
+// and counts one more record for every entry of exams.
+func addCounts(freq []int, n int, exams []int32) []int {
+	freq = append(freq, make([]int, n-len(freq))...)
+	for _, x := range exams {
+		freq[x]++
 	}
-	keys = make([]int32, 0, len(keyFreq))
+	return freq
+}
+
+// featureOrder returns the column order of a Matrix over enc, given
+// every exam key's record count: the distinct exam keys, unregistered
+// ones included, by decreasing record count, ties broken by code.
+// Build and Live both order columns by it.
+func featureOrder(enc *dataset.Encoded, keyFreq []int) []int32 {
+	keys := make([]int32, 0, len(keyFreq))
 	for k := range keyFreq {
 		if enc.IsExamKey(k) {
 			keys = append(keys, int32(k))
@@ -168,7 +175,7 @@ func featureOrder(enc *dataset.Encoded) (keys []int32, keyFreq []int) {
 		}
 		return strings.Compare(enc.ExamCodes[a], enc.ExamCodes[b])
 	})
-	return keys, keyFreq
+	return keys
 }
 
 // weigh applies weighting + normalization to a raw count matrix,
@@ -184,9 +191,17 @@ func weigh(raw [][]float64, opts Options) [][]float64 {
 	for i := range rows {
 		rows[i], backing = backing[:d], backing[d:]
 	}
+	weighInto(rows, raw, opts)
+	return rows
+}
 
+// weighInto writes every weighted row of raw, which holds at least one
+// row, into rows of the same shape. Build weighs fresh rows through it
+// and Live re-weighs its rows in place.
+func weighInto(rows, raw [][]float64, opts Options) {
 	var idf []float64
 	if opts.Weighting == TFIDF {
+		n, d := len(raw), len(raw[0])
 		df := make([]int, d)
 		for _, r := range raw {
 			for j, v := range r {
@@ -202,25 +217,25 @@ func weigh(raw [][]float64, opts Options) [][]float64 {
 			}
 		}
 	}
-
 	for i, r := range raw {
 		weighRowInto(rows[i], r, opts, idf)
 	}
-	return rows
 }
 
 // weighRowInto applies weighting + normalization to a single raw row,
-// writing the result into out (len(out) == len(r)). idf is consulted
-// only for TFIDF. The batch transform and the live incremental
-// maintenance path (Live) both run every row through this one
-// function, so per-row arithmetic — including the column order of the
-// norm sums — is bit-for-bit identical by construction.
+// writing every cell of out (len(out) == len(r)), so a row re-weighed
+// in place keeps nothing of its old values. idf is consulted only for
+// TFIDF. The batch transform and the live incremental maintenance path
+// (Live) both run every row through this one function, so per-row
+// arithmetic — including the column order of the norm sums — is
+// bit-for-bit identical by construction.
 func weighRowInto(out, r []float64, opts Options, idf []float64) {
 	for j, v := range r {
 		switch opts.Weighting {
 		case Count:
 			out[j] = v
 		case Binary:
+			out[j] = 0
 			if v > 0 {
 				out[j] = 1
 			}
@@ -323,9 +338,10 @@ func (m *Matrix) Project(n int) *Matrix {
 }
 
 // Sparse returns the CSR view of Rows, built once on first use and
-// cached (Rows are immutable after Build/Project). The clustering
-// pipeline hands this shared view to the sparse K-means kernel so the
-// whole Table I sweep compresses the matrix exactly once.
+// cached (Rows are immutable after Build/Project; Live keeps its view
+// in step). The clustering pipeline hands this shared view to the
+// sparse K-means kernel so the whole Table I sweep compresses the
+// matrix exactly once.
 func (m *Matrix) Sparse() *vec.CSRMatrix {
 	m.sparseOnce.Do(func() { m.sparse = vec.NewCSRFromDense(m.Rows) })
 	return m.sparse
