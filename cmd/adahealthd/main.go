@@ -101,6 +101,7 @@ type options struct {
 // serving it.
 type leader struct {
 	svc     *service.Service
+	mgr     *stream.Manager
 	handler http.Handler
 	// repl is the WAL-shipping endpoint set; nil for an in-memory K-DB.
 	repl *repl.Leader
@@ -140,7 +141,7 @@ func newLeader(o options) (*leader, error) {
 		return nil, err
 	}
 
-	l := &leader{svc: svc, handler: stream.HandlerOptions(svc, mgr, service.HandlerOptions{ReadFallback: o.readFallback})}
+	l := &leader{svc: svc, mgr: mgr, handler: stream.HandlerOptions(svc, mgr, service.HandlerOptions{ReadFallback: o.readFallback})}
 	if o.kdbDir != "" {
 		// A durable K-DB can lead replication: mount the WAL-shipping
 		// endpoints followers bootstrap from and tail.
@@ -241,6 +242,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adahealthd: drain budget exceeded; cancelled remaining jobs\n")
 		os.Exit(1)
 	}
+	l.mgr.Close()
 	// Compact and release the K-DB so the next start replays a short
 	// WAL (a kill -9 skips this and recovers via replay instead).
 	if err := svc.Engine().KDB().Close(); err != nil {

@@ -1,14 +1,16 @@
 package docstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Batch is a group of mutations that share one durability wait (see
-// the package comment's "Batches" section for the contract). It is the
-// store's only write path: Collection.Insert, Update and Delete are
-// one-element batches.
+// the package comment's "Batches" section), and the store's only write
+// path. A written document is JSON bytes (Raw or []byte), copied as
+// they are, or any other value, marshalled once (see encode).
 //
 // A Batch belongs to one goroutine. It holds the store's write gate
 // from Begin to Commit, so every Begin must be paired with a Commit
@@ -18,14 +20,12 @@ import (
 // two acquisitions would deadlock both.
 type Batch struct {
 	s *Store
-	// last is the group commit carrying the batch's newest frame. The
-	// one committer finishes commits in log order and fails every
-	// commit after a failed one with the same latched error, so
-	// waiting for the last waits for all and sees the first failure.
+	// last is the group commit carrying the batch's newest frame:
+	// commits finish in log order and fail together after a failure,
+	// so waiting for the last waits for all.
 	last *walBatch
-	// err latches the first failure to enqueue a frame (WAL closed or
-	// already failed); Commit reports it even when the caller ignored
-	// the mutation's own return.
+	// err latches the first failure to enqueue a frame; Commit reports
+	// it even when the caller ignored the mutation's own return.
 	err       error
 	committed bool
 }
@@ -108,51 +108,55 @@ const (
 	putUpsert                // either
 )
 
-// Insert stores a copy of doc in c and returns its ID, generating one
-// when the document has none. Inserting an existing ID fails and
-// leaves the batch usable.
-func (b *Batch) Insert(c *Collection, doc Document) (string, error) {
-	return b.put(c, copyDoc(doc), putInsert)
+// Insert stores doc in c and returns its ID, generating one when the
+// document has none. Inserting an existing ID fails and leaves the
+// batch usable.
+func (b *Batch) Insert(c *Collection, doc any) (string, error) {
+	return b.put(c, doc, "", putInsert)
 }
 
-// Update replaces the document with the given ID (the _id field of the
+// Update replaces the document with the given ID (the _id of the
 // replacement is forced to id); a missing ID fails and leaves the
 // batch usable.
-func (b *Batch) Update(c *Collection, id string, doc Document) error {
-	cp := copyDoc(doc)
-	cp["_id"] = id
-	_, err := b.put(c, cp, putUpdate)
+func (b *Batch) Update(c *Collection, id string, doc any) error {
+	_, err := b.put(c, doc, id, putUpdate)
 	return err
 }
 
-// Upsert stores a copy of doc under its _id, replacing the current
-// document when one exists (keeping its insertion-order stamp) and
-// inserting otherwise. The existence check and the write are one
-// atomic step, so concurrent upserts of one ID never fail with a
-// duplicate. A document without an _id is inserted under a generated
-// one. It returns the ID.
-func (b *Batch) Upsert(c *Collection, doc Document) (string, error) {
-	return b.put(c, copyDoc(doc), putUpsert)
+// Upsert stores doc under its _id, replacing the current document when
+// one exists (keeping its insertion-order stamp) and inserting
+// otherwise. The existence check and the write are one atomic step, so
+// concurrent upserts of one ID never fail with a duplicate. A document
+// without an _id is inserted under a generated one. It returns the ID.
+func (b *Batch) Upsert(c *Collection, doc any) (string, error) {
+	return b.put(c, doc, "", putUpsert)
 }
 
-// put applies one insert, update or upsert of cp (already a private
-// copy) in memory and enqueues its frame. The existence check, the
-// write and the enqueue are one step under the collection lock; the
-// durability wait comes after, so writers still share group commits.
-func (b *Batch) put(c *Collection, cp Document, mode putMode) (string, error) {
+// put applies one insert, update (of id) or upsert of doc in memory
+// and enqueues its frame. Encoding comes first; the parse, the
+// existence check, the write and the enqueue are one step under the
+// collection lock; the durability wait comes after, so writers still
+// share group commits.
+func (b *Batch) put(c *Collection, doc any, id string, mode putMode) (string, error) {
 	if err := b.check(c); err != nil {
 		return "", err
 	}
+	raw, err := encode(doc)
+	if err != nil {
+		return "", fmt.Errorf("docstore: encoding document for %s: %w", c.name, err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := cp.ID()
+	docID, e := c.parse(raw)
 	// An update never generates: its empty ID is looked up, and missed,
 	// like any other.
-	generated := id == "" && mode != putUpdate
-	if generated {
+	generated := docID == "" && mode != putUpdate
+	switch {
+	case generated:
 		c.idSeq++
 		id = fmt.Sprintf("%s-%08d", c.name, c.idSeq)
-		cp["_id"] = id
+	case mode != putUpdate:
+		id = docID
 	}
 	old, exists := c.docs[id]
 	if exists && (mode == putInsert || generated) {
@@ -161,17 +165,24 @@ func (b *Batch) put(c *Collection, cp Document, mode putMode) (string, error) {
 	if !exists && mode == putUpdate {
 		return "", fmt.Errorf("docstore: update of missing _id %q in %s", id, c.name)
 	}
+	if docID != id {
+		var m member
+		e.Raw, m = withID(raw, id)
+		e.members = append(e.members, m)
+		if i := slices.Index(c.fields, "_id"); i >= 0 {
+			e.keys[i] = id
+		}
+	}
 
-	rec := walRecord{Collection: c.name, ID: id, Doc: cp}
+	rec := walRecord{Collection: c.name, ID: id, Doc: json.RawMessage(e.Raw)}
 	if exists {
-		c.unindex(id, old.doc)
 		rec.Op, rec.Order = opUpdate, old.order
 	} else {
 		c.orderSeq++
 		rec.Op, rec.Order, rec.IDSeq = opInsert, c.orderSeq, c.idSeq
 	}
-	c.docs[id] = &entry{doc: cp, order: rec.Order}
-	c.index(id, cp)
+	e.order = rec.Order
+	c.bind(id, e)
 	if err := b.log(rec); err != nil {
 		return "", err
 	}
@@ -190,7 +201,7 @@ func (b *Batch) Delete(c *Collection, id string) error {
 	if !ok {
 		return fmt.Errorf("docstore: delete of missing _id %q in %s", id, c.name)
 	}
-	c.unindex(id, old.doc)
+	c.unindex(id, old)
 	delete(c.docs, id)
 	return b.log(walRecord{Op: opDelete, Collection: c.name, ID: id})
 }

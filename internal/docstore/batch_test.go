@@ -62,7 +62,7 @@ func TestBatchContract(t *testing.T) {
 	// Visible before Commit, in insertion order with the upserted
 	// document still first.
 	got := c.Find()
-	if len(got) != 3 || got[0].ID() != "first" || got[0]["v"] != 10 || got[1].ID() != "third" || got[2].ID() != gen {
+	if len(got) != 3 || got[0]["_id"] != "first" || num(got[0]["v"]) != 10.0 || got[1]["_id"] != "third" || got[2]["_id"] != gen {
 		t.Fatalf("contents before Commit = %v", got)
 	}
 	if moved := c.FindEq("dataset", "d2"); len(moved) != 1 {

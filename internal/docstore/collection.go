@@ -2,14 +2,18 @@ package docstore
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
 )
 
-// entry is one stored document plus its insertion-order stamp.
+// entry is one stored document: its bytes and member offsets, the
+// scalar key of each indexed field (aligned with Collection.fields, nil
+// where the field holds none) and its insertion-order stamp.
 type entry struct {
-	doc   Document
+	Doc
+	keys  []any
 	order int64
 }
 
@@ -23,56 +27,56 @@ type Collection struct {
 	// write holds it for its in-memory apply and the enqueue of its
 	// frame, which is what orders the frames touching one document.
 	mu       sync.RWMutex
-	docs     map[string]*entry
-	indexes  map[string]map[any][]string // field → value → ids; a field is indexed when present
-	idSeq    int64                       // generated-ID counter
-	orderSeq int64                       // newest insertion-order stamp
+	docs     map[string]entry
+	fields   []string           // the indexed fields
+	indexes  []map[any][]string // per indexed field: key → ids
+	reads    []string           // what parse reads: the indexed fields, then _id
+	idSeq    int64              // generated-ID counter
+	orderSeq int64              // newest insertion-order stamp
 }
 
 func newCollection(store *Store, name string) *Collection {
-	return &Collection{
-		store:   store,
-		name:    name,
-		docs:    map[string]*entry{},
-		indexes: map[string]map[any][]string{},
-	}
+	return &Collection{store: store, name: name, docs: map[string]entry{}, reads: []string{"_id"}}
 }
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
 
-// Insert stores a copy of doc and returns its ID, generating one when
-// the document has none. Inserting an existing ID fails. On a
-// disk-backed store, Insert returns once the write is durably logged;
-// if the log commit itself fails, the error is returned, the
-// in-memory apply stays visible, and the store latches read-only
-// (further writes and compaction refuse) so the unlogged state can
-// never become durable — reopen to recover the last good commit.
-func (c *Collection) Insert(doc Document) (string, error) {
+// Insert stores doc (see Batch.Insert) and returns its ID once the
+// write is durably logged. If the log commit fails, the apply stays
+// visible and the store latches broken (see ErrStoreBroken).
+func (c *Collection) Insert(doc any) (string, error) { return c.put(doc, "", putInsert) }
+
+// Upsert stores doc under its _id (see Batch.Upsert) and returns the
+// ID once the write is durably logged.
+func (c *Collection) Upsert(doc any) (string, error) { return c.put(doc, "", putUpsert) }
+
+// Update replaces the document with the given ID (see Batch.Update)
+// and returns once the write is durably logged.
+func (c *Collection) Update(id string, doc any) error {
+	_, err := c.put(doc, id, putUpdate)
+	return err
+}
+
+// put is a one-element batch of Batch.put.
+func (c *Collection) put(doc any, id string, mode putMode) (string, error) {
 	b := c.store.Begin()
-	id, err := b.Insert(c, doc)
+	id, err := b.put(c, doc, id, mode)
 	if err = b.finish(err); err != nil {
 		return "", err
 	}
 	return id, nil
 }
 
-// Get returns a copy of the document with the given ID.
-func (c *Collection) Get(id string) (Document, bool) {
+// Get returns the stored document with the given ID.
+func (c *Collection) Get(id string) (Doc, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.docs[id]
 	if !ok {
-		return nil, false
+		return Doc{}, false
 	}
-	return copyDoc(e.doc), true
-}
-
-// Update replaces the document with the given ID (see Batch.Update)
-// and returns once the write is durably logged.
-func (c *Collection) Update(id string, doc Document) error {
-	b := c.store.Begin()
-	return b.finish(b.Update(c, id, doc))
+	return e.Doc, true
 }
 
 // Delete removes the document with the given ID and returns once the
@@ -80,6 +84,51 @@ func (c *Collection) Update(id string, doc Document) error {
 func (c *Collection) Delete(id string) error {
 	b := c.store.Begin()
 	return b.finish(b.Delete(c, id))
+}
+
+// parse reads the _id and index keys of doc, a document (caller holds
+// the lock).
+func (c *Collection) parse(doc Raw) (id string, e entry) {
+	var buf [16]member
+	ms := buf[:0]
+	members(doc, func(k, _, v, _ int) bool {
+		ms = append(ms, member{int32(k), int32(v)})
+		return true
+	})
+	slices.Reverse(ms)
+	e = entry{Doc: Doc{doc, slices.Clone(ms)}, keys: make([]any, len(c.fields))}
+	vals := make([]Raw, len(c.reads))
+	e.Fields(vals, c.reads...)
+	for i := range e.keys {
+		e.keys[i], _ = vals[i].Scalar()
+	}
+	v, _ := vals[len(c.fields)].Scalar()
+	id, _ = v.(string)
+	return id, e
+}
+
+// bind stores e under id in place of any current document (caller
+// holds the write lock).
+func (c *Collection) bind(id string, e entry) {
+	if old, ok := c.docs[id]; ok {
+		c.unindex(id, old)
+	}
+	c.docs[id] = e
+	for i, idx := range c.indexes {
+		if key := e.keys[i]; key != nil {
+			idx[key] = append(idx[key], id)
+		}
+	}
+}
+
+// unindex removes the document stored under id from every index
+// (caller holds the write lock).
+func (c *Collection) unindex(id string, e entry) {
+	for i, idx := range c.indexes {
+		if key := e.keys[i]; key != nil {
+			idx[key] = slices.DeleteFunc(idx[key], func(x string) bool { return x == id })
+		}
+	}
 }
 
 // apply folds one logged record into the collection: WAL replay and a
@@ -92,20 +141,17 @@ func (c *Collection) apply(rec walRecord) error {
 	defer c.mu.Unlock()
 	switch rec.Op {
 	case opInsert, opUpdate:
-		order := rec.Order
-		if old, ok := c.docs[rec.ID]; ok {
-			c.unindex(rec.ID, old.doc)
-			if order == 0 {
-				order = old.order
-			}
+		_, e := c.parse(Raw(rec.Doc))
+		e.order = rec.Order
+		if old, ok := c.docs[rec.ID]; ok && e.order == 0 {
+			e.order = old.order
 		}
-		c.docs[rec.ID] = &entry{doc: rec.Doc, order: order}
-		c.index(rec.ID, rec.Doc)
+		c.bind(rec.ID, e)
 		c.idSeq = max(c.idSeq, rec.IDSeq)
-		c.orderSeq = max(c.orderSeq, order)
+		c.orderSeq = max(c.orderSeq, e.order)
 	case opDelete:
 		if old, ok := c.docs[rec.ID]; ok {
-			c.unindex(rec.ID, old.doc)
+			c.unindex(rec.ID, old)
 			delete(c.docs, rec.ID)
 		}
 	default:
@@ -114,45 +160,44 @@ func (c *Collection) apply(rec walRecord) error {
 	return nil
 }
 
-// load replaces the collection's contents with a decoded snapshot and
-// rebuilds its indexes. Opening a store and a replica's re-bootstrap
-// both come here; the latter reloads in place, so the *Collection
-// handles a K-DB above the store holds stay valid.
+// load replaces the collection's contents with a decoded snapshot,
+// in place (a replica's re-bootstrap keeps the K-DB's *Collection
+// handles valid), and rebuilds its indexes.
 func (c *Collection) load(snap snapshotFile) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.docs = make(map[string]*entry, len(snap.Docs))
+	c.docs = make(map[string]entry, len(snap.Docs))
+	for i := range c.indexes {
+		c.indexes[i] = map[any][]string{}
+	}
 	c.idSeq, c.orderSeq = snap.IDSeq, snap.OrderSeq
 	for i, d := range snap.Docs {
-		order := int64(i + 1)
+		id, e := c.parse(Raw(d))
+		e.order = int64(i + 1)
 		if i < len(snap.Orders) {
-			order = snap.Orders[i]
+			e.order = snap.Orders[i]
 		}
-		c.docs[d.ID()] = &entry{doc: d, order: order}
-		c.orderSeq = max(c.orderSeq, order)
-	}
-	for field := range c.indexes {
-		c.buildIndex(field)
+		c.bind(id, e)
+		c.orderSeq = max(c.orderSeq, e.order)
 	}
 }
 
-// snapshot captures the collection as its snapshot file, documents in
-// insertion order.
-func (c *Collection) snapshot() snapshotFile {
+// snapshot encodes the collection as its snapshot file, documents in
+// insertion order, each as its stored bytes.
+func (c *Collection) snapshot() []byte {
 	c.mu.RLock()
-	snap := snapshotFile{IDSeq: c.idSeq, OrderSeq: c.orderSeq}
-	entries := make([]entry, 0, len(c.docs))
-	for _, e := range c.docs {
-		entries = append(entries, *e)
-	}
+	docs := fmt.Appendf(nil, `{"id_seq":%d,"order_seq":%d,"docs":[`, c.idSeq, c.orderSeq)
+	entries := c.entriesLocked(nil)
 	c.mu.RUnlock()
 	sortByOrder(entries)
-	snap.Docs = make([]Document, len(entries))
-	snap.Orders = make([]int64, len(entries))
+	orders := []byte(`],"orders":[`)
 	for i, e := range entries {
-		snap.Docs[i], snap.Orders[i] = e.doc, e.order
+		if i > 0 {
+			docs, orders = append(docs, ','), append(orders, ',')
+		}
+		docs, orders = append(docs, e.Raw...), fmt.Append(orders, e.order)
 	}
-	return snap
+	return append(append(docs, orders...), "]}"...)
 }
 
 // Count reports the number of documents.
@@ -162,39 +207,32 @@ func (c *Collection) Count() int {
 	return len(c.docs)
 }
 
-// Scan streams every live document through fn without copying, in
-// unspecified order, stopping early when fn returns false; order is the
-// document's insertion-order stamp (sorting on it recovers Find's
-// order). fn runs under the collection's read lock and receives the
-// store's internal document: it must treat it as strictly read-only
-// and must not call back into the collection (deadlock). The store
-// never mutates a stored document in place — every write binds a
-// fresh copy — so fn may keep the document after the call, read-only,
-// as a snapshot of that version. It is the zero-allocation read path
-// for whole-collection aggregation (e.g. the K-DB's
-// descriptor-similarity scoring).
-func (c *Collection) Scan(fn func(doc Document, order int64) bool) {
+// Scan streams every document through fn, in unspecified order,
+// stopping early when fn returns false; order is the document's
+// insertion-order stamp (sorting on it recovers Find's order). fn
+// receives the stored document uncopied: immutable, so fn may keep it
+// as a snapshot of that version, and must not modify it. fn runs under
+// the collection's read lock and must not call back into the
+// collection.
+func (c *Collection) Scan(fn func(doc Doc, order int64) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, e := range c.docs {
-		if !fn(e.doc, e.order) {
+		if !fn(e.Doc, e.order) {
 			return
 		}
 	}
 }
 
-// collect gathers the entries match accepts (nil accepts every one)
-// in insertion order, without copying their documents.
-func (c *Collection) collect(match func(Document) bool) []entry {
+// entriesLocked gathers the entries match accepts (nil accepts every
+// one), unordered (caller holds the lock).
+func (c *Collection) entriesLocked(match func(entry) bool) []entry {
 	var out []entry
-	c.mu.RLock()
 	for _, e := range c.docs {
-		if match == nil || match(e.doc) {
-			out = append(out, *e)
+		if match == nil || match(e) {
+			out = append(out, e)
 		}
 	}
-	c.mu.RUnlock()
-	sortByOrder(out)
 	return out
 }
 
@@ -202,64 +240,67 @@ func sortByOrder(entries []entry) {
 	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.order, b.order) })
 }
 
-// copies deep-copies the entries' documents, in order (nil when none).
-func copies(entries []entry) []Document {
+// decoded decodes the entries' documents, in order (nil when none).
+func decoded(entries []entry) []Document {
 	if len(entries) == 0 {
 		return nil
 	}
 	out := make([]Document, len(entries))
 	for i := range entries {
-		out[i] = copyDoc(entries[i].doc)
+		json.Unmarshal(entries[i].Raw, &out[i]) // stored bytes always decode
 	}
 	return out
 }
 
-// Find returns copies of every document, in insertion order.
+// Find returns every document decoded, in insertion order.
 func (c *Collection) Find() []Document {
-	return copies(c.collect(nil))
+	c.mu.RLock()
+	entries := c.entriesLocked(nil)
+	c.mu.RUnlock()
+	sortByOrder(entries)
+	return decoded(entries)
 }
 
-// CreateIndex builds (or rebuilds) an equality index on field;
-// FindEq then answers from the index. Only scalar values (strings,
-// numbers, booleans) are indexed: a document whose field holds an
+// CreateIndex builds an equality index on field (once) for FindEq and
+// WalkEq. Only scalars are indexed: a document whose field holds an
 // object, an array or null matches no equality lookup.
 func (c *Collection) CreateIndex(field string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.buildIndex(field)
-}
-
-// buildIndex (re)builds the index on field from the documents (caller
-// holds the write lock).
-func (c *Collection) buildIndex(field string) {
+	if slices.Contains(c.fields, field) {
+		return
+	}
 	idx := map[any][]string{}
 	for id, e := range c.docs {
-		if key, ok := normalize(e.doc[field]); ok {
+		key, _ := e.Field(field).Scalar()
+		e.keys = append(e.keys[:len(e.keys):len(e.keys)], key)
+		c.docs[id] = e
+		if key != nil {
 			idx[key] = append(idx[key], id)
 		}
 	}
-	c.indexes[field] = idx
+	c.fields = append(c.fields, field)
+	c.indexes = append(c.indexes, idx)
+	c.reads = append(slices.Clone(c.fields), "_id")
 }
 
 // WalkEq calls fn on every document whose field equals value, in
-// insertion order, stopping early when fn returns false. It is Scan's
-// zero-copy read under Scan's contract — fn receives the store's own
-// document, strictly read-only, which it may keep as a snapshot — but
-// ordered, and answered from the index when the field is indexed (a
-// scan otherwise). fn runs after the collection's read lock is
-// released, so it may read the collection.
-func (c *Collection) WalkEq(field string, value any, fn func(doc Document, order int64) bool) {
+// insertion order, stopping early when fn returns false: Scan's
+// uncopied read, but ordered, answered from the index when the field
+// is indexed, and run after the read lock is released, so fn may read
+// the collection.
+func (c *Collection) WalkEq(field string, value any, fn func(doc Doc, order int64) bool) {
 	for _, e := range c.eqEntries(field, value) {
-		if !fn(e.doc, e.order) {
+		if !fn(e.Doc, e.order) {
 			return
 		}
 	}
 }
 
-// FindEq returns copies of the documents whose field equals value, in
-// insertion order: WalkEq plus one copyDoc per match.
+// FindEq returns the documents whose field equals value decoded, in
+// insertion order: WalkEq plus one decode per match.
 func (c *Collection) FindEq(field string, value any) []Document {
-	return copies(c.eqEntries(field, value))
+	return decoded(c.eqEntries(field, value))
 }
 
 // eqEntries is the one lookup behind WalkEq and FindEq: the entries
@@ -271,41 +312,19 @@ func (c *Collection) eqEntries(field string, value any) []entry {
 	}
 	var out []entry
 	c.mu.RLock()
-	if idx, indexed := c.indexes[field]; indexed {
-		out = make([]entry, 0, len(idx[key]))
-		for _, id := range idx[key] {
-			out = append(out, *c.docs[id])
+	if i := slices.Index(c.fields, field); i >= 0 {
+		ids := c.indexes[i][key]
+		out = make([]entry, len(ids))
+		for j, id := range ids {
+			out[j] = c.docs[id]
 		}
 	} else {
-		for _, e := range c.docs {
-			if v, ok := normalize(e.doc[field]); ok && v == key {
-				out = append(out, *e)
-			}
-		}
+		out = c.entriesLocked(func(e entry) bool {
+			v, ok := e.Field(field).Scalar()
+			return ok && v == key
+		})
 	}
 	c.mu.RUnlock()
 	sortByOrder(out)
 	return out
-}
-
-// index adds the document stored under id to every index (caller holds
-// the write lock).
-func (c *Collection) index(id string, d Document) {
-	for field, idx := range c.indexes {
-		if key, ok := normalize(d[field]); ok {
-			idx[key] = append(idx[key], id)
-		}
-	}
-}
-
-// unindex removes the document stored under id from every index
-// (caller holds the write lock).
-func (c *Collection) unindex(id string, d Document) {
-	for field, idx := range c.indexes {
-		key, ok := normalize(d[field])
-		if !ok {
-			continue
-		}
-		idx[key] = slices.DeleteFunc(idx[key], func(x string) bool { return x == id })
-	}
 }

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -13,6 +14,12 @@ import (
 func num(v any) any {
 	k, _ := normalize(v)
 	return k
+}
+
+// field is the scalar a stored document holds at path (nil for none).
+func field(doc Doc, path ...string) any {
+	v, _ := doc.Field(path...).Scalar()
+	return v
 }
 
 func TestInsertGeneratesIDs(t *testing.T) {
@@ -52,22 +59,22 @@ func TestInsertExplicitIDAndDuplicate(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+func TestFindReturnsCopy(t *testing.T) {
 	s, _ := Open("")
 	c := s.Collection("items")
-	id, _ := c.Insert(Document{"nested": map[string]any{"a": 1.0}, "list": []any{1.0}})
-	got, ok := c.Get(id)
-	if !ok {
+	c.Insert(Document{"nested": map[string]any{"a": 1.0}, "list": []any{1.0}})
+	got := c.Find()
+	if len(got) != 1 {
 		t.Fatal("missing doc")
 	}
-	got["nested"].(map[string]any)["a"] = 99.0
-	got["list"].([]any)[0] = 99.0
-	again, _ := c.Get(id)
+	got[0]["nested"].(map[string]any)["a"] = 99.0
+	got[0]["list"].([]any)[0] = 99.0
+	again := c.Find()[0]
 	if again["nested"].(map[string]any)["a"] == 99.0 {
-		t.Error("Get aliases nested map state")
+		t.Error("Find aliases nested map state")
 	}
 	if again["list"].([]any)[0] == 99.0 {
-		t.Error("Get aliases slice state")
+		t.Error("Find aliases slice state")
 	}
 }
 
@@ -77,9 +84,14 @@ func TestInsertCopiesInput(t *testing.T) {
 	doc := Document{"x": 1.0}
 	id, _ := c.Insert(doc)
 	doc["x"] = 42.0
-	got, _ := c.Get(id)
-	if got["x"] == 42.0 {
-		t.Error("Insert aliases caller's document")
+	raw := []byte(`{"_id":"raw","x":1}`)
+	c.Insert(raw)
+	raw[len(raw)-2] = '7'
+	for _, id := range []string{id, "raw"} {
+		got, _ := c.Get(id)
+		if field(got, "x") != 1.0 {
+			t.Error("Insert aliases caller's document")
+		}
 	}
 }
 
@@ -91,8 +103,8 @@ func TestUpdateDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(id)
-	if num(got["x"]) != 2.0 {
-		t.Errorf("after update x = %v", got["x"])
+	if field(got, "x") != 2.0 {
+		t.Errorf("after update x = %v", field(got, "x"))
 	}
 	if got.ID() != id {
 		t.Errorf("update lost _id: %q", got.ID())
@@ -156,10 +168,10 @@ func TestIndexedFind(t *testing.T) {
 		t.Errorf("post-index insert invisible: %d, want 26", len(got))
 	}
 	// Delete must drop from index results.
-	id := got[0].ID()
+	id := got[0]["_id"]
 	_ = id
 	first := c.FindEq("dataset", "d2")[0]
-	if err := c.Delete(first.ID()); err != nil {
+	if err := c.Delete(first["_id"].(string)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.FindEq("dataset", "d2"); len(got) != 25 {
@@ -172,9 +184,9 @@ func TestIndexedFind(t *testing.T) {
 }
 
 // TestWalkEqIsFindEqWithoutCopies: on the dataset index and on the
-// scan fallback, WalkEq visits exactly the documents FindEq returns
-// copies of, in the same insertion order, and it stops when fn returns
-// false.
+// scan fallback, WalkEq visits the stored bytes of exactly the
+// documents FindEq decodes, in the same insertion order, and it stops
+// when fn returns false.
 func TestWalkEqIsFindEqWithoutCopies(t *testing.T) {
 	s, _ := Open("")
 	c := s.Collection("items")
@@ -188,19 +200,23 @@ func TestWalkEqIsFindEqWithoutCopies(t *testing.T) {
 	}{{"dataset", "d1"}, {"n", 4}, {"n", 99}} {
 		want := c.FindEq(q.field, q.value)
 		var got []Document
-		c.WalkEq(q.field, q.value, func(d Document, _ int64) bool {
-			got = append(got, d)
+		c.WalkEq(q.field, q.value, func(d Doc, _ int64) bool {
+			var doc Document
+			if err := json.Unmarshal(d.Raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, doc)
+			if stored, _ := c.Get(d.ID()); &stored.Raw[0] != &d.Raw[0] {
+				t.Errorf("WalkEq(%s=%v) handed out a copy, not the stored bytes", q.field, q.value)
+			}
 			return true
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("WalkEq(%s=%v) visited %d documents, FindEq returned %d (or the order differs)", q.field, q.value, len(got), len(want))
 		}
-		if len(got) > 0 && reflect.ValueOf(got[0]).Pointer() == reflect.ValueOf(want[0]).Pointer() {
-			t.Errorf("FindEq(%s=%v) returned a stored document, not a copy", q.field, q.value)
-		}
 	}
 	visited := 0
-	c.WalkEq("dataset", "d1", func(Document, int64) bool {
+	c.WalkEq("dataset", "d1", func(Doc, int64) bool {
 		visited++
 		return visited < 3
 	})
@@ -263,7 +279,7 @@ func TestNonScalarIndexedFieldMatchesNothing(t *testing.T) {
 	if err := c.Delete("array"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FindEq("dataset", "ward-a"); len(got) != 1 || got[0].ID() != "scalar" {
+	if got := c.FindEq("dataset", "ward-a"); len(got) != 1 || got[0]["_id"] != "scalar" {
 		t.Errorf("FindEq(dataset=ward-a) = %v, want only the scalar document", got)
 	}
 	for _, v := range []any{map[string]any{"name": "ward-b"}, []any{"ward-a", "ward-b"}, nil} {
@@ -301,7 +317,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded count = %d, want 2", rc.Count())
 	}
 	doc, ok := rc.Get(id)
-	if !ok || doc["title"] != "pattern" || num(doc["support"]) != 42.0 {
+	if !ok || field(doc, "title") != "pattern" || field(doc, "support") != 42.0 {
 		t.Errorf("reloaded doc = %v, %v", doc, ok)
 	}
 	// Sequence must not collide with pre-existing IDs.
@@ -365,4 +381,34 @@ func TestConcurrentAccess(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// TestGeneratedIDIsLastMember: a generated or forced _id is appended to
+// the written bytes as their last member, which wins over any _id the
+// document held, and the member offsets reads go through cover it.
+func TestGeneratedIDIsLastMember(t *testing.T) {
+	s, _ := Open("")
+	c := s.Collection("items")
+	for _, doc := range []string{`{}`, `{"x":1}`, ` { "x" : 1 } `, `{"_id":5,"x":1}`} {
+		id, err := c.Insert([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := c.Get(id)
+		var out [1]Raw
+		got.Fields(out[:], "_id")
+		if v, _ := out[0].Scalar(); v != id || got.ID() != id {
+			t.Errorf("%s stored as %s: _id reads %s, want %q", doc, got.Raw, out[0], id)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(got.Raw, &m); err != nil || m["_id"] != id {
+			t.Errorf("%s stored as %s, which decodes to %v (%v)", doc, got.Raw, m, err)
+		}
+	}
+	if err := c.Update("items-00000001", []byte(`{"_id":"other","y":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Get("items-00000001"); got.ID() != "items-00000001" || field(got, "y") != 2.0 {
+		t.Errorf("forced _id: stored %s", got.Raw)
+	}
 }

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,4 +78,66 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("reopen gave %d WAL bytes and documents\n%s\nwant %d and\n%s", size2, state2, size, state)
 		}
 	})
+}
+
+// FuzzFieldScanMatchesDecode feeds any bytes in as a document. The
+// scanner must accept or reject them exactly as json.Unmarshal into a
+// map[string]any does — a JSON null decodes to a nil map, which is no
+// document — and on a document it accepts, the value it reads for
+// _id and for every top-level name (through the member offsets it
+// records) and at every nested path (walking the bytes) must be the
+// decoded map's value there, as an equality lookup normalizes it.
+//
+// Seeds live in testdata/fuzz/FuzzFieldScanMatchesDecode: escaped and
+// repeated keys, non-object documents, nesting at and past
+// encoding/json's depth limit, numbers out of float64's range and
+// invalid UTF-8.
+func FuzzFieldScanMatchesDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m map[string]any
+		want := json.Unmarshal(data, &m) == nil && m != nil
+		names := []string{"_id", "dataset"}
+		for k := range m {
+			names = append(names, k)
+		}
+		_, err := encode(data)
+		if ok := err == nil; ok != want {
+			t.Fatalf("store accepts %q: %v, encoding/json: %v", data, ok, want)
+		}
+		if err != nil {
+			return
+		}
+		vals := make([]Raw, len(names))
+		_, e := newCollection(nil, "fuzz").parse(Raw(data))
+		e.Fields(vals, names...)
+		for i, name := range names {
+			checkRead(t, name, vals[i], m, name)
+		}
+		var walk func(path []string, obj map[string]any)
+		walk = func(path []string, obj map[string]any) {
+			for k, v := range obj {
+				p := append(path[:len(path):len(path)], k)
+				raw := Raw(data).Field(p...)
+				checkRead(t, p, raw, obj, k)
+				if sub, ok := v.(map[string]any); ok && len(p) < 4 {
+					walk(p, sub)
+				} else if raw.Field(k) != nil {
+					t.Fatalf("read %q through a %T", append(p, k), v)
+				}
+			}
+		}
+		walk(nil, m)
+	})
+}
+
+// checkRead fails t unless raw, read at path, is present exactly when
+// obj holds name, with the scalar key normalize gives obj[name].
+func checkRead(t *testing.T, path any, raw Raw, obj map[string]any, name string) {
+	t.Helper()
+	v, present := obj[name]
+	got, gotOK := raw.Scalar()
+	want, wantOK := normalize(v)
+	if (raw != nil) != present || gotOK != wantOK || got != want {
+		t.Fatalf("read %q = %q (%v, %v), decoded %v (%v, %v)", path, raw, got, gotOK, v, want, wantOK)
+	}
 }

@@ -1,11 +1,10 @@
 package docstore
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,12 +14,9 @@ import (
 	"adahealth/internal/faultfs"
 )
 
-// This file is the replication layer of the store: the leader-side
-// primitives that expose the WAL as a shippable byte stream
-// (ReplPosition, WALReader, SnapshotBootstrap) and the follower-side
-// Replica whose apply path is the same replay logic a reopening store
-// runs. The wire format is the WAL frame format itself — see the
-// package comment's "Replication contract" section.
+// This file is the replication layer of the store: the leader side
+// (ReplPosition, WALReader, SnapshotBootstrap) and the follower side
+// (Replica). See the package comment's "Replication contract".
 
 // replMetaFile persists the store's compaction epoch next to the
 // snapshots and WAL. A missing file means epoch 0 (a store that never
@@ -91,18 +87,18 @@ func (s *Store) ReplStatus() ReplPosition {
 	}
 	s.writeGate.RLock()
 	defer s.writeGate.RUnlock()
-	return ReplPosition{
-		Epoch:  s.epoch.Load(),
-		Offset: s.wal.size.Load(),
-		Frames: s.wal.frames.Load(),
-	}
+	return s.positionLocked()
+}
+
+// positionLocked is the durable position; the caller holds the write
+// gate.
+func (s *Store) positionLocked() ReplPosition {
+	return ReplPosition{Epoch: s.epoch.Load(), Offset: s.wal.size.Load(), Frames: s.wal.frames.Load()}
 }
 
 // KeepaliveFrame returns the 8-byte heartbeat frame a replication
 // stream interleaves when no WAL data is pending: a zero length and
-// zero CRC, which a real log can never contain (replay treats a zero
-// length as the torn tail), so a follower recognizes and discards it
-// without persisting anything.
+// zero CRC, which no real log holds, so a follower discards it.
 func KeepaliveFrame() []byte { return make([]byte, walFrameHeader) }
 
 // DefaultWALReadChunk bounds one WALReader read (and so one streamed
@@ -110,11 +106,9 @@ func KeepaliveFrame() []byte { return make([]byte, walFrameHeader) }
 const DefaultWALReadChunk = 256 << 10
 
 // WALReader reads the durable prefix of a store's WAL as raw frame
-// bytes — the leader side of WAL shipping. It opens a fresh read
-// handle per call (the committer's handle is append-only), reads only
-// bytes the store has acknowledged as durable, and never observes a
-// compaction mid-read: the read holds the write gate shared, which
-// Compact holds exclusively.
+// bytes — the leader side of WAL shipping — through a fresh read
+// handle per call, holding the write gate shared so no compaction
+// lands mid-read.
 type WALReader struct {
 	s *Store
 }
@@ -159,23 +153,16 @@ func (r *WALReader) Read(epoch, from int64, maxBytes int) ([]byte, ReplPosition,
 	s.writeGate.RLock()
 	defer s.writeGate.RUnlock()
 
-	pos := ReplPosition{
-		Epoch:  s.epoch.Load(),
-		Offset: s.wal.size.Load(),
-		Frames: s.wal.frames.Load(),
-	}
+	pos := s.positionLocked()
 	if s.wal.closed() {
 		return nil, pos, errWALClosed
 	}
 	if epoch != pos.Epoch || from > pos.Offset || from < 0 {
 		return nil, pos, ErrCompacted
 	}
-	n := pos.Offset - from
+	n := min(pos.Offset-from, int64(maxBytes))
 	if n == 0 {
 		return nil, pos, nil
-	}
-	if n > int64(maxBytes) {
-		n = int64(maxBytes)
 	}
 	f, err := s.fs.OpenFile(filepath.Join(s.dir, "wal.log"), os.O_RDONLY, 0)
 	if err != nil {
@@ -193,12 +180,10 @@ func (r *WALReader) Read(epoch, from int64, maxBytes int) ([]byte, ReplPosition,
 }
 
 // SnapshotBootstrap captures the store's epoch-start state for a
-// follower bootstrap: the raw snapshot files on disk (which always
-// describe exactly the state at the current epoch's offset zero — a
-// compaction writes them and resets the log atomically under the
-// write gate) keyed by collection name, plus the current position.
-// A follower installs the files and then tails the epoch's WAL from
-// offset zero.
+// follower bootstrap: the snapshot files on disk, keyed by collection
+// name — exactly the state at the current epoch's offset zero, since a
+// compaction writes them and resets the log under one exclusive gate —
+// plus the current position.
 func (s *Store) SnapshotBootstrap() (ReplPosition, map[string][]byte, error) {
 	if s.wal == nil {
 		return ReplPosition{}, nil, ErrMemoryOnly
@@ -206,38 +191,17 @@ func (s *Store) SnapshotBootstrap() (ReplPosition, map[string][]byte, error) {
 	s.writeGate.RLock()
 	defer s.writeGate.RUnlock()
 
-	pos := ReplPosition{
-		Epoch:  s.epoch.Load(),
-		Offset: s.wal.size.Load(),
-		Frames: s.wal.frames.Load(),
-	}
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return pos, nil, fmt.Errorf("docstore: reading snapshot directory: %w", err)
-	}
-	files := map[string][]byte{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		raw, err := s.fs.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			return pos, nil, fmt.Errorf("docstore: reading snapshot %s: %w", name, err)
-		}
-		files[strings.TrimSuffix(name, ".json")] = raw
-	}
-	return pos, files, nil
+	pos := s.positionLocked()
+	files, err := readSnapshots(s.fs, s.dir)
+	return pos, files, err
 }
 
 // Replica is a read-only store maintained by applying a leader's
-// shipped WAL frames. Its apply path is deliberately the reopen path:
-// every received frame is CRC-verified, appended byte-identically to
-// the replica's own WAL (fsynced), and folded into memory with the
-// same upsert/ignore-missing semantics replay uses — so killing and
-// restarting a replica at any byte recovers exactly the applied
-// prefix, and the resume position is simply the local WAL's durable
-// size. The Replica must be the store's only writer.
+// shipped WAL frames through the reopen path: each frame is
+// CRC-verified, appended byte-identically to the replica's own WAL and
+// folded into memory as replay folds it — so a replica killed at any
+// byte recovers exactly the applied prefix, and its resume position is
+// its local WAL's durable size. It must be the store's only writer.
 type Replica struct {
 	s *Store
 
@@ -265,7 +229,9 @@ func OpenReplica(o Options) (*Replica, error) {
 		// No durable epoch claim: whatever files exist are a partial
 		// install (or a directory this replica has never synced), and
 		// loading them could mix two epochs' states. Start empty.
-		if err := wipeReplicaState(fsys, o.Dir); err != nil {
+		if err := removeFiles(fsys, o.Dir, func(name string) bool {
+			return strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".json.tmp") || name == "wal.log"
+		}); err != nil {
 			return nil, err
 		}
 		epoch = -1
@@ -277,21 +243,16 @@ func OpenReplica(o Options) (*Replica, error) {
 	return &Replica{s: s, epoch: epoch}, nil
 }
 
-// wipeReplicaState removes snapshot files and the WAL so a bootstrap
-// starts from a clean slate.
-func wipeReplicaState(fsys faultfs.FS, dir string) error {
+// removeFiles removes every file in dir whose name drop accepts.
+func removeFiles(fsys faultfs.FS, dir string, drop func(name string) bool) error {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("docstore: reading %s: %w", dir, err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".json.tmp") || name == "wal.log" {
-			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-				return fmt.Errorf("docstore: wiping partial replica state: %w", err)
+		if !e.IsDir() && drop(e.Name()) {
+			if err := fsys.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("docstore: removing %s: %w", e.Name(), err)
 			}
 		}
 	}
@@ -348,36 +309,26 @@ func (r *Replica) ApplyFrames(data []byte) (consumed int, applied int64, err err
 	)
 	off := 0
 	for {
-		if len(data)-off < walFrameHeader {
-			break
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length == 0 {
-			if sum != 0 {
-				err = fmt.Errorf("docstore: corrupt replicated frame header at %d", off)
-				break
-			}
-			off += walFrameHeader // keepalive: heartbeat only, never persisted
+		if bytes.HasPrefix(data[off:], KeepaliveFrame()) {
+			off += walFrameHeader // heartbeat only, never persisted
 			continue
 		}
-		total := walFrameHeader + int(length)
-		if len(data)-off < total {
-			break // partial frame: wait for more bytes
-		}
-		payload := data[off+walFrameHeader : off+total]
-		if crc32.ChecksumIEEE(payload) != sum {
-			err = fmt.Errorf("docstore: replicated frame CRC mismatch at %d", off)
+		payload, n, ok := frameAt(data[off:])
+		if !ok {
+			err = fmt.Errorf("docstore: corrupt replicated frame at %d", off)
 			break
 		}
-		var rec walRecord
-		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
+		if n == 0 {
+			break // partial frame: wait for more bytes
+		}
+		rec, jerr := decodeRecord(payload)
+		if jerr != nil {
 			err = fmt.Errorf("docstore: decoding replicated frame: %w", jerr)
 			break
 		}
-		persist = append(persist, data[off:off+total]...)
+		persist = append(persist, data[off:off+n]...)
 		recs = append(recs, rec)
-		off += total
+		off += n
 	}
 
 	if len(persist) > 0 {
@@ -430,27 +381,15 @@ func (r *Replica) InstallSnapshot(epoch int64, files map[string][]byte) error {
 	if err := writeReplMeta(s.fs, s.dir, -1); err != nil {
 		return fmt.Errorf("docstore: marking snapshot install: %w", err)
 	}
-	if s.wal.sync {
-		if err := syncDir(s.fs, s.dir); err != nil {
-			return fmt.Errorf("docstore: syncing install marker: %w", err)
-		}
+	if err := s.syncDir(); err != nil {
+		return fmt.Errorf("docstore: syncing install marker: %w", err)
 	}
 	// 2. Replace the on-disk snapshot set.
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("docstore: reading %s: %w", s.dir, err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		if _, keep := files[strings.TrimSuffix(name, ".json")]; keep {
-			continue
-		}
-		if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil {
-			return fmt.Errorf("docstore: removing stale snapshot %s: %w", name, err)
-		}
+	if err := removeFiles(s.fs, s.dir, func(name string) bool {
+		_, keep := files[strings.TrimSuffix(name, ".json")]
+		return strings.HasSuffix(name, ".json") && !keep
+	}); err != nil {
+		return err
 	}
 	for name, raw := range files {
 		if err := writeRawFile(s.fs, s.dir, name+".json", raw); err != nil {
@@ -463,61 +402,49 @@ func (r *Replica) InstallSnapshot(epoch int64, files map[string][]byte) error {
 		return err
 	}
 	// 4. Everything durable, in order, then the epoch claim.
-	if s.wal.sync {
-		if err := syncDir(s.fs, s.dir); err != nil {
-			return fmt.Errorf("docstore: syncing installed snapshot: %w", err)
-		}
+	if err := s.syncDir(); err != nil {
+		return fmt.Errorf("docstore: syncing installed snapshot: %w", err)
 	}
 	if err := writeReplMeta(s.fs, s.dir, epoch); err != nil {
 		return fmt.Errorf("docstore: committing snapshot install: %w", err)
 	}
 	// 5. Reload memory in place (existing *Collection handles stay
 	// valid; collections absent from the snapshot empty out).
-	s.mu.RLock()
-	existing := make([]string, 0, len(s.collections))
-	for name := range s.collections {
-		existing = append(existing, name)
+	for name := range snaps {
+		s.Collection(name)
 	}
-	s.mu.RUnlock()
-	for _, name := range existing {
-		if _, ok := snaps[name]; !ok {
-			s.Collection(name).load(snapshotFile{})
-		}
-	}
-	for name, snap := range snaps {
-		s.Collection(name).load(snap)
+	for _, name := range s.CollectionNames() {
+		s.Collection(name).load(snaps[name])
 	}
 	s.epoch.Store(epoch)
 	r.epoch = epoch
 	return nil
 }
 
-// writeRawFile writes raw bytes as dir/name via tmp + fsync + rename.
-func writeRawFile(fsys faultfs.FS, dir, name string, raw []byte) error {
+// writeRawFile writes raw bytes as dir/name via tmp + fsync + rename,
+// removing the tmp file when any step fails.
+func writeRawFile(fsys faultfs.FS, dir, name string, raw []byte) (err error) {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	defer func() {
+		if err != nil {
+			fsys.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(raw)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, name))
 	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
+	return err
 }
 
 // Close releases the replica's WAL. Unlike Store.Close it never

@@ -18,29 +18,24 @@ import (
 // compacts (rewrites snapshots and resets the WAL).
 const DefaultMaxWALBytes = 4 << 20
 
-// ErrStoreBroken marks a store whose WAL hit a commit failure: the
-// in-memory state is ahead of the durable log, so no later write is
-// acknowledged after the unacknowledged one (every write and Flush
-// fails wrapping this error, and compaction is refused). Reads still
-// serve the in-memory state, which may include the failed mutations;
-// callers that need durable-only reads must reopen the store, which
-// recovers exactly the committed prefix.
+// ErrStoreBroken marks a store whose WAL hit a commit failure: every
+// later write and Flush fails wrapping it, and compaction is refused.
+// Reads still serve the in-memory state, failed mutations included;
+// reopening recovers exactly the committed prefix.
 var ErrStoreBroken = errors.New("docstore: store broken by WAL commit failure")
 
 // Options configures OpenOptions.
 type Options struct {
 	// Dir is the persistence directory ("" = memory only).
 	Dir string
-	// NoSync skips the per-commit fsync: mutations are still written
-	// (and survive a process kill once the OS flushes), but a machine
-	// crash can lose the tail. Off by default.
+	// NoSync skips the per-commit fsync: a process kill loses nothing
+	// once the OS flushes, a machine crash can lose the tail.
 	NoSync bool
 	// MaxWALBytes overrides the compaction budget (<= 0 selects
 	// DefaultMaxWALBytes).
 	MaxWALBytes int64
-	// FS overrides the filesystem every disk operation goes through
-	// (nil = the real OS). Fault-injection tests pass a
-	// faultfs.Injector here.
+	// FS overrides the filesystem (nil = the real OS); fault-injection
+	// tests pass a faultfs.Injector.
 	FS faultfs.FS
 }
 
@@ -52,17 +47,14 @@ type Store struct {
 	maxWALBytes int64
 
 	// writeGate serializes mutations against compaction: every Batch
-	// holds it shared from Begin to Commit — its whole apply+log+wait
-	// span — so when Compact holds it exclusively no record is pending
-	// in the WAL and the snapshot is a consistent cut.
+	// holds it shared from Begin to Commit, so when Compact holds it
+	// exclusively the snapshot is a consistent cut.
 	writeGate sync.RWMutex
 
 	wal *wal // nil for memory-only stores
 
-	// epoch is the compaction generation (see ReplPosition): it
-	// increments every time a non-empty WAL is folded into snapshots
-	// and reset, and persists in repl.meta so a restarted leader and
-	// its followers agree on stream positions across restarts.
+	// epoch is the compaction generation (see ReplPosition), persisted
+	// in repl.meta so stream positions survive restarts.
 	epoch atomic.Int64
 
 	mu          sync.RWMutex
@@ -97,20 +89,11 @@ func OpenOptions(o Options) (*Store, error) {
 	if ep, ok := readReplMeta(s.fs, o.Dir); ok {
 		s.epoch.Store(ep)
 	}
-	entries, err := s.fs.ReadDir(o.Dir)
+	files, err := readSnapshots(s.fs, o.Dir)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: reading %s: %w", o.Dir, err)
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		coll := strings.TrimSuffix(name, ".json")
-		raw, err := s.fs.ReadFile(filepath.Join(o.Dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("docstore: loading collection %s: %w", coll, err)
-		}
+	for coll, raw := range files {
 		snap, err := decodeSnapshot(coll, raw)
 		if err != nil {
 			return nil, err
@@ -270,10 +253,8 @@ func (s *Store) compactLocked() error {
 	// un-fsynced rename could roll back to the old snapshot while the
 	// truncated (fsynced) log no longer holds the commits since —
 	// losing acknowledged writes. One directory fsync orders them.
-	if s.wal.sync {
-		if err := syncDir(s.fs, s.dir); err != nil {
-			return fmt.Errorf("docstore: syncing snapshot directory: %w", err)
-		}
+	if err := s.syncDir(); err != nil {
+		return fmt.Errorf("docstore: syncing snapshot directory: %w", err)
 	}
 	// The snapshots now hold everything the log held (no writer is in
 	// flight); replay over them is idempotent, so a crash before this
@@ -285,9 +266,13 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// syncDir fsyncs a directory so renamed snapshot files are durable.
-func syncDir(fsys faultfs.FS, dir string) error {
-	d, err := fsys.Open(dir)
+// syncDir fsyncs the store's directory, unless NoSync, so renamed
+// snapshot files are durable.
+func (s *Store) syncDir() error {
+	if !s.wal.sync {
+		return nil
+	}
+	d, err := s.fs.Open(s.dir)
 	if err != nil {
 		return err
 	}
@@ -314,21 +299,44 @@ func (s *Store) Close() error {
 }
 
 // snapshotFile is the on-disk snapshot of one collection. Docs are in
-// insertion order; Orders carries their stamps so scan order survives
-// compaction (a legacy snapshot without stamps loads in file order).
+// insertion order, each the stored bytes; Orders carries their stamps
+// so scan order survives compaction (a legacy snapshot without stamps
+// loads in file order).
 type snapshotFile struct {
-	IDSeq    int64      `json:"id_seq"`
-	OrderSeq int64      `json:"order_seq"`
-	Docs     []Document `json:"docs"`
-	Orders   []int64    `json:"orders,omitempty"`
+	IDSeq    int64             `json:"id_seq"`
+	OrderSeq int64             `json:"order_seq"`
+	Docs     []json.RawMessage `json:"docs"`
+	Orders   []int64           `json:"orders,omitempty"`
 
 	// Seq is the pre-WAL snapshot format's ID counter, read for
 	// backward compatibility and never written.
 	Seq int64 `json:"seq,omitempty"`
 }
 
+// readSnapshots reads every snapshot file in dir, keyed by collection.
+func readSnapshots(fsys faultfs.FS, dir string) (map[string][]byte, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("docstore: reading %s: %w", dir, err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".json") {
+			continue
+		}
+		raw, err := fsys.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("docstore: reading snapshot %s: %w", name, err)
+		}
+		files[strings.TrimSuffix(name, ".json")] = raw
+	}
+	return files, nil
+}
+
 // decodeSnapshot parses one collection's snapshot file, reading the
-// legacy ID counter and rejecting a document without an _id.
+// legacy ID counter and rejecting a document that is not a JSON object
+// or has no _id.
 func decodeSnapshot(name string, raw []byte) (snapshotFile, error) {
 	var snap snapshotFile
 	if err := json.Unmarshal(raw, &snap); err != nil {
@@ -338,7 +346,7 @@ func decodeSnapshot(name string, raw []byte) (snapshotFile, error) {
 		snap.IDSeq = snap.Seq // legacy format
 	}
 	for _, d := range snap.Docs {
-		if d.ID() == "" {
+		if !isDoc(Raw(d)) || Raw(d).ID() == "" {
 			return snap, fmt.Errorf("docstore: collection %s holds a document without _id", name)
 		}
 	}
@@ -346,9 +354,5 @@ func decodeSnapshot(name string, raw []byte) (snapshotFile, error) {
 }
 
 func (s *Store) writeSnapshot(c *Collection) error {
-	raw, err := json.Marshal(c.snapshot())
-	if err != nil {
-		return err
-	}
-	return writeRawFile(s.fs, s.dir, c.name+".json", raw)
+	return writeRawFile(s.fs, s.dir, c.name+".json", c.snapshot())
 }

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,18 +29,16 @@ const (
 // walRecord is one logged mutation. Replay applies records in log
 // order with upsert/ignore-missing semantics, so replaying a tail
 // whose effects are already folded into a snapshot (a crash between
-// snapshot rename and log reset) reconverges on the same state.
+// snapshot rename and log reset) reconverges on the same state. Order
+// (inserts only) is the insertion-order stamp and IDSeq the
+// generated-ID counter after the mutation: replay restores both.
 type walRecord struct {
-	Op         walOp    `json:"op"`
-	Collection string   `json:"c"`
-	ID         string   `json:"id"`
-	Doc        Document `json:"doc,omitempty"`
-	// Order is the document's insertion-order stamp (inserts only);
-	// replay restores it so scan order survives a restart.
-	Order int64 `json:"ord,omitempty"`
-	// IDSeq is the collection's generated-ID counter after this
-	// mutation, replayed so fresh inserts cannot collide.
-	IDSeq int64 `json:"seq,omitempty"`
+	Op         walOp           `json:"op"`
+	Collection string          `json:"c"`
+	ID         string          `json:"id"`
+	Doc        json.RawMessage `json:"doc,omitempty"`
+	Order      int64           `json:"ord,omitempty"`
+	IDSeq      int64           `json:"seq,omitempty"`
 }
 
 // walFrame is the on-disk framing of one record:
@@ -67,44 +67,32 @@ type walBatch struct {
 // committer goroutine to make their batch durable; the committer folds
 // all pending records into one write and one fsync.
 type wal struct {
-	path string
 	sync bool // fsync each commit (true unless Options.NoSync)
 
 	mu sync.Mutex
 	f  faultfs.File
-	// buf collects the pending frames; spare (touched only by the
-	// committer goroutine) is the previous commit's buffer, emptied,
-	// which the committer swaps in when it takes buf — a many-frame
-	// batch then appends into capacity it already grew instead of
-	// doubling up from nil on every commit.
+	// buf collects the pending frames; spare (the committer's own) is
+	// the previous commit's buffer, emptied, which the committer swaps
+	// in when it takes buf, so appends reuse grown capacity.
 	buf   []byte
 	spare []byte
 	cur   *walBatch
 	done  bool
-	// failErr latches the first commit failure: once a batch could not
-	// be written (disk full, I/O error), the in-memory state is ahead
-	// of the log, so every further write — and, crucially, compaction,
-	// which would otherwise snapshot the unlogged state into
-	// durability — is refused with this error. The store must be
-	// reopened to recover to the last durable commit. failErr always
-	// wraps ErrStoreBroken.
+	// failErr latches the first commit failure (always wrapping
+	// ErrStoreBroken): memory is then ahead of the log, so every further
+	// write and compaction is refused until the store is reopened.
 	failErr error
 
 	wake chan struct{}
 	exit chan struct{}
 
 	size atomic.Int64 // bytes appended since the last reset
-	// frames counts committed frames since the last reset — the
-	// replication stream's logical clock (a follower's frames-behind
-	// gauge is the leader's count minus its own). Replay restores it,
-	// so the count survives a restart.
-	frames atomic.Int64
-	// bufFrames counts the frames currently in buf (guarded by mu),
-	// folded into frames when their batch commits.
-	bufFrames int64
+	// frames counts committed frames since the last reset (replay
+	// restores it): the replication stream's logical clock.
+	frames    atomic.Int64
+	bufFrames int64 // frames in buf (guarded by mu)
 	// changed is closed at the log's next durable change and then
-	// dropped (guarded by mu). It is made only when a reader asks for
-	// it, so a store nobody streams from pays one nil check per commit.
+	// dropped (guarded by mu); it is made only when a reader asks.
 	changed chan struct{}
 }
 
@@ -145,128 +133,102 @@ func (w *wal) signalLocked() {
 // openWAL opens (creating if needed) the log at path, replays its
 // committed prefix through apply, truncates any torn tail, and starts
 // the group committer.
-func openWAL(fsys faultfs.FS, path string, syncWrites bool, apply func(walRecord) error) (*wal, error) {
+func openWAL(fsys faultfs.FS, path string, syncWrites bool, apply func(walRecord) error) (_ *wal, err error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("docstore: opening WAL %s: %w", path, err)
 	}
-	var replayed int64
-	good, err := replayWAL(f, func(rec walRecord) error {
-		replayed++
-		return apply(rec)
-	})
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	good, frames, err := replayWAL(f, apply)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	// Drop a torn tail (crash mid-frame) so appends extend the durable
 	// prefix instead of interleaving with garbage.
 	if err := f.Truncate(good); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("docstore: truncating WAL tail: %w", err)
 	}
 	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("docstore: seeking WAL: %w", err)
 	}
-	w := &wal{
-		path: path,
-		sync: syncWrites,
-		f:    f,
-		wake: make(chan struct{}, 1),
-		exit: make(chan struct{}),
-	}
+	w := &wal{sync: syncWrites, f: f, wake: make(chan struct{}, 1), exit: make(chan struct{})}
 	w.size.Store(good)
-	w.frames.Store(replayed)
+	w.frames.Store(frames)
 	go w.commitLoop()
 	return w, nil
 }
 
 // replayWAL feeds every intact frame to apply and returns the byte
-// offset just past the last intact frame. Torn or corrupt frames end
-// the replay without error: they are the uncommitted tail.
-func replayWAL(f faultfs.File, apply func(walRecord) error) (int64, error) {
+// offset just past the last intact frame and the frame count. Torn or
+// corrupt frames end the replay without error: they are the
+// uncommitted tail.
+func replayWAL(f faultfs.File, apply func(walRecord) error) (good, frames int64, err error) {
 	info, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("docstore: stating WAL: %w", err)
+		return 0, 0, fmt.Errorf("docstore: stating WAL: %w", err)
 	}
-	fileSize := info.Size()
+	data := make([]byte, info.Size())
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("docstore: seeking WAL: %w", err)
+		return 0, 0, fmt.Errorf("docstore: seeking WAL: %w", err)
 	}
-	r := newByteReader(f)
-	var good int64
-	header := make([]byte, walFrameHeader)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			return good, nil // EOF or short header: end of committed prefix
+	if _, err := io.ReadFull(f, data); err != nil {
+		return 0, 0, fmt.Errorf("docstore: reading WAL: %w", err)
+	}
+	for ; ; frames++ {
+		payload, n, ok := frameAt(data[good:])
+		if n == 0 || !ok {
+			return good, frames, nil
 		}
-		length := binary.LittleEndian.Uint32(header[:4])
-		sum := binary.LittleEndian.Uint32(header[4:])
-		// A length running past the file is a torn or corrupt frame;
-		// checking against the real remainder also caps the payload
-		// allocation (a flipped length byte must not ask for 1 GiB on
-		// the recovery path).
-		if length == 0 || int64(length) > fileSize-good-walFrameHeader {
-			return good, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return good, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return good, nil // corrupt frame
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return good, nil
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return good, frames, nil
 		}
 		if err := apply(rec); err != nil {
-			return good, fmt.Errorf("docstore: replaying WAL record: %w", err)
+			return good, frames, fmt.Errorf("docstore: replaying WAL record: %w", err)
 		}
-		good += int64(walFrameHeader) + int64(length)
+		good += int64(n)
 	}
 }
 
-// newByteReader buffers sequential reads during replay.
-func newByteReader(f faultfs.File) io.Reader { return &walReader{f: f} }
-
-type walReader struct {
-	f   faultfs.File
-	buf []byte
-	pos int
+// frameAt reads the frame data starts with: its payload and its size,
+// header included. size is 0 when data is shorter than the frame; ok
+// is false when the bytes are no frame — a zero length, or a payload
+// that fails its CRC.
+func frameAt(data []byte) (payload []byte, size int, ok bool) {
+	if len(data) < walFrameHeader {
+		return nil, 0, true
+	}
+	size = walFrameHeader + int(binary.LittleEndian.Uint32(data))
+	if size > len(data) {
+		return nil, 0, true
+	}
+	payload = data[walFrameHeader:size]
+	return payload, size, size > walFrameHeader && crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(data[4:])
 }
 
-func (r *walReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.buf) {
-		chunk := make([]byte, 1<<16)
-		n, err := r.f.Read(chunk)
-		if n == 0 {
-			return 0, err
-		}
-		r.buf, r.pos = chunk[:n], 0
+// decodeRecord decodes one frame's payload. A missing document, or one
+// that is not a JSON object, makes the frame undecodable.
+func decodeRecord(payload []byte) (walRecord, error) {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, err
 	}
-	n := copy(p, r.buf[r.pos:])
-	r.pos += n
-	return n, nil
+	if (rec.Doc != nil || rec.Op == opInsert || rec.Op == opUpdate) && !isDoc(Raw(rec.Doc)) {
+		return rec, fmt.Errorf("docstore: WAL record for %s/%s holds no document", rec.Collection, rec.ID)
+	}
+	return rec, nil
 }
 
 // enqueue frames rec into the pending batch and returns the batch to
-// wait on. It is cheap (no I/O) and safe to call while holding a
-// collection lock, which is what serializes records touching one
-// document into log order. It does not wake the committer: the frame
-// rides whichever group commit comes next, and a writer about to wait
-// calls kick, so a many-frame Batch costs one commit rather than one
-// per frame the committer happened to catch.
+// wait on. It does no I/O, so it may run under a collection lock, which
+// is what orders the records touching one document. It does not wake
+// the committer: a writer about to wait calls kick, so a many-frame
+// Batch costs one commit.
 func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("docstore: encoding WAL record: %w", err)
-	}
-	var header [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(header[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload))
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
@@ -275,13 +237,34 @@ func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	if w.failErr != nil {
 		return nil, fmt.Errorf("docstore: WAL failed earlier: %w", w.failErr)
 	}
-	w.buf = append(w.buf, header[:]...)
-	w.buf = append(w.buf, payload...)
+	start := len(w.buf)
+	w.buf = appendRecord(slices.Grow(w.buf, walFrameHeader+len(rec.Doc)+len(rec.Collection)+len(rec.ID)+96), rec)
+	payload := w.buf[start+walFrameHeader:]
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[start+4:], crc32.ChecksumIEEE(payload))
 	w.bufFrames++
 	if w.cur == nil {
 		w.cur = &walBatch{done: make(chan struct{})}
 	}
 	return w.cur, nil
+}
+
+// appendRecord appends rec's frame to dst, its header left for the
+// caller to fill: the walRecord's JSON, written by hand so the
+// document goes in as the bytes it is stored as.
+func appendRecord(dst []byte, rec walRecord) []byte {
+	dst = append(append(dst, make([]byte, walFrameHeader)...), `{"op":"`+string(rec.Op)+`","c":`...)
+	dst = appendString(append(appendString(dst, rec.Collection), `,"id":`...), rec.ID)
+	if rec.Doc != nil {
+		dst = append(append(dst, `,"doc":`...), rec.Doc...)
+	}
+	if rec.Order != 0 {
+		dst = strconv.AppendInt(append(dst, `,"ord":`...), rec.Order, 10)
+	}
+	if rec.IDSeq != 0 {
+		dst = strconv.AppendInt(append(dst, `,"seq":`...), rec.IDSeq, 10)
+	}
+	return append(dst, '}')
 }
 
 // kick wakes the committer when frames are pending and returns their
@@ -321,11 +304,9 @@ func (w *wal) commitPending() {
 	}
 	data, batch, nframes := w.buf, w.cur, w.bufFrames
 	w.buf, w.spare, w.cur, w.bufFrames = w.spare, nil, nil, 0
-	// A batch enqueued while the failing commit was in flight must not
-	// be written: its frames would land past the hole left by the
-	// unacknowledged batch, and replay (which stops at the hole) would
-	// never see them — yet the writers would be told their mutations
-	// are durable. Fail the batch with the latched error instead.
+	// A batch enqueued while a failing commit was in flight must not be
+	// written past the hole, where replay would never see it: fail it
+	// with the latched error.
 	if w.failErr != nil {
 		batch.err = w.failErr
 		w.mu.Unlock()
@@ -334,25 +315,10 @@ func (w *wal) commitPending() {
 	}
 	w.mu.Unlock()
 
-	t0 := time.Now()
-	_, err := w.f.Write(data)
-	if err == nil && w.sync {
-		err = w.f.Sync()
-	}
-	walCommitSeconds.ObserveSince(t0)
+	err := w.write(data)
 	walCommitFrames.Observe(float64(nframes))
 	w.mu.Lock()
-	if err != nil {
-		err = fmt.Errorf("%w: %w", ErrStoreBroken, err)
-		if w.failErr == nil {
-			w.failErr = err
-		}
-	} else {
-		w.size.Add(int64(len(data)))
-		w.frames.Add(nframes)
-		walFramesTotal.Add(nframes)
-		w.signalLocked()
-	}
+	err = w.committedLocked(err, len(data), nframes)
 	w.mu.Unlock()
 	// Recycle the written buffer unless one outsized commit grew it:
 	// pinning that forever would cost more than regrowing it.
@@ -380,20 +346,35 @@ func (w *wal) appendRaw(data []byte, nframes int64) error {
 	if len(w.buf) != 0 {
 		return fmt.Errorf("docstore: appendRaw with queued writer frames pending")
 	}
+	return w.committedLocked(w.write(data), len(data), nframes)
+}
+
+// write appends data to the file and fsyncs it unless NoSync.
+func (w *wal) write(data []byte) error {
 	t0 := time.Now()
 	_, err := w.f.Write(data)
 	if err == nil && w.sync {
 		err = w.f.Sync()
 	}
 	walCommitSeconds.ObserveSince(t0)
+	return err
+}
+
+// committedLocked settles a write of n bytes holding nframes frames:
+// it counts them durable and signals the change, or latches the
+// failure that breaks the store. The caller holds mu.
+func (w *wal) committedLocked(err error, n int, nframes int64) error {
 	if err != nil {
 		err = fmt.Errorf("%w: %w", ErrStoreBroken, err)
-		w.failErr = err
+		if w.failErr == nil {
+			w.failErr = err
+		}
 		return err
 	}
-	w.size.Add(int64(len(data)))
+	w.size.Add(int64(n))
 	w.frames.Add(nframes)
 	walFramesTotal.Add(nframes)
+	w.signalLocked()
 	return nil
 }
 

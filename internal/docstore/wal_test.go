@@ -314,7 +314,7 @@ func TestShardByGroupsAndFinds(t *testing.T) {
 			t.Fatalf("dataset d%d: %d docs, want 8", d, len(got))
 		}
 		for i := 1; i < len(got); i++ {
-			if got[i-1]["n"].(int) > got[i]["n"].(int) {
+			if got[i-1]["n"].(float64) > got[i]["n"].(float64) {
 				t.Fatalf("dataset d%d results out of insertion order", d)
 			}
 		}
@@ -327,7 +327,7 @@ func TestShardByGroupsAndFinds(t *testing.T) {
 	if err := c.Update(ids[13], Document{"dataset": "moved", "n": 13}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FindEq("dataset", "moved"); len(got) != 1 || got[0].ID() != ids[13] {
+	if got := c.FindEq("dataset", "moved"); len(got) != 1 || got[0]["_id"] != ids[13] {
 		t.Fatalf("moved doc not findable under new shard key: %v", got)
 	}
 	if got := c.FindEq("dataset", "d5"); len(got) != 7 {

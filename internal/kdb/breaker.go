@@ -15,22 +15,15 @@ const (
 	// ModeHealthy: writes, flushes and reads all proceed.
 	ModeHealthy Mode = "healthy"
 	// ModeReadOnly: repeated flush/compaction failures tripped the
-	// breaker; writes are refused (and counted as dropped) so the WAL
-	// stops growing past a disk that cannot compact, while reads keep
-	// serving. After a cooldown the next flush runs as a half-open
-	// probe; success closes the breaker.
+	// breaker; writes are refused (and counted as dropped) while reads
+	// serve, until a flush after the cooldown succeeds.
 	ModeReadOnly Mode = "read-only"
-	// ModeOffline: the underlying store is broken
-	// (docstore.ErrStoreBroken) — its memory is ahead of the durable
-	// log, so both writes and reads are refused; the K-DB must be
-	// reopened to recover. Offline is terminal for this handle.
+	// ModeOffline: the store is broken (docstore.ErrStoreBroken); writes
+	// and reads are refused until the K-DB is reopened.
 	ModeOffline Mode = "offline"
 	// ModeFollower: the K-DB fronts a replication follower's store
-	// (kdb.Follower). Reads serve; writes and flushes are refused with
-	// ErrFollower — the store's only writer is the replication apply
-	// loop, and compaction/epoch management belongs to the leader.
-	// Follower is a configuration, not a trip: the breaker never
-	// enters or leaves it at runtime.
+	// (kdb.Follower): reads serve, writes and flushes are refused. It is
+	// a configuration, never entered or left at runtime.
 	ModeFollower Mode = "follower"
 )
 
@@ -38,9 +31,8 @@ var (
 	// ErrReadOnly rejects a write while the breaker holds the store
 	// read-only.
 	ErrReadOnly = errors.New("kdb: store is read-only (circuit breaker open)")
-	// ErrOffline rejects an operation while the store is offline
-	// (broken); reads fail too, because the in-memory state may be
-	// ahead of what a recovery would restore.
+	// ErrOffline rejects an operation, read or write, while the store
+	// is offline (broken).
 	ErrOffline = errors.New("kdb: store is offline (broken)")
 	// ErrFollower rejects writes and flushes on a read-only follower
 	// K-DB (kdb.Follower): mutations belong on the leader.
@@ -103,32 +95,30 @@ func (b *breaker) limits() (int, time.Duration) {
 	return th, cd
 }
 
-// beforeWrite gates a mutation; a refusal counts as a dropped write.
-func (b *breaker) beforeWrite() error {
+// write runs one mutation behind the breaker: a refusal counts as a
+// dropped write, and a broken store goes offline at once (no threshold
+// — brokenness is not transient).
+func (b *breaker) write(mutate func() error) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.mode {
-	case ModeOffline:
+	mode := b.mode
+	if mode == ModeOffline || mode == ModeReadOnly {
 		b.dropped++
 		droppedWritesTotal.Inc()
+	}
+	b.mu.Unlock()
+	switch mode {
+	case ModeOffline:
 		return ErrOffline
 	case ModeReadOnly:
-		b.dropped++
-		droppedWritesTotal.Inc()
 		return ErrReadOnly
 	case ModeFollower:
 		return ErrFollower
 	}
-	return nil
-}
-
-// afterWrite observes a mutation's outcome: a broken store goes
-// offline immediately (no threshold — brokenness is not transient).
-func (b *breaker) afterWrite(err error) {
-	if err == nil || !errors.Is(err, docstore.ErrStoreBroken) {
-		return
+	err := mutate()
+	if errors.Is(err, docstore.ErrStoreBroken) {
+		b.tripOffline(err)
 	}
-	b.tripOffline(err)
+	return err
 }
 
 // beforeRead gates a read: only an offline store refuses reads.

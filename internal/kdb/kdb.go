@@ -14,34 +14,24 @@
 // The streaming layer adds live_datasets and live_appends. Documents an
 // older build wrote to raw_datasets, transformed or stage_traces, and
 // its recall hit/miss rows in feedback, still load; nothing reads them.
+// The store is package docstore (the MongoDB substitution); a
+// disk-backed K-DB survives a daemon kill through its write-ahead log.
+// Every read is a typed accessor over one collection; SimilarDatasets
+// ranks stored descriptors by statistical similarity, the retrieval
+// path of the paper's self-learning loop (recall warm-starts from it).
 //
-// The store is the embedded document store of package docstore (the
-// MongoDB substitution), and a disk-backed K-DB is durable — mutations
-// hit a group-committed write-ahead log and survive a daemon kill,
-// with snapshot compaction bounding reopen time.
+// # Documents are the JSON they were written as
 //
-// Every read is a typed accessor over one collection; there is no
-// generic query. SimilarDatasets ranks stored descriptors by
-// statistical similarity — the retrieval path of the paper's
-// self-learning loop (the recall stage warm-starts new analyses from
-// it).
-//
-// # Reads decode only what they return
-//
-// Decoding a stored document into a typed value is a JSON round trip,
-// the dominant cost of a read. So reads select, filter and rank on the
-// stored documents in place (docstore's zero-copy Scan and WalkEq) and
-// decode only what they return, each counted by
-// kdb_documents_decoded_total: ClusterSets (recall's read) the
-// dataset's cluster-set items, GoalFeedback (the end-goal trainer's)
-// the rows with an accepted goal, TopKnowledge the top n after ranking
-// on the stored metrics.<m> and id fields, KnowledgeItems its first
-// limit items. Descriptors are decoded once per process (descCache).
-// A document that does not decode (a foreign schema, a hand edit)
-// therefore fails a read only when that read returns it: an undecodable
-// pattern item no longer hides its dataset's cluster sets from recall,
-// while an undecodable cluster set still does. TopKnowledge also fails
-// when a ranked document's metric or id is not of its decoded type.
+// A write marshals its typed value once and the store keeps those
+// bytes; a read decodes a document with one json.Unmarshal, counted by
+// kdb_documents_decoded_total. Reads select, filter and rank on the
+// stored bytes in place (docstore.Doc.Fields) and decode only what they
+// return: ClusterSets reads kind, GoalFeedback goal, TopKnowledge id
+// and metrics.<m>, and KnowledgeItems decodes its first limit items;
+// descriptors decode once per process (descCache). A document that
+// does not decode (a foreign schema, a hand edit) fails a read only
+// when that read returns it; TopKnowledge also fails when a ranked
+// document's metric or id is not of its decoded type.
 //
 // # Failure semantics
 //
@@ -66,7 +56,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -106,11 +96,8 @@ type KDB struct {
 	br    *breaker
 
 	// descMu guards descCache: decoded descriptors keyed by document
-	// ID. Descriptor documents are append-only (never updated), so the
-	// cache never goes stale; it keeps SimilarDatasets and Descriptors
-	// — both run on every analysis — from JSON-round-tripping the whole
-	// descriptor history each time. Documents that failed to decode are
-	// cached with their error.
+	// ID, so SimilarDatasets and Descriptors — both run on every
+	// analysis — do not decode the whole descriptor history each time.
 	descMu    sync.Mutex
 	descCache map[string]decodedDescriptor
 
@@ -141,11 +128,9 @@ func OpenStore(opts docstore.Options) (*KDB, error) {
 // dataset-scoped reads through the same indexes.
 func newKDB(s *docstore.Store) *KDB {
 	// Equality indexes on the access paths the pipeline uses.
-	s.Collection(CollClusterKI).CreateIndex("dataset")
-	s.Collection(CollPatternKI).CreateIndex("dataset")
-	s.Collection(CollDescriptors).CreateIndex("dataset")
-	s.Collection(CollFeedback).CreateIndex("dataset")
-	s.Collection(CollLiveAppends).CreateIndex("dataset")
+	for _, c := range []string{CollClusterKI, CollPatternKI, CollDescriptors, CollFeedback, CollLiveAppends} {
+		s.Collection(c).CreateIndex("dataset")
+	}
 	return &KDB{
 		store:         s,
 		br:            newBreaker(),
@@ -155,12 +140,9 @@ func newKDB(s *docstore.Store) *KDB {
 }
 
 // Follower wraps a replication follower's store (docstore.Replica) in
-// a read-only K-DB: the typed read accessors (KnowledgeItems,
-// TopKnowledge, SimilarDatasets, ...) serve from the replicated
-// collections, while every write and flush is refused with ErrFollower
-// (the store's only writer is the replication apply loop, and
-// compaction belongs to the leader). The replica's lifecycle owns the
-// store: Close on a follower K-DB is a no-op.
+// a read-only K-DB: the typed reads serve from the replicated
+// collections, every write and flush is refused with ErrFollower, and
+// Close is a no-op (the replica owns the store).
 func Follower(s *docstore.Store) *KDB {
 	k := newKDB(s)
 	k.br.mode = ModeFollower
@@ -201,46 +183,23 @@ func (k *KDB) Flush() error {
 // as diagnostics and tests).
 func (k *KDB) Store() *docstore.Store { return k.store }
 
-// toDoc converts any JSON-marshalable value to a Document.
-func toDoc(v any) (docstore.Document, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	var d docstore.Document
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// fromDoc decodes a document into out: the one decode of every read.
-func fromDoc(d docstore.Document, out any) error {
+// decode decodes a stored document into out: the one decode of every
+// read.
+func decode(doc docstore.Doc, out any) error {
 	documentsDecoded.Inc()
-	raw, err := json.Marshal(d)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(raw, out)
+	return json.Unmarshal(doc.Raw, out)
 }
 
 // StoreDescriptor records a statistical descriptor (collection 3).
-func (k *KDB) StoreDescriptor(d stats.Descriptor) (string, error) {
-	if err := k.br.beforeWrite(); err != nil {
-		return "", err
-	}
-	id, err := k.storeDescriptor(d)
-	k.br.afterWrite(err)
-	return id, err
-}
-
-func (k *KDB) storeDescriptor(d stats.Descriptor) (string, error) {
-	doc, err := toDoc(d)
-	if err != nil {
-		return "", fmt.Errorf("kdb: encoding descriptor: %w", err)
-	}
-	doc["dataset"] = d.DatasetName
-	id, err := k.store.Collection(CollDescriptors).Insert(doc)
+func (k *KDB) StoreDescriptor(d stats.Descriptor) (id string, err error) {
+	err = k.br.write(func() error {
+		// The dataset field is what the collection's index reads.
+		id, err = k.store.Collection(CollDescriptors).Insert(struct {
+			stats.Descriptor
+			Dataset string `json:"dataset"`
+		}{d, d.DatasetName})
+		return err
+	})
 	if err != nil {
 		return "", err
 	}
@@ -268,79 +227,66 @@ func (k *KDB) Descriptors() ([]stats.Descriptor, error) {
 }
 
 // decodedDescriptor is one descriptor document decoded through
-// descCache; err is set (and desc zero) when it did not decode. order
-// is the document's insertion stamp as of the scan that returned it
-// (not cached).
+// descCache; err is set (and desc zero) when it did not decode.
 type decodedDescriptor struct {
-	id    string
-	order int64
-	desc  stats.Descriptor
-	err   error
+	id   string
+	desc stats.Descriptor
+	err  error
 }
 
 // decodedDescriptors returns every stored descriptor in insertion
-// order, decoding only the documents descCache has not seen: the Scan
-// reads raw documents without copying, and descriptor documents are
-// append-only, so each pays the JSON round trip at most once per
-// process lifetime. Decode failures are cached too — a descriptor
-// written under another schema version (or by hand) is reported, not
-// re-parsed, on every call.
+// order, decoding only the documents descCache has not seen: descriptor
+// documents are append-only, so each is decoded at most once per
+// process. Decode failures are cached too — a descriptor written under
+// another schema version (or by hand) is reported, not re-parsed.
 func (k *KDB) decodedDescriptors() []decodedDescriptor {
-	var all []decodedDescriptor
+	docs := inScope(k.store.Collection(CollDescriptors), "", nil)
+	all := make([]decodedDescriptor, len(docs))
 	k.descMu.Lock()
-	k.store.Collection(CollDescriptors).Scan(func(doc docstore.Document, order int64) bool {
+	defer k.descMu.Unlock()
+	for i, doc := range docs {
 		id := doc.ID()
 		dd, ok := k.descCache[id]
 		if !ok {
 			dd = decodedDescriptor{id: id}
-			dd.err = fromDoc(doc, &dd.desc)
-			if dd.err != nil {
+			if dd.err = decode(doc, &dd.desc); dd.err != nil {
 				dd.desc = stats.Descriptor{}
 			}
 			k.descCache[id] = dd
 		}
-		dd.order = order
-		all = append(all, dd)
-		return true
-	})
-	k.descMu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].order < all[j].order })
+		all[i] = dd
+	}
 	return all
 }
 
 // StoreKnowledgeItems routes items to collection 4 or 5 by kind.
 // Items with IDs already present are updated rather than duplicated.
+// One analysis's items are one batch: the job waits for the disk once,
+// and two analyses storing the same item IDs concurrently both succeed
+// (the store decides insert-or-replace atomically per item).
 func (k *KDB) StoreKnowledgeItems(items []knowledge.Item) error {
-	if err := k.br.beforeWrite(); err != nil {
-		return err
-	}
-	err := k.storeKnowledgeItems(items)
-	k.br.afterWrite(err)
-	return err
-}
-
-// storeKnowledgeItems upserts one analysis's items as one batch: the
-// job waits for the disk once, and two analyses storing the same item
-// IDs concurrently both succeed (the store decides insert-or-replace
-// atomically per item).
-func (k *KDB) storeKnowledgeItems(items []knowledge.Item) error {
-	b := k.store.Begin()
-	defer b.Commit()
-	for _, it := range items {
-		doc, err := toDoc(it)
-		if err != nil {
-			return fmt.Errorf("kdb: encoding knowledge item %s: %w", it.ID, err)
+	return k.br.write(func() error {
+		b := k.store.Begin()
+		defer b.Commit()
+		for _, it := range items {
+			// The members reads select on go last, where the store
+			// reads them first (docstore.Doc.Fields).
+			doc := struct {
+				ID string `json:"_id"`
+				knowledge.Item
+				Kind    knowledge.Kind     `json:"kind"`
+				Metrics map[string]float64 `json:"metrics"`
+				ItemID  string             `json:"id"`
+			}{it.ID, it, it.Kind, it.Metrics, it.ID}
+			if _, err := b.Upsert(k.collectionFor(it.Kind), doc); err != nil {
+				return fmt.Errorf("kdb: storing knowledge item %s: %w", it.ID, err)
+			}
 		}
-		doc["_id"] = it.ID
-		doc["dataset"] = it.Dataset
-		if _, err := b.Upsert(k.collectionFor(it.Kind), doc); err != nil {
-			return fmt.Errorf("kdb: storing knowledge item %s: %w", it.ID, err)
+		if err := b.Commit(); err != nil {
+			return fmt.Errorf("kdb: storing knowledge items: %w", err)
 		}
-	}
-	if err := b.Commit(); err != nil {
-		return fmt.Errorf("kdb: storing knowledge items: %w", err)
-	}
-	return nil
+		return nil
+	})
 }
 
 func (k *KDB) collectionFor(kind knowledge.Kind) *docstore.Collection {
@@ -365,7 +311,7 @@ func (k *KDB) KnowledgeItems(datasetName string, limit int) ([]knowledge.Item, e
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	var docs []docstore.Document
+	var docs []docstore.Doc
 	for _, coll := range k.knowledgeColls() {
 		docs = append(docs, inScope(coll, datasetName, nil)...)
 	}
@@ -383,8 +329,9 @@ func (k *KDB) ClusterSets(datasetName string) ([]knowledge.Item, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	docs := inScope(k.store.Collection(CollClusterKI), datasetName, func(d docstore.Document) bool {
-		return d["kind"] == string(knowledge.KindClusterSet)
+	docs := inScope(k.store.Collection(CollClusterKI), datasetName, func(d docstore.Doc) bool {
+		kind, _ := d.Field("kind").Scalar()
+		return kind == string(knowledge.KindClusterSet)
 	})
 	return decodeAll[knowledge.Item](docs, "cluster-set item")
 }
@@ -393,13 +340,13 @@ func (k *KDB) ClusterSets(datasetName string) ([]knowledge.Item, error) {
 // (nil keeps all), in insertion order. They are the store's own
 // documents, uncopied: callers only read them (see
 // docstore.Collection.Scan), and decode just the ones they return.
-func inScope(coll *docstore.Collection, datasetName string, keep func(docstore.Document) bool) []docstore.Document {
+func inScope(coll *docstore.Collection, datasetName string, keep func(docstore.Doc) bool) []docstore.Doc {
 	type stamped struct {
-		doc   docstore.Document
+		doc   docstore.Doc
 		order int64
 	}
 	var sel []stamped
-	walkScope(coll, datasetName, func(d docstore.Document, order int64) bool {
+	walkScope(coll, datasetName, func(d docstore.Doc, order int64) bool {
 		if keep == nil || keep(d) {
 			sel = append(sel, stamped{d, order})
 		}
@@ -408,7 +355,7 @@ func inScope(coll *docstore.Collection, datasetName string, keep func(docstore.D
 	if datasetName == "" { // a scan: unordered
 		slices.SortFunc(sel, func(a, b stamped) int { return cmp.Compare(a.order, b.order) })
 	}
-	docs := make([]docstore.Document, len(sel))
+	docs := make([]docstore.Doc, len(sel))
 	for i, s := range sel {
 		docs[i] = s.doc
 	}
@@ -418,7 +365,7 @@ func inScope(coll *docstore.Collection, datasetName string, keep func(docstore.D
 // walkScope walks coll without copying: the dataset's documents in
 // insertion order when datasetName is set (WalkEq), every document in
 // no order otherwise (Scan).
-func walkScope(coll *docstore.Collection, datasetName string, fn func(d docstore.Document, order int64) bool) {
+func walkScope(coll *docstore.Collection, datasetName string, fn func(d docstore.Doc, order int64) bool) {
 	if datasetName != "" {
 		coll.WalkEq("dataset", datasetName, fn)
 	} else {
@@ -428,10 +375,10 @@ func walkScope(coll *docstore.Collection, datasetName string, fn func(d docstore
 
 // decodeAll decodes docs in order, failing on the first that does not
 // decode.
-func decodeAll[T any](docs []docstore.Document, what string) ([]T, error) {
+func decodeAll[T any](docs []docstore.Doc, what string) ([]T, error) {
 	out := make([]T, len(docs))
 	for i, d := range docs {
-		if err := fromDoc(d, &out[i]); err != nil {
+		if err := decode(d, &out[i]); err != nil {
 			return nil, fmt.Errorf("kdb: decoding %s: %w", what, err)
 		}
 	}
@@ -440,26 +387,15 @@ func decodeAll[T any](docs []docstore.Document, what string) ([]T, error) {
 
 // RecordFeedback appends one user interaction (collection 6).
 func (k *KDB) RecordFeedback(fb Feedback) error {
-	if err := k.br.beforeWrite(); err != nil {
-		return err
-	}
-	err := k.recordFeedback(fb)
-	k.br.afterWrite(err)
-	return err
-}
-
-func (k *KDB) recordFeedback(fb Feedback) error {
-	if fb.Interest == "" {
-		return fmt.Errorf("kdb: feedback without interest degree")
-	}
-	doc, err := toDoc(fb)
-	if err != nil {
-		return fmt.Errorf("kdb: encoding feedback: %w", err)
-	}
-	if _, err := k.store.Collection(CollFeedback).Insert(doc); err != nil {
-		return fmt.Errorf("kdb: storing feedback: %w", err)
-	}
-	return nil
+	return k.br.write(func() error {
+		if fb.Interest == "" {
+			return fmt.Errorf("kdb: feedback without interest degree")
+		}
+		if _, err := k.store.Collection(CollFeedback).Insert(fb); err != nil {
+			return fmt.Errorf("kdb: storing feedback: %w", err)
+		}
+		return nil
+	})
 }
 
 // FeedbackFor returns feedback entries in insertion order, filtered by
@@ -480,9 +416,10 @@ func (k *KDB) GoalFeedback(isGoal func(goal string) bool) ([]Feedback, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	docs := inScope(k.store.Collection(CollFeedback), "", func(d docstore.Document) bool {
-		goal, _ := d["goal"].(string)
-		return isGoal(goal)
+	docs := inScope(k.store.Collection(CollFeedback), "", func(d docstore.Doc) bool {
+		goal, _ := d.Field("goal").Scalar()
+		s, _ := goal.(string)
+		return isGoal(s)
 	})
 	return decodeAll[Feedback](docs, "feedback")
 }
@@ -499,13 +436,12 @@ func (k *KDB) TopKnowledge(datasetName, metric string, n int) ([]knowledge.Item,
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	// The rank is total: metric descending, then ID, then KnowledgeItems'
-	// order (cluster collection first, each in insertion order), so it
-	// is the stable sort of a full decode. top keeps the best
-	// n candidates in rank order as they stream past (every candidate
+	// The rank is total — metric descending, ID, then KnowledgeItems'
+	// order — so it is the stable sort of a full decode. top keeps the
+	// best n candidates in rank order as they stream past (every one
 	// when n <= 0, sorted at the end).
 	type ranked struct {
-		doc   docstore.Document
+		doc   docstore.Doc
 		value float64
 		id    string
 		coll  int
@@ -525,20 +461,26 @@ func (k *KDB) TopKnowledge(datasetName, metric string, n int) ([]knowledge.Item,
 	}
 	var (
 		top []ranked
-		bad docstore.Document
+		bad docstore.Doc
 	)
 	for ci, coll := range k.knowledgeColls() {
-		walkScope(coll, datasetName, func(d docstore.Document, order int64) bool {
-			raw, ok := rawMetrics(d)[metric]
-			if !ok {
+		walkScope(coll, datasetName, func(d docstore.Doc, order int64) bool {
+			var f [2]docstore.Raw // id, metrics
+			d.Fields(f[:], "id", "metrics")
+			raw := f[1].Field(metric)
+			if raw == nil {
 				return true
 			}
 			v, okV := jsonFloat(raw)
-			id, okID := jsonString(d["id"])
-			if !okV || !okID {
+			if okID := f[0] == nil || string(f[0]) == "null" || f[0][0] == '"'; !okV || !okID {
 				bad = d
 			}
-			r := ranked{d, v, id, ci, order}
+			if n > 0 && len(top) == n && v < top[n-1].value {
+				return true // ranks below the top n whatever its id
+			}
+			id, _ := f[0].Scalar()
+			s, _ := id.(string)
+			r := ranked{d, v, s, ci, order}
 			switch {
 			case n <= 0:
 				top = append(top, r)
@@ -550,7 +492,7 @@ func (k *KDB) TopKnowledge(datasetName, metric string, n int) ([]knowledge.Item,
 			return true
 		})
 	}
-	if bad != nil {
+	if bad.Raw != nil {
 		return nil, fmt.Errorf("kdb: knowledge item %s: metric %q or id is not of its decoded type", bad.ID(), metric)
 	}
 	if n <= 0 {
@@ -558,25 +500,22 @@ func (k *KDB) TopKnowledge(datasetName, metric string, n int) ([]knowledge.Item,
 	}
 	out := make([]knowledge.Item, len(top))
 	for i, c := range top {
-		if err := fromDoc(c.doc, &out[i]); err != nil {
+		if err := decode(c.doc, &out[i]); err != nil {
 			return nil, fmt.Errorf("kdb: decoding knowledge item: %w", err)
 		}
 	}
 	return out, nil
 }
 
-// rawMetrics is a stored knowledge document's metrics object (nil when
-// absent or not an object).
-func rawMetrics(d docstore.Document) map[string]any {
-	m, _ := d["metrics"].(map[string]any)
-	return m
+// jsonFloat reads a stored metric as the float64 it decodes to (null
+// as 0); ok is false for any value but a number or null.
+func jsonFloat(raw docstore.Raw) (float64, bool) {
+	if string(raw) == "null" {
+		return 0, true
+	}
+	f, err := strconv.ParseFloat(string(raw), 64)
+	return f, err == nil
 }
-
-// jsonFloat and jsonString read a stored JSON scalar as the value it
-// decodes to; null decodes to the zero value.
-func jsonFloat(v any) (float64, bool) { f, ok := v.(float64); return f, ok || v == nil }
-
-func jsonString(v any) (string, bool) { s, ok := v.(string); return s, ok || v == nil }
 
 // collections are the K-DB's collections, in the order of the paper's
 // data model.

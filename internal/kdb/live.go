@@ -10,15 +10,13 @@ import (
 )
 
 // LiveDatasetState is the durable control record of one streaming
-// dataset (collection live_datasets, one upserted document per
-// dataset): the applied revision, the drift baseline the detector
-// compares against, the drift gauge, and the last completed full
-// analysis. The visit data itself is not here — it is the ordered
-// batch documents of live_appends, which recovery replays; trusting
-// the batches (not this record's Revision) is what makes restart
-// lossless even when a crash lands between an acknowledged append and
-// the state upsert. Records older builds wrote also carry
-// model_revision, centroids and features; decoding ignores them.
+// dataset (collection live_datasets, one upserted document each): the
+// applied revision, the drift baseline and gauge, and the last full
+// analysis. The visit data is the batches of live_appends, which
+// recovery replays — trusting them, not Revision, keeps a restart
+// lossless when a crash lands between an acked append and the upsert.
+// Fields older builds wrote (model_revision, centroids, features) are
+// ignored.
 type LiveDatasetState struct {
 	Dataset string `json:"dataset"`
 	// Revision is the last applied append revision at the time the
@@ -60,33 +58,19 @@ type LiveBatch struct {
 
 func liveStateID(name string) string { return "live:" + name }
 
-// StoreLiveDataset upserts the control record of a live dataset.
+// StoreLiveDataset upserts the control record of a live dataset: one
+// upsert, so the store decides insert-or-replace in one step and no
+// concurrent writer interleaves.
 func (k *KDB) StoreLiveDataset(st LiveDatasetState) error {
-	if err := k.br.beforeWrite(); err != nil {
-		return err
-	}
-	err := k.storeLiveDataset(st)
-	k.br.afterWrite(err)
-	return err
-}
-
-func (k *KDB) storeLiveDataset(st LiveDatasetState) error {
-	doc, err := toDoc(st)
-	if err != nil {
-		return fmt.Errorf("kdb: encoding live dataset %q: %w", st.Dataset, err)
-	}
-	doc["_id"] = liveStateID(st.Dataset)
-	coll := k.store.Collection(CollLiveDatasets)
-	if _, exists := coll.Get(doc.ID()); exists {
-		if err := coll.Update(doc.ID(), doc); err != nil {
-			return fmt.Errorf("kdb: updating live dataset %q: %w", st.Dataset, err)
+	return k.br.write(func() error {
+		if _, err := k.store.Collection(CollLiveDatasets).Upsert(struct {
+			ID string `json:"_id"`
+			LiveDatasetState
+		}{liveStateID(st.Dataset), st}); err != nil {
+			return fmt.Errorf("kdb: storing live dataset %q: %w", st.Dataset, err)
 		}
 		return nil
-	}
-	if _, err := coll.Insert(doc); err != nil {
-		return fmt.Errorf("kdb: storing live dataset %q: %w", st.Dataset, err)
-	}
-	return nil
+	})
 }
 
 // LiveDatasets returns every registered live dataset's control record,
@@ -107,48 +91,36 @@ func (k *KDB) LiveDatasets() ([]LiveDatasetState, error) {
 // is acknowledged on the WAL before the streaming layer acknowledges
 // the append to the client — the append's durability point.
 func (k *KDB) AppendLiveBatch(b LiveBatch) error {
-	if err := k.br.beforeWrite(); err != nil {
-		return err
-	}
-	err := k.appendLiveBatch(b)
-	k.br.afterWrite(err)
-	return err
+	return k.br.write(func() error {
+		if _, err := k.store.Collection(CollLiveAppends).Insert(b); err != nil {
+			return fmt.Errorf("kdb: storing live batch %s@%d: %w", b.Dataset, b.Revision, err)
+		}
+		return nil
+	})
 }
 
-func (k *KDB) appendLiveBatch(b LiveBatch) error {
-	doc, err := toDoc(b)
-	if err != nil {
-		return fmt.Errorf("kdb: encoding live batch %s@%d: %w", b.Dataset, b.Revision, err)
-	}
-	if _, err := k.store.Collection(CollLiveAppends).Insert(doc); err != nil {
-		return fmt.Errorf("kdb: storing live batch %s@%d: %w", b.Dataset, b.Revision, err)
-	}
-	return nil
-}
-
-// LiveBatches returns a dataset's accepted batches in revision order,
-// fold-aware: when folds exist (flush-time compaction of the append
-// history), the highest-revision fold replaces everything it covers
-// and only later single-revision batches follow it. Stale documents a
-// crash mid-fold left behind — originals a fold already covers, or a
-// superseded older fold — are skipped, so replay never applies a
-// revision twice.
+// LiveBatches returns what replaying a dataset applies, in revision
+// order (see replayOrder): never a revision twice.
 func (k *KDB) LiveBatches(name string) ([]LiveBatch, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	docs := k.store.Collection(CollLiveAppends).FindEq("dataset", name)
-	all := make([]LiveBatch, 0, len(docs))
-	var best *LiveBatch // the fold covering the longest prefix
-	for _, doc := range docs {
-		var b LiveBatch
-		if err := fromDoc(doc, &b); err != nil {
-			return nil, fmt.Errorf("kdb: decoding live batch of %q: %w", name, err)
-		}
-		all = append(all, b)
+	all, err := decodeAll[LiveBatch](inScope(k.store.Collection(CollLiveAppends), name, nil), "live batch of "+name)
+	if err != nil {
+		return nil, err
+	}
+	return replayOrder(all), nil
+}
+
+// replayOrder picks, from a dataset's batch documents, what replay
+// applies, in revision order: the fold covering the longest prefix,
+// then every single-revision batch past it. Older folds and the
+// originals a fold covers, which a crash mid-fold leaves, are skipped.
+func replayOrder(all []LiveBatch) []LiveBatch {
+	var best *LiveBatch
+	for i, b := range all {
 		if b.FoldedFrom > 0 && (best == nil || b.Revision > best.Revision) {
-			cp := b
-			best = &cp
+			best = &all[i]
 		}
 	}
 	out := make([]LiveBatch, 0, len(all))
@@ -156,16 +128,12 @@ func (k *KDB) LiveBatches(name string) ([]LiveBatch, error) {
 		out = append(out, *best)
 	}
 	for _, b := range all {
-		if b.FoldedFrom > 0 {
-			continue // folds other than best are superseded
+		if b.FoldedFrom == 0 && (best == nil || b.Revision > best.Revision) {
+			out = append(out, b)
 		}
-		if best != nil && b.Revision <= best.Revision {
-			continue // covered by the fold (a crash-leftover original)
-		}
-		out = append(out, b)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Revision < out[j].Revision })
-	return out, nil
+	return out
 }
 
 // DefaultLiveFoldThreshold is how many fold-eligible live_appends
@@ -199,75 +167,43 @@ func (k *KDB) foldLiveAppends() error {
 		// fewer batches than the threshold cannot fold: count them
 		// through the index, uncopied, before decoding any.
 		n := 0
-		coll.WalkEq("dataset", st.Dataset, func(docstore.Document, int64) bool {
+		coll.WalkEq("dataset", st.Dataset, func(docstore.Doc, int64) bool {
 			n++
 			return n < k.foldThreshold
 		})
 		if n < k.foldThreshold {
 			continue
 		}
-		docs := coll.FindEq("dataset", st.Dataset)
-		type stored struct {
-			id string
-			b  LiveBatch
-		}
-		eligible := make([]stored, 0, len(docs))
-		var best *LiveBatch
-		for _, doc := range docs {
+		var (
+			eligible []LiveBatch
+			covered  []string
+		)
+		for _, doc := range inScope(coll, st.Dataset, nil) {
 			var b LiveBatch
-			if err := fromDoc(doc, &b); err != nil {
+			if err := decode(doc, &b); err != nil {
 				return fmt.Errorf("kdb: decoding live batch of %q: %w", st.Dataset, err)
 			}
-			if b.Revision > st.Revision {
-				continue
-			}
-			eligible = append(eligible, stored{id: doc.ID(), b: b})
-			if b.FoldedFrom > 0 && (best == nil || b.Revision > best.Revision) {
-				cp := b
-				best = &cp
+			if b.Revision <= st.Revision {
+				eligible, covered = append(eligible, b), append(covered, doc.ID())
 			}
 		}
 		if len(eligible) < k.foldThreshold {
 			continue
 		}
-		// Merge: the longest fold's contents, then every uncovered
-		// single-revision batch in revision order.
-		var tail []LiveBatch
-		for _, e := range eligible {
-			if e.b.FoldedFrom > 0 {
-				continue
-			}
-			if best != nil && e.b.Revision <= best.Revision {
-				continue
-			}
-			tail = append(tail, e.b)
+		// Merge: the longest fold's contents (or the first batch's),
+		// then every later single-revision batch in revision order.
+		seq := replayOrder(eligible)
+		merged := seq[0]
+		if merged.FoldedFrom == 0 {
+			merged.FoldedFrom = merged.Revision
 		}
-		sort.SliceStable(tail, func(i, j int) bool { return tail[i].Revision < tail[j].Revision })
-		merged := LiveBatch{Dataset: st.Dataset}
-		if best != nil {
-			merged = *best
-		} else if len(tail) > 0 {
-			merged.FoldedFrom = tail[0].Revision
-			merged.Revision = tail[0].Revision - 1 // extended below
-		}
-		for _, b := range tail {
+		for _, b := range seq[1:] {
 			merged.Exams = append(merged.Exams, b.Exams...)
 			merged.Patients = append(merged.Patients, b.Patients...)
 			merged.Records = append(merged.Records, b.Records...)
 			merged.Revision = b.Revision
 		}
-		if merged.FoldedFrom == 0 || merged.Revision < merged.FoldedFrom {
-			continue // nothing meaningful to fold
-		}
-		doc, err := toDoc(merged)
-		if err != nil {
-			return fmt.Errorf("kdb: encoding live fold %s@%d: %w", st.Dataset, merged.Revision, err)
-		}
-		covered := make([]string, len(eligible))
-		for i, e := range eligible {
-			covered[i] = e.id
-		}
-		if err := k.writeFold(coll, doc, covered); err != nil {
+		if err := k.writeFold(coll, merged, covered); err != nil {
 			return fmt.Errorf("kdb: folding live batches of %s up to @%d: %w", st.Dataset, merged.Revision, err)
 		}
 	}
@@ -277,7 +213,7 @@ func (k *KDB) foldLiveAppends() error {
 // writeFold writes one fold and retires the documents it covers as
 // one batch. The fold's frame goes first, so any prefix of the batch a
 // crash leaves in the log that holds a delete also holds the fold.
-func (k *KDB) writeFold(coll *docstore.Collection, fold docstore.Document, covered []string) error {
+func (k *KDB) writeFold(coll *docstore.Collection, fold LiveBatch, covered []string) error {
 	b := k.store.Begin()
 	defer b.Commit()
 	if _, err := b.Insert(coll, fold); err != nil {
@@ -295,14 +231,5 @@ func (k *KDB) writeFold(coll *docstore.Collection, fold docstore.Document, cover
 // without the breaker gate: Flush's fold calls it after beforeFlush,
 // and LiveDatasets after beforeRead.
 func (k *KDB) liveStatesUnguarded() ([]LiveDatasetState, error) {
-	docs := k.store.Collection(CollLiveDatasets).Find()
-	out := make([]LiveDatasetState, 0, len(docs))
-	for _, doc := range docs {
-		var st LiveDatasetState
-		if err := fromDoc(doc, &st); err != nil {
-			return nil, fmt.Errorf("kdb: decoding live dataset: %w", err)
-		}
-		out = append(out, st)
-	}
-	return out, nil
+	return decodeAll[LiveDatasetState](inScope(k.store.Collection(CollLiveDatasets), "", nil), "live dataset")
 }

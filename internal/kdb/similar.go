@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"adahealth/internal/docstore"
 	"adahealth/internal/stats"
 )
 
@@ -67,13 +68,13 @@ func (k *KDB) LatestDescriptor(datasetName string) (stats.Descriptor, string, bo
 	if k.br.beforeRead() != nil {
 		return stats.Descriptor{}, "", false
 	}
-	docs := k.store.Collection(CollDescriptors).FindEq("dataset", datasetName)
-	if len(docs) == 0 {
-		return stats.Descriptor{}, "", false
-	}
-	doc := docs[len(docs)-1] // insertion order: last is newest
+	var doc docstore.Doc // insertion order: the last is the newest
+	k.store.Collection(CollDescriptors).WalkEq("dataset", datasetName, func(d docstore.Doc, _ int64) bool {
+		doc = d
+		return true
+	})
 	var d stats.Descriptor
-	if err := fromDoc(doc, &d); err != nil {
+	if doc.Raw == nil || decode(doc, &d) != nil {
 		return stats.Descriptor{}, "", false
 	}
 	return d, doc.ID(), true

@@ -260,7 +260,11 @@ func (d *Dataset) scheduleResweepLocked() {
 	d.resweepJob = j.ID()
 	resweepsTotal.With("scheduled").Inc()
 	d.emitLocked(Event{Type: EventResweepScheduled, Revision: d.revision, JobID: j.ID()})
-	go d.watchResweep(j)
+	d.mgr.watchers.Add(1)
+	go func() {
+		defer d.mgr.watchers.Done()
+		d.watchResweep(j)
+	}()
 }
 
 // watchResweep waits for a drift-triggered job and folds its outcome

@@ -91,7 +91,17 @@ type Manager struct {
 
 	mu       sync.Mutex
 	datasets map[string]*Dataset
+
+	// watchers counts the goroutines folding drift-triggered
+	// re-analyses back into their datasets (see Close).
+	watchers sync.WaitGroup
 }
+
+// Close waits until every drift-triggered re-analysis the manager
+// watches has folded its outcome back into its dataset, so no
+// goroutine of the manager outlives it. It does not stop the service:
+// shut that down first to cut running re-analyses short.
+func (m *Manager) Close() { m.watchers.Wait() }
 
 // NewManager builds a manager over cfg.Service and resumes every live
 // dataset persisted in the service's K-DB: each dataset's accepted

@@ -579,3 +579,35 @@ func TestRecoverLegacyControlRecord(t *testing.T) {
 		t.Fatalf("post-recovery append status = %+v", st)
 	}
 }
+
+// TestManagerCloseLeavesNoGoroutine: a drift-triggered re-analysis is
+// watched from a goroutine of its own; once Close returns, that
+// goroutine is gone and the count is back at its baseline from before
+// NewManager.
+func TestManagerCloseLeavesNoGoroutine(t *testing.T) {
+	svc := testService(t, fastConfig(5, ""))
+	base := runtime.NumGoroutine()
+	mgr, err := NewManager(Config{Service: svc, DriftThreshold: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest := splitLog(genLog(t, 5, 60, 600), 1)
+	if _, err := mgr.Register("live-close", first.exams, first.patients, first.records); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := mgr.Get("live-close")
+	if st, err := d.Append(nil, rest[0].patients, rest[0].records); err != nil || !st.Resweeping {
+		t.Fatalf("append did not schedule a resweep: %+v, %v", st, err)
+	}
+	mgr.Close()
+	if st := d.Status(); st.Resweeping {
+		t.Fatalf("Close returned with the resweep still watched: %+v", st)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Manager.Close (baseline %d)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
