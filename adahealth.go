@@ -55,11 +55,12 @@
 // Either way the pipeline executes as a concurrent stage DAG:
 // independent stages (pattern mining, the K sweep, demand extraction,
 // ...) overlap on a bounded pool of CPU slots that the sweep and
-// partial mining also fan their units out over, Engine.AnalyzeContext threads
-// cancellation through every compute kernel, Engine.AnalyzeMany
-// batches several logs over one shared pool, and Report.Stages carries
-// per-stage wall-time/allocation traces (they travel with the Report;
-// the K-DB does not store them).
+// partial mining also fan their units out over, Engine.AnalyzeContext
+// threads cancellation through every compute kernel, and
+// Report.Stages carries per-stage wall-time/allocation traces (they
+// travel with the Report; the K-DB does not store them). To analyze
+// many logs on one CPU budget, submit them to one Service: its jobs
+// share a single stage pool.
 //
 // With Config.KDBDir set, the knowledge base is a durable storage
 // engine: dataset-indexed collections, a group-committed

@@ -6,7 +6,6 @@
 //	A2 BenchmarkFPMAblation    — Apriori vs FP-Growth over support (internal/fpm)
 //	A3 BenchmarkDocstore       — K-DB substrate throughput
 //	A4 BenchmarkVSMWeighting   — transformation choice vs similarity
-//	A6 BenchmarkAnalyzeMany    — batch stage-DAG vs serial pipelines
 //
 // E1/E2 run at the paper's full scale (6,380 patients); one iteration
 // is one complete experiment.
@@ -20,13 +19,9 @@ import (
 	"testing"
 
 	"adahealth/internal/cluster"
-	"adahealth/internal/core"
-	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
 	"adahealth/internal/eval"
 	"adahealth/internal/experiments"
-	"adahealth/internal/optimize"
-	"adahealth/internal/partial"
 	"adahealth/internal/synth"
 	"adahealth/internal/vsm"
 )
@@ -104,61 +99,6 @@ func runPartialOnMatrix(m *vsm.Matrix) (*partialResult, error) {
 }
 
 type partialResult = experiments.PartialResult
-
-// BenchmarkAnalyzeMany compares batch pipeline execution over one
-// shared stage pool against the same logs analyzed back to back: the
-// stage DAG lets independent stages of different logs interleave, so
-// with spare cores "batch" beats "serial" wall-clock while doing
-// identical work (A6); on a single-core host the two are equal up to
-// scheduling noise (the committed snapshots record the host CPU).
-func BenchmarkAnalyzeMany(b *testing.B) {
-	makeLogs := func() []*dataset.Log {
-		logs := make([]*dataset.Log, 4)
-		for i := range logs {
-			cfg := synth.SmallConfig()
-			cfg.Seed = int64(i + 1)
-			log, err := synth.Generate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			log.Name = fmt.Sprintf("%s-%d", log.Name, i)
-			logs[i] = log
-		}
-		return logs
-	}
-	logs := makeLogs()
-	engineCfg := core.Config{
-		Seed:    1,
-		Partial: partial.Config{Ks: []int{4}},
-		Sweep:   optimize.SweepConfig{Ks: []int{3, 4, 5}, CVFolds: 4},
-	}
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e, err := core.New(engineCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.AnalyzeMany(context.Background(), logs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e, err := core.New(engineCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, log := range logs {
-				if _, err := e.AnalyzeContext(context.Background(), log); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
 
 // BenchmarkDocstore measures the K-DB substrate at paper-scale
 // knowledge volume: inserts, indexed lookups and scans (A3).

@@ -33,11 +33,10 @@ func main() {
 		synthetic = flag.Bool("synthetic", false, "analyze a synthetic paper-scale dataset")
 		small     = flag.Bool("small", false, "with -synthetic: use the small test-scale dataset")
 		kdbDir    = flag.String("kdb-dir", "", "knowledge-base persistence directory (WAL + snapshots, crash-recoverable; default: in-memory)")
-		kdbOld    = flag.String("kdb", "", "alias of -kdb-dir (kept for compatibility)")
 		seed      = flag.Int64("seed", 1, "seed for data generation and algorithms")
 		top       = flag.Int("top", 10, "number of ranked knowledge items to print")
 		timeout   = flag.Duration("timeout", 0, "abort the analysis after this duration (0 = no limit)")
-		jobs      = flag.Int("jobs", 0, "CPU slots shared by all jobs' stages and their fan-out (0 = all cores, 1 = one at a time)")
+		jobs      = flag.Int("jobs", 0, "CPU slots the analysis's stages and their fan-out share (0 = all cores, 1 = one at a time)")
 		trace     = flag.String("trace", "", "write the stage schedule (Report.Stages) to this file as JSON")
 		traceHTML = flag.String("trace-html", "", "render the stage schedule to this file as a self-contained HTML Gantt view (same data as -trace)")
 		algorithm = flag.String("algorithm", "", "K-means kernel for the sweep and partial mining: lloyd (the default; picks the dense or sparse scan), dense-lloyd, sparse-lloyd or minibatch; auto means lloyd")
@@ -75,12 +74,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	dir := *kdbDir
-	if dir == "" {
-		dir = *kdbOld
-	}
 	cfg := core.Config{
-		KDBDir:       dir,
+		KDBDir:       *kdbDir,
 		Seed:         *seed,
 		Parallelism:  *jobs,
 		StageTimeout: *stageTO,

@@ -3,7 +3,7 @@
 // asynchronous, admission-controlled analysis jobs over one shared
 // engine and stage pool.
 //
-//	adahealthd -addr :8080 -kdb kdbdir/ -workers 4 -queue 64
+//	adahealthd -addr :8080 -kdb-dir kdbdir/ -workers 4 -queue 64
 //
 // API (all JSON):
 //
@@ -175,7 +175,6 @@ func main() {
 	var o options
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	flag.StringVar(&o.kdbDir, "kdb-dir", "", "knowledge-base persistence directory (WAL + snapshots, crash-recoverable; default: in-memory)")
-	kdbOld := flag.String("kdb", "", "alias of -kdb-dir (kept for compatibility)")
 	flag.Int64Var(&o.seed, "seed", 1, "base analysis seed (jobs may override per submission)")
 	flag.IntVar(&o.workers, "workers", 0, "max concurrently running jobs (0 = service default)")
 	flag.IntVar(&o.queue, "queue", 0, "admission queue depth before 429s (0 = service default)")
@@ -189,9 +188,6 @@ func main() {
 	flag.StringVar(&o.readFallback, "read-fallback", "", "warm-standby URL the knowledge read endpoints route to while the K-DB breaker is degraded")
 	flag.Parse()
 
-	if o.kdbDir == "" {
-		o.kdbDir = *kdbOld
-	}
 	if *follow != "" {
 		runFollower(*addr, o.kdbDir, *follow, *drain)
 		return

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
+	"adahealth/internal/slots"
 	"adahealth/internal/synth"
 )
 
@@ -172,10 +175,12 @@ func TestAnalyzeCancellationMidSweep(t *testing.T) {
 	}
 }
 
-// TestAnalyzeManyMatchesSerial runs a batch of logs through one shared
-// pool and checks each report is bit-for-bit what a serial Analyze of
-// the same log yields.
-func TestAnalyzeManyMatchesSerial(t *testing.T) {
+// TestConcurrentAnalysesMatchSerial runs several logs concurrently on
+// one shared pool and checks each report, recommendations included, is
+// bit-for-bit what a serial Analyze of the same log yields. Recall is
+// off: with it on, an analysis may recall a sibling that finished
+// first, so its report would depend on completion order.
+func TestConcurrentAnalysesMatchSerial(t *testing.T) {
 	logs := []*dataset.Log{
 		seededLog(t, 1), seededLog(t, 2), seededLog(t, 3), seededLog(t, 4),
 	}
@@ -183,21 +188,31 @@ func TestAnalyzeManyMatchesSerial(t *testing.T) {
 	for i, l := range logs {
 		l.Name = l.Name + "-" + string(rune('a'+i))
 	}
+	cfg := seededConfig(1)
+	cfg.Recall.Disabled = true
 
-	batch, err := New(seededConfig(1))
+	shared, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := batch.AnalyzeMany(context.Background(), logs)
-	if err != nil {
-		t.Fatal(err)
+	pool := slots.New(shared.StageParallelism())
+	reports := make([]*Report, len(logs))
+	errs := make([]error, len(logs))
+	var wg sync.WaitGroup
+	for i, log := range logs {
+		wg.Add(1)
+		go func(i int, log *dataset.Log) {
+			defer wg.Done()
+			reports[i], errs[i] = shared.AnalyzeWith(context.Background(), log, AnalyzeOptions{Pool: pool})
+		}(i, log)
 	}
-	if len(reports) != len(logs) {
-		t.Fatalf("reports = %d, want %d", len(reports), len(logs))
-	}
+	wg.Wait()
 
 	for i, log := range logs {
-		single, err := New(seededConfig(1))
+		if errs[i] != nil {
+			t.Fatalf("concurrent analysis %d: %v", i, errs[i])
+		}
+		single, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,54 +220,22 @@ func TestAnalyzeManyMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reports[i] == nil {
-			t.Fatalf("report %d is nil", i)
-		}
 		// Recommendations are compared structurally too: with no
 		// feedback recorded, sibling descriptors in the shared K-DB
 		// must not change the prior-driven recommendation.
 		if !reflect.DeepEqual(comparable(reports[i]), comparable(want)) {
-			t.Errorf("batch report %d differs from serial analysis", i)
+			t.Errorf("concurrent report %d differs from serial analysis", i)
 		}
 		if !reflect.DeepEqual(projectRecs(reports[i]), projectRecs(want)) {
-			t.Errorf("batch report %d recommendations differ from serial", i)
+			t.Errorf("concurrent report %d recommendations differ from serial", i)
 		}
 	}
 }
 
-func TestAnalyzeManyPropagatesFailure(t *testing.T) {
-	e, err := New(seededConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logs := []*dataset.Log{
-		seededLog(t, 1),
-		dataset.NewLog("empty"), // fails validation immediately
-	}
-	_, err = e.AnalyzeMany(context.Background(), logs)
-	if err == nil {
-		t.Fatal("empty log accepted in batch")
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Errorf("root failure reported as cancellation: %v", err)
-	}
-}
-
-func TestAnalyzeManyEmpty(t *testing.T) {
-	e, err := New(seededConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := e.AnalyzeMany(context.Background(), nil)
-	if err != nil || reports != nil {
-		t.Fatalf("AnalyzeMany(nil) = %v, %v", reports, err)
-	}
-}
-
-func TestAnalyzeManyPersistsSharedKDB(t *testing.T) {
-	// Batch analyses share one disk-backed K-DB; the single batch-level
-	// flush must leave a loadable snapshot containing every log's
-	// knowledge (a torn concurrent flush would fail Open).
+// TestConcurrentAnalysesPersistSharedKDB: concurrent analyses on one
+// disk-backed engine each flush the K-DB on completion; the flushes
+// serialize, so the store reopens with every log's knowledge.
+func TestConcurrentAnalysesPersistSharedKDB(t *testing.T) {
 	dir := t.TempDir()
 	cfg := seededConfig(1)
 	cfg.KDBDir = dir
@@ -264,13 +247,29 @@ func TestAnalyzeManyPersistsSharedKDB(t *testing.T) {
 	for i, l := range logs {
 		l.Name = l.Name + "-" + string(rune('a'+i))
 	}
-	if _, err := e.AnalyzeMany(context.Background(), logs); err != nil {
+	errs := make(chan error, len(logs))
+	for _, log := range logs {
+		go func(log *dataset.Log) {
+			rep, err := e.AnalyzeContext(context.Background(), log)
+			if err == nil && rep.Degraded != nil {
+				err = fmt.Errorf("%s degraded: %v", log.Name, rep.Degraded.Reasons)
+			}
+			errs <- err
+		}(log)
+	}
+	for range logs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.KDB().Close(); err != nil {
 		t.Fatal(err)
 	}
 	re, err := New(Config{KDBDir: dir})
 	if err != nil {
-		t.Fatalf("reopening batch K-DB: %v", err)
+		t.Fatalf("reopening shared K-DB: %v", err)
 	}
+	defer re.KDB().Close()
 	for _, l := range logs {
 		items, err := re.KDB().KnowledgeItems(l.Name, 0)
 		if err != nil {

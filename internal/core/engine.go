@@ -19,15 +19,14 @@
 // units (one CV assessment per K, one probe per (fraction, K)) out over
 // whatever slots are idle right now, never waiting for one. A lone
 // analysis so keeps every core busy, and analyses sharing a pool
-// (AnalyzeMany, a job service) never compute on more goroutines than
-// it has slots.
+// (AnalyzeOptions.Pool; a job service passes one to every job) never
+// compute on more goroutines than it has slots.
 //
 // Cancellation is threaded through every compute kernel via
-// context.Context, per-stage wall-time and allocation metrics land in
-// Report.Stages, and AnalyzeMany
-// batches several logs over one shared pool. Each stage runs once, with
-// panic isolation (covering its fan-out units, whichever goroutine runs
-// them) and an optional deadline (Config.StageTimeout). The Report does
+// context.Context, and per-stage wall-time and allocation metrics land
+// in Report.Stages. Each stage runs once, with panic isolation
+// (covering its fan-out units, whichever goroutine runs them) and an
+// optional deadline (Config.StageTimeout). The Report does
 // not depend on how stages interleave or how their units spread:
 // Parallelism 1 runs everything one unit at a time and produces a
 // bit-for-bit identical Report.
@@ -35,13 +34,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"adahealth/internal/classify"
 	"adahealth/internal/cluster"
 	"adahealth/internal/dataset"
 	"adahealth/internal/endgoal"
@@ -85,10 +82,10 @@ type Config struct {
 	// Seed drives every stochastic component.
 	Seed int64
 	// Parallelism sizes the CPU budget: how many stages, and units of
-	// their fan-out, run at once — one pool shared across all logs of
-	// an AnalyzeMany call (or all jobs of a service), so batch analysis
-	// does not oversubscribe the machine; 0 uses all cores
-	// (runtime.GOMAXPROCS(0)), 1 runs everything one at a time,
+	// their fan-out, run at once — the private pool of one analysis, or
+	// the one pool a job service shares across all its jobs so that
+	// concurrent analyses do not oversubscribe the machine; 0 uses all
+	// cores (runtime.GOMAXPROCS(0)), 1 runs everything one at a time,
 	// negative is rejected by Validate.
 	Parallelism int
 	// StageTimeout bounds each stage's wall time: a stage exceeding it
@@ -174,11 +171,12 @@ type Engine struct {
 
 // inflightSet tracks the dataset names of analyses currently
 // executing against the shared K-DB. The recall stage consults it so
-// that concurrent analyses (an AnalyzeMany batch, parallel service
-// jobs) never read each other's mid-flight writes — which would make
-// batch results depend on scheduling — while a serial repeat analysis
-// still recalls its own history. Shared across WithConfig derivations,
-// like the K-DB itself.
+// that concurrent analyses (parallel service jobs) never read each
+// other's mid-flight writes, while a serial repeat analysis still
+// recalls its own history. An analysis that finished before another's
+// recall stage ran is history, not a sibling, so what concurrent
+// analyses recall depends on their completion order. Shared across
+// WithConfig derivations, like the K-DB itself.
 type inflightSet struct {
 	mu    sync.Mutex
 	names map[string]int
@@ -346,18 +344,18 @@ type AnalyzeOptions struct {
 	// (nil = a private pool sized by Config.Parallelism): every running
 	// stage holds one slot, and the sweep and partial-mining stages
 	// borrow idle ones for their units, so however many analyses are in
-	// flight, at most cap(Pool) goroutines compute at once. AnalyzeMany
-	// sizes one from Config.Parallelism; a long-running service creates
-	// one at startup and passes it to every job.
+	// flight, at most cap(Pool) goroutines compute at once. A
+	// long-running service creates one at startup and passes it to
+	// every job.
 	Pool slots.Pool
 	// Observer, when non-nil, receives a StageEvent at every stage
 	// start and finish — the scheduler's trace points — while the
 	// analysis runs. Calls come from scheduler goroutines and stop
 	// before AnalyzeWith returns; observers must not block.
 	Observer StageObserver
-	// NoFlush suppresses the per-analysis K-DB flush. Batch callers
-	// (AnalyzeMany, a job service) set it and flush once themselves:
-	// concurrent flushes would race on the docstore's snapshot files.
+	// NoFlush suppresses the per-analysis K-DB flush. A job service
+	// sets it and flushes once per burst of completions instead: a
+	// flush compacts the whole store, so one per analysis is waste.
 	NoFlush bool
 	// Arena, when non-nil, lends the analysis's K sweep its reusable
 	// worker slabs (decision trees, cluster scratch, RNGs) so a
@@ -370,10 +368,9 @@ type AnalyzeOptions struct {
 }
 
 // AnalyzeWith is the single dispatch path every analysis funnels
-// through: Analyze/AnalyzeContext call it with zero options,
-// AnalyzeMany fans a batch out over one shared pool, and the job
-// service (internal/service) submits each admitted job here with its
-// own pool and event observer.
+// through: Analyze/AnalyzeContext call it with zero options, and the
+// job service (internal/service) submits each admitted job here with
+// the shared pool and the job's event observer.
 func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	// Mark the dataset in flight for the recall stage's concurrent-
 	// sibling exclusion (see inflightSet).
@@ -384,89 +381,9 @@ func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts Analyze
 	return e.analyze(ctx, log, opts)
 }
 
-// AnalyzeMany analyzes several logs as one batch sharing a single
-// bounded stage pool, so concurrent logs interleave their independent
-// stages instead of oversubscribing the machine with len(logs) full
-// pipelines: each log's sweep and partial mining fan out only over
-// slots its siblings leave idle, so the batch's total compute stays at
-// Config.Parallelism goroutines. Reports are returned in input order.
-// On failure the remaining work is cancelled and the first error
-// (preferring a stage failure over a cancellation victim) is returned
-// alongside the reports that did complete.
-//
-// Reports are deterministic per log with one caveat: the end-goal
-// recommender reads the whole shared K-DB, so once feedback exists for
-// a dataset, a batch re-analysis may train its interest model before
-// or after a sibling log's descriptor lands — serialize analyses of
-// feedback-bearing datasets if byte-stable recommendations matter.
-// The recall stage is deterministic by construction: every batch
-// member registers as in flight before the fan-out, so no member ever
-// recalls a sibling's (or, in a batch, its own) mid-flight knowledge
-// regardless of completion order.
-func (e *Engine) AnalyzeMany(ctx context.Context, logs []*dataset.Log) ([]*Report, error) {
-	if len(logs) == 0 {
-		return nil, nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Each log is one shared-dispatch analysis: one CPU budget, flush
-	// deferred to the single batch flush below (per-log flushes from
-	// concurrent goroutines would race on the docstore's snapshot temp
-	// files).
-	opts := AnalyzeOptions{Pool: slots.New(e.parallelism()), NoFlush: true}
-	// Registering every batch member as in flight up front (before
-	// any analysis can run its recall stage) is what makes batch
-	// recall deterministic: no member ever recalls a sibling,
-	// regardless of completion order.
-	for _, log := range logs {
-		e.inflight.add(log.Name)
-	}
-	defer func() {
-		for _, log := range logs {
-			e.inflight.remove(log.Name)
-		}
-	}()
-	reports := make([]*Report, len(logs))
-	errs := make([]error, len(logs))
-	var wg sync.WaitGroup
-	for i, log := range logs {
-		wg.Add(1)
-		go func(i int, log *dataset.Log) {
-			defer wg.Done()
-			rep, err := e.AnalyzeWith(ctx, log, opts)
-			reports[i], errs[i] = rep, err
-			if err != nil {
-				cancel() // fail fast: stop sibling analyses
-			}
-		}(i, log)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			firstErr = err // the root failure, not a cancellation victim
-			break
-		}
-	}
-	// One flush for the whole batch, after every writer goroutine has
-	// finished — persist completed analyses even when a sibling failed.
-	if err := e.kdb.Flush(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("core: flushing K-DB: %w", err)
-	}
-	return reports, firstErr
-}
-
 // analyze runs one log through the stage graph. opts.Pool is the
 // shared CPU budget (nil = private pool sized by Config.Parallelism);
-// opts.NoFlush defers the K-DB flush to the caller (AnalyzeMany runs
-// one batch-level flush so concurrent snapshot writes cannot tear);
-// opts.Observer, when non-nil, receives stage start/finish events
+// opts.NoFlush defers the K-DB flush to the caller; opts.Observer, when non-nil, receives stage start/finish events
 // live; opts.Arena backs the sweep stage's worker slabs.
 func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	if log.NumPatients() == 0 || log.NumRecords() == 0 {
@@ -524,11 +441,4 @@ func taxonomyOf(log *dataset.Log) fpm.Taxonomy {
 		}
 	}
 	return tax
-}
-
-// RobustnessFactory returns the classifier factory the optimization
-// component uses; exposed so callers can reproduce individual Table I
-// rows outside a full sweep.
-func RobustnessFactory(opts classify.TreeOptions) classify.Factory {
-	return func() classify.Classifier { return classify.NewDecisionTree(opts) }
 }

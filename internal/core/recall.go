@@ -136,7 +136,7 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 		}
 		// Skip datasets currently being analyzed against this K-DB: a
 		// concurrent sibling's half-written knowledge must not leak in
-		// (batch results would depend on completion order). The one
+		// (it would depend on how far the sibling got). The one
 		// in-flight registration that is this analysis itself does not
 		// hide the dataset's own history — a serial repeat analysis is
 		// exactly the self-learning case.

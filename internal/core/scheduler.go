@@ -163,7 +163,7 @@ func runStageAttempt(ctx context.Context, st Stage, s *pipelineState, timeout ti
 
 // runDAG executes stages respecting their declared data dependencies,
 // running independent stages concurrently on the CPU budget pool
-// (shared across logs by AnalyzeMany and across a service's jobs): a
+// (shared across a service's jobs): a
 // stage holds one slot while it runs. Each stage runs once, under the
 // per-stage timeout (0 = none). On the first stage failure the
 // remaining un-started stages are abandoned and in-flight ones are

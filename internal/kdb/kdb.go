@@ -105,6 +105,10 @@ type KDB struct {
 	// trigger a flush-time fold (DefaultLiveFoldThreshold; 0 or
 	// negative disables folding). It is fixed at construction.
 	foldThreshold int
+
+	// flushMu serializes Flush: two concurrent folds would retire the
+	// same live batches, and the second one's deletes would fail.
+	flushMu sync.Mutex
 }
 
 // Open creates or loads a K-DB. dir == "" keeps it in memory.
@@ -163,8 +167,10 @@ func (k *KDB) Close() error {
 // Flush persists the store when it is disk-backed. Flush is the
 // breaker's half-open probe point: while read-only it is refused with
 // ErrReadOnly until the cooldown elapses, then one flush runs and its
-// success closes the breaker.
+// success closes the breaker. Concurrent calls run one at a time.
 func (k *KDB) Flush() error {
+	k.flushMu.Lock()
+	defer k.flushMu.Unlock()
 	if err := k.br.beforeFlush(); err != nil {
 		return err
 	}

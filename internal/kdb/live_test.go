@@ -405,6 +405,66 @@ func TestLiveFoldDisabled(t *testing.T) {
 	}
 }
 
+// TestConcurrentFlushesFoldOnce: Flush serializes itself, so
+// concurrent flushes over foldable live batches fold them exactly once.
+// Unserialized, two flushes fold the same batches and the second's
+// deletes fail with "delete of missing _id", leaving duplicate folds.
+func TestConcurrentFlushesFoldOnce(t *testing.T) {
+	const trials, flushers, batches = 20, 4, 40
+	for trial := 0; trial < trials; trial++ {
+		k, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.foldThreshold = 4
+		for rev := 1; rev <= batches; rev++ {
+			if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "w", Revision: batches}); err != nil {
+			t.Fatal(err)
+		}
+		before, err := k.LiveBatches("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantE, wantP, wantR := flattenBatches(before)
+
+		errs := make(chan error, flushers)
+		start := make(chan struct{})
+		for i := 0; i < flushers; i++ {
+			go func() {
+				<-start
+				errs <- k.Flush()
+			}()
+		}
+		close(start)
+		for i := 0; i < flushers; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("trial %d: concurrent Flush: %v", trial, err)
+			}
+		}
+		if n := k.Store().Collection(CollLiveAppends).Count(); n != 1 {
+			t.Fatalf("trial %d: live_appends holds %d docs, want the one fold", trial, n)
+		}
+		after, err := k.LiveBatches("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != 1 || after[0].FoldedFrom != 1 || after[0].Revision != batches {
+			t.Fatalf("trial %d: replay is %d batches, want one fold of [1..%d]", trial, len(after), batches)
+		}
+		gotE, gotP, gotR := flattenBatches(after)
+		if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
+			t.Fatalf("trial %d: folded replay stream differs from the unfolded one", trial)
+		}
+		if err := k.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLiveFlushBelowThresholdAllocsFlat: a flush over datasets with
 // fewer batches than the fold threshold counts their batches through
 // the index and decodes none of them, so it allocates the same however

@@ -199,17 +199,6 @@ func (s *Session) Next() []knowledge.Item {
 	return ranked
 }
 
-// Remaining reports how many items have not been shown yet.
-func (s *Session) Remaining() int {
-	n := 0
-	for id := range s.items {
-		if !s.seen[id] {
-			n++
-		}
-	}
-	return n
-}
-
 // Feedback records the user's judgement of a shown item and adapts the
 // ranking for subsequent pages.
 func (s *Session) Feedback(itemID string, interest knowledge.Interest) error {

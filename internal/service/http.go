@@ -66,10 +66,16 @@ type errorResponse struct {
 //	GET    /v1/datasets/{id}/similar statistically similar datasets (?limit=)
 //	GET    /healthz                  liveness + queue/worker/K-DB gauges
 //
-// Every response is JSON except the SSE stream. The handler is safe
-// for concurrent use.
-func NewHandler(svc *Service) http.Handler {
-	return NewHandlerOptions(svc, HandlerOptions{})
+// Every response is JSON except the SSE stream. opts, at most one,
+// configures the optional behaviours; none selects the zero
+// HandlerOptions. The handler is safe for concurrent use.
+func NewHandler(svc *Service, opts ...HandlerOptions) http.Handler {
+	var o HandlerOptions
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	_, mux := newAPI(svc, o)
+	return mux
 }
 
 // HandlerOptions configures the optional behaviours of the daemon API.
@@ -87,12 +93,6 @@ type HandlerOptions struct {
 // StaleHeader marks a knowledge response served via the degraded read
 // fallback; its value is the leader K-DB's breaker mode at proxy time.
 const StaleHeader = "X-Adahealth-Stale"
-
-// NewHandlerOptions is NewHandler with explicit options.
-func NewHandlerOptions(svc *Service, opts HandlerOptions) http.Handler {
-	_, mux := newAPI(svc, opts)
-	return mux
-}
 
 func newAPI(svc *Service, opts HandlerOptions) (*httpAPI, http.Handler) {
 	h := &httpAPI{
@@ -326,64 +326,6 @@ func (h *httpAPI) events(w http.ResponseWriter, r *http.Request) {
 	ch, cancel := job.Subscribe()
 	defer cancel()
 	ServeSSE(w, r, ch)
-}
-
-// sseKeepalive is how long an SSE stream may sit idle before a comment
-// line keeps it alive (a var so tests can tighten it).
-var sseKeepalive = 15 * time.Second
-
-// ServeSSE streams a channel of JSON-encodable events as Server-Sent
-// Events (`data: {json}\n\n` per event) until the channel closes or
-// the client disconnects. It is the one SSE loop shared by the job
-// events endpoint here and the live-dataset events endpoint in
-// internal/stream; delivery inherits the channel's semantics (a
-// subscription that replays history first streams that history first).
-// An idle stream emits a `: ping` comment every sseKeepalive so
-// proxies and load balancers with idle-connection timeouts do not cut
-// a long-running analysis's stream between events (comments are
-// ignored by SSE clients per the EventSource spec).
-func ServeSSE[E any](w http.ResponseWriter, r *http.Request, ch <-chan E) {
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	keepalive := time.NewTicker(sseKeepalive)
-	defer keepalive.Stop()
-
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return // terminal event delivered; end the stream
-			}
-			if _, err := fmt.Fprint(w, "data: "); err != nil {
-				return
-			}
-			if err := enc.Encode(ev); err != nil { // Encode appends \n
-				return
-			}
-			if _, err := fmt.Fprint(w, "\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-			keepalive.Reset(sseKeepalive)
-		case <-keepalive.C:
-			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return // client went away
-		}
-	}
 }
 
 // knowledgeResponse is the body of GET /v1/knowledge.

@@ -53,12 +53,6 @@ type StageEvent struct {
 	Err string `json:"err,omitempty"`
 }
 
-// eventBuffer sizes a job's event channel: the 10-stage pipeline emits
-// ~20 stage events plus a handful of lifecycle transitions, so a
-// reasonably prompt consumer never loses events; a stalled consumer
-// loses newest-first rather than blocking the scheduler.
-const eventBuffer = 64
-
 // Job is the handle of one submitted analysis. Handles are returned by
 // Service.Submit before the work runs; all methods are safe for
 // concurrent use.
@@ -76,22 +70,23 @@ type Job struct {
 
 	heapIdx int // position in the admission heap; -1 once dispatched or reaped
 
-	mu           sync.Mutex
-	status       Status
-	report       *core.Report
-	err          error
-	progress     []StageEvent
-	eventsClosed bool
-	queuedAt     time.Time
-	startedAt    time.Time
-	finishedAt   time.Time
+	mu         sync.Mutex
+	status     Status
+	report     *core.Report
+	err        error
+	queuedAt   time.Time
+	startedAt  time.Time
+	finishedAt time.Time
 	// stageStarts holds in-flight stages' start stamps from the
 	// observer seam, matched to their finish events for the stage
 	// latency histogram.
 	stageStarts map[string]time.Time
 
-	events chan StageEvent
-	subs   []chan StageEvent // Subscribe streams (SSE consumers)
+	// feed holds the job's event history and fans it out; it closes
+	// after the terminal event. events is the subscription taken at
+	// admission, which Events returns.
+	feed   *Feed[StageEvent]
+	events <-chan StageEvent
 	done   chan struct{}
 }
 
@@ -158,7 +153,8 @@ func (j *Job) Wait(ctx context.Context) (*core.Report, error) {
 // idempotent and a no-op on terminal jobs.
 func (j *Job) Cancel() { j.cancel() }
 
-// Events returns the job's progress stream. The channel receives
+// Events returns the job's progress stream: the subscription taken at
+// admission, so every call returns the same channel. It receives
 // lifecycle and per-stage StageEvents in order and is closed exactly
 // once, after the terminal event, so `for range job.Events()` drains
 // cleanly. Events are delivered best-effort: a consumer that stops
@@ -166,105 +162,22 @@ func (j *Job) Cancel() { j.cancel() }
 func (j *Job) Events() <-chan StageEvent { return j.events }
 
 // Subscribe returns an independent event stream plus its cancel
-// function: every event emitted so far is replayed immediately, live
-// events follow in order, and the channel is closed after the terminal
-// event — so any number of consumers (the SSE endpoint serves one per
-// request) can each drain a complete stream without competing for the
-// primary Events channel. Delivery is best-effort like Events: a
-// consumer that stops receiving loses events rather than stalling the
-// pipeline. Cancel releases the subscription early (idempotent; the
-// channel is then closed).
-func (j *Job) Subscribe() (<-chan StageEvent, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ch := make(chan StageEvent, len(j.progress)+eventBuffer)
-	for _, ev := range j.progress {
-		ch <- ev // fits: the channel is sized for the replay
-	}
-	if j.eventsClosed {
-		close(ch)
-		return ch, func() {}
-	}
-	j.subs = append(j.subs, ch)
-	cancel := func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		for i, sub := range j.subs {
-			if sub == ch {
-				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				close(ch)
-				return
-			}
-		}
-	}
-	return ch, cancel
-}
+// function (see Feed.Subscribe): every event emitted so far replays
+// first, and the channel closes after the terminal event, so any
+// number of consumers (the SSE endpoint serves one per request) each
+// drain a complete stream without competing for Events.
+func (j *Job) Subscribe() (<-chan StageEvent, func()) { return j.feed.Subscribe() }
 
-// Progress returns a snapshot of every event emitted so far, including
-// any a slow Events consumer missed.
-func (j *Job) Progress() []StageEvent {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]StageEvent(nil), j.progress...)
-}
-
-// jobSnapshot is one internally consistent view of the job's mutable
-// state, taken under a single lock acquisition so a status/report pair
-// can never mix pre- and post-completion values.
-type jobSnapshot struct {
-	status                      Status
-	report                      *core.Report
-	err                         error
-	progress                    []StageEvent
-	queuedAt, startedAt, finish time.Time
-}
-
-func (j *Job) snapshot() jobSnapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobSnapshot{
-		status:    j.status,
-		report:    j.report,
-		err:       j.err,
-		progress:  append([]StageEvent(nil), j.progress...),
-		queuedAt:  j.queuedAt,
-		startedAt: j.startedAt,
-		finish:    j.finishedAt,
-	}
-}
-
-// emit records an event and forwards it to the stream without ever
-// blocking (the channel send is non-blocking; the mutex also
-// serializes sends against the close in finish).
-func (j *Job) emit(ev StageEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.progress = append(j.progress, ev)
-	if j.eventsClosed {
-		return
-	}
-	select {
-	case j.events <- ev:
-	default:
-	}
-	for _, sub := range j.subs {
-		select {
-		case sub <- ev:
-		default:
-		}
-	}
-}
-
-// emitLifecycle emits a status-transition event.
+// emitLifecycle publishes a status-transition event.
 func (j *Job) emitLifecycle(s Status, at time.Time) {
-	j.emit(StageEvent{JobID: j.id, Time: at, Phase: string(s)})
+	j.feed.Publish(StageEvent{JobID: j.id, Time: at, Phase: string(s)})
 }
 
 // observeStage adapts the scheduler's StageObserver callback into the
 // job's event stream.
 func (j *Job) observeStage(ev core.StageEvent) {
 	j.recordStageMetrics(ev)
-	j.emit(StageEvent{
+	j.feed.Publish(StageEvent{
 		JobID: j.id,
 		Time:  ev.Time,
 		Stage: ev.Stage,
@@ -310,17 +223,7 @@ func (j *Job) finish(rep *core.Report, err error) {
 
 	recordTerminalMetrics(j, status, err, now)
 	j.emitLifecycle(status, now)
-
-	j.mu.Lock()
-	if !j.eventsClosed {
-		j.eventsClosed = true
-		close(j.events)
-		for _, sub := range j.subs {
-			close(sub)
-		}
-		j.subs = nil
-	}
-	j.mu.Unlock()
+	j.feed.Close()
 
 	close(j.done)
 	j.cancel() // release the deadline timer and wake the reap watcher

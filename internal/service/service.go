@@ -139,11 +139,6 @@ type Service struct {
 	running int
 	closed  bool
 
-	// flushMu serializes K-DB flushes between the background flusher
-	// and synchronous Flush callers, so concurrent snapshot writes
-	// cannot tear. Jobs analyze with NoFlush; completions only signal
-	// flushReq.
-	flushMu sync.Mutex
 	// flushReq carries coalesced flush requests to the flusher
 	// goroutine (capacity 1: a pending request absorbs later ones).
 	flushReq chan struct{}
@@ -330,9 +325,10 @@ func (s *Service) admit(log *dataset.Log, opts []Option) (*Job, error) {
 		heapIdx:  -1,
 		status:   StatusQueued,
 		queuedAt: now,
-		events:   make(chan StageEvent, eventBuffer),
+		feed:     NewFeed[StageEvent](0),
 		done:     make(chan struct{}),
 	}
+	j.events, _ = j.feed.Subscribe()
 
 	s.mu.Lock()
 	if s.closed {
@@ -578,9 +574,7 @@ func (s *Service) requestFlush() {
 // to reach a known-compacted state without waiting out the debounce
 // window.
 func (s *Service) Flush() error {
-	s.flushMu.Lock()
 	err := s.engine.KDB().Flush()
-	s.flushMu.Unlock()
 	s.mu.Lock()
 	s.lastFlushErr = err
 	s.mu.Unlock()
@@ -641,9 +635,8 @@ func (s *Service) safeRun(j *Job) (rep *core.Report, err error) {
 }
 
 // defaultRun dispatches the job onto the shared CPU budget through the
-// engine's single dispatch path, exactly as AnalyzeMany treats a batch;
-// the K-DB flush is deferred to the serialized service-level flush in
-// run.
+// engine's single dispatch path; jobs analyze with NoFlush, and run
+// hands the K-DB flush to the debounced background flusher.
 func (s *Service) defaultRun(j *Job) (*core.Report, error) {
 	return j.engine.AnalyzeWith(j.ctx, j.log, core.AnalyzeOptions{
 		Pool:     s.pool,

@@ -444,7 +444,7 @@ func TestJobReportMatchesEngineAnalyze(t *testing.T) {
 
 	// Every stage surfaced a start and a finish in the progress log.
 	starts, finishes := map[string]int{}, map[string]int{}
-	for _, ev := range j.Progress() {
+	for _, ev := range j.State().Events {
 		switch ev.Phase {
 		case "start":
 			starts[ev.Stage]++

@@ -57,32 +57,37 @@ type JobState struct {
 	Trace *TraceDump `json:"trace,omitempty"`
 }
 
-// State snapshots a job into its wire form. All mutable fields come
-// from one locked snapshot, so a job finishing mid-request can never
-// yield a payload whose status contradicts its error or trace.
+// State snapshots a job into its wire form. Status, error, times and
+// trace come from one locked read, so a job finishing mid-request can
+// never yield a payload whose status contradicts its error or trace.
+// The events are read first: a transition sets the status before it
+// publishes its event, so State never lists an event, the terminal
+// one included, of a status it does not show yet.
 func (j *Job) State() JobState {
-	snap := j.snapshot()
+	events := j.feed.History()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	st := JobState{
 		ID:       j.ID(),
-		Status:   snap.status,
+		Status:   j.status,
 		Priority: j.Priority(),
 		Labels:   j.Labels(),
-		QueuedAt: snap.queuedAt,
-		Events:   snap.progress,
+		QueuedAt: j.queuedAt,
+		Events:   events,
 	}
-	if !snap.startedAt.IsZero() {
-		started := snap.startedAt
+	if !j.startedAt.IsZero() {
+		started := j.startedAt
 		st.StartedAt = &started
 	}
-	if !snap.finish.IsZero() {
-		finished := snap.finish
+	if !j.finishedAt.IsZero() {
+		finished := j.finishedAt
 		st.FinishedAt = &finished
 	}
-	if snap.err != nil {
-		st.Error = snap.err.Error()
+	if j.err != nil {
+		st.Error = j.err.Error()
 	}
-	if snap.report != nil {
-		dump := NewTraceDump(snap.report)
+	if j.report != nil {
+		dump := NewTraceDump(j.report)
 		st.Trace = &dump
 	}
 	return st

@@ -69,9 +69,6 @@ type Event struct {
 // would grow with every append).
 const eventHistory = 256
 
-// eventBuffer is the per-subscriber channel headroom past the replay.
-const eventBuffer = 64
-
 // Dataset is one live dataset: a vsm.Live, which holds the one
 // accumulated examination log and its incrementally maintained VSM,
 // and the drift gauge that decides when a full re-analysis pays. The
@@ -96,8 +93,9 @@ type Dataset struct {
 	resweeping bool   // a full re-analysis is queued or running
 	resweepJob string // its job ID while in flight
 
-	events []Event
-	subs   []chan Event
+	// events replays the newest eventHistory events to each new
+	// subscriber; it is never closed.
+	events *service.Feed[Event]
 }
 
 // DatasetStatus is a point-in-time snapshot of a live dataset: the
@@ -246,7 +244,6 @@ func (d *Dataset) scheduleResweepLocked() {
 		Records:  append([]Record(nil), l.Records...),
 	}
 	j, err := d.mgr.svc.Submit(context.Background(), snapshot,
-		service.WithPriority(d.mgr.cfg.ResweepPriority),
 		service.WithLabels(map[string]string{
 			"stream":   "resweep",
 			"dataset":  d.name,
@@ -308,47 +305,18 @@ func (d *Dataset) persistStateLocked() {
 }
 
 // Subscribe returns an independent event stream plus its cancel
-// function: bounded history replays first (newest eventHistory
-// events), live events follow in order. Unlike a Job's stream, a live
-// dataset never terminates — the channel closes only when cancel is
-// called. Delivery is best-effort: a stalled consumer loses events
-// rather than stalling appends.
-func (d *Dataset) Subscribe() (<-chan Event, func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ch := make(chan Event, len(d.events)+eventBuffer)
-	for _, ev := range d.events {
-		ch <- ev // fits: sized for the replay
-	}
-	d.subs = append(d.subs, ch)
-	cancel := func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for i, sub := range d.subs {
-			if sub == ch {
-				d.subs = append(d.subs[:i], d.subs[i+1:]...)
-				close(ch)
-				return
-			}
-		}
-	}
-	return ch, cancel
-}
+// function (see service.Feed): the newest eventHistory events replay
+// first. Unlike a Job's stream, a live dataset's never terminates: the
+// channel closes only when cancel is called.
+func (d *Dataset) Subscribe() (<-chan Event, func()) { return d.events.Subscribe() }
 
+// emitLocked stamps ev and publishes it; holding d.mu keeps the
+// stream in the order the dataset changed.
 func (d *Dataset) emitLocked(ev Event) {
 	ev.Dataset = d.name
 	ev.Time = time.Now()
 	if ev.Drift == 0 {
 		ev.Drift = d.drift
 	}
-	d.events = append(d.events, ev)
-	if len(d.events) > eventHistory {
-		d.events = append(d.events[:0], d.events[len(d.events)-eventHistory:]...)
-	}
-	for _, sub := range d.subs {
-		select {
-		case sub <- ev:
-		default:
-		}
-	}
+	d.events.Publish(ev)
 }

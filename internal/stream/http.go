@@ -61,7 +61,7 @@ func Handler(svc *service.Service, mgr *Manager) http.Handler {
 // (degraded read routing to a warm standby, etc.).
 func HandlerOptions(svc *service.Service, mgr *Manager, opts service.HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", service.NewHandlerOptions(svc, opts))
+	mux.Handle("/", service.NewHandler(svc, opts))
 	Mount(mux, mgr)
 	return mux
 }

@@ -70,9 +70,6 @@ type Config struct {
 	// kdb.DescriptorSimilarity feature vector) at which a full
 	// re-analysis is scheduled; <= 0 defaults to 0.15.
 	DriftThreshold float64
-	// ResweepPriority is the service priority of drift-triggered jobs
-	// (negative yields to interactive submissions).
-	ResweepPriority int
 }
 
 func (c Config) withDefaults() Config {
@@ -161,7 +158,7 @@ func (m *Manager) recover() error {
 func (m *Manager) newDataset(name string) *Dataset {
 	live := vsm.NewLive(m.vsmOptions())
 	live.Log().Name = name
-	return &Dataset{mgr: m, name: name, live: live}
+	return &Dataset{mgr: m, name: name, live: live, events: service.NewFeed[Event](eventHistory)}
 }
 
 func (m *Manager) vsmOptions() vsm.Options {
