@@ -48,7 +48,8 @@
 // wait however many documents it holds. A batch is N ordinary frames,
 // not a transaction: a crash before the ack recovers a frame-prefix of
 // it, so callers order mutations so that every prefix is a state they
-// accept (the K-DB logs a fold before the deletes it makes redundant).
+// accept (the K-DB's one multi-document batch, StoreKnowledgeItems,
+// upserts items that each stand alone, so any prefix of it is valid).
 // Each mutation is visible to readers when its call returns, before it
 // is durable; one the store refuses changes nothing and leaves the
 // batch usable. There is no batch marker in the log.

@@ -57,9 +57,8 @@ func TestAppendLiveBatchAllocs(t *testing.T) {
 		b.Dataset = fmt.Sprintf("ward-%d", i)
 		return k.AppendLiveBatch(b)
 	})
-	st := LiveDatasetState{Dataset: "ward-0", Revision: 1, Baseline: &desc, Drift: 0.02, LastAnalysis: "job-1"}
-	check("a control-record upsert", st, 4, func(i int) error {
-		st.Revision = i + 1
+	st := LiveDatasetState{Dataset: "ward-0", Baseline: &desc}
+	check("a control-record upsert", st, 4, func(int) error {
 		return k.StoreLiveDataset(st)
 	})
 }

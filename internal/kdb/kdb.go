@@ -11,9 +11,12 @@
 //  5. knowledge_pattern — knowledge items from pattern discovery
 //  6. feedback          — user interaction feedback
 //
-// The streaming layer adds live_datasets and live_appends. Documents an
-// older build wrote to raw_datasets, transformed or stage_traces, and
-// its recall hit/miss rows in feedback, still load; nothing reads them.
+// The streaming layer adds live_appends, whose batches are a live
+// dataset's one durable history, and live_datasets, one drift-baseline
+// control record per dataset; an older build's live-batch folds still
+// replay. Documents an older build wrote to raw_datasets, transformed
+// or stage_traces, and its recall hit/miss rows in feedback, still
+// load; nothing reads them.
 // The store is package docstore (the MongoDB substitution); a
 // disk-backed K-DB survives a daemon kill through its write-ahead log.
 // Every read is a typed accessor over one collection; SimilarDatasets
@@ -72,9 +75,9 @@ const (
 	CollPatternKI   = "knowledge_pattern"
 	CollFeedback    = "feedback"
 	// Live-dataset collections back the streaming subsystem
-	// (internal/stream): one state document per registered live
-	// dataset and one append-only document per accepted visit batch,
-	// so a restarted daemon resumes its streams from the WAL.
+	// (internal/stream): one append-only document per accepted visit
+	// batch, from which a restarted daemon resumes its streams, and one
+	// drift-baseline document per live dataset.
 	CollLiveDatasets = "live_datasets"
 	CollLiveAppends  = "live_appends"
 )
@@ -101,13 +104,10 @@ type KDB struct {
 	descMu    sync.Mutex
 	descCache map[string]decodedDescriptor
 
-	// foldThreshold is how many fold-eligible live_appends documents
-	// trigger a flush-time fold (DefaultLiveFoldThreshold; 0 or
-	// negative disables folding). It is fixed at construction.
-	foldThreshold int
-
-	// flushMu serializes Flush: two concurrent folds would retire the
-	// same live batches, and the second one's deletes would fail.
+	// flushMu serializes Flush: one flush at a time passes the breaker
+	// gate, flushes the store and records its outcome, so concurrent
+	// flushes neither compact the same log back to back nor report a
+	// half-open probe's outcome out of order.
 	flushMu sync.Mutex
 }
 
@@ -135,12 +135,7 @@ func newKDB(s *docstore.Store) *KDB {
 	for _, c := range []string{CollClusterKI, CollPatternKI, CollDescriptors, CollFeedback, CollLiveAppends} {
 		s.Collection(c).CreateIndex("dataset")
 	}
-	return &KDB{
-		store:         s,
-		br:            newBreaker(),
-		descCache:     map[string]decodedDescriptor{},
-		foldThreshold: DefaultLiveFoldThreshold,
-	}
+	return &KDB{store: s, br: newBreaker(), descCache: map[string]decodedDescriptor{}}
 }
 
 // Follower wraps a replication follower's store (docstore.Replica) in
@@ -164,23 +159,19 @@ func (k *KDB) Close() error {
 	return k.store.Close()
 }
 
-// Flush persists the store when it is disk-backed. Flush is the
-// breaker's half-open probe point: while read-only it is refused with
-// ErrReadOnly until the cooldown elapses, then one flush runs and its
-// success closes the breaker. Concurrent calls run one at a time.
+// Flush persists the store when it is disk-backed, compacting it once
+// its WAL outgrows the budget (docstore.Store.Flush); it writes no
+// document of its own. Flush is the breaker's half-open probe point:
+// while read-only it is refused with ErrReadOnly until the cooldown
+// elapses, then one flush runs and its success closes the breaker.
+// Concurrent calls run one at a time.
 func (k *KDB) Flush() error {
 	k.flushMu.Lock()
 	defer k.flushMu.Unlock()
 	if err := k.br.beforeFlush(); err != nil {
 		return err
 	}
-	// Live-append folding runs at flush time so its deletes ride the
-	// WAL the flush is about to compact; a failed fold counts as a
-	// flush failure for the breaker.
-	err := k.foldLiveAppends()
-	if err == nil {
-		err = k.store.Flush()
-	}
+	err := k.store.Flush()
 	k.br.afterFlush(err)
 	return err
 }

@@ -9,27 +9,17 @@ import (
 	"adahealth/internal/stats"
 )
 
-// LiveDatasetState is the durable control record of one streaming
-// dataset (collection live_datasets, one upserted document each): the
-// applied revision, the drift baseline and gauge, and the last full
-// analysis. The visit data is the batches of live_appends, which
-// recovery replays — trusting them, not Revision, keeps a restart
-// lossless when a crash lands between an acked append and the upsert.
-// Fields older builds wrote (model_revision, centroids, features) are
-// ignored.
+// LiveDatasetState is the control record of one live dataset
+// (collection live_datasets, one upserted document each): its drift
+// baseline, written at registration and whenever a resweep completes.
+// The dataset's history is its batches in live_appends alone, which
+// recovery replays. Fields older builds wrote (revision, drift,
+// last_analysis, model_revision, centroids, features) are ignored.
 type LiveDatasetState struct {
 	Dataset string `json:"dataset"`
-	// Revision is the last applied append revision at the time the
-	// state was written (the initial registration is revision 1).
-	Revision int `json:"revision"`
 	// Baseline is the descriptor of the last fully analyzed state —
 	// the drift detector's reference point.
 	Baseline *stats.Descriptor `json:"baseline,omitempty"`
-	// Drift is the last computed drift gauge against Baseline.
-	Drift float64 `json:"drift"`
-	// LastAnalysis is the service job ID of the last completed full
-	// re-analysis ("" before the first).
-	LastAnalysis string `json:"last_analysis,omitempty"`
 }
 
 // LiveBatch is one accepted visit batch (collection live_appends,
@@ -38,13 +28,13 @@ type LiveDatasetState struct {
 // in revision order reconstructs the accumulated log exactly.
 //
 // A batch with FoldedFrom > 0 is a fold: the concatenation, in
-// revision order, of revisions [FoldedFrom..Revision], produced at
-// flush time once enough batches are already reflected in the control
-// record's revision (see Flush). Replaying a fold is equivalent to
-// replaying its constituents one by one — batch contents are disjoint
-// by construction (duplicate exam codes and patient IDs are rejected
-// at append time) and the apply path registers exams, then patients,
-// then records, which concatenation preserves.
+// revision order, of revisions [FoldedFrom..Revision], which earlier
+// builds wrote at flush time in place of the batches it covers. This
+// build writes none, and replays those it finds: replaying a fold is
+// equivalent to replaying its constituents one by one, since batch
+// contents are disjoint (duplicate exam codes and patient IDs are
+// rejected at append time) and the apply path registers exams, then
+// patients, then records, which concatenation preserves.
 type LiveBatch struct {
 	Dataset  string             `json:"dataset"`
 	Revision int                `json:"revision"`
@@ -73,16 +63,32 @@ func (k *KDB) StoreLiveDataset(st LiveDatasetState) error {
 	})
 }
 
-// LiveDatasets returns every registered live dataset's control record,
-// sorted by dataset name.
+// LiveDatasets returns every live dataset, sorted by name: each name
+// with a control record or a batch, with the record's baseline (nil
+// when it has none). A batch is read for its dataset name only.
 func (k *KDB) LiveDatasets() ([]LiveDatasetState, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	out, err := k.liveStatesUnguarded()
+	out, err := decodeAll[LiveDatasetState](inScope(k.store.Collection(CollLiveDatasets), "", nil), "live dataset")
 	if err != nil {
 		return nil, err
 	}
+	seen := make(map[string]bool, len(out))
+	for _, st := range out {
+		seen[st.Dataset] = true
+	}
+	field := make([]docstore.Raw, 1)
+	k.store.Collection(CollLiveAppends).Scan(func(d docstore.Doc, _ int64) bool {
+		field[0] = nil
+		d.Fields(field, "dataset")
+		v, _ := field[0].Scalar()
+		if name, ok := v.(string); ok && !seen[name] {
+			seen[name] = true
+			out = append(out, LiveDatasetState{Dataset: name})
+		}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
 	return out, nil
 }
@@ -115,7 +121,8 @@ func (k *KDB) LiveBatches(name string) ([]LiveBatch, error) {
 // replayOrder picks, from a dataset's batch documents, what replay
 // applies, in revision order: the fold covering the longest prefix,
 // then every single-revision batch past it. Older folds and the
-// originals a fold covers, which a crash mid-fold leaves, are skipped.
+// originals a fold covers, which a crash in an earlier build's fold
+// left, are skipped.
 func replayOrder(all []LiveBatch) []LiveBatch {
 	var best *LiveBatch
 	for i, b := range all {
@@ -134,102 +141,4 @@ func replayOrder(all []LiveBatch) []LiveBatch {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Revision < out[j].Revision })
 	return out
-}
-
-// DefaultLiveFoldThreshold is how many fold-eligible live_appends
-// documents a dataset accumulates before Flush folds them into one
-// snapshot batch. Folding every flush would churn the WAL for nothing;
-// waiting forever makes restart replay O(lifetime) — 32 keeps replay
-// cost O(lag) at roughly one fold per few dozen appends.
-const DefaultLiveFoldThreshold = 32
-
-// foldLiveAppends compacts, per live dataset, every batch the control
-// record's revision already reflects into a single fold document,
-// bounding restart replay to the fold plus the un-reflected tail. A
-// dataset with fewer batches than the threshold is skipped undecoded.
-// Only revisions <= the control revision fold: a batch past it could
-// still be ahead of a control record whose upsert lagged a crash, and
-// recovery must see it individually. The new fold is logged before the
-// deletes of the documents it covers, and LiveBatches tolerates the
-// overlap, so a crash at any point between the frames replays
-// correctly.
-func (k *KDB) foldLiveAppends() error {
-	if k.foldThreshold <= 0 {
-		return nil
-	}
-	states, err := k.liveStatesUnguarded()
-	if err != nil {
-		return err
-	}
-	coll := k.store.Collection(CollLiveAppends)
-	for _, st := range states {
-		// The eligible batches are some of the dataset's batches, so
-		// fewer batches than the threshold cannot fold: count them
-		// through the index, uncopied, before decoding any.
-		n := 0
-		coll.WalkEq("dataset", st.Dataset, func(docstore.Doc, int64) bool {
-			n++
-			return n < k.foldThreshold
-		})
-		if n < k.foldThreshold {
-			continue
-		}
-		var (
-			eligible []LiveBatch
-			covered  []string
-		)
-		for _, doc := range inScope(coll, st.Dataset, nil) {
-			var b LiveBatch
-			if err := decode(doc, &b); err != nil {
-				return fmt.Errorf("kdb: decoding live batch of %q: %w", st.Dataset, err)
-			}
-			if b.Revision <= st.Revision {
-				eligible, covered = append(eligible, b), append(covered, doc.ID())
-			}
-		}
-		if len(eligible) < k.foldThreshold {
-			continue
-		}
-		// Merge: the longest fold's contents (or the first batch's),
-		// then every later single-revision batch in revision order.
-		seq := replayOrder(eligible)
-		merged := seq[0]
-		if merged.FoldedFrom == 0 {
-			merged.FoldedFrom = merged.Revision
-		}
-		for _, b := range seq[1:] {
-			merged.Exams = append(merged.Exams, b.Exams...)
-			merged.Patients = append(merged.Patients, b.Patients...)
-			merged.Records = append(merged.Records, b.Records...)
-			merged.Revision = b.Revision
-		}
-		if err := k.writeFold(coll, merged, covered); err != nil {
-			return fmt.Errorf("kdb: folding live batches of %s up to @%d: %w", st.Dataset, merged.Revision, err)
-		}
-	}
-	return nil
-}
-
-// writeFold writes one fold and retires the documents it covers as
-// one batch. The fold's frame goes first, so any prefix of the batch a
-// crash leaves in the log that holds a delete also holds the fold.
-func (k *KDB) writeFold(coll *docstore.Collection, fold LiveBatch, covered []string) error {
-	b := k.store.Begin()
-	defer b.Commit()
-	if _, err := b.Insert(coll, fold); err != nil {
-		return err
-	}
-	for _, id := range covered {
-		if err := b.Delete(coll, id); err != nil {
-			return err
-		}
-	}
-	return b.Commit()
-}
-
-// liveStatesUnguarded reads every control record, in insertion order,
-// without the breaker gate: Flush's fold calls it after beforeFlush,
-// and LiveDatasets after beforeRead.
-func (k *KDB) liveStatesUnguarded() ([]LiveDatasetState, error) {
-	return decodeAll[LiveDatasetState](inScope(k.store.Collection(CollLiveDatasets), "", nil), "live dataset")
 }

@@ -1,10 +1,7 @@
 package kdb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -22,17 +19,13 @@ func TestLiveStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := LiveDatasetState{
-		Dataset:      "ward-a",
-		Revision:     3,
-		Baseline:     &stats.Descriptor{DatasetName: "ward-a", NumPatients: 10},
-		Drift:        0.04,
-		LastAnalysis: "job-7",
+		Dataset:  "ward-a",
+		Baseline: &stats.Descriptor{DatasetName: "ward-a", NumPatients: 10},
 	}
 	if err := k.StoreLiveDataset(st); err != nil {
 		t.Fatal(err)
 	}
-	st.Revision = 4
-	st.Drift = 0.09
+	st.Baseline = &stats.Descriptor{DatasetName: "ward-a", NumPatients: 11}
 	if err := k.StoreLiveDataset(st); err != nil { // upsert, not duplicate
 		t.Fatal(err)
 	}
@@ -139,195 +132,15 @@ func flattenBatches(batches []LiveBatch) ([]dataset.ExamType, []dataset.Patient,
 	return exams, patients, records
 }
 
-// TestLiveFoldAtFlush: once enough batches are reflected in the control
-// record's revision, Flush folds them into one document; batches past
-// the control revision stay individual; the folded stream replays
-// identically (same concatenation) including through a store reopen.
-func TestLiveFoldAtFlush(t *testing.T) {
-	dir := t.TempDir()
-	k, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.foldThreshold = 4
-	for rev := 1; rev <= 6; rev++ {
-		if err := k.AppendLiveBatch(foldBatch("ward-a", rev)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The control record reflects revision 5; revision 6 is the
-	// un-acknowledged tail recovery must still see individually.
-	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "ward-a", Revision: 5}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := k.LiveBatches("ward-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantE, wantP, wantR := flattenBatches(before)
-
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n := k.Store().Collection(CollLiveAppends).Count(); n != 2 {
-		t.Fatalf("live_appends holds %d docs after fold, want 2 (fold + tail)", n)
-	}
-	after, err := k.LiveBatches("ward-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != 2 {
-		t.Fatalf("LiveBatches returned %d batches, want 2", len(after))
-	}
-	fold := after[0]
-	if fold.FoldedFrom != 1 || fold.Revision != 5 {
-		t.Errorf("fold covers [%d..%d], want [1..5]", fold.FoldedFrom, fold.Revision)
-	}
-	if after[1].Revision != 6 || after[1].FoldedFrom != 0 {
-		t.Errorf("tail batch = rev %d fold %d, want plain rev 6", after[1].Revision, after[1].FoldedFrom)
-	}
-	gotE, gotP, gotR := flattenBatches(after)
-	if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
-		t.Error("folded replay stream differs from the unfolded one")
-	}
-
-	if err := k.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	replayed, err := re.LiveBatches("ward-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotE, gotP, gotR = flattenBatches(replayed)
-	if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
-		t.Error("replay after reopen differs from the pre-fold stream")
-	}
-}
-
-// TestLiveFoldCrashAtEveryFrame: the fold and the deletes of what it
-// covers are one non-atomic batch, so a crash may keep any frame-prefix
-// of it. The fold's frame is logged first; cutting the log after every
-// frame must therefore replay the same stream as before the fold —
-// never a revision lost to a delete whose fold did not survive.
-func TestLiveFoldCrashAtEveryFrame(t *testing.T) {
-	dir := t.TempDir()
-	k, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k.Close()
-	k.foldThreshold = 4
-	for rev := 1; rev <= 6; rev++ {
-		if err := k.AppendLiveBatch(foldBatch("ward-a", rev)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "ward-a", Revision: 5}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := k.LiveBatches("ward-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantE, wantP, wantR := flattenBatches(before)
-	if err := k.Flush(); err != nil { // folds [1..5]; the log is far below the compaction budget
-		t.Fatal(err)
-	}
-
-	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 6 appends + the control record, then the fold and 5 deletes.
-	const preFold, foldFrames = 7, 6
-	var ends []int
-	for off := 0; off+8 <= len(wal); {
-		off += 8 + int(binary.LittleEndian.Uint32(wal[off:]))
-		ends = append(ends, off)
-	}
-	if len(ends) != preFold+foldFrames {
-		t.Fatalf("WAL holds %d frames, want %d", len(ends), preFold+foldFrames)
-	}
-	for i := preFold - 1; i < len(ends); i++ {
-		crashed := t.TempDir()
-		if err := os.WriteFile(filepath.Join(crashed, "wal.log"), wal[:ends[i]], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(crashed)
-		if err != nil {
-			t.Fatalf("reopening a log cut after frame %d: %v", i, err)
-		}
-		replayed, err := re.LiveBatches("ward-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotE, gotP, gotR := flattenBatches(replayed)
-		if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
-			t.Errorf("log cut after frame %d (%d of the fold's %d) replays a different stream", i, i-preFold+1, foldFrames)
-		}
-		re.Close()
-	}
-}
-
-// TestLiveFoldExtends: a second flush folds the existing fold together
-// with newly reflected batches into one longer fold.
-func TestLiveFoldExtends(t *testing.T) {
-	k, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k.Close()
-	k.foldThreshold = 3
-	for rev := 1; rev <= 3; rev++ {
-		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "w", Revision: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for rev := 4; rev <= 6; rev++ {
-		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "w", Revision: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	batches, err := k.LiveBatches("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 1 || batches[0].FoldedFrom != 1 || batches[0].Revision != 6 {
-		t.Fatalf("after second flush got %d batches (first covers [%d..%d]), want one fold [1..6]",
-			len(batches), batches[0].FoldedFrom, batches[0].Revision)
-	}
-	if len(batches[0].Records) != 6 {
-		t.Errorf("extended fold carries %d records, want 6", len(batches[0].Records))
-	}
-}
-
 // TestLiveFoldCrashLeftoversSkipped: a crash between inserting the fold
 // and deleting its constituents leaves both on disk; LiveBatches must
-// replay each revision exactly once, and the next flush cleans up.
+// replay each revision exactly once.
 func TestLiveFoldCrashLeftoversSkipped(t *testing.T) {
 	k, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	k.foldThreshold = 3
 	for rev := 1; rev <= 4; rev++ {
 		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
 			t.Fatal(err)
@@ -363,112 +176,11 @@ func TestLiveFoldCrashLeftoversSkipped(t *testing.T) {
 	if len(records) != 4 {
 		t.Errorf("replayed %d records, want 4", len(records))
 	}
-
-	// The next flush retires the leftovers (fold + originals merge).
-	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "w", Revision: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n := k.Store().Collection(CollLiveAppends).Count(); n != 1 {
-		t.Errorf("live_appends holds %d docs after cleanup flush, want 1", n)
-	}
 }
 
-// TestLiveFoldDisabled: a non-positive threshold leaves the append
-// history untouched.
-func TestLiveFoldDisabled(t *testing.T) {
-	k, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k.Close()
-	k.foldThreshold = 0
-	for rev := 1; rev <= 10; rev++ {
-		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "w", Revision: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	batches, err := k.LiveBatches("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 10 {
-		t.Errorf("got %d batches with folding disabled, want 10", len(batches))
-	}
-}
-
-// TestConcurrentFlushesFoldOnce: Flush serializes itself, so
-// concurrent flushes over foldable live batches fold them exactly once.
-// Unserialized, two flushes fold the same batches and the second's
-// deletes fail with "delete of missing _id", leaving duplicate folds.
-func TestConcurrentFlushesFoldOnce(t *testing.T) {
-	const trials, flushers, batches = 20, 4, 40
-	for trial := 0; trial < trials; trial++ {
-		k, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.foldThreshold = 4
-		for rev := 1; rev <= batches; rev++ {
-			if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := k.StoreLiveDataset(LiveDatasetState{Dataset: "w", Revision: batches}); err != nil {
-			t.Fatal(err)
-		}
-		before, err := k.LiveBatches("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantE, wantP, wantR := flattenBatches(before)
-
-		errs := make(chan error, flushers)
-		start := make(chan struct{})
-		for i := 0; i < flushers; i++ {
-			go func() {
-				<-start
-				errs <- k.Flush()
-			}()
-		}
-		close(start)
-		for i := 0; i < flushers; i++ {
-			if err := <-errs; err != nil {
-				t.Fatalf("trial %d: concurrent Flush: %v", trial, err)
-			}
-		}
-		if n := k.Store().Collection(CollLiveAppends).Count(); n != 1 {
-			t.Fatalf("trial %d: live_appends holds %d docs, want the one fold", trial, n)
-		}
-		after, err := k.LiveBatches("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(after) != 1 || after[0].FoldedFrom != 1 || after[0].Revision != batches {
-			t.Fatalf("trial %d: replay is %d batches, want one fold of [1..%d]", trial, len(after), batches)
-		}
-		gotE, gotP, gotR := flattenBatches(after)
-		if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotR, wantR) {
-			t.Fatalf("trial %d: folded replay stream differs from the unfolded one", trial)
-		}
-		if err := k.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestLiveFlushBelowThresholdAllocsFlat: a flush over datasets with
-// fewer batches than the fold threshold counts their batches through
-// the index and decodes none of them, so it allocates the same however
-// many batches they hold and however large those are.
+// TestLiveFlushBelowThresholdAllocsFlat: a flush decodes none of the
+// live datasets' batches and rewrites none of them, so it allocates the
+// same however many batches they hold and however large those are.
 func TestLiveFlushBelowThresholdAllocsFlat(t *testing.T) {
 	flushAllocs := func(batches, records int) float64 {
 		k, err := Open("")
@@ -486,7 +198,7 @@ func TestLiveFlushBelowThresholdAllocsFlat(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := k.StoreLiveDataset(LiveDatasetState{Dataset: ds, Revision: batches}); err != nil {
+			if err := k.StoreLiveDataset(LiveDatasetState{Dataset: ds}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -501,9 +213,9 @@ func TestLiveFlushBelowThresholdAllocsFlat(t *testing.T) {
 		return allocs
 	}
 	small := flushAllocs(2, 1)
-	large := flushAllocs(DefaultLiveFoldThreshold-1, 200)
+	large := flushAllocs(31, 200)
 	if small != large {
 		t.Errorf("a flush allocates %v times over 2 one-record batches per dataset but %v over %d of 200 records",
-			small, large, DefaultLiveFoldThreshold-1)
+			small, large, 31)
 	}
 }

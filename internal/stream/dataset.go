@@ -88,7 +88,7 @@ type Dataset struct {
 	// drift is the current gauge against it.
 	baseline     *stats.Descriptor
 	drift        float64
-	lastAnalysis string // job ID of the last completed full analysis
+	lastAnalysis string // job ID of the last full analysis this process completed
 
 	resweeping bool   // a full re-analysis is queued or running
 	resweepJob string // its job ID while in flight
@@ -118,8 +118,10 @@ type DatasetStatus struct {
 	// queued or running as ResweepJob.
 	Resweeping bool   `json:"resweeping"`
 	ResweepJob string `json:"resweep_job,omitempty"`
-	// LastAnalysis is the job ID of the last completed full analysis;
-	// its Report is served by GET /v1/analyses/{id}/report.
+	// LastAnalysis is the job ID of the last full analysis this process
+	// completed; its Report is served by GET /v1/analyses/{id}/report.
+	// Job IDs are per process, so it is not persisted: after a restart
+	// it reads "" until the next resweep completes.
 	LastAnalysis string `json:"last_analysis,omitempty"`
 }
 
@@ -150,10 +152,11 @@ func (d *Dataset) statusLocked() DatasetStatus {
 // Append accepts one visit batch: new exam types, new patients, and
 // records over the union of already-known and batch-new identities.
 // The batch is checked against the accumulated log (vsm.Live.Check),
-// durably recorded in the K-DB (the WAL ack is the acknowledgement's
-// durability point — a failure returns ErrDurability and applies
-// nothing), appended to the log with the VSM updated in place, and
-// drift-checked. The returned status reflects the post-append state.
+// durably recorded in the K-DB in one WAL commit (its ack is the
+// acknowledgement's durability point — a failure returns ErrDurability
+// and applies nothing), appended to the log with the VSM updated in
+// place, and drift-checked. The returned status reflects the
+// post-append state.
 // A dataset whose registration failed answers ErrUnknown.
 func (d *Dataset) Append(exams []Exam, patients []Patient, records []Record) (DatasetStatus, error) {
 	d.mu.Lock()
@@ -211,23 +214,29 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 	}
 	d.emitLocked(Event{Type: evType, Revision: rev})
 
-	desc := stats.Characterize(d.live.Log())
-	if d.baseline == nil {
+	d.updateDriftLocked()
+	if rev == 1 {
 		// Registration: the baseline is the initial descriptor until
 		// the first full analysis completes.
-		d.baseline = &desc
-		d.drift = 0
-	} else {
-		d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, desc)
+		d.persistBaselineLocked()
 	}
-	driftGauge.With(d.name).Set(d.drift)
 	d.emitLocked(Event{Type: EventModelUpdated, Revision: rev})
 	if d.drift >= d.mgr.cfg.DriftThreshold && !d.resweeping {
 		d.scheduleResweepLocked()
 	}
-
-	d.persistStateLocked()
 	return d.statusLocked(), nil
+}
+
+// updateDriftLocked measures the accumulated log's descriptor against
+// the baseline, which becomes that descriptor when there is none yet
+// (at registration, or on recovering a dataset with no control record).
+func (d *Dataset) updateDriftLocked() {
+	desc := stats.Characterize(d.live.Log())
+	if d.baseline == nil {
+		d.baseline = &desc
+	}
+	d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, desc)
+	driftGauge.With(d.name).Set(d.drift)
 }
 
 // scheduleResweepLocked submits a full re-analysis of a snapshot of
@@ -266,8 +275,8 @@ func (d *Dataset) scheduleResweepLocked() {
 
 // watchResweep waits for a drift-triggered job and folds its outcome
 // back into the live state: the baseline resets to the report's
-// descriptor (so drift re-measures movement since this analysis), the
-// last-analysis pointer updates, and the control record persists.
+// descriptor (so drift re-measures movement since this analysis) and
+// persists, and the last-analysis pointer updates.
 func (d *Dataset) watchResweep(j *service.Job) {
 	rep, err := j.Wait(context.Background())
 	d.mu.Lock()
@@ -284,24 +293,17 @@ func (d *Dataset) watchResweep(j *service.Job) {
 	resweepsTotal.With("completed").Inc()
 	d.baseline = &rep.Descriptor
 	d.lastAnalysis = j.ID()
-	d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, stats.Characterize(d.live.Log()))
-	driftGauge.With(d.name).Set(d.drift)
+	d.updateDriftLocked()
 	ev.Drift = d.drift
-	d.persistStateLocked()
+	d.persistBaselineLocked()
 	d.emitLocked(ev)
 }
 
-// persistStateLocked upserts the control record. Failure is soft: the
-// batches in live_appends are the durability source, and recovery
-// replays them whatever revision the control record names.
-func (d *Dataset) persistStateLocked() {
-	_ = d.mgr.kdb.StoreLiveDataset(kdb.LiveDatasetState{
-		Dataset:      d.name,
-		Revision:     d.revision,
-		Baseline:     d.baseline,
-		Drift:        d.drift,
-		LastAnalysis: d.lastAnalysis,
-	})
+// persistBaselineLocked upserts the control record. Failure is soft:
+// recovery finds the dataset by its batches, and without a record it
+// takes the recovered log's descriptor as the baseline.
+func (d *Dataset) persistBaselineLocked() {
+	_ = d.mgr.kdb.StoreLiveDataset(kdb.LiveDatasetState{Dataset: d.name, Baseline: d.baseline})
 }
 
 // Subscribe returns an independent event stream plus its cancel

@@ -32,11 +32,14 @@
 // ~15% relative.
 //
 // Every accepted batch is durably recorded in the K-DB's live_appends
-// collection before the append is acknowledged (the WAL ack is the
-// durability point), and the control record in live_datasets is
-// updated after; a restarted daemon rebuilds every live dataset by
-// replaying its batches in revision order, so acknowledged appends
-// survive a crash even when the control record lagged behind.
+// collection before the append is acknowledged: the WAL ack is the
+// durability point, and the batch is the append's one WAL commit. The
+// batches are a live dataset's only history. Its control record in
+// live_datasets holds the drift baseline and is written only when that
+// changes, at registration and when a resweep completes. A restarted
+// daemon finds each live dataset by its batches, applies them in
+// revision order as one append, and recomputes the drift gauge, so
+// acknowledged appends survive a crash at any point.
 package stream
 
 import (
@@ -46,7 +49,6 @@ import (
 
 	"adahealth/internal/kdb"
 	"adahealth/internal/service"
-	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
 
@@ -101,10 +103,7 @@ type Manager struct {
 func (m *Manager) Close() { m.watchers.Wait() }
 
 // NewManager builds a manager over cfg.Service and resumes every live
-// dataset persisted in the service's K-DB: each dataset's accepted
-// batches replay in revision order (rebuilding the log and its live
-// VSM), and the drift baseline and gauge restore from the control
-// record.
+// dataset persisted in the service's K-DB (see recover).
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("stream: Config.Service is required")
@@ -121,7 +120,13 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// recover replays persisted live datasets into memory.
+// recover rebuilds every live dataset that has a batch in the K-DB.
+// Its batches, concatenated in revision order, are one Live.Append,
+// and its revision is the last batch's. The baseline is the control
+// record's, or the recovered log's descriptor when the record never
+// landed (a crash between registration's two commits); the drift gauge
+// is recomputed against it. LastAnalysis stays empty: a job ID names a
+// job of the process that ran it.
 func (m *Manager) recover() error {
 	states, err := m.kdb.LiveDatasets()
 	if err != nil {
@@ -132,22 +137,23 @@ func (m *Manager) recover() error {
 		if err != nil {
 			return fmt.Errorf("stream: reading batches of %q: %w", st.Dataset, err)
 		}
-		d := m.newDataset(st.Dataset)
+		if len(batches) == 0 {
+			continue // a control record with no acked batch
+		}
+		var all kdb.LiveBatch
 		for _, b := range batches {
-			if err := d.live.Append(b.Exams, b.Patients, b.Records); err != nil {
-				return fmt.Errorf("stream: replaying %s@%d: %w", st.Dataset, b.Revision, err)
-			}
-			// Trust the batches, not the control record: the recovered
-			// revision is whatever was durably appended.
-			d.revision = b.Revision
+			all.Exams = append(all.Exams, b.Exams...)
+			all.Patients = append(all.Patients, b.Patients...)
+			all.Records = append(all.Records, b.Records...)
+			all.Revision = b.Revision
 		}
+		d := m.newDataset(st.Dataset)
+		if err := d.live.Append(all.Exams, all.Patients, all.Records); err != nil {
+			return fmt.Errorf("stream: replaying %s@1..%d: %w", st.Dataset, all.Revision, err)
+		}
+		d.revision = all.Revision
 		d.baseline = st.Baseline
-		d.drift = st.Drift
-		d.lastAnalysis = st.LastAnalysis
-		if d.baseline == nil {
-			desc := stats.Characterize(d.live.Log())
-			d.baseline = &desc
-		}
+		d.updateDriftLocked()
 		m.datasets[st.Dataset] = d
 	}
 	return nil

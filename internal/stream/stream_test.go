@@ -513,7 +513,8 @@ func TestAppendDuringFailedRegistration(t *testing.T) {
 // TestRecoverLegacyControlRecord: a live_datasets control record in
 // the shape older builds wrote, which also carries the retired online
 // model's model_revision, centroids and features, recovers without a
-// migration, and the dataset keeps taking appends.
+// migration: the drift is recomputed against its baseline, its
+// last_analysis is not restored, and the dataset keeps taking appends.
 func TestRecoverLegacyControlRecord(t *testing.T) {
 	dir := t.TempDir()
 	svcA := testService(t, fastConfig(23, dir))
@@ -559,8 +560,9 @@ func TestRecoverLegacyControlRecord(t *testing.T) {
 		t.Fatal("legacy control record did not recover its dataset")
 	}
 	st := d.Status()
+	wantDrift := 1 - kdb.DescriptorSimilarity(baseline, stats.Characterize(log))
 	if st.Revision != 1 || st.ModelRevision != 1 || st.NumRecords != len(log.Records) ||
-		st.Drift != 0.02 || st.LastAnalysis != "job-9" {
+		st.Drift != wantDrift || st.LastAnalysis != "" {
 		t.Fatalf("recovered status = %+v", st)
 	}
 	d.mu.Lock()
