@@ -78,11 +78,8 @@ func (k *KDB) LiveDatasets() ([]LiveDatasetState, error) {
 	for _, st := range out {
 		seen[st.Dataset] = true
 	}
-	field := make([]docstore.Raw, 1)
 	k.store.Collection(CollLiveAppends).Scan(func(d docstore.Doc, _ int64) bool {
-		field[0] = nil
-		d.Fields(field, "dataset")
-		v, _ := field[0].Scalar()
+		v, _ := d.Field("dataset").Scalar()
 		if name, ok := v.(string); ok && !seen[name] {
 			seen[name] = true
 			out = append(out, LiveDatasetState{Dataset: name})
