@@ -20,7 +20,7 @@
 //	job, err := svc.Submit(ctx, log,
 //		adahealth.WithPriority(5),
 //		adahealth.WithDeadline(time.Now().Add(2*time.Minute)))
-//	if errors.Is(err, adahealth.ErrQueueFull) { /* shed load or SubmitWait */ }
+//	if errors.Is(err, adahealth.ErrQueueFull) { /* shed load or retry later */ }
 //
 //	go func() {
 //		for ev := range job.Events() { fmt.Println(ev.Phase, ev.Stage) }
@@ -29,7 +29,7 @@
 //	fmt.Println(report.Sweep.BestK)
 //
 // Submissions are admission-controlled: a full queue fast-rejects with
-// ErrQueueFull (Service.SubmitWait blocks instead), higher-priority
+// ErrQueueFull, higher-priority
 // jobs dispatch first, per-job deadlines cover queue wait, and bad
 // configurations are rejected at Submit time. cmd/adahealthd serves
 // the same API over HTTP JSON.

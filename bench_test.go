@@ -67,7 +67,11 @@ func BenchmarkTableI(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(res.Sweep.BestK), "bestK")
-			b.ReportMetric(res.Sweep.Best().Accuracy*100, "accuracy%")
+			for _, r := range res.Sweep.Rows {
+				if r.K == res.Sweep.BestK {
+					b.ReportMetric(r.Accuracy*100, "accuracy%")
+				}
+			}
 		}
 	}
 }

@@ -50,7 +50,7 @@ func main() {
 			adahealth.WithDeadline(time.Now().Add(5*time.Minute)))
 		if err != nil {
 			// A full queue is backpressure, not failure: callers can
-			// shed load here or block politely with SubmitWait.
+			// shed load here or retry later.
 			log.Fatalf("submitting %s: %v", submit.ward, err)
 		}
 		fmt.Printf("submitted %s as %s (status %s)\n", submit.ward, job.ID(), job.Status())

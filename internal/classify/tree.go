@@ -615,34 +615,3 @@ func (t *DecisionTree) Predict(x []float64) int {
 	}
 	return n.prediction
 }
-
-// Depth returns the height of the fitted tree (0 for a single leaf).
-func (t *DecisionTree) Depth() int {
-	var h func(n *treeNode) int
-	h = func(n *treeNode) int {
-		if n == nil || n.isLeaf() {
-			return 0
-		}
-		l, r := h(n.left), h(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return h(t.root)
-}
-
-// NumLeaves counts the leaves of the fitted tree.
-func (t *DecisionTree) NumLeaves() int {
-	var c func(n *treeNode) int
-	c = func(n *treeNode) int {
-		if n == nil {
-			return 0
-		}
-		if n.isLeaf() {
-			return 1
-		}
-		return c(n.left) + c(n.right)
-	}
-	return c(t.root)
-}

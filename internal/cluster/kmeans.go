@@ -277,15 +277,11 @@ func KMeans(data [][]float64, opts Options) (*Result, error) {
 	return run(context.Background(), data, nil, opts)
 }
 
-// KMeansContext is KMeans under a context: the iteration loop checks
-// ctx between Lloyd iterations and returns ctx.Err() (unwrapped, so
-// errors.Is works) as soon as the context is cancelled or times out.
-func KMeansContext(ctx context.Context, data [][]float64, opts Options) (*Result, error) {
-	return run(ctx, data, nil, opts)
-}
-
-// KMeansCSRContext is KMeansContext over a prebuilt sparse view, so
-// repeated runs on the same matrix (e.g. the Table I K sweep) share
+// KMeansCSRContext is KMeans under a context, over a prebuilt sparse
+// view: the iteration loop checks ctx between Lloyd iterations and
+// returns ctx.Err() (unwrapped, so errors.Is works) as soon as the
+// context is cancelled or times out, and repeated runs on the same
+// matrix (e.g. the Table I K sweep) share
 // one CSR build — the entry point the pipeline's sweep and
 // partial-mining stages use. dense, when non-nil, must be the dense
 // view of m; the cold paths (seeding, empty-cluster repair, final SSE)

@@ -212,19 +212,18 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	k, err := kdb.Open(cfg.KDBDir)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening K-DB: %w", err)
 	}
-	return &Engine{cfg: cfg, kdb: k, inflight: newInflightSet()}, nil
+	return NewWithKDB(cfg, k)
 }
 
 // NewWithKDB builds an engine over an already-open K-DB, which the
-// caller keeps owning (Close it after the engine is done). It is the
-// seam fault-injection tests use to run the pipeline against a K-DB
-// opened over a faulty filesystem (kdb.OpenStore with
-// docstore.Options.FS); Config.KDBDir is ignored.
+// caller keeps owning (Close it after the engine is done); New builds
+// through it, and fault-injection tests pass a K-DB opened over a
+// faulty filesystem (kdb.OpenStore with docstore.Options.FS).
+// Config.KDBDir is ignored.
 func NewWithKDB(cfg Config, k *kdb.KDB) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -362,8 +361,7 @@ type AnalyzeOptions struct {
 	// long-lived caller stops paying those allocations on every job.
 	// Reports are bit-for-bit identical with or without it. Safe to
 	// share across concurrent analyses — checkout is per sweep worker
-	// (see optimize.Arena) — but an explicitly configured
-	// Config.Sweep.Arena takes precedence.
+	// (see optimize.Arena).
 	Arena *optimize.Arena
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"adahealth/internal/cluster"
 	"adahealth/internal/dataset"
 	"adahealth/internal/endgoal"
 	"adahealth/internal/fpm"
@@ -290,12 +289,7 @@ func (e *Engine) runSweep(ctx context.Context, s *pipelineState) error {
 	// configuration passes through untouched: the cold path is
 	// bit-for-bit the pre-recall pipeline.
 	cfg := e.cfg.Sweep
-	cfg.Budget = s.pool
-	if cfg.Arena == nil {
-		// The caller's cross-job arena backs this sweep's worker slabs
-		// unless the engine config pinned its own.
-		cfg.Arena = s.arena
-	}
+	cfg.Budget, cfg.Arena = s.pool, s.arena
 	if s.recallHints != nil {
 		cfg = applyRecallHints(cfg, s.recallHints, s.working.Features, s.rep.Recall)
 	}
@@ -309,25 +303,13 @@ func (e *Engine) runSweep(ctx context.Context, s *pipelineState) error {
 
 func (e *Engine) runCluster(ctx context.Context, s *pipelineState) error {
 	// The sweep hands over the fitted model its BestK row was scored
-	// on; re-clustering would both duplicate the work and — under the
-	// default warm-started sweep, whose BestK model is the product of
-	// the whole ascending chain — select a different local optimum
-	// than the one the optimizer actually ranked best.
-	best := s.rep.Sweep.BestClustering
-	if best == nil {
-		opts := e.cfg.Sweep.Cluster
-		opts.K = s.rep.Sweep.BestK
-		// The shared derived-seed formula: re-run the selected K under
-		// exactly the seed the sweep evaluated it with.
-		opts.Seed = optimize.KSeed(e.cfg.Seed, s.rep.Sweep.BestK)
-		var err error
-		best, err = cluster.KMeansContext(ctx, s.working.Rows, opts)
-		if err != nil {
-			return wrapStageErr(ctx, "final clustering", err)
-		}
-	}
-	s.rep.BestClustering = best
-	s.rep.ClusterItems = knowledge.FromClusterResult(s.log.Name, best, s.working.Features, 5)
+	// on (set whenever the sweep succeeds); re-clustering would both
+	// duplicate the work and — under the default warm-started sweep,
+	// whose BestK model is the product of the whole ascending chain —
+	// select a different local optimum than the one the optimizer
+	// actually ranked best.
+	s.rep.BestClustering = s.rep.Sweep.BestClustering
+	s.rep.ClusterItems = knowledge.FromClusterResult(s.log.Name, s.rep.BestClustering, s.working.Features, 5)
 	return nil
 }
 

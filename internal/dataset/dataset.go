@@ -35,7 +35,7 @@
 // ReindexAfterLoad — must not overlap those calls or a reader's use of
 // the Encoded they returned.
 //
-// The request decoder (DecodeEnvelope, DecodeBatch, ReadJSON) reads
+// The request decoder (DecodeEnvelope, DecodeBatch) reads
 // JSON straight into rows, interning ids, exactly as encoding/json
 // would read it into the same types (FuzzDecodeLogMatchesStdlib).
 package dataset
@@ -282,52 +282,4 @@ func (l *Log) Visits() []Visit {
 		}
 	}
 	return visits
-}
-
-// FilterPatients returns a new Log restricted to the patients for which
-// keep returns true. The exam catalog is preserved in full.
-func (l *Log) FilterPatients(keep func(Patient) bool) *Log {
-	out := NewLog(l.Name)
-	for _, e := range l.Exams {
-		out.AddExam(e) //nolint:errcheck // source catalog has no duplicates
-	}
-	kept := make(map[string]bool, len(l.Patients))
-	for _, p := range l.Patients {
-		if keep(p) {
-			kept[p.ID] = true
-			out.AddPatient(p) //nolint:errcheck
-		}
-	}
-	for _, r := range l.Records {
-		if kept[r.PatientID] {
-			out.AddRecord(r) //nolint:errcheck
-		}
-	}
-	return out
-}
-
-// FilterExams returns a new Log restricted to records whose exam code
-// is in codes. All patients remain registered (horizontal partial
-// mining retains the total number of patients while reducing the
-// feature space, per Section IV-B of the paper).
-func (l *Log) FilterExams(codes []string) *Log {
-	keep := make(map[string]bool, len(codes))
-	for _, c := range codes {
-		keep[c] = true
-	}
-	out := NewLog(l.Name)
-	for _, e := range l.Exams {
-		if keep[e.Code] {
-			out.AddExam(e) //nolint:errcheck
-		}
-	}
-	for _, p := range l.Patients {
-		out.AddPatient(p) //nolint:errcheck
-	}
-	for _, r := range l.Records {
-		if keep[r.ExamCode] {
-			out.AddRecord(r) //nolint:errcheck
-		}
-	}
-	return out
 }

@@ -171,35 +171,6 @@ func TestVisitsDeduplicateSameDay(t *testing.T) {
 	}
 }
 
-func TestFilterPatients(t *testing.T) {
-	l := sampleLog(t)
-	old := l.FilterPatients(func(p Patient) bool { return p.Age >= 60 })
-	if old.NumPatients() != 2 {
-		t.Errorf("filtered patients = %d, want 2", old.NumPatients())
-	}
-	if old.NumRecords() != 4 {
-		t.Errorf("filtered records = %d, want 4", old.NumRecords())
-	}
-	if old.NumExamTypes() != 3 {
-		t.Errorf("catalog shrank to %d, want preserved 3", old.NumExamTypes())
-	}
-}
-
-func TestFilterExams(t *testing.T) {
-	l := sampleLog(t)
-	sub := l.FilterExams([]string{"EX001"})
-	if sub.NumExamTypes() != 1 {
-		t.Errorf("exam types = %d, want 1", sub.NumExamTypes())
-	}
-	if sub.NumRecords() != 3 {
-		t.Errorf("records = %d, want 3", sub.NumRecords())
-	}
-	// Horizontal partial mining keeps all patients.
-	if sub.NumPatients() != 3 {
-		t.Errorf("patients = %d, want 3 (retained)", sub.NumPatients())
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	l := sampleLog(t)
 	var eb, pb, rb bytes.Buffer
@@ -234,25 +205,6 @@ func TestCSVFilesRoundTrip(t *testing.T) {
 	}
 	if got.NumRecords() != l.NumRecords() {
 		t.Errorf("records = %d, want %d", got.NumRecords(), l.NumRecords())
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	l := sampleLog(t)
-	var b bytes.Buffer
-	if err := l.WriteJSON(&b); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(&b)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if got.NumRecords() != l.NumRecords() {
-		t.Errorf("records = %d, want %d", got.NumRecords(), l.NumRecords())
-	}
-	// Indexes must be rebuilt: adding a duplicate should fail.
-	if err := got.AddPatient(Patient{ID: "P1"}); err == nil {
-		t.Error("indexes not rebuilt after JSON load")
 	}
 }
 

@@ -258,8 +258,10 @@ func TestVSMBuildEqualsReference(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if !reflect.DeepEqual(m.Features, features) || !reflect.DeepEqual(m.RawCounts(), raw) || !reflect.DeepEqual(m.Rows, raw) {
-			t.Fatalf("matrix features %v rows %v, want %v %v", m.Features, m.RawCounts(), features, raw)
+		// Under Options{} (count weighting, no normalization) the rows
+		// are a copy of the raw counts.
+		if !reflect.DeepEqual(m.Features, features) || !reflect.DeepEqual(m.Rows, raw) {
+			t.Fatalf("matrix features %v rows %v, want %v %v", m.Features, m.Rows, features, raw)
 		}
 		ids := make([]string, len(l.Patients))
 		for i, p := range l.Patients {

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -170,31 +169,4 @@ func LoadCSVFiles(name, dir string) (*Log, error) {
 	}
 	defer rf.Close()
 	return ReadCSV(name, ef, pf, rf)
-}
-
-// WriteJSON encodes the whole log as a single JSON document.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(l); err != nil {
-		return fmt.Errorf("dataset: encoding JSON: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON decodes a log written by WriteJSON, reading the first JSON
-// value as json.NewDecoder(r).Decode would.
-func ReadJSON(r io.Reader) (*Log, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading JSON: %w", err)
-	}
-	d := newDecoder(data, true)
-	if err := d.top(); err != nil {
-		return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
-	}
-	var l Log
-	if err := d.log(&l, true); err != nil {
-		return nil, err
-	}
-	return &l, nil
 }

@@ -62,15 +62,6 @@ func (b *Batch) Commit() error {
 	return b.err
 }
 
-// finish commits the one-element batch behind a single-document
-// write, preferring the mutation's own error to the commit's.
-func (b *Batch) finish(err error) error {
-	if cerr := b.Commit(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // log enqueues the WAL frame of a mutation the caller has just applied
 // under the collection lock (which is what orders frames touching one
 // document) and remembers the group commit that will carry it.
@@ -104,24 +95,8 @@ type putMode int
 
 const (
 	putInsert putMode = iota // the _id must be new
-	putUpdate                // the _id must exist
 	putUpsert                // either
 )
-
-// Insert stores doc in c and returns its ID, generating one when the
-// document has none. Inserting an existing ID fails and leaves the
-// batch usable.
-func (b *Batch) Insert(c *Collection, doc any) (string, error) {
-	return b.put(c, doc, "", putInsert)
-}
-
-// Update replaces the document with the given ID (the _id of the
-// replacement is forced to id); a missing ID fails and leaves the
-// batch usable.
-func (b *Batch) Update(c *Collection, id string, doc any) error {
-	_, err := b.put(c, doc, id, putUpdate)
-	return err
-}
 
 // Upsert stores doc under its _id, replacing the current document when
 // one exists (keeping its insertion-order stamp) and inserting
@@ -129,15 +104,15 @@ func (b *Batch) Update(c *Collection, id string, doc any) error {
 // concurrent upserts of one ID never fail with a duplicate. A document
 // without an _id is inserted under a generated one. It returns the ID.
 func (b *Batch) Upsert(c *Collection, doc any) (string, error) {
-	return b.put(c, doc, "", putUpsert)
+	return b.put(c, doc, putUpsert)
 }
 
-// put applies one insert, update (of id) or upsert of doc in memory
-// and enqueues its frame. Encoding comes first; the parse, the
-// existence check, the write and the enqueue are one step under the
-// collection lock; the durability wait comes after, so writers still
-// share group commits.
-func (b *Batch) put(c *Collection, doc any, id string, mode putMode) (string, error) {
+// put applies one insert or upsert of doc in memory and enqueues its
+// frame. Encoding comes first; the parse, the existence check, the
+// write and the enqueue are one step under the collection lock; the
+// durability wait comes after, so writers still share group commits.
+// Inserting an existing ID fails and leaves the batch usable.
+func (b *Batch) put(c *Collection, doc any, mode putMode) (string, error) {
 	if err := b.check(c); err != nil {
 		return "", err
 	}
@@ -147,25 +122,17 @@ func (b *Batch) put(c *Collection, doc any, id string, mode putMode) (string, er
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	docID, e := c.parse(raw)
-	// An update never generates: its empty ID is looked up, and missed,
-	// like any other.
-	generated := docID == "" && mode != putUpdate
-	switch {
-	case generated:
+	id, e := c.parse(raw)
+	generated := id == ""
+	if generated {
 		c.idSeq++
 		id = fmt.Sprintf("%s-%08d", c.name, c.idSeq)
-	case mode != putUpdate:
-		id = docID
 	}
 	old, exists := c.docs[id]
 	if exists && (mode == putInsert || generated) {
 		return "", fmt.Errorf("docstore: duplicate _id %q in collection %s", id, c.name)
 	}
-	if !exists && mode == putUpdate {
-		return "", fmt.Errorf("docstore: update of missing _id %q in %s", id, c.name)
-	}
-	if docID != id {
+	if generated {
 		var m member
 		e.Raw, m = withID(raw, id)
 		e.members = append(e.members, m)
@@ -187,21 +154,4 @@ func (b *Batch) put(c *Collection, doc any, id string, mode putMode) (string, er
 		return "", err
 	}
 	return id, nil
-}
-
-// Delete removes the document with the given ID from c; a missing ID
-// fails and leaves the batch usable.
-func (b *Batch) Delete(c *Collection, id string) error {
-	if err := b.check(c); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.docs[id]
-	if !ok {
-		return fmt.Errorf("docstore: delete of missing _id %q in %s", id, c.name)
-	}
-	c.unindex(id, old)
-	delete(c.docs, id)
-	return b.log(walRecord{Op: opDelete, Collection: c.name, ID: id})
 }

@@ -43,16 +43,10 @@ func TestBatchContract(t *testing.T) {
 	if _, err := b.Insert(c, Document{"_id": "second"}); err == nil {
 		t.Error("batched insert of a duplicate id accepted")
 	}
-	if err := b.Update(c, "absent", Document{"v": 0}); err == nil {
-		t.Error("batched update of a missing id accepted")
-	}
-	if err := b.Update(c, "", Document{"v": 0}); err == nil {
-		t.Error("batched update of the empty id accepted")
-	}
-	if err := b.Delete(c, "absent"); err == nil {
+	if err := b.del(c, "absent"); err == nil {
 		t.Error("batched delete of a missing id accepted")
 	}
-	if err := b.Delete(c, "second"); err != nil {
+	if err := b.del(c, "second"); err != nil {
 		t.Fatalf("delete after refused mutations: %v", err)
 	}
 	if _, err := b.Insert(newCollection(nil, "foreign"), Document{"v": 0}); err == nil {
@@ -82,7 +76,7 @@ func TestBatchContract(t *testing.T) {
 	if _, err := b.Insert(c, Document{"v": 5}); !errors.Is(err, errBatchCommitted) {
 		t.Errorf("insert after Commit = %v, want errBatchCommitted", err)
 	}
-	if err := b.Delete(c, "first"); !errors.Is(err, errBatchCommitted) {
+	if err := b.del(c, "first"); !errors.Is(err, errBatchCommitted) {
 		t.Errorf("delete after Commit = %v, want errBatchCommitted", err)
 	}
 	// The gate was released exactly once: compaction proceeds.
@@ -124,7 +118,7 @@ func TestConcurrentUpsertsOfOneID(t *testing.T) {
 	}
 }
 
-// TestReadersNeverMissMovedDocument: an update that changes a
+// TestReadersNeverMissMovedDocument: an upsert that changes a
 // document's dataset replaces it in one step, so a concurrent Get or
 // Find never misses the live document.
 func TestReadersNeverMissMovedDocument(t *testing.T) {
@@ -159,7 +153,7 @@ func TestReadersNeverMissMovedDocument(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= 20000; i++ {
-		if err := c.Update("x", Document{"dataset": fmt.Sprintf("d%d", i%16)}); err != nil {
+		if _, err := c.Upsert(Document{"_id": "x", "dataset": fmt.Sprintf("d%d", i%16)}); err != nil {
 			t.Error(err)
 			break
 		}

@@ -39,51 +39,28 @@ func newCollection(store *Store, name string) *Collection {
 	return &Collection{store: store, name: name, docs: map[string]entry{}, reads: []string{"_id"}}
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
-// Insert stores doc (see Batch.Insert) and returns its ID once the
-// write is durably logged. If the log commit fails, the apply stays
+// Insert stores doc under its _id, or a generated one when it has
+// none, and returns the ID once the write is durably logged; an _id
+// already stored fails. If the log commit fails, the apply stays
 // visible and the store latches broken (see ErrStoreBroken).
-func (c *Collection) Insert(doc any) (string, error) { return c.put(doc, "", putInsert) }
+func (c *Collection) Insert(doc any) (string, error) { return c.put(doc, putInsert) }
 
 // Upsert stores doc under its _id (see Batch.Upsert) and returns the
 // ID once the write is durably logged.
-func (c *Collection) Upsert(doc any) (string, error) { return c.put(doc, "", putUpsert) }
+func (c *Collection) Upsert(doc any) (string, error) { return c.put(doc, putUpsert) }
 
-// Update replaces the document with the given ID (see Batch.Update)
-// and returns once the write is durably logged.
-func (c *Collection) Update(id string, doc any) error {
-	_, err := c.put(doc, id, putUpdate)
-	return err
-}
-
-// put is a one-element batch of Batch.put.
-func (c *Collection) put(doc any, id string, mode putMode) (string, error) {
+// put is a one-element batch of Batch.put, preferring the mutation's
+// own error to the commit's.
+func (c *Collection) put(doc any, mode putMode) (string, error) {
 	b := c.store.Begin()
-	id, err := b.put(c, doc, id, mode)
-	if err = b.finish(err); err != nil {
+	id, err := b.put(c, doc, mode)
+	if cerr := b.Commit(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return "", err
 	}
 	return id, nil
-}
-
-// Get returns the stored document with the given ID.
-func (c *Collection) Get(id string) (Doc, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.docs[id]
-	if !ok {
-		return Doc{}, false
-	}
-	return e.Doc, true
-}
-
-// Delete removes the document with the given ID and returns once the
-// removal is durably logged.
-func (c *Collection) Delete(id string) error {
-	b := c.store.Begin()
-	return b.finish(b.Delete(c, id))
 }
 
 // parse reads the _id and index keys of doc, a document (caller holds
@@ -135,7 +112,8 @@ func (c *Collection) unindex(id string, e entry) {
 // replica's shipped frames both come here. Insert and update upsert (a
 // record already folded into a snapshot, or re-shipped after a
 // reconnect, is then a no-op), keeping the current stamp when the
-// record carries none; delete ignores a missing document.
+// record carries none. Delete, a frame only older stores hold (their
+// live-append fold wrote it), ignores a missing document.
 func (c *Collection) apply(rec walRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -187,7 +165,7 @@ func (c *Collection) load(snap snapshotFile) {
 func (c *Collection) snapshot() []byte {
 	c.mu.RLock()
 	docs := fmt.Appendf(nil, `{"id_seq":%d,"order_seq":%d,"docs":[`, c.idSeq, c.orderSeq)
-	entries := c.entriesLocked(nil)
+	entries := c.entriesLocked()
 	c.mu.RUnlock()
 	sortByOrder(entries)
 	orders := []byte(`],"orders":[`)
@@ -209,7 +187,7 @@ func (c *Collection) Count() int {
 
 // Scan streams every document through fn, in unspecified order,
 // stopping early when fn returns false; order is the document's
-// insertion-order stamp (sorting on it recovers Find's order). fn
+// insertion-order stamp (sorting on it recovers insertion order). fn
 // receives the stored document uncopied: immutable, so fn may keep it
 // as a snapshot of that version, and must not modify it. fn runs under
 // the collection's read lock and must not call back into the
@@ -224,14 +202,11 @@ func (c *Collection) Scan(fn func(doc Doc, order int64) bool) {
 	}
 }
 
-// entriesLocked gathers the entries match accepts (nil accepts every
-// one), unordered (caller holds the lock).
-func (c *Collection) entriesLocked(match func(entry) bool) []entry {
-	var out []entry
+// entriesLocked gathers every entry, unordered (caller holds the lock).
+func (c *Collection) entriesLocked() []entry {
+	out := make([]entry, 0, len(c.docs))
 	for _, e := range c.docs {
-		if match == nil || match(e) {
-			out = append(out, e)
-		}
+		out = append(out, e)
 	}
 	return out
 }
@@ -250,15 +225,6 @@ func decoded(entries []entry) []Document {
 		json.Unmarshal(entries[i].Raw, &out[i]) // stored bytes always decode
 	}
 	return out
-}
-
-// Find returns every document decoded, in insertion order.
-func (c *Collection) Find() []Document {
-	c.mu.RLock()
-	entries := c.entriesLocked(nil)
-	c.mu.RUnlock()
-	sortByOrder(entries)
-	return decoded(entries)
 }
 
 // CreateIndex builds an equality index on field (once) for FindEq and
@@ -319,10 +285,11 @@ func (c *Collection) eqEntries(field string, value any) []entry {
 			out[j] = c.docs[id]
 		}
 	} else {
-		out = c.entriesLocked(func(e entry) bool {
-			v, ok := e.Field(field).Scalar()
-			return ok && v == key
-		})
+		for _, e := range c.docs {
+			if v, ok := e.Field(field).Scalar(); ok && v == key {
+				out = append(out, e)
+			}
+		}
 	}
 	c.mu.RUnlock()
 	sortByOrder(out)

@@ -2,10 +2,12 @@
 // store: named collections of schemaless documents with generated IDs,
 // secondary equality indexes, and — when disk-backed — real durability
 // via a write-ahead log with group commit plus periodic snapshot
-// compaction. A read is Get (by ID), Scan (every document, unordered)
-// or WalkEq (field equality, answered from an index when there is one),
-// each handing out the stored bytes; Find and FindEq decode the same
-// reads into Documents, and Count counts.
+// compaction. A write is Insert (a new _id, generated when the
+// document has none) or Upsert (replace the document with that _id, or
+// insert it). A read is Scan (every document, unordered) or WalkEq
+// (field equality, answered from an index when there is one), each
+// handing out the stored bytes; FindEq decodes WalkEq's read into
+// Documents, and Count counts.
 //
 // It substitutes for the "cluster of MongoDBs" on which the paper's
 // preliminary K-DB is built: the K-DB needs exactly this data model —
@@ -23,13 +25,13 @@
 // after checking the document is one encoding/json decodes. The WAL
 // frame and the snapshot carry the same bytes, so nothing is
 // re-encoded on the way to disk or back. Stored bytes are immutable —
-// an update binds new bytes — so a read hands them out without
+// an upsert binds new bytes — so a read hands them out without
 // copying, and a reader may keep them as a snapshot of that version.
 //
 // Each collection is one map of documents and its equality indexes
 // under one read-write lock: every write already waits on the one WAL
 // committer, so finer locks would buy nothing, and with one lock an
-// update replaces a document in one step that no reader misses. A
+// upsert replaces a document in one step that no reader misses. A
 // disk-backed store appends every mutation to an append-only WAL
 // before acknowledging it; concurrent writers share one fsync through
 // group commit. Reopening loads the latest per-collection snapshot and
@@ -99,8 +101,8 @@ import (
 	"errors"
 )
 
-// Document is one schemaless record in decoded form: what Find and
-// FindEq return, and a value a write marshals. The reserved field
+// Document is one schemaless record in decoded form: what FindEq
+// returns, and a value a write marshals. The reserved field
 // "_id" holds the document identity (assigned on insert when absent).
 type Document map[string]any
 

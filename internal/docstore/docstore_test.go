@@ -95,31 +95,27 @@ func TestInsertCopiesInput(t *testing.T) {
 	}
 }
 
+// TestUpdateDelete: an upsert of an existing _id replaces the document
+// under that _id, and a logged delete removes it.
 func TestUpdateDelete(t *testing.T) {
 	s, _ := Open("")
 	c := s.Collection("items")
 	id, _ := c.Insert(Document{"x": 1})
-	if err := c.Update(id, Document{"x": 2}); err != nil {
+	if _, err := c.Upsert(Document{"_id": id, "x": 2}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(id)
 	if field(got, "x") != 2.0 {
-		t.Errorf("after update x = %v", field(got, "x"))
+		t.Errorf("after upsert x = %v", field(got, "x"))
 	}
-	if got.ID() != id {
-		t.Errorf("update lost _id: %q", got.ID())
+	if got.ID() != id || c.Count() != 1 {
+		t.Errorf("upsert lost _id: %q, %d documents", got.ID(), c.Count())
 	}
-	if err := c.Delete(id); err != nil {
+	if err := deleteDoc(c, id); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(id); ok {
 		t.Error("deleted doc still present")
-	}
-	if err := c.Update(id, Document{}); err == nil {
-		t.Error("update of missing doc accepted")
-	}
-	if err := c.Delete(id); err == nil {
-		t.Error("double delete accepted")
 	}
 }
 
@@ -171,7 +167,7 @@ func TestIndexedFind(t *testing.T) {
 	id := got[0]["_id"]
 	_ = id
 	first := c.FindEq("dataset", "d2")[0]
-	if err := c.Delete(first["_id"].(string)); err != nil {
+	if err := deleteDoc(c, first["_id"].(string)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.FindEq("dataset", "d2"); len(got) != 25 {
@@ -238,7 +234,7 @@ func TestNumericNormalization(t *testing.T) {
 }
 
 // TestNonScalarIndexedFieldMatchesNothing: a document whose indexed
-// field holds an object, an array or null is stored, reloaded, updated
+// field holds an object, an array or null is stored, reloaded, upserted
 // and deleted like any other, and matches no equality lookup. The
 // K-DB layout (an index on dataset) runs over every document a
 // reopened store loads, so such a value must not panic it.
@@ -273,10 +269,10 @@ func TestNonScalarIndexedFieldMatchesNothing(t *testing.T) {
 	if _, err := c.Insert(Document{"_id": "late", "dataset": map[string]any{"name": "ward-b"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update("object", Document{"dataset": []any{"ward-a", "ward-b"}}); err != nil {
+	if _, err := c.Upsert(Document{"_id": "object", "dataset": []any{"ward-a", "ward-b"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("array"); err != nil {
+	if err := deleteDoc(c, "array"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.FindEq("dataset", "ward-a"); len(got) != 1 || got[0]["_id"] != "scalar" {
@@ -383,7 +379,7 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-// TestGeneratedIDIsLastMember: a generated or forced _id is appended to
+// TestGeneratedIDIsLastMember: a generated _id is appended to
 // the written bytes as their last member, which wins over any _id the
 // document held, and the member offsets reads go through cover it.
 func TestGeneratedIDIsLastMember(t *testing.T) {
@@ -404,11 +400,5 @@ func TestGeneratedIDIsLastMember(t *testing.T) {
 		if err := json.Unmarshal(got.Raw, &m); err != nil || m["_id"] != id {
 			t.Errorf("%s stored as %s, which decodes to %v (%v)", doc, got.Raw, m, err)
 		}
-	}
-	if err := c.Update("items-00000001", []byte(`{"_id":"other","y":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.Get("items-00000001"); got.ID() != "items-00000001" || field(got, "y") != 2.0 {
-		t.Errorf("forced _id: stored %s", got.Raw)
 	}
 }

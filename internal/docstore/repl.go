@@ -75,9 +75,6 @@ var ErrCompacted = errors.New("docstore: replication position compacted away")
 // persistence directory: there is no WAL to ship.
 var ErrMemoryOnly = errors.New("docstore: memory-only store cannot replicate")
 
-// Epoch returns the store's current compaction epoch.
-func (s *Store) Epoch() int64 { return s.epoch.Load() }
-
 // ReplStatus snapshots the durable replication position. It briefly
 // holds the write gate shared so the (epoch, offset) pair cannot tear
 // across a concurrent compaction.

@@ -94,10 +94,10 @@ func TestReplShipFramesConverges(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if err := people.Update(ids[3], Document{"n": 333}); err != nil {
+	if _, err := people.Upsert(Document{"_id": ids[3], "n": 333}); err != nil {
 		t.Fatal(err)
 	}
-	if err := people.Delete(ids[7]); err != nil {
+	if err := deleteDoc(people, ids[7]); err != nil {
 		t.Fatal(err)
 	}
 	// A batch is N ordinary frames on the wire: it ships, counts and
@@ -112,10 +112,10 @@ func TestReplShipFramesConverges(t *testing.T) {
 	if _, err := b.Upsert(people, Document{"_id": ids[5], "n": 555, "dataset": "d9"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Update(people, ids[0], Document{"n": -1}); err != nil {
+	if _, err := b.Upsert(people, Document{"_id": ids[0], "n": -1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Delete(people, ids[1]); err != nil {
+	if err := b.del(people, ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Commit(); err != nil {
@@ -457,6 +457,45 @@ func TestReplicaInterruptedInstallWipes(t *testing.T) {
 	}
 }
 
+// TestLegacyDeleteFrameApplies: a "del" frame, which only stores
+// written by older versions hold, removes its document both on WAL
+// replay and on a replica's ApplyFrames.
+func TestLegacyDeleteFrameApplies(t *testing.T) {
+	dir := t.TempDir()
+	leader, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	rep, err := OpenReplica(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	bootstrap(t, leader, rep)
+
+	c := leader.Collection("c")
+	for _, id := range []string{"kept", "gone"} {
+		if _, err := c.Insert(Document{"_id": id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := deleteDoc(c, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, leader, rep)
+	replayed, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	for name, s := range map[string]*Store{"WAL replay": replayed, "replica": rep.Store()} {
+		if got := s.Collection("c").Find(); len(got) != 1 || got[0]["_id"] != "kept" {
+			t.Errorf("%s holds %v, want only the kept document", name, got)
+		}
+	}
+}
+
 func TestReplicaReapplyIsIdempotent(t *testing.T) {
 	leader, err := Open(t.TempDir())
 	if err != nil {
@@ -475,7 +514,7 @@ func TestReplicaReapplyIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(id, Document{"n": 2}); err != nil {
+	if _, err := c.Upsert(Document{"_id": id, "n": 2}); err != nil {
 		t.Fatal(err)
 	}
 	rd, _ := leader.WALReader()

@@ -159,17 +159,6 @@ func (s *Store) WALSize() int64 {
 	return s.wal.size.Load()
 }
 
-// Broken returns the latched WAL commit failure poisoning this store
-// (always wrapping ErrStoreBroken), or nil while the store is healthy.
-// A broken store refuses every later write and must be reopened to
-// recover to the last durable commit.
-func (s *Store) Broken() error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.failed()
-}
-
 // Flush makes all acknowledged mutations durable and compacts the
 // store when the WAL has outgrown its budget. Acknowledged writes are
 // already on the log (fsynced unless NoSync), so for a disk-backed

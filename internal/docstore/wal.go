@@ -23,7 +23,7 @@ type walOp string
 const (
 	opInsert walOp = "ins"
 	opUpdate walOp = "upd"
-	opDelete walOp = "del"
+	opDelete walOp = "del" // no longer written; older stores hold it
 )
 
 // walRecord is one logged mutation. Replay applies records in log

@@ -86,7 +86,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A mixed workload over two collections: inserts, updates, deletes,
+	// A mixed workload over two collections: inserts, upserts, deletes,
 	// explicit and generated IDs. After each mutation, capture the
 	// expected state.
 	var states []string
@@ -97,11 +97,17 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 			_, err := s.Collection("b").Insert(Document{"_id": "b-custom", "dataset": "d1", "v": "x"})
 			return err
 		},
-		func() error { return s.Collection("b").Update("b-custom", Document{"dataset": "d1", "v": "y"}) },
+		func() error {
+			_, err := s.Collection("b").Upsert(Document{"_id": "b-custom", "dataset": "d1", "v": "y"})
+			return err
+		},
 		func() error { _, err := s.Collection("a").Insert(Document{"dataset": "d1", "n": 3}); return err },
-		func() error { return s.Collection("a").Delete("a-00000002") },
+		func() error { return deleteDoc(s.Collection("a"), "a-00000002") },
 		func() error { _, err := s.Collection("a").Insert(Document{"dataset": "d3", "n": 4}); return err },
-		func() error { return s.Collection("b").Update("b-custom", Document{"dataset": "d9", "v": "z"}) },
+		func() error {
+			_, err := s.Collection("b").Upsert(Document{"_id": "b-custom", "dataset": "d9", "v": "z"})
+			return err
+		},
 	}
 	states = append(states, dump(t, s)) // state 0: empty
 	for i, m := range mutate {
@@ -127,8 +133,11 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 			_, err := batch.Upsert(b, Document{"_id": "b-custom", "dataset": "d1", "v": "w"})
 			return err
 		},
-		func() error { return batch.Update(a, "a-00000001", Document{"dataset": "d7", "n": -1}) },
-		func() error { return batch.Delete(a, "a-00000003") },
+		func() error {
+			_, err := batch.Upsert(a, Document{"_id": "a-00000001", "dataset": "d7", "n": -1})
+			return err
+		},
+		func() error { return batch.del(a, "a-00000003") },
 		func() error {
 			_, err := batch.Upsert(b, Document{"_id": "b-up", "dataset": "d2", "v": "newer"})
 			return err
@@ -230,7 +239,7 @@ func TestCompactionThenRecovery(t *testing.T) {
 	if _, err := c.Insert(Document{"dataset": "d9", "n": 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("knowledge-00000001"); err != nil {
+	if err := deleteDoc(c, "knowledge-00000001"); err != nil {
 		t.Fatal(err)
 	}
 	want := dump(t, s)
@@ -290,9 +299,9 @@ func TestFlushCompactsBeyondBudget(t *testing.T) {
 }
 
 // TestShardByGroupsAndFinds checks the dataset index: FindEq on it
-// stays correct and in insertion order, Get / Update / Delete resolve
-// IDs, and an update that changes the dataset moves the document to
-// its new index key.
+// stays correct and in insertion order, Get, Upsert and a delete
+// resolve IDs, and an upsert that changes the dataset moves the
+// document to its new index key.
 func TestShardByGroupsAndFinds(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -324,7 +333,7 @@ func TestShardByGroupsAndFinds(t *testing.T) {
 		t.Fatal("Get by ID failed under dataset striping")
 	}
 	// A dataset change moves the document.
-	if err := c.Update(ids[13], Document{"dataset": "moved", "n": 13}); err != nil {
+	if _, err := c.Upsert(Document{"_id": ids[13], "dataset": "moved", "n": 13}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.FindEq("dataset", "moved"); len(got) != 1 || got[0]["_id"] != ids[13] {
@@ -333,7 +342,7 @@ func TestShardByGroupsAndFinds(t *testing.T) {
 	if got := c.FindEq("dataset", "d5"); len(got) != 7 {
 		t.Fatalf("old shard key still matches moved doc: %d, want 7", len(got))
 	}
-	if err := c.Delete(ids[13]); err != nil {
+	if err := deleteDoc(c, ids[13]); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(ids[13]); ok {
@@ -407,13 +416,13 @@ func TestConcurrentReadersWritersDurable(t *testing.T) {
 					return
 				}
 				if i%5 == 0 {
-					if err := c.Update(id, Document{"dataset": ds, "i": i, "touched": true}); err != nil {
+					if _, err := c.Upsert(Document{"_id": id, "dataset": ds, "i": i, "touched": true}); err != nil {
 						t.Errorf("update: %v", err)
 						return
 					}
 				}
 				if i%11 == 0 {
-					if err := c.Delete(id); err != nil {
+					if err := deleteDoc(c, id); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}

@@ -2,6 +2,7 @@ package kdb
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"adahealth/internal/dataset"
@@ -112,15 +113,18 @@ func (k *KDB) LiveBatches(name string) ([]LiveBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return replayOrder(all), nil
+	return replayOrder(all)
 }
 
-// replayOrder picks, from a dataset's batch documents, what replay
-// applies, in revision order: the fold covering the longest prefix,
-// then every single-revision batch past it. Older folds and the
-// originals a fold covers, which a crash in an earlier build's fold
-// left, are skipped.
-func replayOrder(all []LiveBatch) []LiveBatch {
+// replayOrder picks, from a dataset's batch documents in insertion
+// order, what replay applies, in revision order: the fold covering the
+// longest prefix, then every single-revision batch past it. Older folds
+// and the originals a fold covers, which a crash in an earlier build's
+// fold left, are skipped. So is a later copy of a revision equal to the
+// first-inserted one (only its generated _id differs), which a failed
+// registration in an earlier build could leave; a later copy that
+// differs fails, since which of the two was acknowledged is unknown.
+func replayOrder(all []LiveBatch) ([]LiveBatch, error) {
 	var best *LiveBatch
 	for i, b := range all {
 		if b.FoldedFrom > 0 && (best == nil || b.Revision > best.Revision) {
@@ -131,11 +135,20 @@ func replayOrder(all []LiveBatch) []LiveBatch {
 	if best != nil {
 		out = append(out, *best)
 	}
+	first := make(map[int]int, len(all)) // revision → its batch in out
 	for _, b := range all {
-		if b.FoldedFrom == 0 && (best == nil || b.Revision > best.Revision) {
-			out = append(out, b)
+		if b.FoldedFrom > 0 || best != nil && b.Revision <= best.Revision {
+			continue
 		}
+		if i, ok := first[b.Revision]; ok {
+			if !reflect.DeepEqual(out[i], b) {
+				return nil, fmt.Errorf("kdb: live dataset %q holds two different batches of revision %d", b.Dataset, b.Revision)
+			}
+			continue
+		}
+		first[b.Revision] = len(out)
+		out = append(out, b)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Revision < out[j].Revision })
-	return out
+	return out, nil
 }

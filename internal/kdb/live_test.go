@@ -3,6 +3,7 @@ package kdb
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +176,38 @@ func TestLiveFoldCrashLeftoversSkipped(t *testing.T) {
 	}
 	if len(records) != 4 {
 		t.Errorf("replayed %d records, want 4", len(records))
+	}
+}
+
+// TestLiveDuplicateRevisions: a later batch equal to a revision's first
+// one is skipped, and a later batch that differs fails the read, naming
+// the dataset and the revision.
+func TestLiveDuplicateRevisions(t *testing.T) {
+	k, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	for _, rev := range []int{1, 2, 2} {
+		if err := k.AppendLiveBatch(foldBatch("w", rev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches, err := k.LiveBatches("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != 2 || batches[0].Revision != 1 || batches[1].Revision != 2 {
+		t.Fatalf("got %+v, want revisions 1 and 2 once each", batches)
+	}
+
+	other := foldBatch("w", 2)
+	other.Records[0].Date = other.Records[0].Date.AddDate(0, 0, 1)
+	if err := k.AppendLiveBatch(other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.LiveBatches("w"); err == nil || !strings.Contains(err.Error(), `"w"`) || !strings.Contains(err.Error(), "revision 2") {
+		t.Fatalf("unequal duplicate: err %v, want one naming the dataset and revision 2", err)
 	}
 }
 

@@ -213,16 +213,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by d (either sign).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value reports the current value, evaluating the closure for pull
 // gauges.
 func (g *Gauge) Value() float64 {
@@ -300,25 +290,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum reports the running sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the cumulative
-// buckets: the upper bound of the first bucket covering q of the
-// observations. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	need := int64(math.Ceil(q * float64(total)))
-	var cum int64
-	for i := range h.upper {
-		cum += h.counts[i].Load()
-		if cum >= need {
-			return h.upper[i]
-		}
-	}
-	return math.Inf(1)
-}
 
 func (h *Histogram) value() float64 { return float64(h.count.Load()) }
 

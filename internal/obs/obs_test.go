@@ -136,7 +136,7 @@ func TestConcurrentScrape(t *testing.T) {
 			c, g, h := cv.With(key), gv.With(key), hv.With(key)
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i%100) / 1000)
 			}
 		}(w)
@@ -170,4 +170,23 @@ func TestConcurrentScrape(t *testing.T) {
 	if hcount != workers*iters {
 		t.Errorf("histogram count = %v, want %d", hcount, workers*iters)
 	}
+}
+
+// Quantile estimates the q-quantile (0 < q ≤ 1) from the cumulative
+// buckets: the upper bound of the first bucket covering q of the
+// observations. Returns 0 with no observations.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	need := int64(math.Ceil(q * float64(total)))
+	var cum int64
+	for i := range h.upper {
+		cum += h.counts[i].Load()
+		if cum >= need {
+			return h.upper[i]
+		}
+	}
+	return math.Inf(1)
 }

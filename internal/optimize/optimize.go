@@ -48,11 +48,11 @@ import (
 	"adahealth/internal/vsm"
 )
 
-// KSeed derives the per-K clustering seed from the sweep seed. It is
-// the one seed formula shared by the warm-started chain (the smallest
-// K's k-means++ run and the rand reseeding of every run) and the
-// pipeline's final clustering stage — so a sweep's selected K
-// re-clusters under exactly the seed the sweep evaluated it with.
+// KSeed derives the per-K clustering seed from the sweep seed: the
+// seed of the warm-started chain's smallest-K k-means++ run and of the
+// rand reseeding of every run. The pipeline's cluster stage takes the
+// sweep's fitted BestK model (SweepResult.BestClustering) and does not
+// re-cluster.
 func KSeed(seed int64, k int) int64 { return seed + int64(k)*7919 }
 
 // SweepConfig configures a parameter sweep.
@@ -170,16 +170,6 @@ type SweepResult struct {
 	// need "the selected clustering" (the pipeline's cluster stage)
 	// must take it from here rather than re-clustering.
 	BestClustering *cluster.Result `json:"-"`
-}
-
-// Best returns the row for BestK.
-func (s *SweepResult) Best() KResult {
-	for _, r := range s.Rows {
-		if r.K == s.BestK {
-			return r
-		}
-	}
-	return KResult{}
 }
 
 // Sweep evaluates every K on data (rows are the same features the

@@ -312,3 +312,13 @@ func TestKSeedFormula(t *testing.T) {
 		t.Errorf("KSeed(1,6) = %d", KSeed(1, 6))
 	}
 }
+
+// Best returns the row for BestK.
+func (s *SweepResult) Best() KResult {
+	for _, r := range s.Rows {
+		if r.K == s.BestK {
+			return r
+		}
+	}
+	return KResult{}
+}

@@ -199,7 +199,7 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	if err := leader.StoreKnowledgeItems(items("post", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if got := leader.Store().Epoch(); got != 1 {
+	if got := leader.Store().ReplStatus().Epoch; got != 1 {
 		t.Fatalf("leader epoch after compaction = %d, want 1", got)
 	}
 

@@ -82,7 +82,7 @@ func TestServiceArenaConcurrentSoak(t *testing.T) {
 	for i := 0; i < n; i++ {
 		log := testLog(t, int64(i%4+1))
 		log.Name = fmt.Sprintf("arena-soak-%d", i)
-		j, err := svc.SubmitWait(context.Background(), log)
+		j, err := submitRetry(context.Background(), svc, log)
 		if err != nil {
 			t.Fatal(err)
 		}

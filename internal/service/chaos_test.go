@@ -187,7 +187,7 @@ func TestChaosWALFaultJobsSucceedDegraded(t *testing.T) {
 
 // TestChaosDegradedShedding: with the K-DB offline and the admission
 // queue at least half full, Submit sheds with ErrDegraded; with
-// headroom it keeps admitting, and SubmitWait never sheds.
+// headroom it keeps admitting.
 func TestChaosDegradedShedding(t *testing.T) {
 	ffs := faultfs.New(nil, 1)
 	svc, k := chaosService(t, ffs, t.TempDir(), 1, 4)
@@ -226,13 +226,6 @@ func TestChaosDegradedShedding(t *testing.T) {
 	}
 	if _, err := svc.Submit(context.Background(), testLog(t, 5)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("saturated degraded submit = %v, want ErrDegraded", err)
-	}
-	// Blocking admission is exempt from shedding: SubmitWait admits
-	// into the remaining queue headroom where Submit just shed.
-	waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := svc.SubmitWait(waitCtx, testLog(t, 6)); err != nil {
-		t.Fatalf("SubmitWait while degraded = %v, want admit", err)
 	}
 }
 
@@ -314,7 +307,7 @@ func TestChaosSoak(t *testing.T) {
 			log.Name = fmt.Sprintf("soak-%d", i)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			j, err := svc.SubmitWait(ctx, log)
+			j, err := submitRetry(ctx, svc, log)
 			if err != nil {
 				t.Errorf("soak submit %d: %v", i, err)
 				return
@@ -354,7 +347,7 @@ func TestChaosSoak(t *testing.T) {
 	time.Sleep(2100 * time.Millisecond)
 	log := testLog(t, 99)
 	log.Name = "soak-heal"
-	j, err := svc.SubmitWait(context.Background(), log)
+	j, err := submitRetry(context.Background(), svc, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,13 @@
 // the paper's pitch over one shared core.Engine: callers submit
 // examination logs and get back Job handles instead of blocking for
 // the whole DAG run. A Service owns a bounded admission queue with
-// backpressure (Submit fast-rejects with ErrQueueFull, SubmitWait
-// blocks under a context), a fixed set of worker slots dispatching the
-// highest-priority queued job first, and one stage pool — the CPU
-// budget every running job's stages and their fan-out share, so a lone
-// job uses every idle core and a busy service never oversubscribes —
-// so hospital-wide traffic becomes an admission and scheduling problem
-// rather than a goroutine-per-caller free-for-all.
+// backpressure (Submit fast-rejects with ErrQueueFull), a fixed set of
+// worker slots dispatching the highest-priority queued job first, and
+// one stage pool — the CPU budget every running job's stages and their
+// fan-out share, so a lone job uses every idle core and a busy service
+// never oversubscribes — so hospital-wide traffic becomes an admission
+// and scheduling problem rather than a goroutine-per-caller
+// free-for-all.
 //
 // Jobs expose Status, Wait, Cancel and a live Events stream fed from
 // the scheduler's stage trace points. cmd/adahealthd serves this API
@@ -46,8 +46,7 @@ import (
 
 var (
 	// ErrQueueFull is Submit's fast-reject: the admission queue is at
-	// capacity. The HTTP layer maps it to 429; callers that prefer
-	// blocking backpressure use SubmitWait.
+	// capacity. The HTTP layer maps it to 429.
 	ErrQueueFull = errors.New("service: admission queue full")
 	// ErrClosed rejects submissions to a service that is shutting
 	// down.
@@ -57,8 +56,7 @@ var (
 	// least half full. A degraded service keeps serving the work it
 	// already accepted and keeps admitting while it has headroom, but
 	// stops piling new load on top of a struggling store. The HTTP
-	// layer maps it to 503; SubmitWait is exempt (blocking callers
-	// asked for backpressure, not rejection).
+	// layer maps it to 503.
 	ErrDegraded = errors.New("service: degraded — K-DB unhealthy and queue saturated")
 )
 
@@ -121,10 +119,9 @@ type Service struct {
 	arena *optimize.Arena
 
 	// queueSlots is the admission semaphore: holding a slot = sitting
-	// in the queue. Submit acquires non-blocking (ErrQueueFull),
-	// SubmitWait acquires under a context; the slot is released when a
-	// worker pops the job (or a reaper removes it), which is what
-	// unblocks the next SubmitWait.
+	// in the queue. Submit acquires non-blocking (ErrQueueFull); the
+	// slot is released when a worker pops the job (or a reaper removes
+	// it).
 	queueSlots chan struct{}
 
 	baseCtx    context.Context
@@ -239,25 +236,6 @@ func (s *Service) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// SubmitWait is Submit with blocking backpressure: when the queue is
-// full it waits for a slot until ctx is done (returning ctx.Err()) or
-// the service closes (returning ErrClosed).
-func (s *Service) SubmitWait(ctx context.Context, log *dataset.Log, opts ...Option) (*Job, error) {
-	// A dead context must reject deterministically even when a queue
-	// slot happens to be free (select picks ready cases at random).
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	select {
-	case s.queueSlots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.baseCtx.Done():
-		return nil, ErrClosed
-	}
-	return s.admit(log, opts)
 }
 
 // admit validates the submission and enqueues the job. The caller has
@@ -520,8 +498,7 @@ func (s *Service) next() *Job {
 		if s.queue.Len() > 0 {
 			j := heap.Pop(&s.queue).(*Job)
 			s.running++
-			// The job left the admission queue: free its slot, which
-			// is what unblocks a pending SubmitWait.
+			// The job left the admission queue: free its slot.
 			<-s.queueSlots
 			return j
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,22 @@ func blockingService(t *testing.T, workers, depth int) (svc *Service, started ch
 	return svc, started, release, order
 }
 
+// submitRetry submits log, retrying while the service answers with
+// retryable backpressure (ErrQueueFull, ErrDegraded), until ctx ends.
+func submitRetry(ctx context.Context, svc *Service, log *dataset.Log) (*Job, error) {
+	for {
+		j, err := svc.Submit(ctx, log)
+		if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrDegraded) {
+			return j, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 func waitStatus(t *testing.T, j *Job, want Status) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -119,50 +136,6 @@ func TestSubmitQueueFullFastReject(t *testing.T) {
 			t.Fatal("draining service never reported ErrClosed")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSubmitWaitUnblocks: SubmitWait must block while the queue is
-// full and admit as soon as a worker drains one queued job; a done
-// context must abort the wait with ctx.Err().
-func TestSubmitWaitUnblocks(t *testing.T) {
-	svc, started, release, _ := blockingService(t, 1, 1)
-	log := testLog(t, 1)
-	ctx := context.Background()
-
-	if _, err := svc.Submit(ctx, log); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if _, err := svc.Submit(ctx, log); err != nil {
-		t.Fatal(err) // fills the queue
-	}
-
-	admitted := make(chan error, 1)
-	go func() {
-		_, err := svc.SubmitWait(ctx, log)
-		admitted <- err
-	}()
-	select {
-	case err := <-admitted:
-		t.Fatalf("SubmitWait returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	close(release) // running job finishes; worker pops the queued job, freeing a slot
-	select {
-	case err := <-admitted:
-		if err != nil {
-			t.Fatalf("SubmitWait after drain: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("SubmitWait never unblocked")
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := svc.SubmitWait(cancelled, log); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitWait with dead ctx: %v", err)
 	}
 }
 
@@ -392,6 +365,45 @@ func TestShutdownDrains(t *testing.T) {
 	if _, err := svc.Submit(ctx, log); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-shutdown Submit: %v, want ErrClosed", err)
 	}
+}
+
+// TestShutdownLeavesNoGoroutine: once Shutdown returns, the workers,
+// the flusher and every job's reap watcher are gone — with one job
+// running, one queued and one cancelled while queued (its watcher has
+// already fired), the goroutine count is back at its baseline from
+// before the service started.
+func TestShutdownLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	svc, started, release, _ := blockingService(t, 1, 4)
+	log := testLog(t, 1)
+	ctx := context.Background()
+
+	running, err := svc.Submit(ctx, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := svc.Submit(ctx, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reaped, err := svc.Submit(ctx, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reaped.Cancel()
+	waitStatus(t, reaped, StatusCancelled)
+
+	close(release)
+	if err := svc.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{running, queued} {
+		if j.Status() != StatusDone {
+			t.Errorf("job %s drained into %s, want done", j.ID(), j.Status())
+		}
+	}
+	waitGoroutines(t, base)
 }
 
 // comparableReport strips execution telemetry and the closure-bearing

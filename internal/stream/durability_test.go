@@ -6,9 +6,11 @@ import (
 	"errors"
 	"testing"
 
+	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
 	"adahealth/internal/kdb"
 	"adahealth/internal/stats"
+	"adahealth/internal/vsm"
 )
 
 // TestRestartForgetsLastAnalysis: job IDs restart at job-000001 in
@@ -97,6 +99,66 @@ func TestRecoverRegistrationWithoutControlRecord(t *testing.T) {
 	}
 	if _, err := mgr.Register("ward-orphan", log.Exams, log.Patients, log.Records); !errors.Is(err, ErrExists) {
 		t.Fatalf("registering a recovered name again: err %v, want ErrExists", err)
+	}
+}
+
+// TestDuplicateRegistrationBatchBoots: two equal revision-1 batches of
+// one dataset, which a registration that failed after its write could
+// leave in earlier builds, must not stop the manager from booting, and
+// the dataset replays the revision once.
+func TestDuplicateRegistrationBatchBoots(t *testing.T) {
+	dir := t.TempDir()
+	svcA := testService(t, fastConfig(43, dir))
+	log := genLog(t, 43, 40, 400)
+	for i := 0; i < 2; i++ {
+		if err := svcA.Engine().KDB().AppendLiveBatch(kdb.LiveBatch{
+			Dataset: "ward-dup", Revision: 1,
+			Exams: log.Exams, Patients: log.Patients, Records: log.Records,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svcB := testService(t, fastConfig(43, dir))
+	mgr, err := NewManager(Config{Service: svcB, DriftThreshold: 10})
+	if err != nil {
+		t.Fatalf("a store holding an equal duplicate batch did not boot: %v", err)
+	}
+	d, ok := mgr.Get("ward-dup")
+	if !ok {
+		t.Fatal("the dataset did not recover")
+	}
+	batches, err := svcB.Engine().KDB().LiveBatches("ward-dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := dataset.NewLog("ward-dup")
+	for _, b := range batches {
+		for _, e := range b.Exams {
+			if err := replay.AddExam(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range b.Patients {
+			if err := replay.AddPatient(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range b.Records {
+			if err := replay.AddRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := vsm.Build(replay, svcB.Engine().Config().VSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	err = vsm.Equivalent(d.live.Matrix(), want)
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatalf("recovered matrix differs from a straight replay: %v", err)
 	}
 }
 

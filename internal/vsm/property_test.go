@@ -127,3 +127,7 @@ func TestPropertyProjectPrefix(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// RawCounts exposes the underlying count rows (shared storage; callers
+// must not mutate).
+func (m *Matrix) RawCounts() [][]float64 { return m.raw }

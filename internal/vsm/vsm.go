@@ -363,8 +363,3 @@ func (m *Matrix) Sparsity() float64 {
 	}
 	return float64(zeros) / float64(cells)
 }
-
-// RawCounts exposes the underlying count rows (shared storage; callers
-// must not mutate). It exists for evaluation code that needs the
-// untransformed history, e.g. building classifier features.
-func (m *Matrix) RawCounts() [][]float64 { return m.raw }

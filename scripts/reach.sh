@@ -17,7 +17,8 @@
 #
 # Unreachable names that may stay are listed, each with its reason, in
 # scripts/reach.allow ("pkg.Name" or "pkg.*" shell patterns, "# reason"
-# after). Stdlib and the go tool only.
+# after). A line that matches no unreachable name is stale and fails
+# the run too, so the list only shrinks. Stdlib and the go tool only.
 #
 # Usage: scripts/reach.sh [-v]   (-v also prints the allowed names)
 set -eu
@@ -76,5 +77,17 @@ while read -r s; do
 		echo "allowed:     $s"
 	fi
 done <"$tmp/unreached"
-echo "reach: $total unreachable internal functions, $bad not on scripts/reach.allow"
-[ "$bad" -eq 0 ]
+stale=0
+while read -r pat; do
+	hit=
+	while read -r s; do
+		# shellcheck disable=SC2254
+		case $s in $pat) hit=1 && break ;; esac
+	done <"$tmp/unreached"
+	if [ -z "$hit" ]; then
+		echo "stale allow line: $pat"
+		stale=$((stale + 1))
+	fi
+done <"$tmp/allow"
+echo "reach: $total unreachable internal functions, $bad not on scripts/reach.allow, $stale stale lines on it"
+[ "$bad" -eq 0 ] && [ "$stale" -eq 0 ]
