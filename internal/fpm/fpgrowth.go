@@ -1,59 +1,111 @@
 package fpm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// fpNode is one node of an FP-tree over integer-encoded items.
-type fpNode struct {
-	item     int32
-	count    int
-	parent   *fpNode
-	children map[int32]*fpNode
-	next     *fpNode // header-table chain
+// node is one FP-tree node. Nodes live in one slice and point at each
+// other by index; node 0 is the root, and none marks a missing link.
+type node struct {
+	item    int32 // dictionary id of the mined Transactions
+	parent  int32
+	child   int32 // first child
+	sibling int32 // next child of the same parent
+	next    int32 // next node of the same item: the header chain
+	count   int
 }
 
-// fpTree is an FP-tree with its header table. Items are dictionary ids
-// of a Transactions encoding; noItem marks the root.
+const none int32 = -1
+
+// fpTree is an FP-tree over flat arrays. The per-item arrays are sized
+// to the Transactions dictionary: head is the first node of an item's
+// header chain and total the item's support in this tree. items lists
+// the items the tree holds, so reset clears only those.
 type fpTree struct {
-	root    *fpNode
-	headers map[int32]*fpNode
-	counts  map[int32]int
+	nodes []node
+	head  []int32
+	total []int
+	items []int32
 }
 
-const noItem int32 = -1
-
-func newFPTree() *fpTree {
-	return &fpTree{
-		root:    &fpNode{item: noItem, children: map[int32]*fpNode{}},
-		headers: map[int32]*fpNode{},
-		counts:  map[int32]int{},
+// reset empties the tree to a lone root, keeping every array's storage.
+func (t *fpTree) reset() {
+	for _, it := range t.items {
+		t.head[it], t.total[it] = none, 0
 	}
+	t.items = t.items[:0]
+	t.nodes = append(t.nodes[:0], node{item: none, parent: none, child: none, sibling: none, next: none})
 }
 
-// insert adds an ordered item list with a count to the tree.
-func (t *fpTree) insert(items []int32, count int) {
-	node := t.root
-	for _, it := range items {
-		child, ok := node.children[it]
-		if !ok {
-			child = &fpNode{item: it, parent: node, children: map[int32]*fpNode{}}
-			node.children[it] = child
-			// Prepend to header chain.
-			child.next = t.headers[it]
-			t.headers[it] = child
+// insert adds a path of items, root side first, with a count.
+func (t *fpTree) insert(path []int32, count int) {
+	var n int32
+	for _, it := range path {
+		c, last := t.nodes[n].child, none
+		for c != none && t.nodes[c].item != it {
+			c, last = t.nodes[c].sibling, c
 		}
-		child.count += count
-		t.counts[it] += count
-		node = child
+		if c == none {
+			// Appended after the last sibling, so the children made
+			// first, from the most common paths, are found first.
+			c = int32(len(t.nodes))
+			if t.head[it] == none {
+				t.items = append(t.items, it)
+			}
+			t.nodes = append(t.nodes, node{item: it, parent: n, child: none, sibling: none, next: t.head[it]})
+			if last == none {
+				t.nodes[n].child = c
+			} else {
+				t.nodes[last].sibling = c
+			}
+			t.head[it] = c
+		}
+		t.nodes[c].count += count
+		t.total[it] += count
+		n = c
 	}
+}
+
+// miner holds one FP-Growth run's reused storage.
+type miner struct {
+	tx         *Transactions
+	minSupport int
+	trees      []*fpTree // trees[d] is the tree mined at recursion depth d
+	cond       []int     // per item: support over a conditional pattern base; zero between uses
+	touched    []int32   // the items cond holds a count for
+	path       []int32
+	pattern    []int32 // pattern[:d] is the suffix the tree at depth d is conditioned on
+	out        []Itemset
+}
+
+// tree returns the reset tree of depth d, making it on first use.
+func (m *miner) tree(d int) *fpTree {
+	if d == len(m.trees) {
+		t := &fpTree{head: make([]int32, len(m.tx.dict)), total: make([]int, len(m.tx.dict))}
+		for i := range t.head {
+			t.head[i] = none
+		}
+		m.trees = append(m.trees, t)
+	}
+	m.trees[d].reset()
+	return m.trees[d]
 }
 
 // FPGrowth mines all itemsets with support >= minSupport using the
 // FP-Growth algorithm (FP-tree plus recursive conditional trees). Its
 // output is set-equal to Apriori's; it is the faster choice at low
 // support thresholds.
+//
+// The trees are flat: one slice of nodes linked by int32 index (item,
+// count, parent, first child, next sibling, next node of the same
+// item), and per-item header heads and supports sized to the item
+// dictionary. Each recursion depth reuses one tree, and a conditional
+// tree is built directly: the prefix paths' item supports are counted
+// along the header chain first, and only the items that clear
+// minSupport are inserted. A run allocates little beyond its output.
 //
 // This entry point encodes the baskets first; callers mining the same
 // baskets repeatedly (several support thresholds, several algorithms)
@@ -66,81 +118,82 @@ func FPGrowth(txs [][]string, minSupport int) ([]Itemset, error) {
 	return fpGrowthEncoded(NewTransactions(txs), minSupport), nil
 }
 
-// fpGrowthEncoded is the integer-item FP-Growth core. Dictionary ids
-// ascend lexicographically, so frequency ties break exactly as the
-// historical string implementation broke them and the emitted itemsets
-// are identical.
+// fpGrowthEncoded is the integer-item FP-Growth core. Itemsets are
+// emitted in the recursion's order and then sorted by SortItemsets, a
+// total order over distinct itemsets, so the result does not depend on
+// the order of any tree's children or header chains.
 func fpGrowthEncoded(t *Transactions, minSupport int) []Itemset {
-	tree := newFPTree()
-	ordered := make([]int32, 0, 16)
+	m := &miner{tx: t, minSupport: minSupport, cond: make([]int, len(t.dict))}
+	tree := m.tree(0)
+	// Decreasing global frequency, id ascending on ties: the FP-tree
+	// insertion order.
+	byFreq := func(a, b int32) int {
+		if c := cmp.Compare(t.freq[b], t.freq[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
 	for i := 0; i < t.NumTx(); i++ {
-		ordered = ordered[:0]
+		m.path = m.path[:0]
 		for _, it := range t.tx(i) {
 			if t.freq[it] >= minSupport {
-				ordered = append(ordered, it)
+				m.path = append(m.path, it)
 			}
 		}
-		// Decreasing global frequency, id (= lexicographic) ascending
-		// on ties: the canonical FP-tree insertion order.
-		sort.SliceStable(ordered, func(a, b int) bool {
-			fa, fb := t.freq[ordered[a]], t.freq[ordered[b]]
-			if fa != fb {
-				return fa > fb
-			}
-			return ordered[a] < ordered[b]
-		})
-		if len(ordered) > 0 {
-			tree.insert(ordered, 1)
-		}
+		slices.SortFunc(m.path, byFreq)
+		tree.insert(m.path, 1)
 	}
-
-	var result []Itemset
-	mineFP(tree, t, nil, minSupport, &result)
-	SortItemsets(result)
-	return result
+	m.mine(0)
+	SortItemsets(m.out)
+	return m.out
 }
 
-// mineFP recursively mines tree, emitting itemsets suffix ∪ {item}.
-func mineFP(tree *fpTree, t *Transactions, suffix []int32, minSupport int, out *[]Itemset) {
-	// Deterministic item order for the recursion.
-	items := make([]int32, 0, len(tree.headers))
-	for it := range tree.headers {
-		if tree.counts[it] >= minSupport {
-			items = append(items, it)
+// mine emits suffix ∪ {item} for every item of the depth-d tree, each
+// of which clears minSupport, and recurses into its conditional tree.
+func (m *miner) mine(d int) {
+	tree := m.trees[d]
+	for _, it := range tree.items {
+		m.pattern = append(m.pattern[:d], it)
+		m.out = append(m.out, decodeItemset(m.tx, m.pattern, tree.total[it]))
+		if m.conditional(tree, it, m.tree(d+1)) {
+			m.mine(d + 1)
 		}
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
+}
 
-	for _, it := range items {
-		support := tree.counts[it]
-		pattern := make([]int32, 0, len(suffix)+1)
-		pattern = append(pattern, suffix...)
-		pattern = append(pattern, it)
-		*out = append(*out, decodeItemset(t, pattern, support))
-
-		// Conditional pattern base for `it`.
-		cond := newFPTree()
-		for node := tree.headers[it]; node != nil; node = node.next {
-			// Path from parent up to the root, reversed.
-			var path []int32
-			for p := node.parent; p != nil && p.item != noItem; p = p.parent {
-				path = append(path, p.item)
+// conditional builds into c, a reset tree, the conditional FP-tree of
+// item it in tree: every prefix path of it's nodes, weighted by the
+// node's count and cut to the items whose support over those paths
+// clears minSupport. It reports whether c holds any item.
+func (m *miner) conditional(tree *fpTree, it int32, c *fpTree) bool {
+	nodes := tree.nodes
+	for n := tree.head[it]; n != none; n = nodes[n].next {
+		count := nodes[n].count
+		for p := nodes[n].parent; p != 0; p = nodes[p].parent {
+			x := nodes[p].item
+			if m.cond[x] == 0 {
+				m.touched = append(m.touched, x)
 			}
-			if len(path) == 0 {
-				continue
-			}
-			for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-				path[l], path[r] = path[r], path[l]
-			}
-			cond.insert(path, node.count)
-		}
-		// Prune infrequent items from the conditional tree by
-		// rebuilding it with only frequent items.
-		pruned := pruneFPTree(cond, minSupport)
-		if len(pruned.headers) > 0 {
-			mineFP(pruned, t, pattern, minSupport, out)
+			m.cond[x] += count
 		}
 	}
+	if slices.ContainsFunc(m.touched, func(x int32) bool { return m.cond[x] >= m.minSupport }) {
+		for n := tree.head[it]; n != none; n = nodes[n].next {
+			m.path = m.path[:0]
+			for p := nodes[n].parent; p != 0; p = nodes[p].parent {
+				if x := nodes[p].item; m.cond[x] >= m.minSupport {
+					m.path = append(m.path, x)
+				}
+			}
+			slices.Reverse(m.path)
+			c.insert(m.path, nodes[n].count)
+		}
+	}
+	for _, x := range m.touched {
+		m.cond[x] = 0
+	}
+	m.touched = m.touched[:0]
+	return len(c.items) > 0
 }
 
 // decodeItemset maps a pattern of item ids back to a sorted Itemset.
@@ -151,53 +204,4 @@ func decodeItemset(t *Transactions, pattern []int32, support int) Itemset {
 	}
 	sort.Strings(items)
 	return Itemset{Items: items, Support: support}
-}
-
-// pruneFPTree rebuilds a conditional tree keeping only items whose
-// conditional support clears the threshold.
-func pruneFPTree(t *fpTree, minSupport int) *fpTree {
-	keep := map[int32]bool{}
-	for it, c := range t.counts {
-		if c >= minSupport {
-			keep[it] = true
-		}
-	}
-	out := newFPTree()
-	// Re-walk every root-to-node path of the old tree; enumerate leaf
-	// paths by traversing children.
-	var walk func(n *fpNode, path []int32, pathCount int)
-	walk = func(n *fpNode, path []int32, pathCount int) {
-		childSum := 0
-		for _, c := range n.children {
-			childSum += c.count
-		}
-		// The count attributable to paths ending at this node.
-		own := n.count - childSum
-		if n.item != noItem && own > 0 {
-			kept := make([]int32, 0, len(path)+1)
-			for _, it := range append(path, n.item) {
-				if keep[it] {
-					kept = append(kept, it)
-				}
-			}
-			if len(kept) > 0 {
-				out.insert(kept, own)
-			}
-		}
-		next := path
-		if n.item != noItem {
-			next = append(path, n.item)
-		}
-		// Deterministic child order.
-		childItems := make([]int32, 0, len(n.children))
-		for it := range n.children {
-			childItems = append(childItems, it)
-		}
-		sort.Slice(childItems, func(a, b int) bool { return childItems[a] < childItems[b] })
-		for _, it := range childItems {
-			walk(n.children[it], next, 0)
-		}
-	}
-	walk(t.root, nil, 0)
-	return out
 }
