@@ -242,3 +242,51 @@ func TestRulesSortedByConfidence(t *testing.T) {
 		}
 	}
 }
+
+// fuzzBaskets decodes fuzz bytes into a support threshold (the first
+// byte, 1–5) and baskets over eleven items, one of them the empty name
+// both miners drop: each later byte adds an item to the current basket
+// or, one value in twelve, closes it. Input is capped at 512 bytes so
+// the Apriori reference stays fast.
+func fuzzBaskets(data []byte) (txs [][]string, minSupport int) {
+	if len(data) == 0 || len(data) > 512 {
+		return nil, 0
+	}
+	alphabet := []string{"", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	minSupport = 1 + int(data[0]%5)
+	basket := []string{}
+	for _, b := range data[1:] {
+		if sym := int(b % 12); sym < len(alphabet) {
+			basket = append(basket, alphabet[sym])
+		} else {
+			txs = append(txs, basket)
+			basket = []string{}
+		}
+	}
+	return append(txs, basket), minSupport
+}
+
+// FuzzFPGrowthMatchesApriori requires the FP-Growth miner to find
+// exactly Apriori's itemsets and supports on any baskets and threshold:
+// duplicate and empty items, empty baskets, and thresholds at which
+// every subset of a long basket is frequent.
+func FuzzFPGrowthMatchesApriori(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		txs, minSupport := fuzzBaskets(data)
+		if minSupport == 0 {
+			return
+		}
+		ap, err := Apriori(txs, minSupport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := FPGrowth(txs, minSupport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(canonical(ap), canonical(fp)) {
+			t.Fatalf("baskets %q (minSupport=%d): Apriori %v != FPGrowth %v",
+				txs, minSupport, canonical(ap), canonical(fp))
+		}
+	})
+}
