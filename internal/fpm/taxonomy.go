@@ -2,6 +2,7 @@ package fpm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -182,11 +183,17 @@ func (t Taxonomy) ExtendEncoded(base *Transactions) *Transactions {
 		ancestors[old] = ids
 	}
 
+	// Every basket grows by at most its items' ancestors.
+	size := len(base.items)
+	for _, old := range base.items {
+		size += len(ancestors[old])
+	}
 	n := base.NumTx()
 	out := &Transactions{
-		dict: dict,
-		ptr:  make([]int, 1, n+1),
-		freq: make([]int, len(dict)),
+		dict:  dict,
+		ptr:   make([]int, 1, n+1),
+		items: make([]int32, 0, size),
+		freq:  make([]int, len(dict)),
 	}
 	mark := make([]bool, len(dict))
 	ids := make([]int32, 0, 32)
@@ -204,7 +211,7 @@ func (t Taxonomy) ExtendEncoded(base *Transactions) *Transactions {
 				}
 			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			mark[id] = false
 			out.freq[id]++
