@@ -46,7 +46,7 @@ func main() {
 	// 2. Horizontal partial mining: probe 20%/40%/100% of exam types
 	// (most frequent first) and keep the smallest subset within 5% of
 	// the full-data overall similarity.
-	part, err := partial.RunHorizontal(context.Background(), matrix, partial.Config{Seed: 1})
+	part, working, err := partial.SelectHorizontal(context.Background(), matrix, partial.Config{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,6 @@ func main() {
 		fmt.Printf("%s %3.0f%% of exam types = %5.1f%% of raw rows (similarity diff %.2f%%)\n",
 			marker, s.Fraction*100, s.RowCoverage*100, s.RelDiff*100)
 	}
-	working := matrix.Project(part.SelectedStep().NumFeatures)
 	fmt.Printf("working subset: %d features\n\n", working.NumFeatures())
 
 	// 3. Optimize K: SSE plus decision-tree robustness, 10-fold CV

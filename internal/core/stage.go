@@ -271,13 +271,13 @@ func (e *Engine) runTransform(ctx context.Context, s *pipelineState) error {
 func (e *Engine) runPartial(ctx context.Context, s *pipelineState) error {
 	cfg := e.cfg.Partial
 	cfg.Budget = s.pool
-	pres, err := partial.RunHorizontal(ctx, s.matrix, cfg)
+	pres, working, err := partial.SelectHorizontal(ctx, s.matrix, cfg)
 	if err != nil {
 		return wrapStageErr(ctx, "partial mining", err)
 	}
 	s.rep.Partial = pres
 	s.rep.SelectedSubset = pres.SelectedStep().NumFeatures
-	s.working = s.matrix.Project(s.rep.SelectedSubset)
+	s.working = working
 	return nil
 }
 

@@ -140,8 +140,18 @@ func (r *Result) SelectedStep() Step { return r.Steps[r.Selected] }
 // run; a cancelled run returns ctx.Err(). Of several failing probes the
 // first in (fraction, K) order is reported.
 func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, error) {
+	res, _, err := SelectHorizontal(ctx, m, cfg)
+	return res, err
+}
+
+// SelectHorizontal is RunHorizontal that also returns the selected
+// step's projection of m, the matrix that step's probes clustered (m
+// itself when the step keeps every feature). A caller that goes on to
+// mine the selected subset uses it in place of a second m.Project, and
+// shares the sparse view the probes already built.
+func SelectHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, *vsm.Matrix, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Budget != nil && cfg.Cluster.Parallelism == 0 {
@@ -149,6 +159,7 @@ func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, err
 		cfg.Cluster.Parallelism = 1
 	}
 	res := &Result{Strategy: "horizontal", Tolerance: cfg.Tolerance}
+	subs := make([]*vsm.Matrix, len(cfg.Fractions))
 	sims := make([]float64, len(cfg.Fractions)*len(cfg.Ks))
 	errs := make([]error, len(sims))
 
@@ -163,6 +174,7 @@ func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, err
 				nf = 1
 			}
 			sub := m.Project(nf)
+			subs[fi] = sub
 			res.Steps = append(res.Steps, Step{
 				Fraction:      frac,
 				NumFeatures:   sub.NumFeatures(),
@@ -194,13 +206,13 @@ func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, err
 		for ki, k := range cfg.Ks {
 			cell := fi*len(cfg.Ks) + ki
 			if errs[cell] != nil {
-				return nil, probeErr(ctx, frac, k, errs[cell])
+				return nil, nil, probeErr(ctx, frac, k, errs[cell])
 			}
 			res.Steps[fi].SimilarityByK[k] = sims[cell]
 		}
 	}
 	finishSelection(res, cfg)
-	return res, nil
+	return res, subs[res.Selected], nil
 }
 
 // probeSimilarity clusters subsetRows into k groups and evaluates the

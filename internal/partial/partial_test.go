@@ -103,22 +103,31 @@ func TestHorizontalCoverageMatchesPaperShape(t *testing.T) {
 
 func TestHorizontalSelectsSmallestWithinTolerance(t *testing.T) {
 	m := smallMatrix(t)
-	// Generous tolerance: the smallest step must be selected.
-	res, err := RunHorizontal(context.Background(), m, Config{Seed: 1, Tolerance: 10})
+	// Generous tolerance: the smallest step must be selected, and the
+	// returned projection is that step's, equal to a fresh Project.
+	res, sub, err := SelectHorizontal(context.Background(), m, Config{Seed: 1, Tolerance: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Selected != 0 {
 		t.Errorf("selected step %d under infinite tolerance, want 0", res.Selected)
 	}
-	// Tiny tolerance: only the reference step qualifies.
-	res, err = RunHorizontal(context.Background(), m, Config{Seed: 1, Tolerance: 1e-12})
+	if want := m.Project(res.Steps[0].NumFeatures); !reflect.DeepEqual(sub.Rows, want.Rows) ||
+		!reflect.DeepEqual(sub.Features, want.Features) {
+		t.Errorf("selected projection has %d features, want the first %d of m", sub.NumFeatures(), want.NumFeatures())
+	}
+	// Tiny tolerance: only the reference step qualifies, and its
+	// projection is m itself.
+	res, sub, err = SelectHorizontal(context.Background(), m, Config{Seed: 1, Tolerance: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Selected != len(res.Steps)-1 {
 		t.Errorf("selected step %d under zero tolerance, want reference %d",
 			res.Selected, len(res.Steps)-1)
+	}
+	if sub != m {
+		t.Error("the reference step's projection is a copy, want the input matrix")
 	}
 }
 

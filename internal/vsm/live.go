@@ -57,9 +57,10 @@ func (lv *Live) Log() *dataset.Log { return lv.log }
 // Matrix returns the maintained frequency-ordered view, nil before the
 // first matrix. From then on the pointer is stable: every Append
 // rewrites its Features, raw counts and Rows in place (rows and
-// columns are added, counts and weights change, columns move), and
-// so also whatever a Project of it shares with it. A caller that
-// needs a consistent snapshot must not retain it across Append calls.
+// columns are added, counts and weights change, columns move). So
+// nothing projects it: a Project shares its raw counts, and at full
+// width is the matrix itself. A caller that needs a consistent
+// snapshot must not retain it across Append calls.
 func (lv *Live) Matrix() *Matrix { return lv.mat }
 
 // Check reports why the log cannot take a batch, or nil if it can: a

@@ -309,17 +309,21 @@ func (m *Matrix) FeaturesForCoverage(target float64) int {
 	return len(m.featureFreq)
 }
 
-// Project returns a new Matrix restricted to the first n features,
+// Project returns a Matrix restricted to the first n features,
 // re-deriving weighting and normalization from the raw counts so that
 // e.g. IDF and row norms are consistent with the reduced space. All
 // patients are retained (the paper's horizontal strategy keeps the
-// total number of patients).
+// total number of patients). When n keeps every feature, re-deriving
+// would reproduce m exactly, so Project returns m itself, and its
+// cached sparse view with it. That sharing is sound because Rows are
+// immutable after Build and Project; nothing projects a Live matrix,
+// whose rows change in place.
 func (m *Matrix) Project(n int) *Matrix {
 	if n <= 0 {
 		n = 1
 	}
-	if n > m.NumFeatures() {
-		n = m.NumFeatures()
+	if n >= m.NumFeatures() {
+		return m
 	}
 	raw := make([][]float64, len(m.raw))
 	for i, r := range m.raw {

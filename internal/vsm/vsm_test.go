@@ -177,6 +177,9 @@ func TestProjectBounds(t *testing.T) {
 	if p := m.Project(99); p.NumFeatures() != m.NumFeatures() {
 		t.Errorf("Project(99) features = %d, want clamp to %d", p.NumFeatures(), m.NumFeatures())
 	}
+	if p := m.Project(m.NumFeatures()); p != m {
+		t.Error("Project at full width built a copy, want the matrix itself")
+	}
 }
 
 func TestBuildErrors(t *testing.T) {
