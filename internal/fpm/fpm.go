@@ -3,6 +3,13 @@
 // frequent-itemset mining over examination "baskets" (visits),
 // association-rule generation, and taxonomy-aware generalized patterns
 // that characterize treatments at different abstraction levels.
+//
+// Baskets are mined as integer item ids (Transactions). The FP-trees
+// are flat: every node (item, count, parent, first child, next sibling,
+// next node of the same item) sits in one slice and links to others by
+// int32 index, and each item's header-chain head and support sit in
+// arrays sized to the item dictionary. One tree per recursion depth is
+// reused for every conditional tree built at that depth.
 package fpm
 
 import (
