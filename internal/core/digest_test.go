@@ -31,8 +31,10 @@ func reportDigest(t *testing.T, rep *Report) string {
 
 // TestReportDigestPinned makes a whole analysis a hash comparison: a
 // cohort of the benchmark's cohort-cold shape (1000 patients, 159 exam
-// types, 8 profiles) and a 300-patient clinic cohort (40 exam types, 4
-// profiles) go through the full pipeline under the engine's zero-value
+// types, 8 profiles), a 300-patient clinic cohort (40 exam types, 4
+// profiles) and a 200-patient cohort over 12 exam types (4 profiles),
+// dense enough that every partial-mining probe and the sweep cluster
+// with the dense Lloyd scan, go through the full pipeline under the engine's zero-value
 // configuration on a fresh in-memory K-DB, and the digest of each
 // Report must equal a committed constant. A change anywhere between
 // the log and the Report that moves one bit fails here.
@@ -45,6 +47,7 @@ func TestReportDigestPinned(t *testing.T) {
 	}{
 		{"cohort", 1, 1000, 159, 8, "f8e7369501a81d5abf4905b03eefcfaaf2a09c7ca59399de8495cba3eb1dc5bf"},
 		{"clinic", 100, 300, 40, 4, "9da0db8f4afac9fccb8d112523784838357e5e9ae3408615b573ba08d6e1b92c"},
+		{"dense", 2, 200, 12, 4, "acd7ea661c4ecad4ef14fbd25a8224f3ae91b8d93db76992068dbd4452c830c7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
