@@ -44,8 +44,8 @@
 //
 // The K-optimization sweep is warm-started (each K seeded from the
 // previous K's converged centroids) and clusters with Lloyd's K-means,
-// which runs a sparse-aware parallel scan over the CSR view of the VSM
-// matrix and a dense scan on dense data, with Sculley mini-batch
+// which runs a sparse-aware parallel scan over the VSM matrix, stored
+// as CSR, and a dense scan on small or dense data, with Sculley mini-batch
 // available (approximate, deterministic) for very large logs. Pick a
 // kernel explicitly via the per-job config override
 // ("Sweep":{"Cluster":{"Algorithm":"dense-lloyd"}}), the -algorithm

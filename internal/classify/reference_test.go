@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"adahealth/internal/vec"
 )
 
 // The reference CART below is the oracle for the production grower.
@@ -193,7 +195,7 @@ func randomMatrix(rng *rand.Rand, n, d int, density float64, levels int, mixed b
 // through FitSubset, twice on one tree, and compares both fits with the
 // reference grown on the materialized subset.
 func checkAgainstReference(rng *rand.Rand, X [][]float64, y []int, opts TreeOptions) error {
-	ord, err := NewColumnOrder(X)
+	ord, err := NewColumnOrder(vec.NewCSRFromDense(X))
 	if err != nil {
 		return err
 	}
@@ -217,7 +219,7 @@ func checkAgainstReference(rng *rand.Rand, X [][]float64, y []int, opts TreeOpti
 	want := refFit(subX, subY, opts)
 	tree := NewDecisionTree(opts)
 	for refit := 0; refit < 2; refit++ { // the second fit reuses the tree's buffers
-		if err := tree.FitSubset(X, y, rows, ord); err != nil {
+		if err := tree.FitSubset(vec.NewCSRFromDense(X), y, rows, ord); err != nil {
 			return err
 		}
 		if err := sameTree(tree, want); err != nil {

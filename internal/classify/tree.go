@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"adahealth/internal/vec"
 )
 
 // TreeOptions bounds decision-tree growth.
@@ -156,32 +158,29 @@ type ColumnOrder struct {
 	entries []entry
 }
 
-// NewColumnOrder presorts every feature column of X (which must be
-// rectangular with at least one row and column). Every value must be
-// finite: a NaN has no place in a sort order and an infinity no
-// midpoint with its neighbour, so either is rejected here rather than
-// growing a meaningless tree. A negative zero is a zero.
-func NewColumnOrder(X [][]float64) (*ColumnOrder, error) {
-	n := len(X)
+// NewColumnOrder presorts every feature column of X (which must have
+// at least one row and column). Every value must be finite: a NaN has
+// no place in a sort order and an infinity no midpoint with its
+// neighbour, so either is rejected here rather than growing a
+// meaningless tree. A stored zero, negative or not, is a zero.
+func NewColumnOrder(X *vec.CSRMatrix) (*ColumnOrder, error) {
+	n, d := X.NumRows(), X.NumCols()
 	if n == 0 {
 		return nil, fmt.Errorf("classify: no rows to presort")
 	}
-	d := len(X[0])
 	if d == 0 {
 		return nil, fmt.Errorf("classify: zero-dimensional features")
 	}
 	// Count, then fill: the arrays are sized to the non-zeros exactly.
 	start := make([]int, d+1)
-	for i, row := range X {
-		if len(row) != d {
-			return nil, fmt.Errorf("classify: row %d has dimension %d, want %d", i, len(row), d)
-		}
-		for f, v := range row {
+	for i := range n {
+		vals, cols := X.RowView(i)
+		for p, v := range vals {
 			if v != 0 {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("classify: non-finite feature value %v at row %d, column %d", v, i, f)
+					return nil, fmt.Errorf("classify: non-finite feature value %v at row %d, column %d", v, i, cols[p])
 				}
-				start[f+1]++
+				start[cols[p]+1]++
 			}
 		}
 	}
@@ -190,9 +189,10 @@ func NewColumnOrder(X [][]float64) (*ColumnOrder, error) {
 	}
 	entries := make([]entry, start[d])
 	next := slices.Clone(start[:d])
-	for i, row := range X {
-		for f, v := range row {
-			if v != 0 {
+	for i := range n {
+		vals, cols := X.RowView(i)
+		for p, v := range vals {
+			if f := cols[p]; v != 0 {
 				entries[next[f]] = entry{v, int32(i)}
 				next[f]++
 			}
@@ -214,27 +214,21 @@ func NewColumnOrder(X [][]float64) (*ColumnOrder, error) {
 }
 
 // checkOrderShape rejects a ColumnOrder built for a different matrix.
-// The column count is read defensively so an empty X yields an error,
-// not an index panic.
-func checkOrderShape(ord *ColumnOrder, X [][]float64) error {
-	cols := 0
-	if len(X) > 0 {
-		cols = len(X[0])
-	}
-	if ord.rows != len(X) || (len(X) > 0 && ord.dim != cols) {
+func checkOrderShape(ord *ColumnOrder, X *vec.CSRMatrix) error {
+	if ord.rows != X.NumRows() || ord.dim != X.NumCols() {
 		return fmt.Errorf("classify: ColumnOrder shape %dx%d does not match matrix %dx%d",
-			ord.rows, ord.dim, len(X), cols)
+			ord.rows, ord.dim, X.NumRows(), X.NumCols())
 	}
 	return nil
 }
 
 // Fit implements Classifier.
-func (t *DecisionTree) Fit(X [][]float64, y []int) error {
+func (t *DecisionTree) Fit(X *vec.CSRMatrix, y []int) error {
 	ord, err := NewColumnOrder(X)
 	if err != nil {
 		return err
 	}
-	rows := make([]int, len(X))
+	rows := make([]int, X.NumRows())
 	for i := range rows {
 		rows[i] = i
 	}
@@ -247,7 +241,7 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 // every row of X. Only ord's non-zero cells in the training rows are
 // visited; X itself is not read. It fits the same tree, to the bit,
 // that Fit would fit on the materialized subset.
-func (t *DecisionTree) FitSubset(X [][]float64, y []int, rows []int, ord *ColumnOrder) error {
+func (t *DecisionTree) FitSubset(X *vec.CSRMatrix, y []int, rows []int, ord *ColumnOrder) error {
 	if ord == nil {
 		var err error
 		if ord, err = NewColumnOrder(X); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"adahealth/internal/cluster"
 	"adahealth/internal/synth"
+	"adahealth/internal/vec"
 	"adahealth/internal/vsm"
 )
 
@@ -46,29 +47,26 @@ func gaussianClasses(rng *rand.Rand, perClass int) ([][]float64, []int) {
 
 func TestTreeFitErrors(t *testing.T) {
 	tr := NewDecisionTree(TreeOptions{})
-	if err := tr.Fit(nil, nil); err == nil {
+	if err := tr.Fit(vec.NewCSRFromDense(nil), nil); err == nil {
 		t.Error("accepted empty training set")
 	}
-	if err := tr.Fit([][]float64{{1}}, []int{0, 1}); err == nil {
+	if err := tr.Fit(vec.NewCSRFromDense([][]float64{{1}}), []int{0, 1}); err == nil {
 		t.Error("accepted X/y length mismatch")
 	}
-	if err := tr.Fit([][]float64{{1}, {2}}, []int{0, -1}); err == nil {
+	if err := tr.Fit(vec.NewCSRFromDense([][]float64{{1}, {2}}), []int{0, -1}); err == nil {
 		t.Error("accepted negative label")
-	}
-	if err := tr.Fit([][]float64{{1, 2}, {3}}, []int{0, 1}); err == nil {
-		t.Error("accepted ragged rows")
 	}
 	// A NaN has no sort position and an infinity no midpoint: the
 	// presort names the cell instead of growing a garbage tree.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		X := [][]float64{{1, 2}, {3, 4}, {5, bad}}
-		err := tr.Fit(X, []int{0, 1, 0})
+		err := tr.Fit(vec.NewCSRFromDense(X), []int{0, 1, 0})
 		if err == nil || !strings.Contains(err.Error(), "row 2, column 1") {
 			t.Errorf("Fit with %v: err = %v, want one naming row 2, column 1", bad, err)
 		}
 	}
 	// Negative zero is a zero, not an error.
-	if err := tr.Fit([][]float64{{math.Copysign(0, -1)}, {1}}, []int{0, 1}); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense([][]float64{{math.Copysign(0, -1)}, {1}}), []int{0, 1}); err != nil {
 		t.Errorf("rejected -0: %v", err)
 	}
 }
@@ -85,7 +83,7 @@ func TestTreePredictBeforeFitPanics(t *testing.T) {
 func TestTreeLearnsXOR(t *testing.T) {
 	X, y := xorData()
 	tr := NewDecisionTree(TreeOptions{MaxDepth: 4})
-	if err := tr.Fit(X, y); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range X {
@@ -100,7 +98,7 @@ func TestTreeGeneralizesGaussians(t *testing.T) {
 	X, y := gaussianClasses(rng, 60)
 	testX, testY := gaussianClasses(rng, 20)
 	tr := NewDecisionTree(TreeOptions{MaxDepth: 8})
-	if err := tr.Fit(X, y); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -119,7 +117,7 @@ func TestTreeMaxDepthRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	X, y := gaussianClasses(rng, 50)
 	tr := NewDecisionTree(TreeOptions{MaxDepth: 2})
-	if err := tr.Fit(X, y); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	if d := tr.Depth(); d > 2 {
@@ -131,7 +129,7 @@ func TestTreeMinSamplesLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X, y := gaussianClasses(rng, 30)
 	tr := NewDecisionTree(TreeOptions{MinSamplesLeaf: 10})
-	if err := tr.Fit(X, y); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	var check func(n *treeNode)
@@ -152,7 +150,7 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []int{0, 0, 0, 0}
 	tr := NewDecisionTree(TreeOptions{})
-	if err := tr.Fit(X, y); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	if tr.NumLeaves() != 1 {
@@ -168,7 +166,7 @@ func TestTreeConstantFeatures(t *testing.T) {
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	y := []int{0, 1, 0, 1}
 	tr := NewDecisionTree(TreeOptions{})
-	if err := tr.Fit(X, y); err != nil {
+	if err := tr.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	if tr.NumLeaves() != 1 {
@@ -181,10 +179,10 @@ func TestTreeDeterministic(t *testing.T) {
 	X, y := gaussianClasses(rng, 40)
 	a := NewDecisionTree(TreeOptions{})
 	b := NewDecisionTree(TreeOptions{})
-	if err := a.Fit(X, y); err != nil {
+	if err := a.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Fit(X, y); err != nil {
+	if err := b.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range X {
@@ -211,7 +209,7 @@ func TestFitSubsetMatchesFitOnMaterializedSubset(t *testing.T) {
 			}
 			y[i] = rng.Intn(4)
 		}
-		ord, err := NewColumnOrder(X)
+		ord, err := NewColumnOrder(vec.NewCSRFromDense(X))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +224,11 @@ func TestFitSubsetMatchesFitOnMaterializedSubset(t *testing.T) {
 			}
 		}
 		direct := NewDecisionTree(TreeOptions{MaxDepth: 6})
-		if err := direct.Fit(subX, subY); err != nil {
+		if err := direct.Fit(vec.NewCSRFromDense(subX), subY); err != nil {
 			t.Fatal(err)
 		}
 		viaOrd := NewDecisionTree(TreeOptions{MaxDepth: 6})
-		if err := viaOrd.FitSubset(X, y, rows, ord); err != nil {
+		if err := viaOrd.FitSubset(vec.NewCSRFromDense(X), y, rows, ord); err != nil {
 			t.Fatal(err)
 		}
 		if direct.Depth() != viaOrd.Depth() || direct.NumLeaves() != viaOrd.NumLeaves() {
@@ -248,38 +246,38 @@ func TestFitSubsetMatchesFitOnMaterializedSubset(t *testing.T) {
 func TestFitSubsetErrors(t *testing.T) {
 	X := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	y := []int{0, 1, 0}
-	ord, err := NewColumnOrder(X)
+	ord, err := NewColumnOrder(vec.NewCSRFromDense(X))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := NewDecisionTree(TreeOptions{})
-	if err := tr.FitSubset(X, y, nil, ord); err == nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(X), y, nil, ord); err == nil {
 		t.Error("accepted empty subset")
 	}
-	if err := tr.FitSubset(X, y, []int{5}, ord); err == nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(X), y, []int{5}, ord); err == nil {
 		t.Error("accepted out-of-range row")
 	}
-	if err := tr.FitSubset(X, y, []int{0, 0}, ord); err == nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(X), y, []int{0, 0}, ord); err == nil {
 		t.Error("accepted duplicate rows (would train on phantom zero samples)")
 	}
-	if err := tr.FitSubset(X, y[:2], []int{0}, ord); err == nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(X), y[:2], []int{0}, ord); err == nil {
 		t.Error("accepted label/row mismatch")
 	}
 	other := [][]float64{{1}, {2}}
-	if err := tr.FitSubset(other, []int{0, 1}, []int{0}, ord); err == nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(other), []int{0, 1}, []int{0}, ord); err == nil {
 		t.Error("accepted mismatched ColumnOrder")
 	}
 	// nil ord builds one internally.
-	if err := tr.FitSubset(X, y, []int{0, 1, 2}, nil); err != nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(X), y, []int{0, 1, 2}, nil); err != nil {
 		t.Errorf("nil ord: %v", err)
 	}
 	// ... and rejects a non-finite cell even in a row outside the subset:
 	// the view is of the whole matrix.
 	bad := [][]float64{{1, 2}, {math.NaN(), 4}, {5, 6}}
-	if err := tr.FitSubset(bad, y, []int{0, 2}, nil); err == nil {
+	if err := tr.FitSubset(vec.NewCSRFromDense(bad), y, []int{0, 2}, nil); err == nil {
 		t.Error("accepted NaN feature")
 	}
-	if _, err := NewColumnOrder([][]float64{{0, math.Inf(1)}}); err == nil {
+	if _, err := NewColumnOrder(vec.NewCSRFromDense([][]float64{{0, math.Inf(1)}})); err == nil {
 		t.Error("NewColumnOrder accepted +Inf")
 	}
 }
@@ -287,13 +285,13 @@ func TestFitSubsetErrors(t *testing.T) {
 func TestFitSubsetEmptyMatrixErrorsNotPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	X, _ := gaussianClasses(rng, 10)
-	ord, err := NewColumnOrder(X)
+	ord, err := NewColumnOrder(vec.NewCSRFromDense(X))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An empty matrix with a populated ColumnOrder must be rejected
 	// with an error, not an index panic from the shape message.
-	if err := NewDecisionTree(TreeOptions{}).FitSubset(nil, nil, []int{0}, ord); err == nil {
+	if err := NewDecisionTree(TreeOptions{}).FitSubset(vec.NewCSRFromDense(nil), nil, []int{0}, ord); err == nil {
 		t.Error("tree accepted empty matrix with non-empty ColumnOrder")
 	}
 }
@@ -314,8 +312,9 @@ func BenchmarkTreeCV(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	X := m.Project(64).Rows
-	fit, err := cluster.KMeans(X, cluster.Options{K: 8, Seed: 1, Parallelism: 1})
+	csr := m.Project(64).Rows
+	X := csr.Dense()
+	fit, err := cluster.KMeans(csr, cluster.Options{K: 8, Seed: 1, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +328,7 @@ func BenchmarkTreeCV(b *testing.B) {
 			}
 		}
 	}
-	ord, err := NewColumnOrder(X)
+	ord, err := NewColumnOrder(csr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,7 +338,7 @@ func BenchmarkTreeCV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		correct := 0
 		for f, rows := range train {
-			if err := tree.FitSubset(X, y, rows, ord); err != nil {
+			if err := tree.FitSubset(csr, y, rows, ord); err != nil {
 				b.Fatal(err)
 			}
 			for r := f; r < len(X); r += folds {

@@ -8,20 +8,24 @@
 //
 //	algorithm    exactness                      runs where
 //	---------    -----------------------------  ------------------------------------
-//	lloyd        exact (the default)            the sweep and partial mining; routes
-//	                                            to the sparse kernel when it pays
+//	lloyd        exact (the default)            the sweep and partial mining; the
+//	                                            sparse kernel where it pays
 //	dense-lloyd  exact (the reference)          the equivalence tests
-//	sparse-lloyd exact; ≡ dense only when no    the equivalence tests (forced CSR)
+//	sparse-lloyd exact; ≡ dense only when no    the equivalence tests
 //	             point's argmin is a near-tie
 //	minibatch    APPROXIMATE (Sculley),         only where selected (-algorithm or a
-//	             deterministic under Seed; its  per-job override); the assignment step
-//	             sparse step ≡ its dense step   is pruned on a CSR view when it pays
+//	             deterministic under Seed; its  per-job override); its assignment
+//	             pruned step ≡ the dense scan   step is always pruned
 //
 // "auto" is accepted as a name for lloyd (AlgorithmAuto is the same
-// value). lloyd picks the sparse kernel when a CSR view is supplied or
-// when SparseProfitable says the data is sparse enough for it to pay,
-// and the dense scan otherwise. minibatch makes the same choice for
-// its assignment step (see "Pruned exact assignment").
+// value). Every kernel takes its data as one vec.CSRMatrix. lloyd runs
+// the sparse kernel on it when SparseProfitable says the data is
+// sparse enough to pay; otherwise, on small or dense data, it
+// materializes the dense rows for that one run and scans them, as
+// dense-lloyd always does. On the sparse route the cold paths
+// (k-means++ seeding, empty-cluster repair, the final SSE) and the
+// mini-batch update keep their dense arithmetic by scattering one row
+// at a time into a dense scratch row.
 //
 // # Sparse kernel design
 //
@@ -96,6 +100,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 
@@ -108,10 +113,10 @@ type Algorithm int
 const (
 	// Lloyd is the classic O(n·K·d) per-iteration algorithm. It
 	// auto-routes to the sparse kernel when the data is sparse enough
-	// for it to pay (or when a prebuilt CSR view is supplied); the
-	// result matches the dense scan bit for bit only when no point's
-	// argmin is a near-tie (see the package comment: count data, where
-	// distances tie in exact arithmetic, is the common exception).
+	// for it to pay; the result matches the dense scan bit for bit only
+	// when no point's argmin is a near-tie (see the package comment:
+	// count data, where distances tie in exact arithmetic, is the
+	// common exception).
 	Lloyd Algorithm = iota
 	// DenseLloyd forces the dense serial assignment step.
 	DenseLloyd
@@ -121,8 +126,7 @@ const (
 	// approximate (NOT bit-for-bit comparable to Lloyd), deterministic
 	// under Seed, with per-iteration cost independent of the dataset
 	// size. Its pruned sparse assignment step returns exactly the dense
-	// scan's labels, so the model is the same with or without a CSR
-	// view.
+	// scan's labels, so the model is the dense scan's.
 	AlgorithmMiniBatch
 )
 
@@ -254,77 +258,61 @@ const sparseAutoThreshold = 0.5
 
 // SparseProfitable reports whether the sparse kernel is expected to
 // beat the dense scan for a dataset of the given shape and density.
-// Callers holding a prebuilt CSR view (e.g. vsm.Matrix.Sparse) use it
-// to decide whether to hand the view to KMeansCSRContext.
 func SparseProfitable(rows, cols int, density float64) bool {
 	return cols >= 8 && rows >= 32 && density <= sparseAutoThreshold
 }
 
-// AutoCSR scans data and returns a fresh CSR view when
-// SparseProfitable says the sparse kernel will pay, else nil. The nil
-// result is accepted by KMeansCSRContext, which then runs on the dense
-// rows, so call sites stay uniform.
-func AutoCSR(data [][]float64) *vec.CSRMatrix {
-	if len(data) == 0 || !SparseProfitable(len(data), len(data[0]), vec.Density(data)) {
-		return nil
+// sparseRoute reports whether a run of alg on m keeps m sparse:
+// SparseLloyd and mini-batch (whose pruned step is exact) always,
+// DenseLloyd never, and Lloyd when SparseProfitable says the sparse
+// kernel pays. Otherwise the run materializes m's dense rows for
+// itself.
+func sparseRoute(m *vec.CSRMatrix, alg Algorithm) bool {
+	switch alg {
+	case SparseLloyd, AlgorithmMiniBatch:
+		return true
+	case DenseLloyd:
+		return false
 	}
-	return vec.NewCSRFromDense(data)
+	n, d := m.NumRows(), m.NumCols()
+	return SparseProfitable(n, d, float64(m.RowPtr[n])/float64(n*d))
 }
 
-// KMeans clusters data into opts.K groups. Data must be non-empty and
-// rectangular, with opts.K in [1, len(data)].
-func KMeans(data [][]float64, opts Options) (*Result, error) {
-	return run(context.Background(), data, nil, opts)
+// KMeans clusters the rows of data into opts.K groups. Data must be
+// non-empty, with opts.K in [1, data.NumRows()].
+func KMeans(data *vec.CSRMatrix, opts Options) (*Result, error) {
+	return run(context.Background(), data, opts)
 }
 
-// KMeansCSRContext is KMeans under a context, over a prebuilt sparse
-// view: the iteration loop checks ctx between Lloyd iterations and
-// returns ctx.Err() (unwrapped, so errors.Is works) as soon as the
-// context is cancelled or times out, and repeated runs on the same
-// matrix (e.g. the Table I K sweep) share
-// one CSR build — the entry point the pipeline's sweep and
-// partial-mining stages use. dense, when non-nil, must be the dense
-// view of m; the cold paths (seeding, empty-cluster repair, final SSE)
-// and the mini-batch kernel's centroid updates run on it. A nil dense
-// is materialized once from m; a nil m runs on dense alone.
-func KMeansCSRContext(ctx context.Context, m *vec.CSRMatrix, dense [][]float64, opts Options) (*Result, error) {
-	if m == nil {
-		if dense == nil {
-			return nil, fmt.Errorf("cluster: KMeansCSRContext needs a CSR view or dense rows")
-		}
-		return run(ctx, dense, nil, opts)
-	}
-	if dense == nil {
-		dense = m.Dense()
-	}
-	if len(dense) != m.NumRows() {
-		return nil, fmt.Errorf("cluster: dense view has %d rows, CSR has %d",
-			len(dense), m.NumRows())
-	}
-	return run(ctx, dense, m, opts)
+// KMeansCSRContext is KMeans under a context: the iteration loop
+// checks ctx between Lloyd iterations and returns ctx.Err()
+// (unwrapped, so errors.Is works) as soon as the context is cancelled
+// or times out — the entry point the pipeline's sweep and
+// partial-mining stages use.
+func KMeansCSRContext(ctx context.Context, m *vec.CSRMatrix, opts Options) (*Result, error) {
+	return run(ctx, m, opts)
 }
 
-func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options) (*Result, error) {
+func run(ctx context.Context, m *vec.CSRMatrix, opts Options) (*Result, error) {
 	if !opts.Algorithm.Valid() {
 		return nil, fmt.Errorf("cluster: unknown algorithm %s", opts.Algorithm)
 	}
 	opts = opts.withDefaults()
-	n := len(data)
+	n, d := m.NumRows(), m.NumCols()
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: no data")
-	}
-	d := len(data[0])
-	for i, row := range data {
-		if len(row) != d {
-			return nil, fmt.Errorf("cluster: row %d has dimension %d, want %d", i, len(row), d)
-		}
 	}
 	if opts.K < 1 || opts.K > n {
 		return nil, fmt.Errorf("cluster: K=%d outside [1,%d]", opts.K, n)
 	}
-	if csr != nil && csr.NumCols() != d {
-		return nil, fmt.Errorf("cluster: CSR has %d cols, dense view has %d", csr.NumCols(), d)
+	// Resolve the assignment kernel: the sparse route runs on m, the
+	// dense one on rows materialized for this run.
+	sparse := sparseRoute(m, opts.Algorithm)
+	var dense [][]float64
+	if !sparse {
+		dense = m.Dense()
 	}
+	pts := newPoints(m, dense)
 
 	rng := opts.Rand
 	if rng == nil {
@@ -347,32 +335,16 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 			centroids[i] = vec.Clone(c)
 		}
 	} else {
-		centroids = kmeansPPInit(data, opts.K, rng)
+		centroids = kmeansPPInit(pts, n, opts.K, rng)
 	}
 
-	// Resolve the assignment kernel: a non-nil csr selects the sparse
-	// kernel from here on.
-	switch opts.Algorithm {
-	case AlgorithmMiniBatch:
-		if csr == nil {
-			csr = AutoCSR(data)
-		}
-		return runMiniBatch(ctx, data, csr, centroids, rng, opts)
-	case DenseLloyd:
-		csr = nil
-	case SparseLloyd:
-		if csr == nil {
-			csr = vec.NewCSRFromDense(data)
-		}
-	case Lloyd:
-		if csr == nil {
-			csr = AutoCSR(data)
-		}
+	if opts.Algorithm == AlgorithmMiniBatch {
+		return runMiniBatch(ctx, pts, n, centroids, rng, opts)
 	}
 	var sk *sparseKernel
 	name := opts.Algorithm
-	if csr != nil {
-		sk = newSparseKernel(csr, opts.K, opts.Parallelism)
+	if sparse {
+		sk = newSparseKernel(m, opts.K, opts.Parallelism)
 		name = SparseLloyd
 	}
 
@@ -415,7 +387,7 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 				}
 				counts[i] = 0
 			}
-			for i, x := range data {
+			for i, x := range pts.dense {
 				c, _ := vec.ArgMinDistance(x, centroids)
 				labels[i] = c
 				counts[c]++
@@ -423,7 +395,7 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 			}
 		}
 
-		if updateCentroids(data, centroids, labels, sums, counts, prev) <= opts.Tolerance {
+		if updateCentroids(pts, centroids, labels, sums, counts, prev) <= opts.Tolerance {
 			res.Converged = true
 			break
 		}
@@ -437,20 +409,114 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 	res.Sizes = make([]int, opts.K)
 	if sk != nil {
 		sk.assignLabels(centroids, res.Labels)
-		for i, x := range data {
-			c := res.Labels[i]
+		for i, c := range res.Labels {
 			res.Sizes[c]++
-			res.SSE += vec.SquaredEuclidean(x, centroids[c])
+			res.SSE += vec.SquaredEuclidean(pts.row(i), centroids[c])
 		}
 		return res, nil
 	}
-	for i, x := range data {
+	for i, x := range pts.dense {
 		c, dist := vec.ArgMinDistance(x, centroids)
 		res.Labels[i] = c
 		res.Sizes[c]++
 		res.SSE += dist
 	}
 	return res, nil
+}
+
+// points reads the rows of a run as dense vectors, the form the
+// seeding, the empty-cluster repair, the final SSE and the mini-batch
+// update keep their arithmetic in: from dense, when the run
+// materialized its rows, or else by scattering one row of m at a time
+// into buf, so the values and their column order are exactly the
+// dense row's. A scattered row is valid until the next call.
+type points struct {
+	m     *vec.CSRMatrix
+	dense [][]float64
+	d     int
+	buf   []float64
+	at    int     // the row of m in buf, -1 for none
+	cols  []int32 // its columns
+}
+
+// newPoints reads the rows of dense when it is non-nil (and then
+// leaves its m nil), else of m.
+func newPoints(m *vec.CSRMatrix, dense [][]float64) *points {
+	if dense != nil {
+		return &points{dense: dense, d: len(dense[0])}
+	}
+	return &points{m: m, d: m.Cols, buf: make([]float64, m.Cols), at: -1}
+}
+
+func (p *points) row(i int) []float64 {
+	if p.dense != nil {
+		return p.dense[i]
+	}
+	if p.at != i {
+		for _, j := range p.cols {
+			p.buf[j] = 0
+		}
+		vals, cols := p.m.RowView(i)
+		for q, j := range cols {
+			p.buf[j] = vals[q]
+		}
+		p.at, p.cols = i, cols
+	}
+	return p.buf
+}
+
+// WarmSeed builds k initial centroids from prev, the previous K's
+// converged centroids, plus greedy farthest-point splits (Gonzalez):
+// each extra centroid is the row of m farthest from the current set,
+// the deterministic split that targets the region the previous
+// clustering covered worst. Distances run through the norm identity on
+// m where Lloyd would run the sparse kernel (O(nnz) per row instead of
+// O(d); this only seeds, so the identity's rounding caveat is
+// irrelevant), and densely elsewhere. Returned rows may share prev; a
+// run clones them before iterating.
+func WarmSeed(prev [][]float64, m *vec.CSRMatrix, k int) [][]float64 {
+	if len(prev) >= k {
+		return prev[:k]
+	}
+	pts := newPoints(m, nil)
+	sparse := sparseRoute(m, Lloyd)
+	cents := make([][]float64, len(prev), k)
+	copy(cents, prev)
+	dist := make([]float64, m.NumRows())
+
+	// tighten lowers dist[i] to min(dist[i], ‖x_i − cent‖²).
+	tighten := func(cent []float64) {
+		cn := vec.Dot(cent, cent)
+		for i := range dist {
+			var d float64
+			if sparse {
+				vals, cols := m.RowView(i)
+				d = m.RowNorm2(i) + cn - 2*vec.SparseDot(vals, cols, cent)
+			} else {
+				d = vec.SquaredEuclidean(pts.row(i), cent)
+			}
+			if d < dist[i] {
+				dist[i] = d
+			}
+		}
+	}
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	for _, cent := range cents {
+		tighten(cent)
+	}
+	for len(cents) < k {
+		far, farD := 0, dist[0]
+		for i, d := range dist {
+			if d > farD {
+				far, farD = i, d
+			}
+		}
+		cents = append(cents, vec.Clone(pts.row(far)))
+		tighten(cents[len(cents)-1])
+	}
+	return cents
 }
 
 // updateCentroids recomputes each centroid from the accumulated
@@ -461,19 +527,20 @@ func run(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, opts Options
 // a second empty cluster repaired in the same iteration cannot pick
 // the same farthest point. prev is a length-d buffer the movement is
 // measured from.
-func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64, counts []int, prev []float64) float64 {
+func updateCentroids(pts *points, centroids [][]float64, labels []int, sums [][]float64, counts []int, prev []float64) float64 {
 	moved := 0.0
 	for c := range centroids {
 		if counts[c] == 0 {
-			far := farthestPoint(data, centroids, labels)
-			delta := vec.Euclidean(centroids[c], data[far])
-			copy(centroids[c], data[far])
+			far := farthestPoint(pts, centroids, labels)
+			x := pts.row(far)
+			delta := vec.Euclidean(centroids[c], x)
+			copy(centroids[c], x)
 			old := labels[far]
 			labels[far] = c
 			counts[c] = 1
 			if old != c {
 				counts[old]--
-				for j, v := range data[far] {
+				for j, v := range x {
 					sums[old][j] -= v
 				}
 			}
@@ -495,10 +562,10 @@ func updateCentroids(data, centroids [][]float64, labels []int, sums [][]float64
 
 // farthestPoint returns the index of the point with the largest
 // distance to its assigned centroid.
-func farthestPoint(data [][]float64, centroids [][]float64, labels []int) int {
+func farthestPoint(pts *points, centroids [][]float64, labels []int) int {
 	best, bestD := 0, -1.0
-	for i, x := range data {
-		if d := vec.SquaredEuclidean(x, centroids[labels[i]]); d > bestD {
+	for i, c := range labels {
+		if d := vec.SquaredEuclidean(pts.row(i), centroids[c]); d > bestD {
 			best, bestD = i, d
 		}
 	}
@@ -506,13 +573,12 @@ func farthestPoint(data [][]float64, centroids [][]float64, labels []int) int {
 }
 
 // kmeansPPInit seeds centroids by D² sampling (Arthur & Vassilvitskii).
-func kmeansPPInit(data [][]float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(data)
+func kmeansPPInit(pts *points, n, k int, rng *rand.Rand) [][]float64 {
 	out := make([][]float64, 0, k)
-	out = append(out, vec.Clone(data[rng.Intn(n)]))
+	out = append(out, vec.Clone(pts.row(rng.Intn(n))))
 	dist := make([]float64, n)
-	for i, x := range data {
-		dist[i] = vec.SquaredEuclidean(x, out[0])
+	for i := range dist {
+		dist[i] = vec.SquaredEuclidean(pts.row(i), out[0])
 	}
 	for len(out) < k {
 		total := 0.0
@@ -535,9 +601,9 @@ func kmeansPPInit(data [][]float64, k int, rng *rand.Rand) [][]float64 {
 				}
 			}
 		}
-		out = append(out, vec.Clone(data[next]))
-		for i, x := range data {
-			if d := vec.SquaredEuclidean(x, out[len(out)-1]); d < dist[i] {
+		out = append(out, vec.Clone(pts.row(next)))
+		for i := range dist {
+			if d := vec.SquaredEuclidean(pts.row(i), out[len(out)-1]); d < dist[i] {
 				dist[i] = d
 			}
 		}

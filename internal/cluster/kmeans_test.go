@@ -34,28 +34,25 @@ func blobs(rng *rand.Rand, k, perCluster, d int, sep float64) ([][]float64, []in
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, Options{K: 2}); err == nil {
+	if _, err := KMeans(vec.NewCSRFromDense(nil), Options{K: 2}); err == nil {
 		t.Error("accepted empty data")
 	}
 	data := [][]float64{{1}, {2}}
-	if _, err := KMeans(data, Options{K: 0}); err == nil {
+	if _, err := KMeans(vec.NewCSRFromDense(data), Options{K: 0}); err == nil {
 		t.Error("accepted K=0")
 	}
-	if _, err := KMeans(data, Options{K: 3}); err == nil {
+	if _, err := KMeans(vec.NewCSRFromDense(data), Options{K: 3}); err == nil {
 		t.Error("accepted K > n")
 	}
-	if _, err := KMeans([][]float64{{1, 2}, {3}}, Options{K: 1}); err == nil {
-		t.Error("accepted ragged data")
-	}
-	if _, err := KMeans(data, Options{K: 2, InitialCentroids: [][]float64{{1}}}); err == nil {
+	if _, err := KMeans(vec.NewCSRFromDense(data), Options{K: 2, InitialCentroids: [][]float64{{1}}}); err == nil {
 		t.Error("accepted wrong number of initial centroids")
 	}
-	if _, err := KMeans(data, Options{K: 1, InitialCentroids: [][]float64{{1, 2}}}); err == nil {
+	if _, err := KMeans(vec.NewCSRFromDense(data), Options{K: 1, InitialCentroids: [][]float64{{1, 2}}}); err == nil {
 		t.Error("accepted initial centroid of wrong dimension")
 	}
 	// An out-of-range Algorithm must not silently run dense Lloyd.
 	for _, a := range []Algorithm{Algorithm(42), Algorithm(-1), AlgorithmMiniBatch + 1} {
-		if _, err := KMeans(data, Options{K: 1, Algorithm: a}); err == nil {
+		if _, err := KMeans(vec.NewCSRFromDense(data), Options{K: 1, Algorithm: a}); err == nil {
 			t.Errorf("accepted %s", a)
 		}
 	}
@@ -64,7 +61,7 @@ func TestKMeansErrors(t *testing.T) {
 func TestKMeansRecoverseparatedBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data, truth := blobs(rng, 3, 60, 4, 12)
-	res, err := KMeans(data, Options{K: 3, Seed: 1})
+	res, err := KMeans(vec.NewCSRFromDense(data), Options{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +94,7 @@ func TestKMeansRecoverseparatedBlobs(t *testing.T) {
 func TestKMeansSizesAndSSEConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	data, _ := blobs(rng, 4, 40, 3, 8)
-	res, err := KMeans(data, Options{K: 4, Seed: 3})
+	res, err := KMeans(vec.NewCSRFromDense(data), Options{K: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +117,8 @@ func TestKMeansSizesAndSSEConsistent(t *testing.T) {
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data, _ := blobs(rng, 3, 30, 3, 6)
-	a, _ := KMeans(data, Options{K: 3, Seed: 42})
-	b, _ := KMeans(data, Options{K: 3, Seed: 42})
+	a, _ := KMeans(vec.NewCSRFromDense(data), Options{K: 3, Seed: 42})
+	b, _ := KMeans(vec.NewCSRFromDense(data), Options{K: 3, Seed: 42})
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("same seed produced different labels")
@@ -134,7 +131,7 @@ func TestKMeansDeterministicForSeed(t *testing.T) {
 
 func TestKMeansK1(t *testing.T) {
 	data := [][]float64{{0, 0}, {2, 0}, {0, 2}, {2, 2}}
-	res, err := KMeans(data, Options{K: 1})
+	res, err := KMeans(vec.NewCSRFromDense(data), Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func TestKMeansK1(t *testing.T) {
 
 func TestKMeansKEqualsN(t *testing.T) {
 	data := [][]float64{{0}, {5}, {10}}
-	res, err := KMeans(data, Options{K: 3, Seed: 7})
+	res, err := KMeans(vec.NewCSRFromDense(data), Options{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +164,7 @@ func TestSSEDecreasesWithK(t *testing.T) {
 		best := math.Inf(1)
 		// Take the best of a few seeds to smooth local minima.
 		for seed := int64(0); seed < 4; seed++ {
-			res, err := KMeans(data, Options{K: k, Seed: seed})
+			res, err := KMeans(vec.NewCSRFromDense(data), Options{K: k, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +183,7 @@ func TestEmptyClusterRepair(t *testing.T) {
 	// Force an empty cluster: initial centroid far away from all data.
 	data := [][]float64{{0, 0}, {0.1, 0}, {0, 0.1}, {5, 5}, {5.1, 5}, {5, 5.1}}
 	init := [][]float64{{0, 0}, {5, 5}, {100, 100}}
-	res, err := KMeans(data, Options{K: 3, InitialCentroids: init, MaxIter: 20})
+	res, err := KMeans(vec.NewCSRFromDense(data), Options{K: 3, InitialCentroids: init, MaxIter: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +215,11 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 	scratch := &Scratch{}
 	for _, alg := range []Algorithm{Lloyd, DenseLloyd, SparseLloyd, AlgorithmMiniBatch} {
 		for _, k := range []int{2, 5, 9, 4} { // deliberately non-monotone
-			want, err := KMeans(data, Options{K: k, Seed: 9, Algorithm: alg})
+			want, err := KMeans(vec.NewCSRFromDense(data), Options{K: k, Seed: 9, Algorithm: alg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := KMeans(data, Options{K: k, Seed: 9, Algorithm: alg, Scratch: scratch, Rand: rand.New(rand.NewSource(0))})
+			got, err := KMeans(vec.NewCSRFromDense(data), Options{K: k, Seed: 9, Algorithm: alg, Scratch: scratch, Rand: rand.New(rand.NewSource(0))})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,11 +238,11 @@ func TestMiniBatchDeterministicAndReasonable(t *testing.T) {
 		c := i % 4
 		data[i] = []float64{float64(c%2)*20 + rng.NormFloat64(), float64(c/2)*20 + rng.NormFloat64()}
 	}
-	a, err := KMeans(data, Options{K: 4, Seed: 5, Algorithm: AlgorithmMiniBatch, BatchSize: 128})
+	a, err := KMeans(vec.NewCSRFromDense(data), Options{K: 4, Seed: 5, Algorithm: AlgorithmMiniBatch, BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(data, Options{K: 4, Seed: 5, Algorithm: AlgorithmMiniBatch, BatchSize: 128})
+	b, err := KMeans(vec.NewCSRFromDense(data), Options{K: 4, Seed: 5, Algorithm: AlgorithmMiniBatch, BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +257,7 @@ func TestMiniBatchDeterministicAndReasonable(t *testing.T) {
 	if total != len(data) {
 		t.Errorf("sizes sum %d, want %d", total, len(data))
 	}
-	lloyd, err := KMeans(data, Options{K: 4, Seed: 5, Algorithm: DenseLloyd})
+	lloyd, err := KMeans(vec.NewCSRFromDense(data), Options{K: 4, Seed: 5, Algorithm: DenseLloyd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +279,7 @@ func TestAlgorithmAutoRouting(t *testing.T) {
 		{"dense-lowdim", randRows(rng, 120, 3, 1.0), "lloyd"},
 		{"dense-highdim", randRows(rng, 120, 24, 1.0), "lloyd"},
 	} {
-		res, err := KMeans(tc.data, Options{K: 8, Seed: 1, Algorithm: AlgorithmAuto})
+		res, err := KMeans(vec.NewCSRFromDense(tc.data), Options{K: 8, Seed: 1, Algorithm: AlgorithmAuto})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -313,11 +310,11 @@ func TestAutoRoutingNeverAltersResults(t *testing.T) {
 		{"dense-highdim-largeK", randRows(rng, 150, 24, 1.0), 40},
 	}
 	for _, tc := range cases {
-		want, err := KMeans(tc.data, Options{K: tc.k, Seed: 6, Algorithm: DenseLloyd})
+		want, err := KMeans(vec.NewCSRFromDense(tc.data), Options{K: tc.k, Seed: 6, Algorithm: DenseLloyd})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, err := KMeans(tc.data, Options{K: tc.k, Seed: 6, Algorithm: AlgorithmAuto})
+		got, err := KMeans(vec.NewCSRFromDense(tc.data), Options{K: tc.k, Seed: 6, Algorithm: AlgorithmAuto})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -18,25 +18,23 @@ const DefaultBatchSize = 1024
 // a per-centroid learning rate 1/v(c), where v(c) counts every point
 // the centroid has ever absorbed. The result is approximate — labels
 // and SSE are NOT bit-for-bit comparable to Lloyd — but an iteration
-// costs O(b·K·d) regardless of n (O(b·(K·nnz + d)) on a CSR view),
-// which is what makes >100k-patient datasets tractable. The run is
-// deterministic under Options.Seed: one serial rand stream drives both
-// seeding and batch sampling.
+// costs O(b·(K·nnz + d)) regardless of n, which is what makes
+// >100k-patient datasets tractable. The run is deterministic under
+// Options.Seed: one serial rand stream drives both seeding and batch
+// sampling.
 //
-// With a CSR view (csr non-nil, the sparse view of data) the nearest
-// centroid comes from prunedArgMin, which returns exactly the index
-// vec.ArgMinDistance would at O(K·nnz) per point for all but the
-// near-tied centroids, so the model is bit-for-bit the one the dense
-// scan produces. Within an iteration the centroids are frozen, so a
-// row drawn twice reuses its label.
+// The nearest centroid comes from prunedArgMin, which returns exactly
+// the index vec.ArgMinDistance would at O(K·nnz) per point for all but
+// the near-tied centroids, so the model is bit-for-bit the one the
+// dense scan produces. Within an iteration the centroids are frozen,
+// so a row drawn twice reuses its label.
 //
 // Convergence is declared when the largest per-batch centroid movement
 // drops to Options.Tolerance, mirroring the Lloyd criterion; the final
 // Labels/Sizes/SSE come from one exact full assignment pass against
 // the frozen centroids.
-func runMiniBatch(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, centroids [][]float64, rng *rand.Rand, opts Options) (*Result, error) {
-	n := len(data)
-	d := len(data[0])
+func runMiniBatch(ctx context.Context, pts *points, n int, centroids [][]float64, rng *rand.Rand, opts Options) (*Result, error) {
+	d := pts.d
 	b := opts.BatchSize
 	if b <= 0 {
 		b = DefaultBatchSize
@@ -55,7 +53,7 @@ func runMiniBatch(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, cen
 		stamp    = s.ints(&s.rowStamp, n)
 		rowLab   = s.ints(&s.rowLab, n)
 		absorbed = make([]int, opts.K)
-		near     = newPrunedArgMin(csr, data, opts.K, s)
+		near     = newPrunedArgMin(pts.m, nil, opts.K, s)
 	)
 
 	res := &Result{K: opts.K, Algorithm: AlgorithmMiniBatch.String()}
@@ -85,7 +83,7 @@ func runMiniBatch(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, cen
 			c := rowLab[p]
 			absorbed[c]++
 			eta := 1 / float64(absorbed[c])
-			x := data[p]
+			x := pts.row(p)
 			cent := centroids[c][:len(x)]
 			for j, v := range x {
 				cent[j] += eta * (v - cent[j])
@@ -107,11 +105,11 @@ func runMiniBatch(ctx context.Context, data [][]float64, csr *vec.CSRMatrix, cen
 	res.Labels = make([]int, n)
 	res.Sizes = make([]int, opts.K)
 	near.load(centroids)
-	for i, x := range data {
+	for i := range n {
 		c := near.argmin(i, centroids)
 		res.Labels[i] = c
 		res.Sizes[c]++
-		res.SSE += vec.SquaredEuclidean(x, centroids[c])
+		res.SSE += vec.SquaredEuclidean(pts.row(i), centroids[c])
 	}
 	return res, nil
 }

@@ -46,12 +46,10 @@ import (
 // to the only indices that can win. A row or centroid whose squared
 // norm is not finite (or too close to overflow for the analysis to
 // hold) is scored by vec.ArgMinDistance instead.
-//
-// A prunedArgMin with a nil CSR view always answers densely.
 type prunedArgMin struct {
-	m    *vec.CSRMatrix
-	data [][]float64
-	d    int
+	m   *vec.CSRMatrix
+	pts *points // the rows as dense vectors, for dense scoring
+	d   int
 
 	// ct holds the centroids transposed in blocks of four (K rounded
 	// up, padding zero): centroid c's entry j sits at
@@ -60,7 +58,7 @@ type prunedArgMin struct {
 	ct    []float64
 	cn2   []float64 // ‖c‖², as vec.Dot computes it
 	cmax  float64   // max ‖c‖
-	dense bool      // no CSR view, or a centroid norm out of range: score densely
+	dense bool      // a centroid norm out of range: score densely
 	f     []float64 // per-row ‖c‖² − 2⟨x,c⟩ (K rounded up to 4)
 }
 
@@ -68,23 +66,24 @@ type prunedArgMin struct {
 // intermediate of the error analysis stays far from overflow below it.
 const maxNorm2 = 0x1p1000
 
+// newPrunedArgMin scores the rows of m, reading them densely, where it
+// must, from data, the dense rows of m, or from m itself when data is
+// nil.
 func newPrunedArgMin(m *vec.CSRMatrix, data [][]float64, k int, s *Scratch) *prunedArgMin {
-	p := &prunedArgMin{m: m, data: data, d: len(data[0]), dense: m == nil}
-	if m != nil {
-		k4 := (k + 3) &^ 3
-		p.ct = s.f64(&s.centT, k4*p.d)
-		p.cn2 = s.f64(&s.centNorm2, k)
-		p.f = s.f64(&s.rowF, k4)
+	k4 := (k + 3) &^ 3
+	return &prunedArgMin{
+		m:   m,
+		pts: newPoints(m, data),
+		d:   m.Cols,
+		ct:  s.f64(&s.centT, k4*m.Cols),
+		cn2: s.f64(&s.centNorm2, k),
+		f:   s.f64(&s.rowF, k4),
 	}
-	return p
 }
 
 // load caches the transposed block and norms of the centroids the
 // following argmin calls score against; call it whenever they move.
 func (p *prunedArgMin) load(centroids [][]float64) {
-	if p.m == nil {
-		return
-	}
 	p.dense = false
 	cmax2 := 0.0
 	for c, cent := range centroids {
@@ -110,7 +109,7 @@ func (p *prunedArgMin) argmin(i int, centroids [][]float64) int {
 		xn2 = p.m.RowNorm2(i)
 	}
 	if p.dense || !(xn2 <= maxNorm2) {
-		c, _ := vec.ArgMinDistance(p.data[i], centroids)
+		c, _ := vec.ArgMinDistance(p.pts.row(i), centroids)
 		return c
 	}
 	k := len(centroids)
@@ -148,7 +147,7 @@ func (p *prunedArgMin) argmin(i int, centroids [][]float64) int {
 	if second > limit {
 		return best
 	}
-	x := p.data[i]
+	x := p.pts.row(i)
 	win, winD := -1, math.Inf(1)
 	for c, fc := range f {
 		if fc > limit {

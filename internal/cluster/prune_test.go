@@ -30,7 +30,7 @@ func denseMiniBatch(t *testing.T, data [][]float64, opts Options) *Result {
 			cents = append(cents, vec.Clone(c))
 		}
 	} else {
-		cents = kmeansPPInit(data, opts.K, rng)
+		cents = kmeansPPInit(newPoints(nil, data), n, opts.K, rng)
 	}
 
 	res := &Result{K: opts.K, Algorithm: AlgorithmMiniBatch.String()}
@@ -124,7 +124,7 @@ func TestMiniBatchCSRMatchesDense(t *testing.T) {
 
 	small := randRows(rng, 12, 10, 0.4)
 	sparse := randRows(rng, 200, 24, 0.2)
-	warm, err := KMeans(sparse, Options{K: 6, Seed: 3, Algorithm: AlgorithmMiniBatch, MaxIter: 5})
+	warm, err := KMeans(vec.NewCSRFromDense(sparse), Options{K: 6, Seed: 3, Algorithm: AlgorithmMiniBatch, MaxIter: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestMiniBatchCSRMatchesDense(t *testing.T) {
 			opts.Algorithm = AlgorithmMiniBatch
 			opts.MaxIter = maxIter
 			want := denseMiniBatch(t, tc.data, opts)
-			got, err := KMeansCSRContext(context.Background(), vec.NewCSRFromDense(tc.data), tc.data, opts)
+			got, err := KMeansCSRContext(context.Background(), vec.NewCSRFromDense(tc.data), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// KMeans routes through AutoCSR: the pruned step on the
-			// sparse cases, the dense scan on the dense ones.
-			auto, err := KMeans(tc.data, opts)
+			// KMeans takes the same pruned step, whatever the
+			// density.
+			auto, err := KMeans(vec.NewCSRFromDense(tc.data), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestMiniBatchCSRMatchesDense(t *testing.T) {
 		opts := Options{K: 8, Seed: int64(n), Algorithm: AlgorithmMiniBatch, MaxIter: 20}
 		want := denseMiniBatch(t, grown[:n], opts)
 		opts.Scratch = scratch
-		got, err := KMeansCSRContext(context.Background(), vec.NewCSRFromDense(grown[:n]), grown[:n], opts)
+		got, err := KMeansCSRContext(context.Background(), vec.NewCSRFromDense(grown[:n]), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

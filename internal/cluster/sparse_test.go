@@ -83,14 +83,14 @@ func TestSparseParallelMatchesDenseLloyd(t *testing.T) {
 		data := randRows(rng, n, d, density)
 		init := distinctInit(rng, data, k)
 
-		dense, err := KMeans(data, Options{
+		dense, err := KMeans(vec.NewCSRFromDense(data), Options{
 			K: k, Algorithm: DenseLloyd, InitialCentroids: init, MaxIter: 60,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			sparse, err := KMeans(data, Options{
+			sparse, err := KMeans(vec.NewCSRFromDense(data), Options{
 				K: k, Algorithm: SparseLloyd, Parallelism: workers,
 				InitialCentroids: init, MaxIter: 60,
 			})
@@ -110,12 +110,12 @@ func TestSparseParallelMatchesDenseLloydWithSeeding(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		data := randRows(rng, 120, 24, 0.15)
 		seed := rng.Int63()
-		dense, err := KMeans(data, Options{K: 5, Seed: seed, Algorithm: DenseLloyd})
+		dense, err := KMeans(vec.NewCSRFromDense(data), Options{K: 5, Seed: seed, Algorithm: DenseLloyd})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			sparse, err := KMeans(data, Options{
+			sparse, err := KMeans(vec.NewCSRFromDense(data), Options{
 				K: 5, Seed: seed, Algorithm: SparseLloyd, Parallelism: workers,
 			})
 			if err != nil {
@@ -127,18 +127,18 @@ func TestSparseParallelMatchesDenseLloydWithSeeding(t *testing.T) {
 }
 
 // KMeansCSRContext with a prebuilt CSR view (the Sweep path) must agree with
-// building the CSR internally, and with dense Lloyd.
+// dense Lloyd.
 func TestKMeansCSRSharedViewMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	data := randRows(rng, 150, 30, 0.1)
 	csr := vec.NewCSRFromDense(data)
 	init := distinctInit(rng, data, 4)
 
-	dense, err := KMeans(data, Options{K: 4, Algorithm: DenseLloyd, InitialCentroids: init})
+	dense, err := KMeans(vec.NewCSRFromDense(data), Options{K: 4, Algorithm: DenseLloyd, InitialCentroids: init})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := KMeansCSRContext(context.Background(), csr, data, Options{K: 4, InitialCentroids: init})
+	shared, err := KMeansCSRContext(context.Background(), csr, Options{K: 4, InitialCentroids: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,6 @@ func TestKMeansCSRSharedViewMatches(t *testing.T) {
 	if shared.Algorithm != "sparse-lloyd" {
 		t.Errorf("Algorithm = %q, want sparse-lloyd", shared.Algorithm)
 	}
-
-	// A nil dense view is materialized from the CSR.
-	fromCSR, err := KMeansCSRContext(context.Background(), csr, nil, Options{K: 4, InitialCentroids: init})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, 1, 0, dense, fromCSR)
 }
 
 // Auto-routing: plain Lloyd on sparse high-dimensional data runs the
@@ -160,7 +153,7 @@ func TestKMeansCSRSharedViewMatches(t *testing.T) {
 func TestLloydAutoRoutesToSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sparseData := randRows(rng, 100, 40, 0.1)
-	res, err := KMeans(sparseData, Options{K: 3, Seed: 1})
+	res, err := KMeans(vec.NewCSRFromDense(sparseData), Options{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +161,7 @@ func TestLloydAutoRoutesToSparse(t *testing.T) {
 		t.Errorf("sparse data: Algorithm = %q, want sparse-lloyd", res.Algorithm)
 	}
 	denseData := randRows(rng, 100, 3, 1.0)
-	res, err = KMeans(denseData, Options{K: 3, Seed: 1})
+	res, err = KMeans(vec.NewCSRFromDense(denseData), Options{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +180,7 @@ func TestEmptyClusterRepairClaimsPoint(t *testing.T) {
 		{50, 50}, {-50, 50},
 	}
 	init := [][]float64{{0, 0}, {1000, 1000}, {-1000, 1000}}
-	res, err := KMeans(data, Options{K: 3, InitialCentroids: init, MaxIter: 20})
+	res, err := KMeans(vec.NewCSRFromDense(data), Options{K: 3, InitialCentroids: init, MaxIter: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,8 +260,8 @@ func TestVSMBuildEqualsReference(t *testing.T) {
 		}
 		// Under Options{} (count weighting, no normalization) the rows
 		// are a copy of the raw counts.
-		if !reflect.DeepEqual(m.Features, features) || !reflect.DeepEqual(m.Rows, raw) {
-			t.Fatalf("matrix features %v rows %v, want %v %v", m.Features, m.Rows, features, raw)
+		if !reflect.DeepEqual(m.Features, features) || !reflect.DeepEqual(m.Rows.Dense(), raw) {
+			t.Fatalf("matrix features %v rows %v, want %v %v", m.Features, m.Rows.Dense(), features, raw)
 		}
 		ids := make([]string, len(l.Patients))
 		for i, p := range l.Patients {

@@ -19,6 +19,7 @@ import (
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/stats"
+	"adahealth/internal/vec"
 )
 
 // ID names an analysis end-goal.
@@ -339,7 +340,9 @@ func (r *Recommender) fitInterestModel(feedback []kdb.Feedback, goalIndex map[ID
 		return nil, false, nil
 	}
 	tree := classify.NewDecisionTree(classify.TreeOptions{MaxDepth: 6, MinSamplesLeaf: 1})
-	if err := tree.Fit(X, y); err != nil {
+	// The descriptor features are few and dense; the tree takes them
+	// as a CSR matrix all the same.
+	if err := tree.Fit(vec.NewCSRFromDense(X), y); err != nil {
 		return nil, false, fmt.Errorf("endgoal: training interest model: %w", err)
 	}
 	return tree, true, nil

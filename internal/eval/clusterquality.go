@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 
 	"adahealth/internal/vec"
 )
@@ -15,40 +16,41 @@ import (
 //
 // Using L2-normalized rows, the inner double sum equals ||c_r||² where
 // c_r is the mean of the normalized member vectors, which is how it is
-// computed here (O(n·d) instead of O(n²·d)).
-func OverallSimilarity(data [][]float64, labels []int, k int) (float64, error) {
-	if len(data) == 0 {
+// computed here (O(nnz) instead of O(n²·d)), from the rows' cached
+// squared norms.
+func OverallSimilarity(data *vec.CSRMatrix, labels []int, k int) (float64, error) {
+	n := data.NumRows()
+	if n == 0 {
 		return 0, fmt.Errorf("eval: no data")
 	}
-	if len(data) != len(labels) {
-		return 0, fmt.Errorf("eval: %d points but %d labels", len(data), len(labels))
+	if n != len(labels) {
+		return 0, fmt.Errorf("eval: %d points but %d labels", n, len(labels))
 	}
-	d := len(data[0])
+	d := data.NumCols()
 	sums := make([][]float64, k)
 	for i := range sums {
 		sums[i] = make([]float64, d)
 	}
 	counts := make([]int, k)
 	unit := make([]float64, d)
-	for i, x := range data {
-		c := labels[i]
+	for i, c := range labels {
 		if c < 0 || c >= k {
 			return 0, fmt.Errorf("eval: label %d out of range [0,%d)", c, k)
 		}
-		norm := vec.Norm(x)
+		counts[c]++
+		norm := math.Sqrt(data.RowNorm2(i))
 		if norm == 0 {
 			// A zero vector contributes zero similarity with everyone;
 			// count it but add nothing.
-			counts[c]++
 			continue
 		}
-		for j, v := range x {
-			unit[j] = v / norm
+		vals, cols := data.RowView(i)
+		u := unit[:len(vals)]
+		for p, v := range vals {
+			u[p] = v / norm
 		}
-		vec.AddTo(sums[c], unit)
-		counts[c]++
+		vec.ScatterAdd(sums[c], u, cols)
 	}
-	n := float64(len(data))
 	os := 0.0
 	for c := 0; c < k; c++ {
 		if counts[c] == 0 {
@@ -59,7 +61,7 @@ func OverallSimilarity(data [][]float64, labels []int, k int) (float64, error) {
 		for _, v := range sums[c] {
 			meanNormSq += (v / nc) * (v / nc)
 		}
-		os += nc / n * meanNormSq
+		os += nc / float64(n) * meanNormSq
 	}
 	return os, nil
 }

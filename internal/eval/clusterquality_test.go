@@ -26,7 +26,7 @@ func naiveOverallSimilarity(data [][]float64, labels []int, k int) float64 {
 		sum := 0.0
 		for _, a := range members {
 			for _, b := range members {
-				if na, nb := vec.Norm(a), vec.Norm(b); na > 0 && nb > 0 {
+				if na, nb := math.Sqrt(vec.Dot(a, a)), math.Sqrt(vec.Dot(b, b)); na > 0 && nb > 0 {
 					sum += vec.Dot(a, b) / (na * nb)
 				}
 			}
@@ -52,7 +52,7 @@ func TestOverallSimilarityMatchesNaive(t *testing.T) {
 			}
 			labels[i] = rng.Intn(k)
 		}
-		got, err := OverallSimilarity(data, labels, k)
+		got, err := OverallSimilarity(vec.NewCSRFromDense(data), labels, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestOverallSimilarityPerfectClusters(t *testing.T) {
 	// Identical vectors within each cluster → OS = 1.
 	data := [][]float64{{1, 0}, {1, 0}, {0, 2}, {0, 2}}
 	labels := []int{0, 0, 1, 1}
-	got, err := OverallSimilarity(data, labels, 2)
+	got, err := OverallSimilarity(vec.NewCSRFromDense(data), labels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestOverallSimilarityOrthogonalMess(t *testing.T) {
 	// One cluster of mutually orthogonal vectors: OS = 1/m.
 	data := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	labels := []int{0, 0, 0}
-	got, err := OverallSimilarity(data, labels, 1)
+	got, err := OverallSimilarity(vec.NewCSRFromDense(data), labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestOverallSimilarityOrthogonalMess(t *testing.T) {
 func TestOverallSimilarityZeroVector(t *testing.T) {
 	data := [][]float64{{0, 0}, {1, 0}}
 	labels := []int{0, 0}
-	got, err := OverallSimilarity(data, labels, 1)
+	got, err := OverallSimilarity(vec.NewCSRFromDense(data), labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,10 @@ func TestOverallSimilarityZeroVector(t *testing.T) {
 }
 
 func TestOverallSimilarityErrors(t *testing.T) {
-	if _, err := OverallSimilarity(nil, nil, 1); err == nil {
+	if _, err := OverallSimilarity(vec.NewCSRFromDense(nil), nil, 1); err == nil {
 		t.Error("accepted empty data")
 	}
-	if _, err := OverallSimilarity([][]float64{{1}}, []int{3}, 2); err == nil {
+	if _, err := OverallSimilarity(vec.NewCSRFromDense([][]float64{{1}}), []int{3}, 2); err == nil {
 		t.Error("accepted out-of-range label")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"adahealth/internal/classify"
+	"adahealth/internal/vec"
 )
 
 // StratifiedKFold partitions indices into k folds preserving the class
@@ -80,7 +81,7 @@ type CVResult struct {
 // confusion matrix (the protocol of Section IV-B: "10-fold cross
 // validation was used to evaluate the classification model").
 // Stratified splitting keeps rare clusters represented in every fold.
-func CrossValidate(factory classify.Factory, X [][]float64, y []int, k int, seed int64) (*CVResult, error) {
+func CrossValidate(factory classify.Factory, X *vec.CSRMatrix, y []int, k int, seed int64) (*CVResult, error) {
 	return CrossValidateWithOrder(factory, X, y, k, seed, nil)
 }
 
@@ -89,10 +90,12 @@ func CrossValidate(factory classify.Factory, X [][]float64, y []int, k int, seed
 // hook for sweeps that cross-validate many label vectors over one
 // matrix: the presort depends only on X, so one build serves every K
 // and every fold. A nil ord is built internally. ord must have been
-// built from this exact X.
-func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k int, seed int64, ord *classify.ColumnOrder) (*CVResult, error) {
-	if len(X) != len(y) {
-		return nil, fmt.Errorf("eval: %d rows but %d labels", len(X), len(y))
+// built from this exact X. A held-out row is predicted from a dense
+// scratch row it is scattered into.
+func CrossValidateWithOrder(factory classify.Factory, X *vec.CSRMatrix, y []int, k int, seed int64, ord *classify.ColumnOrder) (*CVResult, error) {
+	n := X.NumRows()
+	if n != len(y) {
+		return nil, fmt.Errorf("eval: %d rows but %d labels", n, len(y))
 	}
 	folds, err := StratifiedKFold(y, k, seed)
 	if err != nil {
@@ -116,8 +119,9 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 			return nil, fmt.Errorf("eval: presorting: %w", err)
 		}
 	}
-	inTest := make([]bool, len(X))
-	trainRows := make([]int, 0, len(X))
+	inTest := make([]bool, n)
+	trainRows := make([]int, 0, n)
+	row := make([]float64, X.NumCols())
 	for f, test := range folds {
 		for i := range inTest {
 			inTest[i] = false
@@ -126,7 +130,7 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 			inTest[i] = true
 		}
 		trainRows = trainRows[:0]
-		for i := range X {
+		for i := range n {
 			if !inTest[i] {
 				trainRows = append(trainRows, i)
 			}
@@ -135,7 +139,12 @@ func CrossValidateWithOrder(factory classify.Factory, X [][]float64, y []int, k 
 			return nil, fmt.Errorf("eval: fold %d fit: %w", f, err)
 		}
 		for _, i := range test {
-			pred := clf.Predict(X[i])
+			vals, cols := X.RowView(i)
+			vec.ScatterAdd(row, vals, cols)
+			pred := clf.Predict(row)
+			for _, j := range cols {
+				row[j] = 0
+			}
 			if pred < 0 || pred >= classes {
 				pred = 0 // defensive: clamp stray predictions
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adahealth/internal/classify"
+	"adahealth/internal/vec"
 )
 
 func TestStratifiedKFoldPreservesProportions(t *testing.T) {
@@ -66,7 +67,7 @@ func TestCrossValidateSeparableData(t *testing.T) {
 	}
 	res, err := CrossValidate(func() classify.Classifier {
 		return classify.NewDecisionTree(classify.TreeOptions{MaxDepth: 6})
-	}, X, y, 10, 1)
+	}, vec.NewCSRFromDense(X), y, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestCrossValidateMajorityBaseline(t *testing.T) {
 	stump := func() classify.Classifier {
 		return classify.NewDecisionTree(classify.TreeOptions{MinSamplesSplit: len(X) + 1})
 	}
-	res, err := CrossValidate(stump, X, y, 10, 2)
+	res, err := CrossValidate(stump, vec.NewCSRFromDense(X), y, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestCrossValidateDeterministicForSeed(t *testing.T) {
 	factory := func() classify.Classifier {
 		return classify.NewDecisionTree(classify.TreeOptions{MaxDepth: 4})
 	}
-	a, err := CrossValidate(factory, X, y, 5, 42)
+	a, err := CrossValidate(factory, vec.NewCSRFromDense(X), y, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CrossValidate(factory, X, y, 5, 42)
+	b, err := CrossValidate(factory, vec.NewCSRFromDense(X), y, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +139,10 @@ func TestCrossValidateDeterministicForSeed(t *testing.T) {
 
 func TestCrossValidateErrors(t *testing.T) {
 	factory := func() classify.Classifier { return classify.NewDecisionTree(classify.TreeOptions{}) }
-	if _, err := CrossValidate(factory, [][]float64{{1}}, []int{0, 1}, 2, 0); err == nil {
+	if _, err := CrossValidate(factory, vec.NewCSRFromDense([][]float64{{1}}), []int{0, 1}, 2, 0); err == nil {
 		t.Error("accepted X/y mismatch")
 	}
-	if _, err := CrossValidate(factory, [][]float64{{1}}, []int{0}, 5, 0); err == nil {
+	if _, err := CrossValidate(factory, vec.NewCSRFromDense([][]float64{{1}}), []int{0}, 5, 0); err == nil {
 		t.Error("accepted n < k")
 	}
 }

@@ -218,7 +218,7 @@ func RunTableIOnMatrix(ctx context.Context, m *vsm.Matrix, cfg TableIConfig) (*T
 
 	// SweepMatrix warm-starts each K from the previous one and clusters
 	// with the default Lloyd kernel, which runs the sparse scan over the
-	// working subset's cached CSR view (the VSM matrix is sparse by
+	// working subset's CSR rows (the VSM matrix is sparse by
 	// construction).
 	sweep, err := optimize.SweepMatrix(ctx, working, optimize.SweepConfig{
 		Ks:          ks,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adahealth/internal/classify"
+	"adahealth/internal/vec"
 )
 
 // sweepFingerprint reduces a sweep to everything observable: the full
@@ -56,7 +57,7 @@ func TestArenaSweepBitForBit(t *testing.T) {
 
 	fresh := make([]sweepFingerprint, len(jobs))
 	for i, j := range jobs {
-		res, err := Sweep(context.Background(), j.data, j.cfg)
+		res, err := Sweep(context.Background(), vec.NewCSRFromDense(j.data), j.cfg)
 		if err != nil {
 			t.Fatalf("%s (fresh): %v", j.name, err)
 		}
@@ -68,7 +69,7 @@ func TestArenaSweepBitForBit(t *testing.T) {
 		for i, j := range jobs {
 			cfg := j.cfg
 			cfg.Arena = arena
-			res, err := Sweep(context.Background(), j.data, cfg)
+			res, err := Sweep(context.Background(), vec.NewCSRFromDense(j.data), cfg)
 			if err != nil {
 				t.Fatalf("%s (arena, round %d): %v", j.name, round, err)
 			}
@@ -94,7 +95,7 @@ func TestArenaConcurrentSweeps(t *testing.T) {
 
 	baselines := make([]sweepFingerprint, len(datasets))
 	for i, data := range datasets {
-		res, err := Sweep(context.Background(), data, cfg)
+		res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestArenaConcurrentSweeps(t *testing.T) {
 				defer wg.Done()
 				c := cfg
 				c.Arena = arena
-				res, err := Sweep(context.Background(), data, c)
+				res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), c)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -138,7 +139,7 @@ func TestArenaPoolBounded(t *testing.T) {
 	arena := NewArena()
 	cfg := SweepConfig{Ks: []int{2, 3}, CVFolds: 3, Seed: 2, Parallelism: 2, Arena: arena}
 	for i := 0; i < 5; i++ {
-		if _, err := Sweep(context.Background(), data, cfg); err != nil {
+		if _, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,12 +166,12 @@ func TestArenaTreeOptionsRebuild(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, to := range opts {
 			cfg := SweepConfig{Ks: []int{2, 3, 4}, CVFolds: 3, Seed: 6, Parallelism: 1, Tree: to}
-			res, err := Sweep(context.Background(), data, cfg)
+			res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Arena = arena
-			ares, err := Sweep(context.Background(), data, cfg)
+			ares, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

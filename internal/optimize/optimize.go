@@ -36,7 +36,6 @@ package optimize
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 
@@ -96,12 +95,6 @@ type SweepConfig struct {
 	// long-lived services. Results are bit-for-bit identical with or
 	// without it; see Arena.
 	Arena *Arena `json:"-"`
-
-	// csr, when non-nil, is a shared sparse view of the data rows (set
-	// by SweepMatrix, or built internally when the data is sparse
-	// enough): every K's clustering then routes through the sparse
-	// K-means kernel against one CSR build.
-	csr *vec.CSRMatrix
 }
 
 // DefaultKs returns a fresh copy of the default K grid (Table I's
@@ -178,23 +171,18 @@ type SweepResult struct {
 // is checked between clustering iterations and between evaluation
 // phases, so a cancelled sweep returns ctx.Err() promptly instead of
 // finishing the grid.
-func Sweep(ctx context.Context, data [][]float64, cfg SweepConfig) (*SweepResult, error) {
+func Sweep(ctx context.Context, data *vec.CSRMatrix, cfg SweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
-	if len(data) == 0 {
+	if data.NumRows() == 0 {
 		return nil, fmt.Errorf("optimize: no data")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	for _, k := range cfg.Ks {
-		if k > len(data) {
-			return nil, fmt.Errorf("optimize: K=%d exceeds %d rows", k, len(data))
+		if k > data.NumRows() {
+			return nil, fmt.Errorf("optimize: K=%d exceeds %d rows", k, data.NumRows())
 		}
-	}
-	if cfg.csr == nil {
-		// Compress once and share across every K evaluation when the
-		// data is sparse enough for the sparse kernels to pay.
-		cfg.csr = cluster.AutoCSR(data)
 	}
 
 	// One presorted column view serves every fold of every K.
@@ -227,16 +215,8 @@ func Sweep(ctx context.Context, data [][]float64, cfg SweepConfig) (*SweepResult
 	return res, nil
 }
 
-// SweepMatrix is Sweep over a VSM matrix, reusing the matrix's cached
-// sparse view (built at most once per matrix) when the sparse kernels
-// are expected to pay.
+// SweepMatrix is Sweep over a VSM matrix's weighted rows.
 func SweepMatrix(ctx context.Context, m *vsm.Matrix, cfg SweepConfig) (*SweepResult, error) {
-	// Probe density on the dense rows first so a dense matrix never
-	// materializes (and permanently caches) a CSR view it won't use.
-	if cfg.csr == nil && m.NumRows() > 0 &&
-		cluster.SparseProfitable(m.NumRows(), m.NumFeatures(), vec.Density(m.Rows)) {
-		cfg.csr = m.Sparse()
-	}
 	return Sweep(ctx, m.Rows, cfg)
 }
 
@@ -244,7 +224,7 @@ func SweepMatrix(ctx context.Context, m *vsm.Matrix, cfg SweepConfig) (*SweepRes
 // the decision-tree robustness assessment under CVFolds-fold CV, on a
 // tree borrowed from cfg.Arena (refit per fold; its grower buffers
 // survive refits).
-func assess(ctx context.Context, data [][]float64, cfg SweepConfig, ord *classify.ColumnOrder, k int, cr *cluster.Result) KResult {
+func assess(ctx context.Context, data *vec.CSRMatrix, cfg SweepConfig, ord *classify.ColumnOrder, k int, cr *cluster.Result) KResult {
 	out := KResult{K: k, SSE: cr.SSE, Iterations: cr.Iterations}
 	if err := ctx.Err(); err != nil {
 		out.Err = err.Error()
@@ -282,7 +262,7 @@ func assess(ctx context.Context, data [][]float64, cfg SweepConfig, ord *classif
 // clustering's robustness assessment to a slots.Group as one unit: the
 // clustering chain and the CV of earlier Ks overlap on whatever slots of
 // the budget are idle, and the chain's goroutine runs what is left.
-func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *classify.ColumnOrder) ([]KResult, []*cluster.Result) {
+func sweepWarm(ctx context.Context, data *vec.CSRMatrix, cfg SweepConfig, ord *classify.ColumnOrder) ([]KResult, []*cluster.Result) {
 	rows := make([]KResult, len(cfg.Ks))
 	crs := make([]*cluster.Result, len(cfg.Ks))
 	order := make([]int, len(cfg.Ks))
@@ -339,9 +319,9 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 		}
 		opts.K, opts.Seed, opts.InitialCentroids = k, KSeed(cfg.Seed, k), nil
 		if prev != nil {
-			opts.InitialCentroids = warmSeed(prev, data, cfg.csr, k)
+			opts.InitialCentroids = cluster.WarmSeed(prev, data, k)
 		}
-		cr, err := cluster.KMeansCSRContext(ctx, cfg.csr, data, opts)
+		cr, err := cluster.KMeansCSRContext(ctx, data, opts)
 		if err != nil {
 			// Later Ks would warm-seed from this failed run; mark the
 			// rest of the chain instead of silently skipping them.
@@ -354,59 +334,6 @@ func sweepWarm(ctx context.Context, data [][]float64, cfg SweepConfig, ord *clas
 		cv.Go(func() { rows[i] = assess(ctx, data, cfg, ord, k, cr) })
 	}
 	return rows, crs
-}
-
-// warmSeed builds k initial centroids from the previous K's converged
-// centroids plus greedy farthest-point splits (Gonzalez): each extra
-// centroid is the data point farthest from the current set, the
-// deterministic split that targets the region the previous clustering
-// covered worst. Distances run through the shared CSR view when one
-// exists (O(nnz) per row instead of O(d)); this only seeds, so the
-// identity's rounding caveat is irrelevant. Returned rows reference
-// prev/data; the clustering run clones them before iterating.
-func warmSeed(prev [][]float64, data [][]float64, csr *vec.CSRMatrix, k int) [][]float64 {
-	if len(prev) >= k {
-		return prev[:k]
-	}
-	cents := make([][]float64, len(prev), k)
-	copy(cents, prev)
-	dist := make([]float64, len(data))
-
-	// tighten lowers dist[i] to min(dist[i], ‖x_i − cent‖²).
-	tighten := func(cent []float64) {
-		if csr != nil {
-			cn := vec.Dot(cent, cent)
-			for i := range dist {
-				vals, cols := csr.RowView(i)
-				if d := csr.RowNorm2(i) + cn - 2*vec.SparseDot(vals, cols, cent); d < dist[i] {
-					dist[i] = d
-				}
-			}
-			return
-		}
-		for i, x := range data {
-			if d := vec.SquaredEuclidean(x, cent); d < dist[i] {
-				dist[i] = d
-			}
-		}
-	}
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	for _, cent := range cents {
-		tighten(cent)
-	}
-	for len(cents) < k {
-		far, farD := 0, dist[0]
-		for i, d := range dist {
-			if d > farD {
-				far, farD = i, d
-			}
-		}
-		cents = append(cents, data[far])
-		tighten(data[far])
-	}
-	return cents
 }
 
 // selectBestK picks the K with the best overall classification

@@ -11,6 +11,7 @@ import (
 
 	"adahealth/internal/cluster"
 	"adahealth/internal/slots"
+	"adahealth/internal/vec"
 )
 
 // structured builds data with `k` well-separated groups so that the
@@ -34,14 +35,14 @@ func structured(rng *rand.Rand, k, perCluster, d int) [][]float64 {
 }
 
 func TestSweepErrors(t *testing.T) {
-	if _, err := Sweep(context.Background(), nil, SweepConfig{}); err == nil {
+	if _, err := Sweep(context.Background(), vec.NewCSRFromDense(nil), SweepConfig{}); err == nil {
 		t.Error("accepted empty data")
 	}
 	data := structured(rand.New(rand.NewSource(1)), 2, 10, 3)
-	if _, err := Sweep(context.Background(), data, SweepConfig{Ks: []int{1}}); err == nil {
+	if _, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{Ks: []int{1}}); err == nil {
 		t.Error("accepted K=1")
 	}
-	if _, err := Sweep(context.Background(), data, SweepConfig{Ks: []int{1000}}); err == nil {
+	if _, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{Ks: []int{1000}}); err == nil {
 		t.Error("accepted K > n")
 	}
 }
@@ -49,7 +50,7 @@ func TestSweepErrors(t *testing.T) {
 func TestSweepTableShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := structured(rng, 4, 50, 6)
-	res, err := Sweep(context.Background(), data, SweepConfig{
+	res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{
 		Ks:      []int{2, 3, 4, 5, 6, 8},
 		CVFolds: 5,
 		Seed:    1,
@@ -87,7 +88,7 @@ func TestSweepMetricsCollapseBeyondTrueK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	trueK := 4
 	data := structured(rng, trueK, 50, 5)
-	res, err := Sweep(context.Background(), data, SweepConfig{
+	res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{
 		Ks:      []int{4, 12, 20},
 		CVFolds: 5,
 		Seed:    2,
@@ -137,11 +138,11 @@ func TestSelectBestK(t *testing.T) {
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := structured(rng, 3, 40, 4)
-	a, err := Sweep(context.Background(), data, SweepConfig{Ks: []int{2, 3, 4}, CVFolds: 4, Seed: 9, Parallelism: 1})
+	a, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{Ks: []int{2, 3, 4}, CVFolds: 4, Seed: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(context.Background(), data, SweepConfig{Ks: []int{2, 3, 4}, CVFolds: 4, Seed: 9, Parallelism: 8})
+	b, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{Ks: []int{2, 3, 4}, CVFolds: 4, Seed: 9, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 func TestSweepEqualAcrossBudgets(t *testing.T) {
 	data := structured(rand.New(rand.NewSource(11)), 3, 40, 4)
 	cfg := SweepConfig{Ks: []int{2, 3, 4, 6}, CVFolds: 4, Seed: 9, Parallelism: 1}
-	want, err := Sweep(context.Background(), data, cfg)
+	want, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSweepEqualAcrossBudgets(t *testing.T) {
 	lone.TryAcquire()
 	for name, budget := range map[string]slots.Pool{"full": full, "lone": lone, "8": slots.New(8)} {
 		cfg.Budget = budget
-		got, err := Sweep(context.Background(), data, cfg)
+		got, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestSweepCancelledLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(5*time.Millisecond, cancel)
-	_, err := Sweep(ctx, data, SweepConfig{Ks: DefaultKs(), Seed: 2, Budget: slots.New(4)})
+	_, err := Sweep(ctx, vec.NewCSRFromDense(data), SweepConfig{Ks: DefaultKs(), Seed: 2, Budget: slots.New(4)})
 	if err != context.Canceled {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
@@ -204,7 +205,7 @@ func TestSweepCancelledLeavesNoGoroutine(t *testing.T) {
 func TestSweepBestAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data := structured(rng, 3, 30, 3)
-	res, err := Sweep(context.Background(), data, SweepConfig{Ks: []int{2, 3}, CVFolds: 3, Seed: 1})
+	res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{Ks: []int{2, 3}, CVFolds: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestElbowK(t *testing.T) {
 func TestSweepWithDenseLloydAlgorithm(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := structured(rng, 3, 40, 4)
-	res, err := Sweep(context.Background(), data, SweepConfig{
+	res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{
 		Ks: []int{2, 3, 4}, CVFolds: 3, Seed: 5,
 		Cluster: cluster.Options{Algorithm: cluster.DenseLloyd},
 	})
@@ -250,7 +251,7 @@ func TestSweepWarmStartProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	data := structured(rng, 4, 40, 5)
 	cfg := SweepConfig{Ks: []int{8, 2, 4, 6}, CVFolds: 4, Seed: 3} // deliberately unsorted
-	res, err := Sweep(context.Background(), data, cfg)
+	res, err := Sweep(context.Background(), vec.NewCSRFromDense(data), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestSweepWarmStartProperties(t *testing.T) {
 				pair[0], byK[pair[0]].SSE, pair[1], byK[pair[1]].SSE)
 		}
 	}
-	again, err := Sweep(context.Background(), data, SweepConfig{Ks: cfg.Ks, CVFolds: 4, Seed: 3, Parallelism: 7})
+	again, err := Sweep(context.Background(), vec.NewCSRFromDense(data), SweepConfig{Ks: cfg.Ks, CVFolds: 4, Seed: 3, Parallelism: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestSweepWarmStartProperties(t *testing.T) {
 func TestWarmSeed(t *testing.T) {
 	data := [][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}, {5, 5}}
 	prev := [][]float64{{0.1, 0.1}, {9.9, 0.1}}
-	got := warmSeed(prev, data, nil, 3)
+	got := cluster.WarmSeed(prev, vec.NewCSRFromDense(data), 3)
 	if len(got) != 3 {
 		t.Fatalf("got %d centroids, want 3", len(got))
 	}
@@ -301,9 +302,9 @@ func TestWarmSeed(t *testing.T) {
 		t.Errorf("split centroid = %v, want the farthest point (0,10)", got[2])
 	}
 	// Duplicate K: the previous centroids are reused verbatim.
-	same := warmSeed(prev, data, nil, 2)
+	same := cluster.WarmSeed(prev, vec.NewCSRFromDense(data), 2)
 	if len(same) != 2 || &same[0][0] != &prev[0][0] {
-		t.Errorf("warmSeed with k == len(prev) should hand back prev")
+		t.Errorf("cluster.WarmSeed with k == len(prev) should hand back prev")
 	}
 }
 

@@ -147,8 +147,7 @@ func RunHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, err
 // SelectHorizontal is RunHorizontal that also returns the selected
 // step's projection of m, the matrix that step's probes clustered (m
 // itself when the step keeps every feature). A caller that goes on to
-// mine the selected subset uses it in place of a second m.Project, and
-// shares the sparse view the probes already built.
+// mine the selected subset uses it in place of a second m.Project.
 func SelectHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, *vsm.Matrix, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -182,20 +181,11 @@ func SelectHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, 
 				RowCoverage:   m.CoverageAt(nf),
 				SimilarityByK: map[int]float64{},
 			})
-			// The probe runs at every K share the projection's cached
-			// sparse view (nil when the data is too dense to pay; density
-			// is probed on the dense rows so no unused CSR is built). It is
-			// built here, before any probe of this fraction is queued.
-			var csr *vec.CSRMatrix
-			if sub.NumRows() > 0 &&
-				cluster.SparseProfitable(sub.NumRows(), sub.NumFeatures(), vec.Density(sub.Rows)) {
-				csr = sub.Sparse()
-			}
 			for ki, k := range cfg.Ks {
 				cell := fi*len(cfg.Ks) + ki
 				probes.Go(func() {
 					if errs[cell] = ctx.Err(); errs[cell] == nil {
-						sims[cell], errs[cell] = probeSimilarity(ctx, csr, sub.Rows, m.Rows, k, cfg)
+						sims[cell], errs[cell] = probeSimilarity(ctx, sub.Rows, m.Rows, k, cfg)
 					}
 				})
 			}
@@ -219,11 +209,11 @@ func SelectHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, 
 // induced labelling on evalRows (the full data): the subset has the
 // same patients in a reduced feature space, so each patient keeps
 // their subset-derived label.
-func probeSimilarity(ctx context.Context, csr *vec.CSRMatrix, subsetRows, evalRows [][]float64, k int, cfg Config) (float64, error) {
+func probeSimilarity(ctx context.Context, subsetRows, evalRows *vec.CSRMatrix, k int, cfg Config) (float64, error) {
 	opts := cfg.Cluster
 	opts.K = k
 	opts.Seed = cfg.Seed + int64(k)*1009
-	cr, err := cluster.KMeansCSRContext(ctx, csr, subsetRows, opts)
+	cr, err := cluster.KMeansCSRContext(ctx, subsetRows, opts)
 	if err != nil {
 		return 0, err
 	}

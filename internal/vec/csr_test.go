@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,15 +66,61 @@ func TestCSRDensityAndNNZ(t *testing.T) {
 	if len(m.Values) != 6 || len(m.ColIdx) != 6 {
 		t.Errorf("stored %d values / %d columns, want 6", len(m.Values), len(m.ColIdx))
 	}
-	if got, want := Density(rows), 6.0/12.0; got != want {
-		t.Errorf("Density(rows) = %v, want %v", got, want)
-	}
 	if empty := NewCSRFromDense(nil); empty.NumRows() != 0 {
 		t.Errorf("empty CSR: rows=%d", empty.NumRows())
 	}
-	if Density(nil) != 0 {
-		t.Errorf("Density(nil) = %v, want 0", Density(nil))
+}
+
+// requireCSR fails unless m equals NewCSRFromDense(want) bit for bit,
+// cached norms included.
+func requireCSR(t *testing.T, what string, m *CSRMatrix, want [][]float64) {
+	t.Helper()
+	ref := NewCSRFromDense(want)
+	if m.Cols != ref.Cols || !slices.Equal(m.RowPtr, ref.RowPtr) ||
+		!slices.Equal(m.ColIdx, ref.ColIdx) || !slices.Equal(m.Values, ref.Values) ||
+		!slices.Equal(m.rowNorm2, ref.rowNorm2) {
+		t.Fatalf("%s: %+v, want %+v", what, m, ref)
 	}
+}
+
+// The in-place edits — a row spliced larger or smaller, rows appended
+// and filled, columns remapped and widened, a column prefix cut — each
+// leave the matrix NewCSRFromDense builds from the edited dense rows.
+func TestCSREditsMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := randSparseRows(rng, 12, 7, 0.4)
+	m := NewCSRFromDense(rows)
+	for _, i := range []int{0, 5, 11, 5} {
+		rows[i] = randSparseRows(rng, 1, 7, 0.3+0.1*float64(i))[0]
+		vals, cols := NewCSRFromDense(rows[i : i+1]).RowView(0)
+		m.SetRow(i, vals, cols)
+		requireCSR(t, "SetRow", m, rows)
+	}
+	extra := randSparseRows(rng, 3, 7, 0.5)
+	m.AppendEmptyRows(len(extra))
+	for i, r := range extra {
+		vals, cols := NewCSRFromDense([][]float64{r}).RowView(0)
+		m.SetRow(len(rows)+i, vals, cols)
+	}
+	rows = append(rows, extra...)
+	requireCSR(t, "AppendEmptyRows", m, rows)
+	for _, n := range []int{0, 1, 4, 7} {
+		cut := make([][]float64, len(rows))
+		for i, r := range rows {
+			cut[i] = r[:n]
+		}
+		requireCSR(t, "Prefix", m.Prefix(n), cut)
+	}
+	to := []int32{4, 8, 0, 2, 6, 1, 3} // old column j moves to to[j] of 9
+	moved := make([][]float64, len(rows))
+	for i, r := range rows {
+		moved[i] = make([]float64, 9)
+		for j, v := range r {
+			moved[i][to[j]] = v
+		}
+	}
+	m.RemapCols(to, 9)
+	requireCSR(t, "RemapCols", m, moved)
 }
 
 func TestCSRPanicsOnRagged(t *testing.T) {

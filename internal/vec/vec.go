@@ -6,9 +6,6 @@ package vec
 
 import "math"
 
-// Norm returns the Euclidean (L2) norm of a.
-func Norm(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
 // Clone returns a copy of a.
 func Clone(a []float64) []float64 {
 	out := make([]float64, len(a))

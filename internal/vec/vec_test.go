@@ -27,8 +27,8 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	v := []float64{3, 4}
-	if got := Norm(v); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
+	if got := NewCSRFromDense([][]float64{v}).RowNorm2(0); got != 25 {
+		t.Errorf("RowNorm2 = %v, want 25", got)
 	}
 }
 
@@ -78,10 +78,11 @@ func TestEuclideanTriangleInequality(t *testing.T) {
 	}
 }
 
-// Property: ||a|| = 0 iff a = 0 (up to sign of entries drawn).
+// Property: ||a|| = 0 iff a = 0 (up to sign of entries drawn), for the
+// cached norm of a CSR row.
 func TestNormZeroIffZero(t *testing.T) {
 	f := func(a [5]float64) bool {
-		n := Norm(a[:])
+		n := NewCSRFromDense([][]float64{a[:]}).RowNorm2(0)
 		allZero := true
 		for _, v := range a {
 			if v != 0 {

@@ -15,23 +15,25 @@ import (
 // Append, Matrix is bit-for-bit Build on that log (property:
 // Equivalent(live.Matrix(), rebuilt) == nil at every append boundary).
 //
-// Only the first matrix is Build on the log. After that an append
-// costs what the batch holds, plus one pass over the matrix when the
-// column layout or global weights moved:
+// Only the first matrix is Build on the log. After that both CSR
+// matrices, the raw counts and the weighted Rows, are kept in place,
+// and an append costs what the batch holds, plus one pass over the
+// nonzeros when the column layout or global weights moved:
 //
 //   - Live keeps every exam type's record count, adds the batch's to
 //     them and orders the columns by them as Build does. When that
-//     order changed (a ranking flip, or new exam types, which widen
-//     every row), the raw counts move to their new columns in place.
-//   - The batch's records are added to the raw counts, brand-new
-//     patients getting new rows.
+//     order changed (a ranking flip, or new exam types), the raw
+//     counts' column indices are remapped and each row re-sorted
+//     (vec.CSRMatrix.RemapCols); new exam types only widen Cols.
+//   - Brand-new patients are appended as rows, and every row the
+//     batch's records touch is spliced: its new counts replace it
+//     (vec.CSRMatrix.SetRow), moving the rows after it.
 //   - After a relayout, or always under TFIDF (whose idf terms are
-//     global in N and df), every row is re-weighed in place with
-//     Build's idf arithmetic, and the CSR view is recompressed.
-//     Otherwise only the rows the batch touched are re-weighed; a
-//     batch of brand-new patients only appends rows to the cached CSR
-//     view (vec.CSRMatrix.AppendDenseRows), and one that touched an
-//     existing row recompresses it.
+//     global in N and df), every row is re-weighed into the weighted
+//     matrix's own arrays with Build's idf arithmetic. Otherwise only
+//     the rows the batch touched are re-weighed and spliced. Under
+//     Count without normalization the two matrices are one, so there
+//     is nothing to re-weigh.
 //
 // Live is not safe for concurrent use; the owner serializes Append
 // against reads of Matrix and Log (stream.Dataset holds its own lock).
@@ -135,9 +137,6 @@ func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, rec
 		if err != nil {
 			return err
 		}
-		// Fire the once up front so Sparse() keeps returning the
-		// maintained pointer after in-place updates.
-		m.Sparse()
 		lv.mat, lv.keys = m, keys
 		return nil
 	}
@@ -152,78 +151,64 @@ func (lv *Live) Append(exams []dataset.ExamType, patients []dataset.Patient, rec
 		m.featureFreq[j] = lv.freq[k]
 	}
 	m.totalRecords = l.NumRecords()
-	d := len(keys)
 	for _, p := range l.Patients[oldPatients:] {
-		m.raw = append(m.raw, make([]float64, d))
-		m.Rows = append(m.Rows, make([]float64, d))
 		m.PatientIDs = append(m.PatientIDs, p.ID)
 	}
-	dirty := make(map[int32]bool)
+	shared := m.Rows == m.raw
+	m.raw.AppendEmptyRows(len(patients))
+	if !shared {
+		m.Rows.AppendEmptyRows(len(patients))
+	}
+	full := relayout || m.Opts.Weighting == TFIDF
+	// The batch's cells by patient: one splice per touched row.
+	cells := make([]uint64, len(records))
 	for i, p := range enc.Patient[oldRecords:] {
-		m.raw[p][column[enc.Exam[oldRecords+i]]]++
-		if int(p) < oldPatients {
-			dirty[p] = true
+		cells[i] = uint64(p)<<32 | uint64(column[enc.Exam[oldRecords+i]])
+	}
+	slices.Sort(cells)
+	var vals, wvals []float64
+	var cols, wcols []int32
+	for len(cells) > 0 {
+		p := int(cells[0] >> 32)
+		rv, rc := m.raw.RowView(p)
+		vals, cols = append(vals[:0], rv...), append(cols[:0], rc...)
+		for ; len(cells) > 0 && int(cells[0]>>32) == p; cells = cells[1:] {
+			c := int32(uint32(cells[0]))
+			j, found := slices.BinarySearch(cols, c)
+			if !found {
+				cols, vals = slices.Insert(cols, j, c), slices.Insert(vals, j, 0)
+			}
+			vals[j]++
+		}
+		m.raw.SetRow(p, vals, cols)
+		if !shared && !full {
+			wvals, wcols = weighRow(wvals[:0], wcols[:0], vals, cols, m.Opts, nil)
+			m.Rows.SetRow(p, wvals, wcols)
 		}
 	}
-	if relayout || m.Opts.Weighting == TFIDF {
+	if !shared && full {
 		weighInto(m.Rows, m.raw, m.Opts)
-		m.sparse = vec.NewCSRFromDense(m.Rows)
-		return nil
-	}
-
-	// The column layout and the weights are local: only rows the
-	// batch touched need new floats.
-	for i := oldPatients; i < len(m.Rows); i++ {
-		weighRowInto(m.Rows[i], m.raw[i], m.Opts, nil)
-	}
-	for p := range dirty {
-		weighRowInto(m.Rows[p], m.raw[p], m.Opts, nil)
-	}
-	if len(dirty) == 0 {
-		// Pure growth: extend the cached CSR view and its norms in
-		// place; existing rows' compressed storage is untouched.
-		m.Sparse().AppendDenseRows(m.Rows[oldPatients:])
-	} else {
-		// An existing row's nonzero pattern may have changed; CSR
-		// storage is not splice-able, so recompress (O(n·d), no
-		// record rescan).
-		m.sparse = vec.NewCSRFromDense(m.Rows)
 	}
 	return nil
 }
 
-// relayout moves the matrix to the column order keys in place: every
-// raw row's counts move to their exam's new column, and when new exam
-// types arrived the raw and weighted rows widen (moving to a new
-// backing array) and Features and the frequencies follow. The caller
-// refills the frequencies and re-weighs every row.
+// relayout moves the raw counts to the column order keys in place:
+// every column index moves to its exam's new column and each row is
+// re-sorted, new exam types widening the matrix, and Features and the
+// frequencies follow. The caller refills the frequencies and re-weighs
+// every row.
 func (lv *Live) relayout(enc *dataset.Encoded, keys []int32) {
 	m := lv.mat
 	d, was := len(keys), len(lv.keys)
-	column := make([]int, len(lv.freq))
+	column := make([]int32, len(lv.freq))
 	for j, k := range keys {
-		column[k] = j
+		column[k] = int32(j)
 	}
-	to := make([]int, was) // the new column of each old one
+	to := make([]int32, was) // the new column of each old one
 	for j, k := range lv.keys {
 		to[j] = column[k]
 	}
-	var rawBack, rowBack []float64
-	if d > was {
-		rawBack = make([]float64, len(m.raw)*d)
-		rowBack = make([]float64, len(m.raw)*d)
-	}
-	old := make([]float64, was)
-	for i, r := range m.raw {
-		copy(old, r)
-		if d > was {
-			m.raw[i], rawBack = rawBack[:d:d], rawBack[d:]
-			m.Rows[i], rowBack = rowBack[:d:d], rowBack[d:]
-		}
-		for j, v := range old {
-			m.raw[i][to[j]] = v
-		}
-	}
+	m.raw.RemapCols(to, d)
 	m.Features = m.Features[:0]
 	for _, k := range keys {
 		m.Features = append(m.Features, enc.ExamCodes[k])
@@ -233,12 +218,12 @@ func (lv *Live) relayout(enc *dataset.Encoded, keys []int32) {
 }
 
 // Equivalent reports whether two matrices are bit-for-bit identical in
-// every observable respect: ids, features, options, weighted rows, raw
-// counts, frequency metadata, and the CSR view including its cached
-// norms. It forces both CSR views. A nil return means equal; otherwise
-// the error names the first divergence. The live-maintenance property
-// tests use it to compare an incrementally grown view against Build on
-// the accumulated log at every append boundary.
+// every observable respect: ids, features, options, raw counts and
+// weighted rows as CSR (cached norms included), and frequency
+// metadata. A nil return means equal; otherwise the error names the
+// first divergence. The live-maintenance property tests use it to
+// compare an incrementally grown view against Build on the accumulated
+// log at every append boundary.
 func Equivalent(a, b *Matrix) error {
 	if !slices.Equal(a.PatientIDs, b.PatientIDs) {
 		return fmt.Errorf("vsm: patient ids differ")
@@ -258,50 +243,23 @@ func Equivalent(a, b *Matrix) error {
 				a.Features[j], a.featureFreq[j], b.featureFreq[j])
 		}
 	}
-	if err := rowsEqual("raw", a.raw, b.raw); err != nil {
-		return err
-	}
-	if err := rowsEqual("weighted", a.Rows, b.Rows); err != nil {
-		return err
-	}
-	sa, sb := a.Sparse(), b.Sparse()
-	if sa.Cols != sb.Cols || len(sa.RowPtr) != len(sb.RowPtr) ||
-		len(sa.ColIdx) != len(sb.ColIdx) || len(sa.Values) != len(sb.Values) {
-		return fmt.Errorf("vsm: CSR shapes differ")
-	}
-	for i := range sa.RowPtr {
-		if sa.RowPtr[i] != sb.RowPtr[i] {
-			return fmt.Errorf("vsm: CSR row pointer %d differs: %d vs %d", i, sa.RowPtr[i], sb.RowPtr[i])
+	for _, c := range []struct {
+		what   string
+		sa, sb *vec.CSRMatrix
+	}{{"raw", a.raw, b.raw}, {"weighted", a.Rows, b.Rows}} {
+		what, sa, sb := c.what, c.sa, c.sb
+		if sa.Cols != sb.Cols || !slices.Equal(sa.RowPtr, sb.RowPtr) {
+			return fmt.Errorf("vsm: %s shapes differ", what)
 		}
-	}
-	for p := range sa.ColIdx {
-		if sa.ColIdx[p] != sb.ColIdx[p] {
-			return fmt.Errorf("vsm: CSR column index %d differs", p)
+		for p := range sa.ColIdx {
+			if sa.ColIdx[p] != sb.ColIdx[p] || sa.Values[p] != sb.Values[p] {
+				return fmt.Errorf("vsm: %s nonzero %d differs: %v@%d vs %v@%d",
+					what, p, sa.Values[p], sa.ColIdx[p], sb.Values[p], sb.ColIdx[p])
+			}
 		}
-		if sa.Values[p] != sb.Values[p] {
-			return fmt.Errorf("vsm: CSR value %d differs: %v vs %v", p, sa.Values[p], sb.Values[p])
-		}
-	}
-	for i := 0; i < sa.NumRows(); i++ {
-		if sa.RowNorm2(i) != sb.RowNorm2(i) {
-			return fmt.Errorf("vsm: CSR row %d norm differs: %v vs %v", i, sa.RowNorm2(i), sb.RowNorm2(i))
-		}
-	}
-	return nil
-}
-
-func rowsEqual(what string, a, b [][]float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("vsm: %s row counts differ: %d vs %d", what, len(a), len(b))
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return fmt.Errorf("vsm: %s row %d widths differ", what, i)
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return fmt.Errorf("vsm: %s row %d col %d differs: %v vs %v",
-					what, i, j, a[i][j], b[i][j])
+		for i := range sa.NumRows() {
+			if sa.RowNorm2(i) != sb.RowNorm2(i) {
+				return fmt.Errorf("vsm: %s row %d norm differs: %v vs %v", what, i, sa.RowNorm2(i), sb.RowNorm2(i))
 			}
 		}
 	}

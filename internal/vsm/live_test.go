@@ -218,9 +218,9 @@ func TestLiveRejectsInvalidBatch(t *testing.T) {
 	}
 }
 
-// TestAppendDenseRowsMatchesConstruction: a CSR grown by appends equals
-// one built from the concatenated rows (exercised through the Live
-// pure-growth path too, but pinned here at the vec layer).
+// TestLiveCSRPointerStableOnPureGrowth: an append of brand-new
+// patients grows the maintained CSR matrix in place, and the result
+// equals Build on the accumulated log.
 func TestLiveCSRPointerStableOnPureGrowth(t *testing.T) {
 	full := smallLog(t, 9)
 	opts := Options{Weighting: Count, Normalization: NoNorm}
@@ -254,7 +254,7 @@ func TestLiveCSRPointerStableOnPureGrowth(t *testing.T) {
 	if err := live.Append(b1.exams, b1.patients, b1.records); err != nil {
 		t.Fatal(err)
 	}
-	before := live.Matrix().Sparse()
+	before := live.Matrix().Rows
 	beforeRows := live.Matrix()
 
 	// The new patients' records must not disturb the global frequency
@@ -281,8 +281,8 @@ func TestLiveCSRPointerStableOnPureGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if slices.Equal(beforeRows.Features, want.Features) && live.Matrix() == beforeRows {
-		if live.Matrix().Sparse() != before {
-			t.Error("pure-growth append reallocated the CSR view instead of extending it in place")
+		if live.Matrix().Rows != before {
+			t.Error("pure-growth append replaced the CSR matrix instead of extending it in place")
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestPropertyL2RowsUnitNorm(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		for _, row := range m.Rows {
+		for _, row := range m.Rows.Dense() {
 			norm := 0.0
 			for _, v := range row {
 				norm += v * v
@@ -128,6 +128,5 @@ func TestPropertyProjectPrefix(t *testing.T) {
 	}
 }
 
-// RawCounts exposes the underlying count rows (shared storage; callers
-// must not mutate).
-func (m *Matrix) RawCounts() [][]float64 { return m.raw }
+// RawCounts returns the raw count rows, densely.
+func (m *Matrix) RawCounts() [][]float64 { return m.raw.Dense() }

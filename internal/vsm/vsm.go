@@ -4,6 +4,13 @@
 // term weighting and row normalization. Features are ordered by
 // decreasing global frequency, which is exactly the order the
 // horizontal partial-mining strategy consumes (Section IV-B).
+//
+// The matrix is stored sparse from the start: patients have a few
+// dozen of the hundreds of exam types, so Build counts the records
+// straight into a vec.CSRMatrix, Project cuts each row at a column,
+// and Live splices rows in place. No step holds a dense patient ×
+// exam-type array, so memory grows with the records, not with
+// patients × exam types.
 package vsm
 
 import (
@@ -12,7 +19,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/vec"
@@ -83,19 +89,18 @@ type Options struct {
 
 // Matrix is the patient × exam-type matrix produced by Build. Features
 // are ordered by decreasing global frequency; rows follow patient
-// registration order.
+// registration order. The raw counts and the weighted Rows are both
+// CSR matrices, and under the default Count weighting without
+// normalization they are one matrix.
 type Matrix struct {
 	PatientIDs []string
 	Features   []string // exam codes, most frequent first
-	Rows       [][]float64
+	Rows       *vec.CSRMatrix
 	Opts       Options
 
-	raw          [][]float64 // raw counts, feature order as Features
-	featureFreq  []int       // global record count per feature
+	raw          *vec.CSRMatrix // raw counts, feature order as Features
+	featureFreq  []int          // global record count per feature
 	totalRecords int
-
-	sparseOnce sync.Once
-	sparse     *vec.CSRMatrix
 }
 
 // Build constructs the VSM matrix for a log.
@@ -122,30 +127,64 @@ func Build(l *dataset.Log, opts Options) (*Matrix, error) {
 		ids[i] = p.ID
 	}
 
-	raw := make([][]float64, len(ids))
-	backing := make([]float64, len(ids)*len(features))
-	for i := range raw {
-		raw[i], backing = backing[:len(features)], backing[len(features):]
-	}
+	// Count straight into CSR: bucket the records' columns by patient
+	// (a counting sort), sort each patient's bucket and collapse its
+	// repeats into counts, compacting the buckets in place.
+	n := len(ids)
+	rowPtr := make([]int, n+1)
 	for i, p := range enc.Patient {
 		if int(p) >= enc.NumPatients {
 			r := l.Records[i]
 			return nil, fmt.Errorf("vsm: record references unknown patient %q or exam %q",
 				r.PatientID, r.ExamCode)
 		}
-		raw[p][column[enc.Exam[i]]]++
+		rowPtr[p+1]++
 	}
+	for i := range n {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	colIdx := make([]int32, len(enc.Patient))
+	next := slices.Clone(rowPtr[:n])
+	for i, p := range enc.Patient {
+		colIdx[next[p]] = column[enc.Exam[i]]
+		next[p]++
+	}
+	nnz := 0
+	for i := range n {
+		bucket := colIdx[rowPtr[i]:rowPtr[i+1]]
+		slices.Sort(bucket)
+		for p := range bucket {
+			if p == 0 || bucket[p] != bucket[p-1] {
+				nnz++
+			}
+		}
+	}
+	values := make([]float64, 0, nnz)
+	for i := range n {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		rowPtr[i] = len(values)
+		for p := lo; p < hi; p++ {
+			if c := colIdx[p]; p > lo && c == colIdx[len(values)-1] {
+				values[len(values)-1]++
+			} else {
+				colIdx[len(values)] = c
+				values = append(values, 1)
+			}
+		}
+	}
+	rowPtr[n] = nnz
+	raw := &vec.CSRMatrix{Cols: len(features), RowPtr: rowPtr, ColIdx: colIdx[:nnz:nnz], Values: values}
+	raw.Renorm()
 
-	m := &Matrix{
+	return &Matrix{
 		PatientIDs:   ids,
 		Features:     features,
+		Rows:         weigh(raw, opts),
 		Opts:         opts,
 		raw:          raw,
 		featureFreq:  freq,
 		totalRecords: l.NumRecords(),
-	}
-	m.Rows = weigh(raw, opts)
-	return m, nil
+	}, nil
 }
 
 // addCounts grows freq, the record count of each exam key, to n keys
@@ -178,78 +217,74 @@ func featureOrder(enc *dataset.Encoded, keyFreq []int) []int32 {
 	return keys
 }
 
-// weigh applies weighting + normalization to a raw count matrix,
-// returning fresh rows.
-func weigh(raw [][]float64, opts Options) [][]float64 {
-	n := len(raw)
-	if n == 0 {
-		return nil
+// weigh applies weighting + normalization to a raw count matrix. Under
+// Count without normalization the weights are the counts, and the raw
+// matrix itself is returned; otherwise the weighted matrix is fresh.
+func weigh(raw *vec.CSRMatrix, opts Options) *vec.CSRMatrix {
+	if opts == (Options{}) {
+		return raw
 	}
-	d := len(raw[0])
-	rows := make([][]float64, n)
-	backing := make([]float64, n*d)
-	for i := range rows {
-		rows[i], backing = backing[:d], backing[d:]
+	w := &vec.CSRMatrix{
+		RowPtr: make([]int, 1, raw.NumRows()+1),
+		ColIdx: make([]int32, 0, len(raw.ColIdx)),
+		Values: make([]float64, 0, len(raw.Values)),
 	}
-	weighInto(rows, raw, opts)
-	return rows
+	weighInto(w, raw, opts)
+	return w
 }
 
-// weighInto writes every weighted row of raw, which holds at least one
-// row, into rows of the same shape. Build weighs fresh rows through it
-// and Live re-weighs its rows in place.
-func weighInto(rows, raw [][]float64, opts Options) {
+// weighInto rewrites w, reusing its arrays, as the weighted matrix of
+// raw, which holds at least one row. Build weighs fresh matrices
+// through it and Live re-weighs its matrix in place.
+func weighInto(w, raw *vec.CSRMatrix, opts Options) {
 	var idf []float64
 	if opts.Weighting == TFIDF {
-		n, d := len(raw), len(raw[0])
-		df := make([]int, d)
-		for _, r := range raw {
-			for j, v := range r {
-				if v > 0 {
-					df[j]++
-				}
-			}
+		df := make([]int, raw.Cols)
+		for _, j := range raw.ColIdx {
+			df[j]++
 		}
-		idf = make([]float64, d)
+		idf = make([]float64, raw.Cols)
 		for j, c := range df {
 			if c > 0 {
-				idf[j] = math.Log(float64(n) / float64(c))
+				idf[j] = math.Log(float64(raw.NumRows()) / float64(c))
 			}
 		}
 	}
-	for i, r := range raw {
-		weighRowInto(rows[i], r, opts, idf)
+	w.Cols, w.RowPtr, w.ColIdx, w.Values = raw.Cols, w.RowPtr[:1], w.ColIdx[:0], w.Values[:0]
+	for i := range raw.NumRows() {
+		rv, rc := raw.RowView(i)
+		w.Values, w.ColIdx = weighRow(w.Values, w.ColIdx, rv, rc, opts, idf)
+		w.RowPtr = append(w.RowPtr, len(w.Values))
 	}
+	w.Renorm()
 }
 
-// weighRowInto applies weighting + normalization to a single raw row,
-// writing every cell of out (len(out) == len(r)), so a row re-weighed
-// in place keeps nothing of its old values. idf is consulted only for
-// TFIDF. The batch transform and the live incremental maintenance path
-// (Live) both run every row through this one function, so per-row
-// arithmetic — including the column order of the norm sums — is
-// bit-for-bit identical by construction.
-func weighRowInto(out, r []float64, opts Options, idf []float64) {
-	for j, v := range r {
+// weighRow appends the weighted nonzeros of one raw row (the counts rv
+// at the columns rc) to vals and cols. A weight that comes out zero —
+// the idf of an exam every patient had — is left out. idf is consulted
+// only for TFIDF. The batch transform and the live incremental
+// maintenance path (Live) both run every row through this one
+// function, so per-row arithmetic — including the column order of the
+// norm sums — is bit-for-bit identical by construction.
+func weighRow(vals []float64, cols []int32, rv []float64, rc []int32, opts Options, idf []float64) ([]float64, []int32) {
+	start := len(vals)
+	for p, v := range rv {
 		switch opts.Weighting {
-		case Count:
-			out[j] = v
 		case Binary:
-			out[j] = 0
-			if v > 0 {
-				out[j] = 1
-			}
+			v = 1
 		case LogCount:
-			out[j] = math.Log1p(v)
+			v = math.Log1p(v)
 		case TFIDF:
-			out[j] = v * idf[j]
+			v *= idf[rc[p]]
 		}
+		vals = append(vals, v)
 	}
+	out := vals[start:]
 	switch opts.Normalization {
 	case L2:
 		s := 0.0
 		for _, v := range out {
-			s += v * v
+			s += float64(v * v)
 		}
 		if s > 0 {
 			inv := 1 / math.Sqrt(s)
@@ -268,10 +303,19 @@ func weighRowInto(out, r []float64, opts Options, idf []float64) {
 			}
 		}
 	}
+	n := start
+	for p, v := range out {
+		if v != 0 {
+			vals[n] = v
+			cols = append(cols, rc[p])
+			n++
+		}
+	}
+	return vals[:n], cols
 }
 
 // NumRows reports the number of patients.
-func (m *Matrix) NumRows() int { return len(m.Rows) }
+func (m *Matrix) NumRows() int { return m.Rows.NumRows() }
 
 // NumFeatures reports the number of exam-type columns.
 func (m *Matrix) NumFeatures() int { return len(m.Features) }
@@ -309,15 +353,15 @@ func (m *Matrix) FeaturesForCoverage(target float64) int {
 	return len(m.featureFreq)
 }
 
-// Project returns a Matrix restricted to the first n features,
-// re-deriving weighting and normalization from the raw counts so that
-// e.g. IDF and row norms are consistent with the reduced space. All
-// patients are retained (the paper's horizontal strategy keeps the
-// total number of patients). When n keeps every feature, re-deriving
-// would reproduce m exactly, so Project returns m itself, and its
-// cached sparse view with it. That sharing is sound because Rows are
-// immutable after Build and Project; nothing projects a Live matrix,
-// whose rows change in place.
+// Project returns a Matrix restricted to the first n features: each
+// row is cut at its first column at or past n, and weighting and
+// normalization are re-derived from the raw counts so that e.g. IDF
+// and row norms are consistent with the reduced space. All patients
+// are retained (the paper's horizontal strategy keeps the total number
+// of patients). When n keeps every feature, re-deriving would
+// reproduce m exactly, so Project returns m itself. That sharing is
+// sound because a built matrix is never written; nothing projects a
+// Live matrix, which changes in place.
 func (m *Matrix) Project(n int) *Matrix {
 	if n <= 0 {
 		n = 1
@@ -325,45 +369,23 @@ func (m *Matrix) Project(n int) *Matrix {
 	if n >= m.NumFeatures() {
 		return m
 	}
-	raw := make([][]float64, len(m.raw))
-	for i, r := range m.raw {
-		raw[i] = r[:n:n]
-	}
-	out := &Matrix{
+	raw := m.raw.Prefix(n)
+	return &Matrix{
 		PatientIDs:   m.PatientIDs,
 		Features:     m.Features[:n:n],
+		Rows:         weigh(raw, m.Opts),
 		Opts:         m.Opts,
 		raw:          raw,
 		featureFreq:  m.featureFreq[:n:n],
 		totalRecords: m.totalRecords,
 	}
-	out.Rows = weigh(raw, m.Opts)
-	return out
-}
-
-// Sparse returns the CSR view of Rows, built once on first use and
-// cached (Rows are immutable after Build/Project; Live keeps its view
-// in step). The clustering pipeline hands this shared view to the
-// sparse K-means kernel so the whole Table I sweep compresses the
-// matrix exactly once.
-func (m *Matrix) Sparse() *vec.CSRMatrix {
-	m.sparseOnce.Do(func() { m.sparse = vec.NewCSRFromDense(m.Rows) })
-	return m.sparse
 }
 
 // Sparsity returns the fraction of zero cells in the raw count matrix.
 func (m *Matrix) Sparsity() float64 {
-	cells, zeros := 0, 0
-	for _, r := range m.raw {
-		cells += len(r)
-		for _, v := range r {
-			if v == 0 {
-				zeros++
-			}
-		}
-	}
+	cells := m.raw.NumRows() * m.raw.Cols
 	if cells == 0 {
 		return 0
 	}
-	return float64(zeros) / float64(cells)
+	return float64(cells-len(m.raw.Values)) / float64(cells)
 }

@@ -59,46 +59,46 @@ func TestBuildCountMatrix(t *testing.T) {
 		}
 	}
 	// P1: B=2, A=1, C=0.
-	if m.Rows[0][0] != 2 || m.Rows[0][1] != 1 || m.Rows[0][2] != 0 {
-		t.Errorf("P1 row = %v", m.Rows[0])
+	if m.Rows.Dense()[0][0] != 2 || m.Rows.Dense()[0][1] != 1 || m.Rows.Dense()[0][2] != 0 {
+		t.Errorf("P1 row = %v", m.Rows.Dense()[0])
 	}
 	// P2: B=1, A=1, C=1.
-	if m.Rows[1][0] != 1 || m.Rows[1][1] != 1 || m.Rows[1][2] != 1 {
-		t.Errorf("P2 row = %v", m.Rows[1])
+	if m.Rows.Dense()[1][0] != 1 || m.Rows.Dense()[1][1] != 1 || m.Rows.Dense()[1][2] != 1 {
+		t.Errorf("P2 row = %v", m.Rows.Dense()[1])
 	}
 }
 
 func TestBuildBinary(t *testing.T) {
 	m, _ := Build(vsmLog(t), Options{Weighting: Binary})
-	if m.Rows[0][0] != 1 || m.Rows[0][2] != 0 {
-		t.Errorf("binary row = %v", m.Rows[0])
+	if m.Rows.Dense()[0][0] != 1 || m.Rows.Dense()[0][2] != 0 {
+		t.Errorf("binary row = %v", m.Rows.Dense()[0])
 	}
 }
 
 func TestBuildLogCount(t *testing.T) {
 	m, _ := Build(vsmLog(t), Options{Weighting: LogCount})
 	want := math.Log1p(2)
-	if math.Abs(m.Rows[0][0]-want) > 1e-12 {
-		t.Errorf("logcount = %v, want %v", m.Rows[0][0], want)
+	if math.Abs(m.Rows.Dense()[0][0]-want) > 1e-12 {
+		t.Errorf("logcount = %v, want %v", m.Rows.Dense()[0][0], want)
 	}
 }
 
 func TestBuildTFIDF(t *testing.T) {
 	m, _ := Build(vsmLog(t), Options{Weighting: TFIDF})
 	// B and A appear for both patients → idf = ln(2/2) = 0.
-	if m.Rows[0][0] != 0 || m.Rows[0][1] != 0 {
-		t.Errorf("idf of ubiquitous exams should zero them: %v", m.Rows[0])
+	if m.Rows.Dense()[0][0] != 0 || m.Rows.Dense()[0][1] != 0 {
+		t.Errorf("idf of ubiquitous exams should zero them: %v", m.Rows.Dense()[0])
 	}
 	// C appears only for P2 → idf = ln 2.
 	want := math.Log(2)
-	if math.Abs(m.Rows[1][2]-want) > 1e-12 {
-		t.Errorf("tfidf C = %v, want %v", m.Rows[1][2], want)
+	if math.Abs(m.Rows.Dense()[1][2]-want) > 1e-12 {
+		t.Errorf("tfidf C = %v, want %v", m.Rows.Dense()[1][2], want)
 	}
 }
 
 func TestL2Normalization(t *testing.T) {
 	m, _ := Build(vsmLog(t), Options{Weighting: Count, Normalization: L2})
-	for i, r := range m.Rows {
+	for i, r := range m.Rows.Dense() {
 		n := 0.0
 		for _, v := range r {
 			n += v * v
@@ -111,7 +111,7 @@ func TestL2Normalization(t *testing.T) {
 
 func TestL1Normalization(t *testing.T) {
 	m, _ := Build(vsmLog(t), Options{Weighting: Count, Normalization: L1})
-	for i, r := range m.Rows {
+	for i, r := range m.Rows.Dense() {
 		s := 0.0
 		for _, v := range r {
 			s += math.Abs(v)
@@ -158,7 +158,7 @@ func TestProjectKeepsPatientsReducesFeatures(t *testing.T) {
 		t.Errorf("Project features = %v, want the first two of %v, without C", p.Features, m.Features)
 	}
 	// Normalization must be recomputed in the reduced space.
-	for i, r := range p.Rows {
+	for i, r := range p.Rows.Dense() {
 		n := 0.0
 		for _, v := range r {
 			n += v * v
@@ -219,47 +219,12 @@ func TestRowSumsMatchRecordCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for _, r := range m.Rows {
+	for _, r := range m.Rows.Dense() {
 		for _, v := range r {
 			total += v
 		}
 	}
 	if int(total) != log.NumRecords() {
 		t.Errorf("matrix mass = %v, want %d records", total, log.NumRecords())
-	}
-}
-
-func TestSparseViewMatchesRowsAndIsCached(t *testing.T) {
-	log, err := synth.Generate(synth.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Build(log, Options{Weighting: Count, Normalization: L2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr := m.Sparse()
-	if csr != m.Sparse() {
-		t.Error("Sparse() rebuilt the CSR view instead of caching it")
-	}
-	if csr.NumRows() != m.NumRows() || csr.NumCols() != m.NumFeatures() {
-		t.Fatalf("CSR shape %dx%d, want %dx%d",
-			csr.NumRows(), csr.NumCols(), m.NumRows(), m.NumFeatures())
-	}
-	back := csr.Dense()
-	for i := range m.Rows {
-		for j := range m.Rows[i] {
-			if back[i][j] != m.Rows[i][j] {
-				t.Fatalf("CSR cell (%d,%d) = %v, want %v", i, j, back[i][j], m.Rows[i][j])
-			}
-		}
-	}
-	// A projection carries its own independent cached view.
-	sub := m.Project(3)
-	if sub.Sparse() == csr {
-		t.Error("projection shares the parent's CSR view")
-	}
-	if sub.Sparse().NumCols() != 3 {
-		t.Errorf("projected CSR cols = %d, want 3", sub.Sparse().NumCols())
 	}
 }
