@@ -20,7 +20,13 @@ import "fmt"
 // so every kernel (lloyd, dense-lloyd, sparse-lloyd, minibatch) sees
 // exactly the arithmetic it saw before the unroll — the speedup comes
 // from eliminated bounds checks and amortized loop overhead, never
-// from a reassociated reduction.
+// from a reassociated reduction. Every product is converted
+// explicitly (float64(a * b)) before it is added, which forbids the
+// compiler from fusing the pair into one multiply-add on the
+// architectures that have one (arm64, ppc64, s390x): a fused and an
+// unfused sum round differently, and the sparse and dense kernels
+// must round alike on every architecture. scripts/check_fma.sh
+// enforces it.
 
 // Dot returns the inner product of a and b. It panics if the lengths
 // differ, since that is always a programming error.
@@ -30,15 +36,15 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for len(a) >= 4 && len(b) >= 4 {
-		s += a[0] * b[0]
-		s += a[1] * b[1]
-		s += a[2] * b[2]
-		s += a[3] * b[3]
+		s += float64(a[0] * b[0])
+		s += float64(a[1] * b[1])
+		s += float64(a[2] * b[2])
+		s += float64(a[3] * b[3])
 		a = a[4:]
 		b = b[4:]
 	}
 	for len(a) > 0 && len(b) > 0 {
-		s += a[0] * b[0]
+		s += float64(a[0] * b[0])
 		a = a[1:]
 		b = b[1:]
 	}
@@ -53,19 +59,19 @@ func SquaredEuclidean(a, b []float64) float64 {
 	s := 0.0
 	for len(a) >= 4 && len(b) >= 4 {
 		d0 := a[0] - b[0]
-		s += d0 * d0
+		s += float64(d0 * d0)
 		d1 := a[1] - b[1]
-		s += d1 * d1
+		s += float64(d1 * d1)
 		d2 := a[2] - b[2]
-		s += d2 * d2
+		s += float64(d2 * d2)
 		d3 := a[3] - b[3]
-		s += d3 * d3
+		s += float64(d3 * d3)
 		a = a[4:]
 		b = b[4:]
 	}
 	for len(a) > 0 && len(b) > 0 {
 		d := a[0] - b[0]
-		s += d * d
+		s += float64(d * d)
 		a = a[1:]
 		b = b[1:]
 	}
@@ -104,15 +110,15 @@ func SparseDot(vals []float64, cols []int32, dense []float64) float64 {
 	}
 	s := 0.0
 	for len(vals) >= 4 && len(cols) >= 4 {
-		s += vals[0] * dense[cols[0]]
-		s += vals[1] * dense[cols[1]]
-		s += vals[2] * dense[cols[2]]
-		s += vals[3] * dense[cols[3]]
+		s += float64(vals[0] * dense[cols[0]])
+		s += float64(vals[1] * dense[cols[1]])
+		s += float64(vals[2] * dense[cols[2]])
+		s += float64(vals[3] * dense[cols[3]])
 		vals = vals[4:]
 		cols = cols[4:]
 	}
 	for len(vals) > 0 && len(cols) > 0 {
-		s += vals[0] * dense[cols[0]]
+		s += float64(vals[0] * dense[cols[0]])
 		vals = vals[1:]
 		cols = cols[1:]
 	}
