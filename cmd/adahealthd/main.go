@@ -13,7 +13,7 @@
 //	GET    /v1/analyses/{id}/events  live progress as Server-Sent Events (closes after the terminal event)
 //	DELETE /v1/analyses/{id}         cancel the job
 //	GET    /v1/knowledge             K-DB knowledge items (?dataset=, ?metric=, ?limit=)
-//	GET    /v1/datasets/{id}/similar statistically similar datasets from the K-DB
+//	GET    /v1/datasets/{id}/similar datasets similar to {id}; 404 until an analysis of {id} completes or {id} registers live
 //	PUT    /v1/datasets/{id}         register a live (streaming) dataset; 201, 409 if the name is taken
 //	POST   /v1/datasets/{id}/visits  append a visit batch to a live dataset; 202 + revision, 503 when not durable
 //	GET    /v1/datasets/{id}         live model status, drift gauge, last full-analysis report id

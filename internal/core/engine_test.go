@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"adahealth/internal/dataset"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
+	"adahealth/internal/obs"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 	"adahealth/internal/synth"
@@ -123,6 +125,44 @@ func TestAnalyzePopulatesKDB(t *testing.T) {
 	}
 	if counts[kdb.CollPatternKI] == 0 {
 		t.Error("no pattern knowledge stored")
+	}
+}
+
+// TestAnalysisIsOneWALCommit: a completed analysis writes the K-DB
+// once. Its knowledge items and then its descriptor, last, are one
+// group commit on a durable K-DB, counted as
+// docstore_wal_commit_seconds observations, which the benchmark's
+// docstore.fsyncs_per_op reads.
+func TestAnalysisIsOneWALCommit(t *testing.T) {
+	cfg := testConfig()
+	cfg.KDBDir = t.TempDir()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.KDB().Close()
+	store := e.KDB().Store()
+	commits := func() float64 { return obs.Default().Value("docstore_wal_commit_seconds") }
+	commits0, before := commits(), store.ReplStatus()
+	rep, err := e.Analyze(smallLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := len(rep.ClusterItems) + len(rep.PatternItems) + len(rep.RuleItems)
+	frames := store.ReplStatus().Frames - before.Frames
+	if n := commits() - commits0; n != 1 || frames != int64(items+1) {
+		t.Fatalf("analysis wrote %d WAL frames in %v commits, want its %d items and a descriptor in 1", frames, n, items)
+	}
+	r, err := store.WALReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _, err := r.Read(before.Epoch, before.Offset, 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, k := bytes.Index(raw, []byte(`"c":"descriptors"`)), bytes.LastIndex(raw, []byte(`"c":"knowledge_`)); d < 0 || d < k {
+		t.Fatalf("descriptor frame at byte %d, last knowledge frame at %d: want the descriptor last", d, k)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"adahealth/internal/faultfs"
 	"adahealth/internal/kdb"
 	"adahealth/internal/slots"
+	"adahealth/internal/stats"
 )
 
 // panicStage panics on every run.
@@ -258,10 +259,13 @@ func TestAnalyzeDegradedKDBOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every WAL append fails from here: the first pipeline write breaks
-	// the store, the breaker trips offline, and the rest of the
-	// analysis runs against a refusing K-DB.
+	// Every WAL append fails from here: one write breaks the store and
+	// the breaker trips offline, so the whole analysis runs against a
+	// refusing K-DB (its own one write comes last, after recall).
 	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
+	if err := k.StoreAnalysis(stats.Descriptor{DatasetName: "broken"}, nil); err == nil {
+		t.Fatal("write over a failing WAL succeeded")
+	}
 
 	log := seededLog(t, 3)
 	rep, err := e.Analyze(log)

@@ -16,7 +16,8 @@ import (
 // writeOlderBuildDocs inserts what an older build wrote for one
 // analysis beside the knowledge this one still stores: one stage_traces
 // document per stage, the transformed summary, the raw log in
-// raw_datasets, and recall's hit/miss row in feedback.
+// raw_datasets, recall's hit/miss row in feedback, and a live_datasets
+// control record whose baseline is the analysis' descriptor.
 func writeOlderBuildDocs(t *testing.T, k *kdb.KDB, log *dataset.Log, rep *Report) {
 	t.Helper()
 	insert := func(coll string, v any, extra map[string]any) {
@@ -41,6 +42,7 @@ func writeOlderBuildDocs(t *testing.T, k *kdb.KDB, log *dataset.Log, rep *Report
 	}
 	insert("transformed", rep.Transformed, nil)
 	insert("raw_datasets", log, map[string]any{"name": log.Name})
+	insert("live_datasets", map[string]any{"_id": "live:" + log.Name, "dataset": log.Name, "baseline": rep.Descriptor}, nil)
 	interest := knowledge.InterestLow
 	if rep.Recall.Hit {
 		interest = knowledge.InterestHigh
@@ -53,8 +55,8 @@ func writeOlderBuildDocs(t *testing.T, k *kdb.KDB, log *dataset.Log, rep *Report
 
 // TestOlderBuildDocumentsChangeNothing: a durable K-DB that also holds
 // what older builds wrote and this one does not — stage traces,
-// transformed summaries, raw datasets, recall's hit/miss feedback rows
-// — reopens under this build, and every read of the store answers as
+// transformed summaries, raw datasets, recall's hit/miss feedback rows,
+// live-dataset control records — reopens under this build, and every read of the store answers as
 // it does for the same store without those documents: the next
 // analysis' Report (recall outcome and end-goal recommendations
 // included), TopKnowledge and GoalFeedback.
@@ -140,7 +142,7 @@ func TestOlderBuildDocumentsChangeNothing(t *testing.T) {
 
 	want, _ := read(build(false))
 	got, k := read(build(true))
-	for _, coll := range []string{"stage_traces", "transformed", "raw_datasets"} {
+	for _, coll := range []string{"stage_traces", "transformed", "raw_datasets", "live_datasets"} {
 		if k.Store().Collection(coll).Count() == 0 {
 			t.Errorf("reopened store lost its older %s documents", coll)
 		}
@@ -167,7 +169,7 @@ func TestOlderBuildDocumentsChangeNothing(t *testing.T) {
 	}
 	slices.Sort(names)
 	wantNames := []string{kdb.CollDescriptors, kdb.CollFeedback, kdb.CollClusterKI,
-		kdb.CollPatternKI, kdb.CollLiveAppends, kdb.CollLiveDatasets}
+		kdb.CollPatternKI, kdb.CollLiveAppends}
 	slices.Sort(wantNames)
 	if !slices.Equal(names, wantNames) {
 		t.Errorf("Counts names %v, want %v", names, wantNames)

@@ -107,10 +107,11 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 		return err
 	}
 	// Rank everything (limit 0): MaxSources bounds datasets that
-	// actually contribute knowledge, so descriptor-only entries (an
-	// analysis that failed before clustering) or in-flight siblings
-	// must not occupy the slots of usable sources ranked below them.
-	hits, err := e.kdb.SimilarDatasets(s.rep.Descriptor, s.descriptorDocID, 0)
+	// actually contribute knowledge, so descriptor-only entries (a live
+	// registration, or an older build's failed analysis) or in-flight
+	// siblings must not occupy the slots of usable sources ranked below
+	// them. This analysis's own descriptor is not stored yet.
+	hits, err := e.kdb.SimilarDatasets(s.rep.Descriptor, "", 0)
 	if err != nil {
 		// Soft: a K-DB that cannot be read degrades recall to the cold
 		// path — bit-for-bit the pipeline with no prior knowledge —

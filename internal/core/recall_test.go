@@ -13,6 +13,7 @@ import (
 	"adahealth/internal/obs"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
+	"adahealth/internal/stats"
 )
 
 // recallConfig is a test pipeline configuration with a K grid wide
@@ -78,7 +79,7 @@ func TestRecallWarmStartsSimilarDataset(t *testing.T) {
 	for _, name := range []string{"ghost-1", "ghost-2", "ghost-3"} {
 		d := repA.Descriptor
 		d.DatasetName = name
-		if _, err := ghost.StoreDescriptor(d); err != nil {
+		if err := ghost.StoreAnalysis(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,6 +163,11 @@ func TestRecallCountsOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
+	// The analysis' one write comes after recall, so break the store
+	// first.
+	if err := k.StoreAnalysis(stats.Descriptor{DatasetName: "broken"}, nil); err == nil {
+		t.Fatal("write over a failing WAL succeeded")
+	}
 	analyze("fallback", offline, log)
 }
 

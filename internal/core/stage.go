@@ -53,7 +53,7 @@ type Stage interface {
 
 // State keys wiring the built-in pipeline DAG.
 const (
-	keyDescriptor = "descriptor"      // statistical characterization (stored in K-DB)
+	keyDescriptor = "descriptor"      // statistical characterization
 	keyRecall     = "recall"          // prior-knowledge hints recalled from the K-DB
 	keyMatrix     = "matrix"          // VSM-transformed patient matrix
 	keyWorking    = "working"         // partial-mining projection of the matrix
@@ -61,7 +61,7 @@ const (
 	keyClustering = "clustering"      // final clustering + cluster knowledge items
 	keyPatterns   = "patterns"        // pattern + rule knowledge items
 	keyDemand     = "demand"          // monthly demand series
-	keyKnowledge  = "knowledge"       // knowledge items persisted to the K-DB
+	keyKnowledge  = "knowledge"       // descriptor + knowledge items persisted to the K-DB
 	keyEndGoals   = "recommendations" // end-goal recommendations
 	keyRanked     = "ranked"          // final ranked knowledge list
 )
@@ -78,10 +78,6 @@ type pipelineState struct {
 	matrix  *vsm.Matrix // produced by transform
 	working *vsm.Matrix // produced by partialmine
 
-	// descriptorDocID is the K-DB document ID of this analysis's own
-	// just-stored descriptor (produced by characterize), which the
-	// recall stage excludes so an analysis never recalls itself.
-	descriptorDocID string
 	// recallHints is the recall stage's retrieved prior knowledge
 	// (nil on a miss or when recall is disabled — the cold path).
 	recallHints *recallHints
@@ -152,14 +148,15 @@ func (f *funcStage) Run(ctx context.Context, s *pipelineState) error {
 // valid declaration order (the order of the paper's Figure 1
 // narrative):
 //
-//	characterize ─────────────┬──────────────────────────┐
-//	transform → partialmine → sweep → cluster ─┐         │
-//	patterns ──────────────────────────────────┼→ store → endgoals
-//	demand                                     └→ rank
+//	characterize ─┬─ recall ──────────┐
+//	transform → partialmine ──────────┴ sweep → cluster ┐
+//	patterns ───────────────────────────────────────────┼→ store → endgoals
+//	demand                                              └→ rank
 //
 // characterize, transform, patterns and demand are roots and run
 // concurrently; sweep overlaps with patterns; rank and endgoals join
-// the branches.
+// the branches. store is the analysis's one K-DB write (descriptor and
+// items), so an analysis that fails before it stores nothing.
 func (e *Engine) pipelineStages() []Stage {
 	return []Stage{
 		&funcStage{
@@ -211,7 +208,7 @@ func (e *Engine) pipelineStages() []Stage {
 		},
 		&funcStage{
 			name:    "store-knowledge",
-			inputs:  []string{keyClustering, keyPatterns},
+			inputs:  []string{keyDescriptor, keyClustering, keyPatterns},
 			outputs: []string{keyKnowledge},
 			run:     e.runStoreKnowledge,
 		},
@@ -237,16 +234,6 @@ func (e *Engine) pipelineStages() []Stage {
 
 func (e *Engine) runCharacterize(ctx context.Context, s *pipelineState) error {
 	s.rep.Descriptor = stats.Characterize(s.log)
-	id, err := e.kdb.StoreDescriptor(s.rep.Descriptor)
-	if err != nil {
-		// Soft: a refused or failed descriptor write degrades the
-		// self-learning loop (this run leaves no trace for future
-		// recalls), never the analysis. descriptorDocID stays empty —
-		// nothing was stored, so recall has nothing to exclude.
-		s.noteDrop("store descriptor", err)
-		return nil
-	}
-	s.descriptorDocID = id
 	return nil
 }
 
@@ -363,10 +350,11 @@ func (e *Engine) runDemand(ctx context.Context, s *pipelineState) error {
 }
 
 func (e *Engine) runStoreKnowledge(ctx context.Context, s *pipelineState) error {
-	if err := e.kdb.StoreKnowledgeItems(s.allItems()); err != nil {
-		// Soft: the extracted knowledge is still in the Report; only
-		// its persistence for future analyses was shed.
-		s.noteDrop("store knowledge items", err)
+	if err := e.kdb.StoreAnalysis(s.rep.Descriptor, s.allItems()); err != nil {
+		// Soft: the descriptor and the extracted knowledge are still in
+		// the Report; only their persistence for future analyses was
+		// shed.
+		s.noteDrop("store analysis", err)
 	}
 	return nil
 }

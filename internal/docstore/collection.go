@@ -45,10 +45,6 @@ func newCollection(store *Store, name string) *Collection {
 // visible and the store latches broken (see ErrStoreBroken).
 func (c *Collection) Insert(doc any) (string, error) { return c.put(doc, putInsert) }
 
-// Upsert stores doc under its _id (see Batch.Upsert) and returns the
-// ID once the write is durably logged.
-func (c *Collection) Upsert(doc any) (string, error) { return c.put(doc, putUpsert) }
-
 // put is a one-element batch of Batch.put, preferring the mutation's
 // own error to the commit's.
 func (c *Collection) put(doc any, mode putMode) (string, error) {

@@ -402,3 +402,7 @@ func TestGeneratedIDIsLastMember(t *testing.T) {
 		}
 	}
 }
+
+// Upsert is a one-element Batch.Upsert, which tests use to write one
+// document in place; the K-DB upserts only inside its batches.
+func (c *Collection) Upsert(doc any) (string, error) { return c.put(doc, putUpsert) }

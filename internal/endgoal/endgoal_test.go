@@ -117,7 +117,7 @@ func TestPriorsPreferExploratoryGoals(t *testing.T) {
 // base loves adverse-event monitoring and dislikes patient grouping.
 func seedFeedback(t *testing.T, k *kdb.KDB, d stats.Descriptor, n int) {
 	t.Helper()
-	if _, err := k.StoreDescriptor(d); err != nil {
+	if err := k.StoreAnalysis(d, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -220,7 +220,7 @@ func TestGoalFeedbackTrainsLikeFullScan(t *testing.T) {
 		d.DatasetName = name
 		d.NumPatients /= i + 1
 		d.NumVisits /= 2*i + 1
-		if _, err := k.StoreDescriptor(d); err != nil {
+		if err := k.StoreAnalysis(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

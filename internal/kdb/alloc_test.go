@@ -13,10 +13,9 @@ import (
 
 // TestAppendLiveBatchAllocs pins what a stored document costs on the
 // write path of a NoSync durable K-DB: a 300-patient registration
-// batch allocates at most 3× its marshalled size, and a control-record
-// upsert at most 4× its own — one marshal, the WAL frame and the
-// store's bookkeeping, where a map-shaped store paid about 17× for the
-// batch.
+// batch allocates at most 3× its marshalled size, and a descriptor at
+// most 4× its own — one marshal, the WAL frame and the store's
+// bookkeeping, where a map-shaped store paid about 17× for the batch.
 func TestAppendLiveBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what a write allocates")
@@ -57,9 +56,8 @@ func TestAppendLiveBatchAllocs(t *testing.T) {
 		b.Dataset = fmt.Sprintf("ward-%d", i)
 		return k.AppendLiveBatch(b)
 	})
-	st := LiveDatasetState{Dataset: "ward-0", Baseline: &desc}
-	check("a control-record upsert", st, 4, func(int) error {
-		return k.StoreLiveDataset(st)
+	check("a descriptor", desc, 4, func(int) error {
+		return k.StoreAnalysis(desc, nil)
 	})
 }
 

@@ -26,7 +26,7 @@ func TestBreakerOfflineOnBrokenStore(t *testing.T) {
 	}
 	defer k.Close()
 
-	if _, err := k.StoreDescriptor(testDescriptor("a")); err != nil {
+	if err := k.StoreAnalysis(testDescriptor("a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if h := k.Health(); h.Mode != ModeHealthy {
@@ -34,7 +34,7 @@ func TestBreakerOfflineOnBrokenStore(t *testing.T) {
 	}
 
 	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
-	if _, err := k.StoreDescriptor(testDescriptor("b")); !errors.Is(err, docstore.ErrStoreBroken) {
+	if err := k.StoreAnalysis(testDescriptor("b"), nil); !errors.Is(err, docstore.ErrStoreBroken) {
 		t.Fatalf("write over broken WAL = %v, want ErrStoreBroken", err)
 	}
 
@@ -42,7 +42,7 @@ func TestBreakerOfflineOnBrokenStore(t *testing.T) {
 	if h.Mode != ModeOffline || h.Reason == "" {
 		t.Fatalf("health after broken store = %+v, want offline with reason", h)
 	}
-	if _, err := k.StoreDescriptor(testDescriptor("c")); !errors.Is(err, ErrOffline) {
+	if err := k.StoreAnalysis(testDescriptor("c"), nil); !errors.Is(err, ErrOffline) {
 		t.Fatalf("write while offline = %v, want ErrOffline", err)
 	}
 	if _, err := k.Descriptors(); !errors.Is(err, ErrOffline) {
@@ -77,7 +77,7 @@ func TestBreakerReadOnlyTripAndRecover(t *testing.T) {
 	k.br.threshold = 2
 	k.br.cooldown = 10 * time.Millisecond
 
-	if _, err := k.StoreDescriptor(testDescriptor("a")); err != nil {
+	if err := k.StoreAnalysis(testDescriptor("a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.StoreKnowledgeItems([]knowledge.Item{{
@@ -105,7 +105,7 @@ func TestBreakerReadOnlyTripAndRecover(t *testing.T) {
 	if _, _, ok := k.LatestDescriptor("a"); !ok {
 		t.Fatal("LatestDescriptor refused while read-only")
 	}
-	if _, err := k.StoreDescriptor(testDescriptor("b")); !errors.Is(err, ErrReadOnly) {
+	if err := k.StoreAnalysis(testDescriptor("b"), nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("write while read-only = %v, want ErrReadOnly", err)
 	}
 	if got := k.Health().DroppedWrites; got != 1 {
@@ -127,7 +127,7 @@ func TestBreakerReadOnlyTripAndRecover(t *testing.T) {
 	if h := k.Health(); h.Mode != ModeHealthy || h.ConsecutiveFlushFailures != 0 {
 		t.Fatalf("health after recovery = %+v, want healthy", h)
 	}
-	if _, err := k.StoreDescriptor(testDescriptor("b")); err != nil {
+	if err := k.StoreAnalysis(testDescriptor("b"), nil); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestBreakerProbeFailureStaysOpen(t *testing.T) {
 	k.br.threshold = 1
 	k.br.cooldown = 5 * time.Millisecond
 
-	if _, err := k.StoreDescriptor(testDescriptor("a")); err != nil {
+	if err := k.StoreAnalysis(testDescriptor("a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: ".json.tmp", Err: faultfs.ENOSPC()})

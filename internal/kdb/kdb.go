@@ -11,12 +11,13 @@
 //  5. knowledge_pattern — knowledge items from pattern discovery
 //  6. feedback          — user interaction feedback
 //
-// The streaming layer adds live_appends, whose batches are a live
-// dataset's one durable history, and live_datasets, one drift-baseline
-// control record per dataset; an older build's live-batch folds still
-// replay. Documents an older build wrote to raw_datasets, transformed
-// or stage_traces, and its recall hit/miss rows in feedback, still
-// load; nothing reads them.
+// Descriptors are written only by completed analyses (StoreAnalysis)
+// and live-dataset registrations (RegisterLiveDataset). The streaming
+// layer adds live_appends, whose batches are a live dataset's one
+// durable history; an older build's live-batch folds still replay.
+// Documents an older build wrote to raw_datasets, transformed,
+// stage_traces or live_datasets, and its recall hit/miss rows in
+// feedback, still load; nothing reads them.
 // The store is package docstore (the MongoDB substitution); a
 // disk-backed K-DB survives a daemon kill through its write-ahead log.
 // Every read is a typed accessor over one collection; SimilarDatasets
@@ -74,12 +75,10 @@ const (
 	CollClusterKI   = "knowledge_cluster"
 	CollPatternKI   = "knowledge_pattern"
 	CollFeedback    = "feedback"
-	// Live-dataset collections back the streaming subsystem
-	// (internal/stream): one append-only document per accepted visit
-	// batch, from which a restarted daemon resumes its streams, and one
-	// drift-baseline document per live dataset.
-	CollLiveDatasets = "live_datasets"
-	CollLiveAppends  = "live_appends"
+	// CollLiveAppends backs the streaming subsystem (internal/stream):
+	// one append-only document per accepted visit batch, from which a
+	// restarted daemon resumes its streams.
+	CollLiveAppends = "live_appends"
 )
 
 // Feedback is one user interaction: a domain expert grading a
@@ -187,23 +186,75 @@ func decode(doc docstore.Doc, out any) error {
 	return json.Unmarshal(doc.Raw, out)
 }
 
-// StoreDescriptor records a statistical descriptor (collection 3).
-func (k *KDB) StoreDescriptor(d stats.Descriptor) (id string, err error) {
-	err = k.br.write(func() error {
-		// The dataset field is what the collection's index reads.
-		id, err = k.store.Collection(CollDescriptors).Insert(struct {
-			stats.Descriptor
-			Dataset string `json:"dataset"`
-		}{d, d.DatasetName})
-		return err
+// StoreAnalysis is a completed analysis's one K-DB write, a batch the
+// job waits on once: its knowledge items (collection 4 or 5 by kind,
+// each upserted under its ID), then its descriptor (collection 3), so
+// a reader or a crash's recovered prefix that holds the descriptor
+// holds the items too.
+func (k *KDB) StoreAnalysis(d stats.Descriptor, items []knowledge.Item) error {
+	return k.commit("analysis", func(b *docstore.Batch) error {
+		if err := k.putItems(b, items); err != nil {
+			return err
+		}
+		return k.putDescriptor(b, d)
 	})
-	if err != nil {
-		return "", err
+}
+
+// StoreKnowledgeItems stores items alone, as StoreAnalysis does.
+func (k *KDB) StoreKnowledgeItems(items []knowledge.Item) error {
+	return k.commit("knowledge items", func(b *docstore.Batch) error { return k.putItems(b, items) })
+}
+
+// commit runs put as one batch behind the breaker. A batch is frames,
+// not a transaction (docstore's "Batches"): put orders its documents so
+// that every prefix of them is valid.
+func (k *KDB) commit(what string, put func(b *docstore.Batch) error) error {
+	return k.br.write(func() error {
+		b := k.store.Begin()
+		defer b.Commit()
+		err := put(b)
+		if err == nil {
+			err = b.Commit()
+		}
+		if err != nil {
+			return fmt.Errorf("kdb: storing %s: %w", what, err)
+		}
+		return nil
+	})
+}
+
+// putDescriptor adds d to b and to descCache.
+func (k *KDB) putDescriptor(b *docstore.Batch, d stats.Descriptor) error {
+	// The dataset field is what the collection's index reads.
+	id, err := b.Upsert(k.store.Collection(CollDescriptors), struct {
+		stats.Descriptor
+		Dataset string `json:"dataset"`
+	}{d, d.DatasetName})
+	if err == nil {
+		k.descMu.Lock()
+		k.descCache[id] = decodedDescriptor{id: id, desc: d}
+		k.descMu.Unlock()
 	}
-	k.descMu.Lock()
-	k.descCache[id] = decodedDescriptor{id: id, desc: d}
-	k.descMu.Unlock()
-	return id, nil
+	return err
+}
+
+// putItems upserts knowledge items to b, each under its ID.
+func (k *KDB) putItems(b *docstore.Batch, items []knowledge.Item) error {
+	for _, it := range items {
+		// The members reads select on go last, where the store reads
+		// them first (docstore.Doc.Fields).
+		doc := struct {
+			ID string `json:"_id"`
+			knowledge.Item
+			Kind    knowledge.Kind     `json:"kind"`
+			Metrics map[string]float64 `json:"metrics"`
+			ItemID  string             `json:"id"`
+		}{it.ID, it, it.Kind, it.Metrics, it.ID}
+		if _, err := b.Upsert(k.collectionFor(it.Kind), doc); err != nil {
+			return fmt.Errorf("knowledge item %s: %w", it.ID, err)
+		}
+	}
+	return nil
 }
 
 // Descriptors returns all stored descriptors in insertion order. A
@@ -242,48 +293,24 @@ func (k *KDB) decodedDescriptors() []decodedDescriptor {
 	k.descMu.Lock()
 	defer k.descMu.Unlock()
 	for i, doc := range docs {
-		id := doc.ID()
-		dd, ok := k.descCache[id]
-		if !ok {
-			dd = decodedDescriptor{id: id}
-			if dd.err = decode(doc, &dd.desc); dd.err != nil {
-				dd.desc = stats.Descriptor{}
-			}
-			k.descCache[id] = dd
-		}
-		all[i] = dd
+		all[i] = k.cachedDescriptor(doc)
 	}
 	return all
 }
 
-// StoreKnowledgeItems routes items to collection 4 or 5 by kind.
-// Items with IDs already present are updated rather than duplicated.
-// One analysis's items are one batch: the job waits for the disk once,
-// and two analyses storing the same item IDs concurrently both succeed
-// (the store decides insert-or-replace atomically per item).
-func (k *KDB) StoreKnowledgeItems(items []knowledge.Item) error {
-	return k.br.write(func() error {
-		b := k.store.Begin()
-		defer b.Commit()
-		for _, it := range items {
-			// The members reads select on go last, where the store
-			// reads them first (docstore.Doc.Fields).
-			doc := struct {
-				ID string `json:"_id"`
-				knowledge.Item
-				Kind    knowledge.Kind     `json:"kind"`
-				Metrics map[string]float64 `json:"metrics"`
-				ItemID  string             `json:"id"`
-			}{it.ID, it, it.Kind, it.Metrics, it.ID}
-			if _, err := b.Upsert(k.collectionFor(it.Kind), doc); err != nil {
-				return fmt.Errorf("kdb: storing knowledge item %s: %w", it.ID, err)
-			}
+// cachedDescriptor decodes a descriptor document through descCache;
+// the caller holds descMu.
+func (k *KDB) cachedDescriptor(doc docstore.Doc) decodedDescriptor {
+	id := doc.ID()
+	dd, ok := k.descCache[id]
+	if !ok {
+		dd = decodedDescriptor{id: id}
+		if dd.err = decode(doc, &dd.desc); dd.err != nil {
+			dd.desc = stats.Descriptor{}
 		}
-		if err := b.Commit(); err != nil {
-			return fmt.Errorf("kdb: storing knowledge items: %w", err)
-		}
-		return nil
-	})
+		k.descCache[id] = dd
+	}
+	return dd
 }
 
 func (k *KDB) collectionFor(kind knowledge.Kind) *docstore.Collection {
@@ -517,8 +544,7 @@ func jsonFloat(raw docstore.Raw) (float64, bool) {
 // collections are the K-DB's collections, in the order of the paper's
 // data model.
 var collections = []string{
-	CollDescriptors, CollClusterKI, CollPatternKI, CollFeedback,
-	CollLiveDatasets, CollLiveAppends,
+	CollDescriptors, CollClusterKI, CollPatternKI, CollFeedback, CollLiveAppends,
 }
 
 // Counts reports the document count of every collection.

@@ -31,7 +31,7 @@ func tinyLog(t *testing.T) *dataset.Log {
 func TestDescriptors(t *testing.T) {
 	k, _ := Open("")
 	d := stats.Characterize(tinyLog(t))
-	if _, err := k.StoreDescriptor(d); err != nil {
+	if err := k.StoreAnalysis(d, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := k.Descriptors()
@@ -63,7 +63,7 @@ func TestDescriptorsThroughCache(t *testing.T) {
 		descFixture("ward-a", 150, 1500, 0.55),
 	}
 	for _, d := range want {
-		if _, err := k.StoreDescriptor(d); err != nil {
+		if err := k.StoreAnalysis(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.StoreDescriptor(stats.Characterize(tinyLog(t))); err != nil {
+	if err := k.StoreAnalysis(stats.Characterize(tinyLog(t)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.RecordFeedback(Feedback{User: "u", Dataset: "tiny",
@@ -237,12 +237,12 @@ func TestCountsCoversAllCollections(t *testing.T) {
 	k, _ := Open("")
 	counts := k.Counts()
 	// The four persisted collections of the paper's model plus the
-	// streaming layer's two live collections.
-	if len(counts) != 6 {
-		t.Errorf("counts covers %d collections, want 6", len(counts))
+	// streaming layer's live batches.
+	if len(counts) != 5 {
+		t.Errorf("counts covers %d collections, want 5", len(counts))
 	}
 	for _, name := range []string{CollDescriptors, CollClusterKI,
-		CollPatternKI, CollFeedback, CollLiveDatasets, CollLiveAppends} {
+		CollPatternKI, CollFeedback, CollLiveAppends} {
 		if _, ok := counts[name]; !ok {
 			t.Errorf("collection %s missing from Counts", name)
 		}

@@ -3,25 +3,13 @@ package kdb
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
 	"adahealth/internal/stats"
 )
-
-// LiveDatasetState is the control record of one live dataset
-// (collection live_datasets, one upserted document each): its drift
-// baseline, written at registration and whenever a resweep completes.
-// The dataset's history is its batches in live_appends alone, which
-// recovery replays. Fields older builds wrote (revision, drift,
-// last_analysis, model_revision, centroids, features) are ignored.
-type LiveDatasetState struct {
-	Dataset string `json:"dataset"`
-	// Baseline is the descriptor of the last fully analyzed state —
-	// the drift detector's reference point.
-	Baseline *stats.Descriptor `json:"baseline,omitempty"`
-}
 
 // LiveBatch is one accepted visit batch (collection live_appends,
 // append-only): the registration batch is revision 1, every accepted
@@ -47,48 +35,36 @@ type LiveBatch struct {
 	FoldedFrom int `json:"folded_from,omitempty"`
 }
 
-func liveStateID(name string) string { return "live:" + name }
-
-// StoreLiveDataset upserts the control record of a live dataset: one
-// upsert, so the store decides insert-or-replace in one step and no
-// concurrent writer interleaves.
-func (k *KDB) StoreLiveDataset(st LiveDatasetState) error {
-	return k.br.write(func() error {
-		if _, err := k.store.Collection(CollLiveDatasets).Upsert(struct {
-			ID string `json:"_id"`
-			LiveDatasetState
-		}{liveStateID(st.Dataset), st}); err != nil {
-			return fmt.Errorf("kdb: storing live dataset %q: %w", st.Dataset, err)
-		}
-		return nil
-	})
-}
-
-// LiveDatasets returns every live dataset, sorted by name: each name
-// with a control record or a batch, with the record's baseline (nil
-// when it has none). A batch is read for its dataset name only.
-func (k *KDB) LiveDatasets() ([]LiveDatasetState, error) {
+// LiveDatasets returns the sorted names of the live datasets: those
+// with a batch in live_appends, each read for its dataset name only.
+func (k *KDB) LiveDatasets() ([]string, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err
 	}
-	out, err := decodeAll[LiveDatasetState](inScope(k.store.Collection(CollLiveDatasets), "", nil), "live dataset")
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool, len(out))
-	for _, st := range out {
-		seen[st.Dataset] = true
-	}
+	var names []string
 	k.store.Collection(CollLiveAppends).Scan(func(d docstore.Doc, _ int64) bool {
 		v, _ := d.Field("dataset").Scalar()
-		if name, ok := v.(string); ok && !seen[name] {
-			seen[name] = true
-			out = append(out, LiveDatasetState{Dataset: name})
+		if name, ok := v.(string); ok {
+			names = append(names, name)
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
-	return out, nil
+	slices.Sort(names)
+	return slices.Compact(names), nil
+}
+
+// RegisterLiveDataset records a live dataset's registration as one
+// commit: d, the descriptor of its revision-1 log, then b, its
+// revision-1 batch, so a crash's recovered prefix that holds the batch
+// holds the descriptor too.
+func (k *KDB) RegisterLiveDataset(d stats.Descriptor, b LiveBatch) error {
+	return k.commit(fmt.Sprintf("registration of live dataset %q", b.Dataset), func(bt *docstore.Batch) error {
+		if err := k.putDescriptor(bt, d); err != nil {
+			return err
+		}
+		_, err := bt.Upsert(k.store.Collection(CollLiveAppends), b)
+		return err
+	})
 }
 
 // AppendLiveBatch durably records one accepted visit batch. The write

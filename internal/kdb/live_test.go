@@ -1,6 +1,7 @@
 package kdb
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,27 +9,41 @@ import (
 	"time"
 
 	"adahealth/internal/dataset"
+	"adahealth/internal/obs"
 	"adahealth/internal/stats"
 )
 
-// TestLiveStateRoundTrip: the control record upserts by dataset and
-// survives a close/reopen cycle (WAL recovery of the new collection).
+// TestLiveStateRoundTrip: a registration is one WAL commit of two
+// frames, the descriptor of the revision-1 log before the revision-1
+// batch, and both survive a close/reopen cycle: LiveDatasets names the
+// dataset by its batch, and its descriptor is the newest under its
+// name.
 func TestLiveStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	k, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := LiveDatasetState{
-		Dataset:  "ward-a",
-		Baseline: &stats.Descriptor{DatasetName: "ward-a", NumPatients: 10},
-	}
-	if err := k.StoreLiveDataset(st); err != nil {
+	desc := stats.Descriptor{DatasetName: "ward-a", NumPatients: 10}
+	batch := foldBatch("ward-a", 1)
+	commits := func() float64 { return obs.Default().Value("docstore_wal_commit_seconds") }
+	before, commits0 := k.Store().ReplStatus(), commits()
+	if err := k.RegisterLiveDataset(desc, batch); err != nil {
 		t.Fatal(err)
 	}
-	st.Baseline = &stats.Descriptor{DatasetName: "ward-a", NumPatients: 11}
-	if err := k.StoreLiveDataset(st); err != nil { // upsert, not duplicate
+	if frames, n := k.Store().ReplStatus().Frames-before.Frames, commits()-commits0; frames != 2 || n != 1 {
+		t.Fatalf("registration wrote %d frames in %v WAL commits, want 2 in 1", frames, n)
+	}
+	r, err := k.Store().WALReader()
+	if err != nil {
 		t.Fatal(err)
+	}
+	raw, _, err := r.Read(before.Epoch, before.Offset, 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, b := bytes.Index(raw, []byte(`"c":"descriptors"`)), bytes.Index(raw, []byte(`"c":"live_appends"`)); d < 0 || b < d {
+		t.Fatalf("registration frames: descriptor at %d, batch at %d; want the descriptor first", d, b)
 	}
 	if err := k.Close(); err != nil {
 		t.Fatal(err)
@@ -39,12 +54,15 @@ func TestLiveStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	all, err := re.LiveDatasets()
-	if err != nil || len(all) != 1 {
-		t.Fatalf("LiveDatasets after reopen = %d records, err %v; want 1", len(all), err)
+	names, err := re.LiveDatasets()
+	if err != nil || !reflect.DeepEqual(names, []string{"ward-a"}) {
+		t.Fatalf("LiveDatasets after reopen = %v, err %v; want [ward-a]", names, err)
 	}
-	if !reflect.DeepEqual(st, all[0]) {
-		t.Errorf("reloaded state differs:\nwant %+v\ngot  %+v", st, all[0])
+	if got, _, ok := re.LatestDescriptor("ward-a"); !ok || !reflect.DeepEqual(got, desc) {
+		t.Errorf("reloaded descriptor = %+v (found %v), want %+v", got, ok, desc)
+	}
+	if got, err := re.LiveBatches("ward-a"); err != nil || !reflect.DeepEqual(got, []LiveBatch{batch}) {
+		t.Errorf("reloaded batches = %+v, err %v; want [%+v]", got, err, batch)
 	}
 }
 
@@ -230,9 +248,6 @@ func TestLiveFlushBelowThresholdAllocsFlat(t *testing.T) {
 				if err := k.AppendLiveBatch(b); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := k.StoreLiveDataset(LiveDatasetState{Dataset: ds}); err != nil {
-				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(5, func() {

@@ -30,7 +30,7 @@ func TestBreakerMetricsMoveOnTrip(t *testing.T) {
 	k.br.threshold = 2
 	k.br.cooldown = time.Minute // keep the probe shut for the test's duration
 
-	if _, err := k.StoreDescriptor(testDescriptor("a")); err != nil {
+	if err := k.StoreAnalysis(testDescriptor("a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Value("kdb_breaker_mode", string(ModeHealthy)); got != 1 {
@@ -60,7 +60,7 @@ func TestBreakerMetricsMoveOnTrip(t *testing.T) {
 		t.Errorf("flush error delta = %v, want >= 2", d)
 	}
 
-	if _, err := k.StoreDescriptor(testDescriptor("b")); !errors.Is(err, ErrReadOnly) {
+	if err := k.StoreAnalysis(testDescriptor("b"), nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("write while read-only = %v, want ErrReadOnly", err)
 	}
 	if d := reg.Value("kdb_dropped_writes_total") - drops0; d != 1 {

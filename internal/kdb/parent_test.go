@@ -21,7 +21,7 @@ type parentResults struct {
 	GoalFeedback []Feedback
 	TopSupport   []knowledge.Item
 	TopSize      []knowledge.Item
-	LiveDatasets []LiveDatasetState
+	LiveDatasets []string
 	LiveBatches  []LiveBatch
 	Similar      []DatasetSimilarity
 	Latest       stats.Descriptor

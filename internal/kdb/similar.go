@@ -63,7 +63,8 @@ func DescriptorSimilarity(a, b stats.Descriptor) float64 {
 }
 
 // LatestDescriptor returns the most recently stored descriptor of a
-// dataset and its document ID (false when the dataset has none).
+// dataset and its document ID (false when there is none or it does not
+// decode).
 func (k *KDB) LatestDescriptor(datasetName string) (stats.Descriptor, string, bool) {
 	if k.br.beforeRead() != nil {
 		return stats.Descriptor{}, "", false
@@ -73,21 +74,22 @@ func (k *KDB) LatestDescriptor(datasetName string) (stats.Descriptor, string, bo
 		doc = d
 		return true
 	})
-	var d stats.Descriptor
-	if doc.Raw == nil || decode(doc, &d) != nil {
+	if doc.Raw == nil {
 		return stats.Descriptor{}, "", false
 	}
-	return d, doc.ID(), true
+	k.descMu.Lock()
+	dd := k.cachedDescriptor(doc)
+	k.descMu.Unlock()
+	return dd.desc, dd.id, dd.err == nil
 }
 
 // SimilarDatasets ranks stored descriptors by similarity to target,
 // returning up to limit hits (every dataset at most once, scored by
-// its best-matching descriptor). excludeDocID drops one specific
-// descriptor document — the caller's own, just-stored one — so an
-// analysis never "recalls" itself; earlier descriptors of the same
-// dataset name still match, which is what makes a repeat analysis
-// warm-startable. Results order by descending similarity, ties by
-// dataset name.
+// its best-matching descriptor), so a repeat analysis matches its
+// dataset's earlier ones; its own is stored only once it completes.
+// excludeDocID drops one descriptor document: no production caller
+// passes one, but bench/probes.go calls this form.
+// Results order by descending similarity, ties by dataset name.
 func (k *KDB) SimilarDatasets(target stats.Descriptor, excludeDocID string, limit int) ([]DatasetSimilarity, error) {
 	if err := k.br.beforeRead(); err != nil {
 		return nil, err

@@ -43,16 +43,12 @@ func TestSimilarDatasets(t *testing.T) {
 	tiny.FrequencyGini = 0.95
 	tiny.Top20Coverage = 0.99
 	tiny.Top40Coverage = 0.995
-	var targetDocID string
-	for _, d := range []stats.Descriptor{twinB, mid, tiny} {
-		if _, err := k.StoreDescriptor(d); err != nil {
+	for _, d := range []stats.Descriptor{twinB, mid, tiny, twinA} {
+		if err := k.StoreAnalysis(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	targetDocID, err = k.StoreDescriptor(twinA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, targetDocID, _ := k.LatestDescriptor("twin-a")
 
 	hits, err := k.SimilarDatasets(twinA, targetDocID, 0)
 	if err != nil {
@@ -92,10 +88,10 @@ func TestSimilarDatasets(t *testing.T) {
 
 	// A repeat analysis of the same dataset name matches its own
 	// earlier descriptor when only the new doc is excluded.
-	rerunDocID, err := k.StoreDescriptor(twinA)
-	if err != nil {
+	if err := k.StoreAnalysis(twinA, nil); err != nil {
 		t.Fatal(err)
 	}
+	_, rerunDocID, _ := k.LatestDescriptor("twin-a")
 	hits, err = k.SimilarDatasets(twinA, rerunDocID, 1)
 	if err != nil {
 		t.Fatal(err)

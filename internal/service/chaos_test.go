@@ -203,7 +203,7 @@ func TestChaosDegradedShedding(t *testing.T) {
 	// breaker offline.
 	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
 	desc := stats.Descriptor{DatasetName: "shed", NumPatients: 1, NumRecords: 1}
-	if _, err := k.StoreDescriptor(desc); err == nil {
+	if err := k.StoreAnalysis(desc, nil); err == nil {
 		t.Fatal("write over broken WAL succeeded")
 	}
 	if k.Health().Mode != kdb.ModeOffline {

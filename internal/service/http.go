@@ -63,7 +63,7 @@ type errorResponse struct {
 //	GET    /v1/analyses/{id}/events  live progress stream (Server-Sent Events)
 //	DELETE /v1/analyses/{id}         cancel (202)
 //	GET    /v1/knowledge             K-DB knowledge items (?dataset=, ?metric=, ?limit=)
-//	GET    /v1/datasets/{id}/similar statistically similar datasets (?limit=)
+//	GET    /v1/datasets/{id}/similar datasets similar to {id}'s newest descriptor (?limit=; 404 if none)
 //	GET    /healthz                  liveness + queue/worker/K-DB gauges
 //
 // Every response is JSON except the SSE stream. opts, at most one,

@@ -161,7 +161,7 @@ func TestAdmissionMetricsMove(t *testing.T) {
 	// Trip the breaker offline, then fill the queue to the shed
 	// threshold ((4+1)/2 = 2 held slots after one dispatch).
 	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
-	if _, err := k.StoreDescriptor(stats.Descriptor{DatasetName: "shed", NumPatients: 1, NumRecords: 1}); err == nil {
+	if err := k.StoreAnalysis(stats.Descriptor{DatasetName: "shed", NumPatients: 1, NumRecords: 1}, nil); err == nil {
 		t.Fatal("write over broken WAL succeeded")
 	}
 	j1, err := svc.Submit(context.Background(), testLog(t, 1))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"adahealth/internal/core"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/synth"
@@ -363,5 +365,40 @@ func TestDaemonKnowledgeAndSimilarEndpoints(t *testing.T) {
 	}
 	if code := getJSON(t, srv, "/v1/knowledge?limit=bogus", nil); code != http.StatusBadRequest {
 		t.Errorf("bad limit = %d, want 400", code)
+	}
+}
+
+// TestFailedJobStoresNoDescriptor: a job that fails before
+// store-knowledge leaves nothing in the K-DB, so the similar endpoint
+// knows no descriptor of its dataset (404). A one-microsecond
+// StageTimeout fails the first stage that checks its context (recall,
+// partialmine, patterns or the sweep); characterize, which does not,
+// finishes first and stores nothing of its own.
+func TestFailedJobStoresNoDescriptor(t *testing.T) {
+	cfg := fastConfig(1)
+	cfg.KDBDir = t.TempDir()
+	cfg.StageTimeout = time.Microsecond
+	svc, err := New(Config{Engine: cfg, Workers: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	j, err := svc.Submit(t.Context(), testLog(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var te *core.StageTimeoutError
+	if _, err := j.Wait(t.Context()); !errors.As(err, &te) {
+		t.Fatalf("job error = %v, want a stage timeout", err)
+	}
+	counts := svc.Engine().KDB().Counts()
+	if n := counts[kdb.CollDescriptors] + counts[kdb.CollClusterKI] + counts[kdb.CollPatternKI]; n != 0 {
+		t.Fatalf("a job that timed out in %s stored %d documents: %v", te.Stage, n, counts)
+	}
+	if code := getJSON(t, srv, "/v1/datasets/"+testLog(t, 1).Name+"/similar", nil); code != http.StatusNotFound {
+		t.Fatalf("similar for a failed job's dataset = %d, want 404", code)
 	}
 }

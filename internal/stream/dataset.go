@@ -40,7 +40,7 @@ const (
 	// and a full re-analysis was submitted as a service job.
 	EventResweepScheduled = "resweep-scheduled"
 	// EventResweepComplete: the full re-analysis finished (Err set if
-	// it failed); the drift baseline reset to its report's descriptor.
+	// it failed) and the drift baseline was derived again.
 	EventResweepComplete = "resweep-complete"
 )
 
@@ -83,9 +83,9 @@ type Dataset struct {
 
 	revision int // last durably applied batch revision; 0 until registered
 
-	// baseline is the descriptor of the last fully analyzed state (the
-	// registration descriptor until the first resweep completes);
-	// drift is the current gauge against it.
+	// baseline is the newest descriptor stored under the dataset's
+	// name (see resetBaselineLocked); drift is the current gauge
+	// against it.
 	baseline     *stats.Descriptor
 	drift        float64
 	lastAnalysis string // job ID of the last full analysis this process completed
@@ -188,38 +188,36 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 	if err := d.live.Check(exams, patients, records); err != nil {
 		return DatasetStatus{}, err
 	}
-
-	// Durability first: the batch is recorded (and WAL-acked) before
-	// any in-memory state changes, so a persist failure leaves the
-	// dataset exactly as it was and the client retries the whole
-	// batch.
 	rev := d.revision + 1
-	if err := d.mgr.kdb.AppendLiveBatch(kdb.LiveBatch{
-		Dataset: d.name, Revision: rev,
-		Exams: exams, Patients: patients, Records: records,
-	}); err != nil {
-		return DatasetStatus{}, fmt.Errorf("%w: %v", ErrDurability, err)
+	batch := kdb.LiveBatch{Dataset: d.name, Revision: rev, Exams: exams, Patients: patients, Records: records}
+	// An append is durable first: the batch is recorded (and WAL-acked)
+	// before any in-memory state changes, so a persist failure leaves
+	// the dataset exactly as it was and the client retries the whole
+	// batch. A registration applies first, so the descriptor of what it
+	// applied goes in its batch's commit; if that write fails, Register
+	// discards the whole dataset, in-memory state included.
+	if rev > 1 {
+		if err := d.mgr.kdb.AppendLiveBatch(batch); err != nil {
+			return DatasetStatus{}, fmt.Errorf("%w: %v", ErrDurability, err)
+		}
 	}
-
-	// Check proved the apply below must succeed; a failure past this
-	// point is a bug, not an input error.
+	// Check proved the apply must succeed; a failure here is a bug, not
+	// an input error.
 	if err := d.live.Append(exams, patients, records); err != nil {
 		return DatasetStatus{}, fmt.Errorf("stream: applying validated batch %s@%d: %v", d.name, rev, err)
 	}
-	d.revision = rev
-
+	desc := stats.Characterize(d.live.Log())
 	evType := EventAppended
 	if rev == 1 {
+		if err := d.mgr.kdb.RegisterLiveDataset(desc, batch); err != nil {
+			return DatasetStatus{}, fmt.Errorf("%w: %v", ErrDurability, err)
+		}
 		evType = EventRegistered
+		d.resetBaselineLocked(desc)
 	}
+	d.revision = rev
 	d.emitLocked(Event{Type: evType, Revision: rev})
-
-	d.updateDriftLocked()
-	if rev == 1 {
-		// Registration: the baseline is the initial descriptor until
-		// the first full analysis completes.
-		d.persistBaselineLocked()
-	}
+	d.updateDriftLocked(desc)
 	d.emitLocked(Event{Type: EventModelUpdated, Revision: rev})
 	if d.drift >= d.mgr.cfg.DriftThreshold && !d.resweeping {
 		d.scheduleResweepLocked()
@@ -227,15 +225,23 @@ func (d *Dataset) appendInnerLocked(exams []Exam, patients []Patient, records []
 	return d.statusLocked(), nil
 }
 
-// updateDriftLocked measures the accumulated log's descriptor against
-// the baseline, which becomes that descriptor when there is none yet
-// (at registration, or on recovering a dataset with no control record).
-func (d *Dataset) updateDriftLocked() {
-	desc := stats.Characterize(d.live.Log())
-	if d.baseline == nil {
-		d.baseline = &desc
+// resetBaselineLocked sets the drift baseline (see the package doc's
+// "Durability and the baseline"): the newest descriptor stored under
+// the dataset's name, or current, the accumulated log's own, when the
+// K-DB holds none or cannot be read. Then it re-measures drift.
+func (d *Dataset) resetBaselineLocked(current stats.Descriptor) {
+	base, _, ok := d.mgr.kdb.LatestDescriptor(d.name)
+	if !ok {
+		base = current
 	}
-	d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, desc)
+	d.baseline = &base
+	d.updateDriftLocked(current)
+}
+
+// updateDriftLocked measures current, the accumulated log's
+// descriptor, against the baseline.
+func (d *Dataset) updateDriftLocked(current stats.Descriptor) {
+	d.drift = 1 - kdb.DescriptorSimilarity(*d.baseline, current)
 	driftGauge.With(d.name).Set(d.drift)
 }
 
@@ -274,36 +280,26 @@ func (d *Dataset) scheduleResweepLocked() {
 }
 
 // watchResweep waits for a drift-triggered job and folds its outcome
-// back into the live state: the baseline resets to the report's
-// descriptor (so drift re-measures movement since this analysis) and
-// persists, and the last-analysis pointer updates.
+// back into the live state: whether it succeeded or failed, the
+// baseline is derived again (so after a success drift re-measures
+// movement since this analysis), and a success updates the
+// last-analysis pointer.
 func (d *Dataset) watchResweep(j *service.Job) {
-	rep, err := j.Wait(context.Background())
+	_, err := j.Wait(context.Background())
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.resweeping = false
 	d.resweepJob = ""
+	d.resetBaselineLocked(stats.Characterize(d.live.Log()))
 	ev := Event{Type: EventResweepComplete, Revision: d.revision, JobID: j.ID()}
 	if err != nil {
 		ev.Err = err.Error()
 		resweepsTotal.With("failed").Inc()
-		d.emitLocked(ev)
-		return
+	} else {
+		resweepsTotal.With("completed").Inc()
+		d.lastAnalysis = j.ID()
 	}
-	resweepsTotal.With("completed").Inc()
-	d.baseline = &rep.Descriptor
-	d.lastAnalysis = j.ID()
-	d.updateDriftLocked()
-	ev.Drift = d.drift
-	d.persistBaselineLocked()
 	d.emitLocked(ev)
-}
-
-// persistBaselineLocked upserts the control record. Failure is soft:
-// recovery finds the dataset by its batches, and without a record it
-// takes the recovered log's descriptor as the baseline.
-func (d *Dataset) persistBaselineLocked() {
-	_ = d.mgr.kdb.StoreLiveDataset(kdb.LiveDatasetState{Dataset: d.name, Baseline: d.baseline})
 }
 
 // Subscribe returns an independent event stream plus its cancel

@@ -4,11 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
 	"adahealth/internal/kdb"
+	"adahealth/internal/obs"
 	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
@@ -42,7 +46,7 @@ func TestRestartForgetsLastAnalysis(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Store().Collection(kdb.CollLiveDatasets).Insert(doc); err != nil {
+	if _, err := k.Store().Collection("live_datasets").Insert(doc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,11 +71,12 @@ func TestRestartForgetsLastAnalysis(t *testing.T) {
 	}
 }
 
-// TestRecoverRegistrationWithoutControlRecord: a kill between a
-// registration's batch and its control record leaves the revision-1
-// batch alone. The restarted manager finds the dataset by that batch,
-// with the recovered log as its baseline, and a retried registration
-// is refused, so no second revision-1 batch can make the next restart's
+// TestRecoverRegistrationWithoutControlRecord: a revision-1 batch with
+// no descriptor beside it, as a build that wrote the registration's
+// baseline to a control record in a second commit could leave it after
+// a kill. The restarted manager finds the dataset by that batch, with
+// the recovered log as its baseline, and a retried registration is
+// refused, so no second revision-1 batch can make the next restart's
 // replay fail.
 func TestRecoverRegistrationWithoutControlRecord(t *testing.T) {
 	dir := t.TempDir()
@@ -185,5 +190,132 @@ func TestAppendIsOneWALCommit(t *testing.T) {
 		if got := store.ReplStatus().Frames - before; got != 1 {
 			t.Fatalf("append %d wrote %d WAL frames, want 1", i, got)
 		}
+	}
+}
+
+// TestRegisterIsOneWALCommit: a registration's durable write is one
+// group commit of two frames, the descriptor of the revision-1 log and
+// the revision-1 batch (kdb.TestLiveStateRoundTrip pins their order).
+func TestRegisterIsOneWALCommit(t *testing.T) {
+	svc := testService(t, fastConfig(47, t.TempDir()))
+	mgr, err := NewManager(Config{Service: svc, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := genLog(t, 47, 40, 400)
+	store := svc.Engine().KDB().Store()
+	commits := func() float64 { return obs.Default().Value("docstore_wal_commit_seconds") }
+	commits0, frames0 := commits(), store.ReplStatus().Frames
+	if _, err := mgr.Register("ward-one-commit", log.Exams, log.Patients, log.Records); err != nil {
+		t.Fatal(err)
+	}
+	if frames, n := store.ReplStatus().Frames-frames0, commits()-commits0; frames != 2 || n != 1 {
+		t.Fatalf("registration wrote %d WAL frames in %v commits, want 2 in 1", frames, n)
+	}
+}
+
+// baselineOf reads a dataset's drift baseline and gauge.
+func baselineOf(d *Dataset) (stats.Descriptor, float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return *d.baseline, d.drift
+}
+
+// TestFailedResweepKeepsBaseline: a resweep that fails before
+// store-knowledge (every stage that checks its context times out) stores
+// no descriptor, so the baseline stays the registration's, at runtime
+// and after a restart, and the restarted gauge is bit-equal.
+func TestFailedResweepKeepsBaseline(t *testing.T) {
+	const name = "ward-timeout"
+	dir := t.TempDir()
+	cfg := fastConfig(53, dir)
+	cfg.StageTimeout = time.Microsecond
+	svcA := testService(t, cfg)
+	mgrA, err := NewManager(Config{Service: svcA, DriftThreshold: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest := splitLog(genLog(t, 53, 60, 600), 1)
+	if _, err := mgrA.Register(name, first.exams, first.patients, first.records); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := mgrA.Get(name)
+	registered, _ := baselineOf(d)
+	st, err := d.Append(nil, rest[0].patients, rest[0].records)
+	if err != nil || !st.Resweeping {
+		t.Fatalf("append did not schedule a resweep: %+v, %v", st, err)
+	}
+	before := waitStatus(t, d, "resweep completion", func(st DatasetStatus) bool { return !st.Resweeping })
+	if h := d.events.History(); h[len(h)-1].Type != EventResweepComplete || h[len(h)-1].Err == "" {
+		t.Fatalf("last event %+v, want a failed resweep's completion", h[len(h)-1])
+	}
+	if got, _ := baselineOf(d); !reflect.DeepEqual(got, registered) {
+		t.Fatalf("a failed resweep moved the baseline to %+v", got)
+	}
+
+	svcB := testService(t, fastConfig(53, dir))
+	mgrB, err := NewManager(Config{Service: svcB, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := mgrB.Get(name)
+	if !ok {
+		t.Fatal("the restart lost the dataset")
+	}
+	got, drift := baselineOf(d)
+	if !reflect.DeepEqual(got, registered) || math.Float64bits(drift) != math.Float64bits(before.Drift) {
+		t.Fatalf("after a restart: baseline %+v, drift %v; want the registration's, drift %v", got, drift, before.Drift)
+	}
+}
+
+// TestBatchJobUnderLiveNameIsItsAnalysis pins the baseline rule's one
+// semantic edge: one name is one dataset. A batch job stored under a
+// live dataset's name counts as an analysis of that dataset: it leaves
+// the running baseline alone, and becomes the baseline at the next
+// resweep end or, here, restart.
+func TestBatchJobUnderLiveNameIsItsAnalysis(t *testing.T) {
+	const name = "ward-shared"
+	dir := t.TempDir()
+	svcA := testService(t, fastConfig(59, dir))
+	mgrA, err := NewManager(Config{Service: svcA, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := genLog(t, 59, 40, 400)
+	if _, err := mgrA.Register(name, log.Exams, log.Patients, log.Records); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := mgrA.Get(name)
+	registered, _ := baselineOf(d)
+
+	batch := genLog(t, 61, 50, 500)
+	batch.Name = name
+	j, err := svcA.Submit(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(rep.Descriptor, registered) {
+		t.Fatal("the batch job's descriptor equals the registration's; the test shows nothing")
+	}
+	if got, _ := baselineOf(d); !reflect.DeepEqual(got, registered) {
+		t.Fatal("a batch job moved the running baseline before any resweep ended")
+	}
+
+	svcB := testService(t, fastConfig(59, dir))
+	mgrB, err := NewManager(Config{Service: svcB, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ = mgrB.Get(name)
+	got, drift := baselineOf(d)
+	if !reflect.DeepEqual(got, rep.Descriptor) {
+		t.Fatalf("after a restart the baseline is %+v, want the batch job's descriptor", got)
+	}
+	if want := 1 - kdb.DescriptorSimilarity(rep.Descriptor, stats.Characterize(d.live.Log())); drift != want {
+		t.Fatalf("after a restart drift %v, want %v against the batch job's descriptor", drift, want)
 	}
 }

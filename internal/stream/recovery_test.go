@@ -176,3 +176,63 @@ func TestRecoveryMatchesStraightReplay(t *testing.T) {
 		})
 	}
 }
+
+// TestEachCrossingSchedulesOneResweep is the scheduling sibling of
+// TestRecoveryMatchesStraightReplay: seeded streams of back-to-back
+// appends, each of which crosses a low drift threshold, against a
+// durable K-DB. The dataset's event history, which is published under
+// its lock and so is the order things happened in, must show exactly
+// one resweep for each crossing made with none in flight, and none for
+// a crossing made while one is queued or running.
+func TestEachCrossingSchedulesOneResweep(t *testing.T) {
+	const name, appends, threshold = "live-once", 30, 0.01
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			_, mgr := durableManager(t, seed, t.TempDir(), threshold)
+			first, rest := splitLog(genLog(t, seed, 120, 1200), appends)
+			if _, err := mgr.Register(name, first.exams, first.patients, first.records); err != nil {
+				t.Fatal(err)
+			}
+			d, _ := mgr.Get(name)
+			for i, b := range rest {
+				if _, err := d.Append(nil, b.patients, b.records); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			waitStatus(t, d, "the last resweep", func(st DatasetStatus) bool { return !st.Resweeping })
+
+			inFlight, resweeps, suppressed := false, 0, 0
+			history := d.events.History()
+			for i, ev := range history {
+				switch ev.Type {
+				case EventResweepScheduled:
+					if inFlight {
+						t.Fatalf("event %d: revision %d scheduled a second resweep while one was in flight", i, ev.Revision)
+					}
+					inFlight = true
+					resweeps++
+				case EventResweepComplete:
+					if !inFlight {
+						t.Fatalf("event %d: a resweep completed that was never scheduled", i)
+					}
+					inFlight = false
+				case EventModelUpdated:
+					if ev.Drift < threshold {
+						continue
+					}
+					scheduled := i+1 < len(history) && history[i+1].Type == EventResweepScheduled
+					switch {
+					case inFlight:
+						suppressed++
+					case !scheduled:
+						t.Fatalf("event %d: revision %d crossed the threshold (drift %v) with no resweep in flight and scheduled none", i, ev.Revision, ev.Drift)
+					}
+				}
+			}
+			if resweeps == 0 || suppressed == 0 {
+				t.Fatalf("%d resweeps, %d crossings while one was in flight: the stream shows nothing", resweeps, suppressed)
+			}
+			t.Logf("%d resweeps; %d crossings while one was in flight scheduled none", resweeps, suppressed)
+		})
+	}
+}

@@ -15,31 +15,40 @@
 // stats.Characterize compute on the accumulated log.
 //
 // The live layer does not cluster. When the descriptor drifts past
-// Config.DriftThreshold from the last fully analyzed state, a snapshot
+// Config.DriftThreshold from its baseline (see below), a snapshot
 // of the accumulated log is submitted as an ordinary service job. Its
 // Report is bit-for-bit the one core.Engine produces for the same log,
 // and its only warm start is the pipeline's recall stage, like any
 // other job's. At the defaults that stage never recalls the resweep's
 // own last analysis: drift >= 0.15 means similarity <= 0.85 to the
-// last analyzed descriptor, below recall's 0.9 floor
-// (core.RecallConfig.MinSimilarity).
+// baseline, below recall's 0.9 floor (core.RecallConfig.MinSimilarity).
 //
 // Drift is measured on the same descriptor feature vector the K-DB's
 // recall stage ranks dataset similarity with (kdb.DescriptorSimilarity,
 // scale-free): drift = 1 − similarity(baseline, current), so 0 means
-// statistically indistinguishable from the last analyzed state and the
+// statistically indistinguishable from the baseline and the
 // default threshold 0.15 means the average descriptor feature moved
 // ~15% relative.
 //
-// Every accepted batch is durably recorded in the K-DB's live_appends
-// collection before the append is acknowledged: the WAL ack is the
-// durability point, and the batch is the append's one WAL commit. The
-// batches are a live dataset's only history. Its control record in
-// live_datasets holds the drift baseline and is written only when that
-// changes, at registration and when a resweep completes. A restarted
-// daemon finds each live dataset by its batches, applies them in
-// revision order as one append, and recomputes the drift gauge, so
-// acknowledged appends survive a crash at any point.
+// # Durability and the baseline
+//
+// An accepted append is durably recorded in the K-DB's live_appends
+// collection, in one WAL commit, before it is applied and acknowledged;
+// the batches are a live dataset's only history. A registration
+// applies its batch first and then commits the log's descriptor and the
+// revision-1 batch together (kdb.RegisterLiveDataset); if that fails,
+// the dataset is discarded. A restarted daemon finds each live dataset
+// by its batches and applies them in revision order as one append.
+//
+// The baseline is not stored: it is the newest descriptor under the
+// dataset's name (kdb.LatestDescriptor), taken at boot, at
+// registration and at the end of every resweep, succeeded or failed.
+// An analysis stores its descriptor only when it completes, so a failed
+// resweep leaves the baseline where it was. One name is one dataset: a
+// batch job under a live dataset's name is an analysis of it, and
+// becomes the baseline at the next resweep end or restart. A dataset
+// with no stored descriptor (registered by an older build, whose
+// live_datasets control record nothing reads) takes its log's own.
 package stream
 
 import (
@@ -49,6 +58,7 @@ import (
 
 	"adahealth/internal/kdb"
 	"adahealth/internal/service"
+	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
 
@@ -122,23 +132,18 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // recover rebuilds every live dataset that has a batch in the K-DB.
 // Its batches, concatenated in revision order, are one Live.Append,
-// and its revision is the last batch's. The baseline is the control
-// record's, or the recovered log's descriptor when the record never
-// landed (a crash between registration's two commits); the drift gauge
-// is recomputed against it. LastAnalysis stays empty: a job ID names a
-// job of the process that ran it.
+// and its revision is the last batch's; its baseline and drift are
+// derived as at runtime. LastAnalysis stays empty: a job ID names a job
+// of the process that ran it.
 func (m *Manager) recover() error {
-	states, err := m.kdb.LiveDatasets()
+	names, err := m.kdb.LiveDatasets()
 	if err != nil {
 		return fmt.Errorf("stream: reading live datasets: %w", err)
 	}
-	for _, st := range states {
-		batches, err := m.kdb.LiveBatches(st.Dataset)
+	for _, name := range names {
+		batches, err := m.kdb.LiveBatches(name)
 		if err != nil {
-			return fmt.Errorf("stream: reading batches of %q: %w", st.Dataset, err)
-		}
-		if len(batches) == 0 {
-			continue // a control record with no acked batch
+			return fmt.Errorf("stream: reading batches of %q: %w", name, err)
 		}
 		var all kdb.LiveBatch
 		for _, b := range batches {
@@ -147,14 +152,13 @@ func (m *Manager) recover() error {
 			all.Records = append(all.Records, b.Records...)
 			all.Revision = b.Revision
 		}
-		d := m.newDataset(st.Dataset)
+		d := m.newDataset(name)
 		if err := d.live.Append(all.Exams, all.Patients, all.Records); err != nil {
-			return fmt.Errorf("stream: replaying %s@1..%d: %w", st.Dataset, all.Revision, err)
+			return fmt.Errorf("stream: replaying %s@1..%d: %w", name, all.Revision, err)
 		}
 		d.revision = all.Revision
-		d.baseline = st.Baseline
-		d.updateDriftLocked()
-		m.datasets[st.Dataset] = d
+		d.resetBaselineLocked(stats.Characterize(d.live.Log()))
+		m.datasets[name] = d
 	}
 	return nil
 }
@@ -162,13 +166,9 @@ func (m *Manager) recover() error {
 // newDataset builds an empty in-memory live dataset (not yet
 // registered in the map or the K-DB).
 func (m *Manager) newDataset(name string) *Dataset {
-	live := vsm.NewLive(m.vsmOptions())
+	live := vsm.NewLive(m.svc.Engine().Config().VSM)
 	live.Log().Name = name
 	return &Dataset{mgr: m, name: name, live: live, events: service.NewFeed[Event](eventHistory)}
-}
-
-func (m *Manager) vsmOptions() vsm.Options {
-	return m.svc.Engine().Config().VSM
 }
 
 // Get resolves a registered live dataset.
@@ -196,8 +196,9 @@ func (m *Manager) Datasets() []DatasetStatus {
 
 // Register creates a live dataset named name seeded with the given
 // initial log (which may be empty of records). The initial contents
-// are durably recorded as the dataset's revision-1 batch before
-// Register returns; re-registering a name fails with ErrExists.
+// and their descriptor are durably recorded, in one commit, before
+// Register returns; if that fails the dataset is discarded.
+// Re-registering a name fails with ErrExists.
 func (m *Manager) Register(name string, exams []Exam, patients []Patient, records []Record) (DatasetStatus, error) {
 	if name == "" {
 		return DatasetStatus{}, errors.New("stream: empty dataset name")

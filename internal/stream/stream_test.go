@@ -512,9 +512,11 @@ func TestAppendDuringFailedRegistration(t *testing.T) {
 
 // TestRecoverLegacyControlRecord: a live_datasets control record in
 // the shape older builds wrote, which also carries the retired online
-// model's model_revision, centroids and features, recovers without a
-// migration: the drift is recomputed against its baseline, its
-// last_analysis is not restored, and the dataset keeps taking appends.
+// model's model_revision, centroids and features, is ignored: the
+// dataset recovers from its batch without a migration, its baseline is
+// the recovered log's descriptor (the K-DB holds none under its name),
+// not the record's, its last_analysis is not restored, and the dataset
+// keeps taking appends.
 func TestRecoverLegacyControlRecord(t *testing.T) {
 	dir := t.TempDir()
 	svcA := testService(t, fastConfig(23, dir))
@@ -526,7 +528,10 @@ func TestRecoverLegacyControlRecord(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	log.Name = "legacy"
 	baseline := stats.Characterize(log)
+	stale := baseline
+	stale.NumPatients *= 2
 	raw, err := json.Marshal(map[string]any{
 		"_id":            "live:legacy",
 		"dataset":        "legacy",
@@ -534,7 +539,7 @@ func TestRecoverLegacyControlRecord(t *testing.T) {
 		"model_revision": 1,
 		"centroids":      [][]float64{{0.5, 0.25}, {0, 1}},
 		"features":       []string{log.Exams[0].Code, log.Exams[1].Code},
-		"baseline":       baseline,
+		"baseline":       stale,
 		"drift":          0.02,
 		"last_analysis":  "job-9",
 	})
@@ -545,7 +550,7 @@ func TestRecoverLegacyControlRecord(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Store().Collection(kdb.CollLiveDatasets).Insert(doc); err != nil {
+	if _, err := k.Store().Collection("live_datasets").Insert(doc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -557,19 +562,19 @@ func TestRecoverLegacyControlRecord(t *testing.T) {
 	}
 	d, ok := mgr.Get("legacy")
 	if !ok {
-		t.Fatal("legacy control record did not recover its dataset")
+		t.Fatal("the dataset of a legacy control record did not recover")
 	}
 	st := d.Status()
-	wantDrift := 1 - kdb.DescriptorSimilarity(baseline, stats.Characterize(log))
 	if st.Revision != 1 || st.ModelRevision != 1 || st.NumRecords != len(log.Records) ||
-		st.Drift != wantDrift || st.LastAnalysis != "" {
+		st.Drift != 0 || st.LastAnalysis != "" {
 		t.Fatalf("recovered status = %+v", st)
 	}
 	d.mu.Lock()
-	gotPatients := d.baseline.NumPatients
+	got := *d.baseline
 	d.mu.Unlock()
-	if gotPatients != baseline.NumPatients {
-		t.Fatalf("recovered baseline has %d patients, want %d", gotPatients, baseline.NumPatients)
+	if !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("recovered baseline has %d patients, want the log's %d, not the control record's %d",
+			got.NumPatients, baseline.NumPatients, stale.NumPatients)
 	}
 
 	st, err = d.Append(nil, []Patient{{ID: "PL-1", Age: 52}},
