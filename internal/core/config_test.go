@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,4 +89,31 @@ func TestWithConfigSharesKDB(t *testing.T) {
 	if d.Config().Seed != 9 {
 		t.Errorf("derived seed = %d, want 9", d.Config().Seed)
 	}
+}
+
+// FuzzConfigValidate decodes any bytes as JSON into a Config, the path
+// a per-job `config` override takes: Validate must not panic, and a
+// config it accepts must survive a JSON round trip unchanged and
+// validate again. Seeds live in testdata/fuzz/FuzzConfigValidate.
+func FuzzConfigValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var cfg Config
+		if json.Unmarshal(raw, &cfg) != nil || cfg.Validate() != nil {
+			return
+		}
+		out, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("an accepted config does not marshal: %v", err)
+		}
+		var back Config
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("an accepted config's JSON %s does not decode: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Fatalf("round trip changed the config:\nwant %+v\ngot  %+v", cfg, back)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("an accepted config fails Validate after a round trip: %v", err)
+		}
+	})
 }

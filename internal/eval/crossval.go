@@ -48,7 +48,15 @@ func StratifiedKFold(y []int, k int, seed int64) ([][]int, error) {
 		byNeg[c] = append(byNeg[c], i)
 	}
 	sort.Ints(negClasses)
+	// Assignment is round-robin over every class in turn, so no fold
+	// holds more than ⌈n/k⌉ indices: one slab, each fold a window of
+	// that capacity.
+	per := (len(y) + k - 1) / k
+	slab := make([]int, k*per)
 	folds := make([][]int, k)
+	for f := range folds {
+		folds[f] = slab[f*per : f*per : (f+1)*per]
+	}
 	next := 0
 	assign := func(idx []int) {
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })

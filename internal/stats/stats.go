@@ -48,9 +48,9 @@ func Summarize(xs []float64) Summary {
 	var m2, m3, m4 float64
 	for _, x := range xs {
 		d := x - s.Mean
-		m2 += d * d
-		m3 += d * d * d
-		m4 += d * d * d * d
+		m2 += float64(d * d)
+		m3 += float64(d * d * d)
+		m4 += float64(d * d * d * d)
 	}
 	m2 /= float64(n)
 	m3 /= float64(n)
@@ -88,8 +88,8 @@ func Quantile(sorted []float64, q float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(pos) - float64(lo)
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Entropy returns the Shannon entropy (bits) of a discrete
@@ -109,7 +109,7 @@ func Entropy(counts []int) float64 {
 			continue
 		}
 		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }
@@ -145,7 +145,7 @@ func Gini(counts []int) float64 {
 	// G = (2 Σ_i i·x_i) / (n Σ x) - (n+1)/n with 1-based i.
 	weighted := 0.0
 	for i, x := range sorted {
-		weighted += float64(i+1) * x
+		weighted += float64(float64(i+1) * x)
 	}
 	return 2*weighted/(float64(n)*total) - float64(n+1)/float64(n)
 }
