@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"adahealth/internal/core"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/synth"
@@ -370,14 +368,13 @@ func TestDaemonKnowledgeAndSimilarEndpoints(t *testing.T) {
 
 // TestFailedJobStoresNoDescriptor: a job that fails before
 // store-knowledge leaves nothing in the K-DB, so the similar endpoint
-// knows no descriptor of its dataset (404). A one-microsecond
-// StageTimeout fails the first stage that checks its context (recall,
-// partialmine, patterns or the sweep); characterize, which does not,
-// finishes first and stores nothing of its own.
+// knows no descriptor of its dataset (404). The sweep grid holds a K
+// above the log's 300 patients, which the sweep stage refuses, after
+// characterize has run.
 func TestFailedJobStoresNoDescriptor(t *testing.T) {
 	cfg := fastConfig(1)
 	cfg.KDBDir = t.TempDir()
-	cfg.StageTimeout = time.Microsecond
+	cfg.Sweep.Ks = []int{3, 4, 1000}
 	svc, err := New(Config{Engine: cfg, Workers: 1, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -386,19 +383,19 @@ func TestFailedJobStoresNoDescriptor(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	j, err := svc.Submit(t.Context(), testLog(t, 1))
+	log := testLog(t, 1)
+	j, err := svc.Submit(t.Context(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var te *core.StageTimeoutError
-	if _, err := j.Wait(t.Context()); !errors.As(err, &te) {
-		t.Fatalf("job error = %v, want a stage timeout", err)
+	if _, err := j.Wait(t.Context()); err == nil || !strings.Contains(err.Error(), "K=1000 exceeds") {
+		t.Fatalf("job error = %v, want the sweep's refusal of K=1000", err)
 	}
 	counts := svc.Engine().KDB().Counts()
 	if n := counts[kdb.CollDescriptors] + counts[kdb.CollClusterKI] + counts[kdb.CollPatternKI]; n != 0 {
-		t.Fatalf("a job that timed out in %s stored %d documents: %v", te.Stage, n, counts)
+		t.Fatalf("a job that failed in the sweep stored %d documents: %v", n, counts)
 	}
-	if code := getJSON(t, srv, "/v1/datasets/"+testLog(t, 1).Name+"/similar", nil); code != http.StatusNotFound {
+	if code := getJSON(t, srv, "/v1/datasets/"+log.Name+"/similar", nil); code != http.StatusNotFound {
 		t.Fatalf("similar for a failed job's dataset = %d, want 404", code)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
@@ -222,14 +222,15 @@ func baselineOf(d *Dataset) (stats.Descriptor, float64) {
 }
 
 // TestFailedResweepKeepsBaseline: a resweep that fails before
-// store-knowledge (every stage that checks its context times out) stores
-// no descriptor, so the baseline stays the registration's, at runtime
-// and after a restart, and the restarted gauge is bit-equal.
+// store-knowledge (its sweep grid holds a K above the log's 60
+// patients, which the sweep stage refuses) stores no descriptor, so the
+// baseline stays the registration's, at runtime and after a restart,
+// and the restarted gauge is bit-equal.
 func TestFailedResweepKeepsBaseline(t *testing.T) {
-	const name = "ward-timeout"
+	const name = "ward-failing"
 	dir := t.TempDir()
 	cfg := fastConfig(53, dir)
-	cfg.StageTimeout = time.Microsecond
+	cfg.Sweep.Ks = []int{3, 4, 1000}
 	svcA := testService(t, cfg)
 	mgrA, err := NewManager(Config{Service: svcA, DriftThreshold: 1e-6})
 	if err != nil {
@@ -246,8 +247,8 @@ func TestFailedResweepKeepsBaseline(t *testing.T) {
 		t.Fatalf("append did not schedule a resweep: %+v, %v", st, err)
 	}
 	before := waitStatus(t, d, "resweep completion", func(st DatasetStatus) bool { return !st.Resweeping })
-	if h := d.events.History(); h[len(h)-1].Type != EventResweepComplete || h[len(h)-1].Err == "" {
-		t.Fatalf("last event %+v, want a failed resweep's completion", h[len(h)-1])
+	if h := d.events.History(); h[len(h)-1].Type != EventResweepComplete || !strings.Contains(h[len(h)-1].Err, "K=1000 exceeds") {
+		t.Fatalf("last event %+v, want the completion of a resweep the sweep failed", h[len(h)-1])
 	}
 	if got, _ := baselineOf(d); !reflect.DeepEqual(got, registered) {
 		t.Fatalf("a failed resweep moved the baseline to %+v", got)
