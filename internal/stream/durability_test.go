@@ -9,10 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"adahealth/internal/core"
 	"adahealth/internal/dataset"
 	"adahealth/internal/docstore"
+	"adahealth/internal/faultfs"
 	"adahealth/internal/kdb"
 	"adahealth/internal/obs"
+	"adahealth/internal/service"
 	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
@@ -318,5 +321,50 @@ func TestBatchJobUnderLiveNameIsItsAnalysis(t *testing.T) {
 	}
 	if want := 1 - kdb.DescriptorSimilarity(rep.Descriptor, stats.Characterize(d.live.Log())); drift != want {
 		t.Fatalf("after a restart drift %v, want %v against the batch job's descriptor", drift, want)
+	}
+}
+
+// TestFailedRegistrationWriteDiscardsDataset: a registration applies
+// its batch in memory before its one commit, so a commit the WAL
+// refuses must discard the whole dataset: Register answers
+// ErrDurability, the name is free, and a restart over the directory
+// knows neither the dataset nor its descriptor.
+func TestFailedRegistrationWriteDiscardsDataset(t *testing.T) {
+	const name = "ward-unwritten"
+	dir := t.TempDir()
+	ffs := faultfs.New(nil, 1)
+	k, err := kdb.OpenStore(docstore.Options{Dir: dir, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := core.NewWithKDB(fastConfig(67, ""), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.NewWithEngine(engine, service.Config{Workers: 1, QueueDepth: 4})
+	t.Cleanup(func() { _ = svc.Close() })
+	mgr, err := NewManager(Config{Service: svc, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: faultfs.ENOSPC()})
+	log := genLog(t, 67, 40, 400)
+	if _, err := mgr.Register(name, log.Exams, log.Patients, log.Records); !errors.Is(err, ErrDurability) {
+		t.Fatalf("registration over a failing WAL: err %v, want ErrDurability", err)
+	}
+	if _, ok := mgr.Get(name); ok || len(mgr.Datasets()) != 0 {
+		t.Fatalf("a registration whose write failed left %+v", mgr.Datasets())
+	}
+
+	svcB := testService(t, fastConfig(67, dir))
+	mgrB, err := NewManager(Config{Service: svcB, DriftThreshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mgrB.Datasets(); len(got) != 0 {
+		t.Fatalf("restart recovered %+v from a registration that never committed", got)
+	}
+	if _, _, ok := svcB.Engine().KDB().LatestDescriptor(name); ok {
+		t.Fatal("restart found the descriptor of a registration that never committed")
 	}
 }
