@@ -43,6 +43,9 @@
 // 300, ...}}), and may set "priority", "deadline_ms", "seed", "labels"
 // and a full per-job "config" override (validated at admission).
 //
+// Every JSON answer is compact: one line and a newline. Pipe it through
+// jq to read it, as in curl -s localhost:8080/healthz | jq.
+//
 // On SIGINT/SIGTERM the daemon drains gracefully: it stops accepting
 // HTTP connections and new jobs, lets queued and running jobs finish
 // within -drain, then cancels whatever remains.

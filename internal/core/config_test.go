@@ -9,6 +9,7 @@ import (
 	"adahealth/internal/cluster"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
+	"adahealth/internal/vsm"
 )
 
 // TestNewRejectsBadConfig: New must fail bad configurations with a
@@ -29,6 +30,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"negative seed", Config{Seed: -7}, "Seed"},
 		{"unknown sweep algorithm", Config{Sweep: optimize.SweepConfig{Cluster: cluster.Options{Algorithm: cluster.Algorithm(99)}}}, "algorithm"},
 		{"unknown partial algorithm", Config{Partial: partial.Config{Cluster: cluster.Options{Algorithm: cluster.Algorithm(-1)}}}, "algorithm"},
+		{"unknown weighting", Config{VSM: vsm.Options{Weighting: 7}}, "weighting"},
+		{"negative weighting", Config{VSM: vsm.Options{Weighting: -1}}, "weighting"},
+		{"unknown normalization", Config{VSM: vsm.Options{Normalization: 9}}, "normalization"},
 		{"negative batch size", Config{Sweep: optimize.SweepConfig{Cluster: cluster.Options{BatchSize: -5}}}, "batch"},
 		{"negative partial batch size", Config{Partial: partial.Config{Cluster: cluster.Options{BatchSize: -1}}}, "batch"},
 		{"sweep K below 2", Config{Sweep: optimize.SweepConfig{Ks: []int{1}}}, "K=1"},
@@ -57,6 +61,7 @@ func TestNewAcceptsZeroAndBoundaryConfig(t *testing.T) {
 		{MinSupportFrac: 1, MinConfidence: 1},
 		{MinSupportFrac: 0.02, MinConfidence: 0.6, MaxPatternItems: 10, Parallelism: 2, Seed: 42},
 		{Sweep: optimize.SweepConfig{Cluster: cluster.Options{Algorithm: cluster.DenseLloyd}}},
+		{VSM: vsm.Options{Weighting: vsm.TFIDF, Normalization: vsm.L1}},
 		{Sweep: optimize.SweepConfig{Cluster: cluster.Options{Algorithm: cluster.AlgorithmMiniBatch, BatchSize: 512}}},
 	} {
 		e, err := New(cfg)

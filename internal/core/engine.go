@@ -141,6 +141,12 @@ func (c Config) Validate() error {
 	if c.Seed < 0 {
 		return fmt.Errorf("core: negative Seed %d (seeds must be non-negative so derived per-component seeds stay in range)", c.Seed)
 	}
+	if !c.VSM.Weighting.Valid() {
+		return fmt.Errorf("core: unknown VSM weighting %s", c.VSM.Weighting)
+	}
+	if !c.VSM.Normalization.Valid() {
+		return fmt.Errorf("core: unknown VSM normalization %s", c.VSM.Normalization)
+	}
 	if !c.Sweep.Cluster.Algorithm.Valid() {
 		return fmt.Errorf("core: unknown sweep clustering algorithm %s", c.Sweep.Cluster.Algorithm)
 	}

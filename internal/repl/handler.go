@@ -3,6 +3,7 @@ package repl
 import (
 	"net/http"
 
+	"adahealth/internal/httpapi"
 	"adahealth/internal/kdb"
 	"adahealth/internal/obs"
 	"adahealth/internal/service"
@@ -24,7 +25,7 @@ func NewFollowerHandler(f *Follower, kb *kdb.KDB) http.Handler {
 	mux.Handle("/", service.NewKnowledgeHandler(kb))
 	mux.Handle("GET /metrics", obs.Default().Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		httpapi.WriteJSON(w, http.StatusOK, struct {
 			Role string     `json:"role"`
 			Mode kdb.Mode   `json:"mode"`
 			Lag  Lag        `json:"replication"`

@@ -25,7 +25,6 @@
 package repl
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,6 +33,7 @@ import (
 	"time"
 
 	"adahealth/internal/docstore"
+	"adahealth/internal/httpapi"
 )
 
 // Wire paths and headers of the replication protocol.
@@ -122,29 +122,17 @@ func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) { l.mux.Serve
 // 503. It does not wait for the streams' handlers to return.
 func (l *Leader) Close() { l.closeOnce.Do(func() { close(l.done) }) }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, struct {
-		Error string `json:"error"`
-	}{err.Error()})
-}
-
 func (l *Leader) status(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, l.s.ReplStatus())
+	httpapi.WriteJSON(w, http.StatusOK, l.s.ReplStatus())
 }
 
 func (l *Leader) snapshot(w http.ResponseWriter, r *http.Request) {
 	pos, files, err := l.s.SnapshotBootstrap()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Epoch: pos.Epoch, Files: files})
+	httpapi.WriteJSON(w, http.StatusOK, snapshotResponse{Epoch: pos.Epoch, Files: files})
 }
 
 // wal streams raw frames from the requested position. The first read
@@ -157,17 +145,17 @@ func (l *Leader) wal(w http.ResponseWriter, r *http.Request) {
 	epoch, err1 := strconv.ParseInt(q.Get("epoch"), 10, 64)
 	from, err2 := strconv.ParseInt(q.Get("from"), 10, 64)
 	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, errors.New("repl: wal needs integer epoch= and from="))
+		httpapi.WriteError(w, http.StatusBadRequest, errors.New("repl: wal needs integer epoch= and from="))
 		return
 	}
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
-		writeError(w, http.StatusInternalServerError, errors.New("repl: streaming unsupported by connection"))
+		httpapi.WriteError(w, http.StatusInternalServerError, errors.New("repl: streaming unsupported by connection"))
 		return
 	}
 	select {
 	case <-l.done:
-		writeError(w, http.StatusServiceUnavailable, errors.New("repl: leader is shutting down"))
+		httpapi.WriteError(w, http.StatusServiceUnavailable, errors.New("repl: leader is shutting down"))
 		return
 	default:
 	}
@@ -178,10 +166,10 @@ func (l *Leader) wal(w http.ResponseWriter, r *http.Request) {
 	data, pos, err := l.reader.Read(epoch, from, 0)
 	switch {
 	case errors.Is(err, docstore.ErrCompacted):
-		writeError(w, http.StatusConflict, err)
+		httpapi.WriteError(w, http.StatusConflict, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

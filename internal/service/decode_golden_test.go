@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"adahealth/internal/core"
+	"adahealth/internal/httpapi"
 )
 
 // goldenSubmitBodies are request bodies for POST /v1/analyses with
@@ -181,7 +182,7 @@ func TestSubmitRefusesUncleanLog(t *testing.T) {
 	}
 }
 
-// TestBodyLimit: a body over MaxBodyBytes gets a 413, whether its
+// TestBodyLimit: a body over httpapi.MaxBodyBytes gets a 413, whether its
 // declared length says so up front or a chunked body runs past it.
 func TestBodyLimit(t *testing.T) {
 	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
@@ -192,14 +193,14 @@ func TestBodyLimit(t *testing.T) {
 	h := NewHandler(svc)
 
 	declared := httptest.NewRequest(http.MethodPost, "/v1/analyses", bytes.NewReader([]byte(`{}`)))
-	declared.ContentLength = MaxBodyBytes + 1
+	declared.ContentLength = httpapi.MaxBodyBytes + 1
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, declared)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("declared oversize: status %d, want 413", w.Code)
 	}
 
-	long := io.MultiReader(bytes.NewReader([]byte(`{"name":"`)), io.LimitReader(zeros{}, MaxBodyBytes))
+	long := io.MultiReader(bytes.NewReader([]byte(`{"name":"`)), io.LimitReader(zeros{}, httpapi.MaxBodyBytes))
 	chunked := httptest.NewRequest(http.MethodPost, "/v1/analyses", long)
 	chunked.ContentLength = -1
 	w = httptest.NewRecorder()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"adahealth/internal/httpapi"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 )
@@ -29,7 +30,7 @@ func TestDegradedReadRoutesToFallback(t *testing.T) {
 	var hits atomic.Int64
 	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		WriteJSON(w, http.StatusOK, knowledgeResponse{
+		httpapi.WriteJSON(w, http.StatusOK, knowledgeResponse{
 			Dataset: r.URL.Query().Get("dataset"),
 			Count:   1,
 			Items:   []knowledge.Item{{ID: "standby-item", Dataset: "ward-a"}},

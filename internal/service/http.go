@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +11,7 @@ import (
 
 	"adahealth/internal/core"
 	"adahealth/internal/dataset"
+	"adahealth/internal/httpapi"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/obs"
@@ -50,11 +49,6 @@ type SubmitResponse struct {
 	Status Status `json:"status"`
 }
 
-// errorResponse is every non-2xx JSON body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // NewHandler returns the daemon's HTTP API over svc:
 //
 //	POST   /v1/analyses              submit (202 + job id; 429 when the queue is full)
@@ -66,7 +60,8 @@ type errorResponse struct {
 //	GET    /v1/datasets/{id}/similar datasets similar to {id}'s newest descriptor (?limit=; 404 if none)
 //	GET    /healthz                  liveness + queue/worker/K-DB gauges
 //
-// Every response is JSON except the SSE stream. opts, at most one,
+// Every response is compact JSON (httpapi.WriteJSON) except the SSE
+// stream, the HTML trace view and /metrics. opts, at most one,
 // configures the optional behaviours; none selects the zero
 // HandlerOptions. The handler is safe for concurrent use.
 func NewHandler(svc *Service, opts ...HandlerOptions) http.Handler {
@@ -124,71 +119,26 @@ type httpAPI struct {
 	mode func() kdb.Mode
 }
 
-// WriteJSON writes v as the indented JSON body of a code response:
-// every JSON answer of the job and live-dataset APIs.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// WriteError writes the {"error": ...} body every non-2xx JSON
-// response carries.
-func WriteError(w http.ResponseWriter, code int, err error) {
-	WriteJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-// MaxBodyBytes bounds the body of a log-bearing request (POST
-// /v1/analyses, PUT /v1/datasets/{id}, POST /v1/datasets/{id}/visits):
-// about twice the JSON of the paper's full 6,380-patient log.
-const MaxBodyBytes = 16 << 20
-
-// ReadBody reads r's whole body, refusing one over MaxBodyBytes. On
-// failure it writes the error response — 413 for an oversized body,
-// 400 otherwise — and returns false.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.ContentLength > MaxBodyBytes {
-		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes))
-		return nil, false
-	}
-	var buf bytes.Buffer
-	if r.ContentLength > 0 {
-		buf.Grow(int(r.ContentLength) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", MaxBodyBytes))
-		} else {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		}
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
 func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r)
+	body, ok := httpapi.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	// The log member goes through the log decoder, which also encodes
-	// it; the rest of the request through encoding/json.
+	// it; the rest of the request through encoding/json. Neither keeps
+	// a pointer into the body, so its buffer goes back at once.
 	var req SubmitRequest
-	if err := dataset.DecodeEnvelope(body, &req, &req.Log); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	err := dataset.DecodeEnvelope(body.Bytes(), &req, &req.Log)
+	body.Release()
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 
-	var (
-		log *dataset.Log
-		err error
-	)
+	var log *dataset.Log
 	switch {
 	case req.Log != nil && req.Synthetic != nil:
-		WriteError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
+		httpapi.WriteError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
 		return
 	case req.Log != nil:
 		log = req.Log
@@ -199,11 +149,11 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		log, err = synth.Generate(cfg)
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
 			return
 		}
 	default:
-		WriteError(w, http.StatusBadRequest, errors.New("pass a log or a synthetic generator config"))
+		httpapi.WriteError(w, http.StatusBadRequest, errors.New("pass a log or a synthetic generator config"))
 		return
 	}
 	if req.Name != "" {
@@ -230,22 +180,22 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 	job, err := h.svc.Submit(r.Context(), log, opts...)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		WriteError(w, http.StatusTooManyRequests, err)
+		httpapi.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrDegraded):
-		WriteError(w, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
+	httpapi.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
 }
 
 func (h *httpAPI) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	job, ok := h.svc.Job(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return nil, false
 	}
 	return job, true
@@ -256,7 +206,7 @@ func (h *httpAPI) status(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	WriteJSON(w, http.StatusOK, job.State())
+	httpapi.WriteJSON(w, http.StatusOK, job.State())
 }
 
 func (h *httpAPI) report(w http.ResponseWriter, r *http.Request) {
@@ -269,15 +219,15 @@ func (h *httpAPI) report(w http.ResponseWriter, r *http.Request) {
 		status := job.Status()
 		if status.Terminal() {
 			// Failed or cancelled: there is no report to serve.
-			WriteError(w, http.StatusConflict,
+			httpapi.WriteError(w, http.StatusConflict,
 				fmt.Errorf("job %s is %s: %v", job.ID(), status, job.Err()))
 			return
 		}
-		WriteError(w, http.StatusConflict,
+		httpapi.WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; report not ready", job.ID(), status))
 		return
 	}
-	WriteJSON(w, http.StatusOK, rep)
+	httpapi.WriteJSON(w, http.StatusOK, rep)
 }
 
 // traceHTML renders a finished job's stage schedule as the HTML Gantt
@@ -292,11 +242,11 @@ func (h *httpAPI) traceHTML(w http.ResponseWriter, r *http.Request) {
 	if !done {
 		status := job.Status()
 		if status.Terminal() {
-			WriteError(w, http.StatusConflict,
+			httpapi.WriteError(w, http.StatusConflict,
 				fmt.Errorf("job %s is %s: %v", job.ID(), status, job.Err()))
 			return
 		}
-		WriteError(w, http.StatusConflict,
+		httpapi.WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; trace not ready", job.ID(), status))
 		return
 	}
@@ -310,7 +260,7 @@ func (h *httpAPI) cancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
+	httpapi.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID(), Status: job.Status()})
 }
 
 // events streams a job's progress as Server-Sent Events: every event
@@ -352,7 +302,7 @@ func serveKnowledge(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 	q := r.URL.Query()
 	limit, err := intParam(q.Get("limit"), 50)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var items []knowledge.Item
@@ -362,13 +312,13 @@ func serveKnowledge(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 		items, err = kb.KnowledgeItems(q.Get("dataset"), limit)
 	}
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if items == nil {
 		items = []knowledge.Item{}
 	}
-	WriteJSON(w, http.StatusOK, knowledgeResponse{
+	httpapi.WriteJSON(w, http.StatusOK, knowledgeResponse{
 		Dataset: q.Get("dataset"),
 		Metric:  q.Get("metric"),
 		Count:   len(items),
@@ -448,17 +398,17 @@ func serveSimilar(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 	name := r.PathValue("id")
 	limit, err := intParam(r.URL.Query().Get("limit"), 10)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	desc, _, ok := kb.LatestDescriptor(name)
 	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("no descriptor stored for dataset %q", name))
+		httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("no descriptor stored for dataset %q", name))
 		return
 	}
 	hits, err := kb.SimilarDatasets(desc, "", 0)
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// The dataset always matches itself; the endpoint answers "which
@@ -473,7 +423,7 @@ func serveSimilar(w http.ResponseWriter, r *http.Request, kb *kdb.KDB) {
 			break
 		}
 	}
-	WriteJSON(w, http.StatusOK, similarResponse{Dataset: name, Similar: out})
+	httpapi.WriteJSON(w, http.StatusOK, similarResponse{Dataset: name, Similar: out})
 }
 
 func intParam(s string, def int) (int, error) {
@@ -498,7 +448,7 @@ func (h *httpAPI) health(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	kb := h.svc.Engine().KDB()
-	WriteJSON(w, code, struct {
+	httpapi.WriteJSON(w, code, struct {
 		Health
 		Stats
 		// KDBCounts is the per-collection document count and

@@ -2,20 +2,26 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"adahealth/internal/core"
+	"adahealth/internal/dataset"
+	"adahealth/internal/httpapi"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
+	"adahealth/internal/stats"
 	"adahealth/internal/synth"
 )
 
@@ -268,7 +274,7 @@ func TestDaemonBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: code = %d, body %s", tc.name, resp.StatusCode, body)
 		}
-		var e errorResponse
+		var e struct{ Error string }
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: not a JSON error body: %s", tc.name, body)
 		}
@@ -337,6 +343,84 @@ func TestDaemonInlineDecodedLog(t *testing.T) {
 	if state.Status != StatusDone {
 		t.Fatalf("job ended %s (%s)", state.Status, state.Error)
 	}
+}
+
+// TestConcurrentSubmissionsKeepTheirLogs: concurrent submissions of
+// different inline logs each analyse their own log, however the routes
+// reuse request-body buffers between them. Each client submits twice,
+// so later requests read into buffers earlier ones handed back; under
+// -race a decoded log that still pointed into its body would also show
+// as a race between a job reading it and the next request's read.
+func TestConcurrentSubmissionsKeepTheirLogs(t *testing.T) {
+	const clients, each = 8, 2
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 2, QueueDepth: clients * each})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	logs := make([]*dataset.Log, clients*each)
+	for i := range logs {
+		logs[i] = testLog(t, int64(i+1))
+		logs[i].Name = fmt.Sprintf("ward-%d", i)
+	}
+	ids := make([]string, len(logs))
+	errs := make([]error, len(logs))
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c * each; i < (c+1)*each; i++ {
+				ids[i], errs[i] = submitLog(srv.URL, logs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	for i, id := range ids {
+		job, ok := svc.Job(id)
+		if !ok {
+			t.Fatalf("job %s not found", id)
+		}
+		rep, err := job.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		want := logs[i]
+		if got := job.log; got.Name != want.Name || !reflect.DeepEqual(got.Exams, want.Exams) ||
+			!reflect.DeepEqual(got.Patients, want.Patients) || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("job %s holds another log than %s", id, want.Name)
+		}
+		if !reflect.DeepEqual(rep.Descriptor, stats.Characterize(want)) {
+			t.Errorf("job %s describes\n %+v\nnot %s's\n %+v", id, rep.Descriptor, want.Name, stats.Characterize(want))
+		}
+	}
+}
+
+// submitLog posts log inline and returns the job id.
+func submitLog(url string, log *dataset.Log) (string, error) {
+	raw, err := json.Marshal(SubmitRequest{Log: log})
+	if err != nil {
+		return "", err
+	}
+	resp, err := http.Post(url+"/v1/analyses", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return "", fmt.Errorf("status %d", resp.StatusCode)
+	}
+	var sub SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	return sub.ID, err
 }
 
 // TestDaemonAlgorithmOverride: a per-job config override names the
@@ -408,6 +492,28 @@ func TestDaemonIgnoresRemovedConfigKeys(t *testing.T) {
 	waitDone(t, srv, sub.ID)
 }
 
+// TestDaemonRejectsUnknownVSM: a per-job config naming a weighting or
+// normalization outside the VSM's constants is a 400 at admission, not
+// an analysis that silently runs as raw counts.
+func TestDaemonRejectsUnknownVSM(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	for _, config := range []string{`{"VSM":{"Weighting":7}}`, `{"VSM":{"Normalization":9}}`, `{"VSM":{"Weighting":-1}}`} {
+		if resp, _ := submitOverride(t, srv, config); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("config %s = %d, want 400", config, resp.StatusCode)
+		}
+	}
+	if st := svc.Stats(); st.Queued+st.Running != 0 {
+		t.Errorf("refused configs left jobs behind: %+v", st)
+	}
+}
+
 // submitOverride posts a small synthetic analysis whose per-job config
 // override is the JSON object config.
 func submitOverride(t *testing.T, srv *httptest.Server, config string) (*http.Response, SubmitResponse) {
@@ -467,7 +573,7 @@ func TestKnowledgeWithoutMetricTruncatesAtLimit(t *testing.T) {
 		got := httptest.NewRecorder()
 		serveKnowledge(got, httptest.NewRequest("GET", "/v1/knowledge?dataset=ward-a"+tc.query, nil), kb)
 		want := httptest.NewRecorder()
-		WriteJSON(want, http.StatusOK, knowledgeResponse{Dataset: "ward-a", Count: tc.n, Items: all[:tc.n]})
+		httpapi.WriteJSON(want, http.StatusOK, knowledgeResponse{Dataset: "ward-a", Count: tc.n, Items: all[:tc.n]})
 		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 			t.Errorf("%q: status %d, body differs from the first %d items of the full read", tc.query, got.Code, tc.n)
 		}

@@ -17,7 +17,7 @@
 // # Admission encodes the log
 //
 // A log is encoded once, at the door (dataset.Encoded): the HTTP
-// routes read the body once, under MaxBodyBytes, and decode it with
+// routes read the body once, under httpapi.MaxBodyBytes, and decode it with
 // the dataset package's byte decoder. Submit encodes the log, however
 // it was built, before it takes the admission lock, so the DAG's
 // concurrent root stages only ever read the encoding and status

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"adahealth/internal/httpapi"
 )
 
 // feedBuffer is a subscription's channel headroom past its replay: a
@@ -128,7 +130,7 @@ var sseKeepalive = 15 * time.Second
 func ServeSSE[E any](w http.ResponseWriter, r *http.Request, ch <-chan E) {
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
-		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
+		httpapi.WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

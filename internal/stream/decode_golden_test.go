@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"adahealth/internal/service"
+	"adahealth/internal/httpapi"
 )
 
 const goldenBase = `"exams":[{"code":"EX1","name":"Checkup","category":"routine"},{"code":"EX2","name":"Kidney","category":"renal"}],"patients":[{"id":"P1","age":50},{"id":"P2","age":61,"profile":"a"}],"records":[{"patient_id":"P1","exam_code":"EX1","date":"2015-01-02T00:00:00Z"},{"patient_id":"P1","exam_code":"EX2","date":"2015-01-02T00:00:00Z"},{"patient_id":"P2","exam_code":"EX1","date":"2015-02-03T00:00:00Z"}]`
@@ -170,7 +170,7 @@ func TestRegisterAppendDecodeGolden(t *testing.T) {
 }
 
 // TestLiveRoutesBodyLimit: both live-dataset routes answer a body over
-// service.MaxBodyBytes with a 413.
+// httpapi.MaxBodyBytes with a 413.
 func TestLiveRoutesBodyLimit(t *testing.T) {
 	svc := testService(t, fastConfig(1, ""))
 	mgr, err := NewManager(Config{Service: svc})
@@ -184,7 +184,7 @@ func TestLiveRoutesBodyLimit(t *testing.T) {
 	for _, target := range []string{"PUT /v1/datasets/other", "POST /v1/datasets/big/visits"} {
 		method, path, _ := strings.Cut(target, " ")
 		req := httptest.NewRequest(method, path, bytes.NewReader([]byte(`{}`)))
-		req.ContentLength = service.MaxBodyBytes + 1
+		req.ContentLength = httpapi.MaxBodyBytes + 1
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusRequestEntityTooLarge {

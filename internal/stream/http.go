@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"adahealth/internal/dataset"
+	"adahealth/internal/httpapi"
 	"adahealth/internal/service"
 	"adahealth/internal/synth"
 )
@@ -75,25 +76,24 @@ func (h *httpAPI) register(w http.ResponseWriter, r *http.Request) {
 	// A taken name conflicts whatever the body holds (Register checks
 	// again, atomically, for a registration that races this one).
 	if _, taken := h.mgr.Get(name); taken {
-		service.WriteError(w, http.StatusConflict, fmt.Errorf("%w: %q", ErrExists, name))
+		httpapi.WriteError(w, http.StatusConflict, fmt.Errorf("%w: %q", ErrExists, name))
 		return
 	}
-	body, ok := service.ReadBody(w, r)
+	body, ok := httpapi.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	var req RegisterRequest
-	if err := dataset.DecodeEnvelope(body, &req, &req.Log); err != nil && !errors.Is(err, io.EOF) {
-		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	err := dataset.DecodeEnvelope(body.Bytes(), &req, &req.Log)
+	body.Release()
+	if err != nil && !errors.Is(err, io.EOF) {
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	var (
-		log *dataset.Log
-		err error
-	)
+	var log *dataset.Log
 	switch {
 	case req.Log != nil && req.Synthetic != nil:
-		service.WriteError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
+		httpapi.WriteError(w, http.StatusBadRequest, errors.New("pass either log or synthetic, not both"))
 		return
 	case req.Log != nil:
 		log = req.Log
@@ -104,33 +104,33 @@ func (h *httpAPI) register(w http.ResponseWriter, r *http.Request) {
 		}
 		log, err = synth.Generate(cfg)
 		if err != nil {
-			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("generating synthetic log: %w", err))
 			return
 		}
 	default:
-		service.WriteError(w, http.StatusBadRequest, errors.New("a registration needs log or synthetic"))
+		httpapi.WriteError(w, http.StatusBadRequest, errors.New("a registration needs log or synthetic"))
 		return
 	}
 
 	st, err := h.mgr.Register(name, log.Exams, log.Patients, log.Records)
 	switch {
 	case errors.Is(err, ErrExists):
-		service.WriteError(w, http.StatusConflict, err)
+		httpapi.WriteError(w, http.StatusConflict, err)
 		return
 	case errors.Is(err, ErrDurability):
-		service.WriteError(w, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		service.WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	service.WriteJSON(w, http.StatusCreated, st)
+	httpapi.WriteJSON(w, http.StatusCreated, st)
 }
 
 func (h *httpAPI) lookup(w http.ResponseWriter, r *http.Request) (*Dataset, bool) {
 	d, ok := h.mgr.Get(r.PathValue("id"))
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknown, r.PathValue("id")))
+		httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknown, r.PathValue("id")))
 		return nil, false
 	}
 	return d, true
@@ -141,33 +141,35 @@ func (h *httpAPI) append(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, ok := service.ReadBody(w, r)
+	body, ok := httpapi.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	// An AppendRequest is log-shaped without the name: its rows go
 	// through the log decoder.
 	var batch dataset.Log
-	if err := dataset.DecodeBatch(body, &batch); err != nil {
-		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	err := dataset.DecodeBatch(body.Bytes(), &batch)
+	body.Release()
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	st, err := d.Append(batch.Exams, batch.Patients, batch.Records)
 	switch {
 	case errors.Is(err, ErrUnknown):
-		service.WriteError(w, http.StatusNotFound, err)
+		httpapi.WriteError(w, http.StatusNotFound, err)
 		return
 	case errors.Is(err, ErrDurability):
-		service.WriteError(w, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		service.WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// 202: the batch is durable and applied to the live VSM and drift
 	// gauge, but the full analysis it may have triggered runs
 	// asynchronously.
-	service.WriteJSON(w, http.StatusAccepted, st)
+	httpapi.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (h *httpAPI) status(w http.ResponseWriter, r *http.Request) {
@@ -175,7 +177,7 @@ func (h *httpAPI) status(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, d.Status())
+	httpapi.WriteJSON(w, http.StatusOK, d.Status())
 }
 
 // events streams the live dataset's event feed as Server-Sent Events,

@@ -55,6 +55,9 @@ func (w Weighting) String() string {
 	}
 }
 
+// Valid reports whether w names a known weighting.
+func (w Weighting) Valid() bool { return w >= Count && w <= TFIDF }
+
 // Normalization selects per-row normalization applied after weighting.
 type Normalization int
 
@@ -80,6 +83,9 @@ func (n Normalization) String() string {
 		return fmt.Sprintf("Normalization(%d)", int(n))
 	}
 }
+
+// Valid reports whether n names a known normalization.
+func (n Normalization) Valid() bool { return n >= NoNorm && n <= L1 }
 
 // Options configures the transformation.
 type Options struct {
