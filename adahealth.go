@@ -9,8 +9,8 @@
 //
 // The primary surface is the job API — analysis as a service, the
 // paper's framing of mining as a shared hospital-wide facility. A
-// Service owns one engine, a bounded admission queue and a shared
-// stage pool; Submit returns immediately with a Job handle that
+// Service owns one engine (whose CPU budget every job shares) and a
+// bounded admission queue; Submit returns immediately with a Job handle that
 // exposes live progress:
 //
 //	svc, _ := adahealth.NewService(adahealth.ServiceConfig{Workers: 4})
@@ -58,9 +58,11 @@
 // partial mining also fan their units out over, Engine.AnalyzeContext
 // threads cancellation through every compute kernel, and
 // Report.Stages carries per-stage wall-time/allocation traces (they
-// travel with the Report; the K-DB does not store them). To analyze
-// many logs on one CPU budget, submit them to one Service: its jobs
-// share a single stage pool.
+// travel with the Report; the K-DB does not store them). Analyses on
+// one Engine share its budget: the engine owns one pool of CPU slots
+// (and one sweep arena) for every analysis it and its WithConfig
+// derivations run, so many logs, or a Service's jobs, never
+// oversubscribe the machine.
 //
 // With Config.KDBDir set, the knowledge base is a durable storage
 // engine: dataset-indexed collections, a group-committed

@@ -1,7 +1,7 @@
 // Command adahealthd is the ADA-HEALTH analysis daemon: a long-running
 // HTTP JSON service that turns the blocking library pipeline into
 // asynchronous, admission-controlled analysis jobs over one shared
-// engine and stage pool.
+// engine and its CPU budget.
 //
 //	adahealthd -addr :8080 -kdb-dir kdbdir/ -workers 4 -queue 64
 //

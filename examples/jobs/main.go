@@ -18,7 +18,7 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// One service = one shared engine, stage pool, and K-DB. Two
+	// One service = one shared engine: its CPU budget and K-DB. Two
 	// worker slots: a third submission waits in the admission queue.
 	svc, err := adahealth.NewService(adahealth.ServiceConfig{Workers: 2, QueueDepth: 16})
 	if err != nil {

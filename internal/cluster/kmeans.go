@@ -210,7 +210,9 @@ type Options struct {
 
 	// InitialCentroids, when non-nil, bypasses seeding (used by tests,
 	// the kernel-equivalence properties, and the warm-started sweep).
-	InitialCentroids [][]float64
+	// A Go-side hand-off, like Rand and Scratch: a decoded per-job
+	// configuration never carries it.
+	InitialCentroids [][]float64 `json:"-"`
 
 	// Rand, when non-nil, is reseeded with Seed and used as the run's
 	// stochastic stream — a reuse hook so a sweep does not allocate a

@@ -86,7 +86,7 @@ func runMiniBatch(ctx context.Context, pts *points, n int, centroids [][]float64
 			x := pts.row(p)
 			cent := centroids[c][:len(x)]
 			for j, v := range x {
-				cent[j] += eta * (v - cent[j])
+				cent[j] += float64(eta * (v - cent[j]))
 			}
 		}
 		moved := 0.0

@@ -120,10 +120,10 @@ func (p *prunedArgMin) argmin(i int, centroids [][]float64) int {
 		for q, v := range vals {
 			j := 4 * int(cols[q])
 			w := blk[j : j+4 : j+4]
-			a0 += v * w[0]
-			a1 += v * w[1]
-			a2 += v * w[2]
-			a3 += v * w[3]
+			a0 += float64(v * w[0])
+			a1 += float64(v * w[1])
+			a2 += float64(v * w[2])
+			a3 += float64(v * w[3])
 		}
 		fb := p.f[b : b+4 : b+4]
 		fb[0], fb[1], fb[2], fb[3] = a0, a1, a2, a3
@@ -142,7 +142,7 @@ func (p *prunedArgMin) argmin(i int, centroids [][]float64) int {
 	}
 
 	s := math.Sqrt(xn2) + p.cmax
-	e := float64(4*(p.d+len(vals)+4)) * 0x1p-53 * (s*s + 0x1p-1018)
+	e := float64(float64(4*(p.d+len(vals)+4)) * 0x1p-53 * (float64(s*s) + 0x1p-1018))
 	limit := fmin + 2*e
 	if second > limit {
 		return best

@@ -36,6 +36,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"negative batch size", Config{Sweep: optimize.SweepConfig{Cluster: cluster.Options{BatchSize: -5}}}, "batch"},
 		{"negative partial batch size", Config{Partial: partial.Config{Cluster: cluster.Options{BatchSize: -1}}}, "batch"},
 		{"sweep K below 2", Config{Sweep: optimize.SweepConfig{Ks: []int{1}}}, "K=1"},
+		{"one CV fold", Config{Sweep: optimize.SweepConfig{CVFolds: 1}}, "CVFolds"},
+		{"negative CV folds", Config{Sweep: optimize.SweepConfig{CVFolds: -3}}, "CVFolds"},
 		{"partial K below 1", Config{Partial: partial.Config{Ks: []int{0}}}, "K must be"},
 		{"partial fractions without full data", Config{Partial: partial.Config{Fractions: []float64{0.5}}}, "last fraction"},
 	}

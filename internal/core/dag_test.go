@@ -12,7 +12,6 @@ import (
 	"adahealth/internal/dataset"
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
-	"adahealth/internal/slots"
 	"adahealth/internal/synth"
 )
 
@@ -176,7 +175,7 @@ func TestAnalyzeCancellationMidSweep(t *testing.T) {
 }
 
 // TestConcurrentAnalysesMatchSerial runs several logs concurrently on
-// one shared pool and checks each report, recommendations included, is
+// one engine's shared pool and checks each report, recommendations included, is
 // bit-for-bit what a serial Analyze of the same log yields. Recall is
 // off: with it on, an analysis may recall a sibling that finished
 // first, so its report would depend on completion order.
@@ -195,7 +194,6 @@ func TestConcurrentAnalysesMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := slots.New(shared.StageParallelism())
 	reports := make([]*Report, len(logs))
 	errs := make([]error, len(logs))
 	var wg sync.WaitGroup
@@ -203,7 +201,7 @@ func TestConcurrentAnalysesMatchSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int, log *dataset.Log) {
 			defer wg.Done()
-			reports[i], errs[i] = shared.AnalyzeWith(context.Background(), log, AnalyzeOptions{Pool: pool})
+			reports[i], errs[i] = shared.AnalyzeContext(context.Background(), log)
 		}(i, log)
 	}
 	wg.Wait()
@@ -229,6 +227,63 @@ func TestConcurrentAnalysesMatchSerial(t *testing.T) {
 		if !reflect.DeepEqual(projectRecs(reports[i]), projectRecs(want)) {
 			t.Errorf("concurrent report %d recommendations differ from serial", i)
 		}
+	}
+}
+
+// TestConcurrentAnalysesShareOneBudget: every analysis on an engine and
+// on its WithConfig derivations runs on the engine's one CPU budget, so
+// four concurrent analyses at Parallelism 1 never run two stages at
+// once. The derivation asks for 4 and is held to its parent's 1.
+func TestConcurrentAnalysesShareOneBudget(t *testing.T) {
+	cfg := seededConfig(1)
+	cfg.Recall.Disabled = true
+	cfg.Parallelism = 1
+	base, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallelism = 4
+	derived, err := base.WithConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := derived.Config().Parallelism; got != 1 {
+		t.Errorf("derived Parallelism = %d, want the parent's 1", got)
+	}
+
+	var (
+		mu            sync.Mutex
+		running, peak int
+	)
+	count := func(ev StageEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Phase == StageStart {
+			running++
+			peak = max(peak, running)
+		} else {
+			running--
+		}
+	}
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i, e := range []*Engine{base, derived, base, derived} {
+		log := seededLog(t, int64(i+1))
+		log.Name = fmt.Sprintf("budget-%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = e.AnalyzeWith(context.Background(), log, AnalyzeOptions{Observer: count})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("analysis %d: %v", i, err)
+		}
+	}
+	if peak != 1 {
+		t.Errorf("%d stages ran at once across the engine's analyses, want 1", peak)
 	}
 }
 

@@ -14,13 +14,14 @@
 // topologically orders the stages and runs independent ones
 // concurrently on a bounded pool of CPU slots (slots.Pool) — pattern
 // mining overlaps the K-sweep, demand extraction overlaps clustering.
-// The pool is the analysis's one CPU budget: a running stage holds one
+// The pool is the engine's one CPU budget: a running stage holds one
 // slot, and the sweep and partial-mining stages fan their independent
 // units (one CV assessment per K, one probe per (fraction, K)) out over
-// whatever slots are idle right now, never waiting for one. A lone
-// analysis so keeps every core busy, and analyses sharing a pool
-// (AnalyzeOptions.Pool; a job service passes one to every job) never
-// compute on more goroutines than it has slots.
+// whatever slots are idle right now, never waiting for one. The pool
+// belongs to the Engine and is shared by every analysis on it and its
+// WithConfig derivations (a job service's jobs among them), so a lone
+// analysis keeps every core busy and concurrent ones never compute on
+// more goroutines than it has slots.
 //
 // Cancellation is threaded through every compute kernel via
 // context.Context, and per-stage wall-time and allocation metrics land
@@ -36,7 +37,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"adahealth/internal/cluster"
@@ -81,12 +81,13 @@ type Config struct {
 	KDBDir string
 	// Seed drives every stochastic component.
 	Seed int64
-	// Parallelism sizes the CPU budget: how many stages, and units of
-	// their fan-out, run at once — the private pool of one analysis, or
-	// the one pool a job service shares across all its jobs so that
-	// concurrent analyses do not oversubscribe the machine; 0 uses all
-	// cores (runtime.GOMAXPROCS(0)), 1 runs everything one at a time,
-	// negative is rejected by Validate.
+	// Parallelism sizes the engine's one CPU budget: how many stages,
+	// and units of their fan-out, run at once across every analysis on
+	// the engine, so concurrent analyses (a job service's jobs) never
+	// oversubscribe the machine; 0 uses all cores
+	// (runtime.GOMAXPROCS(0)), 1 runs everything one at a time,
+	// negative is rejected by Validate. WithConfig derivations inherit
+	// the budget and ignore their own Parallelism.
 	Parallelism int
 	// StageTimeout bounds each stage's wall time: a stage exceeding it
 	// fails the analysis with a *StageTimeoutError (errors.Is-matchable
@@ -168,46 +169,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Engine is the ADA-HEALTH automated analysis engine.
+// Engine is the ADA-HEALTH automated analysis engine. It owns what
+// its analyses share: the K-DB, one CPU budget (a slots.Pool of
+// Config.Parallelism slots) and one sweep arena. WithConfig
+// derivations share all three.
 type Engine struct {
-	cfg      Config
-	kdb      *kdb.KDB
-	inflight *inflightSet
-}
-
-// inflightSet tracks the dataset names of analyses currently
-// executing against the shared K-DB. The recall stage consults it so
-// that concurrent analyses (parallel service jobs) never read each
-// other's mid-flight writes, while a serial repeat analysis still
-// recalls its own history. An analysis that finished before another's
-// recall stage ran is history, not a sibling, so what concurrent
-// analyses recall depends on their completion order. Shared across
-// WithConfig derivations, like the K-DB itself.
-type inflightSet struct {
-	mu    sync.Mutex
-	names map[string]int
-}
-
-func newInflightSet() *inflightSet { return &inflightSet{names: map[string]int{}} }
-
-func (s *inflightSet) add(name string) {
-	s.mu.Lock()
-	s.names[name]++
-	s.mu.Unlock()
-}
-
-func (s *inflightSet) remove(name string) {
-	s.mu.Lock()
-	if s.names[name]--; s.names[name] <= 0 {
-		delete(s.names, name)
-	}
-	s.mu.Unlock()
-}
-
-func (s *inflightSet) count(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.names[name]
+	cfg   Config
+	kdb   *kdb.KDB
+	pool  slots.Pool
+	arena *optimize.Arena
 }
 
 // New builds an engine, opening (or creating) its knowledge base. The
@@ -234,21 +204,25 @@ func NewWithKDB(cfg Config, k *kdb.KDB) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg.withDefaults(), kdb: k, inflight: newInflightSet()}, nil
+	n := cfg.Parallelism
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return &Engine{cfg: cfg.withDefaults(), kdb: k, pool: slots.New(n), arena: optimize.NewArena()}, nil
 }
 
 // WithConfig returns a derived engine that analyzes under cfg but
-// shares this engine's knowledge base and in-flight dataset set. It is how
-// a long-running service runs per-job configuration overrides (seed,
-// thresholds, sweep grid) without opening a second K-DB. The override
-// is validated like New validates; KDBDir is ignored — the K-DB is
-// inherited.
+// shares this engine's K-DB, CPU budget and sweep arena. It is how a
+// long-running service runs per-job configuration overrides (seed,
+// thresholds, sweep grid) without opening a second K-DB or a second
+// pool. The override is validated like New validates; KDBDir and
+// Parallelism are ignored — the K-DB and the budget are inherited.
 func (e *Engine) WithConfig(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.KDBDir = e.cfg.KDBDir
-	return &Engine{cfg: cfg.withDefaults(), kdb: e.kdb, inflight: e.inflight}, nil
+	cfg.KDBDir, cfg.Parallelism = e.cfg.KDBDir, e.cfg.Parallelism
+	return &Engine{cfg: cfg.withDefaults(), kdb: e.kdb, pool: e.pool, arena: e.arena}, nil
 }
 
 // Config returns the engine's resolved configuration (defaults filled
@@ -258,10 +232,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // KDB exposes the engine's knowledge base (feedback recording,
 // inspection).
 func (e *Engine) KDB() *kdb.KDB { return e.kdb }
-
-// StageParallelism reports the resolved stage-pool size
-// (Config.Parallelism, or all cores when unset).
-func (e *Engine) StageParallelism() int { return e.parallelism() }
 
 // Report is the complete outcome of one automated analysis.
 type Report struct {
@@ -340,19 +310,12 @@ func (e *Engine) AnalyzeContext(ctx context.Context, log *dataset.Log) (*Report,
 	return e.AnalyzeWith(ctx, log, AnalyzeOptions{})
 }
 
-// AnalyzeOptions tunes one shared-dispatch analysis. The zero value
-// reproduces AnalyzeContext: a private pool, no observer, a K-DB flush
-// on completion. No option seeds the sweep: its one warm start is the
-// recall stage's prior knowledge.
+// AnalyzeOptions tunes one analysis. The zero value reproduces
+// AnalyzeContext: no observer, a K-DB flush on completion. No option
+// seeds the sweep (its one warm start is the recall stage's prior
+// knowledge), and none picks the CPU budget or the sweep arena: every
+// analysis runs on its engine's.
 type AnalyzeOptions struct {
-	// Pool is the CPU budget this analysis shares with its siblings
-	// (nil = a private pool sized by Config.Parallelism): every running
-	// stage holds one slot, and the sweep and partial-mining stages
-	// borrow idle ones for their units, so however many analyses are in
-	// flight, at most cap(Pool) goroutines compute at once. A
-	// long-running service creates one at startup and passes it to
-	// every job.
-	Pool slots.Pool
 	// Observer, when non-nil, receives a StageEvent at every stage
 	// start and finish — the scheduler's trace points — while the
 	// analysis runs. Calls come from scheduler goroutines and stop
@@ -362,34 +325,18 @@ type AnalyzeOptions struct {
 	// sets it and flushes once per burst of completions instead: a
 	// flush compacts the whole store, so one per analysis is waste.
 	NoFlush bool
-	// Arena, when non-nil, lends the analysis's K sweep its reusable
-	// worker slabs (decision trees, cluster scratch, RNGs) so a
-	// long-lived caller stops paying those allocations on every job.
-	// Reports are bit-for-bit identical with or without it. Safe to
-	// share across concurrent analyses — checkout is per sweep worker
-	// (see optimize.Arena).
-	Arena *optimize.Arena
 }
 
 // AnalyzeWith is the single dispatch path every analysis funnels
 // through: Analyze/AnalyzeContext call it with zero options, and the
 // job service (internal/service) submits each admitted job here with
-// the shared pool and the job's event observer.
+// the job's event observer. It runs the log through the stage graph
+// on the engine's CPU budget, which every analysis on the engine and
+// its WithConfig derivations shares: however many are in flight, at
+// most Config.Parallelism goroutines compute at once. Their sweeps
+// draw worker slabs from the engine's one arena; Reports are
+// bit-for-bit identical to a fresh arena's.
 func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
-	// Mark the dataset in flight for the recall stage's concurrent-
-	// sibling exclusion (see inflightSet).
-	if log != nil {
-		e.inflight.add(log.Name)
-		defer e.inflight.remove(log.Name)
-	}
-	return e.analyze(ctx, log, opts)
-}
-
-// analyze runs one log through the stage graph. opts.Pool is the
-// shared CPU budget (nil = private pool sized by Config.Parallelism);
-// opts.NoFlush defers the K-DB flush to the caller; opts.Observer, when non-nil, receives stage start/finish events
-// live; opts.Arena backs the sweep stage's worker slabs.
-func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	if log.NumPatients() == 0 || log.NumRecords() == 0 {
 		return nil, fmt.Errorf("core: log %q is empty", log.Name)
 	}
@@ -400,16 +347,8 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 	if err := validateStages(stages); err != nil {
 		return nil, err
 	}
-	s := &pipelineState{
-		log:   log,
-		rep:   &Report{},
-		pool:  opts.Pool,
-		arena: opts.Arena,
-	}
-	if s.pool == nil {
-		s.pool = slots.New(e.parallelism())
-	}
-	sr, err := runDAG(ctx, stages, s, s.pool, e.cfg.StageTimeout, opts.Observer)
+	s := &pipelineState{log: log, rep: &Report{}}
+	sr, err := runDAG(ctx, stages, s, e.pool, e.cfg.StageTimeout, opts.Observer)
 	if err != nil {
 		return nil, err
 	}
@@ -425,14 +364,6 @@ func (e *Engine) analyze(ctx context.Context, log *dataset.Log, opts AnalyzeOpti
 	}
 	s.rep.Degraded = s.degradation()
 	return s.rep, nil
-}
-
-// parallelism resolves the stage-pool size.
-func (e *Engine) parallelism() int {
-	if e.cfg.Parallelism > 0 {
-		return e.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // taxonomyOf derives the exam → category taxonomy from the catalog,

@@ -33,7 +33,9 @@ type StageEvent struct {
 // StageObserver receives StageEvents during an analysis. Observers are
 // called synchronously from scheduler goroutines and must not block:
 // hand the event off (e.g. into a buffered channel with a non-blocking
-// send) rather than doing work inline.
+// send) rather than doing work inline. A blocking observer stalls every
+// analysis on the engine: the stage it holds up keeps its slot of the
+// engine's shared CPU budget.
 type StageObserver func(StageEvent)
 
 // observe invokes o when non-nil.

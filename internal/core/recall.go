@@ -108,9 +108,12 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 	}
 	// Rank everything (limit 0): MaxSources bounds datasets that
 	// actually contribute knowledge, so descriptor-only entries (a live
-	// registration, or an older build's failed analysis) or in-flight
-	// siblings must not occupy the slots of usable sources ranked below
-	// them. This analysis's own descriptor is not stored yet.
+	// registration, or an older build's failed analysis) must not
+	// occupy the slots of usable sources ranked below them. This
+	// analysis's own descriptor is not stored yet, and a concurrent
+	// one's is not ranked before its knowledge is written:
+	// kdb.StoreAnalysis writes the descriptor last, after the items, in
+	// one batch.
 	hits, err := e.kdb.SimilarDatasets(s.rep.Descriptor, "", 0)
 	if err != nil {
 		// Soft: a K-DB that cannot be read degrades recall to the cold
@@ -134,16 +137,6 @@ func (e *Engine) runRecall(ctx context.Context, s *pipelineState) error {
 		}
 		if len(outcome.Sources) >= cfg.MaxSources {
 			break
-		}
-		// Skip datasets currently being analyzed against this K-DB: a
-		// concurrent sibling's half-written knowledge must not leak in
-		// (it would depend on how far the sibling got). The one
-		// in-flight registration that is this analysis itself does not
-		// hide the dataset's own history — a serial repeat analysis is
-		// exactly the self-learning case.
-		if n := e.inflight.count(hit.Dataset); n > 0 &&
-			(hit.Dataset != s.log.Name || n > 1) {
-			continue
 		}
 		items, err := e.kdb.ClusterSets(hit.Dataset)
 		if err != nil {

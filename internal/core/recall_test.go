@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"adahealth/internal/dataset"
@@ -358,5 +360,58 @@ func TestAnalysisDecodesDoNotGrowWithHistory(t *testing.T) {
 	}
 	if counts[10] == 0 || counts[10] != counts[100] {
 		t.Errorf("documents decoded by one analysis: %v after 10 priors, %v after 100; want equal and non-zero", counts[10], counts[100])
+	}
+}
+
+// TestRecallSeesCommittedHistoryDuringReanalysis: a stored analysis is
+// history for every later recall, even while the same dataset is being
+// analyzed again. The second analysis of "a" is held at its
+// characterize start (holding one slot of the engine's budget), and an
+// identical log named "a2" must recall "a" at similarity 1.
+func TestRecallSeesCommittedHistoryDuringReanalysis(t *testing.T) {
+	cfg := recallConfig()
+	cfg.Parallelism = 4
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logA := seededLog(t, 1)
+	logA.Name = "a"
+	if _, err := e.Analyze(logA); err != nil {
+		t.Fatal(err)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	hold := func(ev StageEvent) {
+		if ev.Stage == "characterize" && ev.Phase == StageStart {
+			close(started)
+			<-release
+		}
+	}
+	logAgain := seededLog(t, 1)
+	logAgain.Name = "a"
+	again := make(chan error, 1)
+	go func() {
+		_, err := e.AnalyzeWith(context.Background(), logAgain, AnalyzeOptions{Observer: hold})
+		again <- err
+	}()
+	<-started
+
+	logA2 := seededLog(t, 1)
+	logA2.Name = "a2"
+	rep, err := e.Analyze(logA2)
+	unblock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-again; err != nil {
+		t.Fatalf("second analysis of a: %v", err)
+	}
+	r := rep.Recall
+	if r == nil || !r.Hit || len(r.Sources) == 0 || r.Sources[0].Dataset != "a" || r.Sources[0].Similarity != 1 {
+		t.Errorf("a2 recall = %+v, want a hit on a at similarity 1", r)
 	}
 }

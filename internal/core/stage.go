@@ -15,7 +15,6 @@ import (
 	"adahealth/internal/optimize"
 	"adahealth/internal/partial"
 	"adahealth/internal/ranking"
-	"adahealth/internal/slots"
 	"adahealth/internal/stats"
 	"adahealth/internal/vsm"
 )
@@ -81,13 +80,6 @@ type pipelineState struct {
 	// recallHints is the recall stage's retrieved prior knowledge
 	// (nil on a miss or when recall is disabled — the cold path).
 	recallHints *recallHints
-	// pool is the analysis's CPU budget: the scheduler runs each stage
-	// on one of its slots, and the sweep and partialmine stages lend it
-	// to their fan-out (SweepConfig.Budget, partial.Config.Budget).
-	pool slots.Pool
-	// arena, when non-nil, backs the sweep stage's worker slabs with
-	// buffers that outlive this analysis (see AnalyzeOptions.Arena).
-	arena *optimize.Arena
 
 	// degradeMu guards the degradation notes below. Unlike the keyed
 	// DAG state, these are appended by whichever stages hit a soft
@@ -257,7 +249,7 @@ func (e *Engine) runTransform(ctx context.Context, s *pipelineState) error {
 
 func (e *Engine) runPartial(ctx context.Context, s *pipelineState) error {
 	cfg := e.cfg.Partial
-	cfg.Budget = s.pool
+	cfg.Budget = e.pool
 	pres, working, err := partial.SelectHorizontal(ctx, s.matrix, cfg)
 	if err != nil {
 		return wrapStageErr(ctx, "partial mining", err)
@@ -276,7 +268,7 @@ func (e *Engine) runSweep(ctx context.Context, s *pipelineState) error {
 	// configuration passes through untouched: the cold path is
 	// bit-for-bit the pre-recall pipeline.
 	cfg := e.cfg.Sweep
-	cfg.Budget, cfg.Arena = s.pool, s.arena
+	cfg.Budget, cfg.Arena = e.pool, e.arena
 	if s.recallHints != nil {
 		cfg = applyRecallHints(cfg, s.recallHints, s.working.Features, s.rep.Recall)
 	}

@@ -18,7 +18,7 @@
 // across every run, so it is nearly allocation-free. Each K's robustness
 // assessment is one unit of work handed to a slots.Group as soon as its
 // clustering completes: the unit runs on a helper when the CPU budget
-// (SweepConfig.Budget — the daemon's stage pool — or a private pool of
+// (SweepConfig.Budget — the engine's stage pool — or a private pool of
 // Parallelism slots) has an idle slot right now, and otherwise on the
 // sweep's own goroutine once the chain is done. So CV of K=6 overlaps
 // clustering of K=7 on an idle machine, and a loaded one runs no extra
@@ -59,7 +59,8 @@ type SweepConfig struct {
 	// Ks is the grid of cluster counts; defaults to Table I's
 	// {6, 7, 8, 9, 10, 12, 15, 20}.
 	Ks []int
-	// CVFolds is the cross-validation fold count; default 10.
+	// CVFolds is the cross-validation fold count: 0 selects 10, and
+	// Validate rejects 1 and negative counts.
 	CVFolds int
 	// Seed drives clustering seeding and fold shuffling.
 	Seed int64
@@ -86,8 +87,10 @@ type SweepConfig struct {
 	// here, remapped onto this sweep's feature space. Fewer than K rows
 	// are completed by farthest-point splits, more are truncated. Nil
 	// (the default) leaves the sweep bit-for-bit identical to a cold
-	// run. Rows must match the data's dimensionality.
-	SeedCentroids [][]float64
+	// run. Rows must match the data's dimensionality. A Go-side
+	// hand-off, like Budget and Arena: a decoded per-job configuration
+	// never carries it.
+	SeedCentroids [][]float64 `json:"-"`
 
 	// Arena, when non-nil, lends the sweep its worker state (the CV
 	// workers' decision trees, the chain's cluster scratch and RNG)
@@ -117,10 +120,14 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	return c
 }
 
-// Validate rejects a K grid value below 2; the zero value (the default
-// grid) passes. Whether each K fits the data is Sweep's check, because
-// it depends on the rows.
+// Validate rejects a K grid value below 2 and a CVFolds count of 1 or
+// below 0; the zero value (the default grid, 10 folds) passes. Whether
+// each K fits the data is Sweep's check, because it depends on the
+// rows.
 func (c SweepConfig) Validate() error {
+	if c.CVFolds < 0 || c.CVFolds == 1 {
+		return fmt.Errorf("optimize: CVFolds %d (k-fold CV needs at least 2 folds; 0 selects 10)", c.CVFolds)
+	}
 	for _, k := range c.Ks {
 		if k < 2 {
 			return fmt.Errorf("optimize: K=%d below 2", k)
@@ -294,12 +301,12 @@ func sweepWarm(ctx context.Context, data *vec.CSRMatrix, cfg SweepConfig, ord *c
 
 	opts := cfg.Cluster
 	opts.Scratch, opts.Rand = chain.scratch, chain.rng
-	if opts.Parallelism == 0 && (cfg.Budget != nil || cfg.Parallelism > 1) {
+	if cfg.Budget != nil || cfg.Parallelism > 1 {
 		// The CV units already fill the budget's cores; keep the kernel
-		// serial unless explicitly configured, instead of GOMAXPROCS²
-		// goroutines contending through per-iteration barriers. Results
-		// are identical for any worker count, so this is purely a
-		// scheduling choice.
+		// serial, even when Cluster.Parallelism asks for more, instead
+		// of starting goroutines outside the budget that contend
+		// through per-iteration barriers. Results are identical for
+		// any worker count, so this is purely a scheduling choice.
 		opts.Parallelism = 1
 	}
 	// SeedCentroids, when the recall stage supplied prior knowledge,

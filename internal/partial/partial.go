@@ -52,8 +52,9 @@ type Config struct {
 	Cluster cluster.Options
 	// Budget, when non-nil, is the CPU budget shared with the rest of
 	// the caller (the pipeline's stage pool): the run, which already
-	// holds one of its slots, borrows idle ones for its probes. Results
-	// are identical for every budget.
+	// holds one of its slots, borrows idle ones for its probes and
+	// keeps the K-means kernel serial. Results are identical for every
+	// budget.
 	Budget slots.Pool `json:"-"`
 }
 
@@ -153,8 +154,9 @@ func SelectHorizontal(ctx context.Context, m *vsm.Matrix, cfg Config) (*Result, 
 		return nil, nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Budget != nil && cfg.Cluster.Parallelism == 0 {
-		// The probes already fill the budget's cores.
+	if cfg.Budget != nil {
+		// The probes already fill the budget's cores; a kernel worker
+		// count above 1 would compute outside the budget.
 		cfg.Cluster.Parallelism = 1
 	}
 	res := &Result{Strategy: "horizontal", Tolerance: cfg.Tolerance}

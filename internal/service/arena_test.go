@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adahealth/internal/core"
+	"adahealth/internal/kdb"
 )
 
 // strippedReport drops the execution telemetry (stage timings,
@@ -23,41 +24,53 @@ func strippedReport(rep *core.Report) core.Report {
 }
 
 // TestServiceArenaReportsBitForBit runs the same job sequence through
-// two single-worker services — one with the cross-job arena, one with
-// it disabled — and requires identical Reports job for job. Serial
-// workers keep the two engines' K-DB evolution in lockstep, so any
-// difference is the arena's fault.
+// a single-worker service, whose engine's one arena stays warm across
+// jobs, and through a fresh engine and service per job, and requires
+// identical Reports job for job. Each side keeps one K-DB for the whole
+// sequence (the fresh engines share theirs through core.NewWithKDB),
+// so both recall the same history and only the arena's warmth differs.
 func TestServiceArenaReportsBitForBit(t *testing.T) {
 	seeds := []int64{1, 7, 42, 7} // repeated log exercises fully warm slabs
-	run := func(useArena bool) []core.Report {
-		svc, err := New(Config{Engine: fastConfig(1), Workers: 1, QueueDepth: 8})
+	runJob := func(svc *Service, i int, seed int64) core.Report {
+		j, err := svc.Submit(context.Background(), testLog(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = svc.Close() })
-		if !useArena {
-			svc.arena = nil
+		rep, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("job %d (seed %d): %v", i, seed, err)
 		}
-		reports := make([]core.Report, len(seeds))
-		for i, seed := range seeds {
-			j, err := svc.Submit(context.Background(), testLog(t, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := j.Wait(context.Background())
-			if err != nil {
-				t.Fatalf("job %d (seed %d, arena=%v): %v", i, seed, useArena, err)
-			}
-			reports[i] = strippedReport(rep)
+		return strippedReport(rep)
+	}
+	cfg := Config{Workers: 1, QueueDepth: 8}
+
+	k, err := kdb.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = k.Close() })
+	fresh := make([]core.Report, len(seeds))
+	for i, seed := range seeds {
+		engine, err := core.NewWithKDB(fastConfig(1), k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return reports
+		svc := NewWithEngine(engine, cfg)
+		fresh[i] = runJob(svc, i, seed)
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	plain := run(false)
-	pooled := run(true)
-	for i := range seeds {
-		if !reflect.DeepEqual(plain[i], pooled[i]) {
-			t.Errorf("job %d (seed %d): arena-backed report differs from arena-less run", i, seeds[i])
+	cfg.Engine = fastConfig(1)
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	for i, seed := range seeds {
+		if rep := runJob(svc, i, seed); !reflect.DeepEqual(rep, fresh[i]) {
+			t.Errorf("job %d (seed %d): warm-arena report differs from a fresh engine's", i, seed)
 		}
 	}
 }

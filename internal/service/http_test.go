@@ -469,6 +469,40 @@ func TestDaemonAlgorithmOverride(t *testing.T) {
 	}
 }
 
+// TestDaemonConfigHandOffs: per-job config keys naming Go-side
+// hand-offs (the recall stage's sweep seed, a kernel's initial
+// centroids) are not part of the wire format, so a job carrying them
+// is admitted and finishes as if they were absent; a CVFolds of 1,
+// which no k-fold CV can run, is a 400 at admission.
+func TestDaemonConfigHandOffs(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name, config string
+		want         int
+	}{
+		{"cv-folds-one", `{"Sweep": {"CVFolds": 1}}`, http.StatusBadRequest},
+		{"seed-centroids", `{"Partial": {"Ks": [4]}, "Sweep": {"Ks": [3, 4], "CVFolds": 2, "SeedCentroids": [[1]]}}`, http.StatusAccepted},
+		{"initial-centroids", `{"Partial": {"Ks": [4], "Cluster": {"InitialCentroids": [[1, 2]]}}, "Sweep": {"Ks": [3, 4], "CVFolds": 2}}`, http.StatusAccepted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, sub := submitOverride(t, srv, tc.config)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+			}
+			if tc.want == http.StatusAccepted {
+				waitDone(t, srv, sub.ID)
+			}
+		})
+	}
+}
+
 // TestDaemonIgnoresRemovedConfigKeys: an older client's per-job config
 // carrying the since-removed scheduler and retry keys is still admitted
 // and completes; the unknown keys are ignored.

@@ -2,13 +2,13 @@
 // the paper's pitch over one shared core.Engine: callers submit
 // examination logs and get back Job handles instead of blocking for
 // the whole DAG run. A Service owns a bounded admission queue with
-// backpressure (Submit fast-rejects with ErrQueueFull), a fixed set of
-// worker slots dispatching the highest-priority queued job first, and
-// one stage pool — the CPU budget every running job's stages and their
-// fan-out share, so a lone job uses every idle core and a busy service
-// never oversubscribes — so hospital-wide traffic becomes an admission
-// and scheduling problem rather than a goroutine-per-caller
-// free-for-all.
+// backpressure (Submit fast-rejects with ErrQueueFull) and a fixed set
+// of worker slots dispatching the highest-priority queued job first.
+// Every running job's stages and their fan-out share the engine's one
+// CPU budget (core.Config.Parallelism), so a lone job uses every idle
+// core and a busy service never oversubscribes: hospital-wide traffic
+// becomes an admission and scheduling problem rather than a
+// goroutine-per-caller free-for-all.
 //
 // Jobs expose Status, Wait, Cancel and a live Events stream fed from
 // the scheduler's stage trace points. cmd/adahealthd serves this API
@@ -40,8 +40,6 @@ import (
 	"adahealth/internal/core"
 	"adahealth/internal/dataset"
 	"adahealth/internal/kdb"
-	"adahealth/internal/optimize"
-	"adahealth/internal/slots"
 )
 
 var (
@@ -75,9 +73,6 @@ type Config struct {
 	// QueueDepth bounds how many admitted jobs may wait for a worker;
 	// beyond it Submit returns ErrQueueFull. <= 0 defaults to 64.
 	QueueDepth int
-	// KeepJobs bounds how many terminal jobs stay resolvable by ID
-	// (oldest evicted first). <= 0 defaults to 1024.
-	KeepJobs int
 	// FlushDelay is the debounce window of the background K-DB flusher:
 	// after a job completion requests a flush, the flusher waits this
 	// long absorbing further requests, then compacts once for the whole
@@ -95,9 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.KeepJobs <= 0 {
-		c.KeepJobs = 1024
-	}
 	if c.FlushDelay <= 0 {
 		c.FlushDelay = 25 * time.Millisecond
 	}
@@ -109,14 +101,7 @@ func (c Config) withDefaults() Config {
 // one shared CPU budget.
 type Service struct {
 	engine *core.Engine
-	pool   slots.Pool
 	cfg    Config
-	// arena carries sweep worker slabs (decision trees, cluster
-	// scratch, RNGs) across jobs: slabs are checked out per sweep
-	// worker, so the one arena is safe under every Workers count and
-	// settles at the peak concurrent sweep-worker population. Reports
-	// are bit-for-bit identical to arena-less runs.
-	arena *optimize.Arena
 
 	// queueSlots is the admission semaphore: holding a slot = sitting
 	// in the queue. Submit acquires non-blocking (ErrQueueFull); the
@@ -155,8 +140,8 @@ type Service struct {
 	wg sync.WaitGroup
 
 	// runJob executes one dispatched job; replaced by tests to model
-	// controllable workloads. The default runs the job's engine on the
-	// shared stage pool.
+	// controllable workloads. The default runs the job's engine on its
+	// shared CPU budget.
 	runJob func(j *Job) (*core.Report, error)
 }
 
@@ -177,8 +162,6 @@ func NewWithEngine(engine *core.Engine, cfg Config) *Service {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		engine:      engine,
-		arena:       optimize.NewArena(),
-		pool:        slots.New(engine.StageParallelism()),
 		cfg:         cfg,
 		queueSlots:  make(chan struct{}, cfg.QueueDepth),
 		baseCtx:     ctx,
@@ -616,10 +599,8 @@ func (s *Service) safeRun(j *Job) (rep *core.Report, err error) {
 // hands the K-DB flush to the debounced background flusher.
 func (s *Service) defaultRun(j *Job) (*core.Report, error) {
 	return j.engine.AnalyzeWith(j.ctx, j.log, core.AnalyzeOptions{
-		Pool:     s.pool,
 		Observer: j.observeStage,
 		NoFlush:  true,
-		Arena:    s.arena,
 	})
 }
 
@@ -637,10 +618,13 @@ func (s *Service) reapQueued(j *Job) {
 	j.finish(nil, j.ctx.Err())
 }
 
-// evictLocked drops the oldest terminal jobs beyond the KeepJobs
-// registry bound. Non-terminal jobs are never evicted.
+// keepJobs bounds how many jobs stay resolvable by ID.
+const keepJobs = 1024
+
+// evictLocked drops the oldest terminal jobs while more than keepJobs
+// jobs are registered. Non-terminal jobs are never evicted.
 func (s *Service) evictLocked() {
-	if len(s.jobs) <= s.cfg.KeepJobs {
+	if len(s.jobs) <= keepJobs {
 		return
 	}
 	kept := s.order[:0]
@@ -649,7 +633,7 @@ func (s *Service) evictLocked() {
 		if j == nil {
 			continue
 		}
-		if len(s.jobs) > s.cfg.KeepJobs && j.Status().Terminal() {
+		if len(s.jobs) > keepJobs && j.Status().Terminal() {
 			delete(s.jobs, id)
 			continue
 		}
