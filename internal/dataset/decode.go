@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,8 +19,11 @@ import (
 // yielding the same values (FuzzDecodeLogMatchesStdlib holds it to
 // that). It reads the first value and ignores any bytes after it, as
 // the Decoder does. Decoding a whole log, it interns ids: every record
-// naming a patient shares that patient's id string. It does not encode
-// the log; whoever keeps it builds the Encoded from the rows.
+// naming a patient shares that patient's id string. Each array is
+// counted before it is decoded, so its rows and, for exams and
+// patients, the interner's id map are allocated once at their final
+// size. It does not encode the log; whoever keeps it builds the
+// Encoded from the rows.
 //
 // What it inherits rather than re-derives: dates go through
 // (*time.Time).UnmarshalJSON, ages follow encoding/json's int rules,
@@ -36,7 +40,7 @@ const maxDepth = 10000
 // are not interned: a batch only carries a few rows to append
 // elsewhere.
 func DecodeBatch(data []byte, l *Log) error {
-	d := newDecoder(data, false)
+	d := &decoder{data: data}
 	if err := d.top(); err != nil {
 		return err
 	}
@@ -49,7 +53,7 @@ func DecodeBatch(data []byte, l *Log) error {
 // member goes through the log decoder, every other member through
 // encoding/json.
 func DecodeEnvelope(data []byte, v any, log **Log) error {
-	d := newDecoder(data, true)
+	d := &decoder{data: data, intern: true}
 	if err := d.top(); err != nil {
 		return err
 	}
@@ -118,6 +122,8 @@ type decoder struct {
 
 // interner hands out one string per distinct id.
 type interner struct {
+	// of is made on first use: for the ids of the exams or patients
+	// array, sized to its element count.
 	of map[string]string
 	// last is the id added last: a log lists a patient's records
 	// together, so most record ids repeat the one before.
@@ -130,20 +136,14 @@ func (t *interner) add(s []byte) string {
 	}
 	str, ok := t.of[string(s)]
 	if !ok {
+		if t.of == nil {
+			t.of = make(map[string]string)
+		}
 		str = string(s)
 		t.of[str] = str
 	}
 	t.last = str
 	return str
-}
-
-func newDecoder(data []byte, intern bool) *decoder {
-	d := &decoder{data: data, intern: intern}
-	if intern {
-		d.patients.of = make(map[string]string)
-		d.exams.of = make(map[string]string)
-	}
-	return d
 }
 
 func (d *decoder) syntaxErr(msg string) error {
@@ -649,8 +649,12 @@ func (d *decoder) structInto(member func(folded []byte) (bool, error)) error {
 // sliceInto decodes an array member into *s as encoding/json does:
 // element i decodes into what the slice's backing array already holds
 // there, the length ends at the element count, an empty array gives an
-// empty non-nil slice and null gives nil.
-func sliceInto[T any](d *decoder, s *[]T, elem func(*T) error) error {
+// empty non-nil slice and null gives nil. The array is counted first
+// and a backing array too short for it is replaced once by one of
+// exactly that length; ids, when non-nil, is the interner of the ids
+// the elements register, and a map it has not made yet is made for
+// that many.
+func sliceInto[T any](d *decoder, s *[]T, ids *interner, elem func(*T) error) error {
 	c, err := d.next()
 	if err != nil {
 		return err
@@ -662,21 +666,26 @@ func sliceInto[T any](d *decoder, s *[]T, elem func(*T) error) error {
 	if c != '[' {
 		return d.typeErr("array")
 	}
-	v, n, start := *s, 0, d.off
+	v, n := *s, 0
+	want := d.count()
+	if want > cap(v) {
+		// The old backing array's elements past len stay visible to
+		// the elements decoded into them, as they would be in place.
+		w := make([]T, want)
+		copy(w, v[:cap(v)])
+		v = w[:len(v)]
+	}
+	if ids != nil && ids.of == nil {
+		ids.of = make(map[string]string, want)
+	}
 	err = d.array(func(i int) error {
 		if i >= cap(v) {
-			// Grow by what the bytes left would hold at the mean
-			// element size so far, kept between 1.25x and 4x: an array
-			// that runs to the end of the body (a log's records) lands
-			// near its final size in a few steps instead of append's
-			// dozens of 1.25x ones. Capacity is invisible to the result.
-			more := 4
-			if i >= 4 {
-				est := (len(d.data) - d.off) * i / (d.off - start)
-				more = min(max(est, cap(v)/4), 3*cap(v))
-			}
-			v = slices.Grow(v, more)[:i+1]
-		} else if i >= len(v) {
+			// Only an element the count did not see gets here, and
+			// such an element fails to decode: it is neither null nor
+			// an object.
+			v = slices.Grow(v, 1)
+		}
+		if i >= len(v) {
 			v = v[:i+1]
 		}
 		n = i + 1
@@ -690,6 +699,67 @@ func sliceInto[T any](d *decoder, s *[]T, elem func(*T) error) error {
 	}
 	*s = v[:n]
 	return nil
+}
+
+// count returns how many elements of the array at d.off are null or a
+// closed bracketed value that opened with '{': on input the decoder
+// accepts, exactly the elements an array of structs holds. It reads
+// ahead without consuming or validating: strings are skipped to their
+// first unescaped quote, and malformed or unterminated input yields
+// the count so far. An element that is neither null nor an object is
+// not counted, so a long array of junk costs no allocation, and a
+// counted element takes at least three bytes of the body.
+func (d *decoder) count() int {
+	data := d.data[d.off+1:]
+	n, depth := 0, 0
+	// elem is set where a depth-0 element may start; obj while the
+	// depth-0 element in hand opened there with '{'.
+	elem, obj := true, false
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		case '"':
+			for {
+				j := bytes.IndexByte(data[i+1:], '"')
+				if j < 0 {
+					return n
+				}
+				i += 1 + j
+				k := i - 1
+				for data[k] == '\\' {
+					k--
+				}
+				if (i-k)%2 == 1 {
+					break
+				}
+			}
+		case '{', '[':
+			if depth == 0 {
+				obj = elem && c == '{'
+			}
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return n
+			}
+			if depth--; depth == 0 && obj && c == '}' {
+				n++
+			}
+		case ',':
+			if depth == 0 {
+				elem, obj = true, false
+				continue
+			}
+		case 'n':
+			if depth == 0 && elem && bytes.HasPrefix(data[i:], []byte("null")) {
+				n++
+				i += 3
+			}
+		}
+		elem = false
+	}
+	return n
 }
 
 // log decodes a log-shaped object (or null) into l; named selects
@@ -746,11 +816,11 @@ func (d *decoder) log(l *Log, named bool) error {
 			}
 			return true, d.stringInto(&l.Name, nil)
 		case is(f, "EXAMS"):
-			return true, sliceInto(d, &l.Exams, exam)
+			return true, sliceInto(d, &l.Exams, exams, exam)
 		case is(f, "PATIENTS"):
-			return true, sliceInto(d, &l.Patients, patient)
+			return true, sliceInto(d, &l.Patients, pats, patient)
 		case is(f, "RECORDS"):
-			return true, sliceInto(d, &l.Records, record)
+			return true, sliceInto(d, &l.Records, nil, record)
 		}
 		return false, nil
 	})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,9 @@ func differential(t *testing.T, data []byte) {
 	if werrB == nil && !reflect.DeepEqual(batch{gotB.Exams, gotB.Patients, gotB.Records}, wantB) {
 		t.Fatalf("DecodeBatch\n got %#v\nwant %#v", rows(&gotB), wantB)
 	}
+	if werrB == nil {
+		exactArrays(t, "DecodeBatch", &gotB, arrayMembers(data, false))
+	}
 
 	agree(t, "DecodeEnvelope", werrE, gerrE)
 	if werrE != nil {
@@ -82,6 +86,7 @@ func differential(t *testing.T, data []byte) {
 		if !reflect.DeepEqual(rows(gotE.Log), rows(wantE.Log)) {
 			t.Fatalf("DecodeEnvelope log\n got %#v\nwant %#v", rows(gotE.Log), rows(wantE.Log))
 		}
+		exactArrays(t, "DecodeEnvelope", gotE.Log, arrayMembers(data, true))
 		gotE.Log, wantE.Log = nil, nil
 	}
 	if !reflect.DeepEqual(gotE, wantE) {
@@ -93,6 +98,77 @@ func agree(t *testing.T, what string, werr, gerr error) {
 	t.Helper()
 	if (werr == nil) != (gerr == nil) || (werr == io.EOF) != errors.Is(gerr, io.EOF) {
 		t.Fatalf("%s: error %v, encoding/json's %v", what, gerr, werr)
+	}
+}
+
+// exactArrays fails unless each of l's arrays that its input named
+// once (members, in the order exams, patients, records) has its
+// capacity equal to its length: the decoder counts an array before it
+// allocates it.
+func exactArrays(t *testing.T, what string, l *Log, members [3]int) {
+	t.Helper()
+	for i, a := range [3][2]int{
+		{len(l.Exams), cap(l.Exams)},
+		{len(l.Patients), cap(l.Patients)},
+		{len(l.Records), cap(l.Records)},
+	} {
+		if members[i] == 1 && a[0] != a[1] {
+			t.Fatalf("%s: %s has len %d, cap %d", what, logArrays[i], a[0], a[1])
+		}
+	}
+}
+
+var logArrays = [3]string{"exams", "patients", "records"}
+
+// arrayMembers counts the exams, patients and records members, matched
+// by name as encoding/json matches them, of the objects decoded as
+// logs: data's top-level object, or for an envelope its log members'.
+// data must start with a value encoding/json accepts.
+func arrayMembers(data []byte, envelope bool) (n [3]int) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var value func(isLog, top bool)
+	value = func(isLog, top bool) {
+		open, _ := dec.Token()
+		if open != json.Delim('{') && open != json.Delim('[') {
+			return
+		}
+		for dec.More() {
+			if open == json.Delim('[') {
+				value(false, false)
+				continue
+			}
+			key, _ := dec.Token()
+			name, _ := key.(string)
+			for i, a := range logArrays {
+				if isLog && strings.EqualFold(name, a) {
+					n[i]++
+				}
+			}
+			value(top && envelope && strings.EqualFold(name, "log"), false)
+		}
+		dec.Token()
+	}
+	value(!envelope, true)
+	return n
+}
+
+// TestCountIgnoresJunk: arrays whose elements are not objects or null,
+// or not separated, are counted short, so a long one fails to decode
+// before it costs a large allocation.
+func TestCountIgnoresJunk(t *testing.T) {
+	for _, junk := range []string{"1,", "n,", "{],", "{}", "[],"} {
+		body := []byte(`{"log":{"records":[` + strings.Repeat(junk, 100000) + `{}]}}`)
+		var req envelope
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodeEnvelope(body, &req, &req.Log)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%q×100000: decoded", junk)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%q×100000: allocated %d bytes", junk, got)
+		}
 	}
 }
 
@@ -120,6 +196,13 @@ func TestDecodeCases(t *testing.T) {
 		`{"seed":1,"seed":null}`, strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
 		`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
 		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+		`{"records":[{"patient_id":"a\""}]}`, `{"records":[{"patient_id":"x\"]"},{},{}]}`,
+		`{"records":[{"patient_id":"a\\"},{"exam_code":"b\\\\"},{}]}`,
+		`{"patients":[{"id":"]}[{,null"},{"profile":"}"},{}],"exams":[{"name":"[["},{},{}]}`,
+		`{"records":[{"x":[[1,[{}]],[]],"patient_id":"p"},null,{"y":{"z":[{"w":null}]}}]}`,
+		`{"records":[ ],"patients":[ null , { } ],"exams":[` + "\n\t" + `]}`,
+		`{"records":[{}`, `{"records":[{},`, `{"records":[{"patient_id":"a`, `{"records":[{"x":[`,
+		`{"records":[null`, `{"log":{"patients":[{},{}`, `{"records":[nul]}`, `{"records":[{}{}]}`,
 	}
 	for _, c := range cases {
 		t.Run("", func(t *testing.T) {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -107,7 +108,7 @@ func TestSubmitDecodeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = svc.Close() })
-	svc.runJob = func(j *Job) (*core.Report, error) { return &core.Report{}, nil }
+	logOf := runLogs(svc, func(*Job) (*core.Report, error) { return &core.Report{}, nil })
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
@@ -136,7 +137,10 @@ func TestSubmitDecodeGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("job %s not found", sub.ID)
 			}
-			got, err := json.Marshal(j.log)
+			if _, err := j.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(logOf(j))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -124,9 +124,10 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// The log member goes through the log decoder, which also encodes
-	// it; the rest of the request through encoding/json. Neither keeps
-	// a pointer into the body, so its buffer goes back at once.
+	// The log member goes through the log decoder, the rest of the
+	// request through encoding/json; admission encodes the log. Neither
+	// decoder keeps a pointer into the body, so its buffer goes back at
+	// once.
 	var req SubmitRequest
 	err := dataset.DecodeEnvelope(body.Bytes(), &req, &req.Log)
 	body.Release()

@@ -358,6 +358,7 @@ func TestConcurrentSubmissionsKeepTheirLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	logOf := runLogs(svc, svc.defaultRun)
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
@@ -394,7 +395,7 @@ func TestConcurrentSubmissionsKeepTheirLogs(t *testing.T) {
 			t.Fatalf("job %s: %v", id, err)
 		}
 		want := logs[i]
-		if got := job.log; got.Name != want.Name || !reflect.DeepEqual(got.Exams, want.Exams) ||
+		if got := logOf(job); got.Name != want.Name || !reflect.DeepEqual(got.Exams, want.Exams) ||
 			!reflect.DeepEqual(got.Patients, want.Patients) || !reflect.DeepEqual(got.Records, want.Records) {
 			t.Errorf("job %s holds another log than %s", id, want.Name)
 		}

@@ -61,6 +61,8 @@ type Job struct {
 	seq      uint64
 	priority int
 	labels   map[string]string
+	// log is what the job analyzes; finish drops it, so a finished job
+	// kept for lookup does not keep its log's rows and encoding alive.
 	log      *dataset.Log
 	engine   *core.Engine // base engine, or a per-job WithConfig derivation
 	deadline time.Time    // zero = none
@@ -210,6 +212,7 @@ func (j *Job) finish(rep *core.Report, err error) {
 	j.report = rep
 	j.err = err
 	j.finishedAt = now
+	j.log = nil
 	switch {
 	case err == nil:
 		j.status = StatusDone

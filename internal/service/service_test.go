@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"adahealth/internal/core"
 	"adahealth/internal/dataset"
@@ -71,6 +72,22 @@ func blockingService(t *testing.T, workers, depth int) (svc *Service, started ch
 		return append([]string(nil), ran...)
 	}
 	return svc, started, release, order
+}
+
+// runLogs makes svc's jobs run with run, after noting the log each
+// one analyzes; the job itself drops that log when it finishes. It must
+// be called before any submission, as runJob is replaced.
+func runLogs(svc *Service, run func(*Job) (*core.Report, error)) (logOf func(*Job) *dataset.Log) {
+	var logs sync.Map
+	svc.runJob = func(j *Job) (*core.Report, error) {
+		logs.Store(j.ID(), j.log)
+		return run(j)
+	}
+	return func(j *Job) *dataset.Log {
+		l, _ := logs.Load(j.ID())
+		log, _ := l.(*dataset.Log)
+		return log
+	}
 }
 
 // submitRetry submits log, retrying while the service answers with
@@ -472,6 +489,42 @@ func TestJobReportMatchesEngineAnalyze(t *testing.T) {
 	}
 	if j.Labels()["ward"] != "diabetic" {
 		t.Errorf("labels lost: %v", j.Labels())
+	}
+}
+
+// TestFinishedJobDropsItsLog: once a job finishes, its log is
+// collectable while the job still resolves by ID with its report, so
+// the finished jobs the service keeps do not keep their logs alive.
+func TestFinishedJobDropsItsLog(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// The log is made and submitted in a call of its own, so no
+	// pointer to it is left in this frame.
+	submit := func() (*Job, weak.Pointer[dataset.Log]) {
+		log := testLog(t, 1)
+		j, err := svc.Submit(context.Background(), log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, weak.Make(log)
+	}
+	j, logRef := submit()
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if logRef.Value() != nil {
+		t.Error("a finished job keeps its log alive")
+	}
+	got, ok := svc.Job(j.ID())
+	if !ok {
+		t.Fatalf("job %s no longer resolves", j.ID())
+	}
+	if rep, ok := got.Report(); !ok || rep == nil {
+		t.Errorf("job %s lost its report", j.ID())
 	}
 }
 
