@@ -44,10 +44,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Level 0: concrete co-prescribed exams.
+	// Level 0: concrete co-prescribed exams. No category enters their
+	// supports, so plain FP-Growth over the visits finds exactly the
+	// generalized miner's level-0 itemsets, in the same order.
+	leaves, err := fpm.FPGrowth(txs, minSupport)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("co-prescribed exams (leaf level):")
 	shown := 0
-	for _, g := range fpm.FilterByLevel(generalized, 0) {
+	for _, g := range leaves {
 		if len(g.Items) < 2 {
 			continue
 		}
@@ -58,11 +64,11 @@ func main() {
 		}
 	}
 
-	// Level 1: category-level patterns that are invisible at leaf
+	// One level up: category-level patterns that are invisible at leaf
 	// level because individual exams are too rare.
 	fmt.Println("\ncategory-level patterns (generalized):")
 	shown = 0
-	for _, g := range fpm.FilterByLevel(generalized, 1) {
+	for _, g := range fpm.FilterByLevel(generalized, tax.Level("cat:"+data.Exams[0].Category)) {
 		if len(g.Items) < 2 {
 			continue
 		}

@@ -230,6 +230,71 @@ func TestConcurrentAnalysesMatchSerial(t *testing.T) {
 	}
 }
 
+// TestConcurrentPatternsEqualSerial: concurrent analyses on one engine
+// mine on miners lent from its one free list, each grown by whichever
+// analysis of another shape used it last. Two rounds of four concurrent
+// analyses over 300- and 1,000-patient logs must extract exactly the
+// pattern and rule items a fresh engine extracts from each log alone.
+func TestConcurrentPatternsEqualSerial(t *testing.T) {
+	var logs []*dataset.Log
+	for i, patients := range []int{300, 1000, 300, 1000} {
+		cfg := synth.SmallConfig()
+		cfg.Seed = int64(i + 1)
+		cfg.NumPatients, cfg.TargetRecords = patients, 15*patients
+		log, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Name = fmt.Sprintf("%s-%d", log.Name, i)
+		logs = append(logs, log)
+	}
+	cfg := seededConfig(1)
+	cfg.Recall.Disabled = true
+
+	type items struct{ patterns, rules any }
+	want := make([]items, len(logs))
+	for i, log := range logs {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Analyze(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.PatternItems) == 0 || len(rep.RuleItems) == 0 {
+			t.Fatalf("log %s: %d pattern and %d rule items; the comparison needs both", log.Name, len(rep.PatternItems), len(rep.RuleItems))
+		}
+		want[i] = items{rep.PatternItems, rep.RuleItems}
+	}
+
+	shared, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := range 2 {
+		reports := make([]*Report, len(logs))
+		errs := make([]error, len(logs))
+		var wg sync.WaitGroup
+		for i, log := range logs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reports[i], errs[i] = shared.AnalyzeWith(context.Background(), log, AnalyzeOptions{})
+			}()
+		}
+		wg.Wait()
+		for i, rep := range reports {
+			if errs[i] != nil {
+				t.Fatalf("round %d, analysis %d: %v", round, i, errs[i])
+			}
+			if got := (items{rep.PatternItems, rep.RuleItems}); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("round %d, log %s: pattern or rule items differ from a fresh serial engine's", round, logs[i].Name)
+			}
+		}
+	}
+}
+
 // TestConcurrentAnalysesShareOneBudget: every analysis on an engine and
 // on its WithConfig derivations runs on the engine's one CPU budget, so
 // four concurrent analyses at Parallelism 1 never run two stages at

@@ -43,6 +43,7 @@ import (
 	"adahealth/internal/dataset"
 	"adahealth/internal/endgoal"
 	"adahealth/internal/fpm"
+	"adahealth/internal/freelist"
 	"adahealth/internal/kdb"
 	"adahealth/internal/knowledge"
 	"adahealth/internal/optimize"
@@ -171,13 +172,18 @@ func (c Config) Validate() error {
 
 // Engine is the ADA-HEALTH automated analysis engine. It owns what
 // its analyses share: the K-DB, one CPU budget (a slots.Pool of
-// Config.Parallelism slots) and one sweep arena. WithConfig
-// derivations share all three.
+// Config.Parallelism slots), one sweep arena and one free list of
+// pattern miners (fpm.Miner, each holding its FP-trees and transaction
+// buffers between runs). WithConfig derivations share all four. The
+// arena and the free list grow to the number of sweeps and patterns
+// stages that run at once, which the slots bound, and keep that
+// working memory for the engine's life.
 type Engine struct {
-	cfg   Config
-	kdb   *kdb.KDB
-	pool  slots.Pool
-	arena *optimize.Arena
+	cfg    Config
+	kdb    *kdb.KDB
+	pool   slots.Pool
+	arena  *optimize.Arena
+	miners *freelist.List[fpm.Miner]
 }
 
 // New builds an engine, opening (or creating) its knowledge base. The
@@ -208,21 +214,21 @@ func NewWithKDB(cfg Config, k *kdb.KDB) (*Engine, error) {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{cfg: cfg.withDefaults(), kdb: k, pool: slots.New(n), arena: optimize.NewArena()}, nil
+	return &Engine{cfg: cfg.withDefaults(), kdb: k, pool: slots.New(n), arena: optimize.NewArena(), miners: &freelist.List[fpm.Miner]{}}, nil
 }
 
 // WithConfig returns a derived engine that analyzes under cfg but
-// shares this engine's K-DB, CPU budget and sweep arena. It is how a
-// long-running service runs per-job configuration overrides (seed,
-// thresholds, sweep grid) without opening a second K-DB or a second
-// pool. The override is validated like New validates; KDBDir and
+// shares this engine's K-DB, CPU budget, sweep arena and miners. It is
+// how a long-running service runs per-job configuration overrides
+// (seed, thresholds, sweep grid) without opening a second K-DB or a
+// second pool. The override is validated like New validates; KDBDir and
 // Parallelism are ignored — the K-DB and the budget are inherited.
 func (e *Engine) WithConfig(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.KDBDir, cfg.Parallelism = e.cfg.KDBDir, e.cfg.Parallelism
-	return &Engine{cfg: cfg.withDefaults(), kdb: e.kdb, pool: e.pool, arena: e.arena}, nil
+	return &Engine{cfg: cfg.withDefaults(), kdb: e.kdb, pool: e.pool, arena: e.arena, miners: e.miners}, nil
 }
 
 // Config returns the engine's resolved configuration (defaults filled
@@ -313,8 +319,8 @@ func (e *Engine) AnalyzeContext(ctx context.Context, log *dataset.Log) (*Report,
 // AnalyzeOptions tunes one analysis. The zero value reproduces
 // AnalyzeContext: no observer, a K-DB flush on completion. No option
 // seeds the sweep (its one warm start is the recall stage's prior
-// knowledge), and none picks the CPU budget or the sweep arena: every
-// analysis runs on its engine's.
+// knowledge), and none picks the CPU budget, the sweep arena or the
+// miners: every analysis runs on its engine's.
 type AnalyzeOptions struct {
 	// Observer, when non-nil, receives a StageEvent at every stage
 	// start and finish — the scheduler's trace points — while the
@@ -334,8 +340,10 @@ type AnalyzeOptions struct {
 // on the engine's CPU budget, which every analysis on the engine and
 // its WithConfig derivations shares: however many are in flight, at
 // most Config.Parallelism goroutines compute at once. Their sweeps
-// draw worker slabs from the engine's one arena; Reports are
-// bit-for-bit identical to a fresh arena's.
+// draw worker slabs from the engine's one arena, and their patterns
+// stages borrow a miner (its FP-trees and transaction buffers) from the
+// engine's free list; Reports are bit-for-bit identical to a fresh
+// engine's.
 func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts AnalyzeOptions) (*Report, error) {
 	if log.NumPatients() == 0 || log.NumRecords() == 0 {
 		return nil, fmt.Errorf("core: log %q is empty", log.Name)

@@ -300,27 +300,29 @@ func (e *Engine) runPatterns(ctx context.Context, s *pipelineState) error {
 		return err
 	}
 	// The visit baskets come straight from the log's encoding: exam
-	// keys, already grouped and de-duplicated, with no string hashed.
+	// keys, already grouped and de-duplicated. The miner hashes each
+	// exam code once, never a visit's items.
 	enc := s.log.Encoded()
-	tax := taxonomyOf(s.log)
-	ext := tax.ExtendEncoded(fpm.EncodeTransactions(enc.ExamCodes, enc.VisitPtr, enc.VisitExams))
 	numTx := enc.NumVisits()
 	minSupport := int(e.cfg.MinSupportFrac * float64(numTx))
 	if minSupport < 2 {
 		minSupport = 2
 	}
-	gsets, err := fpm.MineGeneralizedEncoded(ext, tax, minSupport)
+	// The miner's trees and transaction buffers come from the engine's
+	// free list. It goes back only after a run that returned: one a
+	// panic interrupted is left to the collector.
+	m := e.miners.Get()
+	if m == nil {
+		m = new(fpm.Miner)
+	}
+	flat, err := m.Mine(enc.ExamCodes, enc.VisitPtr, enc.VisitExams, taxonomyOf(s.log), minSupport)
+	e.miners.Put(m)
 	if err != nil {
 		return fmt.Errorf("pattern mining: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	flat := make([]fpm.Itemset, 0, len(gsets))
-	for _, g := range gsets {
-		flat = append(flat, g.Itemset)
-	}
-	fpm.SortItemsets(flat)
 	s.rep.PatternItems = knowledge.FromItemsets(s.log.Name, flat, numTx)
 	if len(s.rep.PatternItems) > e.cfg.MaxPatternItems {
 		s.rep.PatternItems = s.rep.PatternItems[:e.cfg.MaxPatternItems]

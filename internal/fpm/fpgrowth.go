@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // node is one FP-tree node. Nodes live in one slice and point at each
@@ -15,7 +14,7 @@ type node struct {
 	child   int32 // first child
 	sibling int32 // next child of the same parent
 	next    int32 // next node of the same item: the header chain
-	count   int
+	count   int32
 }
 
 const none int32 = -1
@@ -27,21 +26,25 @@ const none int32 = -1
 type fpTree struct {
 	nodes []node
 	head  []int32
-	total []int
+	total []int32
 	items []int32
 }
 
-// reset empties the tree to a lone root, keeping every array's storage.
-func (t *fpTree) reset() {
+// reset empties the tree to a lone root over a dictionary of n items,
+// keeping every array's storage.
+func (t *fpTree) reset(n int) {
 	for _, it := range t.items {
 		t.head[it], t.total[it] = none, 0
 	}
 	t.items = t.items[:0]
+	for len(t.head) < n {
+		t.head, t.total = append(t.head, none), append(t.total, 0)
+	}
 	t.nodes = append(t.nodes[:0], node{item: none, parent: none, child: none, sibling: none, next: none})
 }
 
 // insert adds a path of items, root side first, with a count.
-func (t *fpTree) insert(path []int32, count int) {
+func (t *fpTree) insert(path []int32, count int32) {
 	var n int32
 	for _, it := range path {
 		c, last := t.nodes[n].child, none
@@ -69,28 +72,13 @@ func (t *fpTree) insert(path []int32, count int) {
 	}
 }
 
-// miner holds one FP-Growth run's reused storage.
-type miner struct {
-	tx         *Transactions
-	minSupport int
-	trees      []*fpTree // trees[d] is the tree mined at recursion depth d
-	cond       []int     // per item: support over a conditional pattern base; zero between uses
-	touched    []int32   // the items cond holds a count for
-	path       []int32
-	pattern    []int32 // pattern[:d] is the suffix the tree at depth d is conditioned on
-	out        []Itemset
-}
-
-// tree returns the reset tree of depth d, making it on first use.
-func (m *miner) tree(d int) *fpTree {
+// tree returns the depth-d tree reset for the mined dictionary, making
+// it on first use.
+func (m *Miner) tree(d int) *fpTree {
 	if d == len(m.trees) {
-		t := &fpTree{head: make([]int32, len(m.tx.dict)), total: make([]int, len(m.tx.dict))}
-		for i := range t.head {
-			t.head[i] = none
-		}
-		m.trees = append(m.trees, t)
+		m.trees = append(m.trees, &fpTree{})
 	}
-	m.trees[d].reset()
+	m.trees[d].reset(len(m.mined.dict))
 	return m.trees[d]
 }
 
@@ -105,12 +93,10 @@ func (m *miner) tree(d int) *fpTree {
 // dictionary. Each recursion depth reuses one tree, and a conditional
 // tree is built directly: the prefix paths' item supports are counted
 // along the header chain first, and only the items that clear
-// minSupport are inserted. A run allocates little beyond its output.
-//
-// This entry point encodes the baskets first; callers mining the same
-// baskets repeatedly (several support thresholds, several algorithms)
-// should build a Transactions once and mine it with
-// MineGeneralizedEncoded instead.
+// minSupport are inserted. This entry point encodes the baskets and
+// mines them on a fresh Miner; a Miner kept across runs also reuses
+// the trees and the database from one run to the next, and then a run
+// allocates little beyond its output.
 func FPGrowth(txs [][]string, minSupport int) ([]Itemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
@@ -118,12 +104,22 @@ func FPGrowth(txs [][]string, minSupport int) ([]Itemset, error) {
 	return fpGrowthEncoded(NewTransactions(txs), minSupport), nil
 }
 
-// fpGrowthEncoded is the integer-item FP-Growth core. Itemsets are
-// emitted in the recursion's order and then sorted by SortItemsets, a
-// total order over distinct itemsets, so the result does not depend on
-// the order of any tree's children or header chains.
+// fpGrowthEncoded mines t with no taxonomy on a fresh Miner.
 func fpGrowthEncoded(t *Transactions, minSupport int) []Itemset {
-	m := &miner{tx: t, minSupport: minSupport, cond: make([]int, len(t.dict))}
+	m := new(Miner)
+	m.index(nil)
+	m.lookup(t.dict)
+	return m.mine(t, minSupport)
+}
+
+// mine runs FP-Growth over t, whose dictionary m.order indexes, leaving
+// out itemsets that pair an item with one of its ancestors. Itemsets
+// are emitted in the recursion's order and then sorted by SortItemsets,
+// a total order over distinct itemsets, so the result does not depend
+// on the order of any tree's children or header chains.
+func (m *Miner) mine(t *Transactions, minSupport int) []Itemset {
+	m.mined, m.minSupport = t, int32(minSupport)
+	m.cond = fill(m.cond, len(t.dict), 0)
 	tree := m.tree(0)
 	// Decreasing global frequency, id ascending on ties: the FP-tree
 	// insertion order.
@@ -136,36 +132,71 @@ func fpGrowthEncoded(t *Transactions, minSupport int) []Itemset {
 	for i := 0; i < t.NumTx(); i++ {
 		m.path = m.path[:0]
 		for _, it := range t.tx(i) {
-			if t.freq[it] >= minSupport {
+			if t.freq[it] >= m.minSupport {
 				m.path = append(m.path, it)
 			}
 		}
 		slices.SortFunc(m.path, byFreq)
 		tree.insert(m.path, 1)
 	}
-	m.mine(0)
-	SortItemsets(m.out)
-	return m.out
+	m.grow(0)
+	out := m.out
+	m.out, m.mined = nil, nil
+	SortItemsets(out)
+	return out
 }
 
-// mine emits suffix ∪ {item} for every item of the depth-d tree, each
+// grow emits suffix ∪ {item} for every item of the depth-d tree, each
 // of which clears minSupport, and recurses into its conditional tree.
-func (m *miner) mine(d int) {
+// An item that is an ancestor or a descendant of a suffix item is
+// skipped with its whole subtree: every itemset holding both is
+// trivially redundant and left out.
+func (m *Miner) grow(d int) {
 	tree := m.trees[d]
 	for _, it := range tree.items {
+		if m.pairsAncestor(it, m.pattern[:d]) {
+			continue
+		}
 		m.pattern = append(m.pattern[:d], it)
-		m.out = append(m.out, decodeItemset(m.tx, m.pattern, tree.total[it]))
+		m.emit(tree.total[it])
 		if m.conditional(tree, it, m.tree(d+1)) {
-			m.mine(d + 1)
+			m.grow(d + 1)
 		}
 	}
+}
+
+// pairsAncestor reports whether item it is an ancestor or a descendant
+// of an item of suffix.
+func (m *Miner) pairsAncestor(it int32, suffix []int32) bool {
+	if len(suffix) == 0 {
+		return false
+	}
+	if m.climb(m.order[it], func(a, _ int32) bool { return slices.Contains(suffix, m.nodes[a].dict) }) {
+		return true
+	}
+	for _, s := range suffix {
+		if m.climb(m.order[s], func(a, _ int32) bool { return m.nodes[a].dict == it }) {
+			return true
+		}
+	}
+	return false
+}
+
+// emit appends the current pattern as a sorted Itemset.
+func (m *Miner) emit(support int32) {
+	items := make([]string, len(m.pattern))
+	for i, id := range m.pattern {
+		items[i] = m.mined.dict[id]
+	}
+	slices.Sort(items)
+	m.out = append(m.out, Itemset{Items: items, Support: int(support)})
 }
 
 // conditional builds into c, a reset tree, the conditional FP-tree of
 // item it in tree: every prefix path of it's nodes, weighted by the
 // node's count and cut to the items whose support over those paths
 // clears minSupport. It reports whether c holds any item.
-func (m *miner) conditional(tree *fpTree, it int32, c *fpTree) bool {
+func (m *Miner) conditional(tree *fpTree, it int32, c *fpTree) bool {
 	nodes := tree.nodes
 	for n := tree.head[it]; n != none; n = nodes[n].next {
 		count := nodes[n].count
@@ -194,14 +225,4 @@ func (m *miner) conditional(tree *fpTree, it int32, c *fpTree) bool {
 	}
 	m.touched = m.touched[:0]
 	return len(c.items) > 0
-}
-
-// decodeItemset maps a pattern of item ids back to a sorted Itemset.
-func decodeItemset(t *Transactions, pattern []int32, support int) Itemset {
-	items := make([]string, len(pattern))
-	for i, id := range pattern {
-		items[i] = t.dict[id]
-	}
-	sort.Strings(items)
-	return Itemset{Items: items, Support: support}
 }

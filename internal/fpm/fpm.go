@@ -10,6 +10,14 @@
 // int32 index, and each item's header-chain head and support sit in
 // arrays sized to the item dictionary. One tree per recursion depth is
 // reused for every conditional tree built at that depth.
+//
+// Every mining run goes through a Miner, which keeps that storage — the
+// trees, the taxonomy-extended transaction database and the scratch —
+// from one run to the next. The one-shot entry points run a fresh
+// Miner, so each call allocates that storage once; the pipeline's
+// patterns stage mines on Miners its engine lends it, and there a run
+// of a shape the Miner has mined before allocates little beyond its
+// output.
 package fpm
 
 import (

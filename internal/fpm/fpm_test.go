@@ -266,11 +266,33 @@ func fuzzBaskets(data []byte) (txs [][]string, minSupport int) {
 	return append(txs, basket), minSupport
 }
 
+// warmBaskets is a fixed basket set larger than any fuzz input's: 26
+// items, each with a parent, over 150 baskets.
+func warmBaskets() (*Transactions, Taxonomy) {
+	rng := rand.New(rand.NewSource(1))
+	tax := Taxonomy{}
+	for c := 'a'; c <= 'z'; c++ {
+		tax[string(c)+"0"] = "group" + string('0'+c%4)
+	}
+	txs := make([][]string, 150)
+	for i := range txs {
+		for j := rng.Intn(6); j >= 0; j-- {
+			txs[i] = append(txs[i], string('a'+rune(rng.Intn(26)))+"0")
+		}
+	}
+	return NewTransactions(txs), tax
+}
+
 // FuzzFPGrowthMatchesApriori requires the FP-Growth miner to find
 // exactly Apriori's itemsets and supports on any baskets and threshold:
 // duplicate and empty items, empty baskets, and thresholds at which
-// every subset of a long basket is frequent.
+// every subset of a long basket is frequent. It mines each input on a
+// fresh Miner (FPGrowth), and twice on a Miner that has just mined a
+// larger basket set under a taxonomy, so reuse must not leak a
+// dictionary entry, an ancestor, a tree node or a count from one run
+// into the next.
 func FuzzFPGrowthMatchesApriori(f *testing.F) {
+	warm, warmTax := warmBaskets()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, minSupport := fuzzBaskets(data)
 		if minSupport == 0 {
@@ -287,6 +309,21 @@ func FuzzFPGrowthMatchesApriori(f *testing.F) {
 		if !reflect.DeepEqual(canonical(ap), canonical(fp)) {
 			t.Fatalf("baskets %q (minSupport=%d): Apriori %v != FPGrowth %v",
 				txs, minSupport, canonical(ap), canonical(fp))
+		}
+		var m Miner
+		if _, err := m.Mine(warm.dict, warm.ptr, warm.items, warmTax, 3); err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTransactions(txs)
+		for run := 1; run <= 2; run++ {
+			sets, err := m.Mine(tr.dict, tr.ptr, tr.items, nil, minSupport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(canonical(ap), canonical(sets)) {
+				t.Fatalf("baskets %q (minSupport=%d), reused Miner run %d: Apriori %v != %v",
+					txs, minSupport, run, canonical(ap), canonical(sets))
+			}
 		}
 	})
 }

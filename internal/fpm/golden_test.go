@@ -10,15 +10,26 @@ import (
 	"adahealth/internal/synth"
 )
 
-// minedGolden mines every case of TestMineGeneralizedGolden and prints
-// the itemsets in the order MineGeneralizedEncoded returns them: one
-// header line per case, then one "support<TAB>items" line per itemset.
-// The baskets, taxonomy and support floor are built as the pipeline's
-// patterns stage builds them: the log's encoded visits, exam →
-// "category:"+Category, and int(frac × visits) with a floor of 2.
-func minedGolden(t *testing.T) []byte {
+// goldenLog is one cohort of TestMineGeneralizedGolden: its exam names,
+// coded visits and taxonomy, built as the pipeline's patterns stage
+// builds them (the log's encoded visits, exam → "category:"+Category).
+type goldenLog struct {
+	seed        int64
+	patients    int
+	names       []string
+	ptr, items  []int32
+	tax         Taxonomy
+	visits      int
+	minSupports [3]int // at 2 %, 1 % and 0.5 % of visits, floor 2
+}
+
+var goldenFracs = [3]float64{0.02, 0.01, 0.005}
+
+// goldenLogs generates the six cohorts: synth seeds 1–3, 300 and 1,000
+// patients.
+func goldenLogs(t *testing.T) []goldenLog {
 	t.Helper()
-	var buf bytes.Buffer
+	var out []goldenLog
 	for _, seed := range []int64{1, 2, 3} {
 		for _, patients := range []int{300, 1000} {
 			cfg := synth.DefaultConfig()
@@ -36,19 +47,47 @@ func minedGolden(t *testing.T) []byte {
 				}
 			}
 			enc := log.Encoded()
-			ext := tax.ExtendEncoded(EncodeTransactions(enc.ExamCodes, enc.VisitPtr, enc.VisitExams))
-			for _, frac := range []float64{0.02, 0.01, 0.005} {
-				minSupport := max(int(frac*float64(enc.NumVisits())), 2)
-				sets, err := MineGeneralizedEncoded(ext, tax, minSupport)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&buf, "# seed=%d patients=%d frac=%g visits=%d minSupport=%d itemsets=%d\n",
-					seed, patients, frac, enc.NumVisits(), minSupport, len(sets))
-				for _, s := range sets {
-					fmt.Fprintf(&buf, "%d\t%s\n", s.Support, strings.Join(s.Items, " "))
-				}
+			g := goldenLog{seed: seed, patients: patients, names: enc.ExamCodes, ptr: enc.VisitPtr,
+				items: enc.VisitExams, tax: tax, visits: enc.NumVisits()}
+			for i, frac := range goldenFracs {
+				g.minSupports[i] = max(int(frac*float64(g.visits)), 2)
 			}
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// section prints one case: a header line, then one
+// "support<TAB>items" line per itemset in the order mined.
+func (g goldenLog) section(frac int, sets []Itemset) []byte {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# seed=%d patients=%d frac=%g visits=%d minSupport=%d itemsets=%d\n",
+		g.seed, g.patients, goldenFracs[frac], g.visits, g.minSupports[frac], len(sets))
+	for _, s := range sets {
+		fmt.Fprintf(&buf, "%d\t%s\n", s.Support, strings.Join(s.Items, " "))
+	}
+	return buf.Bytes()
+}
+
+// minedGolden mines every case of TestMineGeneralizedGolden through the
+// one-shot entry points, extending each cohort's baskets once and
+// mining them at each floor.
+func minedGolden(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, g := range goldenLogs(t) {
+		ext := g.tax.ExtendEncoded(EncodeTransactions(g.names, g.ptr, g.items))
+		for i, minSupport := range g.minSupports {
+			gsets, err := MineGeneralizedEncoded(ext, g.tax, minSupport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets := make([]Itemset, len(gsets))
+			for j, s := range gsets {
+				sets[j] = s.Itemset
+			}
+			buf.Write(g.section(i, sets))
 		}
 	}
 	return buf.Bytes()
@@ -74,4 +113,35 @@ func TestMineGeneralizedGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("mined itemsets drifted from testdata/generalized.golden: %d lines, want %d", len(gl), len(wl))
+}
+
+// TestMinerReuseMatchesGolden mines the 18 golden cases on one shared
+// Miner, forward and then in reverse, so its dictionary and trees grow
+// from case to case and then shrink: both passes must print
+// testdata/generalized.golden byte for byte.
+func TestMinerReuseMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/generalized.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := goldenLogs(t)
+	n := len(logs) * len(goldenFracs)
+	var m Miner
+	for _, reverse := range []bool{false, true} {
+		sections := make([][]byte, n)
+		for k := range n {
+			if reverse {
+				k = n - 1 - k
+			}
+			g, frac := logs[k/len(goldenFracs)], k%len(goldenFracs)
+			sets, err := m.Mine(g.names, g.ptr, g.items, g.tax, g.minSupports[frac])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sections[k] = g.section(frac, sets)
+		}
+		if got := bytes.Join(sections, nil); !bytes.Equal(got, want) {
+			t.Fatalf("reverse=%v: one shared Miner's itemsets differ from testdata/generalized.golden", reverse)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package fpm
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -32,18 +31,13 @@ func (t Taxonomy) Ancestors(item string) []string {
 // Level returns the abstraction level of an item: 0 for leaves that
 // appear only as taxonomy keys (or unknown items), and 1 + the level
 // of its deepest known descendant for generalized items. In practice
-// it is len of the longest chain that reaches item.
+// it is len of the longest chain that reaches item, each chain cut
+// where Ancestors cuts a cycle.
 func (t Taxonomy) Level(item string) int {
-	level := 0
-	for child, parent := range t {
-		if parent != item {
-			continue
-		}
-		if l := t.Level(child) + 1; l > level {
-			level = l
-		}
-	}
-	return level
+	var m Miner
+	m.index(t)
+	m.levels()
+	return m.level(item)
 }
 
 // GeneralizedItemset is a frequent itemset annotated with the highest
@@ -80,17 +74,10 @@ func (t Taxonomy) ExtendTransactions(txs [][]string) [][]string {
 // transactions (Srikant-Agrawal style generalized patterns, the
 // mechanism behind MeTA's "different abstraction levels"). Itemsets
 // that pair an item with one of its own ancestors are filtered out as
-// trivially redundant. The miner is FP-Growth.
+// trivially redundant. The baskets are extended as strings
+// (ExtendTransactions) and mined with FP-Growth.
 func MineGeneralized(txs [][]string, tax Taxonomy, minSupport int) ([]GeneralizedItemset, error) {
-	if minSupport < 1 {
-		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
-	}
-	ext := tax.ExtendTransactions(txs)
-	flat, err := FPGrowth(ext, minSupport)
-	if err != nil {
-		return nil, err
-	}
-	return annotateGeneralized(flat, tax), nil
+	return MineGeneralizedEncoded(NewTransactions(tax.ExtendTransactions(txs)), tax, minSupport)
 }
 
 // MineGeneralizedEncoded mines generalized itemsets over an
@@ -99,7 +86,7 @@ func MineGeneralized(txs [][]string, tax Taxonomy, minSupport int) ([]Generalize
 // same log repeatedly build the extended Transactions once and re-mine
 // it at any support threshold without touching string baskets again.
 // Results are identical to MineGeneralized over the same baskets and
-// taxonomy (equivalence-tested).
+// taxonomy (equivalence-tested). It mines on a fresh Miner.
 func MineGeneralizedEncoded(ext *Transactions, tax Taxonomy, minSupport int) ([]GeneralizedItemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
@@ -107,36 +94,20 @@ func MineGeneralizedEncoded(ext *Transactions, tax Taxonomy, minSupport int) ([]
 	if ext == nil {
 		return nil, fmt.Errorf("fpm: nil transactions")
 	}
-	return annotateGeneralized(fpGrowthEncoded(ext, minSupport), tax), nil
-}
-
-// annotateGeneralized drops itemsets pairing an item with one of its
-// own ancestors and annotates the rest with their abstraction level.
-func annotateGeneralized(flat []Itemset, tax Taxonomy) []GeneralizedItemset {
-	levelCache := map[string]int{}
-	levelOf := func(item string) int {
-		if l, ok := levelCache[item]; ok {
-			return l
-		}
-		l := tax.Level(item)
-		levelCache[item] = l
-		return l
-	}
-
+	m := new(Miner)
+	m.index(tax)
+	m.lookup(ext.dict)
+	sets := m.mine(ext, minSupport)
+	m.levels()
 	var out []GeneralizedItemset
-	for _, s := range flat {
-		if containsAncestorPair(s.Items, tax) {
-			continue
-		}
-		maxLevel := 0
+	for _, s := range sets {
+		g := GeneralizedItemset{Itemset: s}
 		for _, it := range s.Items {
-			if l := levelOf(it); l > maxLevel {
-				maxLevel = l
-			}
+			g.MaxLevel = max(g.MaxLevel, m.level(it))
 		}
-		out = append(out, GeneralizedItemset{Itemset: s, MaxLevel: maxLevel})
+		out = append(out, g)
 	}
-	return out
+	return out, nil
 }
 
 // ExtendEncoded returns a transaction database augmenting every basket
@@ -145,98 +116,14 @@ func annotateGeneralized(flat []Itemset, tax Taxonomy) []GeneralizedItemset {
 // items and every reachable ancestor (still in lexicographic order, so
 // the int-encoded miners keep emitting itemsets in the same order as
 // the string path); base itself is not modified and is returned
-// unchanged when the taxonomy is empty.
+// unchanged when the taxonomy is empty. It builds on a fresh Miner.
 func (t Taxonomy) ExtendEncoded(base *Transactions) *Transactions {
 	if len(t) == 0 {
 		return base
 	}
-	// Union dictionary: base items plus all their ancestors.
-	names := make(map[string]bool, len(base.dict))
-	for _, it := range base.dict {
-		names[it] = true
-		for _, a := range t.Ancestors(it) {
-			names[a] = true
-		}
-	}
-	dict := make([]string, 0, len(names))
-	for it := range names {
-		dict = append(dict, it)
-	}
-	sort.Strings(dict)
-	nameID := make(map[string]int32, len(dict))
-	for id, it := range dict {
-		nameID[it] = int32(id)
-	}
-	// Per old item id: its new id and its ancestors' new ids.
-	remap := make([]int32, len(base.dict))
-	ancestors := make([][]int32, len(base.dict))
-	for old, it := range base.dict {
-		remap[old] = nameID[it]
-		as := t.Ancestors(it)
-		if len(as) == 0 {
-			continue
-		}
-		ids := make([]int32, len(as))
-		for i, a := range as {
-			ids[i] = nameID[a]
-		}
-		ancestors[old] = ids
-	}
-
-	// Every basket grows by at most its items' ancestors.
-	size := len(base.items)
-	for _, old := range base.items {
-		size += len(ancestors[old])
-	}
-	n := base.NumTx()
-	out := &Transactions{
-		dict:  dict,
-		ptr:   make([]int, 1, n+1),
-		items: make([]int32, 0, size),
-		freq:  make([]int, len(dict)),
-	}
-	mark := make([]bool, len(dict))
-	ids := make([]int32, 0, 32)
-	for i := 0; i < n; i++ {
-		ids = ids[:0]
-		for _, old := range base.tx(i) {
-			if nid := remap[old]; !mark[nid] {
-				mark[nid] = true
-				ids = append(ids, nid)
-			}
-			for _, a := range ancestors[old] {
-				if !mark[a] {
-					mark[a] = true
-					ids = append(ids, a)
-				}
-			}
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			mark[id] = false
-			out.freq[id]++
-		}
-		out.items = append(out.items, ids...)
-		out.ptr = append(out.ptr, len(out.items))
-	}
-	return out
-}
-
-// containsAncestorPair reports whether any item in the set is an
-// ancestor of another item in the set.
-func containsAncestorPair(items []string, tax Taxonomy) bool {
-	set := make(map[string]bool, len(items))
-	for _, it := range items {
-		set[it] = true
-	}
-	for _, it := range items {
-		for _, a := range tax.Ancestors(it) {
-			if set[a] {
-				return true
-			}
-		}
-	}
-	return false
+	m := new(Miner)
+	m.index(t)
+	return m.extend(base.dict, base.ptr, base.items)
 }
 
 // FilterByLevel keeps only generalized itemsets whose MaxLevel equals

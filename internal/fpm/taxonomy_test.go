@@ -176,3 +176,21 @@ func TestExtendEncodedEmptyTaxonomy(t *testing.T) {
 		t.Error("empty taxonomy should return the base encoding unchanged")
 	}
 }
+
+// containsAncestorPair reports whether any item in the set is an
+// ancestor of another item in the set: the string-keyed check the
+// miner's filter must agree with.
+func containsAncestorPair(items []string, tax Taxonomy) bool {
+	set := make(map[string]bool, len(items))
+	for _, it := range items {
+		set[it] = true
+	}
+	for _, it := range items {
+		for _, a := range tax.Ancestors(it) {
+			if set[a] {
+				return true
+			}
+		}
+	}
+	return false
+}

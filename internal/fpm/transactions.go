@@ -1,10 +1,5 @@
 package fpm
 
-import (
-	"slices"
-	"strings"
-)
-
 // Transactions is a shared, integer-encoded transaction database: the
 // one-time normalization (dedup + sort), item dictionary and global
 // frequency counts that every mining run needs, built once and reused
@@ -17,9 +12,9 @@ import (
 // the same itemsets as the string-based entry points.
 type Transactions struct {
 	dict  []string // item id → name, lexicographically ordered
-	ptr   []int    // transaction i occupies items[ptr[i]:ptr[i+1]]
+	ptr   []int32  // transaction i occupies items[ptr[i]:ptr[i+1]]
 	items []int32  // sorted unique item ids per transaction, flat
-	freq  []int    // per-id transaction frequency
+	freq  []int32  // per-id transaction frequency
 }
 
 // NewTransactions normalizes and encodes string baskets once. Empty
@@ -47,57 +42,15 @@ func NewTransactions(txs [][]string) *Transactions {
 
 // EncodeTransactions is NewTransactions over baskets already coded
 // against a list of distinct names: basket i is items[ptr[i]:ptr[i+1]],
-// each item an index into names. It hashes no strings, so a caller
-// holding integer-keyed baskets (dataset.Encoded's visits) skips the
-// string pass.
+// each item an index into names. It hashes each used name once, not
+// every basket item, so a caller holding integer-keyed baskets
+// (dataset.Encoded's visits) skips the string pass. It builds on a
+// fresh Miner; Miner.Mine builds and mines the taxonomy-extended
+// database in one pass.
 func EncodeTransactions(names []string, ptr, items []int32) *Transactions {
-	// Dictionary over the non-empty names the baskets use, lexicographic.
-	remap := make([]int32, len(names))
-	for _, id := range items {
-		remap[id] = 1
-	}
-	var order []int32
-	for id, used := range remap {
-		if used == 1 && names[id] != "" {
-			order = append(order, int32(id))
-		}
-	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
-	for id := range remap {
-		remap[id] = -1
-	}
-	dict := make([]string, len(order))
-	for id, old := range order {
-		remap[old] = int32(id)
-		dict[id] = names[old]
-	}
-
-	n := len(ptr) - 1
-	t := &Transactions{
-		dict:  dict,
-		ptr:   make([]int, 1, n+1),
-		items: make([]int32, 0, len(items)),
-		freq:  make([]int, len(dict)),
-	}
-	mark := make([]bool, len(dict))
-	ids := make([]int32, 0, 16)
-	for i := 0; i < n; i++ {
-		ids = ids[:0]
-		for _, old := range items[ptr[i]:ptr[i+1]] {
-			if id := remap[old]; id >= 0 && !mark[id] {
-				mark[id] = true
-				ids = append(ids, id)
-			}
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			mark[id] = false
-			t.freq[id]++
-		}
-		t.items = append(t.items, ids...)
-		t.ptr = append(t.ptr, len(t.items))
-	}
-	return t
+	m := new(Miner)
+	m.index(nil)
+	return m.extend(names, ptr, items)
 }
 
 // NumTx reports the number of transactions.

@@ -2,10 +2,10 @@ package optimize
 
 import (
 	"math/rand"
-	"sync"
 
 	"adahealth/internal/classify"
 	"adahealth/internal/cluster"
+	"adahealth/internal/freelist"
 )
 
 // Arena is a pool of reusable sweep state that survives across sweeps —
@@ -29,8 +29,8 @@ import (
 // built under different TreeOptions is rebuilt on checkout; everything
 // else is shape-agnostic. A sweep without an Arena uses a private one.
 type Arena struct {
-	trees  pool[treeSlab]
-	chains pool[chainSlab]
+	trees  freelist.List[treeSlab]
+	chains freelist.List[chainSlab]
 }
 
 // treeSlab is one CV worker's decision tree and the options it was
@@ -52,7 +52,7 @@ func NewArena() *Arena { return &Arena{} }
 
 // tree lends a CV unit a tree built under opts.
 func (a *Arena) tree(opts classify.TreeOptions) *treeSlab {
-	s := a.trees.get()
+	s := a.trees.Get()
 	if s == nil || s.opts != opts {
 		s = &treeSlab{tree: classify.NewDecisionTree(opts), opts: opts}
 	}
@@ -61,7 +61,7 @@ func (a *Arena) tree(opts classify.TreeOptions) *treeSlab {
 
 // chain lends the clustering chain its scratch and RNG.
 func (a *Arena) chain() *chainSlab {
-	s := a.chains.get()
+	s := a.chains.Get()
 	if s == nil {
 		s = &chainSlab{scratch: &cluster.Scratch{}, rng: rand.New(rand.NewSource(0))}
 	}
@@ -69,30 +69,6 @@ func (a *Arena) chain() *chainSlab {
 }
 
 // putTree and putChain return lent state to the pool.
-func (a *Arena) putTree(s *treeSlab) { a.trees.put(s) }
+func (a *Arena) putTree(s *treeSlab) { a.trees.Put(s) }
 
-func (a *Arena) putChain(s *chainSlab) { a.chains.put(s) }
-
-// pool is a mutex-guarded free list.
-type pool[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-func (p *pool[T]) get() *T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	s := p.free[n-1]
-	p.free = p.free[:n-1]
-	return s
-}
-
-func (p *pool[T]) put(s *T) {
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
-}
+func (a *Arena) putChain(s *chainSlab) { a.chains.Put(s) }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adahealth/internal/classify"
+	"adahealth/internal/freelist"
 	"adahealth/internal/vec"
 )
 
@@ -144,7 +145,7 @@ func TestArenaPoolBounded(t *testing.T) {
 		}
 	}
 	// ≤ Parallelism CV workers' trees + 1 chain.
-	trees, chains := len(arena.trees.free), len(arena.chains.free)
+	trees, chains := held(&arena.trees), held(&arena.chains)
 	if trees > cfg.Parallelism || chains > 1 {
 		t.Errorf("arena holds %d trees and %d chains after serial sweeps; want <= %d and <= 1",
 			trees, chains, cfg.Parallelism)
@@ -152,6 +153,14 @@ func TestArenaPoolBounded(t *testing.T) {
 	if trees == 0 || chains == 0 {
 		t.Errorf("arena never retained a slab (%d trees, %d chains)", trees, chains)
 	}
+}
+
+// held counts the values a free list holds, emptying it.
+func held[T any](l *freelist.List[T]) (n int) {
+	for l.Get() != nil {
+		n++
+	}
+	return n
 }
 
 // TestArenaTreeOptionsRebuild alternates tree configurations through

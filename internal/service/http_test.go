@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -422,6 +423,57 @@ func submitLog(url string, log *dataset.Log) (string, error) {
 	var sub SubmitResponse
 	err = json.NewDecoder(resp.Body).Decode(&sub)
 	return sub.ID, err
+}
+
+// TestDaemonSurvivesTaxonomyCycle: the patterns stage climbs the exam
+// → "category:"+Category taxonomy, so a log can make it cyclic. Here
+// the most frequent exam is coded "category:x" in category x, a
+// self-loop, and the next two name each other's category, a 2-cycle.
+// Such a submission must end in a terminal answer, not a stack
+// overflow that takes the process down, and the daemon must then
+// serve the next job.
+func TestDaemonSurvivesTaxonomyCycle(t *testing.T) {
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	log := testLog(t, 5)
+	uses := map[string]int{}
+	for _, r := range log.Records {
+		uses[r.ExamCode]++
+	}
+	byUse := make([]int, len(log.Exams))
+	for i := range byUse {
+		byUse[i] = i
+	}
+	sort.SliceStable(byUse, func(a, b int) bool { return uses[log.Exams[byUse[a]].Code] > uses[log.Exams[byUse[b]].Code] })
+	recode := map[string]string{}
+	for i, ex := range []dataset.ExamType{
+		{Code: "category:x", Category: "x"},
+		{Code: "category:p", Category: "q"},
+		{Code: "category:q", Category: "p"},
+	} {
+		e := &log.Exams[byUse[i]]
+		recode[e.Code] = ex.Code
+		e.Code, e.Category = ex.Code, ex.Category
+	}
+	for i, r := range log.Records {
+		if c, ok := recode[r.ExamCode]; ok {
+			log.Records[i].ExamCode = c
+		}
+	}
+
+	for _, l := range []*dataset.Log{log, testLog(t, 6)} {
+		id, err := submitLog(srv.URL, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, srv, id)
+	}
 }
 
 // TestDaemonAlgorithmOverride: a per-job config override names the
