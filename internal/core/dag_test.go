@@ -118,7 +118,7 @@ func TestAnalyzeDAGMatchesSequential(t *testing.T) {
 			t.Errorf("seed %d: 4-slot recommendations differ from 1-slot", seed)
 		}
 		// Both runs traced every stage of the pipeline.
-		want := len(dagEngine.pipelineStages())
+		want := len(pipeline)
 		if len(serialRep.Stages) != want || len(dagRep.Stages) != want {
 			t.Errorf("seed %d: stage traces serial=%d dag=%d, want %d",
 				seed, len(serialRep.Stages), len(dagRep.Stages), want)

@@ -9,28 +9,30 @@
 //
 // # Execution model
 //
-// The pipeline is an explicit stage DAG (see Stage): each stage
-// declares the state keys it consumes and produces, and a scheduler
-// topologically orders the stages and runs independent ones
-// concurrently on a bounded pool of CPU slots (slots.Pool) — pattern
-// mining overlaps the K-sweep, demand extraction overlaps clustering.
-// The pool is the engine's one CPU budget: a running stage holds one
-// slot, and the sweep and partial-mining stages fan their independent
-// units (one CV assessment per K, one probe per (fraction, K)) out over
-// whatever slots are idle right now, never waiting for one. The pool
-// belongs to the Engine and is shared by every analysis on it and its
-// WithConfig derivations (a job service's jobs among them), so a lone
-// analysis keeps every core busy and concurrent ones never compute on
-// more goroutines than it has slots.
+// The pipeline is an explicit stage DAG (see pipeline): each stage
+// names the stages it waits for, and a scheduler starts it once they
+// have completed, running independent stages concurrently on a bounded
+// pool of CPU slots (slots.Pool) — pattern mining overlaps the
+// K-sweep, demand extraction overlaps clustering. The pool is the
+// engine's one CPU budget: a running stage holds one slot, and the
+// sweep and partial-mining stages fan their independent units (one CV
+// assessment per K, one probe per (fraction, K)) out over whatever
+// slots are idle right now, never waiting for one. The pool belongs to
+// the Engine and is shared by every analysis on it and its WithConfig
+// derivations (a job service's jobs among them), so a lone analysis
+// keeps every core busy and concurrent ones never compute on more
+// goroutines than it has slots.
 //
 // Cancellation is threaded through every compute kernel via
-// context.Context, and per-stage wall-time and allocation metrics land
-// in Report.Stages. Each stage runs once, with panic isolation
-// (covering its fan-out units, whichever goroutine runs them) and an
-// optional deadline (Config.StageTimeout). The Report does
-// not depend on how stages interleave or how their units spread:
-// Parallelism 1 runs everything one unit at a time and produces a
-// bit-for-bit identical Report.
+// context.Context. Per-stage wall time and allocation land in
+// Report.Stages, and the scheduler records every stage's latency,
+// outcome and recovered panic in the core_stage_* series (package
+// obs), whether a library call or a service job runs the analysis.
+// Each stage runs once, with panic isolation (covering its fan-out
+// units, whichever goroutine runs them) and an optional deadline
+// (Config.StageTimeout). The Report does not depend on how stages
+// interleave or how their units spread: Parallelism 1 runs everything
+// one unit at a time and produces a bit-for-bit identical Report.
 package core
 
 import (
@@ -351,12 +353,8 @@ func (e *Engine) AnalyzeWith(ctx context.Context, log *dataset.Log, opts Analyze
 	if err := log.Encoded().Check(); err != nil {
 		return nil, fmt.Errorf("core: log %q: %w", log.Name, err)
 	}
-	stages := e.pipelineStages()
-	if err := validateStages(stages); err != nil {
-		return nil, err
-	}
-	s := &pipelineState{log: log, rep: &Report{}}
-	sr, err := runDAG(ctx, stages, s, e.pool, e.cfg.StageTimeout, opts.Observer)
+	s := &pipelineState{e: e, log: log, rep: &Report{}}
+	sr, err := runDAG(ctx, pipeline, s, e.pool, e.cfg.StageTimeout, opts.Observer)
 	if err != nil {
 		return nil, err
 	}

@@ -17,41 +17,29 @@ import (
 	"adahealth/internal/stats"
 )
 
-// panicStage panics on every run.
-type panicStage struct {
-	name    string
-	outputs []string
-	calls   atomic.Int32
+// panicStage returns a stage that panics on every run, and the count
+// of its runs.
+func panicStage(name string) (stage, *atomic.Int32) {
+	calls := new(atomic.Int32)
+	return testStage(name, nil, func(context.Context, *pipelineState) error {
+		calls.Add(1)
+		panic("stage exploded")
+	}), calls
 }
 
-func (p *panicStage) Name() string      { return p.name }
-func (p *panicStage) Inputs() []string  { return nil }
-func (p *panicStage) Outputs() []string { return p.outputs }
-func (p *panicStage) Run(ctx context.Context, s *pipelineState) error {
-	p.calls.Add(1)
-	panic("stage exploded")
-}
-
-// slowStage sleeps for d (honouring ctx) before succeeding.
-type slowStage struct {
-	name    string
-	inputs  []string
-	outputs []string
-	d       time.Duration
-	calls   atomic.Int32
-}
-
-func (sl *slowStage) Name() string      { return sl.name }
-func (sl *slowStage) Inputs() []string  { return sl.inputs }
-func (sl *slowStage) Outputs() []string { return sl.outputs }
-func (sl *slowStage) Run(ctx context.Context, s *pipelineState) error {
-	sl.calls.Add(1)
-	select {
-	case <-time.After(sl.d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+// slowStage returns a stage that waits for after and then sleeps for d
+// (honouring ctx) before succeeding, and the count of its runs.
+func slowStage(name string, after []string, d time.Duration) (stage, *atomic.Int32) {
+	calls := new(atomic.Int32)
+	return testStage(name, after, func(ctx context.Context, _ *pipelineState) error {
+		calls.Add(1)
+		select {
+		case <-time.After(d):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}), calls
 }
 
 // TestStagePanicIsolated: a panicking stage must surface as a
@@ -60,9 +48,9 @@ func (sl *slowStage) Run(ctx context.Context, s *pipelineState) error {
 // stage that consumes its output must never start.
 func TestStagePanicIsolated(t *testing.T) {
 	t.Run("dag", func(t *testing.T) {
-		st := &panicStage{name: "boom", outputs: []string{"x"}}
+		st, calls := panicStage("boom")
 		ran := false
-		stages := []Stage{st, testStage("down", []string{"x"}, []string{"y"},
+		stages := []stage{st, testStage("down", []string{"boom"},
 			func(context.Context, *pipelineState) error { ran = true; return nil })}
 		_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 1), 0, nil)
 		if err == nil {
@@ -78,7 +66,7 @@ func TestStagePanicIsolated(t *testing.T) {
 		if !strings.Contains(string(pe.Stack), "panicStage") {
 			t.Error("panic stack does not reach the panicking stage")
 		}
-		if got := st.calls.Load(); got != 1 {
+		if got := calls.Load(); got != 1 {
 			t.Errorf("panicking stage ran %d times, want 1", got)
 		}
 		if ran {
@@ -98,7 +86,7 @@ func explodeInUnit() { panic("unit exploded") }
 func TestStagePanicInFanOutIsolated(t *testing.T) {
 	base := runtime.NumGoroutine()
 	pool := slots.New(2)
-	st := testStage("fan", nil, []string{"x"}, func(context.Context, *pipelineState) error {
+	st := testStage("fan", nil, func(context.Context, *pipelineState) error {
 		g := slots.NewGroup(pool)
 		onHelper := make(chan struct{})
 		g.Go(func() { close(onHelper); explodeInUnit() })
@@ -106,7 +94,7 @@ func TestStagePanicInFanOutIsolated(t *testing.T) {
 		g.Wait()
 		return nil
 	})
-	_, err := runDAG(context.Background(), []Stage{st}, testState(), pool, 0, nil)
+	_, err := runDAG(context.Background(), []stage{st}, testState(), pool, 0, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v (%T), want *PanicError", err, err)
@@ -132,10 +120,9 @@ func TestStagePanicInFanOutIsolated(t *testing.T) {
 // a panic in one must still drain the scheduler and return (no
 // deadlocked WaitGroup, no leaked goroutine holding the semaphore).
 func TestStagePanicDoesNotWedgeDAG(t *testing.T) {
-	stages := []Stage{
-		&slowStage{name: "ok", outputs: []string{"a"}, d: 5 * time.Millisecond},
-		&panicStage{name: "boom", outputs: []string{"b"}},
-	}
+	ok, _ := slowStage("ok", nil, 5*time.Millisecond)
+	boom, _ := panicStage("boom")
+	stages := []stage{ok, boom}
 	done := make(chan error, 1)
 	go func() {
 		_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 2), 0, nil)
@@ -182,15 +169,15 @@ func TestStageTimeout(t *testing.T) {
 	t.Run("alone", func(t *testing.T) {
 		// One slot: brisk runs first, inside its budget, then glacial
 		// times out.
-		fast := &slowStage{name: "brisk", outputs: []string{"x"}, d: time.Millisecond}
-		st := &slowStage{name: "glacial", inputs: []string{"x"}, outputs: []string{"y"}, d: 10 * time.Second}
+		fast, fastCalls := slowStage("brisk", nil, time.Millisecond)
+		st, calls := slowStage("glacial", []string{"brisk"}, 10*time.Second)
 		start := time.Now()
-		_, err := runDAG(context.Background(), []Stage{fast, st}, testState(), make(chan struct{}, 1), budget, nil)
+		_, err := runDAG(context.Background(), []stage{fast, st}, testState(), make(chan struct{}, 1), budget, nil)
 		checkTimeout(t, err, time.Since(start))
-		if got := fast.calls.Load(); got != 1 {
+		if got := fastCalls.Load(); got != 1 {
 			t.Errorf("stage inside its budget ran %d times, want 1", got)
 		}
-		if got := st.calls.Load(); got != 1 {
+		if got := calls.Load(); got != 1 {
 			t.Errorf("timed-out stage ran %d times, want 1", got)
 		}
 	})
@@ -199,13 +186,13 @@ func TestStageTimeout(t *testing.T) {
 		// The sibling starts half a budget after glacial (behind gate),
 		// so glacial's deadline fires while the sibling is still inside
 		// its own.
-		gate := &slowStage{name: "gate", outputs: []string{"g"}, d: budget / 2}
-		sibling := &slowStage{name: "sibling", inputs: []string{"g"}, outputs: []string{"x"}, d: 10 * time.Second}
-		st := &slowStage{name: "glacial", outputs: []string{"y"}, d: 10 * time.Second}
+		gate, _ := slowStage("gate", nil, budget/2)
+		sibling, siblingCalls := slowStage("sibling", []string{"gate"}, 10*time.Second)
+		st, _ := slowStage("glacial", nil, 10*time.Second)
 		start := time.Now()
-		sr, err := runDAG(context.Background(), []Stage{gate, sibling, st}, testState(), make(chan struct{}, 2), budget, nil)
+		sr, err := runDAG(context.Background(), []stage{gate, sibling, st}, testState(), make(chan struct{}, 2), budget, nil)
 		checkTimeout(t, err, time.Since(start))
-		if got := sibling.calls.Load(); got != 1 || sr.maxConcurrent != 2 {
+		if got := siblingCalls.Load(); got != 1 || sr.maxConcurrent != 2 {
 			t.Errorf("sibling ran %d times, max concurrent %d; want it in flight beside glacial", got, sr.maxConcurrent)
 		}
 	})
@@ -215,13 +202,13 @@ func TestStageTimeout(t *testing.T) {
 // cancelled the error must stay the plain context error, not be
 // misreported as a per-stage deadline.
 func TestStageTimeoutCallerCancelWins(t *testing.T) {
-	st := &slowStage{name: "glacial", outputs: []string{"x"}, d: 10 * time.Second}
+	st, _ := slowStage("glacial", nil, 10*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err := runDAG(ctx, []Stage{st}, testState(), make(chan struct{}, 1), time.Minute, nil)
+	_, err := runDAG(ctx, []stage{st}, testState(), make(chan struct{}, 1), time.Minute, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

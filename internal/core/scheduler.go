@@ -10,7 +10,21 @@ import (
 	"sync"
 	"time"
 
+	"adahealth/internal/obs"
 	"adahealth/internal/slots"
+)
+
+// The stage series (see the metric-name reference in package obs),
+// recorded by the scheduler for every analysis, whether a library call
+// or a service job runs it. The service counts the job-level panics it
+// recovers in stagePanicsTotal's family too, under stage="job".
+var (
+	stageSeconds = obs.Default().HistogramVec("core_stage_seconds",
+		"Per-stage wall latency from the scheduler's start/finish trace points.", nil, "stage")
+	stageTotal = obs.Default().CounterVec("core_stage_total",
+		"Stage executions by outcome.", "stage", "outcome")
+	stagePanicsTotal = obs.Default().CounterVec("core_stage_panics_total",
+		"Recovered stage panics isolated to their analysis.", "stage")
 )
 
 // PanicError is a recovered stage panic: the scheduler isolates it to
@@ -78,45 +92,6 @@ type scheduleResult struct {
 	maxConcurrent int
 }
 
-// validateStages checks the static shape of a stage list: every output
-// produced by exactly one stage, every input produced by some stage,
-// and the declaration order topologically valid (each stage's inputs
-// produced by strictly earlier stages). The last property is stronger
-// than mere acyclicity; it rules out cycles in one pass and guarantees
-// the scheduler can always make progress.
-func validateStages(stages []Stage) error {
-	producer := map[string]string{}
-	for _, st := range stages {
-		for _, out := range st.Outputs() {
-			if prev, dup := producer[out]; dup {
-				return fmt.Errorf("core: stages %q and %q both produce %q", prev, st.Name(), out)
-			}
-			producer[out] = st.Name()
-		}
-	}
-	seen := map[string]bool{}
-	names := map[string]bool{}
-	for _, st := range stages {
-		if names[st.Name()] {
-			return fmt.Errorf("core: duplicate stage name %q", st.Name())
-		}
-		names[st.Name()] = true
-		for _, in := range st.Inputs() {
-			if _, ok := producer[in]; !ok {
-				return fmt.Errorf("core: stage %q needs %q, which no stage produces", st.Name(), in)
-			}
-			if !seen[in] {
-				return fmt.Errorf("core: stage %q declared before its input %q is produced (cycle or mis-ordered stage list)",
-					st.Name(), in)
-			}
-		}
-		for _, out := range st.Outputs() {
-			seen[out] = true
-		}
-	}
-	return nil
-}
-
 // heapAllocBytes reads the runtime's cumulative heap allocation
 // counter (cheap, no stop-the-world). Deltas around a stage give its
 // allocation cost: exact when nothing else runs, an upper bound when
@@ -130,46 +105,48 @@ func heapAllocBytes() uint64 {
 	return sample[0].Value.Uint64()
 }
 
-// runStageAttempt runs one stage once, with panic isolation (a panic
-// becomes a *PanicError failing this analysis, never the process) and
-// the optional per-stage deadline (0 = none; exceeding it is a
-// *StageTimeoutError). A panic in one of the stage's fan-out units
-// reaches here re-raised by slots.Group.Wait, carrying the stack of the
-// goroutine it happened on.
-func runStageAttempt(ctx context.Context, st Stage, s *pipelineState, timeout time.Duration) (err error) {
+// runStage runs one stage once, with panic isolation (a panic becomes
+// a *PanicError failing this analysis, never the process, and is
+// counted in core_stage_panics_total) and the optional per-stage
+// deadline (0 = none; exceeding it is a *StageTimeoutError). A panic in
+// one of the stage's fan-out units reaches here re-raised by
+// slots.Group.Wait, carrying the stack of the goroutine it happened on.
+func runStage(ctx context.Context, st stage, s *pipelineState, timeout time.Duration) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			pe := &PanicError{Stage: st.Name(), Value: v, Stack: debug.Stack()}
+			pe := &PanicError{Stage: st.name, Value: v, Stack: debug.Stack()}
 			if up, ok := v.(*slots.Panic); ok {
 				pe.Value, pe.Stack = up.Value, up.Stack
 			}
+			stagePanicsTotal.With(st.name).Inc()
 			err = pe
 		}
 	}()
 	if timeout <= 0 {
-		return st.Run(ctx, s)
+		return st.run(s.e, ctx, s)
 	}
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	err = st.Run(actx, s)
+	err = st.run(s.e, actx, s)
 	// Distinguish "this stage ran out of its budget" (the stage ctx
 	// expired while the parent is alive) from the caller giving up.
 	if err != nil && ctx.Err() == nil && actx.Err() != nil &&
 		errors.Is(err, context.DeadlineExceeded) {
-		return &StageTimeoutError{Stage: st.Name(), Timeout: timeout}
+		return &StageTimeoutError{Stage: st.name, Timeout: timeout}
 	}
 	return err
 }
 
-// runDAG executes stages respecting their declared data dependencies,
-// running independent stages concurrently on the CPU budget pool
-// (shared across a service's jobs): a
-// stage holds one slot while it runs. Each stage runs once, under the
-// per-stage timeout (0 = none). On the first stage failure the
+// runDAG executes stages, each once every stage it waits for has
+// completed, running independent stages concurrently on the CPU budget
+// pool (shared across a service's jobs): a stage holds one slot while
+// it runs. Each stage runs once, under the per-stage timeout (0 =
+// none), and every stage that starts is timed in core_stage_seconds and
+// counted in core_stage_total. On the first stage failure the
 // remaining un-started stages are abandoned and in-flight ones are
 // cancelled; the first error (by completion time) is returned, except
 // that a cancelled parent context always surfaces as ctx.Err().
-func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Pool, timeout time.Duration, observe StageObserver) (*scheduleResult, error) {
+func runDAG(ctx context.Context, stages []stage, s *pipelineState, pool slots.Pool, timeout time.Duration, observe StageObserver) (*scheduleResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -199,7 +176,7 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 		mu.Unlock()
 	}
 
-	launch := func(idx int, st Stage) {
+	launch := func(idx int, st stage) {
 		go func() {
 			select {
 			case pool <- struct{}{}:
@@ -216,21 +193,27 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 			}
 			enter()
 			start := time.Now()
-			observe.observe(s.log.Name, st.Name(), StageStart, start, nil)
+			observe.observe(s.log.Name, st.name, StageStart, start, nil)
 			a0 := heapAllocBytes()
-			err := runStageAttempt(ctx, st, s, timeout)
+			err := runStage(ctx, st, s, timeout)
 			end := time.Now()
 			// Leave before the send: the receiver may launch a
 			// dependent stage at once, and a strict chain must never
 			// count two stages running.
 			leave()
-			observe.observe(s.log.Name, st.Name(), StageFinish, end, err)
+			stageSeconds.With(st.name).Observe(end.Sub(start).Seconds())
+			result := "ok"
+			if err != nil {
+				result = "error"
+			}
+			stageTotal.With(st.name, result).Inc()
+			observe.observe(s.log.Name, st.name, StageFinish, end, err)
 			results <- outcome{
 				idx: idx,
 				err: err,
 				trace: StageTrace{
 					Dataset:    s.log.Name,
-					Stage:      st.Name(),
+					Stage:      st.name,
 					Start:      start,
 					End:        end,
 					WallNanos:  end.Sub(start).Nanoseconds(),
@@ -242,9 +225,9 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 
 	done := map[string]bool{}
 	launched := make([]bool, len(stages))
-	ready := func(st Stage) bool {
-		for _, in := range st.Inputs() {
-			if !done[in] {
+	ready := func(st stage) bool {
+		for _, dep := range st.after {
+			if !done[dep] {
 				return false
 			}
 		}
@@ -281,9 +264,7 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 			continue
 		}
 		if firstErr == nil {
-			for _, o := range stages[out.idx].Outputs() {
-				done[o] = true
-			}
+			done[stages[out.idx].name] = true
 			inFlight += dispatch()
 		}
 	}
@@ -300,7 +281,8 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 		return res, err
 	}
 	if completed < len(stages) {
-		// Cannot happen with a validateStages-checked list; defensive.
+		// Cannot happen with a list validateStages accepts (the
+		// built-in one is tested); defensive.
 		return res, fmt.Errorf("core: pipeline stalled with %d of %d stages done",
 			completed, len(stages))
 	}
@@ -310,9 +292,9 @@ func runDAG(ctx context.Context, stages []Stage, s *pipelineState, pool slots.Po
 // stageErr attributes an error to its stage, letting a context
 // cancellation pass through unwrapped so errors.Is(err, ctx.Err())
 // holds for callers of Analyze.
-func stageErr(ctx context.Context, st Stage, err error) error {
+func stageErr(ctx context.Context, st stage, err error) error {
 	if ctx.Err() != nil && err == ctx.Err() {
 		return err
 	}
-	return fmt.Errorf("core: stage %s: %w", st.Name(), err)
+	return fmt.Errorf("core: stage %s: %w", st.name, err)
 }

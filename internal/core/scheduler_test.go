@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,56 +13,107 @@ import (
 	"adahealth/internal/dataset"
 )
 
-// testStage builds a synthetic funcStage for scheduler tests.
-func testStage(name string, ins, outs []string, run func(ctx context.Context, s *pipelineState) error) Stage {
-	if run == nil {
-		run = func(context.Context, *pipelineState) error { return nil }
-	}
-	return &funcStage{name: name, inputs: ins, outputs: outs, run: run}
+// testStage builds a synthetic stage for scheduler tests: it waits for
+// the stages named in after and runs run (nil = succeed at once).
+func testStage(name string, after []string, run func(ctx context.Context, s *pipelineState) error) stage {
+	return stage{name: name, after: after, run: func(_ *Engine, ctx context.Context, s *pipelineState) error {
+		if run == nil {
+			return nil
+		}
+		return run(ctx, s)
+	}}
 }
 
 func testState() *pipelineState {
 	return &pipelineState{log: dataset.NewLog("sched-test"), rep: &Report{}}
 }
 
-func TestValidateStagesRejectsDuplicateOutput(t *testing.T) {
-	err := validateStages([]Stage{
-		testStage("a", nil, []string{"x"}, nil),
-		testStage("b", nil, []string{"x"}, nil),
+// validateStages checks the static shape the scheduler needs of a
+// stage list: names unique, and every stage listed below each stage it
+// waits for. The last property is stronger than mere acyclicity; it
+// rules out cycles in one pass and guarantees the scheduler can always
+// make progress.
+func validateStages(stages []stage) error {
+	names := map[string]bool{}
+	for _, st := range stages {
+		names[st.name] = true
+	}
+	seen := map[string]bool{}
+	for _, st := range stages {
+		if seen[st.name] {
+			return fmt.Errorf("core: duplicate stage name %q", st.name)
+		}
+		for _, dep := range st.after {
+			if !names[dep] {
+				return fmt.Errorf("core: stage %q waits for %q, which is no stage", st.name, dep)
+			}
+			if !seen[dep] {
+				return fmt.Errorf("core: stage %q declared before %q, which it waits for (cycle or mis-ordered stage list)",
+					st.name, dep)
+			}
+		}
+		seen[st.name] = true
+	}
+	return nil
+}
+
+func TestValidateStagesRejectsDuplicateName(t *testing.T) {
+	err := validateStages([]stage{
+		testStage("a", nil, nil),
+		testStage("b", []string{"a"}, nil),
+		testStage("a", nil, nil),
 	})
-	if err == nil || !strings.Contains(err.Error(), "both produce") {
-		t.Fatalf("err = %v, want duplicate-output error", err)
+	if err == nil || !strings.Contains(err.Error(), `duplicate stage name "a"`) {
+		t.Fatalf("err = %v, want duplicate-name error", err)
 	}
 }
 
 func TestValidateStagesRejectsUnknownInput(t *testing.T) {
-	err := validateStages([]Stage{
-		testStage("a", []string{"ghost"}, []string{"x"}, nil),
+	err := validateStages([]stage{
+		testStage("a", []string{"ghost"}, nil),
 	})
-	if err == nil || !strings.Contains(err.Error(), "no stage produces") {
-		t.Fatalf("err = %v, want unknown-input error", err)
+	if err == nil || !strings.Contains(err.Error(), "which is no stage") {
+		t.Fatalf("err = %v, want unknown-stage error", err)
 	}
 }
 
 func TestValidateStagesRejectsMisorderedDeclaration(t *testing.T) {
-	// b consumes x but is declared before a produces it: not a valid
-	// topological declaration order (and the shape a cycle takes).
-	err := validateStages([]Stage{
-		testStage("b", []string{"x"}, []string{"y"}, nil),
-		testStage("a", nil, []string{"x"}, nil),
+	// b waits for a but is declared before it: not a valid topological
+	// declaration order (and the shape a cycle takes).
+	err := validateStages([]stage{
+		testStage("b", []string{"a"}, nil),
+		testStage("a", nil, nil),
 	})
 	if err == nil || !strings.Contains(err.Error(), "declared before") {
 		t.Fatalf("err = %v, want ordering error", err)
 	}
 }
 
+// TestValidateStagesAcceptsBuiltinPipeline holds the built-in table to
+// validateStages and to the DAG's edges, each stage's waits as listed.
 func TestValidateStagesAcceptsBuiltinPipeline(t *testing.T) {
-	e, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := validateStages(e.pipelineStages()); err != nil {
+	if err := validateStages(pipeline); err != nil {
 		t.Fatalf("built-in pipeline invalid: %v", err)
+	}
+	want := map[string][]string{
+		"characterize":    nil,
+		"recall":          {"characterize"},
+		"transform":       nil,
+		"partialmine":     {"transform"},
+		"sweep":           {"partialmine", "recall"},
+		"cluster":         {"partialmine", "sweep"},
+		"patterns":        nil,
+		"demand":          nil,
+		"store-knowledge": {"characterize", "cluster", "patterns"},
+		"endgoals":        {"characterize", "store-knowledge"},
+		"rank":            {"cluster", "patterns"},
+	}
+	got := map[string][]string{}
+	for _, st := range pipeline {
+		got[st.name] = st.after
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pipeline edges = %v, want %v", got, want)
 	}
 }
 
@@ -85,10 +137,10 @@ func TestRunDAGOverlapsIndependentStages(t *testing.T) {
 			}
 		}
 	}
-	stages := []Stage{
-		testStage("a", nil, []string{"x"}, rendezvous(aStarted, bStarted)),
-		testStage("b", nil, []string{"y"}, rendezvous(bStarted, aStarted)),
-		testStage("join", []string{"x", "y"}, []string{"z"}, nil),
+	stages := []stage{
+		testStage("a", nil, rendezvous(aStarted, bStarted)),
+		testStage("b", nil, rendezvous(bStarted, aStarted)),
+		testStage("join", []string{"a", "b"}, nil),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -132,10 +184,10 @@ func TestRunDAGRespectsDependencies(t *testing.T) {
 			return nil
 		}
 	}
-	stages := []Stage{
-		testStage("src", nil, []string{"x"}, record("src")),
-		testStage("mid", []string{"x"}, []string{"y"}, record("mid")),
-		testStage("sink", []string{"y"}, []string{"z"}, record("sink")),
+	stages := []stage{
+		testStage("src", nil, record("src")),
+		testStage("mid", []string{"src"}, record("mid")),
+		testStage("sink", []string{"mid"}, record("sink")),
 	}
 	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 4), 0, nil)
 	if err != nil {
@@ -151,10 +203,9 @@ func TestRunDAGRespectsDependencies(t *testing.T) {
 }
 
 func TestRunDAGPoolBoundsConcurrency(t *testing.T) {
-	var stages []Stage
+	var stages []stage
 	for i := 0; i < 6; i++ {
 		stages = append(stages, testStage(fmt.Sprintf("s%d", i), nil,
-			[]string{fmt.Sprintf("o%d", i)},
 			func(context.Context, *pipelineState) error {
 				time.Sleep(time.Millisecond)
 				return nil
@@ -172,10 +223,10 @@ func TestRunDAGPoolBoundsConcurrency(t *testing.T) {
 func TestRunDAGErrorSkipsDownstream(t *testing.T) {
 	boom := errors.New("boom")
 	ran := false
-	stages := []Stage{
-		testStage("bad", nil, []string{"x"},
+	stages := []stage{
+		testStage("bad", nil,
 			func(context.Context, *pipelineState) error { return boom }),
-		testStage("down", []string{"x"}, []string{"y"},
+		testStage("down", []string{"bad"},
 			func(context.Context, *pipelineState) error { ran = true; return nil }),
 	}
 	_, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 2), 0, nil)
@@ -193,7 +244,7 @@ func TestRunDAGErrorSkipsDownstream(t *testing.T) {
 func TestRunDAGCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := runDAG(ctx, []Stage{testStage("a", nil, []string{"x"}, nil)},
+	_, err := runDAG(ctx, []stage{testStage("a", nil, nil)},
 		testState(), make(chan struct{}, 1), 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -212,9 +263,9 @@ func TestRunSequentialOrderAndTraces(t *testing.T) {
 			return nil
 		}
 	}
-	stages := []Stage{
-		testStage("one", nil, []string{"x"}, record("one")),
-		testStage("two", []string{"x"}, []string{"y"}, record("two")),
+	stages := []stage{
+		testStage("one", nil, record("one")),
+		testStage("two", []string{"one"}, record("two")),
 	}
 	sr, err := runDAG(context.Background(), stages, testState(), make(chan struct{}, 1), 0, nil)
 	if err != nil {

@@ -19,58 +19,32 @@ import (
 	"adahealth/internal/vsm"
 )
 
-// Stage is one node of the analysis DAG: a named unit of pipeline work
-// with declared data dependencies. Inputs and Outputs are symbolic
-// state keys (the key* constants): a stage becomes runnable once every
-// stage producing one of its Inputs has completed, and its Outputs in
-// turn unblock downstream stages. The scheduler guarantees that Run is
-// called at most once, after all producers of its Inputs finished, so
-// a stage may read the pipelineState fields behind its declared inputs
-// and write the fields behind its declared outputs without locking —
-// the completion hand-off is the synchronization.
+// stage is one node of the analysis DAG: a named unit of pipeline work
+// and the names of the stages it waits for. The scheduler calls run at
+// most once, after every stage in after has completed, so a stage may
+// read what those stages wrote to the pipelineState (or the Report)
+// and write its own products without locking — the completion hand-off
+// is the synchronization.
 //
-// To add a stage: pick a name, declare which keys it consumes and
-// which it produces (introducing new key* constants for new
-// intermediate data), add fields for its products to pipelineState or
-// Report, and append it to pipelineStages. Declaration order in
-// pipelineStages must remain a valid topological order — every input
-// produced by an earlier stage — which is how validateStages rules out
-// cycles at construction. The scheduler derives all concurrency from
-// the declared keys; no stage ever spells out "runs in parallel with
-// X".
-type Stage interface {
-	// Name identifies the stage in traces and error messages.
-	Name() string
-	// Inputs lists the state keys the stage consumes.
-	Inputs() []string
-	// Outputs lists the state keys the stage produces.
-	Outputs() []string
-	// Run executes the stage. It must honour ctx for long work and
-	// must only touch state covered by its declared inputs/outputs.
-	Run(ctx context.Context, s *pipelineState) error
+// To add a stage: write its body as an Engine method, add fields for
+// its products to pipelineState or Report, and add a row to pipeline
+// below every stage it waits for (a test holds the table to that
+// order, which rules out cycles). The scheduler derives all
+// concurrency from the after lists; no stage ever spells out "runs in
+// parallel with X".
+type stage struct {
+	name  string
+	after []string
+	run   func(e *Engine, ctx context.Context, s *pipelineState) error
 }
-
-// State keys wiring the built-in pipeline DAG.
-const (
-	keyDescriptor = "descriptor"      // statistical characterization
-	keyRecall     = "recall"          // prior-knowledge hints recalled from the K-DB
-	keyMatrix     = "matrix"          // VSM-transformed patient matrix
-	keyWorking    = "working"         // partial-mining projection of the matrix
-	keySweep      = "sweep"           // Table I K-optimization result
-	keyClustering = "clustering"      // final clustering + cluster knowledge items
-	keyPatterns   = "patterns"        // pattern + rule knowledge items
-	keyDemand     = "demand"          // monthly demand series
-	keyKnowledge  = "knowledge"       // descriptor + knowledge items persisted to the K-DB
-	keyEndGoals   = "recommendations" // end-goal recommendations
-	keyRanked     = "ranked"          // final ranked knowledge list
-)
 
 // pipelineState is the shared mutable state of one analysis run. The
 // stage DAG's data edges are fields here (or in the Report): each
 // field is written by exactly one stage and read only by stages that
-// declare the corresponding key as input. The input log is immutable
-// and readable by every stage without a key.
+// wait for it. Every stage may use the engine and read the input log
+// without waiting for another.
 type pipelineState struct {
+	e   *Engine
 	log *dataset.Log
 	rep *Report
 
@@ -81,8 +55,8 @@ type pipelineState struct {
 	// (nil on a miss or when recall is disabled — the cold path).
 	recallHints *recallHints
 
-	// degradeMu guards the degradation notes below. Unlike the keyed
-	// DAG state, these are appended by whichever stages hit a soft
+	// degradeMu guards the degradation notes below. Unlike the DAG's
+	// data edges, these are appended by whichever stages hit a soft
 	// K-DB failure, possibly concurrently.
 	degradeMu      sync.Mutex
 	droppedWrites  int
@@ -120,25 +94,8 @@ func (s *pipelineState) degradation() *Degradation {
 	return &Degradation{DroppedKDBWrites: s.droppedWrites, Reasons: reasons}
 }
 
-// funcStage is the Stage implementation used by the built-in pipeline:
-// a name, declared keys, and a closure.
-type funcStage struct {
-	name    string
-	inputs  []string
-	outputs []string
-	run     func(ctx context.Context, s *pipelineState) error
-}
-
-func (f *funcStage) Name() string      { return f.name }
-func (f *funcStage) Inputs() []string  { return f.inputs }
-func (f *funcStage) Outputs() []string { return f.outputs }
-func (f *funcStage) Run(ctx context.Context, s *pipelineState) error {
-	return f.run(ctx, s)
-}
-
-// pipelineStages returns the built-in analysis DAG in a topologically
-// valid declaration order (the order of the paper's Figure 1
-// narrative):
+// pipeline is the built-in analysis DAG, each stage listed below the
+// stages it waits for (the order of the paper's Figure 1 narrative):
 //
 //	characterize ─┬─ recall ──────────┐
 //	transform → partialmine ──────────┴ sweep → cluster ┐
@@ -146,80 +103,24 @@ func (f *funcStage) Run(ctx context.Context, s *pipelineState) error {
 //	demand                                              └→ rank
 //
 // characterize, transform, patterns and demand are roots and run
-// concurrently; sweep overlaps with patterns; rank and endgoals join
-// the branches. store is the analysis's one K-DB write (descriptor and
-// items), so an analysis that fails before it stores nothing.
-func (e *Engine) pipelineStages() []Stage {
-	return []Stage{
-		&funcStage{
-			name:    "characterize",
-			outputs: []string{keyDescriptor},
-			run:     e.runCharacterize,
-		},
-		&funcStage{
-			// recall retrieves prior knowledge of statistically
-			// similar datasets from the K-DB; it overlaps transform
-			// and partialmine, and the sweep consumes its hints.
-			name:    "recall",
-			inputs:  []string{keyDescriptor},
-			outputs: []string{keyRecall},
-			run:     e.runRecall,
-		},
-		&funcStage{
-			name:    "transform",
-			outputs: []string{keyMatrix},
-			run:     e.runTransform,
-		},
-		&funcStage{
-			name:    "partialmine",
-			inputs:  []string{keyMatrix},
-			outputs: []string{keyWorking},
-			run:     e.runPartial,
-		},
-		&funcStage{
-			name:    "sweep",
-			inputs:  []string{keyWorking, keyRecall},
-			outputs: []string{keySweep},
-			run:     e.runSweep,
-		},
-		&funcStage{
-			name:    "cluster",
-			inputs:  []string{keyWorking, keySweep},
-			outputs: []string{keyClustering},
-			run:     e.runCluster,
-		},
-		&funcStage{
-			name:    "patterns",
-			outputs: []string{keyPatterns},
-			run:     e.runPatterns,
-		},
-		&funcStage{
-			name:    "demand",
-			outputs: []string{keyDemand},
-			run:     e.runDemand,
-		},
-		&funcStage{
-			name:    "store-knowledge",
-			inputs:  []string{keyDescriptor, keyClustering, keyPatterns},
-			outputs: []string{keyKnowledge},
-			run:     e.runStoreKnowledge,
-		},
-		&funcStage{
-			// endgoals consumes the stored knowledge (not just the
-			// in-memory items) so the recommender sees this analysis's
-			// knowledge in the K-DB, however the stages interleave.
-			name:    "endgoals",
-			inputs:  []string{keyDescriptor, keyKnowledge},
-			outputs: []string{keyEndGoals},
-			run:     e.runEndGoals,
-		},
-		&funcStage{
-			name:    "rank",
-			inputs:  []string{keyClustering, keyPatterns},
-			outputs: []string{keyRanked},
-			run:     e.runRank,
-		},
-	}
+// concurrently; recall overlaps transform and partialmine, sweep
+// overlaps patterns, and rank and endgoals join the branches. store is
+// the analysis's one K-DB write (descriptor and items), so an analysis
+// that fails before it stores nothing. endgoals waits for the stored
+// knowledge, not just the in-memory items, so the recommender sees this
+// analysis's knowledge in the K-DB however the stages interleave.
+var pipeline = []stage{
+	{name: "characterize", run: (*Engine).runCharacterize},
+	{name: "recall", after: []string{"characterize"}, run: (*Engine).runRecall},
+	{name: "transform", run: (*Engine).runTransform},
+	{name: "partialmine", after: []string{"transform"}, run: (*Engine).runPartial},
+	{name: "sweep", after: []string{"partialmine", "recall"}, run: (*Engine).runSweep},
+	{name: "cluster", after: []string{"partialmine", "sweep"}, run: (*Engine).runCluster},
+	{name: "patterns", run: (*Engine).runPatterns},
+	{name: "demand", run: (*Engine).runDemand},
+	{name: "store-knowledge", after: []string{"characterize", "cluster", "patterns"}, run: (*Engine).runStoreKnowledge},
+	{name: "endgoals", after: []string{"characterize", "store-knowledge"}, run: (*Engine).runEndGoals},
+	{name: "rank", after: []string{"cluster", "patterns"}, run: (*Engine).runRank},
 }
 
 // --- stage bodies -----------------------------------------------------------
@@ -293,12 +194,6 @@ func (e *Engine) runCluster(ctx context.Context, s *pipelineState) error {
 }
 
 func (e *Engine) runPatterns(ctx context.Context, s *pipelineState) error {
-	// The fpm miners carry no context; cancellation is honoured at the
-	// phase boundaries (before mining and before rule derivation), the
-	// coarsest granularity in the pipeline.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	// The visit baskets come straight from the log's encoding: exam
 	// keys, already grouped and de-duplicated. The miner hashes each
 	// exam code once, never a visit's items.
@@ -315,13 +210,10 @@ func (e *Engine) runPatterns(ctx context.Context, s *pipelineState) error {
 	if m == nil {
 		m = new(fpm.Miner)
 	}
-	flat, err := m.Mine(enc.ExamCodes, enc.VisitPtr, enc.VisitExams, taxonomyOf(s.log), minSupport)
+	flat, err := m.Mine(ctx, enc.ExamCodes, enc.VisitPtr, enc.VisitExams, taxonomyOf(s.log), minSupport)
 	e.miners.Put(m)
 	if err != nil {
-		return fmt.Errorf("pattern mining: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
+		return wrapStageErr(ctx, "pattern mining", err)
 	}
 	s.rep.PatternItems = knowledge.FromItemsets(s.log.Name, flat, numTx)
 	if len(s.rep.PatternItems) > e.cfg.MaxPatternItems {

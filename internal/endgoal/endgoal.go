@@ -163,17 +163,16 @@ type Recommendation struct {
 type Recommender struct {
 	kdb   *kdb.KDB
 	goals []Goal
-	// MinFeedback is the number of goal-labelled feedback entries
-	// required before the learned model replaces the priors.
-	MinFeedback int
-	// Seed drives the (deterministic) decision-tree training.
-	Seed int64
 }
+
+// minFeedback is the number of goal-labelled feedback entries required
+// before the learned model replaces the priors.
+const minFeedback = 6
 
 // NewRecommender builds a recommender over a knowledge base (which may
 // be nil for a pure-feasibility recommender).
 func NewRecommender(k *kdb.KDB) *Recommender {
-	return &Recommender{kdb: k, goals: Catalog(), MinFeedback: 6}
+	return &Recommender{kdb: k, goals: Catalog()}
 }
 
 // Recommend evaluates every catalog goal against the descriptor:
@@ -336,7 +335,7 @@ func (r *Recommender) fitInterestModel(feedback []kdb.Feedback, goalIndex map[ID
 		X = append(X, featuresFor(d, gi, len(r.goals)))
 		y = append(y, score)
 	}
-	if len(X) < r.MinFeedback {
+	if len(X) < minFeedback {
 		return nil, false, nil
 	}
 	tree := classify.NewDecisionTree(classify.TreeOptions{MaxDepth: 6, MinSamplesLeaf: 1})

@@ -144,7 +144,7 @@ func TestLearnedModelOverridesPriors(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := richDescriptor()
-	seedFeedback(t, k, d, 5) // 10 labelled entries >= MinFeedback
+	seedFeedback(t, k, d, 5) // 10 labelled entries >= minFeedback
 
 	r := NewRecommender(k)
 	recs, err := r.Recommend(d)
@@ -175,7 +175,7 @@ func TestLearnedModelOverridesPriors(t *testing.T) {
 func TestTooLittleFeedbackKeepsPriors(t *testing.T) {
 	k, _ := kdb.Open("")
 	d := richDescriptor()
-	seedFeedback(t, k, d, 1) // 2 entries < MinFeedback (6)
+	seedFeedback(t, k, d, 1) // 2 entries < minFeedback (6)
 	r := NewRecommender(k)
 	recs, err := r.Recommend(d)
 	if err != nil {

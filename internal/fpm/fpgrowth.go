@@ -2,6 +2,7 @@ package fpm
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 )
@@ -109,15 +110,17 @@ func fpGrowthEncoded(t *Transactions, minSupport int) []Itemset {
 	m := new(Miner)
 	m.index(nil)
 	m.lookup(t.dict)
-	return m.mine(t, minSupport)
+	sets, _ := m.mine(context.Background(), t, minSupport) // never cancelled
+	return sets
 }
 
 // mine runs FP-Growth over t, whose dictionary m.order indexes, leaving
 // out itemsets that pair an item with one of its ancestors. Itemsets
 // are emitted in the recursion's order and then sorted by SortItemsets,
 // a total order over distinct itemsets, so the result does not depend
-// on the order of any tree's children or header chains.
-func (m *Miner) mine(t *Transactions, minSupport int) []Itemset {
+// on the order of any tree's children or header chains. A done ctx
+// stops it at its next basket or item with ctx.Err().
+func (m *Miner) mine(ctx context.Context, t *Transactions, minSupport int) ([]Itemset, error) {
 	m.mined, m.minSupport = t, int32(minSupport)
 	m.cond = fill(m.cond, len(t.dict), 0)
 	tree := m.tree(0)
@@ -130,6 +133,10 @@ func (m *Miner) mine(t *Transactions, minSupport int) []Itemset {
 		return cmp.Compare(a, b)
 	}
 	for i := 0; i < t.NumTx(); i++ {
+		if err := ctx.Err(); err != nil {
+			m.mined = nil
+			return nil, err
+		}
 		m.path = m.path[:0]
 		for _, it := range t.tx(i) {
 			if t.freq[it] >= m.minSupport {
@@ -139,30 +146,40 @@ func (m *Miner) mine(t *Transactions, minSupport int) []Itemset {
 		slices.SortFunc(m.path, byFreq)
 		tree.insert(m.path, 1)
 	}
-	m.grow(0)
+	err := m.grow(ctx, 0)
 	out := m.out
 	m.out, m.mined = nil, nil
+	if err != nil {
+		return nil, err
+	}
 	SortItemsets(out)
-	return out
+	return out, nil
 }
 
 // grow emits suffix ∪ {item} for every item of the depth-d tree, each
 // of which clears minSupport, and recurses into its conditional tree.
 // An item that is an ancestor or a descendant of a suffix item is
 // skipped with its whole subtree: every itemset holding both is
-// trivially redundant and left out.
-func (m *Miner) grow(d int) {
+// trivially redundant and left out. It returns ctx.Err() before the
+// first item it reaches with ctx done.
+func (m *Miner) grow(ctx context.Context, d int) error {
 	tree := m.trees[d]
 	for _, it := range tree.items {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if m.pairsAncestor(it, m.pattern[:d]) {
 			continue
 		}
 		m.pattern = append(m.pattern[:d], it)
 		m.emit(tree.total[it])
 		if m.conditional(tree, it, m.tree(d+1)) {
-			m.grow(d + 1)
+			if err := m.grow(ctx, d+1); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // pairsAncestor reports whether item it is an ancestor or a descendant

@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -311,12 +312,12 @@ func FuzzFPGrowthMatchesApriori(f *testing.F) {
 				txs, minSupport, canonical(ap), canonical(fp))
 		}
 		var m Miner
-		if _, err := m.Mine(warm.dict, warm.ptr, warm.items, warmTax, 3); err != nil {
+		if _, err := m.Mine(context.Background(), warm.dict, warm.ptr, warm.items, warmTax, 3); err != nil {
 			t.Fatal(err)
 		}
 		tr := NewTransactions(txs)
 		for run := 1; run <= 2; run++ {
-			sets, err := m.Mine(tr.dict, tr.ptr, tr.items, nil, minSupport)
+			sets, err := m.Mine(context.Background(), tr.dict, tr.ptr, tr.items, nil, minSupport)
 			if err != nil {
 				t.Fatal(err)
 			}

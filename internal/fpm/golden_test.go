@@ -2,6 +2,7 @@ package fpm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -134,7 +135,7 @@ func TestMinerReuseMatchesGolden(t *testing.T) {
 				k = n - 1 - k
 			}
 			g, frac := logs[k/len(goldenFracs)], k%len(goldenFracs)
-			sets, err := m.Mine(g.names, g.ptr, g.items, g.tax, g.minSupports[frac])
+			sets, err := m.Mine(context.Background(), g.names, g.ptr, g.items, g.tax, g.minSupports[frac])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -66,18 +67,25 @@ type taxNode struct {
 // of its own ancestors are left out. The result is the Itemsets of
 // MineGeneralizedEncoded over tax.ExtendEncoded(EncodeTransactions(
 // names, ptr, items)), in the same order (SortItemsets), without their
-// level annotation, and belongs to the caller.
-func (m *Miner) Mine(names []string, ptr, items []int32, tax Taxonomy, minSupport int) ([]Itemset, error) {
+// level annotation, and belongs to the caller. A run checks ctx at
+// every basket it extends or inserts and every item it grows a pattern
+// with, and returns ctx.Err() once ctx is done; the Miner is then ready
+// for its next run.
+func (m *Miner) Mine(ctx context.Context, names []string, ptr, items []int32, tax Taxonomy, minSupport int) ([]Itemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpm: minSupport must be >= 1, got %d", minSupport)
 	}
 	m.index(tax)
-	out := m.mine(m.extend(names, ptr, items), minSupport)
+	t, err := m.extend(ctx, names, ptr, items)
+	var out []Itemset
+	if err == nil {
+		out, err = m.mine(ctx, t, minSupport)
+	}
 	// Drop the run's names so a pooled Miner does not keep them alive.
 	clear(m.ids)
 	clear(m.nodes)
 	clear(m.tx.dict)
-	return out, nil
+	return out, err
 }
 
 // index rebuilds the node table from tax.
@@ -151,7 +159,8 @@ func (m *Miner) climb(x int32, f func(a, d int32) bool) bool {
 // into the Miner's own Transactions: its dictionary is every used
 // basket name and each of its ancestors, in lexicographic order, and
 // each basket holds its items and their ancestors, sorted and unique.
-func (m *Miner) extend(names []string, ptr, items []int32) *Transactions {
+// A done ctx stops it at the next basket with ctx.Err().
+func (m *Miner) extend(ctx context.Context, names []string, ptr, items []int32) (*Transactions, error) {
 	m.leaf = fill(m.leaf, len(names), none)
 	for _, id := range items {
 		if m.leaf[id] == none && names[id] != "" {
@@ -181,6 +190,9 @@ func (m *Miner) extend(names []string, ptr, items []int32) *Transactions {
 	t.items = t.items[:0]
 	m.mark = fill(m.mark, len(t.dict), false)
 	for i := range len(ptr) - 1 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		m.basket = m.basket[:0]
 		for _, old := range items[ptr[i]:ptr[i+1]] {
 			// An item and its ancestors, up to the first one this
@@ -202,7 +214,7 @@ func (m *Miner) extend(names []string, ptr, items []int32) *Transactions {
 		t.items = append(t.items, m.basket...)
 		t.ptr = append(t.ptr, int32(len(t.items)))
 	}
-	return t
+	return t, nil
 }
 
 // lookup points the node table at an already-built database: dict's

@@ -1,10 +1,14 @@
 package fpm
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"adahealth/internal/synth"
@@ -59,7 +63,7 @@ func TestMineTaxonomyCycles(t *testing.T) {
 			}
 			tr := NewTransactions(tc.txs)
 			var m Miner
-			coded, err := m.Mine(tr.dict, tr.ptr, tr.items, tc.tax, 2)
+			coded, err := m.Mine(context.Background(), tr.dict, tr.ptr, tr.items, tc.tax, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +120,7 @@ func TestMinerMatchesReferenceOnRandomTaxonomies(t *testing.T) {
 		}
 		SortItemsets(want)
 		tr := NewTransactions(txs)
-		got, err := m.Mine(tr.dict, tr.ptr, tr.items, tax, minSupport)
+		got, err := m.Mine(context.Background(), tr.dict, tr.ptr, tr.items, tax, minSupport)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,12 +169,12 @@ func TestMinerReuseAllocatesOnlyOutput(t *testing.T) {
 	minSupport := max(int(0.02*float64(enc.NumVisits())), 2)
 
 	var m Miner
-	if _, err := m.Mine(enc.ExamCodes, enc.VisitPtr, enc.VisitExams, tax, minSupport); err != nil {
+	if _, err := m.Mine(context.Background(), enc.ExamCodes, enc.VisitPtr, enc.VisitExams, tax, minSupport); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sets, err := m.Mine(enc.ExamCodes, enc.VisitPtr, enc.VisitExams, tax, minSupport)
+	sets, err := m.Mine(context.Background(), enc.ExamCodes, enc.VisitPtr, enc.VisitExams, tax, minSupport)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -182,5 +186,60 @@ func TestMinerReuseAllocatesOnlyOutput(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > output+8<<10 {
 		t.Errorf("second run allocated %d bytes for %d itemsets (%d bytes of output): the Miner's storage was not reused",
 			got, len(sets), output)
+	}
+}
+
+// chainBaskets builds n exams whose taxonomy is one chain (exam i's
+// category is exam i+1) and 1,500 three-exam baskets over them. Every
+// item at recursion depth 1 pairs with a suffix item's ancestor, and
+// testing that climbs the chain, so mining is cubic in n: about 2 s at
+// n = 1,000.
+func chainBaskets(n int) (names []string, ptr, items []int32, tax Taxonomy) {
+	tax = Taxonomy{}
+	for i := range n {
+		names = append(names, fmt.Sprintf("x%04d", i))
+		if i > 0 {
+			tax[names[i-1]] = names[i]
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ptr = []int32{0}
+	for range 1500 {
+		for _, i := range rng.Perm(n)[:3] {
+			items = append(items, int32(i))
+		}
+		ptr = append(ptr, int32(len(items)))
+	}
+	return names, ptr, items, tax
+}
+
+// TestMineHonoursDeadline: mining a 1,000-exam taxonomy chain stops
+// soon after its context's deadline, with the context's error, and the
+// Miner then mines the next input as a fresh one does.
+func TestMineHonoursDeadline(t *testing.T) {
+	names, ptr, items, tax := chainBaskets(1000)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	var m Miner
+	start := time.Now()
+	sets, err := m.Mine(ctx, names, ptr, items, tax, 30)
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("Mine returned %v after its 50ms deadline", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || sets != nil {
+		t.Fatalf("Mine = %d itemsets, %v; want none and context.DeadlineExceeded", len(sets), err)
+	}
+
+	warm, warmTax := warmBaskets()
+	want, err := new(Miner).Mine(context.Background(), warm.dict, warm.ptr, warm.items, warmTax, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Mine(context.Background(), warm.dict, warm.ptr, warm.items, warmTax, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("after a cancelled run the Miner mines differently from a fresh one")
 	}
 }

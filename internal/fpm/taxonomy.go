@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -97,7 +98,7 @@ func MineGeneralizedEncoded(ext *Transactions, tax Taxonomy, minSupport int) ([]
 	m := new(Miner)
 	m.index(tax)
 	m.lookup(ext.dict)
-	sets := m.mine(ext, minSupport)
+	sets, _ := m.mine(context.Background(), ext, minSupport) // never cancelled
 	m.levels()
 	var out []GeneralizedItemset
 	for _, s := range sets {
@@ -123,7 +124,8 @@ func (t Taxonomy) ExtendEncoded(base *Transactions) *Transactions {
 	}
 	m := new(Miner)
 	m.index(t)
-	return m.extend(base.dict, base.ptr, base.items)
+	ext, _ := m.extend(context.Background(), base.dict, base.ptr, base.items) // never cancelled
+	return ext
 }
 
 // FilterByLevel keeps only generalized itemsets whose MaxLevel equals

@@ -1,5 +1,7 @@
 package fpm
 
+import "context"
+
 // Transactions is a shared, integer-encoded transaction database: the
 // one-time normalization (dedup + sort), item dictionary and global
 // frequency counts that every mining run needs, built once and reused
@@ -50,7 +52,8 @@ func NewTransactions(txs [][]string) *Transactions {
 func EncodeTransactions(names []string, ptr, items []int32) *Transactions {
 	m := new(Miner)
 	m.index(nil)
-	return m.extend(names, ptr, items)
+	t, _ := m.extend(context.Background(), names, ptr, items) // never cancelled
+	return t
 }
 
 // NumTx reports the number of transactions.

@@ -20,12 +20,14 @@
 //	service_job_duration_seconds{class}     histogram  admission → terminal latency by priority class
 //	                                                   (interactive ≥ 10, standard 1..9, batch ≤ 0)
 //
-// Core stage engine (the stage series fed from the core.StageEvent
-// observer seam, the recall series by the recall stage itself):
+// Core stage engine (the stage series recorded by the scheduler for
+// every analysis, library or service; the recall series by the recall
+// stage itself):
 //
-//	core_stage_seconds{stage}               histogram  per-stage wall latency (start → finish event)
+//	core_stage_seconds{stage}               histogram  per-stage wall latency (start → finish)
 //	core_stage_total{stage,outcome}         counter    stage executions: ok | error
-//	core_stage_panics_total{stage}          counter    recovered stage panics (core.PanicError)
+//	core_stage_panics_total{stage}          counter    recovered panics (core.PanicError): one per panicking
+//	                                                   stage, or stage="job" for one the service's job seam recovers
 //	core_recall_total{outcome}              counter    recall-stage outcomes: hit | miss | fallback (K-DB unreadable)
 //
 // Knowledge store (internal/docstore, internal/kdb):

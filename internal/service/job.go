@@ -79,10 +79,6 @@ type Job struct {
 	queuedAt   time.Time
 	startedAt  time.Time
 	finishedAt time.Time
-	// stageStarts holds in-flight stages' start stamps from the
-	// observer seam, matched to their finish events for the stage
-	// latency histogram.
-	stageStarts map[string]time.Time
 
 	// feed holds the job's event history and fans it out; it closes
 	// after the terminal event. events is the subscription taken at
@@ -178,7 +174,6 @@ func (j *Job) emitLifecycle(s Status, at time.Time) {
 // observeStage adapts the scheduler's StageObserver callback into the
 // job's event stream.
 func (j *Job) observeStage(ev core.StageEvent) {
-	j.recordStageMetrics(ev)
 	j.feed.Publish(StageEvent{
 		JobID: j.id,
 		Time:  ev.Time,
@@ -224,7 +219,7 @@ func (j *Job) finish(rep *core.Report, err error) {
 	status := j.status
 	j.mu.Unlock()
 
-	recordTerminalMetrics(j, status, err, now)
+	recordTerminalMetrics(j, status, now)
 	j.emitLifecycle(status, now)
 	j.feed.Close()
 

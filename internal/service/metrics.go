@@ -1,19 +1,17 @@
 package service
 
 import (
-	"errors"
-	"strings"
 	"time"
 
-	"adahealth/internal/core"
 	"adahealth/internal/obs"
 )
 
-// Service and core-stage instruments on the default registry (see the
-// metric-name reference in package obs). The stage series are fed from
-// the scheduler's existing StageEvent observer seam — the scheduler
-// itself is untouched. Queue/worker gauges bind per Service in
-// NewWithEngine; latest service wins when a process holds several.
+// Service instruments on the default registry (see the metric-name
+// reference in package obs). The core_stage_* series are the
+// scheduler's own (package core); the service adds only the job-level
+// panics safeRun recovers, under stage="job" in core_stage_panics_total.
+// Queue/worker gauges bind per Service in NewWithEngine; latest service
+// wins when a process holds several.
 var (
 	admissionsTotal = obs.Default().CounterVec("service_admissions_total",
 		"Submission admissions by outcome.", "outcome")
@@ -23,10 +21,8 @@ var (
 		"Admission-to-terminal latency by priority class (interactive >= 10, standard 1..9, batch <= 0).",
 		nil, "class")
 
-	stageSeconds = obs.Default().HistogramVec("core_stage_seconds",
-		"Per-stage wall latency from the scheduler's start/finish trace points.", nil, "stage")
-	stageTotal = obs.Default().CounterVec("core_stage_total",
-		"Stage executions by outcome.", "stage", "outcome")
+	// stagePanicsTotal is the family package core registers; obs hands
+	// back the same one.
 	stagePanicsTotal = obs.Default().CounterVec("core_stage_panics_total",
 		"Recovered stage panics isolated to their analysis.", "stage")
 )
@@ -58,47 +54,9 @@ func (s *Service) bindServiceGauges() {
 		func() float64 { return float64(s.cfg.Workers) })
 }
 
-// recordStageMetrics folds one scheduler trace point into the core
-// stage series: start events stamp t0, finish events observe the
-// latency and count the outcome.
-func (j *Job) recordStageMetrics(ev core.StageEvent) {
-	switch ev.Phase {
-	case core.StageStart:
-		j.mu.Lock()
-		if j.stageStarts == nil {
-			j.stageStarts = make(map[string]time.Time)
-		}
-		j.stageStarts[ev.Stage] = ev.Time
-		j.mu.Unlock()
-	case core.StageFinish:
-		j.mu.Lock()
-		t0, ok := j.stageStarts[ev.Stage]
-		delete(j.stageStarts, ev.Stage)
-		j.mu.Unlock()
-		if ok {
-			stageSeconds.With(ev.Stage).Observe(ev.Time.Sub(t0).Seconds())
-		}
-		outcome := "ok"
-		if ev.Err != "" {
-			outcome = "error"
-		}
-		stageTotal.With(ev.Stage, outcome).Inc()
-	}
-}
-
 // recordTerminalMetrics counts a job's terminal outcome: state and
-// class latency always; panics from the error chain.
-func recordTerminalMetrics(j *Job, status Status, err error, finished time.Time) {
+// class latency.
+func recordTerminalMetrics(j *Job, status Status, finished time.Time) {
 	jobsTotal.With(string(status)).Inc()
 	jobDurationSeconds.With(priorityClass(j.priority)).Observe(finished.Sub(j.queuedAt).Seconds())
-	var pe *core.PanicError
-	if errors.As(err, &pe) {
-		stage := pe.Stage
-		// safeRun labels job-level panics "job <id>"; collapse the
-		// unbounded ID into one series.
-		if strings.HasPrefix(stage, "job ") {
-			stage = "job"
-		}
-		stagePanicsTotal.With(stage).Inc()
-	}
 }

@@ -223,3 +223,30 @@ func TestStageMetricsMove(t *testing.T) {
 		t.Errorf("interactive duration observations delta = %v, want 1", d)
 	}
 }
+
+// TestJobPanicCountedOnce: a panic escaping a job's run outside any
+// stage is counted once in core_stage_panics_total, under stage="job".
+// (A stage's own panic is the scheduler's to count: see
+// TestServiceStagePanicCountedOnce in internal/core.)
+func TestJobPanicCountedOnce(t *testing.T) {
+	reg := obs.Default()
+	job0 := reg.Value("core_stage_panics_total", "job")
+	svc, err := New(Config{Engine: fastConfig(1), Workers: 1, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	svc.runJob = func(j *Job) (*core.Report, error) { panic("outside the stages") }
+
+	j, err := svc.Submit(context.Background(), testLog(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *core.PanicError
+	if _, err := j.Wait(context.Background()); !errors.As(err, &pe) {
+		t.Fatalf("job err = %v, want *core.PanicError", err)
+	}
+	if d := reg.Value("core_stage_panics_total", "job") - job0; d != 1 {
+		t.Errorf("core_stage_panics_total{stage=job} moved by %v, want 1", d)
+	}
+}

@@ -586,6 +586,9 @@ func (s *Service) stopFlusher() {
 func (s *Service) safeRun(j *Job) (rep *core.Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
+			// A stage's panic never reaches here: the scheduler
+			// recovered and counted it.
+			stagePanicsTotal.With("job").Inc()
 			rep, err = nil, &core.PanicError{
 				Stage: "job " + j.id, Value: v, Stack: debug.Stack(),
 			}
