@@ -23,6 +23,9 @@ func panicIn(t testing.TB, name string) {
 	t.Cleanup(func() { pipeline = saved })
 }
 
+// PanicIn exposes panicIn to the package's external tests.
+var PanicIn = panicIn
+
 // TestAnalyzeRecordsStageMetrics: a library analysis, with no service
 // around it, counts each stage of the pipeline once as ok in
 // core_stage_total and observes its latency once in core_stage_seconds.
