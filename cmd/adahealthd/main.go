@@ -144,7 +144,7 @@ func newLeader(o options) (*leader, error) {
 		return nil, err
 	}
 
-	l := &leader{svc: svc, mgr: mgr, handler: stream.HandlerOptions(svc, mgr, service.HandlerOptions{ReadFallback: o.readFallback})}
+	l := &leader{svc: svc, mgr: mgr, handler: stream.Handler(svc, mgr, service.HandlerOptions{ReadFallback: o.readFallback})}
 	if o.kdbDir != "" {
 		// A durable K-DB can lead replication: mount the WAL-shipping
 		// endpoints followers bootstrap from and tail.

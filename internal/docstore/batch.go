@@ -20,10 +20,10 @@ import (
 // two acquisitions would deadlock both.
 type Batch struct {
 	s *Store
-	// last is the group commit carrying the batch's newest frame:
-	// commits finish in log order and fail together after a failure,
-	// so waiting for the last waits for all.
-	last *walBatch
+	// last numbers the batch's newest frame (0 = none): writes carry
+	// frames in log order and none is written after a failure, so
+	// committing the last commits all.
+	last int64
 	// err latches the first failure to enqueue a frame; Commit reports
 	// it even when the caller ignored the mutation's own return.
 	err       error
@@ -39,24 +39,24 @@ func (s *Store) Begin() *Batch {
 	return &Batch{s: s}
 }
 
-// Commit waits until every frame the batch enqueued is durably logged
-// (written, and fsynced unless NoSync) and releases the write gate. It
-// returns the first error that kept a frame from becoming durable;
-// that error wraps ErrStoreBroken and the store is then latched
-// read-only exactly as for a failed Insert. On a memory-only store
-// there is nothing to wait for. Calling Commit again returns the same
-// result, so a deferred Commit can back an explicit one.
+// Commit returns once every frame the batch enqueued is durably logged
+// (written, and fsynced unless NoSync) and releases the write gate:
+// unless an earlier writer's write carried them, Commit writes them
+// itself, with every frame queued behind them. It returns the first
+// error that kept a frame from becoming durable; that error wraps
+// ErrStoreBroken and the store is then latched read-only exactly as
+// for a failed Insert. On a memory-only store there is nothing to
+// wait for. Calling Commit again returns the same result, so a
+// deferred Commit can back an explicit one.
 func (b *Batch) Commit() error {
 	if b.committed {
 		return b.err
 	}
 	b.committed = true
 	defer b.s.writeGate.RUnlock()
-	if b.last != nil {
-		b.s.wal.kick()
-		<-b.last.done
-		if b.err == nil {
-			b.err = b.last.err
+	if b.last != 0 {
+		if err := b.s.wal.commit(b.last); b.err == nil {
+			b.err = err
 		}
 	}
 	return b.err
@@ -64,19 +64,19 @@ func (b *Batch) Commit() error {
 
 // log enqueues the WAL frame of a mutation the caller has just applied
 // under the collection lock (which is what orders frames touching one
-// document) and remembers the group commit that will carry it.
+// document) and remembers its number for Commit.
 func (b *Batch) log(rec walRecord) error {
 	if b.s.wal == nil {
 		return nil
 	}
-	wb, err := b.s.wal.enqueue(rec)
+	n, err := b.s.wal.enqueue(rec)
 	if err != nil {
 		if b.err == nil {
 			b.err = err
 		}
 		return err
 	}
-	b.last = wb
+	b.last = n
 	return nil
 }
 

@@ -29,12 +29,15 @@
 // copying, and a reader may keep them as a snapshot of that version.
 //
 // Each collection is one map of documents and its equality indexes
-// under one read-write lock: every write already waits on the one WAL
-// committer, so finer locks would buy nothing, and with one lock an
-// upsert replaces a document in one step that no reader misses. A
-// disk-backed store appends every mutation to an append-only WAL
-// before acknowledging it; concurrent writers share one fsync through
-// group commit. Reopening loads the latest per-collection snapshot and
+// under one read-write lock: every write already waits its turn at
+// the one WAL write, so finer locks would buy nothing, and with one
+// lock an upsert replaces a document in one step that no reader
+// misses. A disk-backed store appends every mutation to an append-only
+// WAL before acknowledging it. Concurrent writers share one write and
+// one fsync through group commit: the committing writer writes every
+// pending frame, its own and those of the writers queued behind it,
+// and a writer whose frame an earlier write carried returns at once.
+// The store starts no goroutine. Reopening loads the latest per-collection snapshot and
 // replays the WAL tail over it; a torn final record (crash mid-write)
 // fails its CRC framing and is truncated, recovering the last durable
 // commit. Flush compacts when the WAL has outgrown its budget:

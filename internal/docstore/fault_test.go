@@ -3,9 +3,11 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"adahealth/internal/faultfs"
 )
@@ -393,4 +395,93 @@ func TestSnapshotFaultRecoveryWithoutCompact(t *testing.T) {
 			t.Errorf("doc %q lost: old snapshot + WAL did not recover it", id)
 		}
 	}
+}
+
+// TestOpenStartsNoGoroutine: a disk-backed store commits on its
+// writers' goroutines, so opening one, writing to it and closing it
+// leave the goroutine count where it was.
+func TestOpenStartsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("open: %d goroutines, %d before", n, base)
+	}
+	if _, err := s.Collection("items").Insert(Document{"_id": "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("after a commit: %d goroutines, %d before", n, base)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupCommitBehindHeldWrite: seven writers that commit while the
+// first writer's WAL write is held up queue their frames behind it, and
+// the first of them to write carries all of theirs, so eight acks cost
+// at most two writes; a reopen holds every document.
+func TestGroupCommitBehindHeldWrite(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New(nil, 1)
+	s := openFaulty(t, dir, ffs)
+	c := s.Collection("items")
+	// The first rule holds the first write; the second, a delay of 1 ns
+	// on every write, only counts them: Fired() is writes + 1.
+	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Delay: 200 * time.Millisecond, Count: 1})
+	ffs.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Delay: time.Nanosecond})
+
+	const writers = 8
+	errs := make(chan error, writers)
+	insert := func(i int) {
+		_, err := c.Insert(Document{"_id": fmt.Sprintf("w%d", i)})
+		errs <- err
+	}
+	go insert(0)
+	for ffs.Fired() == 0 { // the first write is under way
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < writers; i++ {
+		go insert(i)
+	}
+	for i := 0; i < writers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	}
+	if writes := ffs.Fired() - 1; writes > 2 {
+		t.Fatalf("%d writers took %d WAL writes, want at most 2", writers, writes)
+	}
+	ffs.Clear()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n := re.Collection("items").Count(); n != writers {
+		t.Fatalf("reopened store holds %d documents, want %d", n, writers)
+	}
+}
+
+// TestFlushOfSyncedLogDoesNotFsync: every commit of a synced log was
+// fsynced, so Flush on an idle one fsyncs nothing more, and a failing
+// fsync on wal.log does not reach it.
+func TestFlushOfSyncedLogDoesNotFsync(t *testing.T) {
+	ffs := faultfs.New(nil, 1)
+	s := openFaulty(t, t.TempDir(), ffs)
+	defer s.Close()
+	if _, err := s.Collection("items").Insert(Document{"_id": "a"}); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(faultfs.Rule{Op: faultfs.OpSync, Path: "wal.log", Err: faultfs.ENOSPC()})
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush of an idle synced store = %v, want nil", err)
+	}
+	ffs.Clear()
 }

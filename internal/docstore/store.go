@@ -274,8 +274,8 @@ func (s *Store) syncDir() error {
 
 // Close flushes, compacts, and releases the WAL. The store must not be
 // used afterwards (writes will fail). Even when the final compaction
-// is refused (a latched WAL failure), the committer goroutine and log
-// file are always released.
+// is refused (a latched WAL failure), the log file is always
+// released.
 func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil

@@ -50,41 +50,38 @@ type walRecord struct {
 // truncates the log there, recovering exactly the committed prefix.
 const walFrameHeader = 8
 
-// walBufKeep caps the capacity of a commit buffer the committer keeps
-// for reuse.
+// walBufKeep caps the capacity of a written buffer kept for reuse.
 const walBufKeep = 1 << 20
 
-// walBatch is one group commit: every record enqueued while the
-// committer was busy shares a single write+fsync, and every enqueuer
-// blocks on the same done channel.
-type walBatch struct {
-	done chan struct{}
-	err  error
-}
-
 // wal is the append-only log of one disk-backed store. Writers enqueue
-// encoded records (cheap, under the log mutex) and then wait for the
-// committer goroutine to make their batch durable; the committer folds
-// all pending records into one write and one fsync.
+// encoded records (cheap, under mu) and then commit: the first to take
+// writeMu writes every pending frame, its own and those of the writers
+// queued behind it, in one write and one fsync, and a writer whose
+// frame an earlier write carried returns at once. That is the group
+// commit, run by the writers themselves.
 type wal struct {
 	sync bool // fsync each commit (true unless Options.NoSync)
 
+	// writeMu orders writes to the log: carried, spare and failErr
+	// change only under it.
+	writeMu sync.Mutex
+	// carried is the number of the newest frame a successful write
+	// carried (frames are numbered from 1 by enqueue).
+	carried int64
+	// spare is the previous write's buffer, emptied, which the next
+	// writer swaps in for buf, so appends reuse grown capacity.
+	spare []byte
+
 	mu sync.Mutex
 	f  faultfs.File
-	// buf collects the pending frames; spare (the committer's own) is
-	// the previous commit's buffer, emptied, which the committer swaps
-	// in when it takes buf, so appends reuse grown capacity.
-	buf   []byte
-	spare []byte
-	cur   *walBatch
-	done  bool
+	// buf collects the pending frames; queued numbers the newest.
+	buf    []byte
+	queued int64
+	done   bool
 	// failErr latches the first commit failure (always wrapping
 	// ErrStoreBroken): memory is then ahead of the log, so every further
 	// write and compaction is refused until the store is reopened.
 	failErr error
-
-	wake chan struct{}
-	exit chan struct{}
 
 	size atomic.Int64 // bytes appended since the last reset
 	// frames counts committed frames since the last reset (replay
@@ -131,8 +128,7 @@ func (w *wal) signalLocked() {
 }
 
 // openWAL opens (creating if needed) the log at path, replays its
-// committed prefix through apply, truncates any torn tail, and starts
-// the group committer.
+// committed prefix through apply and truncates any torn tail.
 func openWAL(fsys faultfs.FS, path string, syncWrites bool, apply func(walRecord) error) (_ *wal, err error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -155,10 +151,9 @@ func openWAL(fsys faultfs.FS, path string, syncWrites bool, apply func(walRecord
 	if _, err := f.Seek(good, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("docstore: seeking WAL: %w", err)
 	}
-	w := &wal{sync: syncWrites, f: f, wake: make(chan struct{}, 1), exit: make(chan struct{})}
+	w := &wal{sync: syncWrites, f: f}
 	w.size.Store(good)
 	w.frames.Store(frames)
-	go w.commitLoop()
 	return w, nil
 }
 
@@ -223,19 +218,19 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// enqueue frames rec into the pending batch and returns the batch to
-// wait on. It does no I/O, so it may run under a collection lock, which
-// is what orders the records touching one document. It does not wake
-// the committer: a writer about to wait calls kick, so a many-frame
-// Batch costs one commit.
-func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
+// enqueue frames rec into the pending buffer and returns the frame's
+// number, which the writer passes to commit. It does no I/O, so it may
+// run under a collection lock, which is what orders the records
+// touching one document; a many-frame Batch commits once, after its
+// last enqueue.
+func (w *wal) enqueue(rec walRecord) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
-		return nil, errWALClosed
+		return 0, errWALClosed
 	}
 	if w.failErr != nil {
-		return nil, fmt.Errorf("docstore: WAL failed earlier: %w", w.failErr)
+		return 0, fmt.Errorf("docstore: WAL failed earlier: %w", w.failErr)
 	}
 	start := len(w.buf)
 	w.buf = appendRecord(slices.Grow(w.buf, walFrameHeader+len(rec.Doc)+len(rec.Collection)+len(rec.ID)+96), rec)
@@ -243,10 +238,8 @@ func (w *wal) enqueue(rec walRecord) (*walBatch, error) {
 	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(w.buf[start+4:], crc32.ChecksumIEEE(payload))
 	w.bufFrames++
-	if w.cur == nil {
-		w.cur = &walBatch{done: make(chan struct{})}
-	}
-	return w.cur, nil
+	w.queued++
+	return w.queued, nil
 }
 
 // appendRecord appends rec's frame to dst, its header left for the
@@ -267,52 +260,32 @@ func appendRecord(dst []byte, rec walRecord) []byte {
 	return append(dst, '}')
 }
 
-// kick wakes the committer when frames are pending and returns their
-// batch (nil when nothing is pending or the log is closed, whose final
-// drain commits what was enqueued before it).
-func (w *wal) kick() *walBatch {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done || w.cur == nil {
+// commit returns once frame n is durable: at once when an earlier
+// write carried it, otherwise after writing every pending frame itself.
+func (w *wal) commit(n int64) error {
+	w.writeMu.Lock()
+	defer w.writeMu.Unlock()
+	if n <= w.carried {
 		return nil
 	}
-	// Send while still holding the mutex: close() also takes it before
-	// closing the channel, so a send can never race a close.
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-	return w.cur
+	return w.writePending()
 }
 
-// commitLoop is the single committer: it drains the pending buffer,
-// writes it in one syscall, fsyncs once, and releases every writer of
-// the batch.
-func (w *wal) commitLoop() {
-	defer close(w.exit)
-	for range w.wake {
-		w.commitPending()
+// writePending writes every pending frame in one write, fsynced unless
+// NoSync, and settles it. A log that failed earlier writes nothing
+// more and returns its latched failure: a frame written past the hole
+// would be acked where replay never sees it. The caller holds writeMu.
+func (w *wal) writePending() error {
+	if w.failErr != nil {
+		return w.failErr
 	}
-	w.commitPending() // drain whatever arrived before close
-}
-
-func (w *wal) commitPending() {
 	w.mu.Lock()
 	if len(w.buf) == 0 {
 		w.mu.Unlock()
-		return
+		return nil
 	}
-	data, batch, nframes := w.buf, w.cur, w.bufFrames
-	w.buf, w.spare, w.cur, w.bufFrames = w.spare, nil, nil, 0
-	// A batch enqueued while a failing commit was in flight must not be
-	// written past the hole, where replay would never see it: fail it
-	// with the latched error.
-	if w.failErr != nil {
-		batch.err = w.failErr
-		w.mu.Unlock()
-		close(batch.done)
-		return
-	}
+	data, nframes, last := w.buf, w.bufFrames, w.queued
+	w.buf, w.spare, w.bufFrames = w.spare, nil, 0
 	w.mu.Unlock()
 
 	err := w.write(data)
@@ -320,13 +293,15 @@ func (w *wal) commitPending() {
 	w.mu.Lock()
 	err = w.committedLocked(err, len(data), nframes)
 	w.mu.Unlock()
+	if err == nil {
+		w.carried = last
+	}
 	// Recycle the written buffer unless one outsized commit grew it:
 	// pinning that forever would cost more than regrowing it.
 	if cap(data) <= walBufKeep {
 		w.spare = data[:0]
 	}
-	batch.err = err
-	close(batch.done)
+	return err
 }
 
 // appendRaw writes already-framed bytes (whole, CRC-verified frames)
@@ -335,6 +310,8 @@ func (w *wal) commitPending() {
 // than re-encode them. It must not be mixed with enqueue-based writes:
 // the caller (a Replica) is the store's only writer.
 func (w *wal) appendRaw(data []byte, nframes int64) error {
+	w.writeMu.Lock()
+	defer w.writeMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
@@ -362,7 +339,7 @@ func (w *wal) write(data []byte) error {
 
 // committedLocked settles a write of n bytes holding nframes frames:
 // it counts them durable and signals the change, or latches the
-// failure that breaks the store. The caller holds mu.
+// failure that breaks the store. The caller holds writeMu and mu.
 func (w *wal) committedLocked(err error, n int, nframes int64) error {
 	if err != nil {
 		err = fmt.Errorf("%w: %w", ErrStoreBroken, err)
@@ -392,23 +369,17 @@ func (w *wal) failed() error {
 	return w.failErr
 }
 
-// flushNow waits for any pending batch to commit and then fsyncs the
-// file — the durability barrier Flush offers NoSync stores. Writes
-// stay ordered because only the committer goroutine ever writes.
+// flushNow writes any pending frames and, on a NoSync log, fsyncs the
+// file — the durability barrier Flush offers NoSync stores. A synced
+// log's writes were fsynced as they committed.
 func (w *wal) flushNow() error {
-	if b := w.kick(); b != nil {
-		<-b.done
-		if b.err != nil {
-			return b.err
-		}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done {
+	w.writeMu.Lock()
+	defer w.writeMu.Unlock()
+	if w.closed() {
 		return nil
 	}
-	if w.failErr != nil {
-		return w.failErr
+	if err := w.writePending(); err != nil || w.sync {
+		return err
 	}
 	return w.f.Sync()
 }
@@ -437,9 +408,12 @@ func (w *wal) reset() error {
 	return nil
 }
 
-// close stops the committer (draining pending records) and closes the
-// file. Append after close fails.
+// close refuses further enqueues, writes the frames already pending
+// (a failed write latches its error for the writers it carried) and
+// closes the file.
 func (w *wal) close() error {
+	w.writeMu.Lock()
+	defer w.writeMu.Unlock()
 	w.mu.Lock()
 	if w.done {
 		w.mu.Unlock()
@@ -448,7 +422,6 @@ func (w *wal) close() error {
 	w.done = true
 	w.signalLocked()
 	w.mu.Unlock()
-	close(w.wake)
-	<-w.exit
+	_ = w.writePending()
 	return w.f.Close()
 }

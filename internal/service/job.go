@@ -195,7 +195,7 @@ func (j *Job) setRunning() {
 
 // finish records the terminal outcome, emits the terminal lifecycle
 // event, closes the event stream (exactly once) and releases waiters.
-// The first finish wins; later calls are no-ops, so a reaper and a
+// The first finish wins; later calls are no-ops, so reapQueued and a
 // worker racing on the same job cannot double-close.
 func (j *Job) finish(rep *core.Report, err error) {
 	now := time.Now()
@@ -224,5 +224,5 @@ func (j *Job) finish(rep *core.Report, err error) {
 	j.feed.Close()
 
 	close(j.done)
-	j.cancel() // release the deadline timer and wake the reap watcher
+	j.cancel() // release the deadline timer; ctx's reap finds the job dequeued
 }

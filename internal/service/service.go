@@ -73,9 +73,9 @@ type Config struct {
 	// QueueDepth bounds how many admitted jobs may wait for a worker;
 	// beyond it Submit returns ErrQueueFull. <= 0 defaults to 64.
 	QueueDepth int
-	// FlushDelay is the debounce window of the background K-DB flusher:
-	// after a job completion requests a flush, the flusher waits this
-	// long absorbing further requests, then compacts once for the whole
+	// FlushDelay is the debounce window of the K-DB flush: the first
+	// job completion after a flush arms a timer this long, completions
+	// before it fires are absorbed, and it compacts once for the whole
 	// burst — so N near-simultaneous completions cost one snapshot
 	// write instead of N serialized ones. Durability is unaffected:
 	// every acked write is already on the WAL, the flush is only the
@@ -105,8 +105,8 @@ type Service struct {
 
 	// queueSlots is the admission semaphore: holding a slot = sitting
 	// in the queue. Submit acquires non-blocking (ErrQueueFull); the
-	// slot is released when a worker pops the job (or a reaper removes
-	// it).
+	// slot is released when a worker pops the job (or reapQueued
+	// removes it).
 	queueSlots chan struct{}
 
 	baseCtx    context.Context
@@ -121,21 +121,11 @@ type Service struct {
 	running int
 	closed  bool
 
-	// flushReq carries coalesced flush requests to the flusher
-	// goroutine (capacity 1: a pending request absorbs later ones).
-	flushReq chan struct{}
-	// flushStop/flusherDone bracket the flusher's lifetime; Shutdown
-	// closes flushStop (once) after the workers drain and waits for
-	// flusherDone before the final synchronous flush.
-	flushStop     chan struct{}
-	flushStopOnce sync.Once
-	flusherDone   chan struct{}
-	// lastFlushErr is the most recent service-level flush outcome
-	// (guarded by mu, cleared on the next successful flush). A failing
-	// flush never fails the job whose completion triggered it — the
-	// job's WAL writes were already acked — but it degrades Health
-	// until a flush succeeds again.
-	lastFlushErr error
+	// flushTimer is the armed debounced flush, nil when none is
+	// pending (guarded by mu); flushes counts the armed and running
+	// ones, which Shutdown waits for.
+	flushTimer *time.Timer
+	flushes    sync.WaitGroup
 
 	wg sync.WaitGroup
 
@@ -161,15 +151,12 @@ func NewWithEngine(engine *core.Engine, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		engine:      engine,
-		cfg:         cfg,
-		queueSlots:  make(chan struct{}, cfg.QueueDepth),
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		jobs:        make(map[string]*Job),
-		flushReq:    make(chan struct{}, 1),
-		flushStop:   make(chan struct{}),
-		flusherDone: make(chan struct{}),
+		engine:     engine,
+		cfg:        cfg,
+		queueSlots: make(chan struct{}, cfg.QueueDepth),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		jobs:       make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.runJob = s.defaultRun
@@ -178,7 +165,6 @@ func NewWithEngine(engine *core.Engine, cfg Config) *Service {
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
-	go s.flusher()
 	return s
 }
 
@@ -317,12 +303,10 @@ func (s *Service) admit(log *dataset.Log, opts []Option) (*Job, error) {
 	// Reap the job if its context ends while it still sits in the
 	// queue (Cancel, an expired deadline, or service abort): remove it
 	// from the heap and finish it with the context's error instead of
-	// leaving it invisible until a worker drains to it. The watcher
-	// exits at job completion because finish cancels the context.
-	go func() {
-		<-jctx.Done()
-		s.reapQueued(j)
-	}()
+	// leaving it invisible until a worker drains to it. Nothing waits
+	// meanwhile; finish cancels the context, and the reap of a job no
+	// longer queued is a no-op.
+	context.AfterFunc(jctx, func() { s.reapQueued(j) })
 
 	return j, nil
 }
@@ -380,8 +364,8 @@ const (
 	HealthFailing  = "failing"  // not serving (draining or closed)
 )
 
-// Health is the service's condition, aggregated from admission state,
-// the K-DB circuit breaker, and the last service-level flush.
+// Health is the service's condition, aggregated from admission state
+// and the K-DB circuit breaker, which also records the flushes.
 type Health struct {
 	// Status is ok, degraded, or failing (see the constants).
 	Status string `json:"status"`
@@ -389,8 +373,8 @@ type Health struct {
 	Reasons []string `json:"reasons,omitempty"`
 	// KDB is the knowledge-base circuit breaker's gauge snapshot.
 	KDB kdb.Health `json:"kdb"`
-	// LastFlushError is the most recent failed service-level flush
-	// ("" once a flush succeeds again).
+	// LastFlushError is the most recent failed K-DB flush ("" once a
+	// flush succeeds again).
 	LastFlushError string `json:"last_flush_error,omitempty"`
 }
 
@@ -400,20 +384,16 @@ type Health struct {
 // failing); failing means it no longer accepts work.
 func (s *Service) Health() Health {
 	h := Health{Status: HealthOK, KDB: s.engine.KDB().Health()}
-	s.mu.Lock()
-	closed := s.closed
-	flushErr := s.lastFlushErr
-	s.mu.Unlock()
 	if h.KDB.Mode != kdb.ModeHealthy {
 		h.Status = HealthDegraded
 		h.Reasons = append(h.Reasons, fmt.Sprintf("kdb %s: %s", h.KDB.Mode, h.KDB.Reason))
 	}
-	if flushErr != nil {
+	if h.KDB.ConsecutiveFlushFailures > 0 {
 		h.Status = HealthDegraded
-		h.LastFlushError = flushErr.Error()
-		h.Reasons = append(h.Reasons, "kdb flush failing: "+flushErr.Error())
+		h.LastFlushError = h.KDB.Reason
+		h.Reasons = append(h.Reasons, "kdb flush failing: "+h.KDB.Reason)
 	}
-	if closed {
+	if s.isClosed() {
 		h.Status = HealthFailing
 		h.Reasons = append(h.Reasons, "service closed or draining")
 	}
@@ -440,12 +420,12 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.stopFlusher()
+		s.finalFlush()
 		return nil
 	case <-ctx.Done():
 		s.baseCancel() // cancel running jobs, reap queued ones
 		<-done
-		s.stopFlusher()
+		s.finalFlush()
 		return ctx.Err()
 	}
 }
@@ -500,8 +480,8 @@ func (s *Service) run(j *Job) {
 		s.mu.Unlock()
 	}()
 	// A job cancelled (or deadline-expired) between admission and
-	// dispatch fails without starting; finish is a no-op if the reap
-	// watcher already got it.
+	// dispatch fails without starting; finish is a no-op if reapQueued
+	// already got it.
 	if err := j.ctx.Err(); err != nil {
 		j.finish(nil, err)
 		return
@@ -511,73 +491,49 @@ func (s *Service) run(j *Job) {
 	if err == nil && rep != nil {
 		// The post-job flush is a durability accelerator, not part of
 		// the job's contract: every acked write is already on the WAL,
-		// so job completion only signals the background flusher instead
-		// of compacting inline. A burst of completions coalesces into
-		// one snapshot write; a failed compaction degrades Health
-		// without failing any job whose analysis succeeded.
+		// so job completion only arms the debounced flush instead of
+		// compacting inline. A burst of completions coalesces into one
+		// snapshot write; a failed compaction degrades Health (through
+		// the K-DB breaker) without failing any job whose analysis
+		// succeeded.
 		s.requestFlush()
 	}
 	j.finish(rep, err)
 }
 
-// requestFlush signals the background flusher; a request already
-// pending absorbs this one (the flusher compacts once for the burst).
+// requestFlush arms the debounced flush; one already armed absorbs
+// this request. A request that arrives while the flush runs arms the
+// next one.
 func (s *Service) requestFlush() {
-	select {
-	case s.flushReq <- struct{}{}:
-	default:
-	}
-}
-
-// Flush compacts the K-DB synchronously, recording the outcome in
-// Health like the background flusher does. Tests and shutdown use it
-// to reach a known-compacted state without waiting out the debounce
-// window.
-func (s *Service) Flush() error {
-	err := s.engine.KDB().Flush()
 	s.mu.Lock()
-	s.lastFlushErr = err
-	s.mu.Unlock()
-	return err
-}
-
-// flusher is the background flush goroutine: it waits for a request,
-// debounces FlushDelay absorbing the rest of the burst, then compacts
-// once. It exits when flushStop closes, flushing a pending request
-// first so shutdown never strands signalled work.
-func (s *Service) flusher() {
-	defer close(s.flusherDone)
-	for {
-		select {
-		case <-s.flushReq:
-		case <-s.flushStop:
-			return
-		}
-		timer := time.NewTimer(s.cfg.FlushDelay)
-	absorb:
-		for {
-			select {
-			case <-s.flushReq:
-				// Coalesced into the pending compaction.
-			case <-timer.C:
-				break absorb
-			case <-s.flushStop:
-				timer.Stop()
-				_ = s.Flush()
-				return
-			}
-		}
-		_ = s.Flush()
+	defer s.mu.Unlock()
+	if s.flushTimer != nil {
+		return
 	}
+	s.flushes.Add(1)
+	s.flushTimer = time.AfterFunc(s.cfg.FlushDelay, func() {
+		defer s.flushes.Done()
+		s.mu.Lock()
+		s.flushTimer = nil
+		s.mu.Unlock()
+		_ = s.engine.KDB().Flush()
+	})
 }
 
-// stopFlusher ends the background flusher (idempotent) and waits for
-// it, then runs one final synchronous flush so a cleanly shut down
-// service leaves a fully compacted store behind.
-func (s *Service) stopFlusher() {
-	s.flushStopOnce.Do(func() { close(s.flushStop) })
-	<-s.flusherDone
-	_ = s.Flush()
+// finalFlush runs once the workers have drained, so no request arms
+// another flush: it disarms a pending flush, waits for a running one,
+// and flushes once itself, so a cleanly shut down service leaves a
+// fully compacted store behind.
+func (s *Service) finalFlush() {
+	s.mu.Lock()
+	t := s.flushTimer
+	s.flushTimer = nil
+	s.mu.Unlock()
+	if t != nil && t.Stop() {
+		s.flushes.Done()
+	}
+	s.flushes.Wait()
+	_ = s.engine.KDB().Flush()
 }
 
 // safeRun isolates a panicking job execution (the runJob seam, or a
@@ -599,7 +555,7 @@ func (s *Service) safeRun(j *Job) (rep *core.Report, err error) {
 
 // defaultRun dispatches the job onto the shared CPU budget through the
 // engine's single dispatch path; jobs analyze with NoFlush, and run
-// hands the K-DB flush to the debounced background flusher.
+// arms the debounced K-DB flush.
 func (s *Service) defaultRun(j *Job) (*core.Report, error) {
 	return j.engine.AnalyzeWith(j.ctx, j.log, core.AnalyzeOptions{
 		Observer: j.observeStage,

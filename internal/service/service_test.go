@@ -384,10 +384,10 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestShutdownLeavesNoGoroutine: once Shutdown returns, the workers,
-// the flusher and every job's reap watcher are gone — with one job
-// running, one queued and one cancelled while queued (its watcher has
-// already fired), the goroutine count is back at its baseline from
+// TestShutdownLeavesNoGoroutine: once Shutdown returns, the workers
+// are gone and no flush or reap is left running — with one job
+// running, one queued and one cancelled while queued (its reap has
+// already run), the goroutine count is back at its baseline from
 // before the service started.
 func TestShutdownLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -421,6 +421,36 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// TestQueuedJobsAddNoGoroutine: an idle service runs its Workers and
+// nothing else, and jobs queued behind busy workers wait as heap
+// entries, with no goroutine of their own.
+func TestQueuedJobsAddNoGoroutine(t *testing.T) {
+	const workers, queued = 2, 8
+	log := testLog(t, 1)
+	ctx := context.Background()
+	base := runtime.NumGoroutine()
+	svc, started, release, _ := blockingService(t, workers, queued)
+	if n := runtime.NumGoroutine(); n > base+workers {
+		t.Fatalf("idle service: %d goroutines, want at most %d (%d + %d workers)", n, base+workers, base, workers)
+	}
+	for i := 0; i < workers; i++ {
+		if _, err := svc.Submit(ctx, log); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+	}
+	busy := runtime.NumGoroutine()
+	for i := 0; i < queued; i++ {
+		if _, err := svc.Submit(ctx, log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > busy {
+		t.Fatalf("%d queued jobs took the goroutine count from %d to %d", queued, busy, n)
+	}
+	close(release)
 }
 
 // comparableReport strips execution telemetry and the closure-bearing

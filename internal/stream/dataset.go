@@ -250,13 +250,17 @@ func (d *Dataset) updateDriftLocked(current stats.Descriptor) {
 // start is the pipeline's recall stage. Submission failures (queue
 // full, degraded) are soft: the drift persists, so the next append
 // retries.
+//
+// The snapshot shares the log's rows: vsm.Live only ever appends to
+// them, and capping each slice at its length makes a later append
+// reallocate or write past the snapshot's end, never into it.
 func (d *Dataset) scheduleResweepLocked() {
 	l := d.live.Log()
 	snapshot := &dataset.Log{
 		Name:     d.name,
-		Exams:    append([]Exam(nil), l.Exams...),
-		Patients: append([]Patient(nil), l.Patients...),
-		Records:  append([]Record(nil), l.Records...),
+		Exams:    l.Exams[:len(l.Exams):len(l.Exams)],
+		Patients: l.Patients[:len(l.Patients):len(l.Patients)],
+		Records:  l.Records[:len(l.Records):len(l.Records)],
 	}
 	j, err := d.mgr.svc.Submit(context.Background(), snapshot,
 		service.WithLabels(map[string]string{

@@ -52,17 +52,12 @@ func Mount(mux *http.ServeMux, mgr *Manager) {
 }
 
 // Handler composes the full daemon API: the job/knowledge endpoints of
-// service.NewHandler plus the live-dataset endpoints of Mount, on one
-// mux.
-func Handler(svc *service.Service, mgr *Manager) http.Handler {
-	return HandlerOptions(svc, mgr, service.HandlerOptions{})
-}
-
-// HandlerOptions is Handler with explicit service handler options
-// (degraded read routing to a warm standby, etc.).
-func HandlerOptions(svc *service.Service, mgr *Manager, opts service.HandlerOptions) http.Handler {
+// service.NewHandler, with its options (degraded read routing to a
+// warm standby, etc.), plus the live-dataset endpoints of Mount, on
+// one mux.
+func Handler(svc *service.Service, mgr *Manager, opts ...service.HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", service.NewHandler(svc, opts))
+	mux.Handle("/", service.NewHandler(svc, opts...))
 	Mount(mux, mgr)
 	return mux
 }

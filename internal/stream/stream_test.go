@@ -363,6 +363,81 @@ func TestResweepReportMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestResweepSnapshotIgnoresLaterAppends: the resweep's log shares
+// the live log's rows, and appends that land while it is queued and
+// running leave its Report equal to core.Engine analysis of the rows
+// the log held when the resweep was scheduled. Under -race it also
+// shows the appends and the analysis touch no row in common.
+func TestResweepSnapshotIgnoresLaterAppends(t *testing.T) {
+	const seed = 11
+	svc := testService(t, fastConfig(seed, ""))
+	mgr, err := NewManager(Config{Service: svc, DriftThreshold: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest := splitLog(genLog(t, seed, 60, 600), 1)
+	if _, err := mgr.Register("live-snap", first.exams, first.patients, first.records); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := mgr.Get("live-snap")
+	st, err := d.Append(nil, rest[0].patients, rest[0].records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ResweepJob == "" {
+		t.Fatalf("append did not schedule a resweep: %+v", st)
+	}
+	d.mu.Lock()
+	l := d.live.Log()
+	scheduled := &dataset.Log{
+		Name:     "live-snap",
+		Exams:    append([]Exam(nil), l.Exams...),
+		Patients: append([]Patient(nil), l.Patients...),
+		Records:  append([]Record(nil), l.Records...),
+	}
+	d.mu.Unlock()
+
+	// One new patient per append, each with a record of every exam
+	// type, until the resweep has finished.
+	deadline := time.Now().Add(30 * time.Second)
+	appended := 0
+	for ; d.Status().Resweeping; appended++ {
+		if time.Now().After(deadline) {
+			t.Fatal("resweep did not finish within 30s")
+		}
+		p := Patient{ID: fmt.Sprintf("late-%04d", appended), Age: 40}
+		var recs []Record
+		for i, e := range scheduled.Exams {
+			recs = append(recs, Record{PatientID: p.ID, ExamCode: e.Code, Date: scheduled.Records[i%len(scheduled.Records)].Date})
+		}
+		if _, err := d.Append(nil, []Patient{p}, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if appended == 0 {
+		t.Fatal("no append landed while the resweep was in flight")
+	}
+	j, ok := svc.Job(st.ResweepJob)
+	if !ok {
+		t.Fatal("resweep job unknown to the service")
+	}
+	got, ok := j.Report()
+	if !ok {
+		t.Fatalf("resweep has no report: %v", j.Err())
+	}
+	engine, err := core.New(fastConfig(seed, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.AnalyzeWith(context.Background(), scheduled, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(comparableReport(got), comparableReport(want)) {
+		t.Fatalf("resweep report diverged from engine analysis of the %d patients at scheduling time (%d appends since)", len(scheduled.Patients), appended)
+	}
+}
+
 // comparableReport strips execution telemetry and the closure-bearing
 // recommendations, as the core scheduling-equivalence test does.
 func comparableReport(rep *core.Report) core.Report {
